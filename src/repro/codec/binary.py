@@ -80,22 +80,28 @@ _KIND_INDEX = {member: i for i, member in enumerate(_KIND_MEMBERS)}
 
 
 class Opaque:
-    """A value carried as its encoded bytes, never materialized.
+    """A value carried as its encoded bytes.
 
     The hub's frame decoder runs in lazy mode: blob-framed fields (e.g.
     ``MsgSend.payload``) surface as ``Opaque`` spans.  Re-encoding splices
     the span verbatim, so relaying costs a memcpy instead of a decode +
-    encode round trip.  :meth:`decode` materializes on demand (only the
-    event-stream sink ever needs to).
+    encode round trip — the relay path never calls :meth:`decode`.  The
+    span materializes at most once, when someone first asks (an event sink
+    reading ``event.payload``, a pickle-codec destination): :meth:`decode`
+    memoizes, so every holder of the span shares one decoded object.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_value")
 
     def __init__(self, data: bytes) -> None:
-        self.data = data
+        self.data = data  # ``_value`` stays unset until the first decode
 
     def decode(self) -> Any:
-        return decode(self.data)
+        try:
+            return self._value
+        except AttributeError:
+            value = self._value = decode(self.data)
+            return value
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Opaque) and other.data == self.data

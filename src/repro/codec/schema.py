@@ -176,7 +176,8 @@ def parse_instance(component: str) -> tuple[int, int] | None:
         return None
     body = component[len(INSTANCE_PREFIX) :]
     shard_text, dot, slot_text = body.partition(".")
-    if not dot or not shard_text.isdigit() or not slot_text.isdigit():
+    # isdecimal, not isdigit: "\u00b2".isdigit() holds but int() refuses it.
+    if not dot or not shard_text.isdecimal() or not slot_text.isdecimal():
         return None
     return int(shard_text), int(slot_text)
 

@@ -14,9 +14,11 @@ discrete-event :class:`~repro.sim.runner.Simulation`, the
   emits into pluggable sinks.
 
 Import discipline: this package imports only :mod:`repro.runtime`,
-:mod:`repro.types` and :mod:`repro.errors` at module scope (backends and
-behavior modules are imported lazily where needed), so every backend can
-import the engine without cycles.
+:mod:`repro.types`, :mod:`repro.errors` and the leaf codec module
+:mod:`repro.codec.binary` (for the ``Opaque`` span type the event stream
+carries) at module scope — backends and behavior modules are imported
+lazily where needed — so every backend can import the engine without
+cycles.
 """
 
 from .events import (

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..codec.binary import Opaque
 from ..types import DecisionKind, ProcessId
 
 __all__ = [
@@ -50,21 +51,71 @@ class RunEvent:
     pid: ProcessId
 
 
-@dataclass(frozen=True, slots=True)
-class SendEvent(RunEvent):
-    """``pid`` shipped a message to ``dst`` (once per destination)."""
+class _MessageEvent(RunEvent):
+    """What :class:`SendEvent` and :class:`DeliverEvent` share: a payload
+    that may still be encoded.
 
+    ``raw`` is the payload as the engine handed it over — the object itself
+    on the in-memory engines, an un-decoded :class:`~repro.codec.Opaque`
+    span on the socket hub, which relays payloads without looking inside.
+    ``payload`` is the object either way: a span decodes on first read and
+    memoizes on the span, so the send and deliver events of one message
+    share one decoded object and a sink that never reads a payload costs
+    the hub no decode at all.  Equality, hash, repr and pickling all go
+    through ``payload``: an event built from a span is indistinguishable
+    from one built from the object.
+    """
+
+    __slots__ = ()
+
+    @property
+    def payload(self) -> Any:
+        raw = self.raw
+        return raw.decode() if type(raw) is Opaque else raw
+
+    def _values(self) -> tuple:
+        """Constructor arguments in order, the payload materialized."""
+        return tuple(
+            self.payload if name == "raw" else getattr(self, name)
+            for name in self.__match_args__
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        names = ("payload" if n == "raw" else n for n in self.__match_args__)
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._values()))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SendEvent(_MessageEvent):
+    """``pid`` shipped a message to ``dst`` (once per destination).
+    Constructed ``SendEvent(time, pid, dst, payload, depth)``."""
+
+    __slots__ = ("dst", "raw", "depth")
     dst: ProcessId
-    payload: Any
+    raw: Any
     depth: int
 
 
-@dataclass(frozen=True, slots=True)
-class DeliverEvent(RunEvent):
-    """``pid`` received (and handled) a message from ``sender``."""
+@dataclass(frozen=True, eq=False, repr=False)
+class DeliverEvent(_MessageEvent):
+    """``pid`` received (and handled) a message from ``sender``.
+    Constructed ``DeliverEvent(time, pid, sender, payload, depth)``."""
 
+    __slots__ = ("sender", "raw", "depth")
     sender: ProcessId
-    payload: Any
+    raw: Any
     depth: int
 
 

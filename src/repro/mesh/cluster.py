@@ -45,11 +45,11 @@ from ..errors import SimulationError
 from ..net.cluster import NetCluster, NetRunResult
 from ..net.wire import MsgSend, Stop, WireError
 from ..runtime.protocol import Protocol
-from ..shard.router import hub_of
+from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..types import ProcessId, SystemConfig
 from .hub import Endpoint, HubLink, hub_worker_main
 from .node import mesh_node_main
-from .topology import UNATTRIBUTED, MeshTopology, shard_of_payload
+from .topology import MeshTopology
 from .wire import CONTROL_LINK, HubHello, HubReady, HubSaturated, HubStats, MsgRelay
 
 __all__ = ["MeshCluster"]

@@ -60,10 +60,10 @@ from ..net.wire import (
     encode_frame_into,
 )
 from ..errors import SimulationError
-from ..shard.router import hub_of
+from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..sim.latency import LognormalLatency
 from ..types import ProcessId
-from .topology import UNATTRIBUTED, hub_rng, shard_of_payload
+from .topology import hub_rng
 from .wire import CONTROL_LINK, HubHello, HubReady, HubSaturated, HubStats, MsgRelay
 
 __all__ = ["HubLink", "HubWorker", "hub_worker_main", "serve_hub"]

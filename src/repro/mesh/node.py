@@ -46,9 +46,8 @@ from ..net.wire import (
 )
 from ..codec.binary import wrap_opaque
 from ..runtime.protocol import Protocol
-from ..shard.router import hub_of
+from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..types import ProcessId
-from .topology import UNATTRIBUTED, shard_of_payload
 
 __all__ = ["EXIT_HUB_LOST", "MeshNodeWorker", "mesh_node_main"]
 

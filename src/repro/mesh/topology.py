@@ -12,29 +12,21 @@ that must agree across nodes, hubs and metrics lives here:
   draws stay bit-identical run to run *per hub* regardless of arrival
   interleaving across hubs (and hub 0's stream equals the star hub's,
   keeping single-hub digests unchanged);
-* :func:`shard_of_payload` / :func:`peek_shard` — shard attribution for a
-  materialized envelope chain and for a raw binary-codec span, so a data
-  hub can steer a frame without decoding its payload.
+* :func:`~repro.shard.router.shard_of_payload` / :func:`~repro.shard.
+  router.peek_shard` — shard attribution for a materialized envelope chain
+  and for a raw binary-codec span, so a data hub can steer a frame without
+  decoding its payload.  They live in :mod:`repro.shard.router` beside
+  ``hub_of`` (the metrics layer charges by the same function) and are
+  re-exported here under their old names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any
 
-from ..codec import Opaque
-from ..codec.binary import (
-    TAG_ENVELOPE,
-    CodecError,
-    _COMPONENT_INSTANCE,
-    _COMPONENT_STR,
-    _COMPONENT_TABLE_BASE,
-    _read_varint,
-)
-from ..codec.schema import parse_instance
 from ..errors import SimulationError
-from ..runtime.composite import Envelope
+from ..shard.router import UNATTRIBUTED, peek_shard, shard_of_payload
 
 __all__ = [
     "ROUTES",
@@ -50,9 +42,6 @@ __all__ = [
 #: ``"hub0"`` — ship everything to hub 0 and let the hubs relay (exercises
 #: the hub-to-hub forwarding path end to end).
 ROUTES = ("direct", "hub0")
-
-#: Shard index meaning "no shard tag found" — control traffic, pinned to hub 0.
-UNATTRIBUTED = -1
 
 
 @dataclass(frozen=True)
@@ -107,57 +96,3 @@ def hub_rng(seed: int, hub: int) -> Random:
     if hub == 0:
         return Random(seed)
     return Random((seed + 1) * 1_000_003 + hub)
-
-
-def shard_of_payload(payload: Any, shards: int) -> int:
-    """Shard owning a materialized payload, or :data:`UNATTRIBUTED`.
-
-    Unwraps the envelope chain (``Envelope("mux", Envelope("s<shard>.
-    <slot>", …))``) exactly like the metrics layer; an
-    :class:`~repro.codec.Opaque` span is peeked without materializing.
-    """
-    if type(payload) is Opaque:
-        return peek_shard(payload.data, shards)
-    seen = 0
-    while isinstance(payload, Envelope) and seen < 8:
-        key = parse_instance(payload.component)
-        if key is not None and 0 <= key[0] < shards:
-            return key[0]
-        payload = payload.payload
-        seen += 1
-    return UNATTRIBUTED
-
-
-def peek_shard(data: bytes, shards: int) -> int:
-    """Read the shard tag off a raw binary-codec span without decoding.
-
-    The span of an enveloped payload starts with ``TAG_ENVELOPE`` and its
-    component; an instance component (``s<shard>.<slot>``) is two varints
-    right there in the header, so steering costs a few byte reads instead
-    of a payload decode.  Non-instance components (interned table names
-    like ``"mux"``, or raw strings) are skipped and the nested payload is
-    peeked, mirroring the envelope-chain walk on materialized values.
-    Anything unrecognized — including a truncated or hostile span —
-    answers :data:`UNATTRIBUTED`, never raises: unattributable traffic
-    goes to hub 0 like any control frame.
-    """
-    pos = 0
-    try:
-        for _ in range(8):
-            if pos >= len(data) or data[pos] != TAG_ENVELOPE:
-                return UNATTRIBUTED
-            pos += 1
-            kind = data[pos]
-            pos += 1
-            if kind == _COMPONENT_INSTANCE:
-                shard, pos = _read_varint(data, pos)
-                return shard if 0 <= shard < shards else UNATTRIBUTED
-            if kind == _COMPONENT_STR:
-                length, pos = _read_varint(data, pos)
-                pos += length
-            elif kind < _COMPONENT_TABLE_BASE:
-                return UNATTRIBUTED
-            # table component: the single kind byte was the whole encoding
-    except (IndexError, CodecError):
-        return UNATTRIBUTED
-    return UNATTRIBUTED

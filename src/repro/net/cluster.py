@@ -32,6 +32,7 @@ import heapq
 import multiprocessing
 import os
 import random
+import select
 import selectors
 import socket
 import tempfile
@@ -80,6 +81,10 @@ TRANSPORTS = ("uds", "tcp")
 
 #: Hub jitter models (seeded either way).
 JITTERS = ("uniform", "lognormal")
+
+#: How long a hub-side write may move no byte in either direction before
+#: the node is declared dead.
+SEND_TIMEOUT = 1.0
 
 #: Default ready-queue depth at which a hub declares itself saturated
 #: (see :class:`~repro.engine.events.HubSaturatedEvent`).
@@ -462,17 +467,49 @@ class NetCluster:
             return True
         for msg in decoder.feed(data):
             if isinstance(msg, Hello) and msg.pid in range(self.config.n):
-                self._conns[msg.pid] = _Conn(
-                    msg.pid, sock, decoder, self._conn_codec(msg.codec)
-                )
+                if msg.pid in self._conns:
+                    # The pid already has an authenticated link: a second
+                    # dialer claiming it must not replace (and leak) it.
+                    self.events.fault(msg.pid, "duplicate-hello")
+                    sock.close()
+                else:
+                    self._conns[msg.pid] = _Conn(
+                        msg.pid, sock, decoder, self._conn_codec(msg.codec)
+                    )
                 return True
         return False
 
     # -- frame plumbing --------------------------------------------------------------
 
-    #: see the module-level :func:`materialize_for` (kept as a static
-    #: attribute for the existing call sites).
-    _materialize_for = staticmethod(materialize_for)
+    def _send(self, conn: _Conn, buf: bytearray) -> None:
+        """``sendall`` that cannot deadlock against the node.
+
+        A node writes to the hub from inside its handlers, without reading.
+        When its receive buffer is full while its own writes wait on us, a
+        plain ``sendall`` here waits for the node waiting for the hub —
+        until the send timeout drops a healthy replica.  So while the
+        socket is not writable, drain what the node is sending instead
+        (``_pump`` only queues work, so entering it from a delivery sweep
+        is safe).
+
+        Raises:
+            OSError: the link died, or moved no byte either way for
+                :data:`SEND_TIMEOUT` seconds.
+        """
+        sock = conn.sock
+        with memoryview(buf) as view:
+            sent = 0
+            while sent < len(view):
+                readable, writable, _ = select.select([sock], [sock], [], SEND_TIMEOUT)
+                if writable:
+                    sent += sock.send(view[sent:])
+                elif not readable:
+                    self.events.fault(conn.pid, "send-stalled")
+                    raise TimeoutError("node neither reads nor writes")
+                else:
+                    self._pump(conn)
+                    if conn.pid in self._dead:
+                        raise ConnectionResetError("link closed mid-write")
 
     def _write(self, pid: ProcessId, msg: Any) -> bool:
         conn = self._conns.get(pid)
@@ -481,10 +518,10 @@ class NetCluster:
         buf = self._send_buf
         buf.clear()
         encode_frame_into(
-            self._materialize_for(conn.codec, msg), buf, conn.codec, self.max_frame
+            materialize_for(conn.codec, msg), buf, conn.codec, self.max_frame
         )
         try:
-            conn.sock.sendall(buf)
+            self._send(conn, buf)
             self.hub_frames += 1
             self.hub_bytes += len(buf)
             return True
@@ -515,10 +552,10 @@ class NetCluster:
         codec = conn.codec
         for msg in msgs:
             encode_frame_into(
-                self._materialize_for(codec, msg), buf, codec, self.max_frame
+                materialize_for(codec, msg), buf, codec, self.max_frame
             )
         try:
-            conn.sock.sendall(buf)
+            self._send(conn, buf)
             self.hub_frames += len(msgs)
             self.hub_bytes += len(buf)
             return msgs

@@ -12,6 +12,11 @@ One approximation is inherent to the topology: a ``DeliverEvent`` is
 emitted when the hub hands the frame to the destination's socket, not when
 the destination process dequeues it.  The gap is one socket hop; per-run
 counters (the thing :class:`EventStats` computes) are exact either way.
+
+What decodes when: never on relay.  Binary-codec payloads reach the hub as
+:class:`~repro.codec.Opaque` spans and go into the send/deliver events as
+they are; a span decodes at most once per message, on the first
+``event.payload`` read, and a sink that reads none costs the hub no decode.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..codec import Opaque
 from ..engine.events import (
     DecideEvent,
     DeliverEvent,
@@ -33,16 +37,6 @@ from ..engine.events import (
     ServiceEvent,
 )
 from ..types import ProcessId
-
-
-def _materialize(payload: Any) -> Any:
-    """Decode a relayed payload span for the event stream.
-
-    The hub forwards binary-codec payloads as :class:`~repro.codec.Opaque`
-    spans without decoding; only an attached sink ever needs the object,
-    so the decode happens here — on emit, never on the relay fast path.
-    """
-    return payload.decode() if type(payload) is Opaque else payload
 
 
 class StreamClock:
@@ -74,14 +68,12 @@ class HubEvents:
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
         if self.sink is not None:
-            payload = _materialize(payload)
             self.sink.emit(SendEvent(self.clock.now(), src, dst, payload, depth))
 
     def deliver(
         self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int
     ) -> None:
         if self.sink is not None:
-            payload = _materialize(payload)
             self.sink.emit(DeliverEvent(self.clock.now(), dst, sender, payload, depth))
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, step: int) -> None:

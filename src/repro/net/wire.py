@@ -187,34 +187,44 @@ class FrameDecoder:
                 for — or buffering — the oversized body).
             WireError: version mismatch or unknown codec id.
         """
-        self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return
-            (body_len,) = _LENGTH.unpack_from(self._buffer)
-            if body_len > self.max_frame:
-                raise FrameTooLarge(
-                    f"peer declared a {body_len}-byte frame; cap is {self.max_frame}"
-                )
-            if body_len < _HEADER_BYTES:
-                raise WireError(f"frame body of {body_len} bytes is too short")
-            total = _LENGTH.size + body_len
-            if len(self._buffer) < total:
-                return
-            version = self._buffer[_LENGTH.size]
-            codec = self._buffer[_LENGTH.size + 1]
-            payload = bytes(self._buffer[_LENGTH.size + _HEADER_BYTES : total])
-            del self._buffer[:total]
-            if version != WIRE_VERSION:
-                raise WireError(
-                    f"wire version mismatch: peer speaks v{version}, "
-                    f"this end speaks v{WIRE_VERSION}"
-                )
-            try:
-                payload_codec = codec_for(codec, lazy=self.lazy)
-            except CodecError:
-                raise WireError(f"unknown codec id {codec}") from None
-            yield payload_codec.decode(payload)
+        buffer = self._buffer
+        buffer.extend(data)
+        pos = 0
+        try:
+            while True:
+                if len(buffer) - pos < _LENGTH.size:
+                    return
+                (body_len,) = _LENGTH.unpack_from(buffer, pos)
+                if body_len > self.max_frame:
+                    raise FrameTooLarge(
+                        f"peer declared a {body_len}-byte frame; cap is {self.max_frame}"
+                    )
+                if body_len < _HEADER_BYTES:
+                    raise WireError(f"frame body of {body_len} bytes is too short")
+                body = pos + _LENGTH.size
+                end = body + body_len
+                if len(buffer) < end:
+                    return
+                version = buffer[body]
+                codec = buffer[body + 1]
+                payload = bytes(buffer[body + _HEADER_BYTES : end])
+                pos = end
+                if version != WIRE_VERSION:
+                    raise WireError(
+                        f"wire version mismatch: peer speaks v{version}, "
+                        f"this end speaks v{WIRE_VERSION}"
+                    )
+                try:
+                    payload_codec = codec_for(codec, lazy=self.lazy)
+                except CodecError:
+                    raise WireError(f"unknown codec id {codec}") from None
+                yield payload_codec.decode(payload)
+        finally:
+            # Consumed frames leave the buffer once per call, not once per
+            # frame (each ``del`` memmoves the rest of a 64 KB read).  In
+            # ``finally`` so a caller that stops iterating early (the hub's
+            # Hello handshake) still leaves the unread frames buffered.
+            del buffer[:pos]
 
     def eof(self) -> None:
         """Signal end-of-stream; raises if the peer died mid-frame.

@@ -8,12 +8,14 @@ or forked OS processes behind the socket hub.
 Attribution works through the message envelopes themselves: every frame a
 consensus instance sends travels inside an ``Envelope`` chain ending in an
 instance component ``s<shard>.<slot>`` (see :mod:`repro.shard.router`), so
-sends and delivers can be charged to their shard by unwrapping envelopes —
-no side channel needed.  Slot timing comes from the ``shard.open`` /
-``shard.decide`` log records each replica emits: their time delta is the
-*per-slot* decision latency, which sidesteps the fact that causal ``step``
-depth accumulates across chained slots (slot 17's decision rides on the
-message chain of slots 0..16, so its raw ``DecideEvent.step`` is useless).
+sends and delivers can be charged to their shard from the envelope header
+(:func:`~repro.shard.router.shard_of_payload`, off the raw bytes when the
+socket hub hands over an un-decoded span) — no side channel needed.  Slot
+timing comes from the ``shard.open`` / ``shard.decide`` log records each
+replica emits: their time delta is the *per-slot* decision latency, which
+sidesteps the fact that causal ``step`` depth accumulates across chained
+slots (slot 17's decision rides on the message chain of slots 0..16, so
+its raw ``DecideEvent.step`` is useless).
 Per-slot step counts are instead derived from the decision *kind*:
 one-step/fast = 1, two-step = 2, underlying = 2 + the UC's step cost.
 
@@ -37,15 +39,10 @@ from ..engine.events import (
     ServiceEvent,
 )
 from ..metrics.collectors import StreamAggregate
-from ..runtime.composite import Envelope
 from ..types import DecisionKind
-from .router import hub_of, parse_instance
+from .router import UNATTRIBUTED, hub_of, shard_of_payload
 
 __all__ = ["step_of_kind", "ShardStreamSink"]
-
-#: shard key for traffic that cannot be attributed to any instance
-#: (top-level control messages, foreign envelopes).
-UNATTRIBUTED = -1
 
 
 def step_of_kind(kind: DecisionKind, uc_step_cost: int = 2) -> int:
@@ -90,18 +87,6 @@ class ShardStreamSink(EventSink):
 
     # -- attribution -------------------------------------------------------------------
 
-    def _shard_of_payload(self, payload: Any) -> int:
-        """Charge a message to its shard by unwrapping its envelope chain
-        (``Envelope("mux", Envelope("s<shard>.<slot>", …))``)."""
-        seen = 0
-        while isinstance(payload, Envelope) and seen < 8:
-            key = parse_instance(payload.component)
-            if key is not None and 0 <= key[0] < self.shards:
-                return key[0]
-            payload = payload.payload
-            seen += 1
-        return UNATTRIBUTED
-
     def _shard_of_service(self, payload: Any) -> int:
         instance = getattr(payload, "instance", None)
         if (
@@ -117,9 +102,9 @@ class ShardStreamSink(EventSink):
 
     def emit(self, event: RunEvent) -> None:
         if isinstance(event, SendEvent):
-            self.sends[self._shard_of_payload(event.payload)] += 1
+            self.sends[shard_of_payload(event.raw, self.shards)] += 1
         elif isinstance(event, DeliverEvent):
-            self.delivers[self._shard_of_payload(event.payload)] += 1
+            self.delivers[shard_of_payload(event.raw, self.shards)] += 1
         elif isinstance(event, ServiceEvent):
             self.service_calls[self._shard_of_service(event.payload)] += 1
         elif isinstance(event, LogEvent) and event.event in (

@@ -29,6 +29,14 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable
 
+from ..codec.binary import (
+    _COMPONENT_INSTANCE,
+    _COMPONENT_STR,
+    TAG_ENVELOPE,
+    CodecError,
+    Opaque,
+    _read_varint,
+)
 from ..codec.schema import instance_name, parse_instance
 from ..runtime.composite import CompositeProtocol, Envelope
 from ..runtime.effects import Decide, Deliver, Effect
@@ -37,8 +45,11 @@ from ..types import DecisionKind, ProcessId, SystemConfig, Value
 
 __all__ = [
     "INSTANCE_DECIDED_TAG",
+    "UNATTRIBUTED",
     "shard_of",
     "hub_of",
+    "shard_of_payload",
+    "peek_shard",
     "instance_name",
     "parse_instance",
     "ShardMultiplexer",
@@ -46,6 +57,10 @@ __all__ = [
 
 #: Upcall tag of a per-instance decision surfaced by the multiplexer.
 INSTANCE_DECIDED_TAG = "shard-slot-decided"
+
+#: Shard index meaning "no shard tag found": top-level control messages and
+#: foreign envelopes.  Metrics book them apart; a mesh pins them to hub 0.
+UNATTRIBUTED = -1
 
 #: builds the consensus instance for one ``(shard, slot)``:
 #: ``(shard, slot, proposal) -> Protocol``.
@@ -78,6 +93,66 @@ def hub_of(shard: int, hubs: int) -> int:
     if shard < 0:
         raise ValueError("shard must be non-negative")
     return shard % hubs
+
+
+def shard_of_payload(payload: Any, shards: int) -> int:
+    """Shard owning one message payload, or :data:`UNATTRIBUTED`.
+
+    The one attribution function — mesh nodes and hubs steer by it, the
+    metrics layer charges sends and delivers by it.  Every frame a consensus
+    instance sends travels inside an envelope chain (``Envelope("mux",
+    Envelope("s<shard>.<slot>", …))``); the first instance component naming
+    a shard in ``[0, shards)`` decides.  An :class:`~repro.codec.Opaque`
+    span is peeked (:func:`peek_shard`), never materialized, and answers
+    exactly what its decoded object would.
+    """
+    if type(payload) is Opaque:
+        return peek_shard(payload.data, shards)
+    seen = 0
+    while isinstance(payload, Envelope) and seen < 8:
+        key = parse_instance(payload.component)
+        if key is not None and 0 <= key[0] < shards:
+            return key[0]
+        payload = payload.payload
+        seen += 1
+    return UNATTRIBUTED
+
+
+def peek_shard(data: bytes, shards: int) -> int:
+    """Read the shard tag off a raw binary-codec span without decoding.
+
+    The span of an enveloped payload starts with ``TAG_ENVELOPE`` and its
+    component; an instance component (``s<shard>.<slot>``) is two varints
+    right there in the header, so attribution costs a few byte reads instead
+    of a payload decode.  Other components (interned table names like
+    ``"mux"``, raw strings, out-of-range shards) are stepped over and the
+    nested payload is peeked, mirroring the envelope-chain walk on
+    materialized values.  Anything unrecognized — including a truncated or
+    hostile span — answers :data:`UNATTRIBUTED`, never raises.
+    """
+    pos = 0
+    try:
+        for _ in range(8):
+            if pos >= len(data) or data[pos] != TAG_ENVELOPE:
+                return UNATTRIBUTED
+            pos += 1
+            kind = data[pos]
+            pos += 1
+            if kind == _COMPONENT_INSTANCE:
+                shard, pos = _read_varint(data, pos)
+                if 0 <= shard < shards:
+                    return shard
+                _, pos = _read_varint(data, pos)  # foreign shard: step over the slot
+            elif kind == _COMPONENT_STR:
+                length, pos = _read_varint(data, pos)
+                key = parse_instance(data[pos : pos + length].decode("utf-8", "replace"))
+                if key is not None and 0 <= key[0] < shards:
+                    return key[0]
+                pos += length
+            # else a table component: the kind byte was the whole encoding
+    except (IndexError, CodecError):
+        return UNATTRIBUTED
+    return UNATTRIBUTED
 
 
 class ShardMultiplexer(CompositeProtocol):

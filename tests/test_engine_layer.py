@@ -5,8 +5,13 @@ in isolation; the cross-engine behavioral guarantees live in
 ``test_cross_engine.py``.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.codec.binary import Opaque, encode
 from repro.engine.events import (
     DecideEvent,
     DeliverEvent,
@@ -311,6 +316,67 @@ class TestEventStream:
         a, b = EventLog(), EventLog()
         TeeSink(a, b).emit(SendEvent(0.0, 0, 1, "m", 1))
         assert len(a) == len(b) == 1
+
+
+class TestLazyPayloadEvents:
+    """An event built from an un-decoded ``Opaque`` span (the socket hub)
+    is indistinguishable from one built from the object (every in-memory
+    engine) — except that nothing decodes until ``payload`` is read."""
+
+    PAYLOAD = Envelope("mux", Envelope("s1.3", ("propose", 7, (1, 2))))
+
+    @pytest.fixture(params=[SendEvent, DeliverEvent])
+    def pair(self, request):
+        eager = request.param(0.5, 1, 2, self.PAYLOAD, 3)
+        lazy = request.param(0.5, 1, 2, Opaque(encode(self.PAYLOAD)), 3)
+        return eager, lazy
+
+    def test_same_type_and_payload(self, pair):
+        eager, lazy = pair
+        assert type(lazy) is type(eager)
+        assert type(lazy.raw) is Opaque and eager.raw is self.PAYLOAD
+        assert lazy.payload == eager.payload == self.PAYLOAD
+
+    def test_compare_hash_repr_equal(self, pair):
+        eager, lazy = pair
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert repr(lazy) == repr(eager)
+        assert "payload=Envelope(component='mux'" in repr(lazy)
+        assert lazy != type(eager)(0.5, 1, 2, "other", 3)
+        other = DeliverEvent if type(eager) is SendEvent else SendEvent
+        assert lazy != other(0.5, 1, 2, self.PAYLOAD, 3)
+
+    def test_pickle_and_copy_round_trip_materialized(self, pair):
+        eager, lazy = pair
+        for event in (eager, lazy):
+            for clone in (pickle.loads(pickle.dumps(event)), copy.copy(event)):
+                assert type(clone) is type(eager)
+                assert clone == eager and clone.raw == self.PAYLOAD
+
+    def test_stay_frozen(self, pair):
+        for event in pair:
+            for name in ("payload", "raw", "time", "depth", "extra"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(event, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del event.raw
+            assert not hasattr(event, "__dict__")
+
+    def test_span_decodes_once_and_is_shared(self, monkeypatch):
+        from repro.codec import binary
+
+        calls = []
+        real = binary.decode
+        monkeypatch.setattr(
+            binary, "decode", lambda data, lazy=False: calls.append(1) or real(data, lazy)
+        )
+        span = Opaque(encode(self.PAYLOAD))
+        send = SendEvent(0.0, 1, 2, span, 3)
+        deliver = DeliverEvent(0.1, 2, 1, span, 3)
+        assert calls == []  # building events decodes nothing
+        assert send.payload is deliver.payload
+        assert len(calls) == 1
 
 
 class TestLockstepSimulation:

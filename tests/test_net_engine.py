@@ -246,6 +246,167 @@ class TestNetEvents:
         assert times == sorted(times) and all(t >= 0.0 for t in times)
 
 
+def _count_payload_decodes(monkeypatch):
+    """Count this process's payload materializations.  The hub's frame
+    decoders run ``lazy=True``; every non-lazy ``binary.decode`` here is an
+    ``Opaque`` span turning into an object.  Forked nodes inherit the
+    wrapper but count into their own memory."""
+    from repro.codec import binary
+
+    calls = {"decode": 0, "opaque": 0}
+    real_decode, real_opaque = binary.decode, binary.Opaque.decode
+
+    def counting_decode(data, lazy=False):
+        calls["decode"] += not lazy
+        return real_decode(data, lazy)
+
+    def counting_opaque(self):
+        calls["opaque"] += 1
+        return real_opaque(self)
+
+    monkeypatch.setattr(binary, "decode", counting_decode)
+    monkeypatch.setattr(binary.Opaque, "decode", counting_opaque)
+    return calls
+
+
+@pytest.mark.net
+class TestHubNeverDecodesRelayedPayloads:
+    """The hub's data path (socket → route → heap → deliver → socket) costs
+    zero payload decodes; a sink that reads payloads pays one per message."""
+
+    def _service(self, event_sink=None):
+        from repro.shard import ShardedService
+
+        return ShardedService(
+            n=7, shards=4, contention=0.0, seed=11, engine="net", event_sink=event_sink
+        )
+
+    def test_payload_blind_sinks_cost_zero_decodes(self, monkeypatch):
+        calls = _count_payload_decodes(monkeypatch)
+        stats = EventStats()
+        report = self._service(stats).run(count=16, timeout=25.0)
+        assert not report.divergence and report.commands == 16
+        assert calls == {"decode": 0, "opaque": 0}
+        # ... although every send was observed and charged to its shard.
+        routed = report.result.stats.messages_sent
+        assert stats.sends == routed > 0
+        assert sum(row["sends"] for row in report.per_shard) == routed
+        assert all(row["sends"] > 0 for row in report.per_shard)
+        assert_no_leaks()
+
+    def test_event_log_pays_one_decode_per_routed_message(self, monkeypatch):
+        from repro.codec import Opaque
+
+        calls = _count_payload_decodes(monkeypatch)
+        log = EventLog()
+        report = self._service(log).run(count=16, timeout=25.0)
+        assert not report.divergence
+        assert calls["decode"] == 0  # recording an event reads no payload
+        sends = log.of_type(SendEvent)
+        delivers = [e for e in log.of_type(DeliverEvent) if type(e.raw) is Opaque]
+        assert len(sends) == report.result.stats.messages_sent
+        sent = {id(e.payload): e for e in sends}
+        assert calls["decode"] == len(sends)
+        for deliver in delivers:
+            send = sent[id(deliver.payload)]  # the very same object
+            assert (send.pid, send.dst) == (deliver.sender, deliver.pid)
+        assert len(delivers) > 0 and calls["decode"] == len(sends)
+        assert_no_leaks()
+
+
+class TestDuplicateHello:
+    def test_second_dialer_cannot_replace_an_authenticated_link(self):
+        # Regression: a second Hello claiming a connected pid used to
+        # overwrite ``_conns[pid]`` — hijacking the link and leaking the
+        # first socket.  Stub dialers over socketpairs, no forking.
+        import socket
+        import time
+
+        from repro.engine.events import FaultEvent
+        from repro.net.wire import CODEC_BINARY, FrameDecoder, Hello, encode_frame
+        from repro.types import SystemConfig
+
+        config = SystemConfig(4, 0)
+        log = EventLog()
+        cluster = NetCluster(
+            config, {pid: None for pid in config.processes}, event_sink=log
+        )
+        hello = encode_frame(Hello(3, CODEC_BINARY), CODEC_BINARY)
+        deadline = time.monotonic() + 1.0
+        hub_side, dialers = [], []
+        try:
+            for _ in range(2):
+                ours, theirs = socket.socketpair()
+                hub_side.append(ours)
+                dialers.append(theirs)
+                theirs.sendall(hello)
+                assert cluster._try_hello(ours, FrameDecoder(lazy=True), deadline)
+            assert cluster._conns[3].sock is hub_side[0]
+            assert hub_side[0].fileno() != -1
+            assert hub_side[1].fileno() == -1  # the newcomer was closed
+            assert dialers[1].recv(16) == b""  # ... and sees EOF
+            assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [
+                (3, "duplicate-hello")
+            ]
+        finally:
+            for sock in hub_side + dialers:
+                sock.close()
+
+
+class TestHubWriteCannotDeadlock:
+    def test_hub_drains_a_node_that_writes_without_reading(self):
+        # Regression: a node writes from inside its handlers without
+        # reading.  With both directions' socket buffers full the hub's
+        # ``sendall`` waited for the node waiting for the hub, and the 1 s
+        # send timeout then dropped a healthy replica.  Stub node on a
+        # socketpair: megabytes each way, far beyond any socket buffer.
+        import socket
+        import threading
+
+        from repro.net.cluster import _Conn
+        from repro.net.wire import (
+            CODEC_BINARY,
+            FrameDecoder,
+            MsgDeliver,
+            MsgSend,
+            encode_frame,
+        )
+        from repro.types import SystemConfig
+
+        config = SystemConfig(4, 0)
+        cluster = NetCluster(config, {pid: None for pid in config.processes})
+        ours, theirs = socket.socketpair()
+        ours.settimeout(1.0)
+        theirs.settimeout(20.0)
+        cluster._conns[2] = _Conn(2, ours, FrameDecoder(lazy=True), CODEC_BINARY)
+        sends = 40_000
+        upstream = encode_frame(MsgSend(2, 1, ("vote", 7, "x" * 40), 1), CODEC_BINARY)
+        frames = [MsgDeliver(1, "y" * 200_000, 1)] * 10
+        downstream = sum(len(encode_frame(f, CODEC_BINARY)) for f in frames)
+        received = []
+
+        def node():
+            theirs.sendall(upstream * sends)  # never reads while writing
+            got = 0
+            while got < downstream:
+                got += len(theirs.recv(1 << 20))
+            received.append(got)
+
+        thread = threading.Thread(target=node, daemon=True)
+        thread.start()
+        try:
+            assert cluster._write_frames(2, frames) == frames
+            thread.join(20.0)
+            assert not thread.is_alive() and received == [downstream]
+            assert 2 not in cluster._dead
+            while cluster.stats.messages_sent < sends:  # the rest, by the pump
+                cluster._pump(cluster._conns[2])
+            assert len(cluster._heap) == sends
+        finally:
+            ours.close()
+            theirs.close()
+
+
 @pytest.mark.net
 class TestNetFaults:
     def test_silent_node_over_the_wire(self):

@@ -96,6 +96,28 @@ class TestSplitReads:
         assert decoder.pending_bytes == 3
         assert list(decoder.feed(tail_frame[3:])) == [Stop()]
 
+    def test_abandoned_iteration_keeps_the_unread_frames(self):
+        # The hub's handshake stops at the Hello and hands the decoder to
+        # the pump: frames that arrived in the same read must survive.
+        data = b"".join(encode_frame(m) for m in (Hello(2), Start(), Stop()))
+        decoder = FrameDecoder()
+        for msg in decoder.feed(data + b"\x00"):
+            assert msg == Hello(2)
+            break
+        assert decoder.pending_bytes == len(data) + 1 - len(encode_frame(Hello(2)))
+        assert list(decoder.feed(b"")) == [Start(), Stop()]
+        assert decoder.pending_bytes == 1
+
+    def test_bad_frame_mid_read_is_consumed_with_its_predecessors(self):
+        bad = bytearray(encode_frame(Start()))
+        bad[4] = 99  # version byte
+        decoder = FrameDecoder()
+        feed = decoder.feed(encode_frame(Hello(1)) + bytes(bad) + encode_frame(Stop()))
+        assert next(feed) == Hello(1)
+        with pytest.raises(WireError, match="version mismatch"):
+            next(feed)
+        assert list(decoder.feed(b"")) == [Stop()]
+
 
 class TestSizeCaps:
     def test_encode_refuses_oversized_payload(self):

@@ -14,7 +14,12 @@ Four layers, mirroring :mod:`repro.shard`'s structure:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.codec.binary import Opaque, encode
+from repro.codec.schema import COMPONENT_TABLE
+from repro.engine.events import DeliverEvent, SendEvent
 from repro.engine.faults import Silent
 from repro.harness import Scenario, dex_freq
 from repro.runtime.composite import Envelope
@@ -22,6 +27,7 @@ from repro.runtime.effects import Broadcast, Decide, Deliver, Log
 from repro.runtime.protocol import Protocol
 from repro.shard import (
     INSTANCE_DECIDED_TAG,
+    ShardStreamSink,
     ShardBatcher,
     ShardMultiplexer,
     ShardedService,
@@ -31,6 +37,7 @@ from repro.shard import (
     shard_workload,
     step_of_kind,
 )
+from repro.shard.router import UNATTRIBUTED, peek_shard, shard_of_payload
 from repro.types import DecisionKind, SystemConfig
 from repro.workloads.inputs import unanimous
 
@@ -62,6 +69,107 @@ class TestShardOf:
         assert parse_instance("mux") is None
         assert parse_instance("s3") is None
         assert parse_instance("s3.x") is None
+
+
+# Envelope components of every wire kind: interned table names, instance
+# names (in and out of any plausible shard range) and raw strings —
+# including instance look-alikes the instance grammar must reject.
+_components = st.one_of(
+    st.sampled_from(COMPONENT_TABLE),
+    st.builds(instance_name, st.integers(0, 12), st.integers(0, 300)),
+    st.text(max_size=6),
+    st.sampled_from(["s", "s1", "s1.", "s.2", "s-1.2", "s\u00b2.1", "t1.2"]),
+)
+
+
+def _wrap(components, leaf):
+    payload = leaf
+    for component in reversed(components):
+        payload = Envelope(component, payload)
+    return payload
+
+
+_chains = st.builds(
+    _wrap,
+    st.lists(_components, max_size=10),
+    st.one_of(st.integers(), st.text(max_size=4), st.tuples(st.integers(), st.none())),
+)
+
+
+class TestShardAttribution:
+    """``shard_of_payload`` is the one attribution function: the object
+    walk and the zero-decode peek off raw bytes must never disagree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_chains, shards=st.integers(1, 8))
+    def test_span_and_object_agree(self, payload, shards):
+        expected = shard_of_payload(payload, shards)
+        assert expected == UNATTRIBUTED or 0 <= expected < shards
+        assert shard_of_payload(Opaque(encode(payload)), shards) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_chains, shards=st.integers(1, 8), cut=st.integers(0, 64))
+    def test_truncated_span_never_raises_nor_invents_a_shard(
+        self, payload, shards, cut
+    ):
+        data = encode(payload)
+        got = peek_shard(data[: min(cut, len(data))], shards)
+        assert got in (UNATTRIBUTED, shard_of_payload(payload, shards))
+
+    def test_foreign_shard_is_stepped_over_not_trusted(self):
+        nested = Envelope("s9.0", Envelope("mux", Envelope("s2.5", "x")))
+        assert shard_of_payload(nested, 4) == 2
+        assert peek_shard(encode(nested), 4) == 2
+        assert shard_of_payload(nested, 2) == UNATTRIBUTED
+        assert peek_shard(encode(nested), 2) == UNATTRIBUTED
+
+    def test_raw_string_component_naming_an_instance(self):
+        # Never produced by our encoder (it packs instance names as two
+        # varints), but a hostile peer can: the bytes decode to
+        # Envelope("s1.4", …), so the peek must say shard 1 as well.
+        canonical = encode(Envelope("s1.4", 0))
+        crafted = bytes([canonical[0], 0x00, 4]) + b"s1.4" + canonical[4:]
+        assert Opaque(crafted).decode() == Envelope("s1.4", 0)
+        assert peek_shard(crafted, 4) == 1
+
+    def test_parse_instance_rejects_non_decimal_digits(self):
+        # "\u00b2".isdigit() is True but int() refuses it: such a component
+        # must be foreign, not a ValueError inside a replica.
+        assert parse_instance("s\u00b2.1") is None
+
+
+class TestShardStreamSinkAttribution:
+    def _messages(self):
+        out = []
+        for n in range(40):
+            payload = Envelope("mux", Envelope(instance_name(n % 5, n), ("m", n)))
+            out.append((n % 7, (n + 1) % 7, payload))
+        out.append((0, 1, "top-level control value"))
+        out.append((1, 2, Envelope("uc", 3)))
+        return out
+
+    def _fold(self, as_span):
+        sink = ShardStreamSink(shards=4)
+        for at, (src, dst, payload) in enumerate(self._messages()):
+            raw = Opaque(encode(payload)) if as_span else payload
+            sink.emit(SendEvent(float(at), src, dst, raw, 1))
+            sink.emit(DeliverEvent(at + 0.5, dst, src, raw, 1))
+            if at % 3 == 0:  # a duplicated delivery
+                sink.emit(DeliverEvent(at + 0.6, dst, src, raw, 1))
+        return sink
+
+    def test_spans_and_objects_fold_identically(self):
+        objects, spans = self._fold(False), self._fold(True)
+        assert spans.sends == objects.sends and spans.delivers == objects.delivers
+        assert set(objects.sends) == {0, 1, 2, 3, UNATTRIBUTED}
+        assert objects.sends[UNATTRIBUTED] == 8 + 2  # shard 4 is foreign here
+        assert sum(objects.delivers.values()) > sum(objects.sends.values())
+
+    def test_charging_a_span_decodes_nothing(self, monkeypatch):
+        monkeypatch.setattr(
+            Opaque, "decode", lambda self: pytest.fail("the sink decoded a payload")
+        )
+        assert sum(self._fold(True).sends.values()) == len(self._messages())
 
 
 class TestShardBatcher:
