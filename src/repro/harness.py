@@ -504,7 +504,6 @@ class Deployment:
         transport: str = "uds",
         mean_delay: float = 0.0005,
         link_plan: Any = None,
-        batch_deliveries: bool = True,
     ):
         """Run as real OS processes over sockets; returns a
         :class:`~repro.net.cluster.NetRunResult`.
@@ -525,7 +524,6 @@ class Deployment:
             codec=codec_named(self.codec),
             link_plan=link_plan,
             jitter=self.net_jitter,
-            batch_deliveries=batch_deliveries,
             restarts=self.restarts,
         )
         if self.mesh is not None and getattr(self.mesh, "hubs", 1) > 1:
@@ -746,7 +744,6 @@ class Scenario:
         timeout: float = 30.0,
         transport: str = "uds",
         mean_delay: float = 0.0005,
-        batch_deliveries: bool = True,
     ):
         """Run the same deployment as real OS processes over sockets.
 
@@ -763,7 +760,6 @@ class Scenario:
             transport=transport,
             mean_delay=mean_delay,
             link_plan=plan_from_plane(self._plane),
-            batch_deliveries=batch_deliveries,
         )
 
     def run_many(

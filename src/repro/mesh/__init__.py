@@ -4,8 +4,9 @@ The socket engine's answer to the single-hub ceiling (EXPERIMENTS E19):
 instead of one orchestrator process routing every frame, a mesh run
 splits the shard space across *hub groups* — hub 0 stays inside the
 orchestrator and keeps the control plane (events, services, liveness,
-fault plans), while each extra hub is its own process routing only the
-shard traffic it owns, relaying stray frames hub-to-hub.  Hubs can live
+fault plans), while each extra hub is its own process running the same
+data plane (:class:`repro.net.cluster.DataPlane`) over only the shard
+traffic it owns, relaying stray frames hub-to-hub.  Hubs can live
 on other hosts (``repro hub`` + :attr:`MeshTopology.remote`), which is
 what the versioned per-frame codec negotiation was for.
 
@@ -16,7 +17,7 @@ harness when a topology is present).
 
 from .cluster import MeshCluster
 from .hub import HubLink, HubWorker, serve_hub
-from .node import EXIT_HUB_LOST, MeshNodeWorker, mesh_node_main
+from ..net.node import EXIT_HUB_LOST
 from .topology import MeshTopology, hub_rng, peek_shard, shard_of_payload
 from .wire import CONTROL_LINK, HubHello, HubReady, HubSaturated, HubStats, MsgRelay
 
@@ -26,8 +27,6 @@ __all__ = [
     "HubWorker",
     "HubLink",
     "serve_hub",
-    "MeshNodeWorker",
-    "mesh_node_main",
     "EXIT_HUB_LOST",
     "hub_rng",
     "peek_shard",

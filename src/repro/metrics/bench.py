@@ -207,46 +207,6 @@ NET_WORKLOADS: tuple[tuple[str, Any], ...] = (
 )
 
 
-def bench_delivery_batching(
-    n: int = 7, runs: int = 5, timeout: float = 20.0
-) -> dict[str, Any]:
-    """Hub frame economy: per-destination delivery batching off vs on.
-
-    Same contended workload, same seeds; the only difference is whether
-    the hub coalesces co-scheduled deliveries into
-    :class:`~repro.net.wire.MsgDeliverBatch` frames.  Message semantics
-    are identical (``messages_delivered`` matches); what changes is how
-    many frames — syscalls — the hub pays for them.
-    """
-    inputs = split(1, 2, n, n // 2)
-    modes: dict[str, dict[str, Any]] = {}
-    for mode, batched in (("unbatched", False), ("batched", True)):
-        frames = 0
-        delivered = 0
-        wall = 0.0
-        for seed in range(1, runs + 1):
-            scenario = Scenario(dex_freq(), inputs, seed=seed)
-            result = scenario.run_net(timeout=timeout, batch_deliveries=batched)
-            frames += result.hub_frames
-            delivered += result.stats.messages_delivered
-            wall += result.wall_seconds
-        modes[mode] = {
-            "runs": runs,
-            "hub_frames": frames,
-            "messages_delivered": delivered,
-            "wall_seconds": round(wall, 4),
-            "hub_frames_per_s": round(frames / wall, 1) if wall else 0.0,
-            "hub_msgs_per_s": round(delivered / wall, 1) if wall else 0.0,
-        }
-    batched_frames = modes["batched"]["hub_frames"]
-    modes["frame_reduction"] = (
-        round(modes["unbatched"]["hub_frames"] / batched_frames, 2)
-        if batched_frames
-        else None
-    )
-    return modes
-
-
 def bench_codec_ablation(
     n: int = 7, runs: int = 5, timeout: float = 20.0
 ) -> dict[str, Any]:
@@ -351,9 +311,6 @@ def run_net_bench(
         "t": (n - 1) // 6,
         "runs_per_workload": runs,
         "workloads": workloads,
-        "delivery_batching": bench_delivery_batching(
-            n=n, runs=min(runs, 5), timeout=timeout
-        ),
         "codec_ablation": bench_codec_ablation(
             n=n, runs=min(runs, 5), timeout=timeout
         ),

@@ -12,9 +12,11 @@ Layout:
   (the wire protocol proper);
 * :mod:`repro.net.node` — the worker process hosting one sans-IO
   :class:`~repro.runtime.protocol.Protocol` behind
-  :class:`~repro.engine.interpreter.ExecutionPorts`;
-* :mod:`repro.net.cluster` — the orchestrator: spawn, connect, collect,
-  with deadlines and straggler kill;
+  :class:`~repro.engine.interpreter.ExecutionPorts`, one socket per hub;
+* :mod:`repro.net.cluster` — the hub data plane every hub runs
+  (authenticated links, fault plan, delay heap, non-blocking bounded write
+  queues) and, on it, the orchestrator: spawn, connect, collect, with
+  deadlines and straggler kill;
 * :mod:`repro.net.faults` — link-level fault behaviors (drop, delay,
   duplicate, cut) and the projection of the
   :class:`~repro.engine.faults.FaultPlane` onto them;

@@ -1,29 +1,39 @@
-"""The cluster orchestrator: spawn, connect, route, collect — with deadlines.
+"""The hub data plane, and the hub-0 orchestrator built on it.
 
-:class:`NetCluster` is the hub of a star topology.  It forks one worker
-process per consensus node (:func:`~repro.net.node.node_main`), accepts
-their connections on a single listener (Unix-domain socket by default,
-TCP loopback on request), and then runs a ``selectors`` event loop that
-routes every frame node→hub→destination.  Centralising the traffic buys
-what a full mesh cannot:
+The paper's model (§2.1) is reliable, authenticated point-to-point
+channels.  This module implements that model once, as :class:`DataPlane` —
+the event loop every hub runs:
 
-* **link authentication** — the hub overrides each ``MsgSend``'s claimed
-  source with the connection's proven pid (paper §2.1: a Byzantine node
-  cannot forge another sender's identity);
+    accept → classify by first frame → authenticate the pid → attribute
+    the shard off raw bytes → fault plan → seeded jitter → delay heap →
+    one coalesced write per destination
+
+* **link authentication** — a link's first frame is its identity; a
+  ``Hello`` is admitted only for a pid in range with no live link, and the
+  hub overrides each ``MsgSend``'s claimed source with the link's proven
+  pid (a Byzantine node cannot forge another sender's identity);
 * **fault injection** — every frame crosses the :class:`~repro.net.faults.
   LinkPlan`, so drops/delays/duplicates/cuts happen at the transport;
-* **shared services** — trusted abstractions like the §2.2 oracle must
-  aggregate calls *across* processes, so they execute at the hub;
-* **observability** — the hub emits the same typed
-  :mod:`repro.engine.events` stream as every in-memory backend;
-* **liveness** — one place enforces the per-run deadline, detects stalls
-  (every undecided correct node dead, nothing in flight), and kills
-  stragglers, so a crashed or silent node can never hang a run.
+* **no blocking writes** — every hub-side socket is non-blocking behind a
+  per-link outbox (:class:`HubLink`): send what the socket takes, queue the
+  rest, flush on ``EVENT_WRITE``.  A hub therefore always reads, a node's
+  blocking handler-time write always completes, and no hub↔node wait cycle
+  can form.  The outbox is bounded by :data:`OUTBOX_CAP`; overflow is an
+  attributed disconnect, never a silent drop or a timeout-based guess.
 
 Seeded per-message jitter (``uniform(0.5, 1.5) × mean_delay``, self-sends
 undelayed) mirrors the asyncio runner, and — as there — real scheduling
 makes interleavings only *mostly* reproducible; exact-replay tests belong
 on the simulator.
+
+:class:`NetCluster` is hub 0: the plane plus what only the orchestrator
+does — fork/reap/restart of the node workers (:func:`~repro.net.node.
+node_main`), the typed :mod:`repro.engine.events` stream, trusted services
+(the §2.2 oracle must aggregate calls *across* processes), decisions, and
+liveness (the per-run deadline and stall detection, so a crashed or silent
+node can never hang a run).  The mesh's data hubs
+(:class:`~repro.mesh.hub.HubWorker`) instantiate the same plane and add
+only hub-to-hub relay.
 """
 
 from __future__ import annotations
@@ -32,13 +42,13 @@ import heapq
 import multiprocessing
 import os
 import random
-import select
 import selectors
+import shutil
 import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from ..codec import CODEC_IDS, Opaque
 from ..engine.events import EventSink
@@ -49,16 +59,15 @@ from ..runtime.asyncio_runner import AsyncRunResult
 from ..runtime.effects import SERVICE_SENDER, Deliver
 from ..runtime.protocol import Protocol
 from ..runtime.services import Service, ServiceReply
+from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..sim.latency import LognormalLatency
 from ..types import Decision, ProcessId, RunStats, SystemConfig
 from .events import HubEvents, StreamClock
 from .faults import LinkPlan, ProcessCrash
-from .node import node_main
+from .node import connect_with_retry, node_main
 from .wire import (
     CODEC_BINARY,
-    CODEC_PICKLE,
     DEFAULT_MAX_FRAME,
-    DELIVERY_BATCH_CHUNK,  # noqa: F401  (re-exported; was defined here)
     FrameDecoder,
     FrameTooLarge,
     Hello,
@@ -72,6 +81,7 @@ from .wire import (
     Start,
     Stop,
     TruncatedStream,
+    WireError,
     batch_frames,
     encode_frame_into,
 )
@@ -82,20 +92,25 @@ TRANSPORTS = ("uds", "tcp")
 #: Hub jitter models (seeded either way).
 JITTERS = ("uniform", "lognormal")
 
-#: How long a hub-side write may move no byte in either direction before
-#: the node is declared dead.
-SEND_TIMEOUT = 1.0
-
 #: Default ready-queue depth at which a hub declares itself saturated
 #: (see :class:`~repro.engine.events.HubSaturatedEvent`).
 DEFAULT_HIGH_WATER = 512
 
+#: Bytes a hub holds for one link that is not reading before it disconnects
+#: it.  A whole 1 280-command benchmark trial moves ≈ 13 MB across seven
+#: links (``net.bytes_per_cmd`` ≈ 10 KB), so a healthy replica never has
+#: 4 MiB outstanding on one; a peer that does has stopped reading.
+OUTBOX_CAP = 4 << 20
+
+#: How long teardown lets a link's last queued frames (``Stop``, a hub's
+#: final stats) leave before closing it anyway.
+CLOSE_LINGER = 1.0
+
 
 def materialize_for(codec: int, msg: Any) -> Any:
     """Decode relayed :class:`~repro.codec.Opaque` spans when the
-    destination connection does not speak the binary codec (mixed-codec
-    cluster): a span splices only into binary frames.  Module-level so
-    every hub implementation (star and mesh hub workers) shares it."""
+    destination link does not speak the binary codec (mixed-codec cluster):
+    a span splices only into binary frames."""
     if codec == CODEC_BINARY:
         return msg
     if type(msg) is MsgDeliver and type(msg.payload) is Opaque:
@@ -110,6 +125,429 @@ def materialize_for(codec: int, msg: Any) -> Any:
     return msg
 
 
+class HubLink:
+    """One framed link to or from a hub: socket, decoder, identity, outbox.
+
+    A hub holds one per accepted connection and per link it dialed (peer
+    hubs, the orchestrator's control links); attached to a
+    :class:`DataPlane` the socket is non-blocking and whatever ``send``
+    could not write stays in ``outbox`` until the plane's selector reports
+    the socket writable.  A bare link (:meth:`dial`, then :meth:`send`) is
+    the blocking client side of the same framing — on a blocking socket the
+    flush loop simply runs to completion.
+
+    ``kind`` is ``pending`` until the first frame classifies the link as
+    ``node``, ``peer`` or ``control`` (``closed`` once dropped); ``ident``
+    is the authenticated pid or the hub index.
+    """
+
+    __slots__ = (
+        "sock", "decoder", "codec", "max_frame", "kind", "ident", "outbox", "writing"
+    )
+
+    def __init__(
+        self,
+        sock: socket.socket,
+        codec: int = CODEC_BINARY,
+        max_frame: int = DEFAULT_MAX_FRAME,
+        lazy: bool = True,
+    ) -> None:
+        self.sock = sock
+        self.codec = codec
+        self.max_frame = max_frame
+        self.decoder = FrameDecoder(max_frame, lazy=lazy)
+        self.kind = "pending"
+        self.ident = -1
+        self.outbox = bytearray()
+        self.writing = False  # registered for EVENT_WRITE
+
+    @classmethod
+    def dial(
+        cls,
+        family: int,
+        address: Any,
+        hello: Any,
+        codec: int,
+        max_frame: int = DEFAULT_MAX_FRAME,
+        lazy: bool = True,
+    ) -> "HubLink":
+        """Connect, announce with ``hello``, return the live link.
+
+        Raises:
+            SimulationError: the endpoint never accepted.
+        """
+        link = cls(connect_with_retry(family, address), codec, max_frame, lazy)
+        link.send(hello)
+        return link
+
+    def queue(self, msgs: Iterable[Any]) -> int:
+        """Append one frame per message to the outbox — all of them or, on
+        any encoding failure, none.  Returns the bytes queued.
+
+        Raises:
+            FrameTooLarge: some frame exceeds the cap.
+        """
+        out, codec = self.outbox, self.codec
+        mark = len(out)
+        try:
+            for msg in msgs:
+                encode_frame_into(materialize_for(codec, msg), out, codec, self.max_frame)
+        except Exception:
+            del out[mark:]
+            raise
+        return len(out) - mark
+
+    def flush(self) -> bool:
+        """Hand the socket as much of the outbox as it takes, in order.
+        ``False`` means the link is dead."""
+        out = self.outbox
+        try:
+            while out:
+                del out[: self.sock.send(out)]
+        except (BlockingIOError, InterruptedError):
+            pass  # non-blocking and full: the rest leaves on EVENT_WRITE
+        except OSError:
+            return False
+        return True
+
+    def send(self, msg: Any) -> bool:
+        """Frame and write one message; ``False`` instead of raising on a
+        dead link, so callers decide per link whether that is fatal."""
+        self.queue((msg,))
+        return self.flush()
+
+    def close(self) -> None:
+        self.kind = "closed"
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+
+class DataPlane:
+    """The delivery loop of one hub (see the module docstring).
+
+    Subclasses supply what differs per hub: :meth:`_handle` (the frames a
+    classified link may carry), :meth:`_classify_other` (first frames other
+    than a node's ``Hello``), :meth:`_admitted` / :meth:`_link_lost`
+    (bookkeeping around a link's life), :meth:`_relay` (the route to
+    another hub), and ``events`` — where faults, saturation and per-message
+    observations are reported.
+
+    Args:
+        index: this hub's index; ``hubs``/``shards`` size the shard→hub
+            attribution (``hubs == 1`` owns everything, nothing is peeked).
+        n: node pids are ``range(n)``.
+        rng: the hub's seeded stream — fault-plan draws, then jitter.
+        link_plan: the transport fault plan this hub applies.
+        events: the hub's :class:`~repro.net.events.HubEvents` surface.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        hubs: int,
+        shards: int,
+        n: int,
+        rng: random.Random,
+        link_plan: LinkPlan,
+        events: HubEvents,
+        mean_delay: float,
+        jitter: str,
+        codec: int,
+        max_frame: int,
+        high_water: int,
+    ) -> None:
+        self.index = index
+        self.hubs = hubs
+        self.shards = shards
+        self.n = n
+        self.rng = rng
+        self.link_plan = link_plan
+        self.events = events
+        self.mean_delay = mean_delay
+        self._lognormal = (
+            LognormalLatency(mean_delay) if jitter == "lognormal" and mean_delay > 0
+            else None
+        )
+        self.codec = codec
+        self.max_frame = max_frame
+        #: ready-queue saturation watermark; the latch makes the event fire
+        #: once per saturation episode, not once per frame past the mark.
+        self.high_water = high_water
+        self._saturated = False
+        self.frames = 0  # frames queued to node links
+        self.bytes = 0  # bytes queued to node links
+        self.sent = 0  # MsgSend frames ingressed from node links
+        self.delivered = 0  # deliveries queued (per message, not per frame)
+        self.listener: socket.socket | None = None
+        self._selector: selectors.BaseSelector = selectors.DefaultSelector()
+        self._nodes: dict[ProcessId, HubLink] = {}
+        # delay heap entries: (due, seq, dst, sender, payload, depth)
+        self._heap: list[tuple[float, int, ProcessId, ProcessId, Any, int]] = []
+        self._seq = 0
+
+    # -- links: accept, classify, authenticate, drop ---------------------------------
+
+    def _listen(self, listener: socket.socket) -> None:
+        listener.setblocking(False)
+        self.listener = listener
+        self._selector.register(listener, selectors.EVENT_READ, None)
+
+    def _attach(self, link: HubLink) -> None:
+        """Put a link under this plane: non-blocking, read by the loop."""
+        link.sock.setblocking(False)
+        self._selector.register(link.sock, selectors.EVENT_READ, link)
+
+    def _accept(self) -> None:
+        assert self.listener is not None
+        try:
+            sock, _ = self.listener.accept()
+        except OSError:
+            return
+        if sock.family == socket.AF_INET:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # Whoever dialed is classified when (if) its first frame arrives —
+        # a dialer that says nothing costs the loop nothing.
+        self._attach(HubLink(sock, self.codec, self.max_frame))
+
+    def _conn_codec(self, announced: int) -> int:
+        """The codec to speak on a link: the announced one when it is a
+        known id, the hub default otherwise (``0`` = no preference)."""
+        return announced if announced in CODEC_IDS else self.codec
+
+    def _classify(self, link: HubLink, msg: Any) -> None:
+        """First frame on a fresh link decides what it is.  A ``Hello``
+        authenticates a node: the pid must be in range and must not have a
+        live link (a restarted node is admitted once the old link hit EOF)."""
+        if not isinstance(msg, Hello):
+            self._classify_other(link, msg)
+        elif msg.pid not in range(self.n):
+            self._drop(link, "hello-refused", f"claimed pid {msg.pid!r}")
+        elif msg.pid in self._nodes:
+            # A second dialer must not replace (and leak) the proven link.
+            self.events.fault(msg.pid, "duplicate-hello")
+            self._drop(link)
+        else:
+            link.kind, link.ident = "node", msg.pid
+            link.codec = self._conn_codec(msg.codec)
+            self._nodes[msg.pid] = link
+            self._admitted(link)
+
+    def _classify_other(self, link: HubLink, msg: Any) -> None:
+        self._drop(link)
+
+    def _admitted(self, link: HubLink) -> None:
+        """A node link was authenticated."""
+
+    def _link_lost(self, link: HubLink, kind: str) -> None:
+        """A link of ``kind`` was dropped (it is closed by now)."""
+
+    def _drop(self, link: HubLink, fault: str = "", detail: str = "") -> None:
+        """Detach and close one link; a ``fault`` attributes the loss."""
+        kind = link.kind
+        if kind == "closed":
+            return
+        try:
+            self._selector.unregister(link.sock)
+        except (KeyError, ValueError):
+            pass
+        link.close()
+        if kind == "node" and self._nodes.get(link.ident) is link:
+            del self._nodes[link.ident]
+        if fault:
+            self.events.fault(link.ident, fault, detail)
+        self._link_lost(link, kind)
+
+    # -- the one write path ----------------------------------------------------------
+
+    def _write(self, link: HubLink, msgs: list[Any]) -> bool:
+        """Queue ``msgs`` as frames on ``link`` and write what the socket
+        takes now; the rest leaves when the selector says so.  Never blocks.
+        ``False``: the link is (now) gone.
+
+        Raises:
+            FrameTooLarge: some frame exceeds the cap — nothing was queued.
+        """
+        if link.kind == "closed":
+            return False
+        size = link.queue(msgs)
+        if link.kind == "node":
+            self.frames += len(msgs)
+            self.bytes += size
+        self._flush(link)
+        return link.kind != "closed"
+
+    def _flush(self, link: HubLink) -> None:
+        if not link.flush():
+            self._drop(link)
+        elif len(link.outbox) > OUTBOX_CAP:
+            self._drop(
+                link,
+                "outbox-overflow",
+                f"{len(link.outbox)} bytes unread, cap {OUTBOX_CAP}",
+            )
+        elif link.writing != bool(link.outbox):
+            link.writing = not link.writing
+            self._selector.modify(
+                link.sock,
+                selectors.EVENT_READ | (selectors.EVENT_WRITE if link.writing else 0),
+                link,
+            )
+
+    # -- ingress: count, attribute, fault plan, jitter, heap -------------------------
+
+    def _owner_of(self, payload: Any) -> int:
+        if self.hubs == 1:
+            return 0
+        shard = shard_of_payload(payload, self.shards)
+        return 0 if shard == UNATTRIBUTED else hub_of(shard, self.hubs)
+
+    def _ingress(self, src: ProcessId, msg: MsgSend) -> None:
+        """One ``MsgSend`` off node ``src``'s link (``src`` is the link's
+        authenticated pid, not the frame's claim): keep or relay."""
+        self.sent += 1
+        self.events.send(src, msg.dst, msg.payload, msg.depth)
+        owner = self._owner_of(msg.payload)
+        if owner == self.index:
+            self._enqueue(src, msg.dst, msg.payload, msg.depth)
+        else:
+            self._relay(owner, src, msg.dst, msg.payload, msg.depth)
+
+    def _relay(
+        self, owner: int, src: ProcessId, dst: ProcessId, payload: Any, depth: int
+    ) -> None:
+        raise NotImplementedError  # a one-hub plane owns every frame
+
+    def _enqueue(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
+        """Queue one owned message: the fault plan draws first, then one
+        jitter draw per surviving copy (self-sends undelayed)."""
+        for extra in self.link_plan.route(src, dst, self.rng):
+            base = 0.0 if dst == src else self._jitter()
+            self._schedule(dst, src, payload, depth, base + extra)
+
+    def _jitter(self) -> float:
+        if self._lognormal is not None:
+            return self._lognormal.sample(self.rng, 0, 0)
+        return self.rng.uniform(0.5, 1.5) * self.mean_delay
+
+    def _schedule(
+        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, delay: float
+    ) -> None:
+        self._seq += 1
+        heapq.heappush(
+            self._heap,
+            (time.monotonic() + delay, self._seq, dst, sender, payload, depth),
+        )
+        if not self._saturated and len(self._heap) >= self.high_water:
+            self._saturated = True
+            self.events.saturated(self.index, len(self._heap), self.high_water)
+
+    # -- egress: one coalesced write per destination per sweep -----------------------
+
+    def _deliver_due(self, now: float) -> None:
+        if self._saturated and len(self._heap) <= self.high_water // 2:
+            self._saturated = False  # episode over: re-arm the latch
+        # Coalesce every due delivery per destination into one frame (per
+        # 32-entry chunk): multiplexed workloads make whole quorums of
+        # instance traffic come due in the same sweep.  Per-destination
+        # delivery order is exactly the heap's pop order.
+        heap = self._heap
+        batches: dict[ProcessId, list[tuple[ProcessId, Any, int]]] = {}
+        while heap and heap[0][0] <= now:
+            _, _, dst, sender, payload, depth = heapq.heappop(heap)
+            if dst in batches:
+                batches[dst].append((sender, payload, depth))
+            else:
+                batches[dst] = [(sender, payload, depth)]
+        for dst, entries in batches.items():
+            link = self._nodes.get(dst)
+            if link is None:
+                continue  # dead or never-connected destination
+            frames = batch_frames(entries)[0]
+            try:
+                delivered = entries if self._write(link, frames) else []
+            except FrameTooLarge:
+                # huge payloads: fall back to one frame per message
+                delivered = [e for e in entries if self._write_single(link, e)]
+            self.delivered += len(delivered)
+            if self.events.sink is not None:
+                for sender, payload, depth in delivered:
+                    self.events.deliver(dst, sender, payload, depth)
+
+    def _write_single(self, link: HubLink, entry: tuple[ProcessId, Any, int]) -> bool:
+        try:
+            return self._write(link, [MsgDeliver(*entry)])
+        except FrameTooLarge as exc:
+            self.events.fault(link.ident, "frame-too-large", str(exc))
+            return False
+
+    # -- the loop --------------------------------------------------------------------
+
+    def _pump(self, link: HubLink) -> None:
+        """Drain one readable link into the frame handlers."""
+        try:
+            data = link.sock.recv(65536)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._drop(link)
+            return
+        if not data:
+            try:
+                link.decoder.eof()
+            except TruncatedStream as exc:
+                self.events.fault(link.ident, "truncated-stream", str(exc))
+            self._drop(link)
+            return
+        try:
+            for msg in link.decoder.feed(data):
+                if link.kind == "pending":
+                    self._classify(link, msg)
+                else:
+                    self._handle(link, msg)
+                if link.kind == "closed":
+                    break
+        except WireError as exc:
+            self._drop(link, "wire-error", str(exc))
+
+    def _handle(self, link: HubLink, msg: Any) -> None:
+        raise NotImplementedError
+
+    def _poll(self, wait: float) -> None:
+        """Wait up to ``wait`` seconds, then serve every ready socket:
+        accept, flush a writable outbox, pump a readable link."""
+        for key, mask in self._selector.select(wait):
+            link = key.data
+            if link is None:
+                self._accept()
+                continue
+            if mask & selectors.EVENT_WRITE:
+                self._flush(link)
+            if mask & selectors.EVENT_READ and link.kind != "closed":
+                self._pump(link)
+
+    def _heap_wait(self, wait: float, now: float) -> float:
+        """``wait``, shortened to the next due delivery."""
+        if self._heap:
+            return min(wait, max(self._heap[0][0] - now, 0.0))
+        return wait
+
+    def _close(self) -> None:
+        """Close every link (queued frames get :data:`CLOSE_LINGER` to
+        leave), the selector and the listener."""
+        for key in list(self._selector.get_map().values()):
+            link = key.data
+            if link is not None:
+                if link.outbox:
+                    link.sock.settimeout(CLOSE_LINGER)
+                    link.flush()
+                self._drop(link)
+        self._selector.close()
+        if self.listener is not None:
+            self.listener.close()
+
+
 @dataclass
 class NetRunResult(AsyncRunResult):
     """Outcome of one socket-engine run.
@@ -122,8 +560,8 @@ class NetRunResult(AsyncRunResult):
 
     exit_codes: dict[ProcessId, int | None] = field(default_factory=dict)
     transport: str = "uds"
-    #: frames the hub wrote to node sockets (delivery batching shrinks this
-    #: without changing ``stats.messages_delivered``).
+    #: frames the hub wrote to node sockets (delivery batching keeps this
+    #: below ``stats.messages_delivered``).
     hub_frames: int = 0
     #: bytes the hub wrote to node sockets (the codec ablation's
     #: bytes-per-frame denominator is ``hub_bytes / hub_frames``).
@@ -141,19 +579,22 @@ class NetRunResult(AsyncRunResult):
     hub_exit_codes: dict[int, int | None] = field(default_factory=dict)
 
 
-@dataclass
-class _Conn:
-    """One node's hub-side connection state."""
+def reap(proc: Any) -> int | None:
+    """Join one forked worker, escalating terminate → kill for a straggler;
+    returns its exit code."""
+    proc.join(timeout=2.0)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=1.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    code = proc.exitcode
+    proc.close()
+    return code
 
-    pid: ProcessId
-    sock: socket.socket
-    decoder: FrameDecoder
-    #: wire codec for this connection — announced by the node's Hello, so
-    #: mixed-codec clusters work (the hub speaks each node's dialect).
-    codec: int = CODEC_PICKLE
 
-
-class NetCluster:
+class NetCluster(DataPlane):
     """Run one protocol deployment as real OS processes over sockets.
 
     Args:
@@ -179,9 +620,6 @@ class NetCluster:
             ``uniform(0.5, 1.5) × mean_delay``) or ``"lognormal"``
             (long-tailed with the same mean; see
             :class:`~repro.sim.latency.LognormalLatency`).
-        batch_deliveries: coalesce co-scheduled deliveries per destination
-            into :class:`~repro.net.wire.MsgDeliverBatch` frames (fewer
-            hub syscalls; per-message semantics unchanged).
         chaos: *unannounced* per-pid :class:`~repro.net.faults.
             ProcessCrash` specs — invisible to ``faulty`` on purpose.
         connect_timeout: how long to wait for all workers to dial in.
@@ -195,6 +633,7 @@ class NetCluster:
             ProcessCrash` with ``restart_after`` set relaunches the same
             way when its EOF is noticed (using the plan's factory when
             one exists, an amnesiac re-fork otherwise).
+        high_water: ready-queue depth that raises a saturation event.
     """
 
     def __init__(
@@ -213,7 +652,6 @@ class NetCluster:
         chaos: Mapping[ProcessId, ProcessCrash] | None = None,
         connect_timeout: float = 10.0,
         jitter: str = "uniform",
-        batch_deliveries: bool = True,
         restarts: Mapping[ProcessId, RestartPlan] | None = None,
         high_water: int = DEFAULT_HIGH_WATER,
     ) -> None:
@@ -235,52 +673,43 @@ class NetCluster:
                 "closures that cannot cross an exec boundary); this platform "
                 "does not provide it"
             )
+        self._clock = StreamClock()
+        super().__init__(
+            index=0,
+            hubs=1,
+            shards=1,
+            n=config.n,
+            rng=random.Random(seed),
+            link_plan=link_plan if link_plan is not None else LinkPlan(),
+            events=HubEvents(event_sink, self._clock),
+            mean_delay=mean_delay,
+            jitter=jitter,
+            codec=codec,
+            max_frame=max_frame,
+            high_water=high_water,
+        )
         self.config = config
         self.protocols = dict(protocols)
         self.faulty = frozenset(faulty)
         self.services = dict(services or {})
-        self.rng = random.Random(seed)
-        self.mean_delay = mean_delay
+        self.seed = seed
         self.transport = transport
-        self.codec = codec
-        self.max_frame = max_frame
-        self.link_plan = link_plan if link_plan is not None else LinkPlan()
         self.chaos = dict(chaos or {})
         self.connect_timeout = connect_timeout
         self.jitter = jitter
-        self.batch_deliveries = batch_deliveries
-        self._lognormal = (
-            LognormalLatency(mean_delay) if jitter == "lognormal" and mean_delay > 0
-            else None
-        )
-        self.hub_frames = 0
-        self.hub_bytes = 0
-        #: ready-queue saturation watermark; the latch makes the event fire
-        #: once per saturation episode, not once per frame past the mark.
-        self.high_water = high_water
-        self._saturated = False
-        #: reusable frame-encode buffer: the hub's entire write side goes
-        #: through it, so steady-state routing allocates no per-frame bytes.
-        self._send_buf = bytearray()
-        self.stats = RunStats()
         self.decisions: dict[ProcessId, Decision] = {}
         self.outputs: dict[ProcessId, list[Deliver]] = {
             pid: [] for pid in config.processes
         }
-        self._clock = StreamClock()
-        self.events = HubEvents(event_sink, self._clock)
-        self._conns: dict[ProcessId, _Conn] = {}
         self._dead: set[ProcessId] = set()
-        self._selector: selectors.BaseSelector | None = None
-        # delay heap entries: (due, seq, dst, sender, payload, depth)
-        self._heap: list[tuple[float, int, ProcessId, ProcessId, Any, int]] = []
-        self._seq = 0
         self._uds_dir: str | None = None
+        #: node-side steering mode and the dialable hub endpoints, index 0
+        #: this hub's listener (the mesh appends its data hubs).
+        self.route = "direct"
+        self._endpoints: list[tuple[int, Any]] = []
         # crash-recovery lifecycle state
         self.restarts = dict(restarts or {})
         self._children: dict[ProcessId, Any] = {}
-        self._family: int | None = None
-        self._address: Any = None
         self._kills: list[tuple[float, ProcessId]] = []
         self._relaunches: list[tuple[float, ProcessId]] = []
         self._pending_restart: set[ProcessId] = set()
@@ -288,40 +717,67 @@ class NetCluster:
 
     # -- wiring ---------------------------------------------------------------------
 
-    def _make_listener(self) -> tuple[socket.socket, int, Any]:
+    def _bind(self, name: str, backlog: int) -> tuple[socket.socket, tuple[int, Any]]:
+        """Bind one listener of the run's transport; ``(listener, endpoint)``."""
         if self.transport == "uds":
-            self._uds_dir = tempfile.mkdtemp(prefix="repro-net-")
-            address = os.path.join(self._uds_dir, "hub.sock")
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(address)
-            family = socket.AF_UNIX
+            if self._uds_dir is None:
+                self._uds_dir = tempfile.mkdtemp(prefix="repro-net-")
+            family, address = socket.AF_UNIX, os.path.join(self._uds_dir, name)
         else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.bind(("127.0.0.1", 0))
-            address = listener.getsockname()
-            family = socket.AF_INET
-        listener.listen(self.config.n)
-        return listener, family, address
+            family, address = socket.AF_INET, ("127.0.0.1", 0)
+        listener = socket.socket(family, socket.SOCK_STREAM)
+        listener.bind(address)
+        listener.listen(backlog)
+        return listener, (family, listener.getsockname())
 
-    def _spawn(self, family: int, address: Any) -> dict[ProcessId, Any]:
-        ctx = multiprocessing.get_context("fork")
-        children = {}
+    def _open(self) -> None:
+        """Bind and register the hub-0 listener nodes dial."""
+        listener, endpoint = self._bind("hub.sock", self.config.n)
+        self._endpoints = [endpoint]
+        self._listen(listener)
+
+    def _fork_node(self, pid: ProcessId, restarted: bool = False) -> None:
+        """Fork the worker of ``pid``.  A restarted worker with a
+        :class:`RestartPlan` builds its protocol *in the child* — a durable
+        protocol scans its WAL and snapshot on construction, after the
+        crash mutated them; without one it is an amnesiac re-fork of the
+        parent's pristine instance.  Chaos specs arm first launches only."""
+        plan = self.restarts.get(pid) if restarted else None
+        proc = multiprocessing.get_context("fork").Process(
+            target=node_main,
+            args=(
+                pid,
+                None if plan is not None else self.protocols[pid],
+                list(self._endpoints),
+                self.shards,
+                self.route,
+            ),
+            kwargs={
+                "codec": self.codec,
+                "max_frame": self.max_frame,
+                "crash": None if restarted else self.chaos.get(pid),
+                "build": plan.factory if plan is not None else None,
+            },
+            daemon=True,
+            name=f"repro-net-node-{pid}" + ("-r" if restarted else ""),
+        )
+        proc.start()
+        self._children[pid] = proc
+
+    def _poll_until(self, done: Callable[[], bool], timeout: float) -> None:
+        """Serve sockets (no deliveries) until ``done()`` or the timeout."""
+        deadline = time.monotonic() + timeout
+        while not done() and time.monotonic() < deadline:
+            self._poll(0.05)
+
+    def _handshake(self) -> None:
+        """Serve Hellos until every node dialed in (or the connect timeout
+        passed — missing nodes are marked dead)."""
+        self._poll_until(lambda: len(self._nodes) == self.config.n, self.connect_timeout)
         for pid in self.config.processes:
-            proc = ctx.Process(
-                target=node_main,
-                args=(pid, self.protocols[pid], family, address),
-                kwargs={
-                    "codec": self.codec,
-                    "max_frame": self.max_frame,
-                    "crash": self.chaos.get(pid),
-                },
-                daemon=True,
-                name=f"repro-net-node-{pid}",
-            )
-            proc.start()
-            children[pid] = proc
-        self._children = children
-        return children
+            if pid not in self._nodes:
+                self._dead.add(pid)
+                self.events.fault(pid, "never-connected")
 
     # -- crash-recovery lifecycle ----------------------------------------------------
 
@@ -332,7 +788,7 @@ class NetCluster:
             self._kill_node(pid)
         while self._relaunches and self._relaunches[0][0] <= now:
             _, pid = heapq.heappop(self._relaunches)
-            self._relaunch(pid)
+            self._fork_node(pid, restarted=True)
 
     def _kill_node(self, pid: ProcessId) -> None:
         """SIGKILL one worker mid-run (the CrashRecover timed crash)."""
@@ -343,241 +799,27 @@ class NetCluster:
         self.events.fault(pid, "CrashRecover", "killed")
         plan = self.restarts.get(pid)
         if plan is not None and plan.restart_after is not None:
-            # Register the relaunch *before* _mark_dead so the EOF path
-            # cannot double-schedule it.
+            # Register the relaunch *before* the link drops so the EOF
+            # path cannot double-schedule it.
             self._pending_restart.add(pid)
             heapq.heappush(
                 self._relaunches, (time.monotonic() + plan.restart_after, pid)
             )
-        self._mark_dead(pid)
+        if pid in self._nodes:
+            self._drop(self._nodes[pid])
 
-    def _relaunch(self, pid: ProcessId) -> None:
-        """Re-fork one worker; its Hello re-authenticates the link."""
-        if self._family is None:
+    def _admitted(self, link: HubLink) -> None:
+        if self._running:  # a restarted worker re-authenticated: it rejoins
+            self._pending_restart.discard(link.ident)
+            self._dead.discard(link.ident)
+            self.events.restart(link.ident)
+            self._write(link, [Start()])
+
+    def _link_lost(self, link: HubLink, kind: str) -> None:
+        if kind != "node":
             return
-        plan = self.restarts.get(pid)
-        ctx = multiprocessing.get_context("fork")
-        if plan is not None:
-            # Build in the child: a durable protocol scans its WAL and
-            # snapshot on construction, *after* the crash mutated them.
-            args = (pid, None, self._family, self._address)
-            kwargs: dict[str, Any] = {"build": plan.factory}
-        else:
-            # Amnesiac chaos restart: the parent's pristine instance.
-            args = (pid, self.protocols[pid], self._family, self._address)
-            kwargs = {}
-        proc = ctx.Process(
-            target=node_main,
-            args=args,
-            kwargs={
-                "codec": self.codec,
-                "max_frame": self.max_frame,
-                **kwargs,
-            },
-            daemon=True,
-            name=f"repro-net-node-{pid}-r",
-        )
-        proc.start()
-        self._children[pid] = proc
-
-    def _accept_restart(self, listener: socket.socket) -> None:
-        """Accept one connection mid-run; register it if it is a restarted
-        worker's Hello, drop anything else."""
-        try:
-            sock, _ = listener.accept()
-        except (TimeoutError, OSError):
-            return
-        sock.settimeout(1.0)
-        if self.transport == "tcp":
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        decoder = FrameDecoder(self.max_frame, lazy=True)
-        try:
-            data = sock.recv(4096)
-        except (TimeoutError, OSError):
-            sock.close()
-            return
-        if data:
-            for msg in decoder.feed(data):
-                if isinstance(msg, Hello) and msg.pid in self._pending_restart:
-                    self._register_restarted(msg.pid, sock, decoder, msg.codec)
-                    return
-        sock.close()
-
-    def _conn_codec(self, announced: int) -> int:
-        """The codec to speak on a connection: the node's announced codec
-        when it is a known id, the cluster default otherwise (``0`` = the
-        node expressed no preference)."""
-        return announced if announced in CODEC_IDS else self.codec
-
-    def _register_restarted(
-        self,
-        pid: ProcessId,
-        sock: socket.socket,
-        decoder: FrameDecoder,
-        announced: int = 0,
-    ) -> None:
-        self._pending_restart.discard(pid)
-        self._dead.discard(pid)
-        conn = _Conn(pid, sock, decoder, self._conn_codec(announced))
-        self._conns[pid] = conn
-        if self._selector is not None:
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-        self.events.restart(pid)
-        self._write(pid, Start())
-
-    def _accept_all(self, listener: socket.socket) -> None:
-        """Accept connections and read Hellos until every node dialed in
-        (or the connect timeout passed — missing nodes are marked dead)."""
-        deadline = time.monotonic() + self.connect_timeout
-        listener.settimeout(0.1)
-        pending: list[tuple[socket.socket, FrameDecoder]] = []
-        while len(self._conns) + len(pending) < self.config.n:
-            if time.monotonic() > deadline:
-                break
-            try:
-                sock, _ = listener.accept()
-            except TimeoutError:
-                pass
-            else:
-                sock.settimeout(1.0)
-                if self.transport == "tcp":
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                pending.append((sock, FrameDecoder(self.max_frame, lazy=True)))
-            pending = [p for p in pending if not self._try_hello(*p, deadline)]
-        for sock, _ in pending:
-            sock.close()
-        for pid in self.config.processes:
-            if pid not in self._conns:
-                self._dead.add(pid)
-                self.events.fault(pid, "never-connected")
-
-    def _try_hello(
-        self, sock: socket.socket, decoder: FrameDecoder, deadline: float
-    ) -> bool:
-        """Read one frame off a fresh connection; register it on Hello."""
-        try:
-            data = sock.recv(4096)
-        except TimeoutError:
-            return False
-        except OSError:
-            sock.close()
-            return True
-        if not data:
-            sock.close()
-            return True
-        for msg in decoder.feed(data):
-            if isinstance(msg, Hello) and msg.pid in range(self.config.n):
-                if msg.pid in self._conns:
-                    # The pid already has an authenticated link: a second
-                    # dialer claiming it must not replace (and leak) it.
-                    self.events.fault(msg.pid, "duplicate-hello")
-                    sock.close()
-                else:
-                    self._conns[msg.pid] = _Conn(
-                        msg.pid, sock, decoder, self._conn_codec(msg.codec)
-                    )
-                return True
-        return False
-
-    # -- frame plumbing --------------------------------------------------------------
-
-    def _send(self, conn: _Conn, buf: bytearray) -> None:
-        """``sendall`` that cannot deadlock against the node.
-
-        A node writes to the hub from inside its handlers, without reading.
-        When its receive buffer is full while its own writes wait on us, a
-        plain ``sendall`` here waits for the node waiting for the hub —
-        until the send timeout drops a healthy replica.  So while the
-        socket is not writable, drain what the node is sending instead
-        (``_pump`` only queues work, so entering it from a delivery sweep
-        is safe).
-
-        Raises:
-            OSError: the link died, or moved no byte either way for
-                :data:`SEND_TIMEOUT` seconds.
-        """
-        sock = conn.sock
-        with memoryview(buf) as view:
-            sent = 0
-            while sent < len(view):
-                readable, writable, _ = select.select([sock], [sock], [], SEND_TIMEOUT)
-                if writable:
-                    sent += sock.send(view[sent:])
-                elif not readable:
-                    self.events.fault(conn.pid, "send-stalled")
-                    raise TimeoutError("node neither reads nor writes")
-                else:
-                    self._pump(conn)
-                    if conn.pid in self._dead:
-                        raise ConnectionResetError("link closed mid-write")
-
-    def _write(self, pid: ProcessId, msg: Any) -> bool:
-        conn = self._conns.get(pid)
-        if conn is None or pid in self._dead:
-            return False
-        buf = self._send_buf
-        buf.clear()
-        encode_frame_into(
-            materialize_for(conn.codec, msg), buf, conn.codec, self.max_frame
-        )
-        try:
-            self._send(conn, buf)
-            self.hub_frames += 1
-            self.hub_bytes += len(buf)
-            return True
-        except OSError:
-            self._mark_dead(pid)
-            return False
-
-    def _write_frames(
-        self, pid: ProcessId, msgs: list[Any]
-    ) -> list[Any]:
-        """Encode several frames into one buffer and write them with a
-        single ``sendall`` (writev-style coalescing: one syscall per
-        destination per delivery sweep instead of one per frame).
-
-        A frame that overflows ``max_frame`` is re-queued by the caller;
-        returns the messages actually written (all of them, or none on a
-        dead connection).
-
-        Raises:
-            FrameTooLarge: some frame exceeds the cap — nothing is sent;
-                the caller falls back per-frame.
-        """
-        conn = self._conns.get(pid)
-        if conn is None or pid in self._dead:
-            return []
-        buf = self._send_buf
-        buf.clear()
-        codec = conn.codec
-        for msg in msgs:
-            encode_frame_into(
-                materialize_for(codec, msg), buf, codec, self.max_frame
-            )
-        try:
-            self._send(conn, buf)
-            self.hub_frames += len(msgs)
-            self.hub_bytes += len(buf)
-            return msgs
-        except OSError:
-            self._mark_dead(pid)
-            return []
-
-    def _mark_dead(self, pid: ProcessId) -> None:
-        if pid in self._dead:
-            return
+        pid = link.ident
         self._dead.add(pid)
-        conn = self._conns.pop(pid, None)
-        if conn is not None:
-            if self._selector is not None:
-                try:
-                    self._selector.unregister(conn.sock)
-                except (KeyError, ValueError):
-                    pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
         # Chaos recovery: an *unannounced* ProcessCrash with a restart
         # delay relaunches once its EOF is noticed (scheduled CrashRecover
         # kills register their relaunch in _kill_node before reaching here).
@@ -589,78 +831,12 @@ class NetCluster:
                     self._relaunches, (time.monotonic() + spec.restart_after, pid)
                 )
 
-    def _jitter(self) -> float:
-        if self._lognormal is not None:
-            return self._lognormal.sample(self.rng, 0, 0)
-        return self.rng.uniform(0.5, 1.5) * self.mean_delay
+    # -- frames off node links -------------------------------------------------------
 
-    def _schedule(
-        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, delay: float
-    ) -> None:
-        self._seq += 1
-        heapq.heappush(
-            self._heap,
-            (time.monotonic() + delay, self._seq, dst, sender, payload, depth),
-        )
-        if not self._saturated and len(self._heap) >= self.high_water:
-            self._saturated = True
-            self.events.saturated(0, len(self._heap), self.high_water)
-
-    def _route(self, src: ProcessId, msg: MsgSend) -> None:
-        """One node→node message: authenticate, count, fault-inject, queue."""
-        self.stats.messages_sent += 1
-        self.events.send(src, msg.dst, msg.payload, msg.depth)
-        for extra in self.link_plan.route(src, msg.dst, self.rng):
-            base = 0.0 if msg.dst == src else self._jitter()
-            self._schedule(msg.dst, src, msg.payload, msg.depth, base + extra)
-
-    def _deliver_due(self, now: float) -> None:
-        if self._saturated and len(self._heap) <= self.high_water // 2:
-            self._saturated = False  # episode over: re-arm the latch
-        if not self.batch_deliveries:
-            while self._heap and self._heap[0][0] <= now:
-                _, _, dst, sender, payload, depth = heapq.heappop(self._heap)
-                if self._write(dst, MsgDeliver(sender, payload, depth)):
-                    self.stats.messages_delivered += 1
-                    self.events.deliver(dst, sender, payload, depth)
-            return
-        # Coalesce every due delivery per destination into one frame (per
-        # 32-entry chunk): multiplexed workloads make whole quorums of
-        # instance traffic come due in the same sweep, and one frame per
-        # destination replaces one syscall per message.  Per-destination
-        # delivery order is exactly the heap's pop order, as before.
-        batches: dict[ProcessId, list[tuple[ProcessId, Any, int]]] = {}
-        order: list[ProcessId] = []
-        while self._heap and self._heap[0][0] <= now:
-            _, _, dst, sender, payload, depth = heapq.heappop(self._heap)
-            if dst not in batches:
-                batches[dst] = []
-                order.append(dst)
-            batches[dst].append((sender, payload, depth))
-        for dst in order:
-            entries = batches[dst]
-            frames, per_frame = batch_frames(entries)
-            delivered: list[tuple[ProcessId, Any, int]] = []
-            try:
-                # One coalesced write per destination per sweep.
-                if self._write_frames(dst, frames):
-                    delivered = entries
-            except FrameTooLarge:
-                # huge payloads: fall back to one frame per message
-                delivered = [
-                    entry
-                    for chunk in per_frame
-                    for entry in chunk
-                    if self._write(dst, MsgDeliver(*entry))
-                ]
-            for sender, payload, depth in delivered:
-                self.stats.messages_delivered += 1
-                self.events.deliver(dst, sender, payload, depth)
-
-    def _handle(self, conn: _Conn, msg: Any) -> None:
-        pid = conn.pid
+    def _handle(self, link: HubLink, msg: Any) -> None:
+        pid = link.ident
         if isinstance(msg, MsgSend):
-            self._route(pid, msg)  # src override: link-authenticated sender
+            self._ingress(pid, msg)
         elif isinstance(msg, MsgDecide):
             if pid not in self.decisions:
                 self.decisions[pid] = Decision(
@@ -716,25 +892,20 @@ class NetCluster:
     def run(self, timeout: float = 30.0) -> NetRunResult:
         """Spawn, connect, route until every correct node decided (or the
         deadline), then tear everything down — stragglers killed, exit
-        codes collected, sockets and the UDS path removed."""
+        codes collected, sockets and the UDS directory removed."""
         start = time.monotonic()
         self._clock.start()
-        listener, family, address = self._make_listener()
-        self._family, self._address = family, address
-        children = self._spawn(family, address)
         timed_out = False
         try:
-            self._accept_all(listener)
+            self._open()
+            for pid in self.config.processes:
+                self._fork_node(pid)
+            self._handshake()
             for pid, crash in sorted(self.chaos.items()):
                 self.events.fault(pid, "ProcessCrash", f"after={crash.after}")
-            self._selector = selectors.DefaultSelector()
-            self._selector.register(listener, selectors.EVENT_READ, None)
-            for conn in self._conns.values():
-                self._selector.register(conn.sock, selectors.EVENT_READ, conn)
-            self._register_extra()
             started = time.monotonic()
-            for pid in self._conns:
-                self._write(pid, Start())
+            for link in list(self._nodes.values()):
+                self._write(link, [Start()])
             for pid, plan in sorted(self.restarts.items()):
                 if plan.at is not None:
                     heapq.heappush(self._kills, (started + plan.at, pid))
@@ -749,100 +920,42 @@ class NetCluster:
                 if self._stalled():
                     timed_out = True
                     break
-                wait = deadline - now
-                if self._heap:
-                    wait = min(wait, max(self._heap[0][0] - now, 0.0))
+                wait = min(deadline - now, 0.05)
                 if self._kills:
                     wait = min(wait, max(self._kills[0][0] - now, 0.0))
                 if self._relaunches:
                     wait = min(wait, max(self._relaunches[0][0] - now, 0.0))
-                for key, _ in self._selector.select(min(wait, 0.05)):
-                    if key.data is None:
-                        self._accept_restart(listener)
-                    else:
-                        self._pump(key.data)
+                self._poll(self._heap_wait(wait, now))
                 self._deliver_due(time.monotonic())
         finally:
             self._running = False
-            self._shutdown(listener)
-            exit_codes = self._reap(children)
+            self._shutdown()
+            exit_codes = {pid: reap(proc) for pid, proc in self._children.items()}
         return NetRunResult(
             config=self.config,
             decisions=dict(self.decisions),
             outputs=self.outputs,
-            stats=self.stats,
+            stats=RunStats(messages_sent=self.sent, messages_delivered=self.delivered),
             faulty=self.faulty,
             wall_seconds=time.monotonic() - start,
             timed_out=timed_out,
             exit_codes=exit_codes,
             transport=self.transport,
-            hub_frames=self.hub_frames,
-            hub_bytes=self.hub_bytes,
-            hub_frame_counts={0: self.hub_frames},
-            hub_byte_counts={0: self.hub_bytes},
+            hub_frames=self.frames,
+            hub_bytes=self.bytes,
+            hub_frame_counts={0: self.frames},
+            hub_byte_counts={0: self.bytes},
         )
 
-    def _register_extra(self) -> None:
-        """Register additional selector entries before the main loop.
+    def _stop_nodes(self) -> None:
+        """Tell every connected node the run is over and hang up."""
+        for link in list(self._nodes.values()):
+            if self._write(link, [Stop()]):
+                self._drop(link)
 
-        A hook for subclasses — the mesh orchestrator registers its hub
-        control links here; the star topology has nothing extra."""
-
-    def _pump(self, conn: _Conn) -> None:
-        """Drain one readable connection into the frame handler."""
-        try:
-            data = conn.sock.recv(65536)
-        except TimeoutError:
-            return
-        except OSError:
-            self._mark_dead(conn.pid)
-            return
-        if not data:
-            try:
-                conn.decoder.eof()
-            except TruncatedStream as exc:
-                self.events.fault(conn.pid, "truncated-stream", str(exc))
-            self._mark_dead(conn.pid)
-            return
-        for msg in conn.decoder.feed(data):
-            self._handle(conn, msg)
-
-    def _shutdown(self, listener: socket.socket) -> None:
-        for pid in list(self._conns):
-            if pid not in self._dead:
-                self._write(pid, Stop())
-        for pid in list(self._conns):
-            self._mark_dead(pid)
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        try:
-            listener.close()
-        except OSError:
-            pass
+    def _shutdown(self) -> None:
+        self._stop_nodes()
+        self._close()
         if self._uds_dir is not None:
-            for name in ("hub.sock",):
-                try:
-                    os.unlink(os.path.join(self._uds_dir, name))
-                except OSError:
-                    pass
-            try:
-                os.rmdir(self._uds_dir)
-            except OSError:
-                pass
+            shutil.rmtree(self._uds_dir, ignore_errors=True)
             self._uds_dir = None
-
-    def _reap(self, children: Mapping[ProcessId, Any]) -> dict[ProcessId, int | None]:
-        """Join every worker, escalating terminate → kill for stragglers."""
-        exit_codes: dict[ProcessId, int | None] = {}
-        for pid, proc in children.items():
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            exit_codes[pid] = proc.exitcode
-            proc.close()
-        return exit_codes

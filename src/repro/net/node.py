@@ -1,9 +1,11 @@
-"""The node worker: one sans-IO protocol behind a real socket.
+"""The node worker: one sans-IO protocol behind real sockets.
 
 A worker process hosts exactly one :class:`~repro.runtime.protocol.
 Protocol` (honest or a Byzantine behavior wrapper — it cannot tell) and
-connects to the orchestrator's hub socket.  The protocol is driven through
-the standard path — :func:`~repro.runtime.protocol.guarded` handler calls,
+connects to every hub of the run: one in the star topology, one per hub
+group in a mesh, where each data frame is steered to the hub owning its
+shard.  The protocol is driven through the standard path —
+:func:`~repro.runtime.protocol.guarded` handler calls,
 :func:`~repro.engine.interpreter.interpret` effect execution — with a
 :class:`NodeWorker` as the :class:`~repro.engine.interpreter.
 ExecutionPorts` implementation: ``send`` writes a frame, ``broadcast``
@@ -24,6 +26,7 @@ cleanup handlers.
 from __future__ import annotations
 
 import os
+import selectors
 import socket
 import time
 from typing import Any
@@ -34,6 +37,7 @@ from ..engine.interpreter import ExecutionPorts, interpret
 from ..errors import SimulationError
 from ..runtime.effects import Deliver, Log, ServiceCall
 from ..runtime.protocol import Protocol, guarded
+from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..types import ProcessId
 from .faults import NODE_ENV_MARKER, ProcessCrash
 from .wire import (
@@ -62,6 +66,9 @@ EXIT_OK = 0
 EXIT_RECV_TIMEOUT = 3
 EXIT_CONNECT_FAILED = 4
 EXIT_INTERNAL_ERROR = 5
+#: The node lost a data-hub link mid-run.  Distinct from every other exit
+#: code so hub failures attribute to the hub, not the node.
+EXIT_HUB_LOST = 6
 
 
 def connect_with_retry(
@@ -103,14 +110,22 @@ def connect_with_retry(
 
 
 class NodeWorker(ExecutionPorts):
-    """Execution ports whose far side is a socket to the hub.
+    """Execution ports whose far side is one socket per hub.
 
     Args:
         pid: hosted process id.
         protocol: the protocol (or behavior wrapper) to drive.
-        sock: connected hub socket.
+        socks: one connected socket per hub, indexed by hub.  ``socks[0]``
+            is hub 0, the orchestrator: everything control-plane —
+            decisions, outputs, service calls, log records, and every
+            unattributable payload — goes there, where the event stream
+            and the services live.  A star node simply has one socket.
+        shards: shard count for payload attribution.
+        route: ``"direct"`` steers each data frame to the hub owning its
+            shard; ``"hub0"`` sends everything to hub 0 (exercising the
+            hub-to-hub relay path end to end).
         codec: wire codec for outgoing frames.
-        max_frame: frame size cap (must match the hub's).
+        max_frame: frame size cap (must match the hubs').
         crash: optional :class:`~repro.net.faults.ProcessCrash` chaos spec;
             checked before every outgoing message write.
     """
@@ -119,15 +134,21 @@ class NodeWorker(ExecutionPorts):
         self,
         pid: ProcessId,
         protocol: Protocol,
-        sock: socket.socket,
+        socks: list[socket.socket],
+        shards: int = 1,
+        route: str = "direct",
         codec: int = CODEC_PICKLE,
         max_frame: int = DEFAULT_MAX_FRAME,
         crash: ProcessCrash | None = None,
     ) -> None:
+        if not socks:
+            raise SimulationError("a node needs at least the hub-0 socket")
         self.pid = pid
         self.protocol = protocol
         self.config = protocol.config
-        self.sock = sock
+        self.socks = socks
+        self.shards = shards
+        self.steer = route == "direct" and len(socks) > 1
         self.codec = codec
         self.max_frame = max_frame
         self.crash = crash
@@ -143,34 +164,38 @@ class NodeWorker(ExecutionPorts):
         self._cached_payload: Any = _NO_CACHED_PAYLOAD
         self._cached_opaque: Opaque | None = None
 
-    def _write(self, msg: Any) -> None:
-        self._write_to(self.sock, msg)
-
-    def _write_to(self, sock: socket.socket, msg: Any) -> None:
+    def _write(self, msg: Any, hub: int = 0) -> None:
         # Chaos check on every post-handshake frame: "outgoing message" for a
         # ProcessCrash budget means anything the node tells the world — a
         # send, a service call, even its decision announcement.  The Hello
         # handshake is exempt so a budget of zero still registers the node
         # (dying unconnected is the listener-timeout path, a separate regime).
-        # Parameterized over the socket because a mesh node holds one
-        # connection per hub and steers data frames by shard.
         if self._hello_sent and self.crash is not None:
             self.crash.maybe_kill(self._sent)
         buf = self._buf
         buf.clear()
         encode_frame_into(msg, buf, self.codec, self.max_frame)
-        sock.sendall(buf)
+        # Blocking, from inside a handler, without reading: safe because no
+        # hub ever blocks in a write of its own (see repro.net.cluster).
+        self.socks[hub].sendall(buf)
         self._sent += 1
 
     # -- ExecutionPorts (broadcast inherits the per-destination default) ------------
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
+        hub = 0
+        if self.steer:
+            # Attribution pre-wrap: the payload is still a real envelope
+            # chain here, so steering never peeks encoded bytes.
+            shard = shard_of_payload(payload, self.shards)
+            if shard != UNATTRIBUTED:
+                hub = hub_of(shard, len(self.socks))
         if self.codec == CODEC_BINARY:
             if payload is not self._cached_payload:
                 self._cached_payload = payload
                 self._cached_opaque = wrap_opaque(payload)
             payload = self._cached_opaque
-        self._write(MsgSend(src, dst, payload, depth))
+        self._write(MsgSend(src, dst, payload, depth), hub)
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
         if not self._decided:
@@ -189,37 +214,50 @@ class NodeWorker(ExecutionPorts):
     # -- lifecycle -------------------------------------------------------------------
 
     def run(self, recv_timeout: float = 60.0) -> int:
-        """Drive the protocol until the hub says stop; return an exit code.
+        """Drive the protocol until hub 0 says stop; return an exit code.
 
         The loop is frame-driven: ``Start`` runs ``on_start``, each
-        ``MsgDeliver`` runs one guarded handler call, ``Stop`` (or the hub
-        closing the connection) ends the run.  ``recv_timeout`` is a
-        failsafe against a hub that died without closing its sockets.
+        delivery runs one guarded handler call, ``Stop`` (or hub 0 closing
+        its link — the orderly end of a run) ends it.  A *data* hub closing
+        its link is :data:`EXIT_HUB_LOST`: a node that lost its shard
+        traffic must not limp on, and the distinct code attributes the
+        death to the hub.  ``recv_timeout`` is a failsafe against hubs
+        that died without closing their sockets; it spans all links — an
+        idle data hub is normal, a wholly silent cluster is not.
         """
-        decoder = FrameDecoder(self.max_frame)
-        self.sock.settimeout(recv_timeout)
-        self._write(Hello(self.pid, self.codec))
-        self._hello_sent = True
-        self._sent = 0
-        while True:
-            try:
-                data = self.sock.recv(65536)
-            except TimeoutError:
-                return EXIT_RECV_TIMEOUT
-            except OSError:
-                return EXIT_OK  # hub tore the connection down: run is over
-            if not data:
-                return EXIT_OK
-            for msg in decoder.feed(data):
-                if not self._dispatch(msg):
-                    return EXIT_OK
+        socks = self.socks
+        decoders = {sock: FrameDecoder(self.max_frame) for sock in socks}
+        with selectors.DefaultSelector() as sel:
+            for hub, sock in enumerate(socks):
+                sock.settimeout(recv_timeout)
+                sel.register(sock, selectors.EVENT_READ)
+                self._write(Hello(self.pid, self.codec), hub)
+            self._hello_sent = True
+            self._sent = 0
+            while True:
+                # One link needs no readiness poll: block in recv itself.
+                ready = (
+                    socks
+                    if len(socks) == 1
+                    else [key.fileobj for key, _ in sel.select(recv_timeout)]
+                )
+                if not ready:
+                    return EXIT_RECV_TIMEOUT
+                for sock in ready:
+                    try:
+                        data = sock.recv(65536)
+                    except TimeoutError:
+                        return EXIT_RECV_TIMEOUT
+                    except OSError:
+                        data = b""  # the hub tore the link down
+                    if not data:
+                        return EXIT_OK if sock is socks[0] else EXIT_HUB_LOST
+                    for msg in decoders[sock].feed(data):
+                        if not self._dispatch(msg):
+                            return EXIT_OK
 
     def _dispatch(self, msg: Any) -> bool:
-        """Handle one inbound frame; ``False`` = Stop, the run is over.
-
-        Factored out of the recv loop so multi-connection workers (the
-        mesh node selects over one socket per hub) drive the identical
-        frame semantics."""
+        """Handle one inbound frame; ``False`` = Stop, the run is over."""
         if isinstance(msg, Start):
             if not self._started:
                 self._started = True
@@ -240,8 +278,9 @@ class NodeWorker(ExecutionPorts):
 def node_main(
     pid: ProcessId,
     protocol: Protocol | None,
-    family: int,
-    address: Any,
+    endpoints: list[tuple[int, Any]],
+    shards: int = 1,
+    route: str = "direct",
     codec: int = CODEC_PICKLE,
     max_frame: int = DEFAULT_MAX_FRAME,
     crash: ProcessCrash | None = None,
@@ -251,8 +290,9 @@ def node_main(
     """Entry point of the forked worker process (never returns).
 
     Sets the :data:`~repro.net.faults.NODE_ENV_MARKER` that arms
-    :class:`~repro.net.faults.ProcessCrash`, runs the worker, and leaves
-    via ``os._exit`` so a forked child cannot re-run the parent's atexit
+    :class:`~repro.net.faults.ProcessCrash`, dials every hub endpoint in
+    index order (a star run has one), runs the worker, and leaves via
+    ``os._exit`` so a forked child cannot re-run the parent's atexit
     machinery or flush inherited buffers twice.
 
     ``build`` — a zero-argument protocol factory — defers construction
@@ -262,21 +302,24 @@ def node_main(
     """
     os.environ[NODE_ENV_MARKER] = "1"
     code = EXIT_INTERNAL_ERROR
-    sock: socket.socket | None = None
+    socks: list[socket.socket] = []
     try:
         if build is not None:
             protocol = build()
-        sock = connect_with_retry(family, address)
-        worker = NodeWorker(pid, protocol, sock, codec, max_frame, crash)
+        for family, address in endpoints:
+            socks.append(connect_with_retry(family, address))
+        worker = NodeWorker(
+            pid, protocol, socks, shards, route, codec, max_frame, crash
+        )
         code = worker.run(recv_timeout)
     except SimulationError:
         code = EXIT_CONNECT_FAILED
     except OSError:
-        code = EXIT_OK  # the hub went away mid-write: the run is over
+        code = EXIT_OK  # a hub went away mid-write: the run is over
     except Exception:
         code = EXIT_INTERNAL_ERROR
     finally:
-        if sock is not None:
+        for sock in socks:
             try:
                 sock.close()
             except OSError:

@@ -109,8 +109,9 @@ def encode_frame_into(
     """Append one complete wire frame for ``obj`` to ``buf``.
 
     The buffer-reuse entry point: hot loops (the hub's delivery sweep, the
-    node's send path) encode straight into one reusable bytearray and hand
-    it to ``sendall``, instead of allocating per-frame ``bytes``.  On
+    node's send path) encode straight into one reusable bytearray (a hub
+    link's outbox, the node's send buffer) instead of allocating per-frame
+    ``bytes``.  On
     failure the buffer is restored to its original length, so a caller
     coalescing many frames can fall back per-frame.
 
@@ -372,8 +373,6 @@ def batch_frames(
     :class:`MsgDeliverBatch` capped at :data:`DELIVERY_BATCH_CHUNK` entries
     — and the entries behind each frame, so a caller falling back
     per-frame on :class:`FrameTooLarge` knows what every frame held.
-    Shared by each hub implementation (the star hub and the mesh's hub
-    group workers), so batching semantics cannot drift between them.
     """
     frames: list[Any] = []
     per_frame: list[list[tuple[ProcessId, Any, int]]] = []

@@ -51,6 +51,8 @@ from repro.shard.service import ShardedService
 from repro.types import DecisionKind
 from repro.workloads.inputs import unanimous
 
+from .test_net_engine import _data_hub, _drain, _serve, _stub_link
+
 UNATTRIBUTED = -1
 
 
@@ -176,22 +178,6 @@ class TestLinkPlanProjection:
 # -- the hub worker's selector loop, in a thread ---------------------------------------
 
 
-def _drain(link: HubLink, count: int, timeout: float = 5.0):
-    """Read ``count`` frames off a link, with a hard deadline."""
-    got = []
-    link.sock.settimeout(0.2)
-    deadline = time.monotonic() + timeout
-    while len(got) < count:
-        assert time.monotonic() < deadline, f"only {len(got)}/{count} frames"
-        try:
-            data = link.sock.recv(65536)
-        except TimeoutError:
-            continue
-        assert data, "hub closed the connection early"
-        got.extend(link.decoder.feed(data))
-    return got
-
-
 class TestHubWorkerRouting:
     def test_owned_delivered_and_foreign_relayed(self, tmp_path):
         """Every frame for shard s arrives only via hub_of(s).
@@ -272,6 +258,71 @@ class TestHubWorkerRouting:
                     link.close()
             thread.join(10.0)
             assert not thread.is_alive()
+
+
+class TestRelayIsNeverSilentlyLost:
+    """Hub-to-hub relay goes through the one write path: a frame that cannot
+    leave is a reported outcome, a control link that cannot take it is a
+    lost hub — never a quiet drop."""
+
+    def test_overflowing_control_link_fails_the_hub_loudly(self):
+        # Regression: hub 0 ignored a failed control-link send (and a
+        # timed-out one could leave half a frame on the link).
+        from repro.engine.events import EventLog, FaultEvent
+        from repro.mesh import MeshCluster
+        from repro.types import SystemConfig
+
+        config, log = SystemConfig(4, 0), EventLog()
+        cluster = MeshCluster(
+            config,
+            {pid: None for pid in config.processes},
+            mesh=MeshTopology(hubs=2),
+            shards=4,
+            event_sink=log,
+        )
+        ours, hub_one = socket.socketpair()  # hub 1 never reads
+        link = HubLink(ours)
+        link.kind, link.ident = "control", 1
+        cluster._hub_links[1] = link
+        cluster._attach(link)
+        owned_by_one = Envelope("mux", Envelope(instance_name(1, 0), "y" * 200_000))
+        try:
+            for sent in range(1, 100):
+                cluster._ingress(0, MsgSend(0, 1, owned_by_one, 0))
+                if 1 in cluster._failed_hubs:
+                    break
+            assert 20 <= sent < 60  # a few MiB were held before giving up
+            assert cluster.sent == sent  # counted where it ingressed
+            assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [
+                (1, "outbox-overflow"),
+                (1, "hub-lost"),
+            ]
+            assert cluster._stalled() and link.kind == "closed"
+        finally:
+            hub_one.close()
+            cluster._close()
+
+    def test_unrelayable_frame_is_counted_and_reported(self, tmp_path):
+        # Regression: ``except FrameTooLarge: pass``.
+        from repro.net.wire import MsgLog
+
+        hub = _data_hub(tmp_path)
+        hub.max_frame = 1024
+        _, control = _stub_link(hub, HubHello(CONTROL_LINK))
+        _serve(hub, lambda: hub._control is not None)
+        hub._control.max_frame = 1024
+        owned_by_zero = Envelope("mux", Envelope(instance_name(0, 0), "y" * 4096))
+        try:
+            hub._ingress(2, MsgSend(2, 1, owned_by_zero, 0))
+            hub._ingress(2, MsgSend(2, 1, sharded_payload(0), 0))
+            report, relayed = _drain(control, 2)
+            assert isinstance(report, MsgLog)
+            assert (report.pid, report.event) == (2, "relay-too-large")
+            assert relayed == MsgRelay(2, 1, sharded_payload(0), 0)
+            assert (hub.sent, hub.relayed) == (2, 1)
+        finally:
+            control.close()
+            hub._close()
 
 
 # -- full mesh integration: forked hubs + forked nodes ---------------------------------

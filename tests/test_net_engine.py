@@ -23,6 +23,8 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.events import (
     DecideEvent,
@@ -314,97 +316,363 @@ class TestHubNeverDecodesRelayedPayloads:
         assert_no_leaks()
 
 
+# -- the hub data plane on stub sockets: no forking, the real selector loop -------------
+
+
+def _hub0(event_sink=None, n=4):
+    """Hub 0's data plane, never run: tests attach stub links and poll it."""
+    from repro.types import SystemConfig
+
+    config = SystemConfig(n, 0)
+    return NetCluster(config, {pid: None for pid in config.processes}, event_sink=event_sink)
+
+
+def _data_hub(tmp_path, n=4):
+    """Hub 1 of a 2-hub, 4-shard mesh (same plane, a data hub's extras)."""
+    import socket
+
+    from repro.mesh import HubWorker
+
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(str(tmp_path / "hub1.sock"))
+    listener.listen(8)
+    return HubWorker(1, 2, 4, n, listener, [None, None], mean_delay=0.0)
+
+
+_STUB_PEERS: list = []
+
+
+@pytest.fixture(autouse=True)
+def _close_stub_peers():
+    """Hang up whatever stub peers a test left connected."""
+    yield
+    while _STUB_PEERS:
+        _STUB_PEERS.pop().close()
+
+
+def _stub_link(plane, first):
+    """Attach one socketpair end to ``plane`` as a fresh (pending) link whose
+    peer opens with ``first``; returns ``(hub-side link, peer)`` — the peer
+    a bare, blocking :class:`HubLink`, as a real dialer's would be."""
+    import socket
+
+    from repro.net.cluster import HubLink
+
+    ours, theirs = socket.socketpair()
+    theirs.settimeout(20.0)
+    link, peer = HubLink(ours), HubLink(theirs, lazy=False)
+    _STUB_PEERS.append(peer)
+    plane._attach(link)
+    assert peer.send(first)
+    return link, peer
+
+
+def _serve(plane, until, timeout=20.0):
+    """Turn ``plane``'s loop (sockets only, no deliveries) until ``until()``."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not until():
+        assert time.monotonic() < deadline, "the plane never got there"
+        plane._poll(0.01)
+
+
+def _stub_node(plane, pid):
+    from repro.net.wire import CODEC_BINARY, Hello
+
+    link, peer = _stub_link(plane, Hello(pid, CODEC_BINARY))
+    _serve(plane, lambda: plane._nodes.get(pid) is link)
+    return link, peer
+
+
+def _drain(link, count, timeout=5.0):
+    """Read ``count`` frames off a bare link, with a hard deadline."""
+    import time
+
+    got = []
+    link.sock.settimeout(0.2)
+    deadline = time.monotonic() + timeout
+    while len(got) < count:
+        assert time.monotonic() < deadline, f"only {len(got)}/{count} frames"
+        try:
+            data = link.sock.recv(65536)
+        except TimeoutError:
+            continue
+        assert data, "hub closed the connection early"
+        got.extend(link.decoder.feed(data))
+    return got
+
+
 class TestDuplicateHello:
-    def test_second_dialer_cannot_replace_an_authenticated_link(self):
+    """One accept → classify → authenticate path: what hub 0 refuses, a data
+    hub refuses.  Hub 0 reports through its event sink, a data hub through a
+    fault record up its control link."""
+
+    def _planes(self, tmp_path):
+        from repro.engine.events import FaultEvent
+        from repro.mesh import CONTROL_LINK, HubHello
+
+        log = EventLog()
+        yield _hub0(log), lambda count: [
+            (e.pid, e.fault) for e in log.of_type(FaultEvent)
+        ]
+        hub = _data_hub(tmp_path)
+        _, control = _stub_link(hub, HubHello(CONTROL_LINK))
+        _serve(hub, lambda: hub._control is not None)
+        yield hub, lambda count: [
+            (m.pid, m.event) for m in _drain(control, count)
+        ]
+        control.close()
+
+    def test_second_dialer_cannot_replace_an_authenticated_link(self, tmp_path):
         # Regression: a second Hello claiming a connected pid used to
-        # overwrite ``_conns[pid]`` — hijacking the link and leaking the
-        # first socket.  Stub dialers over socketpairs, no forking.
+        # replace the authenticated link (star: hijack and leak; data hub:
+        # close the real one).  Stub dialers over socketpairs, no forking.
+        from repro.net.wire import CODEC_BINARY, Hello
+
+        for plane, faults in self._planes(tmp_path):
+            first, peer = _stub_node(plane, 3)
+            second, intruder = _stub_link(plane, Hello(3, CODEC_BINARY))
+            _serve(plane, lambda: second.kind == "closed")
+            assert plane._nodes[3] is first and first.kind == "node"
+            assert first.sock.fileno() != -1
+            assert second.sock.fileno() == -1  # the newcomer was closed
+            assert intruder.sock.recv(16) == b""  # ... and sees EOF
+            assert faults(1) == [(3, "duplicate-hello")]
+            # once the old link has hit EOF, a restarted node is admitted
+            peer.close()
+            _serve(plane, lambda: 3 not in plane._nodes)
+            again, _ = _stub_node(plane, 3)
+            assert plane._nodes[3] is again
+            plane._close()
+
+    def test_pid_outside_the_cluster_is_refused(self, tmp_path):
+        # A data hub used to register Hello(pid=999) and count it toward
+        # HubReady; hub 0 always range-checked.
+        from repro.net.wire import CODEC_BINARY, Hello
+
+        for plane, faults in self._planes(tmp_path):
+            for pid in (999, -1):
+                link, dialer = _stub_link(plane, Hello(pid, CODEC_BINARY))
+                _serve(plane, lambda: link.kind == "closed")
+                assert dialer.sock.recv(16) == b""
+            assert not plane._nodes
+            assert faults(2) == [(-1, "hello-refused")] * 2
+            plane._close()
+
+
+    def test_a_malformed_frame_costs_only_its_own_link(self, tmp_path):
+        # A dialer speaking another wire version is dropped with the cause
+        # attached; it used to raise out of the hub's loop.
+        for plane, faults in self._planes(tmp_path):
+            node, _ = _stub_node(plane, 1)
+            link, dialer = _stub_node(plane, 2)
+            dialer.sock.sendall(b"\x00\x00\x00\x02\x63\x01")  # wire version 99
+            _serve(plane, lambda: link.kind == "closed")
+            assert faults(1) == [(2, "wire-error")]
+            assert plane._nodes[1] is node and node.kind == "node"
+            plane._close()
+
+
+class TestSilentDialer:
+    def test_a_silent_dialer_delays_no_delivery(self, tmp_path):
+        # Regression: mid-run, hub 0 accepted a connection and then blocked
+        # in recv (1 s timeout) for its first frame — every dialer that
+        # said nothing stalled every delivery for a second.
         import socket
         import time
 
-        from repro.engine.events import FaultEvent
-        from repro.net.wire import CODEC_BINARY, FrameDecoder, Hello, encode_frame
-        from repro.types import SystemConfig
+        from repro.net.wire import MsgDeliver
 
-        config = SystemConfig(4, 0)
-        log = EventLog()
-        cluster = NetCluster(
-            config, {pid: None for pid in config.processes}, event_sink=log
-        )
-        hello = encode_frame(Hello(3, CODEC_BINARY), CODEC_BINARY)
-        deadline = time.monotonic() + 1.0
-        hub_side, dialers = [], []
+        cluster = _hub0()
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(str(tmp_path / "hub.sock"))
+        listener.listen(4)
+        cluster._listen(listener)
+        _, peer = _stub_node(cluster, 1)
+        cluster._running = True
+        silent = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            for _ in range(2):
-                ours, theirs = socket.socketpair()
-                hub_side.append(ours)
-                dialers.append(theirs)
-                theirs.sendall(hello)
-                assert cluster._try_hello(ours, FrameDecoder(lazy=True), deadline)
-            assert cluster._conns[3].sock is hub_side[0]
-            assert hub_side[0].fileno() != -1
-            assert hub_side[1].fileno() == -1  # the newcomer was closed
-            assert dialers[1].recv(16) == b""  # ... and sees EOF
-            assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [
-                (3, "duplicate-hello")
+            silent.connect(str(tmp_path / "hub.sock"))  # ... and says nothing
+            cluster._schedule(1, 0, "ping", 0, 0.0)
+            began = time.monotonic()
+            cluster._poll(0.0)  # accepts the dialer
+            cluster._deliver_due(time.monotonic())
+            assert time.monotonic() - began < 0.5
+            assert _drain(peer, 1) == [MsgDeliver(0, "ping", 0)]
+            kinds = [
+                key.data.kind for key in cluster._selector.get_map().values() if key.data
             ]
+            assert sorted(kinds) == ["node", "pending"]  # parked, not served
         finally:
-            for sock in hub_side + dialers:
-                sock.close()
+            silent.close()
+            peer.close()
+            cluster._close()
+
+
+class _ChokedSocket:
+    """A socket whose ``send`` takes what the script allows: each budget is
+    one call's byte allowance, ``0`` (or none left) is a full buffer."""
+
+    def __init__(self):
+        self.budgets: list[int] | None = []
+        self.wire = bytearray()
+
+    def send(self, data):
+        if self.budgets is None:
+            taken = len(data)
+        elif not self.budgets or self.budgets[0] == 0:
+            del self.budgets[:1]
+            raise BlockingIOError
+        else:
+            taken = min(self.budgets.pop(0), len(data))
+        self.wire += bytes(data[:taken])
+        return taken
+
+
+class TestOutbox:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.binary(max_size=400), st.lists(st.integers(0, 96), max_size=5)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_partial_sends_never_tear_a_frame(self, script):
+        # However the socket slices the writes, the bytes that reach the
+        # wire are exactly the blocking path's: frame after frame, in order.
+        from repro.net.cluster import HubLink
+        from repro.net.wire import CODEC_BINARY, FrameDecoder, MsgDeliver, encode_frame
+
+        sock = _ChokedSocket()
+        link = HubLink(sock, CODEC_BINARY, lazy=False)
+        msgs = [MsgDeliver(i, blob, i) for i, (blob, _) in enumerate(script)]
+        for msg, (_, budgets) in zip(msgs, script):
+            sock.budgets = list(budgets)
+            assert link.send(msg)
+        sock.budgets = None  # the socket drains at last
+        assert link.flush() and not link.outbox
+        assert bytes(sock.wire) == b"".join(encode_frame(m, CODEC_BINARY) for m in msgs)
+        assert list(FrameDecoder().feed(bytes(sock.wire))) == msgs
+
+    def test_a_node_that_never_reads_is_disconnected_at_the_cap(self):
+        # Overflow is an attributed disconnect — not a silent drop, not a
+        # timeout — and every other link keeps flowing.
+        from repro.engine.events import FaultEvent
+        from repro.net.cluster import OUTBOX_CAP
+        from repro.net.wire import MsgDeliver
+
+        log = EventLog()
+        cluster = _hub0(log)
+        deaf, deaf_peer = _stub_node(cluster, 2)
+        live, live_peer = _stub_node(cluster, 1)
+        chunk = MsgDeliver(1, "y" * 200_000, 1)
+        try:
+            writes = 0
+            while cluster._write(deaf, [chunk]):
+                writes += 1
+                assert len(deaf.outbox) <= OUTBOX_CAP
+                assert writes * 200_000 < 2 * OUTBOX_CAP, "the cap never tripped"
+            assert writes * 200_000 >= OUTBOX_CAP  # a few MiB were held first
+            assert deaf.kind == "closed" and 2 not in cluster._nodes
+            assert 2 in cluster._dead
+            faults = [(e.pid, e.fault) for e in log.of_type(FaultEvent)]
+            assert faults == [(2, "outbox-overflow")]
+            assert cluster._write(live, [MsgDeliver(0, "still here", 0)])
+            assert _drain(live_peer, 1) == [MsgDeliver(0, "still here", 0)]
+        finally:
+            deaf_peer.close()
+            live_peer.close()
+            cluster._close()
 
 
 class TestHubWriteCannotDeadlock:
-    def test_hub_drains_a_node_that_writes_without_reading(self):
-        # Regression: a node writes from inside its handlers without
-        # reading.  With both directions' socket buffers full the hub's
-        # ``sendall`` waited for the node waiting for the hub, and the 1 s
-        # send timeout then dropped a healthy replica.  Stub node on a
-        # socketpair: megabytes each way, far beyond any socket buffer.
-        import socket
+    SENDS = 40_000
+    FRAMES = 10
+
+    def _traffic(self, sends):
+        from repro.net.wire import CODEC_BINARY, MsgDeliver, MsgSend, encode_frame
+
+        upstream = b"".join(
+            encode_frame(MsgSend(2, 1, ("vote", 7, "x" * 40), i), CODEC_BINARY)
+            for i in range(sends)
+        )
+        frames = [MsgDeliver(1, f"{i}" + "y" * 200_000, 1) for i in range(self.FRAMES)]
+        downstream = b"".join(encode_frame(f, CODEC_BINARY) for f in frames)
+        return upstream, frames, downstream
+
+    def _node(self, up_sock, upstream, down_sock, downstream, received):
+        """A node in a handler: writes everything, reading nothing; only
+        then reads what was sent to it."""
         import threading
 
-        from repro.net.cluster import _Conn
-        from repro.net.wire import (
-            CODEC_BINARY,
-            FrameDecoder,
-            MsgDeliver,
-            MsgSend,
-            encode_frame,
-        )
-        from repro.types import SystemConfig
-
-        config = SystemConfig(4, 0)
-        cluster = NetCluster(config, {pid: None for pid in config.processes})
-        ours, theirs = socket.socketpair()
-        ours.settimeout(1.0)
-        theirs.settimeout(20.0)
-        cluster._conns[2] = _Conn(2, ours, FrameDecoder(lazy=True), CODEC_BINARY)
-        sends = 40_000
-        upstream = encode_frame(MsgSend(2, 1, ("vote", 7, "x" * 40), 1), CODEC_BINARY)
-        frames = [MsgDeliver(1, "y" * 200_000, 1)] * 10
-        downstream = sum(len(encode_frame(f, CODEC_BINARY)) for f in frames)
-        received = []
-
         def node():
-            theirs.sendall(upstream * sends)  # never reads while writing
-            got = 0
-            while got < downstream:
-                got += len(theirs.recv(1 << 20))
-            received.append(got)
+            up_sock.sendall(upstream)
+            got = bytearray()
+            while len(got) < len(downstream):
+                got += down_sock.recv(1 << 20)
+            received.append(bytes(got))
 
         thread = threading.Thread(target=node, daemon=True)
         thread.start()
+        return thread
+
+    def _arrived_in_order(self, plane, sends):
+        assert plane.sent == sends
+        by_seq = sorted(plane._heap, key=lambda entry: entry[1])
+        assert [entry[5] for entry in by_seq] == list(range(sends))
+
+    def test_hub_drains_a_node_that_writes_without_reading(self):
+        # Regression: a node writes from inside its handlers without
+        # reading.  With both directions' socket buffers full a blocking
+        # hub write waited for the node waiting for the hub, until a send
+        # timeout dropped a healthy replica.  Stub node on a socketpair:
+        # megabytes each way, far beyond any socket buffer.
+        cluster = _hub0()
+        link, peer = _stub_node(cluster, 2)
+        upstream, frames, downstream = self._traffic(self.SENDS)
+        received = []
+        thread = self._node(peer.sock, upstream, peer.sock, downstream, received)
         try:
-            assert cluster._write_frames(2, frames) == frames
-            thread.join(20.0)
-            assert not thread.is_alive() and received == [downstream]
-            assert 2 not in cluster._dead
-            while cluster.stats.messages_sent < sends:  # the rest, by the pump
-                cluster._pump(cluster._conns[2])
-            assert len(cluster._heap) == sends
+            assert cluster._write(link, frames)  # returns at once, rest queued
+            _serve(cluster, lambda: not thread.is_alive())
+            assert received == [downstream]  # complete, in order
+            assert cluster._nodes[2] is link and 2 not in cluster._dead
+            _serve(cluster, lambda: cluster.sent >= self.SENDS)
+            self._arrived_in_order(cluster, self.SENDS)  # nothing dropped
         finally:
-            ours.close()
-            theirs.close()
+            peer.close()
+            cluster._close()
+
+    def test_node_blocked_on_one_hub_is_not_dropped_by_another(self, tmp_path):
+        # The mesh's cycle: the node is blocked writing megabytes to hub A
+        # while hub B holds megabytes for it.  A data hub used to sendall
+        # under a 1 s timeout here and drop the replica.
+        hub_a, hub_b = _hub0(), _data_hub(tmp_path)
+        link_a, peer_a = _stub_node(hub_a, 2)
+        link_b, peer_b = _stub_node(hub_b, 2)
+        upstream, frames, downstream = self._traffic(20_000)
+        received = []
+        try:
+            assert hub_b._write(link_b, frames)
+            assert link_b.outbox  # B is holding most of it
+            thread = self._node(peer_a.sock, upstream, peer_b.sock, downstream, received)
+
+            def both_served():
+                hub_b._poll(0.0)
+                return not thread.is_alive() and hub_a.sent >= 20_000
+
+            _serve(hub_a, both_served)
+            assert received == [downstream]
+            assert hub_a._nodes[2] is link_a and hub_b._nodes[2] is link_b
+            assert not link_b.outbox
+            self._arrived_in_order(hub_a, 20_000)
+        finally:
+            peer_a.close()
+            peer_b.close()
+            hub_a._close()
+            hub_b._close()
 
 
 @pytest.mark.net
@@ -581,24 +849,17 @@ class TestNetReordering:
 @pytest.mark.net
 class TestDeliveryBatching:
     def test_batched_mode_decides_identically_with_fewer_frames(self):
-        # Coalescing co-scheduled deliveries into MsgDeliverBatch frames
-        # must be invisible to the protocol: same decision either way.
-        # (Exact message *counts* are wall-clock dependent — nodes keep
-        # gossiping until the hub winds the run down — so the frame
-        # assertion is a strict ordering, not a ratio.)
-        results = {}
-        for batched in (False, True):
-            result = Scenario(
-                dex_freq(), unanimous(1, 7), seed=21, engine="net"
-            ).run_net(timeout=20.0, batch_deliveries=batched)
-            assert result.all_correct_decided()
-            assert result.decided_value == 1
-            results[batched] = result
-        # unbatched: one hub frame per delivered message (plus control).
-        assert results[False].hub_frames >= results[False].stats.messages_delivered
-        # batched: co-scheduled deliveries coalesce, far fewer frames.
-        assert results[True].hub_frames < results[True].stats.messages_delivered
-        assert results[True].hub_frames < results[False].hub_frames
+        # Coalescing co-scheduled deliveries into MsgDeliverBatch frames is
+        # invisible to the protocol (same decision as every other engine)
+        # and far cheaper than a frame per message.  (Exact message
+        # *counts* are wall-clock dependent — nodes keep gossiping until
+        # the hub winds the run down — so the assertion is an ordering.)
+        result = Scenario(
+            dex_freq(), unanimous(1, 7), seed=21, engine="net"
+        ).run_net(timeout=20.0)
+        assert result.all_correct_decided()
+        assert result.decided_value == 1
+        assert result.hub_frames < result.stats.messages_delivered
         assert_no_leaks()
 
 
