@@ -9,6 +9,7 @@ artifacts survive the run and EXPERIMENTS.md can reference them.
 from __future__ import annotations
 
 import pathlib
+import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -20,3 +21,14 @@ def write_report(name: str, text: str) -> pathlib.Path:
     path.write_text(text + "\n")
     print(f"\n=== {name} ===\n{text}\n")
     return path
+
+
+def best_of(repeats: int, fn) -> float:
+    """Minimum wall-clock seconds of ``repeats`` calls of ``fn`` — the
+    least-noise estimator for a deterministic workload."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best

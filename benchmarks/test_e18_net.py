@@ -1,0 +1,81 @@
+"""E18 — the fast path over real sockets: one-step rate, sim vs net.
+
+The paper's one-step claim is a race: a node fast-decides iff its first
+``n - t`` arrivals witness the condition.  The simulator resolves that race
+with a seeded virtual clock; the ``net`` engine forks one OS process per
+node and ships every message through a kernel socket, so real scheduling
+resolves it.  Per workload and engine, the same seeds run with a fresh
+:class:`~repro.engine.events.EventStats` sink each, folded into a
+:class:`~repro.metrics.collectors.StreamAggregate`.
+
+Expected shape: ``unanimous`` and ``thin-split`` fast-decide in one step on
+every run of both engines (the condition holds in every ``n - t`` subset,
+so no interleaving can break it) and both engines decide the forced value;
+``contended`` falls through to the underlying consensus on both, where the
+decided value is a legitimate race between two proposed values.  Latency is
+virtual time on sim and seconds on net, so only the net rows carry msgs/s.
+"""
+
+from _util import write_report
+
+from repro.harness import Scenario, dex_freq
+from repro.metrics.collectors import StreamAggregate
+from repro.metrics.report import format_table
+from repro.workloads.inputs import split, unanimous
+
+N = 7
+RUNS = 10
+#: name, inputs, the values a run may decide (one = forced on every engine).
+WORKLOADS = (
+    ("unanimous", unanimous(1, N), {1}),
+    ("thin-split", split(1, 2, N, 1), {1}),
+    ("contended", split(1, 2, N, N // 2), {1, 2}),
+)
+
+
+def sweep():
+    rows = []
+    for name, inputs, admissible in WORKLOADS:
+        for engine in ("sim", "net"):
+            aggregate = StreamAggregate(label=f"{name}/{engine}")
+            for seed in range(1, RUNS + 1):
+                stats = aggregate.new_sink()
+                result = Scenario(
+                    dex_freq(), inputs, seed=seed, engine=engine, event_sink=stats
+                ).run()
+                assert result.all_correct_decided() and result.agreement_holds()
+                assert result.decided_value in admissible, (name, engine, seed)
+                aggregate.add_stats(
+                    stats,
+                    wall_seconds=getattr(result, "wall_seconds", None),
+                    timed_out=getattr(result, "timed_out", False),
+                )
+            summary = aggregate.summary()
+            rows.append(
+                {
+                    "workload": name,
+                    "engine": engine,
+                    "1-step frac": summary["one_step_frac"],
+                    "mean max step": summary["mean_max_step"],
+                    "p50 latency": round(summary["p50_decision_latency_s"], 4),
+                    "p99 latency": round(summary["p99_decision_latency_s"], 4),
+                    "msgs/s": summary["throughput_msgs_per_s"] or "",
+                    "timeouts": summary["timeouts"],
+                }
+            )
+    return rows
+
+
+def test_e18_one_step_rate_sim_vs_net(benchmark):
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    write_report(
+        "e18_net",
+        format_table(
+            rows,
+            title=f"E18: one-step rate, sim vs real sockets (n={N}, {RUNS} seeds per cell)",
+        ),
+    )
+    assert all(row["timeouts"] == 0 for row in rows)
+    assert all(
+        row["1-step frac"] == 1.0 for row in rows if row["workload"] == "unanimous"
+    )

@@ -12,13 +12,6 @@ Commands:
 * ``check``     — model-check the named verification suite
   (:mod:`repro.mc`): exhaustive schedule exploration within delay
   bounds, per enumerated byzantine variant;
-* ``bench``     — benchmark workloads: hot-path micro-benchmarks
-  (``--workload hotpath``), the socket-engine throughput/latency/fast-path
-  comparison (``--workload net``), the sharded multi-consensus service
-  sweep (``--workload shard``), the parallel-hub mesh ablation
-  (``--workload mesh``), or the client-facing saturation sweep
-  (``--workload frontend``); ``--engine`` stays as a compatibility
-  alias for the first two;
 * ``serve``     — put the admission-controlled frontend behind a UDS/TCP
   socket and serve client sessions (:mod:`repro.frontend.socket`);
 * ``hub``       — run one standalone mesh hub group over TCP
@@ -167,11 +160,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="net engine: per-message hub delay model — bounded "
                           "uniform jitter or a long-tailed lognormal of the "
                           "same mean")
-    run.add_argument("--codec", choices=["binary", "pickle", "json"],
+    run.add_argument("--codec", choices=["binary", "pickle"],
                      default="binary",
                      help="net engine: payload codec for wire frames and "
                           "durable records (struct-packed binary by default; "
-                          "pickle/json are the escape hatches)")
+                          "pickle is the escape hatch)")
     run.add_argument("--hubs", type=int, default=1,
                      help="net engine: hub groups of the mesh transport "
                           "(1 = the classic single-hub star)")
@@ -206,54 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable report on stdout")
 
-    bench = sub.add_parser("bench",
-                           help="benchmarks -> BENCH_hotpath.json / BENCH_net.json "
-                                "/ BENCH_shard.json / BENCH_mesh.json / "
-                                "BENCH_recovery.json / BENCH_frontend.json")
-    bench.add_argument("--workload",
-                       choices=["hotpath", "net", "shard", "mesh", "recovery",
-                                "frontend"],
-                       default=None,
-                       help="hotpath: simulator micro-benchmarks; net: fast-path "
-                            "rate + throughput/latency over real sockets vs sim; "
-                            "shard: sharded multi-consensus service sweep "
-                            "(throughput/latency/one-step rate vs shard count "
-                            "and key skew); mesh: the parallel-hub ablation "
-                            "(shard-workload net throughput vs hub-group count, "
-                            "per codec and key skew, with per-hub frame "
-                            "counters); recovery: WAL replay latency vs log "
-                            "length, fsync throughput tax, and one socket-engine "
-                            "kill/restart/rejoin cell; frontend: the client-"
-                            "facing saturation sweep (offered load vs client "
-                            "p50/p99, shed rate past the knee, open vs closed "
-                            "loop, UDS socket round-trip)")
-    bench.add_argument("--engine", choices=["hotpath", "net"], default=None,
-                       help="compatibility alias for --workload (hotpath/net)")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--runs", type=int, default=10,
-                       help="net bench: runs per workload per engine; shard "
-                            "bench: seeds per cell (default 3)")
-    bench.add_argument("--n", type=int, default=7,
-                       help="net/shard bench: system size")
-    bench.add_argument("--shards", type=lambda s: tuple(int(x) for x in s.split(",")),
-                       default=None,
-                       help="shard bench: comma-separated shard counts "
-                            "(default 1,2,4)")
-    bench.add_argument("--count", type=int, default=48,
-                       help="shard bench: client commands per run")
-    bench.add_argument("--hubs", type=lambda s: tuple(int(x) for x in s.split(",")),
-                       default=None,
-                       help="mesh bench: comma-separated hub-group counts "
-                            "(default 1,2,4)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="tiny sizes, one repeat — seconds, for CI")
-    bench.add_argument("--sizes", type=lambda s: tuple(int(x) for x in s.split(",")),
-                       default=None,
-                       help="comma-separated instance sizes (default 7,13,19,25,31)")
-    bench.add_argument("--out", default=None,
-                       help="output path (default benchmarks/results/"
-                            "BENCH_<workload>.json under the current directory)")
-
     serve = sub.add_parser(
         "serve",
         help="serve the admission-controlled frontend over a UDS/TCP socket",
@@ -271,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="shed")
     serve.add_argument("--deadline", type=int, default=None,
                        help="queue-wait bound in ticks (deadline policy)")
-    serve.add_argument("--codec", choices=["binary", "pickle", "json"],
+    serve.add_argument("--codec", choices=["binary", "pickle"],
                        default="binary")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--sessions", type=int, default=1,
@@ -303,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hub.add_argument("--mean-delay", type=float, default=0.0005)
     hub.add_argument("--net-jitter", choices=["uniform", "lognormal"],
                      default="uniform")
-    hub.add_argument("--codec", choices=["binary", "pickle", "json"],
+    hub.add_argument("--codec", choices=["binary", "pickle"],
                      default="binary")
     hub.add_argument("--timeout", type=float, default=300.0,
                      help="failsafe deadline in seconds")
@@ -338,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            "in-process service")
     load.add_argument("--tcp", default=None, metavar="HOST:PORT",
                       help="drive a `repro serve` TCP endpoint")
-    load.add_argument("--codec", choices=["binary", "pickle", "json"],
+    load.add_argument("--codec", choices=["binary", "pickle"],
                       default="binary")
     load.add_argument("--timeout", type=float, default=60.0)
     return parser
@@ -376,7 +321,10 @@ def _cmd_run(args) -> int:
         low, high = aggregate.confidence_interval()
         print(f"mean slowest step: {aggregate.mean_max_step:.3f} "
               f"(95% CI [{low:.3f}, {high:.3f}])")
-        return 0 if aggregate.agreement_violations == 0 else 1
+        complete = aggregate.runs - aggregate.undecided_runs
+        print(f"decided={complete}/{aggregate.runs} runs "
+              f"agreement={'VIOLATED' if aggregate.agreement_violations else 'ok'}")
+        return 1 if aggregate.undecided_runs or aggregate.agreement_violations else 0
     result = scenario.run()
     rows = [
         {
@@ -390,11 +338,24 @@ def _cmd_run(args) -> int:
     ]
     print(format_table(rows, title=f"{algorithm.name}: n={scenario.config.n}, "
                                    f"t={scenario.config.t}, seed={args.seed}"))
+    correct = scenario.config.n - len(result.faulty)
     print(f"messages={result.stats.messages_sent} "
+          f"decided={len(rows)}/{correct} "
           f"agreement={'ok' if result.agreement_holds() else 'VIOLATED'}")
     if args.trace and hasattr(result, "tracer"):
         print(result.tracer.format())
-    return 0 if result.agreement_holds() else 1
+    if result.all_correct_decided() and result.agreement_holds():
+        return 0
+    # Agreement is vacuous on zero decisions: an undecided run is a failure,
+    # and the engines that can say why (deadline, dead workers) do.
+    if getattr(result, "timed_out", False):
+        print("error: run timed_out before every correct process decided",
+              file=sys.stderr)
+    failed = {pid: code for pid, code in getattr(result, "exit_codes", {}).items()
+              if code != 0}
+    if failed:
+        print(f"error: non-zero node exit codes {failed}", file=sys.stderr)
+    return 1
 
 
 def _cmd_table1(args) -> int:
@@ -504,71 +465,6 @@ def _cmd_check(args) -> int:
             for src, dst, payload in ce.schedule:
                 print(f"    deliver {src} -> {dst}: {payload}")
     return 1 if failed else 0
-
-
-def _cmd_bench(args) -> int:
-    from .metrics.bench import (
-        DEFAULT_SIZES,
-        MESH_HUB_COUNTS,
-        SHARD_COUNTS,
-        SMOKE_SIZES,
-        write_frontend_bench,
-        write_hotpath_bench,
-        write_mesh_bench,
-        write_net_bench,
-        write_recovery_bench,
-        write_shard_bench,
-    )
-
-    workload = args.workload or args.engine or "hotpath"
-    if workload == "mesh":
-        runs = 3 if args.runs == 10 else args.runs  # net-oriented default
-        path = write_mesh_bench(
-            out=args.out,
-            n=args.n,
-            hubs=args.hubs or MESH_HUB_COUNTS,
-            shards=args.shards[0] if args.shards else 4,
-            count=96 if args.count == 48 else args.count,  # shard-oriented default
-            runs=runs,
-            smoke=args.smoke,
-        )
-    elif workload == "frontend":
-        shards = args.shards[0] if args.shards else 2
-        path = write_frontend_bench(out=args.out, shards=shards, smoke=args.smoke)
-    elif workload == "recovery":
-        path = write_recovery_bench(
-            out=args.out,
-            repeats=args.repeats,
-            smoke=args.smoke,
-        )
-    elif workload == "shard":
-        runs = 3 if args.runs == 10 else args.runs  # net-oriented default
-        path = write_shard_bench(
-            out=args.out,
-            n=args.n,
-            shards=args.shards or SHARD_COUNTS,
-            count=args.count,
-            runs=runs,
-            smoke=args.smoke,
-        )
-    elif workload == "net":
-        runs = 2 if args.smoke else args.runs
-        path = write_net_bench(out=args.out, n=args.n, runs=runs)
-    else:
-        if args.smoke:
-            sizes = args.sizes or SMOKE_SIZES
-            repeats = 1
-        else:
-            sizes = args.sizes or DEFAULT_SIZES
-            repeats = args.repeats
-        path = write_hotpath_bench(
-            out=args.out,
-            sizes=sizes,
-            repeats=repeats,
-        )
-    print(path.read_text(), end="")
-    print(f"wrote {path}", file=sys.stderr)
-    return 0
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -720,7 +616,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "legality": _cmd_legality,
         "conditions": _cmd_conditions,
         "check": _cmd_check,
-        "bench": _cmd_bench,
         "serve": _cmd_serve,
         "hub": _cmd_hub,
         "load": _cmd_load,

@@ -2,7 +2,7 @@
 
 Everything that turns records into bytes goes through here: the socket
 engine's frame payloads (:mod:`repro.net.wire`), the write-ahead log and
-snapshots (:mod:`repro.durable`), and the benchmark tooling.  Three codecs
+snapshots (:mod:`repro.durable`), and the benchmark tooling.  Two codecs
 share one interface (``encode_into(obj, buf)`` / ``encode(obj)`` /
 ``decode(data)``), selected by a one-byte id that doubles as the wire
 frame's codec byte and the WAL record's codec prefix:
@@ -11,9 +11,14 @@ frame's codec byte and the WAL record's codec prefix:
 codec                    id   role
 ======================  ====  ========================================
 :class:`PickleCodec`      1   legacy escape hatch, trusted local only
-:class:`JsonCodec`        2   interop / debugging, JSON-safe payloads
+(reserved)                2   was JSON; never reassigned
 :class:`BinaryCodec`      3   the data plane (struct-packed, default)
 ======================  ====  ========================================
+
+The id space is append-only, like the schema registry: id 2 belonged to a
+JSON codec that no schema-registered record could be serialized with, and
+stays reserved so a stray byte 2 is rejected as an unknown codec rather
+than decoded as something else.
 
 The schema registry (:mod:`repro.codec.schema`) defines which record
 shapes the binary codec struct-packs; everything else falls back to an
@@ -25,16 +30,14 @@ from __future__ import annotations
 from typing import Any, Protocol
 
 from .binary import BinaryCodec, CodecError, Opaque
-from .fallback import JsonCodec, PickleCodec
+from .fallback import PickleCodec
 
 __all__ = [
     "CODEC_PICKLE",
-    "CODEC_JSON",
     "CODEC_BINARY",
     "CODEC_IDS",
     "CODEC_NAMES",
     "BinaryCodec",
-    "JsonCodec",
     "PickleCodec",
     "PayloadCodec",
     "CodecError",
@@ -44,14 +47,13 @@ __all__ = [
 ]
 
 CODEC_PICKLE = 1
-CODEC_JSON = 2
 CODEC_BINARY = 3
 
 #: Known codec ids, in id order.
-CODEC_IDS = (CODEC_PICKLE, CODEC_JSON, CODEC_BINARY)
+CODEC_IDS = (CODEC_PICKLE, CODEC_BINARY)
 
 #: Name -> id, the vocabulary of ``Scenario(codec=)`` / ``--codec``.
-CODEC_NAMES = {"pickle": CODEC_PICKLE, "json": CODEC_JSON, "binary": CODEC_BINARY}
+CODEC_NAMES = {"pickle": CODEC_PICKLE, "binary": CODEC_BINARY}
 
 
 class PayloadCodec(Protocol):
@@ -69,13 +71,11 @@ class PayloadCodec(Protocol):
 
 #: Shared stateless instances (the lazy binary variant is per-decoder).
 _PICKLE = PickleCodec()
-_JSON = JsonCodec()
 _BINARY = BinaryCodec()
 _BINARY_LAZY = BinaryCodec(lazy=True)
 
 _BY_ID: dict[int, PayloadCodec] = {
     CODEC_PICKLE: _PICKLE,
-    CODEC_JSON: _JSON,
     CODEC_BINARY: _BINARY,
 }
 
@@ -86,7 +86,7 @@ def codec_for(codec_id: int, lazy: bool = False) -> PayloadCodec:
     Args:
         codec_id: one of :data:`CODEC_IDS`.
         lazy: relay mode — for the binary codec, blob fields decode as
-            :class:`Opaque` spans; the fallback codecs ignore it (they
+            :class:`Opaque` spans; the pickle codec ignores it (it
             cannot relay without materializing).
 
     Raises:

@@ -1,25 +1,21 @@
-"""The legacy codecs behind the shared ``encode_into``/``decode`` interface.
+"""The legacy codec behind the shared ``encode_into``/``decode`` interface.
 
-These are escape hatches, not the data plane:
+An escape hatch, not the data plane: :class:`PickleCodec` round-trips
+anything, but every frame pays C-pickle class-path overhead and nothing can
+be relayed without a full decode — and it is only safe between processes
+*we forked on this machine*.
 
-* :class:`PickleCodec` round-trips anything, but every frame pays C-pickle
-  class-path overhead and nothing can be relayed without a full decode —
-  and it is only safe between processes *we forked on this machine*.
-* :class:`JsonCodec` handles JSON-safe payloads only; it exists for
-  interop tests and for eyeballing frames on the wire.
-
-Both expose the same three methods as :class:`repro.codec.binary.BinaryCodec`
+It exposes the same three methods as :class:`repro.codec.binary.BinaryCodec`
 so frame writers (``net/wire.py``, ``durable/wal.py``) never branch on the
 codec kind.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 from typing import Any
 
-__all__ = ["PickleCodec", "JsonCodec"]
+__all__ = ["PickleCodec"]
 
 
 class PickleCodec:
@@ -36,19 +32,3 @@ class PickleCodec:
 
     def decode(self, data: bytes) -> Any:
         return pickle.loads(data)
-
-
-class JsonCodec:
-    """JSON-safe payloads only; compact separators, UTF-8 bytes."""
-
-    id = 2
-    name = "json"
-
-    def encode_into(self, obj: Any, buf: bytearray) -> None:
-        buf += json.dumps(obj, separators=(",", ":")).encode("utf-8")
-
-    def encode(self, obj: Any) -> bytes:
-        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
-
-    def decode(self, data: bytes) -> Any:
-        return json.loads(bytes(data).decode("utf-8"))

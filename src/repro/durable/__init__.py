@@ -21,7 +21,6 @@ from .recovery import (
 from .snapshot import SNAPSHOT_NAME, ShardSnapshot, SnapshotStore
 from .wal import (
     DEFAULT_MAX_RECORD,
-    LEGACY_PICKLE,
     ApplyRecord,
     DecideRecord,
     ProposeRecord,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_MAX_RECORD",
     "DecideRecord",
     "DurabilityConfig",
-    "LEGACY_PICKLE",
     "MAX_CATCHUP_ENTRIES",
     "NodeDurability",
     "ProposeRecord",

@@ -107,9 +107,8 @@ class RecoveredState:
     """What disk gave back: the state to resume from.
 
     ``wal_codecs`` reports which codec each recovered WAL record used
-    (label → count, e.g. ``{"legacy-pickle": 3, "binary": 12}``) — the
-    read-side shim's accounting, so an upgrade that left mixed logs
-    behind is visible rather than silent.
+    (label → count, e.g. ``{"pickle": 3, "binary": 12}``), so a codec
+    switch that left mixed logs behind is visible rather than silent.
     """
 
     slots: dict[int, int]

@@ -14,20 +14,19 @@ complete snapshot or the new complete snapshot, never a torn hybrid — a
 crash mid-write loses at most the *new* snapshot, and the WAL records it
 would have compacted are still on disk.  The payload carries the same
 ``length | crc32 | codec id`` framing as a WAL record (struct-packed
-binary by default, with the same legacy raw-pickle read shim), so a
-corrupt snapshot is detected and ignored (recovery then falls back to
-genesis + full log replay) instead of poisoning the restarted node.
+binary by default), so a corrupt snapshot is detected and ignored
+(recovery then falls back to genesis + full log replay) instead of
+poisoning the restarted node.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
 
-from ..codec import CODEC_BINARY, CODEC_IDS, codec_for
+from ..codec import CODEC_BINARY, codec_for
 from ..codec.schema import wire_record
 
 __all__ = ["ShardSnapshot", "SnapshotStore", "SNAPSHOT_NAME"]
@@ -93,9 +92,9 @@ class SnapshotStore:
     def load(self) -> ShardSnapshot | None:
         """The last complete snapshot, or ``None``.
 
-        Missing, truncated, CRC-failing and unpicklable files all return
-        ``None`` — recovery falls back to genesis + log replay rather than
-        trusting a damaged snapshot.
+        Missing, truncated, CRC-failing, unknown-codec and undecodable
+        files all return ``None`` — recovery falls back to genesis + log
+        replay rather than trusting a damaged snapshot.
         """
         try:
             with open(self.path, "rb") as fh:
@@ -109,12 +108,7 @@ class SnapshotStore:
         if len(payload) != length or len(payload) == 0 or zlib.crc32(payload) != crc:
             return None
         try:
-            # Same discrimination as the WAL shim: a codec-id first byte
-            # vs. a legacy raw pickle's 0x80 PROTO opcode.
-            if payload[0] in CODEC_IDS:
-                snapshot = codec_for(payload[0]).decode(payload[1:])
-            else:
-                snapshot = pickle.loads(payload)
+            snapshot = codec_for(payload[0]).decode(payload[1:])
         except Exception:
             return None
         return snapshot if isinstance(snapshot, ShardSnapshot) else None

@@ -15,16 +15,13 @@ the crash that makes the log matter)::
 
 ``length`` counts the payload (codec byte + body); the body is one record
 dataclass encoded by the named :mod:`repro.codec` codec — struct-packed
-binary by default.  Pre-codec logs carried a raw pickle with no codec
-byte; since a pickle at ``HIGHEST_PROTOCOL`` always begins with the
-``0x80`` PROTO opcode and codec ids are small integers, the first payload
-byte discriminates the two soundly and old logs keep reading
-(:data:`LEGACY_PICKLE` in the :class:`ReadResult` accounting marks them).
+binary by default.
 Recovery never raises on a damaged log: :func:`scan_records` walks
 records until the first hole — a torn final record (the classic
-crash-mid-append), a flipped CRC byte, an implausible length, an
-undecodable payload — and everything from the hole onward is discarded,
-because nothing after a corrupt record can be trusted to be aligned.
+crash-mid-append), a flipped CRC byte, an implausible length, an unknown
+codec byte, an undecodable payload — and everything from the hole onward
+is discarded, because nothing after a corrupt record can be trusted to be
+aligned.
 :class:`WriteAheadLog` then truncates the file back to the last good
 record, so the log is append-ready again.
 
@@ -38,13 +35,12 @@ at the steady-state throughput cost experiment E20 measures.
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..codec import CODEC_BINARY, CODEC_IDS, codec_for
+from ..codec import CODEC_BINARY, CODEC_NAMES, codec_for
 from ..codec.schema import wire_record
 
 __all__ = [
@@ -52,22 +48,19 @@ __all__ = [
     "DecideRecord",
     "ApplyRecord",
     "ReadResult",
-    "LEGACY_PICKLE",
     "codec_label",
     "encode_record",
     "scan_records",
     "WriteAheadLog",
 ]
 
-#: Pseudo codec id for pre-codec records (raw pickle, no codec byte).
-LEGACY_PICKLE = 0
-
-_CODEC_LABELS = {LEGACY_PICKLE: "legacy-pickle", 1: "pickle", 2: "json", 3: "binary"}
+_CODEC_LABELS = {codec_id: name for name, codec_id in CODEC_NAMES.items()}
 
 
 def codec_label(codec_id: int) -> str:
     """Human-readable name of a per-record codec id."""
     return _CODEC_LABELS.get(codec_id, f"codec-{codec_id}")
+
 
 #: Cap on one record's payload — mirrors the wire-frame cap: a batch of
 #: client commands is a few hundred bytes, so anything near this is
@@ -140,9 +133,7 @@ class ReadResult:
         records: every record up to the first hole, in append order.
         good_bytes: offset of the first byte that cannot be trusted (the
             self-healing truncation point).
-        codecs: per-record codec ids, parallel to ``records`` —
-            :data:`LEGACY_PICKLE` marks pre-codec raw-pickle records read
-            through the compatibility shim.
+        codecs: per-record codec ids, parallel to ``records``.
     """
 
     records: list[Any] = field(default_factory=list)
@@ -158,27 +149,14 @@ class ReadResult:
         return counts
 
 
-def _decode_payload(payload: bytes) -> tuple[Any, int]:
-    """One payload → (record, codec id); the read-side compatibility shim.
-
-    A codec-prefixed payload starts with a small codec id; a legacy raw
-    pickle starts with the ``0x80`` PROTO opcode.  Ambiguity is impossible
-    because the sets are disjoint.
-    """
-    first = payload[0]
-    if first in CODEC_IDS:
-        return codec_for(first).decode(payload[1:]), first
-    return pickle.loads(payload), LEGACY_PICKLE
-
-
 def scan_records(path: str, max_record: int = DEFAULT_MAX_RECORD) -> ReadResult:
     """Read every trustworthy record off a log file.
 
     Returns a :class:`ReadResult`; a missing file is an empty log.
     Corruption is a *stop*, never an exception: a torn tail, a failed CRC,
-    an implausible length and an undecodable payload all end the scan at
-    the last good record — bytes after a hole have no reliable framing and
-    are dropped wholesale.
+    an implausible length, an unknown codec byte and an undecodable payload
+    all end the scan at the last good record — bytes after a hole have no
+    reliable framing and are dropped wholesale.
     """
     result = ReadResult()
     try:
@@ -198,10 +176,11 @@ def scan_records(path: str, max_record: int = DEFAULT_MAX_RECORD) -> ReadResult:
         payload = data[offset + header : end]
         if zlib.crc32(payload) != crc:
             break  # bit rot or a torn overwrite
+        codec_id = payload[0]
         try:
-            record, codec_id = _decode_payload(payload)
+            record = codec_for(codec_id).decode(payload[1:])
         except Exception:
-            break  # CRC collided with garbage; do not trust the rest
+            break  # unknown codec byte or garbage body; do not trust the rest
         result.records.append(record)
         result.codecs.append(codec_id)
         offset = end
@@ -258,8 +237,8 @@ class WriteAheadLog:
         self.record_count = len(scan.records)
 
     def recovered_codec_counts(self) -> dict[str, int]:
-        """Recovered records per codec, by label (the read-side shim's
-        accounting: e.g. ``{"legacy-pickle": 3, "binary": 12}``)."""
+        """Recovered records per codec, by label (e.g. ``{"pickle": 3,
+        "binary": 12}`` for a log written across a codec switch)."""
         counts: dict[str, int] = {}
         for codec_id in self.recovered_codecs:
             label = codec_label(codec_id)

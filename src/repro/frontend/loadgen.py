@@ -19,7 +19,8 @@ digests — on every run of the sim engine.
 :func:`saturation_sweep` runs one open-loop cell per offered load over
 fresh service/frontend pairs and emits flat row dicts (client p50/p99,
 throughput, shed rate, queue high-water, consensus-side latencies, digest
-checksum) — the data behind ``BENCH_frontend.json`` and the E22 plot.
+checksum) — the data behind the E22 table
+(``benchmarks/test_e22_frontend.py``).
 """
 
 from __future__ import annotations

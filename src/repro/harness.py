@@ -329,9 +329,9 @@ class Deployment:
         net_jitter: hub jitter model on the socket engine — ``"uniform"``
             (bounded) or ``"lognormal"`` (long-tailed), both seeded.
         codec: wire codec of the socket engine by name — ``"binary"``
-            (default, the struct-packed data plane), ``"pickle"``, or
-            ``"json"``; see :mod:`repro.codec`.  In-memory engines never
-            serialize, so they ignore it.
+            (default, the struct-packed data plane) or ``"pickle"``; see
+            :mod:`repro.codec`.  In-memory engines never serialize, so
+            they ignore it.
         restarts: per-pid :class:`~repro.engine.faults.RestartPlan`
             crash-recovery schedules (kill at ``at``, relaunch
             ``restart_after`` later with a freshly built protocol).
@@ -576,9 +576,9 @@ class Scenario:
             ``"net"`` (one OS process per node over real sockets).
         event_sink: optional :class:`~repro.engine.events.EventSink`
             receiving the structured run events of any backend.
-        codec: socket-engine wire codec by name — ``"binary"`` (default),
-            ``"pickle"``, or ``"json"``; see :mod:`repro.codec`.  The
-            in-memory engines never serialize, so they ignore it.
+        codec: socket-engine wire codec by name — ``"binary"`` (default)
+            or ``"pickle"``; see :mod:`repro.codec`.  The in-memory
+            engines never serialize, so they ignore it.
         durability: optional :class:`~repro.durable.DurabilityConfig`.
             Consensus algorithms hold no replicated state machine, so a
             plain scenario only carries it through to the deployment

@@ -43,12 +43,15 @@ class RunAggregate:
     messages: list[int] = field(default_factory=list)
     agreement_violations: int = 0
     unanimity_violations: int = 0
+    #: runs that ended with some correct process undecided (termination
+    #: failed within the run; agreement is vacuous on those).
+    undecided_runs: int = 0
 
     def add(self, result: RunResult, expected_value=None) -> None:
         """Fold one run in.
 
         Args:
-            result: a finished run (all correct processes decided).
+            result: a finished run.
             expected_value: when set, a decision differing from it counts
                 as a unanimity violation (use for unanimous inputs).
         """
@@ -61,6 +64,8 @@ class RunAggregate:
         self.messages.append(result.stats.messages_sent)
         if not result.agreement_holds():
             self.agreement_violations += 1
+        if not result.all_correct_decided():
+            self.undecided_runs += 1
         if expected_value is not None and any(
             d.value != expected_value for d in decisions.values()
         ):

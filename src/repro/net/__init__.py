@@ -40,7 +40,6 @@ from .faults import (
     plan_from_plane,
 )
 from .wire import (
-    CODEC_JSON,
     CODEC_PICKLE,
     WIRE_VERSION,
     FrameDecoder,
@@ -64,7 +63,6 @@ __all__ = [
     "plan_from_plane",
     "WIRE_VERSION",
     "CODEC_PICKLE",
-    "CODEC_JSON",
     "FrameDecoder",
     "FrameTooLarge",
     "TruncatedStream",

@@ -20,8 +20,6 @@ frame:
   registry, relayable without decoding (see :class:`repro.codec.Opaque`).
 * ``CODEC_PICKLE`` — legacy escape hatch; only safe because every peer is
   a process *we forked on this machine*.
-* ``CODEC_JSON`` — JSON-safe payloads only; interop tests and eyeballing
-  frames on the wire.
 
 Each side announces its preferred codec in the hello frame
 (:attr:`Hello.codec`) and the hub honors it per connection, so mixed-codec
@@ -45,7 +43,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..codec import CODEC_BINARY, CODEC_JSON, CODEC_PICKLE, CodecError, codec_for
+from ..codec import CODEC_BINARY, CODEC_PICKLE, CodecError, codec_for
 from ..codec.schema import wire_record
 from ..errors import ReproError
 from ..runtime.effects import ServiceCall
@@ -54,7 +52,6 @@ from ..types import ProcessId
 __all__ = [
     "WIRE_VERSION",
     "CODEC_PICKLE",
-    "CODEC_JSON",
     "CODEC_BINARY",
     "DEFAULT_MAX_FRAME",
     "DELIVERY_BATCH_CHUNK",

@@ -21,7 +21,7 @@ one-step/fast = 1, two-step = 2, underlying = 2 + the UC's step cost.
 
 Everything folds into :class:`~repro.metrics.collectors.StreamAggregate`
 instances — one per shard plus one aggregate — whose summaries feed
-``BENCH_shard.json`` and experiment E19.
+experiment E19 (``benchmarks/test_e19_shard.py``).
 """
 
 from __future__ import annotations

@@ -725,8 +725,7 @@ class ShardedService:
         net_jitter: hub jitter model on the socket engine
             (``"uniform"`` or ``"lognormal"``).
         codec: payload codec on the socket engine and for durable records
-            (``"binary"`` — the struct-packed default — ``"pickle"`` or
-            ``"json"``).
+            (``"binary"`` — the struct-packed default — or ``"pickle"``).
         event_sink: optional extra sink receiving the run's event stream.
         durability: optional :class:`~repro.durable.recovery.
             DurabilityConfig` — every replica persists proposals and

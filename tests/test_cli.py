@@ -3,7 +3,15 @@
 import pytest
 
 from repro.cli import _parse_fault, _parse_inputs, _parse_value, main
-from repro.harness import Collapse, Crash, Equivocate, Garbage, Silent, Spoiler
+from repro.harness import (
+    Collapse,
+    Crash,
+    Equivocate,
+    Garbage,
+    Scenario,
+    Silent,
+    Spoiler,
+)
 
 
 class TestParsing:
@@ -49,8 +57,10 @@ class TestCommands:
             "run", "-a", "bosco-weak", "-i", "1,1,1,1,1,1",
             "-f", "5:silent", "--seed", "2",
         ])
+        out = capsys.readouterr().out
         assert code == 0
-        assert "bosco-weak" in capsys.readouterr().out
+        assert "bosco-weak" in out
+        assert "decided=5/5 agreement=ok" in out  # the faulty pid is not counted
 
     def test_run_trace(self, capsys):
         code = main(["run", "-i", "1,1,1,1,1,1,1", "--trace", "--seed", "1"])
@@ -91,10 +101,16 @@ class TestCommands:
         assert code == 0
         assert "agreement=ok" in out
 
-    def test_bench_engine_choices_rejects_unknown(self, capsys):
+    def test_bench_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_json_is_not_a_codec(self, capsys):
         with pytest.raises(SystemExit):
-            main(["bench", "--engine", "bogus"])
-        assert "hotpath" in capsys.readouterr().err
+            main(["run", "-i", "1,1,1,1,1,1,1", "--codec", "json"])
+        assert "invalid choice: 'json'" in capsys.readouterr().err
 
     def test_table1_static(self, capsys):
         code = main(["table1"])
@@ -138,6 +154,7 @@ class TestRunMany:
         assert code == 0
         assert "mean slowest step" in out
         assert "95% CI" in out
+        assert "decided=3/3 runs agreement=ok" in out
 
     def test_runs_with_real_uc(self, capsys):
         code = main([
@@ -145,3 +162,33 @@ class TestRunMany:
         ])
         assert code == 0
         assert "agreement=ok" in capsys.readouterr().out
+
+
+class TestUndecidedRunFails:
+    """Agreement is vacuous on zero decisions: a run in which a correct
+    process never decided must not report success."""
+
+    @pytest.fixture
+    def never_decides(self, monkeypatch):
+        real_run = Scenario.run
+
+        def run(self):
+            result = real_run(self)
+            result.decisions.clear()
+            return result
+
+        monkeypatch.setattr(Scenario, "run", run)
+
+    def test_single_run_exits_nonzero_and_says_how_many_decided(
+        self, capsys, never_decides
+    ):
+        code = main(["run", "-i", "1,1,1,1,1,1,1", "--seed", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "decided=0/7" in out
+        assert "agreement=ok" in out  # vacuously — hence the exit code
+
+    def test_runs_path_follows_the_same_rule(self, capsys, never_decides):
+        code = main(["run", "-i", "1,1,1,1,1,1,1", "--runs", "3"])
+        assert code == 1
+        assert "decided=0/3 runs" in capsys.readouterr().out

@@ -24,15 +24,17 @@ plumbing that carries it through the engines:
 
 import os
 import pathlib
+import pickle
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.rsm import KeyValueStore
-from repro.codec import CODEC_BINARY, CODEC_PICKLE
+from repro.codec import CODEC_BINARY, CODEC_PICKLE, codec_for
 from repro.durable import (
-    LEGACY_PICKLE,
     ApplyRecord,
     CatchUpReply,
     CatchUpRequest,
@@ -170,50 +172,61 @@ class TestWalCorruption:
         wal.close()
 
 
+class _Unpickled:
+    """A raw-pickle payload that fails the test if anything unpickles it."""
+
+    def __reduce__(self):
+        return (pytest.fail, ("a payload with no codec byte was unpickled",))
+
+
+def _frame(payload: bytes) -> bytes:
+    """``payload`` under a valid length + CRC header (WAL and snapshot)."""
+    return struct.pack("!II", len(payload), zlib.crc32(payload)) + payload
+
+
+def _unknown_first_byte_payloads(obj) -> list[bytes]:
+    """Payloads whose first byte names no codec: a raw pickle (``0x80``
+    PROTO opcode), and the reserved id 2 (it was JSON) before a valid
+    binary encoding of ``obj``."""
+    return [
+        pickle.dumps(_Unpickled(), pickle.HIGHEST_PROTOCOL),
+        b"\x02" + codec_for(CODEC_BINARY).encode(obj),
+    ]
+
+
 class TestWalCodecCompat:
-    """The read-side shim: old logs keep reading, accounting says so."""
+    """Each record is decoded by the codec it declares — and only by one
+    it declares: an unknown first byte is corruption, not a format."""
 
-    def _legacy_frame(self, record):
-        """A pre-codec frame: raw pickle payload, no codec byte."""
-        import pickle
-        import struct
-        import zlib
-
-        payload = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
-        return struct.pack("!II", len(payload), zlib.crc32(payload)) + payload
-
-    def test_legacy_raw_pickle_log_still_reads(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        records = [DecideRecord(0, s, "one-step") for s in range(3)]
-        with open(path, "wb") as fh:
-            for record in records:
-                fh.write(self._legacy_frame(record))
-        wal = WriteAheadLog(path)
-        assert wal.recovered == records
-        assert wal.recovered_codecs == [LEGACY_PICKLE] * 3
-        assert wal.recovered_codec_counts() == {"legacy-pickle": 3}
-        wal.close()
+    def test_unknown_first_byte_stops_the_scan(self, tmp_path):
+        good = DecideRecord(0, 0, "one-step")
+        for index, payload in enumerate(_unknown_first_byte_payloads(good)):
+            path = str(tmp_path / f"wal-{index}.log")
+            with open(path, "wb") as fh:
+                fh.write(encode_record(good))
+                fh.write(_frame(payload))
+                fh.write(encode_record(DecideRecord(0, 1, "one-step")))
+            wal = WriteAheadLog(path)
+            assert wal.recovered == [good]  # nothing after the hole is trusted
+            assert wal.truncated_bytes > 0
+            assert os.path.getsize(path) == len(encode_record(good))
+            wal.close()
 
     def test_mixed_codec_log_accounts_per_record(self, tmp_path):
-        """A log written across a version upgrade: legacy records, then
-        pickle-codec records, then binary — one file, three codecs, each
-        record decoded by what it declares."""
+        """A log written across a codec switch: pickle-codec records, then
+        binary — one file, two codecs, each record decoded by what it
+        declares."""
         path = str(tmp_path / "wal.log")
-        legacy = DecideRecord(0, 0, "one-step")
-        with open(path, "wb") as fh:
-            fh.write(self._legacy_frame(legacy))
         wal = WriteAheadLog(path, codec=CODEC_PICKLE)
-        wal.append(DecideRecord(0, 1, "two-step"))
+        wal.append(DecideRecord(0, 0, "two-step"))
         wal.close()
         wal = WriteAheadLog(path, codec=CODEC_BINARY)
-        wal.append(DecideRecord(0, 2, "one-step"))
+        wal.append(DecideRecord(0, 1, "one-step"))
         wal.close()
         result = scan_records(path)
-        assert [r.slot for r in result.records] == [0, 1, 2]
-        assert result.codecs == [LEGACY_PICKLE, CODEC_PICKLE, CODEC_BINARY]
-        assert result.codec_counts() == {
-            "legacy-pickle": 1, "pickle": 1, "binary": 1,
-        }
+        assert [r.slot for r in result.records] == [0, 1]
+        assert result.codecs == [CODEC_PICKLE, CODEC_BINARY]
+        assert result.codec_counts() == {"pickle": 1, "binary": 1}
 
     def test_recovered_state_reports_wal_codecs(self, tmp_path):
         config = DurabilityConfig(str(tmp_path), snapshot_every=0)
@@ -223,18 +236,11 @@ class TestWalCodecCompat:
         state = config.node(0).recover(1)
         assert state.wal_codecs == {"binary": 2}  # decide + apply records
 
-    def test_legacy_pickle_snapshot_still_loads(self, tmp_path):
-        """A pre-codec snapshot file (raw pickle payload) reads back."""
-        import pickle
-        import struct
-        import zlib
-
+    def test_unknown_first_byte_snapshot_loads_as_none(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
-        snapshot = ShardSnapshot(slots={0: 2}, seq=1)
-        payload = pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL)
-        blob = struct.pack("!II", len(payload), zlib.crc32(payload)) + payload
-        pathlib.Path(store.path).write_bytes(blob)
-        assert store.load() == snapshot
+        for payload in _unknown_first_byte_payloads(ShardSnapshot(slots={0: 2})):
+            pathlib.Path(store.path).write_bytes(_frame(payload))
+            assert store.load() is None
 
 
 # -- snapshots -------------------------------------------------------------------------
@@ -780,23 +786,6 @@ class TestNetRecovery:
         assert 2 not in report.result.correct_decisions
         assert not any(isinstance(e, RestartEvent) for e in log.events)
         assert_no_leaks()
-
-
-# -- bench shape -----------------------------------------------------------------------
-
-
-class TestRecoveryBench:
-    def test_report_shape_without_net(self):
-        from repro.metrics.bench import run_recovery_bench
-
-        report = run_recovery_bench(
-            log_lengths=(8,), fsync_records=8, repeats=1, net_cell=False
-        )
-        assert report["benchmark"] == "recovery"
-        assert {row["snapshot_every"] for row in report["replay"]} == {0, 64}
-        assert [row["fsync"] for row in report["fsync"]] == [False, True]
-        assert all(row["recover_seconds"] >= 0 for row in report["replay"])
-        assert report["net"] is None
 
 
 # -- CLI surface -----------------------------------------------------------------------

@@ -225,6 +225,22 @@ class TestNetSmoke:
         assert result.agreement_holds()
         assert_no_leaks()
 
+    @pytest.mark.parametrize("codec", ["binary", "pickle"])
+    def test_both_codecs_run_the_cluster_to_a_decision(self, codec):
+        # The contended run crosses every message kind (proposals, IDB, the
+        # underlying consensus); its decided value is a race between the two
+        # proposals, so the cross-codec equality is asserted on the
+        # thin-split run, where every view's most frequent value is 1.
+        for inputs, admissible in (([1, 2, 1, 2, 1, 2, 1], {1, 2}), (split(1, 2, 7, 1), {1})):
+            result = Scenario(dex_freq(), inputs, seed=7, codec=codec).run_net(
+                timeout=20.0
+            )
+            assert not result.timed_out
+            assert result.exit_codes and set(result.exit_codes.values()) == {0}
+            assert result.all_correct_decided()
+            assert result.decided_value in admissible
+        assert_no_leaks()
+
 
 @pytest.mark.net
 class TestNetEvents:
