@@ -69,31 +69,22 @@ class PayloadCodec(Protocol):
     def decode(self, data: bytes) -> Any: ...
 
 
-#: Shared stateless instances (the lazy binary variant is per-decoder).
-_PICKLE = PickleCodec()
-_BINARY = BinaryCodec()
-_BINARY_LAZY = BinaryCodec(lazy=True)
-
+#: Shared instances for one-shot encodes and decodes (WAL records, snapshots,
+#: frame writers).  A ``FrameDecoder`` builds its own :class:`BinaryCodec`
+#: (relay mode is per decoder, and so is a materializing codec's span memo —
+#: durable records have no blob-framed field, so the shared one's stays empty).
 _BY_ID: dict[int, PayloadCodec] = {
-    CODEC_PICKLE: _PICKLE,
-    CODEC_BINARY: _BINARY,
+    CODEC_PICKLE: PickleCodec(),
+    CODEC_BINARY: BinaryCodec(),
 }
 
 
-def codec_for(codec_id: int, lazy: bool = False) -> PayloadCodec:
+def codec_for(codec_id: int) -> PayloadCodec:
     """The codec instance for a wire codec id.
-
-    Args:
-        codec_id: one of :data:`CODEC_IDS`.
-        lazy: relay mode — for the binary codec, blob fields decode as
-            :class:`Opaque` spans; the pickle codec ignores it (it
-            cannot relay without materializing).
 
     Raises:
         CodecError: unknown id.
     """
-    if lazy and codec_id == CODEC_BINARY:
-        return _BINARY_LAZY
     codec = _BY_ID.get(codec_id)
     if codec is None:
         raise CodecError(f"unknown codec id {codec_id}")

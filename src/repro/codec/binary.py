@@ -78,6 +78,25 @@ _FLOAT = struct.Struct("!d")
 _KIND_MEMBERS = tuple(DecisionKind)
 _KIND_INDEX = {member: i for i, member in enumerate(_KIND_MEMBERS)}
 
+#: Decoded blob spans one materializing :class:`BinaryCodec` remembers, keyed
+#: by their raw bytes, oldest evicted first.  A replica's live set is the
+#: distinct payloads of its open slots (≤ 21 each at n=7: proposals, inits
+#: and one echo per origin, each echo arriving n times): the hit rate of a
+#: 4-shard ``floor_star``/``pipeline_star`` trial stops rising at 64 entries
+#: (85 % of 8 250 deliveries, as at 1 024), so 256 leaves room for four
+#: times the shards or pipeline depth.
+SPAN_MEMO_ENTRIES = 256
+
+#: Spans longer than this decode afresh every time.  Benchmark payloads are
+#: 71–78 bytes (4 commands a batch); 4 KiB admits batches fifty times that
+#: and bounds one codec's memo at 1 MiB of keys however large payloads get.
+SPAN_MEMO_MAX_BYTES = 4096
+
+#: Leaf types no holder can mutate (exact types: subclasses are not trusted).
+_ATOM_TYPES = frozenset(
+    {int, str, bytes, float, bool, type(None), DecisionKind, type(BOTTOM)}
+)
+
 
 class Opaque:
     """A value carried as its encoded bytes.
@@ -111,13 +130,6 @@ class Opaque:
 
     def __repr__(self) -> str:
         return f"Opaque({len(self.data)} bytes)"
-
-
-def wrap_opaque(value: Any) -> Opaque:
-    """Encode ``value`` into a fresh :class:`Opaque` (node-side cache path)."""
-    buf = bytearray()
-    _encode_value(value, buf)
-    return Opaque(bytes(buf))
 
 
 # -- encoding ------------------------------------------------------------------------
@@ -292,7 +304,9 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         raise CodecError("truncated varint") from None
 
 
-def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
+def _decode_value(
+    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
+) -> tuple[Any, int]:
     try:
         tag = data[pos]
     except IndexError:
@@ -308,14 +322,14 @@ def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
             raise CodecError("truncated string")
         return data[pos:end].decode("utf-8"), end
     if tag == TAG_STRUCT:
-        return _decode_struct(data, pos, lazy)
+        return _decode_struct(data, pos, lazy, memo)
     if tag == TAG_ENVELOPE:
-        return _decode_envelope(data, pos, lazy)
+        return _decode_envelope(data, pos, lazy, memo)
     if tag == TAG_TUPLE:
         count, pos = _read_varint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, lazy)
+            item, pos = _decode_value(data, pos, lazy, memo)
             items.append(item)
         return tuple(items), pos
     if tag == TAG_BLOB:
@@ -325,9 +339,20 @@ def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
             raise CodecError("truncated blob")
         if lazy:
             return Opaque(bytes(data[pos:end])), end
-        inner, inner_end = _decode_value(data, pos, lazy)
+        memoable = memo is not None and length <= SPAN_MEMO_MAX_BYTES
+        if memoable:
+            span = bytes(data[pos:end])
+            try:
+                return memo[span], end
+            except KeyError:
+                pass
+        inner, inner_end = _decode_value(data, pos, lazy, memo)
         if inner_end != end:
             raise CodecError("blob length does not match its contents")
+        if memoable and _shareable(inner):
+            if len(memo) >= SPAN_MEMO_ENTRIES:
+                del memo[next(iter(memo))]  # oldest first: dicts keep insertion order
+            memo[span] = inner
         return inner, end
     if tag == TAG_NONE:
         return None, pos
@@ -350,15 +375,15 @@ def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
         count, pos = _read_varint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, lazy)
+            item, pos = _decode_value(data, pos, lazy, memo)
             items.append(item)
         return items, pos
     if tag == TAG_DICT:
         count, pos = _read_varint(data, pos)
         out = {}
         for _ in range(count):
-            key, pos = _decode_value(data, pos, lazy)
-            value, pos = _decode_value(data, pos, lazy)
+            key, pos = _decode_value(data, pos, lazy, memo)
+            value, pos = _decode_value(data, pos, lazy, memo)
             out[key] = value
         return out, pos
     if tag == TAG_KIND:
@@ -378,13 +403,15 @@ def _decode_value(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
         count, pos = _read_varint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, lazy)
+            item, pos = _decode_value(data, pos, lazy, memo)
             items.append(item)
         return frozenset(items), pos
     raise CodecError(f"unknown binary tag 0x{tag:02x}")
 
 
-def _decode_struct(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
+def _decode_struct(
+    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
+) -> tuple[Any, int]:
     tag, pos = _read_varint(data, pos)
     entry = _schema.entry_for_tag(tag)
     if entry is None:
@@ -394,12 +421,14 @@ def _decode_struct(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
             raise CodecError(f"unknown schema tag {tag}")
     values = []
     for _ in entry.fields:
-        value, pos = _decode_value(data, pos, lazy)
+        value, pos = _decode_value(data, pos, lazy, memo)
         values.append(value)
     return entry.cls(*values), pos
 
 
-def _decode_envelope(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
+def _decode_envelope(
+    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
+) -> tuple[Any, int]:
     try:
         kind = data[pos]
     except IndexError:
@@ -422,8 +451,32 @@ def _decode_envelope(data: bytes, pos: int, lazy: bool) -> tuple[Any, int]:
             raise CodecError("truncated envelope component")
         component = data[pos:end].decode("utf-8")
         pos = end
-    payload, pos = _decode_value(data, pos, lazy)
+    payload, pos = _decode_value(data, pos, lazy, memo)
     return _schema_envelope_cls()(component, payload), pos
+
+
+def _shareable(value: Any) -> bool:
+    """Whether two deliveries may hold the *same* decoded object: nothing
+    mutable anywhere inside it.  Exact types only — a ``list``, a ``dict``
+    and whatever came out of a :data:`TAG_PICKLE` escape all answer no."""
+    kind = type(value)
+    if kind in _ATOM_TYPES:
+        return True
+    if kind is tuple or kind is frozenset:
+        return all(map(_shareable, value))
+    if kind is _schema_envelope_cls():
+        return _shareable(value.payload)
+    entry = _schema.entry_for_class(kind)  # registered records are frozen
+    return entry is not None and all(
+        _shareable(getattr(value, name)) for name in entry.fields
+    )
+
+
+def _decode(data: bytes, lazy: bool, memo: dict[bytes, Any] | None) -> Any:
+    value, end = _decode_value(data, 0, lazy, memo)
+    if end != len(data):
+        raise CodecError(f"{len(data) - end} trailing bytes after value")
+    return value
 
 
 def decode(data: bytes, lazy: bool = False) -> Any:
@@ -432,14 +485,15 @@ def decode(data: bytes, lazy: bool = False) -> Any:
     With ``lazy=True``, blob-framed spans come back as :class:`Opaque`
     instead of being materialized (the hub's relay mode).
     """
-    value, end = _decode_value(data, 0, lazy)
-    if end != len(data):
-        raise CodecError(f"{len(data) - end} trailing bytes after value")
-    return value
+    return _decode(data, lazy, None)
 
 
 class BinaryCodec:
     """The struct-packed codec behind the shared codec interface.
+
+    A materializing instance remembers the blob spans it has decoded (see
+    :data:`SPAN_MEMO_ENTRIES`): a node receives the byte-identical payload
+    of one broadcast once per echoer, and pays one decode for all of them.
 
     Args:
         lazy: decode blob fields as :class:`Opaque` spans (relay mode).
@@ -450,6 +504,7 @@ class BinaryCodec:
 
     def __init__(self, lazy: bool = False) -> None:
         self._lazy = lazy
+        self._spans: dict[bytes, Any] | None = None if lazy else {}
 
     def encode_into(self, obj: Any, buf: bytearray) -> None:
         _encode_value(obj, buf)
@@ -460,4 +515,4 @@ class BinaryCodec:
         return bytes(buf)
 
     def decode(self, data: bytes) -> Any:
-        return decode(data, self._lazy)
+        return _decode(data, self._lazy, self._spans)

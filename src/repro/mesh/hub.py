@@ -40,6 +40,7 @@ from ..net.wire import (
     CODEC_BINARY,
     DEFAULT_MAX_FRAME,
     FrameTooLarge,
+    MsgBroadcast,
     MsgLog,
     MsgSend,
     Stop,
@@ -201,8 +202,8 @@ class HubWorker(DataPlane):
     def _handle(self, link: HubLink, msg: Any) -> None:
         if link.kind == "node":
             # Control-plane frames belong on the node's hub-0 link; anything
-            # but a send arriving here is misdirected and dropped.
-            if isinstance(msg, MsgSend):
+            # but a send or a broadcast arriving here is misdirected and dropped.
+            if isinstance(msg, (MsgSend, MsgBroadcast)):
                 self._ingress(link.ident, msg)
         elif isinstance(msg, MsgRelay):
             # Ownership was decided by the relaying hub: deliver, never

@@ -4,14 +4,15 @@ The paper's model (§2.1) is reliable, authenticated point-to-point
 channels.  This module implements that model once, as :class:`DataPlane` —
 the event loop every hub runs:
 
-    accept → classify by first frame → authenticate the pid → attribute
-    the shard off raw bytes → fault plan → seeded jitter → delay heap →
-    one coalesced write per destination
+    accept → classify by first frame → authenticate the pid → expand a
+    broadcast into its n sends → attribute the shard off raw bytes → fault
+    plan → seeded jitter → delay heap → one coalesced write per destination
 
 * **link authentication** — a link's first frame is its identity; a
   ``Hello`` is admitted only for a pid in range with no live link, and the
-  hub overrides each ``MsgSend``'s claimed source with the link's proven
-  pid (a Byzantine node cannot forge another sender's identity);
+  hub overrides the claimed source of each ``MsgSend``/``MsgBroadcast``
+  with the link's proven pid (a Byzantine node cannot forge another
+  sender's identity);
 * **fault injection** — every frame crosses the :class:`~repro.net.faults.
   LinkPlan`, so drops/delays/duplicates/cuts happen at the transport;
 * **no blocking writes** — every hub-side socket is non-blocking behind a
@@ -71,6 +72,7 @@ from .wire import (
     FrameDecoder,
     FrameTooLarge,
     Hello,
+    MsgBroadcast,
     MsgDecide,
     MsgDeliver,
     MsgDeliverBatch,
@@ -138,11 +140,14 @@ class HubLink:
 
     ``kind`` is ``pending`` until the first frame classifies the link as
     ``node``, ``peer`` or ``control`` (``closed`` once dropped); ``ident``
-    is the authenticated pid or the hub index.
+    is the authenticated pid or the hub index.  ``broken`` says a write
+    failed: the peer is gone and the link takes no more frames, but it
+    stays readable until EOF — what the peer wrote before dying counts.
     """
 
     __slots__ = (
-        "sock", "decoder", "codec", "max_frame", "kind", "ident", "outbox", "writing"
+        "sock", "decoder", "codec", "max_frame", "kind", "ident", "outbox", "writing",
+        "broken",
     )
 
     def __init__(
@@ -160,6 +165,7 @@ class HubLink:
         self.ident = -1
         self.outbox = bytearray()
         self.writing = False  # registered for EVENT_WRITE
+        self.broken = False
 
     @classmethod
     def dial(
@@ -278,7 +284,8 @@ class DataPlane:
         self._saturated = False
         self.frames = 0  # frames queued to node links
         self.bytes = 0  # bytes queued to node links
-        self.sent = 0  # MsgSend frames ingressed from node links
+        self.frames_in = 0  # frames read off node links
+        self.sent = 0  # point-to-point messages ingressed (n per broadcast)
         self.delivered = 0  # deliveries queued (per message, not per frame)
         self.listener: socket.socket | None = None
         self._selector: selectors.BaseSelector = selectors.DefaultSelector()
@@ -369,25 +376,30 @@ class DataPlane:
         Raises:
             FrameTooLarge: some frame exceeds the cap — nothing was queued.
         """
-        if link.kind == "closed":
+        if link.kind == "closed" or link.broken:
             return False
         size = link.queue(msgs)
         if link.kind == "node":
             self.frames += len(msgs)
             self.bytes += size
         self._flush(link)
-        return link.kind != "closed"
+        return link.kind != "closed" and not link.broken
 
     def _flush(self, link: HubLink) -> None:
         if not link.flush():
-            self._drop(link)
+            # The peer is gone — but a crashed process's last messages were
+            # sent (reliable channels; ``ProcessCrash(after=N)`` means N got
+            # out), and they are still in the socket.  Stop writing, keep
+            # reading: the link drops when the read side reaches its EOF.
+            link.broken = True
+            link.outbox.clear()
         elif len(link.outbox) > OUTBOX_CAP:
             self._drop(
                 link,
                 "outbox-overflow",
                 f"{len(link.outbox)} bytes unread, cap {OUTBOX_CAP}",
             )
-        elif link.writing != bool(link.outbox):
+        if link.kind != "closed" and link.writing != bool(link.outbox):
             link.writing = not link.writing
             self._selector.modify(
                 link.sock,
@@ -403,16 +415,22 @@ class DataPlane:
         shard = shard_of_payload(payload, self.shards)
         return 0 if shard == UNATTRIBUTED else hub_of(shard, self.hubs)
 
-    def _ingress(self, src: ProcessId, msg: MsgSend) -> None:
-        """One ``MsgSend`` off node ``src``'s link (``src`` is the link's
-        authenticated pid, not the frame's claim): keep or relay."""
-        self.sent += 1
-        self.events.send(src, msg.dst, msg.payload, msg.depth)
-        owner = self._owner_of(msg.payload)
-        if owner == self.index:
-            self._enqueue(src, msg.dst, msg.payload, msg.depth)
-        else:
-            self._relay(owner, src, msg.dst, msg.payload, msg.depth)
+    def _ingress(self, src: ProcessId, msg: MsgSend | MsgBroadcast) -> None:
+        """One data frame off node ``src``'s link (``src`` is the link's
+        authenticated pid, not the frame's claim): keep or relay.  A
+        ``MsgBroadcast`` is the ``n`` sends it stands for, in pid order —
+        attributed once, then observed, fault-planned and jittered per
+        destination, all sharing the one payload span."""
+        payload, depth = msg.payload, msg.depth
+        dsts = range(self.n) if type(msg) is MsgBroadcast else (msg.dst,)
+        self.sent += len(dsts)
+        owner = self._owner_of(payload)
+        for dst in dsts:
+            self.events.send(src, dst, payload, depth)
+            if owner == self.index:
+                self._enqueue(src, dst, payload, depth)
+            else:
+                self._relay(owner, src, dst, payload, depth)
 
     def _relay(
         self, owner: int, src: ProcessId, dst: ProcessId, payload: Any, depth: int
@@ -505,6 +523,7 @@ class DataPlane:
                 if link.kind == "pending":
                     self._classify(link, msg)
                 else:
+                    self.frames_in += link.kind == "node"
                     self._handle(link, msg)
                 if link.kind == "closed":
                     break
@@ -563,6 +582,11 @@ class NetRunResult(AsyncRunResult):
     #: frames the hub wrote to node sockets (delivery batching keeps this
     #: below ``stats.messages_delivered``).
     hub_frames: int = 0
+    #: frames hub 0 read off node links once they had said ``Hello`` — data
+    #: and control alike.  A broadcast is one of them and ``n`` of
+    #: ``stats.messages_sent``.  (A mesh's data hubs count theirs too, but
+    #: the pinned ``HubStats`` record has no field to report it in.)
+    hub_frames_in: int = 0
     #: bytes the hub wrote to node sockets (the codec ablation's
     #: bytes-per-frame denominator is ``hub_bytes / hub_frames``).
     hub_bytes: int = 0
@@ -835,7 +859,7 @@ class NetCluster(DataPlane):
 
     def _handle(self, link: HubLink, msg: Any) -> None:
         pid = link.ident
-        if isinstance(msg, MsgSend):
+        if isinstance(msg, (MsgSend, MsgBroadcast)):
             self._ingress(pid, msg)
         elif isinstance(msg, MsgDecide):
             if pid not in self.decisions:
@@ -942,6 +966,7 @@ class NetCluster(DataPlane):
             exit_codes=exit_codes,
             transport=self.transport,
             hub_frames=self.frames,
+            hub_frames_in=self.frames_in,
             hub_bytes=self.bytes,
             hub_frame_counts={0: self.frames},
             hub_byte_counts={0: self.bytes},

@@ -9,8 +9,9 @@ shard.  The protocol is driven through the standard path —
 :func:`~repro.engine.interpreter.interpret` effect execution — with a
 :class:`NodeWorker` as the :class:`~repro.engine.interpreter.
 ExecutionPorts` implementation: ``send`` writes a frame, ``broadcast``
-inherits the shared per-destination fan-out (self-copy included; the hub
-routes it back with zero jitter), ``decide`` reports to the hub once.
+writes *one* frame for all ``n`` destinations (the hub fans it out in pid
+order, self-copy included and routed back with zero jitter), ``decide``
+reports to the hub once.
 Because the interpreter and the rewriters are reused unchanged, every
 fault that works in-memory works over the wire.
 
@@ -31,8 +32,6 @@ import socket
 import time
 from typing import Any
 
-from ..codec import Opaque
-from ..codec.binary import wrap_opaque
 from ..engine.interpreter import ExecutionPorts, interpret
 from ..errors import SimulationError
 from ..runtime.effects import Deliver, Log, ServiceCall
@@ -41,11 +40,11 @@ from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..types import ProcessId
 from .faults import NODE_ENV_MARKER, ProcessCrash
 from .wire import (
-    CODEC_BINARY,
     CODEC_PICKLE,
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     Hello,
+    MsgBroadcast,
     MsgDecide,
     MsgDeliver,
     MsgDeliverBatch,
@@ -57,9 +56,6 @@ from .wire import (
     Stop,
     encode_frame_into,
 )
-
-#: Sentinel distinct from every payload (payloads can be ``None``).
-_NO_CACHED_PAYLOAD = object()
 
 #: Worker exit codes (collected by the cluster for post-mortems).
 EXIT_OK = 0
@@ -157,12 +153,6 @@ class NodeWorker(ExecutionPorts):
         self._decided = False
         self._started = False
         self._buf = bytearray()
-        # One-slot encoded-payload cache for the binary codec: a broadcast
-        # reaches send() once per destination with the *same* payload
-        # object, so the payload encodes once and splices n times.  The
-        # cache holds the object itself, so its id cannot be recycled.
-        self._cached_payload: Any = _NO_CACHED_PAYLOAD
-        self._cached_opaque: Opaque | None = None
 
     def _write(self, msg: Any, hub: int = 0) -> None:
         # Chaos check on every post-handshake frame: "outgoing message" for a
@@ -180,22 +170,31 @@ class NodeWorker(ExecutionPorts):
         self.socks[hub].sendall(buf)
         self._sent += 1
 
-    # -- ExecutionPorts (broadcast inherits the per-destination default) ------------
+    # -- ExecutionPorts --------------------------------------------------------------
 
-    def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
-        hub = 0
+    def _hub_for(self, payload: Any) -> int:
+        """The hub a data frame goes to: the one owning the payload's shard
+        when steering.  The payload is still a real envelope chain here, so
+        attribution never peeks encoded bytes."""
         if self.steer:
-            # Attribution pre-wrap: the payload is still a real envelope
-            # chain here, so steering never peeks encoded bytes.
             shard = shard_of_payload(payload, self.shards)
             if shard != UNATTRIBUTED:
-                hub = hub_of(shard, len(self.socks))
-        if self.codec == CODEC_BINARY:
-            if payload is not self._cached_payload:
-                self._cached_payload = payload
-                self._cached_opaque = wrap_opaque(payload)
-            payload = self._cached_opaque
-        self._write(MsgSend(src, dst, payload, depth), hub)
+                return hub_of(shard, len(self.socks))
+        return 0
+
+    def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
+        self._write(MsgSend(src, dst, payload, depth), self._hub_for(payload))
+
+    def broadcast(self, src: ProcessId, payload: Any, depth: int) -> None:
+        n = self.config.n
+        if self.crash is not None and self._sent + n > self.crash.after:
+            # The crash budget ends inside this broadcast: fan out per
+            # destination so the process dies at point-to-point message
+            # ``after + 1``, a prefix of the broadcast already on the wire.
+            super().broadcast(src, payload, depth)
+            return
+        self._write(MsgBroadcast(src, payload, depth), self._hub_for(payload))
+        self._sent += n - 1  # the frame stood for n messages
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
         if not self._decided:

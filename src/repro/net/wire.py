@@ -43,7 +43,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..codec import CODEC_BINARY, CODEC_PICKLE, CodecError, codec_for
+from ..codec import CODEC_BINARY, CODEC_PICKLE, BinaryCodec, CodecError, codec_for
 from ..codec.schema import wire_record
 from ..errors import ReproError
 from ..runtime.effects import ServiceCall
@@ -72,6 +72,7 @@ __all__ = [
     "MsgOutput",
     "MsgService",
     "MsgLog",
+    "MsgBroadcast",
 ]
 
 #: Protocol version carried in every frame header.
@@ -169,6 +170,10 @@ class FrameDecoder:
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME, lazy: bool = False) -> None:
         self.max_frame = max_frame
         self.lazy = lazy
+        # This link's own binary codec, not the shared one: a materializing
+        # codec remembers the payload spans it decoded, and what one link
+        # has seen should neither outlive it nor be evicted by another's.
+        self._binary = BinaryCodec(lazy)
         self._buffer = bytearray()
 
     @property
@@ -212,10 +217,13 @@ class FrameDecoder:
                         f"wire version mismatch: peer speaks v{version}, "
                         f"this end speaks v{WIRE_VERSION}"
                     )
-                try:
-                    payload_codec = codec_for(codec, lazy=self.lazy)
-                except CodecError:
-                    raise WireError(f"unknown codec id {codec}") from None
+                if codec == CODEC_BINARY:
+                    payload_codec = self._binary
+                else:
+                    try:
+                        payload_codec = codec_for(codec)
+                    except CodecError:
+                        raise WireError(f"unknown codec id {codec}") from None
                 yield payload_codec.decode(payload)
         finally:
             # Consumed frames leave the buffer once per call, not once per
@@ -240,9 +248,9 @@ class FrameDecoder:
 #
 # The control-plane messages exchanged between the hub and its nodes.
 # Frozen + slotted for the same reasons as the effects; registered in the
-# codec schema so the binary codec struct-packs them.  ``MsgSend.payload``
-# and ``MsgDeliver.payload`` are blob fields: the hub relays them as
-# opaque spans without decoding (the data-plane fast path).
+# codec schema so the binary codec struct-packs them.  The ``payload`` of
+# ``MsgSend``, ``MsgBroadcast`` and ``MsgDeliver`` is a blob field: the hub
+# relays it as an opaque span without decoding (the data-plane fast path).
 
 
 @wire_record(tag=1)
@@ -305,7 +313,9 @@ class MsgDeliverBatch:
     ``(sender, payload, depth)`` in delivery order — the node processes
     them exactly as consecutive :class:`MsgDeliver` frames.  Payloads may
     be :class:`repro.codec.Opaque` spans on the hub side; they encode by
-    splicing and always decode materialized on the node side.
+    splicing, and the node side materializes each distinct span once (the
+    copies of one broadcast share the decoded object — see
+    :data:`repro.codec.binary.SPAN_MEMO_ENTRIES`).
     """
 
     entries: tuple[tuple[ProcessId, Any, int], ...]
@@ -353,6 +363,22 @@ class MsgLog:
     pid: ProcessId
     event: str
     data: dict[str, Any] = field(default_factory=dict)
+
+
+@wire_record(tag=13, blobs=("payload",))
+@dataclass(frozen=True, slots=True)
+class MsgBroadcast:
+    """Node → hub: ship ``payload`` to every process, the sender included.
+
+    One frame for what would be ``n`` :class:`MsgSend` frames carrying the
+    same bytes: the hub expands it into exactly those sends, in pid order,
+    each crossing the fault plan and drawing its own jitter, so message
+    counts and per-destination fault budgets are what they were.  ``src``
+    is link-authenticated like ``MsgSend.src``."""
+
+    src: ProcessId
+    payload: Any
+    depth: int
 
 
 #: Deliveries coalesced into one frame at most — keeps a batched frame far

@@ -44,7 +44,15 @@ from repro.codec import (
     codec_for,
     codec_named,
 )
-from repro.codec.binary import decode, encode, wrap_opaque
+from repro.codec.binary import (
+    SPAN_MEMO_ENTRIES,
+    SPAN_MEMO_MAX_BYTES,
+    TAG_BLOB,
+    TAG_STRUCT,
+    BinaryCodec,
+    decode,
+    encode,
+)
 from repro.codec.schema import (
     COMPONENT_TABLE,
     check_registry,
@@ -62,6 +70,7 @@ from repro.mesh.wire import HubHello, HubReady, HubSaturated, HubStats, MsgRelay
 from repro.net.wire import (
     FrameDecoder,
     Hello,
+    MsgBroadcast,
     MsgDecide,
     MsgDeliver,
     MsgDeliverBatch,
@@ -106,6 +115,7 @@ def golden_messages():
         MsgLog(5, "shard.open", {"shard": 0, "slot": 1}),             # tag 10
         ServiceCall("oracle", ((0, 1), 5), ("mux", "uc")),            # tag 11
         Deliver("uc-decide", 2, 5),                                   # tag 12
+        MsgBroadcast(1, _consensus_envelope(), 3),                    # tag 13
         DexProposal(1),                                               # tag 16
         IdbInit(2),                                                   # tag 17
         IdbEcho(2, 3),                                                # tag 18
@@ -275,28 +285,118 @@ class TestGoldenFrames:
 class TestOpaque:
     def test_lazy_decode_yields_opaque_blob(self):
         msg = MsgDeliver(1, _consensus_envelope(), 2)
-        lazy = codec_for(CODEC_BINARY, lazy=True).decode(encode(msg))
+        lazy = BinaryCodec(lazy=True).decode(encode(msg))
         assert type(lazy.payload) is Opaque
         assert lazy.payload.decode() == _consensus_envelope()
 
     def test_opaque_reencodes_by_splicing(self):
         msg = MsgDeliver(1, _consensus_envelope(), 2)
         wire = encode(msg)
-        lazy = codec_for(CODEC_BINARY, lazy=True).decode(wire)
+        lazy = BinaryCodec(lazy=True).decode(wire)
         assert encode(lazy) == wire
 
-    def test_wrap_opaque_equals_decoded_value(self):
+    def test_opaque_span_splices_as_the_value_it_encodes(self):
         payload = _consensus_envelope()
-        wrapped = wrap_opaque(payload)
-        assert type(wrapped) is Opaque
+        wrapped = Opaque(encode(payload))
         assert wrapped.decode() == payload
         assert decode(encode(MsgSend(0, 1, wrapped, 0))) == MsgSend(0, 1, payload, 0)
 
     def test_opaque_in_batch_entries(self):
-        entry_payload = wrap_opaque(DexProposal(4))
+        entry_payload = Opaque(encode(DexProposal(4)))
         batch = MsgDeliverBatch(((2, entry_payload, 1),))
         materialized = decode(encode(batch))
         assert materialized.entries == ((2, DexProposal(4), 1),)
+
+
+# -- the span memo: one decode per distinct blob span -----------------------------------
+
+
+class _Unregistered:
+    """Travels through the TAG_PICKLE escape."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __eq__(self, other):
+        return type(other) is _Unregistered and other.items == self.items
+
+
+class TestSpanMemo:
+    """A materializing ``BinaryCodec`` decodes each distinct blob span once —
+    invisibly: same values as a fresh decode, nothing mutable ever shared,
+    nothing malformed or oversized ever cached, never past the entry cap."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=_values | st.sampled_from(golden_messages()))
+    def test_memoised_decode_equals_fresh_decode(self, value):
+        codec = BinaryCodec()
+        batch = MsgDeliverBatch(((1, Opaque(encode(value)), 0), (2, Opaque(encode(value)), 1)))
+        for wire in (encode(MsgDeliver(3, value, 2)), encode(batch)) * 2:
+            assert codec.decode(wire) == decode(wire)
+
+    def test_immutable_spans_decode_once_and_are_shared(self):
+        decoder = FrameDecoder()
+        frame = encode_frame(MsgDeliver(1, _consensus_envelope(), 2), CODEC_BINARY)
+        first, second = decoder.feed(frame + frame)
+        assert first == second and first.payload is second.payload
+        # ... per link: another decoder owes this one nothing
+        (other,) = FrameDecoder().feed(frame)
+        assert other.payload == first.payload and other.payload is not first.payload
+
+    @pytest.mark.parametrize(
+        "payload, mutate",
+        [
+            (("batch", [1, 2]), lambda p: p[1].append(3)),
+            (Envelope("dex", {"k": 1}), lambda p: p.payload.update(k=2)),
+            ((_Unregistered([1]),), lambda p: p[0].items.append(2)),
+        ],
+    )
+    def test_mutable_payloads_are_never_shared(self, payload, mutate):
+        codec = BinaryCodec()
+        wire = encode(MsgDeliver(1, payload, 0))
+        first = codec.decode(wire).payload
+        mutate(first)
+        second = codec.decode(wire).payload
+        assert second == payload != first
+        assert not codec._spans
+
+    def test_a_blob_whose_length_lies_raises_every_time_and_is_never_cached(self):
+        inner = encode(_consensus_envelope())
+        # MsgDeliver(1, <blob declaring one byte more than its value>, 2)
+        wire = (
+            bytes([TAG_STRUCT, 5]) + encode(1)
+            + bytes([TAG_BLOB, len(inner) + 1]) + inner + encode(None)
+            + encode(2)
+        )
+        codec = BinaryCodec()
+        for _ in range(3):
+            with pytest.raises(CodecError, match="blob length"):
+                codec.decode(wire)
+            assert not codec._spans
+        # the same bytes as an honest span still cache, and still decode right
+        honest = encode(MsgDeliver(1, _consensus_envelope(), 2))
+        assert codec.decode(honest) == codec.decode(honest) == decode(honest)
+        assert list(codec._spans) == [inner]
+
+    def test_oversized_spans_are_not_cached(self):
+        codec = BinaryCodec()
+        fits = "x" * (SPAN_MEMO_MAX_BYTES - 3)  # tag + 2-byte varint length
+        for payload, cached in ((fits, 1), (fits + "x", 0)):
+            wire = encode(MsgDeliver(1, payload, 0))
+            assert codec.decode(wire) == codec.decode(wire) == decode(wire)
+            assert len(codec._spans) == cached
+            codec._spans.clear()
+
+    def test_the_entry_cap_holds_and_the_oldest_span_leaves_first(self):
+        codec = BinaryCodec()
+        for value in range(SPAN_MEMO_ENTRIES + 1):
+            codec.decode(encode(MsgDeliver(1, value, 0)))
+            assert len(codec._spans) <= SPAN_MEMO_ENTRIES
+        assert len(codec._spans) == SPAN_MEMO_ENTRIES
+        assert encode(0) not in codec._spans and encode(1) in codec._spans
+
+    def test_relay_mode_keeps_no_memo(self):
+        assert BinaryCodec(lazy=True)._spans is None
 
 
 # -- the escape hatches ----------------------------------------------------------------

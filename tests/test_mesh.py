@@ -381,10 +381,12 @@ class TestMeshCluster:
         killer = threading.Thread(target=kill_hub_one)
         killer.start()
         try:
+            # 256 commands keep the run going for a second, well past the
+            # killer's 0.2 s grace (64 finished in 0.4 s and could win the race).
             report = ShardedService(
                 n=7, shards=4, contention=0.0, seed=5, engine="net",
                 mesh=MeshTopology(hubs=2),
-            ).run(count=64, timeout=12.0)
+            ).run(count=256, timeout=12.0)
         finally:
             killer.join(20.0)
         result = report.result

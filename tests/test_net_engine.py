@@ -57,6 +57,7 @@ from repro.net import (
     ReorderLink,
     plan_from_plane,
 )
+from repro.net.wire import CODEC_BINARY
 from repro.types import DecisionKind
 from repro.workloads.inputs import split, unanimous
 
@@ -290,7 +291,8 @@ def _count_payload_decodes(monkeypatch):
 @pytest.mark.net
 class TestHubNeverDecodesRelayedPayloads:
     """The hub's data path (socket → route → heap → deliver → socket) costs
-    zero payload decodes; a sink that reads payloads pays one per message."""
+    zero payload decodes; a sink that reads payloads pays one per frame the
+    hub took in."""
 
     def _service(self, event_sink=None):
         from repro.shard import ShardedService
@@ -323,24 +325,33 @@ class TestHubNeverDecodesRelayedPayloads:
         sends = log.of_type(SendEvent)
         delivers = [e for e in log.of_type(DeliverEvent) if type(e.raw) is Opaque]
         assert len(sends) == report.result.stats.messages_sent
-        sent = {id(e.payload): e for e in sends}
-        assert calls["decode"] == len(sends)
+        # One decode per ingressed *frame*: the n sends a broadcast frame
+        # stood for share its span, a point-to-point send has its own.
+        frames = {id(e.raw): (e.pid, e.depth) for e in sends}
+        sent = {(e.pid, e.dst, id(e.payload)): e for e in sends}
+        assert calls["decode"] == len(frames) <= len(sends)
+        assert len(frames) * 7 == len(sends)  # this service only broadcasts
         for deliver in delivers:
-            send = sent[id(deliver.payload)]  # the very same object
-            assert (send.pid, send.dst) == (deliver.sender, deliver.pid)
-        assert len(delivers) > 0 and calls["decode"] == len(sends)
+            # the very same object the matching send decoded
+            assert (deliver.sender, deliver.pid, id(deliver.payload)) in sent
+        assert len(delivers) > 0 and calls["decode"] == len(frames)
         assert_no_leaks()
 
 
 # -- the hub data plane on stub sockets: no forking, the real selector loop -------------
 
 
-def _hub0(event_sink=None, n=4):
+def _hub0(event_sink=None, n=4, link_plan=None):
     """Hub 0's data plane, never run: tests attach stub links and poll it."""
     from repro.types import SystemConfig
 
     config = SystemConfig(n, 0)
-    return NetCluster(config, {pid: None for pid in config.processes}, event_sink=event_sink)
+    return NetCluster(
+        config,
+        {pid: None for pid in config.processes},
+        event_sink=event_sink,
+        link_plan=link_plan,
+    )
 
 
 def _data_hub(tmp_path, n=4):
@@ -366,17 +377,18 @@ def _close_stub_peers():
         _STUB_PEERS.pop().close()
 
 
-def _stub_link(plane, first):
+def _stub_link(plane, first, codec=CODEC_BINARY):
     """Attach one socketpair end to ``plane`` as a fresh (pending) link whose
     peer opens with ``first``; returns ``(hub-side link, peer)`` — the peer
-    a bare, blocking :class:`HubLink`, as a real dialer's would be."""
+    a bare, blocking :class:`HubLink` writing ``codec`` (binary unless
+    told), as a real dialer's would be."""
     import socket
 
     from repro.net.cluster import HubLink
 
     ours, theirs = socket.socketpair()
     theirs.settimeout(20.0)
-    link, peer = HubLink(ours), HubLink(theirs, lazy=False)
+    link, peer = HubLink(ours), HubLink(theirs, codec, lazy=False)
     _STUB_PEERS.append(peer)
     plane._attach(link)
     assert peer.send(first)
@@ -393,10 +405,10 @@ def _serve(plane, until, timeout=20.0):
         plane._poll(0.01)
 
 
-def _stub_node(plane, pid):
-    from repro.net.wire import CODEC_BINARY, Hello
+def _stub_node(plane, pid, codec=CODEC_BINARY):
+    from repro.net.wire import Hello
 
-    link, peer = _stub_link(plane, Hello(pid, CODEC_BINARY))
+    link, peer = _stub_link(plane, Hello(pid, codec), codec)
     _serve(plane, lambda: plane._nodes.get(pid) is link)
     return link, peer
 
@@ -488,6 +500,126 @@ class TestDuplicateHello:
             assert faults(1) == [(2, "wire-error")]
             assert plane._nodes[1] is node and node.kind == "node"
             plane._close()
+
+
+class TestBroadcastFrame:
+    """One ``MsgBroadcast`` frame is exactly the ``n`` sends it stands for —
+    on hub 0 and on a data hub, which run the same ingress."""
+
+    def _payload(self, shard=1):
+        from repro.codec.schema import instance_name
+        from repro.core.dex import DexProposal
+        from repro.runtime.effects import Envelope
+
+        return Envelope("mux", Envelope(instance_name(shard, 0), DexProposal(7)))
+
+    def test_forged_src_is_attributed_to_the_link(self):
+        from repro.codec import Opaque
+        from repro.net.wire import MsgBroadcast
+
+        log = EventLog()
+        cluster = _hub0(log)
+        _, peer = _stub_node(cluster, 2)
+        try:
+            assert peer.send(MsgBroadcast(0, self._payload(), 5))  # claims pid 0
+            _serve(cluster, lambda: cluster.sent >= 4)
+            sends = log.of_type(SendEvent)
+            assert [(e.pid, e.dst, e.depth) for e in sends] == [(2, dst, 5) for dst in range(4)]
+            assert (cluster.sent, cluster.frames_in) == (4, 1)
+            heap = sorted(cluster._heap, key=lambda entry: entry[1])
+            assert [(dst, sender) for _, _, dst, sender, _, _ in heap] == [
+                (dst, 2) for dst in range(4)
+            ]
+            # one span, shared by the four heap entries and the four events
+            (span,) = {id(entry[4]) for entry in heap} | {id(e.raw) for e in sends}
+            assert type(heap[0][4]) is Opaque and id(heap[0][4]) == span
+            assert heap[0][4].decode() == self._payload()
+        finally:
+            peer.close()
+            cluster._close()
+
+    @pytest.mark.parametrize(
+        "fault, survivors",
+        [
+            (lambda: DropLink(1.0), []),
+            (lambda: CutAfter(budget=2), [0, 1]),
+            (lambda: DuplicateLink(copies=2), [0, 0, 1, 1, 2, 2, 3, 3]),
+        ],
+    )
+    def test_fault_budgets_count_per_destination(self, fault, survivors):
+        # The plan sees four messages, not one frame: a cut budget ends
+        # *inside* the broadcast, a duplicate doubles each destination.
+        from repro.net.wire import MsgBroadcast
+
+        cluster = _hub0(link_plan=LinkPlan(per_source={1: [fault()]}))
+        _, faulty = _stub_node(cluster, 1)
+        _, honest = _stub_node(cluster, 3)
+        try:
+            assert faulty.send(MsgBroadcast(1, self._payload(), 1))
+            assert honest.send(MsgBroadcast(3, self._payload(), 1))
+            _serve(cluster, lambda: cluster.sent >= 8)
+            queued = sorted((sender, dst) for _, _, dst, sender, _, _ in cluster._heap)
+            assert queued == [(1, dst) for dst in survivors] + [(3, dst) for dst in range(4)]
+            assert faulty.send(MsgBroadcast(1, self._payload(), 2))
+            _serve(cluster, lambda: cluster.sent >= 12)
+            again = [dst for _, _, dst, sender, _, depth in cluster._heap if depth == 2]
+            # a spent cut stays spent; the stateless faults repeat themselves
+            assert sorted(again) == ([] if survivors == [0, 1] else survivors)
+        finally:
+            faulty.close()
+            honest.close()
+            cluster._close()
+
+    def test_data_hub_delivers_what_it_owns_and_relays_the_rest(self, tmp_path):
+        from repro.mesh import CONTROL_LINK, HubHello, MsgRelay
+        from repro.net.wire import MsgBroadcast
+
+        hub = _data_hub(tmp_path)  # hub 1 of 2: owns shards 1 and 3
+        _, control = _stub_link(hub, HubHello(CONTROL_LINK))
+        _serve(hub, lambda: hub._control is not None)
+        _, peer = _stub_node(hub, 2)
+        try:
+            assert peer.send(MsgBroadcast(0, self._payload(shard=3), 4))  # forged src
+            _serve(hub, lambda: hub.sent >= 4)
+            assert sorted((dst, sender) for _, _, dst, sender, _, _ in hub._heap) == [
+                (dst, 2) for dst in range(4)
+            ]
+            assert hub.relayed == 0
+            assert peer.send(MsgBroadcast(2, self._payload(shard=0), 6))  # hub 0's shard
+            _serve(hub, lambda: hub.sent >= 8)
+            assert len(hub._heap) == 4 and hub.relayed == 4
+            # no peer endpoint for hub 0: the relays go up the control link
+            assert _drain(control, 4) == [
+                MsgRelay(2, dst, self._payload(shard=0), 6) for dst in range(4)
+            ]
+        finally:
+            peer.close()
+            control.close()
+            hub._close()
+
+    def test_pickle_node_broadcast_reaches_binary_peers(self):
+        # Mixed-codec cluster: the frame header, not the cluster, names the
+        # codec, so a pickled MsgBroadcast fans out to a binary link as a
+        # struct-packed delivery and back to its sender as a pickled one.
+        import time
+
+        from repro.net.wire import CODEC_PICKLE, MsgBroadcast, MsgDeliver
+
+        cluster = _hub0(n=2)
+        _, pickler = _stub_node(cluster, 0, CODEC_PICKLE)
+        link, binary = _stub_node(cluster, 1)
+        try:
+            assert pickler.send(MsgBroadcast(0, self._payload(), 3))
+            _serve(cluster, lambda: cluster.sent >= 2)
+            cluster._deliver_due(time.monotonic() + 1.0)
+            expected = [MsgDeliver(0, self._payload(), 3)]
+            assert _drain(binary, 1) == expected
+            assert _drain(pickler, 1) == expected
+            assert (link.codec, cluster._nodes[0].codec) == (CODEC_BINARY, CODEC_PICKLE)
+        finally:
+            pickler.close()
+            binary.close()
+            cluster._close()
 
 
 class TestSilentDialer:
@@ -600,6 +732,30 @@ class TestOutbox:
         finally:
             deaf_peer.close()
             live_peer.close()
+            cluster._close()
+
+
+    def test_a_failed_write_does_not_discard_what_the_peer_sent(self):
+        # Regression: a node wrote its last frames and died; the hub's next
+        # delivery to it failed and dropped the link on the spot, unread
+        # frames and all — a ProcessCrash(after=N) lost messages that had
+        # escaped.  The write side gives up, the read side runs to EOF.
+        from repro.net.wire import MsgDeliver, MsgSend
+
+        cluster = _hub0()
+        link, peer = _stub_node(cluster, 2)
+        try:
+            for depth in range(3):
+                assert peer.send(MsgSend(2, 1, "last words", depth))
+            peer.close()
+            assert not cluster._write(link, [MsgDeliver(0, "too late", 0)])
+            assert link.broken and link.kind == "node" and cluster.sent == 0
+            assert not cluster._write(link, [MsgDeliver(0, "still too late", 0)])
+            _serve(cluster, lambda: link.kind == "closed")
+            by_seq = sorted(cluster._heap, key=lambda entry: entry[1])
+            assert cluster.sent == 3 and [entry[5] for entry in by_seq] == [0, 1, 2]
+            assert 2 in cluster._dead and 2 not in cluster._nodes
+        finally:
             cluster._close()
 
 
@@ -745,8 +901,59 @@ class TestNetFaults:
         assert_no_leaks()
 
 
+@pytest.mark.net
+class TestFramesIn:
+    def test_a_broadcast_is_one_frame_in_and_n_messages_sent(self):
+        # All-honest n=7: every protocol message is part of a broadcast, so
+        # the hub took in one data frame per seven messages it routed —
+        # plus the control frames, each of which it reported as an event.
+        from repro.engine.events import LogEvent, OutputEvent, ServiceEvent
+
+        log = EventLog()
+        result = Scenario(
+            dex_freq(), unanimous(1, 7), seed=3, engine="net", event_sink=log
+        ).run()
+        assert result.all_correct_decided() and not result.timed_out
+        sends = log.of_type(SendEvent)
+        assert len(sends) == result.stats.messages_sent
+        broadcast_frames = len({id(e.raw) for e in sends})
+        assert result.stats.messages_sent == 7 * broadcast_frames > 0
+        control_frames = sum(
+            len(log.of_type(kind))
+            for kind in (DecideEvent, OutputEvent, ServiceEvent, LogEvent)
+        )
+        assert result.hub_frames_in == broadcast_frames + control_frames
+        assert_no_leaks()
+
+
 @pytest.mark.net(timeout=120)
 class TestNetRobustness:
+    def test_crash_budget_ends_mid_broadcast(self):
+        # ProcessCrash(after=N) dies at point-to-point message N+1 although
+        # a broadcast is one frame: the first broadcast (7 ≤ 10) leaves
+        # whole, the second would cross the budget and goes out per
+        # destination, so exactly three more messages escape.
+        scenario = Scenario(dex_freq(), unanimous(1, 7), seed=11)
+        protocols, services = scenario.components()
+        log = EventLog()
+        cluster = NetCluster(
+            scenario.config,
+            protocols,
+            services=services,
+            seed=11,
+            event_sink=log,
+            chaos={6: ProcessCrash(after=10)},
+        )
+        result = cluster.run(timeout=8.0)
+        escaped = [e for e in log.of_type(SendEvent) if e.pid == 6]
+        assert len(escaped) == 10
+        assert [e.dst for e in escaped] == [*range(7), 0, 1, 2]
+        assert len({id(e.raw) for e in escaped}) == 1 + 3  # one frame, three sends
+        assert result.exit_codes[6] == 17
+        assert set(result.correct_decisions) == {0, 1, 2, 3, 4, 5}
+        assert result.agreement_holds() and result.decided_value == 1
+        assert_no_leaks()
+
     def test_crashed_plus_silent_terminates_with_partial_decisions(self):
         # One node killed by chaos at its first outgoing frame, one silent:
         # the hub must detect the stall, return partial decisions, and reap

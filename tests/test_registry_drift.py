@@ -6,8 +6,8 @@ every tag's class identity, field order, and blob markings — as a plain
 data table.  The two fail differently: a golden-frame mismatch says
 "these bytes changed", this table says exactly *which* tag moved, which
 field was renamed or reordered, which blob marking was dropped.  Either
-way, schema drift fails tier-1 (``pytest -x -q``), not just the
-codec-smoke CI job.
+way, schema drift fails tier-1 (``pytest -x -q``) — there is no separate
+codec job to forget.
 
 On an intentional, append-only schema change: add the new tag rows here,
 add canonical instances to ``golden_messages()`` in ``test_codec.py``,
@@ -19,7 +19,7 @@ from repro.codec.schema import check_registry, registered_entries
 
 #: The pinned wire registry: tag -> (qualified class name, field order,
 #: blob fields).  APPEND ONLY — editing an existing row is a wire break.
-#: Tag blocks: 1-12 wire control plane, 16-25 protocol payloads, 32-38
+#: Tag blocks: 1-13 wire control plane, 16-25 protocol payloads, 32-38
 #: durable records, 48-50 client-facing frontend protocol, 56-60 mesh
 #: hub-to-hub protocol.
 PINNED_REGISTRY = {
@@ -35,6 +35,7 @@ PINNED_REGISTRY = {
     10: ("repro.net.wire.MsgLog", ("pid", "event", "data"), ()),
     11: ("repro.runtime.effects.ServiceCall", ("service", "payload", "reply_path"), ()),
     12: ("repro.runtime.effects.Deliver", ("tag", "sender", "value"), ()),
+    13: ("repro.net.wire.MsgBroadcast", ("src", "payload", "depth"), ("payload",)),
     16: ("repro.core.dex.DexProposal", ("value",), ()),
     17: ("repro.broadcast.idb.IdbInit", ("value",), ()),
     18: ("repro.broadcast.idb.IdbEcho", ("value", "origin"), ()),
