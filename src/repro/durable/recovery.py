@@ -40,7 +40,7 @@ from ..codec import CODEC_NAMES
 from ..codec.schema import wire_record
 from ..errors import ConfigurationError
 from ..types import ProcessId
-from .snapshot import ShardSnapshot, SnapshotStore
+from .snapshot import SnapshotStore
 from .wal import ApplyRecord, DecideRecord, ProposeRecord, WriteAheadLog
 
 __all__ = [
@@ -158,25 +158,26 @@ class NodeDurability:
         self.wal.append(ApplyRecord(shard, slot, batch))
         self._since_snapshot += 1
 
+    @property
+    def snapshot_due(self) -> bool:
+        """Enough slots committed since the last snapshot to take one."""
+        return 0 < self.config.snapshot_every <= self._since_snapshot
+
     def maybe_snapshot(
         self,
         slots: Mapping[int, int],
         applied: Mapping[int, list],
         kv: Mapping[int, Mapping[str, int]],
     ) -> bool:
-        """Snapshot and reset the WAL if enough slots accumulated."""
-        every = self.config.snapshot_every
-        if every <= 0 or self._since_snapshot < every:
+        """Snapshot and reset the WAL if enough slots accumulated.
+
+        ``applied`` histories may only grow between calls: the store
+        encodes just the batches appended since the last snapshot.
+        """
+        if not self.snapshot_due:
             return False
         self._seq += 1
-        self.snapshots.save(
-            ShardSnapshot(
-                slots=dict(slots),
-                applied={s: tuple(batches) for s, batches in applied.items()},
-                kv={s: dict(data) for s, data in kv.items()},
-                seq=self._seq,
-            )
-        )
+        self.snapshots.save_state(slots, applied, kv, self._seq)
         self.wal.reset()
         self._since_snapshot = 0
         return True
@@ -262,10 +263,11 @@ class SlotDecided:
     batch."
 
     Sent unsolicited in two situations a :class:`CatchUpReply` cannot
-    cover: a consensus envelope arrives for an instance the receiver has
-    already settled (the sender is visibly behind), and a slot settles
-    while a peer's :class:`CatchUpRequest` is still outstanding (the
-    decision landed *between* catch-up rounds).  Adoption follows the
+    cover: an instance's top-level proposal arrives for a slot the
+    receiver has already settled (the sender just opened it, so it is
+    visibly behind; late sub-component echoes prove nothing), and a slot
+    settles while a peer's :class:`CatchUpRequest` is still outstanding
+    (the decision landed *between* catch-up rounds).  Adoption follows the
     same ``t + 1`` identical-batch rule as catch-up replies — a single
     Byzantine ``SlotDecided`` can never plant state.
     """

@@ -69,8 +69,11 @@ class CompositeProtocol(Protocol, EffectRewriter):
         ``name``; ``ServiceCall`` replies are routed back to ``name``;
         ``Deliver``/``Decide`` upcalls are handed to
         :meth:`on_child_output`, whose own effects are processed
-        recursively (they may drive other children).
+        recursively (they may drive other children).  Most handler calls
+        (every echo short of a threshold) produce nothing to process.
         """
+        if not effects:
+            return []
         prev = self._route_component
         self._route_component = name
         try:

@@ -219,17 +219,19 @@ class ShardMultiplexer(CompositeProtocol):
     # -- routing ---------------------------------------------------------------------
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if isinstance(payload, Envelope):
+        # A child exists under a name only if that name was validated, so
+        # all but an instance's first envelope skip the guards.
+        if isinstance(payload, Envelope) and payload.component not in self._children:
             key = self._instance_of(payload.component)
             if key is not None:
                 self._ensure(*key)
         return super().on_message(sender, payload)
 
     def on_child_output(self, name: str, effect: Effect) -> list[Effect]:
-        key = self._instance_of(name)
-        if key is None or not isinstance(effect, Decide):
+        if not isinstance(effect, Decide):
             return []
-        if key in self.decided:
+        key = self._instance_of(name)
+        if key is None or key in self.decided:
             return []
         self.decided[key] = (effect.value, effect.kind)
         shard, slot = key

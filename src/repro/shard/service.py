@@ -354,14 +354,21 @@ class ShardNode(CompositeProtocol):
         return self._commit(shard, slot, batch, kind, effect)
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        """Node-level routing, plus the stale-envelope rejoin trigger.
+        """Node-level routing, plus the stale-proposal rejoin trigger.
 
-        A consensus envelope addressed to an instance this replica has
-        already settled means the *sender* is behind — its instance will
-        never hear from ours again (it decided and went quiet), so without
-        help the sender stalls.  Re-serve the decided slot once per
-        (sender, shard, slot); an envelope at or past our frontier instead
-        marks the sender caught up.
+        A replica that needs slot ``k`` must *open* it, and opening
+        broadcasts the instance's own top-level message (DEX line 3,
+        ``P-Send``) to every peer.  Such a message — an instance envelope
+        whose payload is not a sub-component envelope — addressed to a slot
+        this replica has already settled is evidence the sender is behind:
+        our instance still answers, but its first-step messages went out
+        before the sender (re)started, so the sender's fresh instance can
+        never collect them and stalls without help.  Re-serve the decided
+        slot once per (sender, shard, slot); every stalled opener reaches
+        ``>= n - t - 1 >= t + 1`` settled peers this way.  A late
+        ``idb``/``uc`` envelope is evidence of nothing (a peer that has
+        itself decided keeps echoing) and is only routed.  An envelope at
+        or past our frontier marks the sender caught up.
         """
         if self.durability is not None and isinstance(payload, Envelope):
             inner = payload.payload if payload.component == "mux" else None
@@ -369,11 +376,12 @@ class ShardNode(CompositeProtocol):
                 key = parse_instance(inner.component)
                 if key is not None and 0 <= key[0] < self.shards:
                     shard, slot = key
-                    if slot < self._slot[shard]:
+                    if slot >= self._slot[shard]:
+                        self._rejoining.discard(sender)
+                    elif not isinstance(inner.payload, Envelope):
                         effects = self._offer_decided(sender, shard, slot)
                         effects.extend(super().on_message(sender, payload))
                         return effects
-                    self._rejoining.discard(sender)
         return super().on_message(sender, payload)
 
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
@@ -409,7 +417,7 @@ class ShardNode(CompositeProtocol):
         self.applied[shard].append(safe_batch)
         self._batchers[shard].acknowledge(safe_batch, now=slot + 1)
         self._slot[shard] = slot + 1
-        if self.durability is not None:
+        if self.durability is not None and self.durability.snapshot_due:
             self.durability.maybe_snapshot(
                 self._slot,
                 self.applied,

@@ -53,6 +53,7 @@ from repro.codec.binary import (
     decode,
     encode,
 )
+from repro.codec import schema
 from repro.codec.schema import (
     COMPONENT_TABLE,
     check_registry,
@@ -245,6 +246,56 @@ class TestSchemaRegistry:
         assert parse_instance("dex") is None
         assert parse_instance("s3") is None
         assert parse_instance("s-1.2") is None
+
+
+class TestInstanceNameMemo:
+    """``parse_instance``/``instance_name`` remember their answers: the
+    memo may only ever save time."""
+
+    _names = st.one_of(
+        st.text(max_size=30),
+        st.builds(instance_name, st.integers(0, 99), st.integers(0, 20_000)),
+        st.sampled_from([
+            "s\u00b2", "s\u00b2.1", "s01.2", "s1.02", "s\u0663.\u0664", "s.", "s.1", "s1.",
+            "s", "", ".", "s1.2.3", "s-1.2", "s+1.2", "s 1.2", "t1.2", "S1.2",
+        ]),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(name=_names)
+    def test_memoised_parse_equals_uncached(self, name):
+        expected = schema._parse_instance(name)
+        assert parse_instance(name) == expected  # a miss, or a stale entry
+        assert parse_instance(name) == expected  # the hit
+        if expected is not None:
+            canonical = instance_name(*expected)
+            assert instance_name(*expected) == canonical == f"s{expected[0]}.{expected[1]}"
+            assert parse_instance(canonical) == expected
+
+    def test_arabic_indic_digits_parse_as_today(self):
+        # isdecimal() and int() both accept them; the memo is keyed by the
+        # text, so the look-alike never answers for the canonical name.
+        assert parse_instance("s\u0663.\u0664") == (3, 4) == parse_instance("s3.4")
+        assert instance_name(3, 4) == "s3.4"
+
+    def test_hostile_names_evict_but_never_grow_or_change_an_answer(self):
+        cap = schema.INSTANCE_MEMO_ENTRIES
+        assert parse_instance("s1.2") == (1, 2) and instance_name(1, 2) == "s1.2"
+        for i in range(cap + 1):
+            hostile = f"s{i}.x{i}" if i % 2 else f"s9{i}.{i}"
+            assert parse_instance(hostile) == schema._parse_instance(hostile)
+            assert instance_name(10_000 + i, i) == f"s{10_000 + i}.{i}"
+            assert len(schema._PARSED) <= cap and len(schema._NAMED) <= cap
+        assert "s1.2" not in schema._PARSED and (1, 2) not in schema._NAMED  # evicted
+        assert parse_instance("s1.2") == (1, 2) and instance_name(1, 2) == "s1.2"
+
+    def test_overlong_names_are_answered_but_not_kept(self):
+        long_name = "s1." + "0" * schema.INSTANCE_MEMO_MAX_CHARS + "7"
+        assert parse_instance(long_name) == (1, 7)
+        assert long_name not in schema._PARSED
+        huge = 10 ** schema.INSTANCE_MEMO_MAX_CHARS
+        assert instance_name(0, huge) == f"s0.{huge}"
+        assert (0, huge) not in schema._NAMED
 
 
 # -- golden frames ---------------------------------------------------------------------

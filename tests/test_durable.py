@@ -29,11 +29,11 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.rsm import KeyValueStore
-from repro.codec import CODEC_BINARY, CODEC_PICKLE, codec_for
+from repro.codec import CODEC_BINARY, CODEC_NAMES, CODEC_PICKLE, codec_for
 from repro.durable import (
     ApplyRecord,
     CatchUpReply,
@@ -406,6 +406,85 @@ class TestReplayProperty:
             assert node._slot[shard] == len(batches_by_shard[shard])
 
 
+class TestIncrementalSnapshot:
+    """``maybe_snapshot`` encodes only the batches appended since the last
+    snapshot; the file must not be able to tell."""
+
+    _batch = st.lists(
+        st.tuples(st.just("set"), st.sampled_from(["a", "b", "c"]), st.integers(0, 99)),
+        max_size=3,
+    ).map(tuple)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(st.tuples(st.integers(0, 2), _batch, st.booleans()), max_size=24),
+        every=st.integers(min_value=1, max_value=4),
+        restart_at=st.none() | st.integers(min_value=0, max_value=23),
+        codec=st.sampled_from(["binary", "pickle"]),
+    )
+    # restart mid-history, then two more snapshots over the recovered prefix
+    @example(
+        ops=[(s % 3, (("set", "a", s),), True) for s in range(12)],
+        every=3, restart_at=5, codec="binary",
+    )
+    def test_file_is_byte_identical_to_a_full_save(
+        self, tmp_path_factory, ops, every, restart_at, codec
+    ):
+        """Any interleaving of ``commit``/``maybe_snapshot`` across shards,
+        with or without a restart in the middle (the new process starts
+        with nothing encoded and resumes from its ``RecoveredState``),
+        leaves exactly ``SnapshotStore.save(ShardSnapshot(...))`` on disk."""
+        root = tmp_path_factory.mktemp("snap-prop")
+        config = DurabilityConfig(str(root / "live"), snapshot_every=every, codec=codec)
+        reference = SnapshotStore(str(root), codec=CODEC_NAMES[codec])
+        durability = config.node(0)
+        shards = range(3)
+        slots = {s: 0 for s in shards}
+        applied = {s: [] for s in shards}
+        stores = {s: KeyValueStore() for s in shards}
+        taken = 0
+        for index, (shard, batch, snapshot_now) in enumerate(ops):
+            if index == restart_at:
+                durability.close()
+                durability = config.node(0)
+                state = durability.recover(len(shards))
+                if state is not None:
+                    assert state.applied == applied
+                    applied = state.applied
+            durability.commit(shard, slots[shard], batch, "one-step")
+            for command in batch:
+                stores[shard].apply(command)
+            applied[shard].append(batch)
+            slots[shard] += 1
+            if not snapshot_now:
+                continue
+            due = durability.snapshot_due
+            kv = {s: store.data for s, store in stores.items()}
+            assert durability.maybe_snapshot(slots, applied, kv) == due
+            if due:
+                taken += 1
+                reference.save(
+                    ShardSnapshot(
+                        slots=dict(slots),
+                        applied={s: tuple(batches) for s, batches in applied.items()},
+                        kv={s: dict(data) for s, data in kv.items()},
+                        seq=taken,
+                    )
+                )
+                live = pathlib.Path(durability.snapshots.path).read_bytes()
+                assert live == pathlib.Path(reference.path).read_bytes()
+        durability.close()
+
+    def test_a_shrunk_history_is_encoded_afresh(self, tmp_path):
+        """The store never trusts a prefix longer than what it is handed."""
+        store = SnapshotStore(str(tmp_path))
+        store.save_state({0: 2}, {0: [(("set", "a", 1),), ()]}, {0: {"a": 1}}, 1)
+        store.save_state({0: 1}, {0: [(("set", "b", 2),)]}, {0: {"b": 2}}, 2)
+        assert store.load() == ShardSnapshot(
+            slots={0: 1}, applied={0: ((("set", "b", 2),),)}, kv={0: {"b": 2}}, seq=2
+        )
+
+
 # -- catch-up vote counting ------------------------------------------------------------
 
 
@@ -483,7 +562,7 @@ class TestCatchUpTracker:
 # -- the rejoin liveness race ----------------------------------------------------------
 
 
-def _shard_node(tmp_path, pid, name="race"):
+def _shard_node(tmp_path, pid, name="race", arrivals=()):
     from repro.types import SystemConfig
 
     config = DurabilityConfig(str(tmp_path / f"{name}{pid}"), snapshot_every=0)
@@ -492,7 +571,7 @@ def _shard_node(tmp_path, pid, name="race"):
         0 if pid is None else pid,
         sys_config,
         1,
-        [],
+        list(arrivals),
         dex_shard_factory(pid, sys_config),
         durability=config.node(pid),
     )
@@ -589,6 +668,97 @@ class TestRejoinRace:
             assert node.on_own_message(1, bad) == []
         assert node._slot[0] == 0 and not node._slot_votes
 
+    # -- the trigger is gated on evidence: only a top-level proposal re-serves ----------
+
+    @staticmethod
+    def _offers(effects, dst=0):
+        from repro.durable import SlotDecided
+        from repro.runtime.effects import Send
+
+        return [e.payload for e in effects if isinstance(e, Send) and e.dst == dst
+                and isinstance(e.payload, SlotDecided)]
+
+    def test_stale_subcomponent_envelopes_are_routed_not_reserved(self, tmp_path):
+        """A late ``idb``/``uc`` envelope says nothing about its sender (a
+        peer that has itself decided keeps echoing): the instance gets it,
+        nobody is offered the slot."""
+        from repro.broadcast.idb import IdbEcho, IdbInit
+        from repro.runtime.effects import Broadcast, Envelope
+        from repro.underlying.oracle import OracleDecision
+
+        peer = self._settled_peer(tmp_path, 1)
+        init = peer.on_message(0, _instance_envelope(0, Envelope("idb", IdbInit(self.BATCH))))
+        assert not self._offers(init)
+        # routed: the instance's IDB answered the init with its echo
+        echoes = [e.payload.payload.payload.payload for e in init if isinstance(e, Broadcast)]
+        assert echoes == [IdbEcho(self.BATCH, 0)]
+        for stale in (
+            Envelope("idb", IdbEcho(self.BATCH, 2)),
+            Envelope("uc", OracleDecision((0, 0), self.BATCH)),
+        ):
+            assert not self._offers(peer.on_message(0, _instance_envelope(0, stale)))
+        assert not peer._decided_served
+
+    def test_stale_proposal_reserved_once_per_sender_shard_slot(self, tmp_path):
+        from repro.core.dex import DexProposal
+        from repro.durable import SlotDecided
+
+        peer = self._settled_peer(tmp_path, 1)
+        peer._settle(0, 1, (), "one-step")
+        proposal = DexProposal((("set", "z", 9),))
+        served = []
+        for sender, slot in [(0, 0), (0, 0), (2, 0), (0, 1), (2, 0), (0, 1)]:
+            served += [
+                (sender, offer)
+                for offer in self._offers(
+                    peer.on_message(sender, _instance_envelope(slot, proposal)), sender
+                )
+            ]
+        assert served == [
+            (0, SlotDecided(0, 0, self.BATCH)),
+            (2, SlotDecided(0, 0, self.BATCH)),
+            (0, SlotDecided(0, 1, ())),
+        ]
+
+    def test_echoes_alone_stall_then_opening_the_slot_closes_it(self, tmp_path):
+        """The PR-7 stall under the gated trigger.  Every peer settled slot
+        0 while replica 0 was down, so their first-step messages are gone.
+        A passive instance on the restarted replica (woken by one late
+        init) only echoes — no peer offers anything and it stays stuck;
+        the moment it *opens* the slot its proposal reaches every settled
+        peer, each offers the slot exactly once, and ``t + 1`` identical
+        batches settle it."""
+        from repro.broadcast.idb import IdbInit
+        from repro.runtime.effects import Broadcast, Envelope
+
+        peers = [self._settled_peer(tmp_path, pid) for pid in range(1, 7)]
+        node = _shard_node(tmp_path, 0, arrivals=[(0, ("set", "b", 2))])
+
+        def relay(effects):
+            """Deliver the node's broadcasts to every peer; their offers."""
+            offers = []
+            for effect in effects:
+                if isinstance(effect, Broadcast):
+                    for peer in peers:
+                        offers += [
+                            (peer.process_id, offer)
+                            for offer in self._offers(peer.on_message(0, effect.payload))
+                        ]
+            return offers
+
+        woken = node.on_message(
+            1, _instance_envelope(0, Envelope("idb", IdbInit(self.BATCH)))
+        )
+        assert any(isinstance(e, Broadcast) for e in woken)  # its echo goes out
+        assert relay(woken) == [] and node._slot[0] == 0  # ... and nothing comes back
+
+        offers = relay(node.on_start())  # fresh directory: opens slot 0
+        assert sorted(pid for pid, _ in offers) == [1, 2, 3, 4, 5, 6]  # one each
+        node.on_message(*offers[0])
+        assert node._slot[0] == 0  # one voucher is not enough (t=1)
+        node.on_message(*offers[1])
+        assert node._slot[0] == 1 and node.applied[0] == [self.BATCH]
+
 
 # -- the CrashRecover fault ------------------------------------------------------------
 
@@ -677,6 +847,40 @@ class TestSimRecovery:
         assert "recovery.replayed" in recovery
         assert "recovery.caught_up" in recovery
         assert (tmp_path / "node2" / "wal.log").exists()
+
+    def test_healthy_run_reserves_only_late_proposals(self, tmp_path):
+        """Nobody crashes, so the only evidence of lag a replica ever sees
+        is a peer's top-level proposal landing after it settled the slot
+        (it decides one-step off the first ``n - t``): ``re_served``
+        records equal exactly those deliveries — 455 on this run, 6.9 per
+        slot, against 2 740 (41.5 per slot) at the parent commit, where
+        every late echo counted; ``shard.open``/``shard.decide`` counts
+        (462 each) and the digest are the parent's."""
+        from repro.core.dex import DexProposal
+        from repro.engine.events import DeliverEvent
+        from repro.runtime.effects import Envelope
+        from repro.shard.router import parse_instance
+
+        log = EventLog()
+        service = ShardedService(
+            n=7, shards=4, seed=5, event_sink=log,
+            durability=DurabilityConfig(str(tmp_path)),
+        )
+        report = service.run(count=256)
+        assert not report.divergence and report.commands == 256
+        settled, late, re_served = set(), 0, 0
+        for event in log.events:
+            name = getattr(event, "event", None)
+            if name == "shard.decide":
+                settled.add((event.pid, event.data["shard"], event.data["slot"]))
+            elif name == "recovery.re_served":
+                re_served += 1
+            elif isinstance(event, DeliverEvent) and event.sender != event.pid:
+                inner = getattr(event.payload, "payload", None)
+                if isinstance(inner, Envelope) and isinstance(inner.payload, DexProposal):
+                    late += (event.pid, *parse_instance(inner.component)) in settled
+        assert re_served == late == 455
+        assert re_served < 7 * report.slots
 
     def test_wal_replay_from_snapshot_mid_history(self, tmp_path):
         service, log = self._service(

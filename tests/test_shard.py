@@ -312,6 +312,25 @@ class TestShardMultiplexer:
         mux.on_message(1, Envelope(instance_name(0, 10_000_000), ("vote", "evil")))
         assert instance_name(0, 10_000_000) not in mux._children
 
+    def test_non_canonical_instance_name_is_an_unknown_component(self):
+        # "s01.2" parses to (1, 2) but is nobody's name: the canonical child
+        # is ensured, the envelope itself goes nowhere — with or without the
+        # name memo and the child-lookup shortcut in front of the guards.
+        mux = self._mux()
+        for _ in range(2):
+            effects = mux.on_message(1, Envelope("s01.2", ("vote", "x")))
+            assert [e.event for e in effects] == ["unknown-component"]
+        assert "s01.2" not in mux._children
+        assert mux.child("s1.2").received == []
+
+    def test_inflation_guards_reject_names_the_memo_already_knows(self):
+        mux = self._mux(shards=2)
+        for name in ("s7.0", instance_name(0, 10_000_000)):
+            assert parse_instance(name) is not None  # now memoised
+            effects = mux.on_message(1, Envelope(name, ("vote", "evil")))
+            assert [e.event for e in effects] == ["unknown-component"]
+        assert not mux._children
+
     def test_first_decide_surfaces_as_tagged_upcall(self):
         mux = self._mux(
             factory=lambda shard, slot, proposal: _InstantDecider(
