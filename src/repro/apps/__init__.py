@@ -5,8 +5,6 @@ from .atomic_commit import ABORT, COMMIT, AtomicCommitCoordinator, CommitReport
 from .pipeline import (
     SLOT_DECIDED_TAG,
     PipelinedReplica,
-    SlotMultiplexer,
-    dex_slot_factory,
     run_pipelined,
 )
 from .rsm import (
@@ -27,9 +25,7 @@ __all__ = [
     "CommitReport",
     "COMMIT",
     "ABORT",
-    "SlotMultiplexer",
     "PipelinedReplica",
     "run_pipelined",
-    "dex_slot_factory",
     "SLOT_DECIDED_TAG",
 ]

@@ -2,17 +2,15 @@
 
 :class:`~repro.apps.rsm.ReplicatedStateMachine` runs one simulation per
 slot — simple, but it serialises slots and hides pipelining effects.  This
-module multiplexes an unbounded sequence of consensus instances inside a
-*single* simulation:
-
-* :class:`SlotMultiplexer` — a composite protocol hosting one consensus
-  child per slot (``slot0``, ``slot1``, …), created lazily on first use —
-  including on the first *message* for a slot this process has not reached
-  yet, so fast replicas never outrun slow ones' ability to participate;
-* :class:`PipelinedReplica` — a replica that keeps a window of ``W`` slots
-  in flight: slot ``k + W`` is proposed as soon as slot ``k`` decides.
-  With ``W = 1`` this is sequential repeated consensus; larger windows
-  overlap instances exactly like a production replicated log does.
+module runs an unbounded sequence of consensus instances inside a *single*
+simulation: :class:`PipelinedReplica` is the one-shard case of
+:class:`~repro.shard.router.ShardMultiplexer` (children ``s0.<slot>``,
+created lazily on first use — including on the first *message* for a slot
+this process has not reached yet, so fast replicas never outrun slow ones'
+ability to participate) that keeps a window of ``W`` slots in flight: slot
+``k + W`` is proposed as soon as slot ``k`` decides.  With ``W = 1`` this
+is sequential repeated consensus; larger windows overlap instances exactly
+like a production replicated log does.
 
 The per-slot decisions surface as ``Deliver(tag="slot-decided",
 value=(slot, value, kind))`` runner outputs (timestamped in the trace),
@@ -23,107 +21,27 @@ deployment and checks that all correct replicas ordered the *same log*.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..conditions.frequency import FrequencyPair
-from ..core.dex import DexConsensus
 from ..errors import ConfigurationError
-from ..runtime.composite import CompositeProtocol, Envelope
 from ..runtime.effects import Decide, Deliver, Effect
-from ..runtime.protocol import Protocol
+from ..shard.router import ShardInstanceFactory, ShardMultiplexer, dex_shard_factory
 from ..sim.runner import RunResult, Simulation
 from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.oracle import OracleConsensus, OracleService
+from ..underlying.oracle import OracleService
 
 SLOT_DECIDED_TAG = "slot-decided"
 
-#: builds the consensus instance for one slot: ``(slot, proposal) -> Protocol``.
-InstanceFactory = Callable[[int, Value], Protocol]
 
-
-class SlotMultiplexer(CompositeProtocol):
-    """Hosts one consensus child per slot, created lazily.
-
-    Children are named ``slot<k>``.  A child can come into existence two
-    ways: locally via :meth:`propose`, or remotely when the first envelope
-    for an unseen slot arrives — in that case the instance is created
-    *without* proposing (its ``on_start`` runs only when this process
-    proposes), which is exactly how a lagging replica participates in a
-    round it has not reached.
-    """
-
-    def __init__(
-        self,
-        process_id: ProcessId,
-        config: SystemConfig,
-        make_instance: InstanceFactory,
-        max_slots: int = 10_000,
-    ) -> None:
-        super().__init__(process_id, config)
-        self._make_instance = make_instance
-        self._max_slots = max_slots
-        self._proposed: set[int] = set()
-        self.decided: dict[int, tuple[Value, DecisionKind]] = {}
-
-    # -- slot management -----------------------------------------------------------
-
-    def _slot_of(self, component: str) -> int | None:
-        if not component.startswith("slot"):
-            return None
-        try:
-            slot = int(component[4:])
-        except ValueError:
-            return None
-        if not 0 <= slot < self._max_slots:
-            return None  # Byzantine slot-number inflation guard
-        return slot
-
-    def _ensure(self, slot: int) -> Protocol:
-        name = f"slot{slot}"
-        if name not in self._children:
-            self.add_child(name, self._make_instance(slot, None))
-        return self.child(name)
-
-    def propose(self, slot: int, value: Value) -> list[Effect]:
-        """Start this process's participation in ``slot`` with ``value``."""
-        if slot in self._proposed:
-            return []
-        self._proposed.add(slot)
-        name = f"slot{slot}"
-        if name in self._children:
-            node = self.child(name)
-            node.proposal = value  # created lazily by a remote message
-        else:
-            node = self.add_child(name, self._make_instance(slot, value))
-        return self.child_call(name, node.on_start())
-
-    # -- routing ---------------------------------------------------------------------
-
-    def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if isinstance(payload, Envelope):
-            slot = self._slot_of(payload.component)
-            if slot is not None:
-                self._ensure(slot)
-        return super().on_message(sender, payload)
-
-    def on_child_output(self, name: str, effect: Effect) -> list[Effect]:
-        slot = self._slot_of(name)
-        if slot is None or not isinstance(effect, Decide):
-            return []
-        if slot in self.decided:
-            return []
-        self.decided[slot] = (effect.value, effect.kind)
-        return [Deliver(SLOT_DECIDED_TAG, self.process_id, (slot, effect.value, effect.kind))]
-
-
-class PipelinedReplica(CompositeProtocol):
+class PipelinedReplica(ShardMultiplexer):
     """A log replica keeping ``window`` consensus slots in flight.
 
     Args:
         process_id: replica id.
         config: system parameters.
         proposals: this replica's proposal per slot (the workload).
-        make_instance: per-slot consensus factory.
+        make_instance: per-``(shard, slot)`` consensus factory (the log is
+            shard 0).
         window: number of concurrently open slots (``>= 1``).
     """
 
@@ -132,22 +50,20 @@ class PipelinedReplica(CompositeProtocol):
         process_id: ProcessId,
         config: SystemConfig,
         proposals: Sequence[Value],
-        make_instance: InstanceFactory,
+        make_instance: ShardInstanceFactory,
         window: int = 4,
     ) -> None:
         if window < 1:
             raise ConfigurationError("window must be at least 1")
         if not proposals:
             raise ConfigurationError("need at least one slot proposal")
-        super().__init__(process_id, config)
+        # Slots past the log's end do not exist: ``decided`` holds log slots only.
+        super().__init__(
+            process_id, config, make_instance, shards=1, max_slots=len(proposals)
+        )
         self.proposals = list(proposals)
         self.window = window
-        self._mux = self.add_child(
-            "mux", SlotMultiplexer(process_id, config, make_instance)
-        )
         self._next_slot = 0
-        self.log: dict[int, Value] = {}
-        self._done = False
 
     @property
     def total_slots(self) -> int:
@@ -158,54 +74,27 @@ class PipelinedReplica(CompositeProtocol):
         effects: list[Effect] = []
         while (
             self._next_slot < self.total_slots
-            and self._next_slot - len(self.log) < self.window
+            and self._next_slot - len(self.decided) < self.window
         ):
             slot = self._next_slot
             self._next_slot += 1
-            effects.extend(
-                self.child_call("mux", self._mux.propose(slot, self.proposals[slot]))
-            )
+            effects.extend(self.propose(0, slot, self.proposals[slot]))
         return effects
 
     def on_start(self) -> list[Effect]:
         return self._open_slots()
 
-    def on_child_output(self, name: str, effect: Effect) -> list[Effect]:
-        if not (isinstance(effect, Deliver) and effect.tag == SLOT_DECIDED_TAG):
-            return []
-        slot, value, kind = effect.value
-        self.log[slot] = value
-        effects: list[Effect] = [effect]  # re-surface for the runner's records
+    def on_instance_decided(
+        self, shard: int, slot: int, value: Value, kind: DecisionKind
+    ) -> list[Effect]:
+        effects: list[Effect] = [
+            Deliver(SLOT_DECIDED_TAG, self.process_id, (slot, value, kind))
+        ]
         effects.extend(self._open_slots())
-        if len(self.log) == self.total_slots and not self._done:
-            self._done = True
-            ordered = tuple(self.log[s] for s in range(self.total_slots))
+        if len(self.decided) == self.total_slots:
+            ordered = tuple(self.decided[0, s][0] for s in range(self.total_slots))
             effects.append(Decide(ordered, DecisionKind.UNDERLYING))
         return effects
-
-
-def dex_slot_factory(
-    process_id: ProcessId, config: SystemConfig
-) -> InstanceFactory:
-    """Per-slot DEX instances (frequency pair) over the shared oracle UC.
-
-    Each slot uses its own oracle-UC instance key, so one
-    :class:`~repro.underlying.oracle.OracleService` serves the whole log.
-    """
-    pair = FrequencyPair(config.n, config.t)
-
-    def make(slot: int, proposal: Value) -> Protocol:
-        return DexConsensus(
-            process_id,
-            config,
-            pair,
-            proposal,
-            uc_factory=lambda pid, cfg, slot=slot: OracleConsensus(
-                pid, cfg, instance=slot
-            ),
-        )
-
-    return make
 
 
 def run_pipelined(
@@ -240,7 +129,7 @@ def run_pipelined(
     service = OracleService(config)
     protocols = {
         pid: PipelinedReplica(
-            pid, config, table[pid], dex_slot_factory(pid, config), window=window
+            pid, config, table[pid], dex_shard_factory(pid, config), window=window
         )
         for pid in config.processes
     }

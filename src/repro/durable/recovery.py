@@ -15,14 +15,15 @@ Three pieces turn the WAL (:mod:`repro.durable.wal`) and the snapshots
   decisions taken while it was down must come from peers.  A recovering
   replica broadcasts its per-shard frontier; peers answer with the
   ``(shard, slot, batch)`` entries past it plus their own frontiers.
-* :class:`CatchUpTracker` — Byzantine-safe vote counting over the
-  replies.  An entry is adopted only once ``t + 1`` distinct peers vouch
-  for the *identical* batch (at least one of them is correct, and a
-  correct peer only reports batches its consensus instance decided — so
-  an adopted batch equals the decided batch, which is exactly the
-  verification-against-the-digest the recovered replica needs before it
-  may resume proposing).  Rounds repeat until a quorum of replies reports
-  no frontier ahead of ours.
+* :class:`CatchUpTracker` — the one Byzantine-safe vote book over peers'
+  ``(shard, slot, batch)`` claims, whether a :class:`CatchUpReply` entry
+  or a :class:`SlotDecided` notice carried them.  An entry is adopted
+  only once ``t + 1`` distinct peers vouch for the *identical* batch (at
+  least one of them is correct, and a correct peer only reports batches
+  its consensus instance decided — so an adopted batch equals the decided
+  batch, which is exactly the verification-against-the-digest the
+  recovered replica needs before it may resume proposing).  Rounds repeat
+  until a quorum of replies reports no frontier ahead of ours.
 
 Everything here is sans-IO and engine-agnostic: the shard service drives
 it with ordinary :class:`~repro.runtime.effects.Send` effects, so the
@@ -54,12 +55,12 @@ __all__ = [
     "MAX_CATCHUP_ENTRIES",
 ]
 
-#: Cap on entries absorbed from one reply — a Byzantine peer cannot
-#: balloon the tracker with fabricated slot numbers.
+#: Cap on entries served in, and absorbed from, one reply: bounds what one reply can cost.
 MAX_CATCHUP_ENTRIES = 4096
 
 #: Slot numbers above this are rejected as inflation (mirrors the
-#: multiplexer's ``max_slots`` guard).
+#: multiplexer's ``max_slots`` guard) — with one booked claim per
+#: ``(peer, shard, slot)`` this is what bounds the vote book.
 MAX_CATCHUP_SLOT = 10_000
 
 
@@ -267,8 +268,10 @@ class SlotDecided:
     receiver has already settled (the sender just opened it, so it is
     visibly behind; late sub-component echoes prove nothing), and a slot
     settles while a peer's :class:`CatchUpRequest` is still outstanding
-    (the decision landed *between* catch-up rounds).  Adoption follows the
-    same ``t + 1`` identical-batch rule as catch-up replies — a single
+    (the decision landed *between* catch-up rounds).  The claim goes into
+    the same vote book as catch-up reply entries
+    (:meth:`CatchUpTracker.vote`): adoption needs ``t + 1`` peers vouching
+    for the identical batch across both kinds of message, and a single
     Byzantine ``SlotDecided`` can never plant state.
     """
 
@@ -278,7 +281,13 @@ class SlotDecided:
 
 
 class CatchUpTracker:
-    """Vote counting over catch-up replies, round by round.
+    """The vote book over peers' decided-slot claims, plus the reply and
+    frontier books of the current catch-up round.
+
+    A peer's *first* claim for a ``(shard, slot)`` is the one that counts
+    (a correct peer only ever has one), so the book holds at most one
+    batch per peer and unsettled slot; :meth:`forget` drops a slot's
+    claims once it settles.
 
     Args:
         threshold: votes required to adopt an entry — ``t + 1``, so at
@@ -290,9 +299,9 @@ class CatchUpTracker:
             raise ConfigurationError("catch-up threshold must be at least 1")
         self.threshold = threshold
         self.round = 0
-        #: ``(shard, slot) -> batch -> voters`` — votes persist across
-        #: rounds (a peer re-reporting the same entry re-counts once).
-        self._votes: dict[tuple[int, int], dict[tuple, set[ProcessId]]] = {}
+        #: ``(shard, slot) -> voter -> batch`` — votes persist across
+        #: rounds (a peer re-reporting an entry changes nothing).
+        self._votes: dict[tuple[int, int], dict[ProcessId, tuple]] = {}
         self._replies: set[ProcessId] = set()
         self._frontiers: dict[int, int] = {}
 
@@ -308,12 +317,46 @@ class CatchUpTracker:
         self._frontiers.clear()
         return self.round
 
-    def absorb(self, sender: ProcessId, reply: CatchUpReply) -> bool:
+    def vote(
+        self,
+        sender: ProcessId,
+        shard: object,
+        slot: object,
+        batch: object,
+        slots: Mapping[int, int] | None = None,
+    ) -> bool:
+        """Book ``sender``'s claim that ``(shard, slot)`` decided ``batch``;
+        ``False`` if the claim is malformed or old news.
+
+        The one validation of a claim, whichever message carried it — it
+        may come from a Byzantine peer.  ``slots`` is the caller's
+        ``shard -> next unsettled slot`` map: a shard it does not name, a
+        slot below it (already settled) or at/above
+        :data:`MAX_CATCHUP_SLOT` (inflation) books nothing.
+        """
+        if not (isinstance(shard, int) and isinstance(slot, int) and isinstance(batch, tuple)):
+            return False
+        floor = 0 if slots is None else slots.get(shard, MAX_CATCHUP_SLOT)
+        if not floor <= slot < MAX_CATCHUP_SLOT:
+            return False
+        self._votes.setdefault((shard, slot), {}).setdefault(sender, batch)
+        return True
+
+    def forget(self, shard: int, slot: int) -> None:
+        """``(shard, slot)`` settled: its claims are of no further use."""
+        self._votes.pop((shard, slot), None)
+
+    def absorb(
+        self,
+        sender: ProcessId,
+        reply: CatchUpReply,
+        slots: Mapping[int, int] | None = None,
+    ) -> bool:
         """Fold one reply in; ``False`` for stale-round or repeat replies.
 
         Every field is validated defensively — the reply may come from a
-        Byzantine peer: malformed entries are skipped, entry count and
-        slot numbers are capped, and frontiers only *raise* the recorded
+        Byzantine peer: malformed entries are skipped (:meth:`vote`), the
+        entry count is capped, and frontiers only *raise* the recorded
         maximum (a liar can delay recovery completion by one round, never
         corrupt adopted state — that is the ``t + 1`` vote rule's job).
         """
@@ -333,25 +376,18 @@ class CatchUpTracker:
                 self._frontiers[shard] = max(self._frontiers.get(shard, 0), slot)
         entries = reply.entries if isinstance(reply.entries, tuple) else ()
         for entry in entries[:MAX_CATCHUP_ENTRIES]:
-            if not (isinstance(entry, tuple) and len(entry) == 3):
-                continue
-            shard, slot, batch = entry
-            if not (
-                isinstance(shard, int)
-                and isinstance(slot, int)
-                and 0 <= slot < MAX_CATCHUP_SLOT
-                and isinstance(batch, tuple)
-            ):
-                continue
-            by_batch = self._votes.setdefault((shard, slot), {})
-            by_batch.setdefault(batch, set()).add(sender)
+            if isinstance(entry, tuple) and len(entry) == 3:
+                self.vote(sender, *entry, slots)
         return True
 
     def verified(self, shard: int, slot: int) -> tuple | None:
         """The batch ``t + 1`` distinct peers vouch for, or ``None``."""
-        for batch, voters in self._votes.get((shard, slot), {}).items():
-            if len(voters) >= self.threshold:
-                return batch
+        claims = self._votes.get((shard, slot))
+        if claims:
+            batches = list(claims.values())
+            for batch in batches:
+                if batches.count(batch) >= self.threshold:
+                    return batch
         return None
 
     def frontier_reached(self, slots: Mapping[int, int]) -> bool:

@@ -7,7 +7,7 @@ worker processes that each own a slice of the shard space.  Everything
 that must agree across nodes, hubs and metrics lives here:
 
 * :class:`MeshTopology` — the user-facing config surfaced through
-  ``Scenario(mesh=...)`` / ``bench --hubs N``;
+  ``Scenario(mesh=...)`` / ``ShardedService(mesh=...)`` / ``run --hubs N``;
 * :func:`hub_rng` — per-hub seeded RNG streams, so jitter and link-fault
   draws stay bit-identical run to run *per hub* regardless of arrival
   interleaving across hubs (and hub 0's stream equals the star hub's,

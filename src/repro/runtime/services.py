@@ -9,8 +9,8 @@ delivers its replies back as ordinary payloads.
 
 Reply routing: composite protocols tag each request with a *reply path*
 (the chain of component names the runtime must wrap the reply in so it
-reaches the right sub-protocol — e.g. ``("mux", "slot3", "uc")`` for the
-underlying consensus of log slot 3).  The runtime hands the request's path
+reaches the right sub-protocol — e.g. ``("s0.3", "uc")`` for the
+underlying consensus of shard 0's log slot 3).  The runtime hands the request's path
 to :meth:`Service.on_call`, and every :class:`ServiceReply` carries the
 path to wrap its payload with — services that answer several callers (like
 the oracle consensus announcing a decision) must remember each caller's

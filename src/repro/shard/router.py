@@ -16,12 +16,17 @@ work over a *single* transport:
   this means many instances share one hub connection per node instead of
   one cluster per instance.
 
-The multiplexer generalizes :class:`repro.apps.pipeline.SlotMultiplexer`
-from slot keys to ``(shard, slot)`` keys; like it, an instance comes into
-existence two ways — locally via :meth:`ShardMultiplexer.propose`, or
-remotely when the first envelope for an unseen instance arrives, in which
-case it is created *without* proposing (a lagging replica participating in
-a round it has not reached).
+It is the one multiplexer: the sharded replica
+(:class:`repro.shard.service.ShardNode`) and the pipelined log
+(:class:`repro.apps.pipeline.PipelinedReplica`, ``shards=1``) both *are*
+one — they subclass it and take each instance's decision through
+:meth:`ShardMultiplexer.on_instance_decided` — so an instance message is
+``Envelope("s<shard>.<slot>", …)`` at the top level of the wire, one
+composite level above the DEX instance's own ``idb``/``uc`` children.  An
+instance comes into existence two ways — locally via
+:meth:`ShardMultiplexer.propose`, or remotely when the first envelope for
+an unseen instance arrives, in which case it is created *without*
+proposing (a lagging replica participating in a round it has not reached).
 """
 
 from __future__ import annotations
@@ -38,10 +43,13 @@ from ..codec.binary import (
     _read_varint,
 )
 from ..codec.schema import instance_name, parse_instance
+from ..conditions.frequency import FrequencyPair
+from ..core.dex import DexConsensus
 from ..runtime.composite import CompositeProtocol, Envelope
 from ..runtime.effects import Decide, Deliver, Effect
 from ..runtime.protocol import Protocol
 from ..types import DecisionKind, ProcessId, SystemConfig, Value
+from ..underlying.oracle import OracleConsensus
 
 __all__ = [
     "INSTANCE_DECIDED_TAG",
@@ -53,6 +61,7 @@ __all__ = [
     "instance_name",
     "parse_instance",
     "ShardMultiplexer",
+    "dex_shard_factory",
 ]
 
 #: Upcall tag of a per-instance decision surfaced by the multiplexer.
@@ -100,11 +109,12 @@ def shard_of_payload(payload: Any, shards: int) -> int:
 
     The one attribution function — mesh nodes and hubs steer by it, the
     metrics layer charges sends and delivers by it.  Every frame a consensus
-    instance sends travels inside an envelope chain (``Envelope("mux",
-    Envelope("s<shard>.<slot>", …))``); the first instance component naming
-    a shard in ``[0, shards)`` decides.  An :class:`~repro.codec.Opaque`
-    span is peeked (:func:`peek_shard`), never materialized, and answers
-    exactly what its decoded object would.
+    instance sends is ``Envelope("s<shard>.<slot>", …)``, so the first
+    component normally answers; foreign components in front of it are
+    stepped over, and the first instance component naming a shard in
+    ``[0, shards)`` decides.  An :class:`~repro.codec.Opaque` span is peeked
+    (:func:`peek_shard`), never materialized, and answers exactly what its
+    decoded object would.
     """
     if type(payload) is Opaque:
         return peek_shard(payload.data, shards)
@@ -125,7 +135,7 @@ def peek_shard(data: bytes, shards: int) -> int:
     component; an instance component (``s<shard>.<slot>``) is two varints
     right there in the header, so attribution costs a few byte reads instead
     of a payload decode.  Other components (interned table names like
-    ``"mux"``, raw strings, out-of-range shards) are stepped over and the
+    ``"idb"``, raw strings, out-of-range shards) are stepped over and the
     nested payload is peeked, mirroring the envelope-chain walk on
     materialized values.  Anything unrecognized — including a truncated or
     hostile span — answers :data:`UNATTRIBUTED`, never raises.
@@ -155,8 +165,32 @@ def peek_shard(data: bytes, shards: int) -> int:
     return UNATTRIBUTED
 
 
+def dex_shard_factory(process_id: ProcessId, config: SystemConfig) -> ShardInstanceFactory:
+    """Per-``(shard, slot)`` DEX instances (frequency pair) over the shared
+    oracle UC: each instance uses its own oracle instance key, so one
+    :class:`~repro.underlying.oracle.OracleService` serves every shard."""
+    pair = FrequencyPair(config.n, config.t)
+
+    def make(shard: int, slot: int, proposal: Value) -> Protocol:
+        return DexConsensus(
+            process_id,
+            config,
+            pair,
+            proposal,
+            uc_factory=lambda pid, cfg, key=(shard, slot): OracleConsensus(
+                pid, cfg, instance=key
+            ),
+        )
+
+    return make
+
+
 class ShardMultiplexer(CompositeProtocol):
     """Hosts one consensus child per ``(shard, slot)``, created lazily.
+
+    Subclasses react to a decided instance by overriding
+    :meth:`on_instance_decided`; used bare, it surfaces each decision as an
+    :data:`INSTANCE_DECIDED_TAG` upcall.
 
     Args:
         process_id: hosting replica.
@@ -234,11 +268,12 @@ class ShardMultiplexer(CompositeProtocol):
         if key is None or key in self.decided:
             return []
         self.decided[key] = (effect.value, effect.kind)
-        shard, slot = key
+        return self.on_instance_decided(*key, effect.value, effect.kind)
+
+    def on_instance_decided(
+        self, shard: int, slot: int, value: Value, kind: DecisionKind
+    ) -> list[Effect]:
+        """Instance ``(shard, slot)`` decided — called once per instance."""
         return [
-            Deliver(
-                INSTANCE_DECIDED_TAG,
-                self.process_id,
-                (shard, slot, effect.value, effect.kind),
-            )
+            Deliver(INSTANCE_DECIDED_TAG, self.process_id, (shard, slot, value, kind))
         ]

@@ -12,8 +12,8 @@ Pieces:
   configurable key skew (``uniform`` or ``zipf``; skew drives contention,
   and contention drives the one-step rate) in open loop (arrivals paced by
   ``rate`` per slot-tick) or closed loop (everything enqueued up front);
-* :class:`ShardNode` — one replica: a :class:`~repro.shard.router.
-  ShardMultiplexer` of per-``(shard, slot)`` DEX instances, one
+* :class:`ShardNode` — one replica: *is* the :class:`~repro.shard.router.
+  ShardMultiplexer` of per-``(shard, slot)`` DEX instances, plus one
   :class:`~repro.shard.batcher.ShardBatcher` and one
   :class:`~repro.apps.rsm.KeyValueStore` per shard.  When a slot decides,
   the batch is applied, losers are re-proposed, and the next slot opens;
@@ -41,11 +41,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..apps.rsm import Command, KeyValueStore
-from ..conditions.frequency import FrequencyPair
-from ..core.dex import DexConsensus
 from ..durable.recovery import (
     MAX_CATCHUP_ENTRIES,
-    MAX_CATCHUP_SLOT,
     CatchUpReply,
     CatchUpRequest,
     CatchUpTracker,
@@ -58,14 +55,14 @@ from ..engine.events import EventSink, combine
 from ..engine.faults import Fault, FaultPlane, restart_plans
 from ..errors import ConfigurationError
 from ..harness import AlgorithmSpec, Deployment
-from ..runtime.composite import CompositeProtocol, Envelope
-from ..runtime.effects import Decide, Deliver, Effect, Send
+from ..runtime.composite import Envelope
+from ..runtime.effects import Decide, Effect, Send
 from ..runtime.protocol import Protocol
-from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.oracle import SERVICE_NAME, OracleConsensus, OracleService
+from ..types import DecisionKind, ProcessId, SystemConfig
+from ..underlying.oracle import SERVICE_NAME, OracleService
 from .batcher import ShardBatcher
 from .metrics import ShardStreamSink
-from .router import INSTANCE_DECIDED_TAG, ShardMultiplexer, parse_instance, shard_of
+from .router import ShardMultiplexer, dex_shard_factory, parse_instance, shard_of
 
 __all__ = [
     "shard_workload",
@@ -161,28 +158,9 @@ def proposal_for(
     return head
 
 
-def dex_shard_factory(process_id: ProcessId, config: SystemConfig):
-    """Per-``(shard, slot)`` DEX instances (frequency pair) over the shared
-    oracle UC: each instance uses its own oracle instance key, so one
-    :class:`~repro.underlying.oracle.OracleService` serves every shard."""
-    pair = FrequencyPair(config.n, config.t)
-
-    def make(shard: int, slot: int, proposal: Value) -> Protocol:
-        return DexConsensus(
-            process_id,
-            config,
-            pair,
-            proposal,
-            uc_factory=lambda pid, cfg, key=(shard, slot): OracleConsensus(
-                pid, cfg, instance=key
-            ),
-        )
-
-    return make
-
-
-class ShardNode(CompositeProtocol):
-    """One replica of the sharded service.
+class ShardNode(ShardMultiplexer):
+    """One replica of the sharded service: the ``(shard, slot)`` instance
+    multiplexer plus the per-shard batching, state and recovery around it.
 
     Args:
         process_id: replica id.
@@ -220,16 +198,10 @@ class ShardNode(CompositeProtocol):
     ) -> None:
         if not 0.0 <= contention <= 1.0:
             raise ConfigurationError("contention must be in [0, 1]")
-        super().__init__(process_id, config)
-        self.shards = shards
+        super().__init__(process_id, config, make_instance, shards)
         self.contention = contention
         self.seed = seed
-        self.max_batch = max_batch
-        self.max_wait = max_wait
         self.durability = durability
-        self._mux = self.add_child(
-            "mux", ShardMultiplexer(process_id, config, make_instance, shards)
-        )
         self._batchers = {s: ShardBatcher(max_batch, max_wait) for s in range(shards)}
         self._arrivals: dict[int, list[tuple[int, Command]]] = {
             s: [] for s in range(shards)
@@ -242,18 +214,18 @@ class ShardNode(CompositeProtocol):
         self._drained: set[int] = set()
         self._done = False
         # crash-recovery state: while ``_recovering`` the node adopts
-        # peer-verified slots instead of proposing; ``_future`` buffers
-        # decisions of its own instances that ran ahead of the frontier.
+        # peer-verified slots instead of proposing; ``_catchup`` is the one
+        # book of peers' ``(shard, slot, batch)`` claims, whichever message
+        # carried them; ``_future`` buffers decisions of its own instances
+        # that ran ahead of the frontier.
         self._recovering = False
-        self._catchup: CatchUpTracker | None = None
+        self._catchup = CatchUpTracker(config.t + 1)
         self._future: dict[tuple[int, int], tuple[Any, Any]] = {}
         # rejoin-race plumbing: peers with an outstanding catch-up request
-        # (served again as new slots settle), the one-shot book of
-        # ``SlotDecided`` notices already sent per (peer, shard, slot), and
-        # the ``t + 1`` identical-batch vote count over received notices.
+        # (served again as new slots settle) and the one-shot book of
+        # ``SlotDecided`` notices already sent per (peer, shard, slot).
         self._rejoining: set[ProcessId] = set()
         self._decided_served: set[tuple[ProcessId, int, int]] = set()
-        self._slot_votes: dict[tuple[int, int], dict[tuple, set[ProcessId]]] = {}
 
     # -- slot lifecycle --------------------------------------------------------------
 
@@ -287,7 +259,7 @@ class ShardNode(CompositeProtocol):
         effects: list[Effect] = [
             self.log("shard.open", shard=shard, slot=slot, size=len(batch))
         ]
-        effects.extend(self.child_call("mux", self._mux.propose(shard, slot, batch)))
+        effects.extend(self.propose(shard, slot, batch))
         return effects
 
     def _maybe_finish(self) -> list[Effect]:
@@ -327,10 +299,9 @@ class ShardNode(CompositeProtocol):
             effects.extend(self._open(shard))
         return effects
 
-    def on_child_output(self, name: str, effect: Effect) -> list[Effect]:
-        if not (isinstance(effect, Deliver) and effect.tag == INSTANCE_DECIDED_TAG):
-            return []
-        shard, slot, batch, kind = effect.value
+    def on_instance_decided(
+        self, shard: int, slot: int, batch: Any, kind: DecisionKind
+    ) -> list[Effect]:
         if slot != self._slot[shard]:
             if slot > self._slot[shard]:
                 # An own-instance decision ahead of the frontier.  With
@@ -351,7 +322,8 @@ class ShardNode(CompositeProtocol):
                     effects.extend(self._enter_catchup())
                 return effects
             return [self.log("shard.stale-decision", shard=shard, slot=slot)]
-        return self._commit(shard, slot, batch, kind, effect)
+        (upcall,) = super().on_instance_decided(shard, slot, batch, kind)
+        return self._commit(shard, slot, batch, kind, upcall)
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
         """Node-level routing, plus the stale-proposal rejoin trigger.
@@ -371,17 +343,15 @@ class ShardNode(CompositeProtocol):
         or past our frontier marks the sender caught up.
         """
         if self.durability is not None and isinstance(payload, Envelope):
-            inner = payload.payload if payload.component == "mux" else None
-            if isinstance(inner, Envelope):
-                key = parse_instance(inner.component)
-                if key is not None and 0 <= key[0] < self.shards:
-                    shard, slot = key
-                    if slot >= self._slot[shard]:
-                        self._rejoining.discard(sender)
-                    elif not isinstance(inner.payload, Envelope):
-                        effects = self._offer_decided(sender, shard, slot)
-                        effects.extend(super().on_message(sender, payload))
-                        return effects
+            key = parse_instance(payload.component)
+            if key is not None and 0 <= key[0] < self.shards:
+                shard, slot = key
+                if slot >= self._slot[shard]:
+                    self._rejoining.discard(sender)
+                elif not isinstance(payload.payload, Envelope):
+                    effects = self._offer_decided(sender, shard, slot)
+                    effects.extend(super().on_message(sender, payload))
+                    return effects
         return super().on_message(sender, payload)
 
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
@@ -406,13 +376,10 @@ class ShardNode(CompositeProtocol):
         lingering as pending re-proposals.
         """
         safe_batch = batch if isinstance(batch, tuple) else ()
-        self._slot_votes.pop((shard, slot), None)
+        self._catchup.forget(shard, slot)
         if self.durability is not None:
             self.durability.commit(shard, slot, safe_batch, kind_label)
-        pending = self._arrivals[shard]
-        while pending and pending[0][0] <= slot:
-            _, command = pending.pop(0)
-            self._batchers[shard].submit(command, slot)
+        self._inject(shard)  # ``slot`` is the frontier: the shard's current slot
         self._apply(shard, safe_batch)
         self.applied[shard].append(safe_batch)
         self._batchers[shard].acknowledge(safe_batch, now=slot + 1)
@@ -441,23 +408,27 @@ class ShardNode(CompositeProtocol):
             )
         )
         effects.extend(self._notify_rejoining(shard, slot))
-        effects.extend(self._drain_future(shard))
+        effects.extend(self._advance(shard))
         if not self._recovering:
             effects.extend(self._open(shard))
         return effects
 
-    def _drain_future(self, shard: int) -> list[Effect]:
-        """Settle buffered ahead-of-frontier decisions that the advancing
-        frontier has reached (logged as recovery slots — this node never
-        opened them after its restart)."""
+    def _advance(self, shard: int) -> list[Effect]:
+        """Settle every frontier slot that needs no consensus round of this
+        node's: its own instance's decision buffered in ``_future`` (it ran
+        ahead of the frontier), else the batch ``t + 1`` peers vouch for.
+        Logged as recovery slots — this node never opened them."""
         effects: list[Effect] = []
         while True:
-            entry = self._future.pop((shard, self._slot[shard]), None)
-            if entry is None:
-                return effects
-            batch, kind = entry
             slot = self._slot[shard]
-            safe_batch = self._settle(shard, slot, batch, kind.value)
+            buffered = self._future.pop((shard, slot), None)
+            if buffered is not None:
+                batch, label = buffered[0], buffered[1].value
+            else:
+                batch, label = self._catchup.verified(shard, slot), "catchup"
+                if batch is None:
+                    return effects
+            safe_batch = self._settle(shard, slot, batch, label)
             effects.append(
                 self.log("recovery.slot", shard=shard, slot=slot, size=len(safe_batch))
             )
@@ -504,8 +475,6 @@ class ShardNode(CompositeProtocol):
         """Start (or restart) a catch-up round: broadcast our frontier and
         stop proposing until peers confirm nothing decided past it."""
         self._recovering = True
-        if self._catchup is None:
-            self._catchup = CatchUpTracker(self.config.t + 1)
         round_no = self._catchup.new_round()
         frontier = tuple((s, self._slot[s]) for s in range(self.shards))
         request = CatchUpRequest(round_no, frontier)
@@ -557,29 +526,13 @@ class ShardNode(CompositeProtocol):
     def _absorb_catchup(self, sender: ProcessId, reply: CatchUpReply) -> list[Effect]:
         """Fold one catch-up reply in; adopt every slot ``t + 1`` distinct
         peers vouch for, finish once a quorum confirms our frontier."""
-        if not self._recovering or self._catchup is None:
+        if not self._recovering:
             return []
-        if not self._catchup.absorb(sender, reply):
+        if not self._catchup.absorb(sender, reply, self._slot):
             return []
         effects: list[Effect] = []
-        progressed = True
-        while progressed:
-            progressed = False
-            for shard in range(self.shards):
-                key = (shard, self._slot[shard])
-                buffered = self._future.pop(key, None)
-                if buffered is not None:
-                    batch, kind = buffered
-                    safe = self._settle(shard, key[1], batch, kind.value)
-                else:
-                    batch = self._catchup.verified(shard, key[1])
-                    if batch is None:
-                        continue
-                    safe = self._settle(shard, key[1], batch, "catchup")
-                effects.append(
-                    self.log("recovery.slot", shard=shard, slot=key[1], size=len(safe))
-                )
-                progressed = True
+        for shard in range(self.shards):
+            effects.extend(self._advance(shard))
         threshold = self.config.t + 1
         if self._catchup.replies >= threshold and self._catchup.frontier_reached(
             self._slot
@@ -598,7 +551,7 @@ class ShardNode(CompositeProtocol):
             self.log(
                 "recovery.caught_up",
                 slots=dict(self._slot),
-                rounds=self._catchup.round if self._catchup else 0,
+                rounds=self._catchup.round,
             )
         ]
         for shard in range(self.shards):
@@ -636,48 +589,18 @@ class ShardNode(CompositeProtocol):
         return effects
 
     def _absorb_decided(self, sender: ProcessId, notice: SlotDecided) -> list[Effect]:
-        """Count one unsolicited decided-slot notice; adopt at ``t + 1``.
+        """Book one unsolicited decided-slot notice; adopt at ``t + 1``.
 
-        Validation mirrors :meth:`CatchUpTracker.absorb` — the notice may
-        be Byzantine, so shard and slot numbers are range-checked and a
-        single sender can never carry a batch over the threshold.  Only
-        frontier slots settle; votes for slots further ahead wait until
-        the frontier reaches them.
+        The notice may be Byzantine: :meth:`CatchUpTracker.vote` validates
+        it like any other claim, and a single sender can never carry a
+        batch over the threshold.  Only frontier slots settle; votes for
+        slots further ahead wait until the frontier reaches them.
         """
-        shard, slot, batch = notice.shard, notice.slot, notice.batch
-        if not (
-            isinstance(shard, int)
-            and isinstance(slot, int)
-            and 0 <= shard < self.shards
-            and 0 <= slot < MAX_CATCHUP_SLOT
-            and isinstance(batch, tuple)
-        ):
+        shard = notice.shard
+        if not self._catchup.vote(sender, shard, notice.slot, notice.batch, self._slot):
             return []
-        if slot < self._slot[shard]:
-            return []  # old news: already settled here
-        voters = self._slot_votes.setdefault((shard, slot), {}).setdefault(
-            batch, set()
-        )
-        voters.add(sender)
-        threshold = self.config.t + 1
-        effects: list[Effect] = []
-        while True:
-            frontier = (shard, self._slot[shard])
-            adopted = None
-            for candidate, votes in self._slot_votes.get(frontier, {}).items():
-                if len(votes) >= threshold:
-                    adopted = candidate
-                    break
-            if adopted is None:
-                break
-            safe = self._settle(shard, frontier[1], adopted, "catchup")
-            effects.append(
-                self.log(
-                    "recovery.slot", shard=shard, slot=frontier[1], size=len(safe)
-                )
-            )
+        effects = self._advance(shard)
         if effects and not self._recovering:
-            effects.extend(self._drain_future(shard))
             effects.extend(self._open(shard))
         return effects
 

@@ -558,6 +558,44 @@ class TestCatchUpTracker:
         tracker.new_round()
         assert tracker.frontier_reached({0: 0})
 
+    def test_a_peers_first_claim_for_a_slot_is_the_one_that_counts(self):
+        tracker = CatchUpTracker(2)
+        honest = (("set", "a", 1),)
+        for i in range(1_000):  # one Byzantine peer, a thousand stories
+            assert tracker.vote(3, 0, 2, (("set", "a", -i),))
+        assert len(tracker._votes[(0, 2)]) == 1  # one entry per (peer, slot)
+        assert tracker.verified(0, 2) is None
+        tracker.vote(3, 0, 2, honest)  # changing its mind changes nothing
+        tracker.vote(1, 0, 2, honest)
+        assert tracker.verified(0, 2) is None
+        tracker.vote(2, 0, 2, honest)
+        assert tracker.verified(0, 2) == honest  # two honest peers carry it
+
+    def test_reply_entries_and_direct_votes_share_the_book(self):
+        tracker = CatchUpTracker(2)
+        tracker.new_round()
+        batch = (("set", "a", 1),)
+        tracker.absorb(1, _reply(1, [(0, 0, batch)]))
+        assert tracker.vote(2, 0, 0, batch)
+        assert tracker.verified(0, 0) == batch
+
+    def test_forget_drops_a_settled_slots_claims(self):
+        tracker = CatchUpTracker(1)
+        tracker.vote(1, 0, 0, ())
+        tracker.vote(1, 0, 1, ())
+        tracker.forget(0, 0)
+        assert list(tracker._votes) == [(0, 1)]
+        assert tracker.verified(0, 0) is None
+
+    def test_claims_off_the_callers_frontier_book_nothing(self):
+        tracker = CatchUpTracker(1)
+        tracker.new_round()
+        slots = {0: 3, 1: 0}
+        assert not tracker.vote(1, 0, 2, (), slots)  # below the frontier
+        assert not tracker.vote(1, 2, 0, (), slots)  # not one of our shards
+        tracker.absorb(1, _reply(1, [(0, 2, ()), (7, 0, ()), (0, 3, ())]), slots)
+        assert list(tracker._votes) == [(0, 3)]
+
 
 # -- the rejoin liveness race ----------------------------------------------------------
 
@@ -580,7 +618,7 @@ def _shard_node(tmp_path, pid, name="race", arrivals=()):
 def _instance_envelope(slot, payload="stale-probe"):
     from repro.runtime.effects import Envelope
 
-    return Envelope("mux", Envelope(f"s0.{slot}", payload))
+    return Envelope(f"s0.{slot}", payload)
 
 
 class TestRejoinRace:
@@ -666,7 +704,40 @@ class TestRejoinRace:
             SlotDecided(0, 0, "not-a-tuple"),    # batch not a tuple
         ]:
             assert node.on_own_message(1, bad) == []
-        assert node._slot[0] == 0 and not node._slot_votes
+        assert node._slot[0] == 0 and not node._catchup._votes
+
+    def test_reply_and_notice_vouchers_pool(self, tmp_path):
+        """One peer vouches in a catch-up reply, another in a notice: that
+        is ``t + 1`` distinct peers behind the identical batch."""
+        from repro.durable import SlotDecided
+
+        node = _shard_node(tmp_path, 0)
+        node._enter_catchup()  # round 1, recovering
+        node.on_own_message(1, CatchUpReply(1, ((0, 0, self.BATCH),), ((0, 1),)))
+        assert node._slot[0] == 0  # one voucher is not enough (t=1)
+        node.on_own_message(2, SlotDecided(0, 0, self.BATCH))
+        assert node._slot[0] == 1 and node.applied[0] == [self.BATCH]
+        assert not node._catchup._votes  # settled: its votes are gone
+
+    def test_one_peer_cannot_grow_the_book_or_outvote_two(self, tmp_path):
+        from repro.durable import SlotDecided
+
+        node = _shard_node(tmp_path, 0)
+        for i in range(1_000):  # slot 2 is ahead of the frontier: votes wait
+            node.on_own_message(3, SlotDecided(0, 2, (("set", "a", -i),)))
+        assert {k: len(v) for k, v in node._catchup._votes.items()} == {(0, 2): 1}
+        for slot in (0, 1, 2):
+            for peer in (1, 2):
+                node.on_own_message(peer, SlotDecided(0, slot, self.BATCH))
+        assert node.applied[0] == [self.BATCH] * 3  # the honest pair's batch
+        assert not node._catchup._votes
+
+    def test_notice_below_the_frontier_books_nothing(self, tmp_path):
+        from repro.durable import SlotDecided
+
+        peer = self._settled_peer(tmp_path, 1)
+        assert peer.on_own_message(2, SlotDecided(0, 0, self.BATCH)) == []
+        assert not peer._catchup._votes
 
     # -- the trigger is gated on evidence: only a top-level proposal re-serves ----------
 
@@ -690,7 +761,7 @@ class TestRejoinRace:
         init = peer.on_message(0, _instance_envelope(0, Envelope("idb", IdbInit(self.BATCH))))
         assert not self._offers(init)
         # routed: the instance's IDB answered the init with its echo
-        echoes = [e.payload.payload.payload.payload for e in init if isinstance(e, Broadcast)]
+        echoes = [e.payload.payload.payload for e in init if isinstance(e, Broadcast)]
         assert echoes == [IdbEcho(self.BATCH, 0)]
         for stale in (
             Envelope("idb", IdbEcho(self.BATCH, 2)),
@@ -876,7 +947,7 @@ class TestSimRecovery:
             elif name == "recovery.re_served":
                 re_served += 1
             elif isinstance(event, DeliverEvent) and event.sender != event.pid:
-                inner = getattr(event.payload, "payload", None)
+                inner = event.payload
                 if isinstance(inner, Envelope) and isinstance(inner.payload, DexProposal):
                     late += (event.pid, *parse_instance(inner.component)) in settled
         assert re_served == late == 455

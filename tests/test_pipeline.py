@@ -1,16 +1,14 @@
-"""Tests for pipelined repeated consensus (slot multiplexer + replica)."""
+"""Tests for pipelined repeated consensus (the one-shard multiplexer replica)."""
 
 import pytest
 
 from repro.apps.pipeline import (
     SLOT_DECIDED_TAG,
     PipelinedReplica,
-    SlotMultiplexer,
-    dex_slot_factory,
     run_pipelined,
 )
 from repro.errors import ConfigurationError
-from repro.runtime.composite import Envelope
+from repro.shard import dex_shard_factory
 from repro.types import DecisionKind, SystemConfig
 
 
@@ -18,61 +16,21 @@ def unanimous_table(n, slots, prefix="c"):
     return {pid: [f"{prefix}{s}" for s in range(slots)] for pid in range(n)}
 
 
-class TestSlotMultiplexer:
-    def make(self, pid=0, n=7, t=1):
-        config = SystemConfig(n, t)
-        return SlotMultiplexer(pid, config, dex_slot_factory(pid, config))
-
-    def test_propose_creates_child(self):
-        mux = self.make()
-        effects = mux.propose(0, "v")
-        assert effects  # the DEX broadcast + IDB init
-        assert "slot0" in mux._children
-
-    def test_propose_idempotent(self):
-        mux = self.make()
-        mux.propose(0, "v")
-        assert mux.propose(0, "w") == []
-
-    def test_remote_message_creates_child_lazily(self):
-        from repro.core.dex import DexProposal
-
-        mux = self.make()
-        assert "slot3" not in mux._children
-        mux.on_message(1, Envelope("slot3", DexProposal("x")))
-        assert "slot3" in mux._children
-        # created but not started: the instance has not proposed
-        assert not mux.child("slot3").has_proposed_to_uc
-
-    def test_slot_number_inflation_guarded(self):
-        from repro.core.dex import DexProposal
-
-        mux = self.make()
-        mux.on_message(1, Envelope("slot99999999", DexProposal("x")))
-        assert "slot99999999" not in mux._children
-
-    def test_malformed_component_names_ignored(self):
-        mux = self.make()
-        mux.on_message(1, Envelope("slotx", "garbage"))
-        mux.on_message(1, Envelope("other", "garbage"))
-        assert set(mux._children) == set()
-
-
 class TestPipelinedReplica:
     def test_window_validation(self):
         config = SystemConfig(7, 1)
         with pytest.raises(ConfigurationError):
-            PipelinedReplica(0, config, ["a"], dex_slot_factory(0, config), window=0)
+            PipelinedReplica(0, config, ["a"], dex_shard_factory(0, config), window=0)
 
     def test_requires_proposals(self):
         config = SystemConfig(7, 1)
         with pytest.raises(ConfigurationError):
-            PipelinedReplica(0, config, [], dex_slot_factory(0, config))
+            PipelinedReplica(0, config, [], dex_shard_factory(0, config))
 
     def test_start_opens_window(self):
         config = SystemConfig(7, 1)
         replica = PipelinedReplica(
-            0, config, ["a", "b", "c", "d"], dex_slot_factory(0, config), window=2
+            0, config, ["a", "b", "c", "d"], dex_shard_factory(0, config), window=2
         )
         replica.on_start()
         assert replica._next_slot == 2  # only the window is in flight
@@ -164,7 +122,7 @@ class TestPipelineOnAsyncio:
     runtime (same protocols, real event loop)."""
 
     def test_pipelined_log_on_event_loop(self):
-        from repro.apps.pipeline import PipelinedReplica, dex_slot_factory
+        from repro.apps.pipeline import PipelinedReplica
         from repro.runtime.asyncio_runner import AsyncioRunner
         from repro.types import SystemConfig
         from repro.underlying.oracle import OracleService
@@ -176,7 +134,7 @@ class TestPipelineOnAsyncio:
             table[pid][2] = "rival"  # exercise the UC path mid-log
         protocols = {
             pid: PipelinedReplica(
-                pid, config, table[pid], dex_slot_factory(pid, config), window=3
+                pid, config, table[pid], dex_shard_factory(pid, config), window=3
             )
             for pid in config.processes
         }

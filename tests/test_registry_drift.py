@@ -6,8 +6,7 @@ every tag's class identity, field order, and blob markings — as a plain
 data table.  The two fail differently: a golden-frame mismatch says
 "these bytes changed", this table says exactly *which* tag moved, which
 field was renamed or reordered, which blob marking was dropped.  Either
-way, schema drift fails tier-1 (``pytest -x -q``) — there is no separate
-codec job to forget.
+way, schema drift fails tier-1 (``pytest -x -q``), the CI ``tests`` job.
 
 On an intentional, append-only schema change: add the new tag rows here,
 add canonical instances to ``golden_messages()`` in ``test_codec.py``,

@@ -356,6 +356,72 @@ class TestShardMultiplexer:
         assert mux.decided[(0, 0)] == (("batch",), DecisionKind.ONE_STEP)
 
 
+class TestFlatWireShape:
+    """A :class:`ShardNode` *is* the multiplexer: an instance message is
+    one envelope deep at the top of the wire, nothing wraps it."""
+
+    CONFIG = SystemConfig(7, 1)
+    SHARDS = 3
+
+    def _node(self):
+        from repro.shard import ShardNode, dex_shard_factory
+
+        return ShardNode(
+            0,
+            self.CONFIG,
+            self.SHARDS,
+            shard_workload(24, seed=2),
+            dex_shard_factory(0, self.CONFIG),
+        )
+
+    def test_first_broadcast_per_shard_is_a_top_level_instance_envelope(self):
+        from repro.codec.binary import _COMPONENT_INSTANCE, TAG_ENVELOPE
+        from repro.core.dex import DexProposal
+
+        node = self._node()
+        assert isinstance(node, ShardMultiplexer)
+        first = {}
+        for effect in node.on_start():
+            if isinstance(effect, Broadcast):
+                first.setdefault(parse_instance(effect.payload.component), effect.payload)
+        assert sorted(first) == [(k, 0) for k in range(self.SHARDS)]
+        for (k, _), payload in first.items():
+            assert payload.component == instance_name(k, 0)
+            assert isinstance(payload.payload, DexProposal)  # no outer envelope
+            assert instance_name(k, 0) in node._children  # the node hosts it itself
+            span = encode(payload)
+            # the shard is the first component of the span, two bytes in
+            assert span[:3] == bytes([TAG_ENVELOPE, _COMPONENT_INSTANCE, k])
+            assert peek_shard(span, self.SHARDS) == k
+            assert shard_of_payload(Opaque(span), self.SHARDS) == k
+
+    def test_oracle_call_reply_path_is_instance_then_uc(self):
+        from repro.broadcast.idb import IdbEcho
+        from repro.runtime.effects import ServiceCall
+
+        node = self._node()
+        node.on_start()
+        name = instance_name(1, 0)
+        calls = []
+        for origin in range(self.CONFIG.quorum):  # n - t identical deliveries
+            for sender in self.CONFIG.processes:
+                echo = Envelope(name, Envelope("idb", IdbEcho(("b", origin % 2), origin)))
+                calls += [
+                    e for e in node.on_message(sender, echo) if isinstance(e, ServiceCall)
+                ]
+        (call,) = calls  # the instance activated its underlying consensus once
+        assert call.reply_path == (name, "uc")
+
+    def test_foreign_table_components_are_still_stepped_over(self):
+        # "mux" stays in the append-only component table (its interned index
+        # is on the wire of every pre-flattening frame): a chain led by it
+        # still attributes to the instance behind it.
+        assert COMPONENT_TABLE[0] == "mux"
+        legacy = Envelope("mux", Envelope(instance_name(2, 7), ("m",)))
+        assert shard_of_payload(legacy, self.SHARDS) == 2
+        assert peek_shard(encode(legacy), self.SHARDS) == 2
+
+
 class TestShardWorkload:
     def test_same_seed_same_stream(self):
         assert shard_workload(40, seed=9) == shard_workload(40, seed=9)
