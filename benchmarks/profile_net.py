@@ -3,10 +3,12 @@
     python3 benchmarks/profile_net.py --role node --label after
     python3 benchmarks/profile_net.py --role node --label before --src /path/to/parent/src
     python3 benchmarks/profile_net.py --role node --workload pipeline_star --sample --label after
+    python3 benchmarks/profile_net.py --role hub0 --workload pipeline_star --sample --label after
+    python3 benchmarks/profile_net.py --role node --workload pipeline_star --replay
 
 writes ``benchmarks/results/{role}_profile_{workload}_{label}.txt``.  The
 trial is the benchmark's own (``benchmarks/e2e/workloads.run_trial``, seed
-11, 640 commands); ``--src`` points at the ``src/`` of the checkout to
+11, 640 commands unless ``--commands`` says otherwise); ``--src`` points at the ``src/`` of the checkout to
 profile, so a ``git clone`` of the parent commit gives the *before* file.
 ``hub0`` profiles the bench process (the hub loop runs in it); ``node``
 profiles replica 3 inside its forked worker (``--sample``: all seven,
@@ -14,8 +16,21 @@ merged — a replica burns only ~0.3 CPU-seconds on this trial).
 
 ``--workload``: ``floor_star`` (the default) runs no durable, rejoin or
 frontend code, so a cost that lives there is invisible on it —
-``pipeline_star`` is the whole path.  Its hub loop runs in the frontend's
-server thread, which neither profiler follows: ``--role node`` only.
+``pipeline_star`` is the whole path.  The benchmark runs its hub loop in the
+frontend's server thread, which neither profiler follows, so ``--role hub0``
+swaps the two threads of the trial: the frontend session (and the hub loop
+under it) is served in the main thread, the client runs in a helper thread
+with ``SIGPROF`` blocked.
+
+``--replay`` (``--role node``, no profiler, no ``--label``) measures what a
+profile cannot resolve: a replica is a deterministic function of the bytes
+it receives, so its CPU cost can be re-run offline.  Replica 3's worker forks
+a pristine copy of itself before its ``Hello`` and records every ``recv``;
+when the live run ends, the copy forks ``REPLAYS`` times and each fork feeds
+the recorded chunks through ``FrameDecoder`` → ``NodeWorker._dispatch`` with a
+discarding socket and a fresh WAL directory.  It prints the best fork's CPU
+milliseconds and the messages the replay sent, and exits non-zero unless that
+count equals the live replica's — the determinism the comparison rests on.
 
 Two profilers.  The default, cProfile, counts calls but charges each one
 its tracing overhead, so call-heavy Python (the codec's recursion) reads
@@ -31,7 +46,9 @@ from __future__ import annotations
 import argparse
 import collections
 import cProfile
+import dataclasses
 import io
+import json
 import os
 import pathlib
 import pickle
@@ -40,11 +57,17 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 HERE = pathlib.Path(__file__).resolve().parent
 SEED, COMMANDS, NODE_PID = 11, 640, 3
 #: CPU seconds between two samples ``--sample`` asks for.
 SAMPLE_EVERY = 0.001
+#: forks of the pristine replica ``--replay`` runs; the cheapest is reported.
+REPLAYS = 5
+#: seconds the bench process waits for the replay forks after the trial.
+REPLAY_TIMEOUT = 120.0
 
 
 class Sampler:
@@ -121,20 +144,228 @@ def _report(stats_paths: list[str], header: str) -> str:
     )
 
 
+class _Recorded:
+    """A worker's hub socket that keeps every chunk ``recv`` returned, and
+    which ``sendall`` (counted from 1) failed, if one did: a replica that
+    loses its hub mid-handler stops there, and so must its replay."""
+
+    def __init__(self, sock, chunks: list[bytes]) -> None:
+        self._sock, self._chunks = sock, chunks
+        self.writes = 0
+        self.failed_write: int | None = None
+
+    def recv(self, size: int) -> bytes:
+        data = self._sock.recv(size)
+        self._chunks.append(data)
+        return data
+
+    def sendall(self, data) -> None:
+        self.writes += 1
+        try:
+            self._sock.sendall(data)
+        except OSError:
+            self.failed_write = self.writes
+            raise
+
+    def __getattr__(self, name: str):
+        return getattr(self._sock, name)
+
+
+class _Discard:
+    """The replay's hub socket: whatever the replica says goes nowhere, and
+    the write that failed in the live run fails here."""
+
+    def __init__(self, failed_write: int | None) -> None:
+        self._writes, self._failed_write = 0, failed_write
+
+    def sendall(self, data) -> None:
+        self._writes += 1
+        if self._writes == self._failed_write:
+            raise OSError("the live replica's hub was gone at this write")
+
+
+def _replay_once(
+    worker, chunks: list[bytes], failed_write: int | None, wal_root: str
+) -> tuple[float, int]:
+    """Drive a pristine ``worker`` with the recorded inbound chunks; CPU
+    seconds of decode + handlers + encode + WAL, and messages sent."""
+    from repro.net.wire import FrameDecoder
+
+    worker.socks = [_Discard(failed_write)]
+    durability = getattr(worker.protocol, "durability", None)
+    if durability is not None:  # the live replica owns the inherited WAL
+        config = dataclasses.replace(durability.config, root=wal_root)
+        worker.protocol.durability = config.node(worker.pid)
+    worker._hello_sent, worker._sent = True, 0
+    decoder = FrameDecoder(worker.max_frame)
+    started = time.process_time()
+    try:
+        for chunk in chunks:
+            for msg in decoder.feed(chunk):
+                worker._dispatch(msg)
+    except OSError:
+        pass  # the recorded failed write: the live replica exited here too
+    return time.process_time() - started, worker._sent
+
+
+def _replay_forks(worker, capture_path: str, result_path: str, live_sent: int) -> None:
+    """The pristine copy's whole life: fork ``REPLAYS`` replays one after
+    another, report the cheapest next to the live replica's count."""
+    with open(capture_path, "rb") as fh:
+        chunks, failed_write = pickle.load(fh)
+    runs: list[tuple[float, int]] = []
+    for attempt in range(REPLAYS):
+        read_fd, write_fd = os.pipe()
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                cpu, sent = _replay_once(
+                    worker, chunks, failed_write, f"{capture_path}.wal{attempt}"
+                )
+                os.write(write_fd, json.dumps([cpu, sent]).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as fh:
+            reported = fh.read()
+        os.waitpid(child, 0)
+        if reported:
+            runs.append(tuple(json.loads(reported)))
+    frames = sum(len(chunk) for chunk in chunks)
+    with open(f"{result_path}.tmp", "w") as fh:
+        json.dump({"live_sent": live_sent, "runs": runs, "inbound_bytes": frames}, fh)
+    os.replace(f"{result_path}.tmp", result_path)  # the bench process polls for it
+
+
+def _install_replay(NodeWorker, tmp: str) -> str:
+    """Wrap ``NodeWorker.run`` (forked workers inherit it) so replica
+    ``NODE_PID`` leaves a pristine copy behind and records its inbound
+    stream; returns the path the copy writes its result to."""
+    worker_run = NodeWorker.run
+    capture_path = os.path.join(tmp, "inbound.pickle")
+    result_path = os.path.join(tmp, "replay.json")
+
+    def recording_run(self, recv_timeout: float = 60.0) -> int:
+        if self.pid != NODE_PID:
+            return worker_run(self, recv_timeout)
+        read_fd, write_fd = os.pipe()
+        if os.fork() == 0:
+            try:
+                os.close(write_fd)
+                for sock in self.socks:
+                    sock.close()  # or the hub never sees the live replica's EOF
+                with os.fdopen(read_fd, "rb") as fh:
+                    live_sent = fh.read()  # returns when the live replica is done
+                if live_sent:
+                    _replay_forks(self, capture_path, result_path, int(live_sent))
+            finally:
+                os._exit(0)
+        os.close(read_fd)
+        chunks: list[bytes] = []
+        (hub,) = self.socks = [_Recorded(sock, chunks) for sock in self.socks]
+        try:
+            return worker_run(self, recv_timeout)
+        finally:
+            failed_write = hub.failed_write and hub.failed_write - 1  # less the Hello
+            with open(capture_path, "wb") as fh:
+                pickle.dump((chunks, failed_write), fh)
+            os.write(write_fd, str(self._sent).encode())
+            os.close(write_fd)
+
+    NodeWorker.run = recording_run
+    return result_path
+
+
+def _await_replay(result_path: str) -> str:
+    """The replay's one-line verdict; exits non-zero when the replay did
+    not send what the live replica sent."""
+    deadline = time.monotonic() + REPLAY_TIMEOUT
+    while not os.path.exists(result_path):
+        if time.monotonic() > deadline:
+            sys.exit(f"no replay result after {REPLAY_TIMEOUT:g} s")
+        time.sleep(0.1)
+    with open(result_path) as fh:
+        result = json.load(fh)
+    runs, live_sent = result["runs"], result["live_sent"]
+    if len(runs) < REPLAYS:
+        sys.exit(f"only {len(runs)} of {REPLAYS} replay forks reported")
+    best = min(cpu for cpu, _ in runs)
+    sent = {count for _, count in runs}
+    line = (
+        f"replay of replica {NODE_PID}: best of {REPLAYS} forks {best * 1e3:.1f} ms CPU "
+        f"(all: {' '.join(f'{cpu * 1e3:.1f}' for cpu, _ in runs)}), "
+        f"{result['inbound_bytes']} bytes in, {sorted(sent)} messages sent, "
+        f"live replica sent {live_sent}"
+    )
+    if sent != {live_sent}:
+        sys.exit(line + "\nthe replay is not the live replica: counts differ")
+    return line
+
+
+def _serve_in_main_thread(workloads) -> None:
+    """Swap the two threads of a ``pipeline`` trial.  ``run_trial`` starts
+    the frontend session (and with it the hub loop) on a helper thread and
+    runs the client in the main one — where the profilers look.  Here the
+    "thread" it starts only remembers the session, and the client's
+    ``submit_all`` moves itself to a real helper thread, ``SIGPROF``
+    blocked, then serves the remembered session in the caller's thread."""
+    sessions: list = []
+    socket_client = workloads.SocketClient
+
+    class Deferred:
+        def __init__(self, target, daemon=None) -> None:
+            self._target = target
+
+        def start(self) -> None:
+            sessions.append(self._target)
+
+        def join(self, timeout=None) -> None:
+            pass
+
+    class ThreadedClient(socket_client):
+        def submit_all(self, commands):
+            outcomes: list = []
+
+            def client() -> None:
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGPROF})
+                outcomes.append(socket_client.submit_all(self, commands))
+
+            helper = threading.Thread(target=client, daemon=True)
+            helper.start()
+            sessions.pop()()
+            helper.join(workloads.SESSION_TIMEOUT)
+            return outcomes[0] if outcomes else None
+
+    workloads.threading = type("threading", (), {"Thread": Deferred})
+    workloads.SocketClient = ThreadedClient
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--role", choices=("hub0", "node"), required=True)
-    parser.add_argument("--label", choices=("before", "after"), required=True)
+    parser.add_argument("--label", choices=("before", "after"))
     parser.add_argument(
         "--workload", choices=("floor_star", "pipeline_star"), default="floor_star"
     )
     parser.add_argument(
         "--sample", action="store_true", help="ITIMER_PROF stack samples, not cProfile"
     )
+    parser.add_argument(
+        "--replay",
+        action="store_true",
+        help="no profile: re-run replica 3 offline on its recorded inbound bytes",
+    )
+    parser.add_argument(
+        "--commands", type=int, default=COMMANDS, help="trial size (more commands, more samples)"
+    )
     parser.add_argument("--src", default=str(HERE.parent / "src"))
     args = parser.parse_args()
-    if args.role == "hub0" and args.workload != "floor_star":
-        parser.error("hub 0 of pipeline_star runs in the frontend's server thread; use --role node")
+    if args.replay and (args.role != "node" or args.sample or args.label):
+        parser.error("--replay goes with --role node alone")
+    if not args.replay and args.label is None:
+        parser.error("--label is required for a profile")
     src = os.path.abspath(args.src)
     sys.path[:0] = [src, str(HERE / "e2e")]
 
@@ -149,7 +380,17 @@ def main() -> None:
     commit = git("rev-parse", "--short", "HEAD")
     if git("status", "--porcelain", "--", "."):
         commit += " + uncommitted changes"
+    workload = workloads.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory(prefix="profile-net-") as tmp:
+        trial_root = os.path.join(tmp, "trial")
+        if args.replay:
+            result_path = _install_replay(NodeWorker, tmp)
+            trial = workloads.run_trial(workload, SEED, args.commands, trial_root)
+            if trial.problems or trial.digest is None:
+                sys.exit(f"the recorded trial failed: {trial.problems}")
+            print(f"{args.workload}, seed {SEED}, {args.commands} commands, checkout {commit}")
+            print(_await_replay(result_path))
+            return
         stats_path = os.path.join(tmp, "profile.pstats")
         profile = Sampler() if args.sample else cProfile.Profile()
         if args.role == "node":
@@ -167,13 +408,15 @@ def main() -> None:
                     profile.dump_stats(f"{stats_path}.{self.pid}")
 
             NodeWorker.run = profiled_run
-        workload = workloads.WORKLOADS[args.workload]
-        trial_root = os.path.join(tmp, "trial")
         if args.role == "hub0":
-            trial = profile.runcall(workloads.run_trial, workload, SEED, COMMANDS, trial_root)
+            if workload.kind == "pipeline":
+                _serve_in_main_thread(workloads)
+            trial = profile.runcall(
+                workloads.run_trial, workload, SEED, args.commands, trial_root
+            )
             profile.dump_stats(f"{stats_path}.hub0")
         else:
-            trial = workloads.run_trial(workload, SEED, COMMANDS, trial_root)
+            trial = workloads.run_trial(workload, SEED, args.commands, trial_root)
         if trial.problems or trial.digest is None:
             sys.exit(f"the profiled trial failed: {trial.problems}")
         stats = trial.result.stats
@@ -187,7 +430,7 @@ def main() -> None:
         if args.sample:
             how = f"sampled (ITIMER_PROF, {SAMPLE_EVERY * 1e3:g} ms)"
         header = (
-            f"{who} {how}: {args.workload}, seed {SEED}, {COMMANDS} commands, "
+            f"{who} {how}: {args.workload}, seed {SEED}, {args.commands} commands, "
             f"{stats.messages_sent} routed messages, {trial.result.hub_frames} frames to "
             f"nodes, {getattr(trial.result, 'hub_frames_in', 'n/a')} frames from nodes, "
             f"checkout {commit} ({args.label})"

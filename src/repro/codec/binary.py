@@ -27,19 +27,43 @@ Three properties the pickle codec cannot offer:
 Integers use zigzag varints; ``None``/``True``/``False`` and the
 :data:`repro.types.BOTTOM` sentinel are single bytes; envelope components
 pack via the component table / instance grammar of the schema module.
+
+How it runs.  Nothing here interprets a value by walking a chain of ``if``s:
+encoding dispatches on ``type(obj)`` through one dict, decoding on the tag
+byte through one tuple, and every registered record gets its own encoder and
+decoder, *compiled* from its schema entry the first time the record is met
+(never at import): header bytes precomputed, all fields fetched by one
+``operator.attrgetter``, blob framing and declared field layouts
+(:data:`DELIVERY_ENTRIES`) fixed per field.  The item loops
+(:func:`_encode_items`, :func:`_decode_items`) settle the values that open
+with a one-byte varint — small integers, short strings and tuples, blob
+spans already memoised — inline; everything else goes through the tables,
+so the answer is always the tables' answer.  The interpreter this
+replaced lives on as ``tests/codec_reference.py``, the specification the
+compiled codec is property-tested against, byte for byte.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable
 
 from ..errors import ReproError
 from ..types import BOTTOM, DecisionKind
 from . import schema as _schema
 
-__all__ = ["BinaryCodec", "CodecError", "Opaque", "encode", "encode_into", "decode"]
+__all__ = [
+    "BinaryCodec",
+    "CodecError",
+    "Opaque",
+    "DELIVERY_ENTRIES",
+    "encode",
+    "encode_into",
+    "decode",
+]
 
 
 class CodecError(ReproError):
@@ -92,12 +116,6 @@ SPAN_MEMO_ENTRIES = 256
 #: and bounds one codec's memo at 1 MiB of keys however large payloads get.
 SPAN_MEMO_MAX_BYTES = 4096
 
-#: Leaf types no holder can mutate (exact types: subclasses are not trusted).
-_ATOM_TYPES = frozenset(
-    {int, str, bytes, float, bool, type(None), DecisionKind, type(BOTTOM)}
-)
-
-
 class Opaque:
     """A value carried as its encoded bytes.
 
@@ -134,6 +152,8 @@ class Opaque:
 
 # -- encoding ------------------------------------------------------------------------
 
+Encoder = Callable[[Any, bytearray], None]
+
 
 def _write_varint(n: int, buf: bytearray) -> None:
     while n > 0x7F:
@@ -147,100 +167,160 @@ def _zigzag(n: int) -> int:
     return (n << 1) if n >= 0 else (-(n << 1) - 1)
 
 
+#: ``TAG_INT`` + the one-byte zigzag varint of ``n``, at index ``n + 64``:
+#: the integers -64..63, which is every pid, shard and small depth.
+_SMALL_INTS = tuple(bytes((TAG_INT, _zigzag(n))) for n in range(-64, 64))
+
+
 def _encode_value(obj: Any, buf: bytearray) -> None:
     kind = type(obj)
-    if kind is int:
+    try:
+        encoder = _ENCODERS[kind]
+    except KeyError:
+        encoder = _encoder_for(kind)
+    encoder(obj, buf)
+
+
+def _encode_items(items: Any, buf: bytearray) -> None:
+    """Encode consecutive values — the loop under every sequence and under
+    every record's fields.  One-byte integers, short strings and short
+    tuples are written here; any other value goes to its type's encoder."""
+    encoders, small = _ENCODERS, _SMALL_INTS
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            if -64 <= item < 64:
+                buf += small[item + 64]
+                continue
+            if 64 <= item < 8192:  # a two-byte zigzag varint
+                buf.append(TAG_INT)
+                buf.append(((item << 1) & 0x7F) | 0x80)
+                buf.append(item >> 6)
+                continue
+        elif kind is str:
+            raw = item.encode()
+            if len(raw) < 0x80:
+                buf.append(TAG_STR)
+                buf.append(len(raw))
+                buf += raw
+                continue
+        elif kind is tuple and len(item) < 0x80:
+            buf.append(TAG_TUPLE)
+            buf.append(len(item))
+            _encode_items(item, buf)
+            continue
+        try:
+            encoder = encoders[kind]
+        except KeyError:
+            encoder = _encoder_for(kind)
+        encoder(item, buf)
+
+
+def _encode_int(obj: int, buf: bytearray) -> None:
+    if -64 <= obj < 64:
+        buf += _SMALL_INTS[obj + 64]
+    elif 64 <= obj < 8192:  # a two-byte zigzag varint
+        buf.append(TAG_INT)
+        buf.append(((obj << 1) & 0x7F) | 0x80)
+        buf.append(obj >> 6)
+    else:
         buf.append(TAG_INT)
         _write_varint(_zigzag(obj), buf)
-    elif kind is str:
-        raw = obj.encode("utf-8")
-        buf.append(TAG_STR)
-        _write_varint(len(raw), buf)
-        buf += raw
-    elif kind is _schema_envelope_cls():
-        _encode_envelope(obj, buf)
-    elif kind is bool:
-        buf.append(TAG_TRUE if obj else TAG_FALSE)
-    elif obj is None:
-        buf.append(TAG_NONE)
-    elif kind is tuple:
-        buf.append(TAG_TUPLE)
-        _write_varint(len(obj), buf)
-        for item in obj:
-            _encode_value(item, buf)
-    elif kind is float:
-        buf.append(TAG_FLOAT)
-        buf += _FLOAT.pack(obj)
-    elif kind is dict:
-        buf.append(TAG_DICT)
-        _write_varint(len(obj), buf)
-        for key, value in obj.items():
-            _encode_value(key, buf)
-            _encode_value(value, buf)
-    elif kind is list:
-        buf.append(TAG_LIST)
-        _write_varint(len(obj), buf)
-        for item in obj:
-            _encode_value(item, buf)
-    elif kind is bytes:
-        buf.append(TAG_BYTES)
-        _write_varint(len(obj), buf)
-        buf += obj
-    elif kind is Opaque:
-        buf.append(TAG_BLOB)
-        _write_varint(len(obj.data), buf)
-        buf += obj.data
-    elif kind is DecisionKind:
-        buf.append(TAG_KIND)
-        _write_varint(_KIND_INDEX[obj], buf)
-    elif obj is BOTTOM:
+
+
+def _encode_str(obj: str, buf: bytearray) -> None:
+    raw = obj.encode()
+    buf.append(TAG_STR)
+    _write_varint(len(raw), buf)
+    buf += raw
+
+
+def _encode_bool(obj: bool, buf: bytearray) -> None:
+    buf.append(TAG_TRUE if obj else TAG_FALSE)
+
+
+def _encode_none(obj: None, buf: bytearray) -> None:
+    buf.append(TAG_NONE)
+
+
+def _encode_tuple(obj: tuple, buf: bytearray) -> None:
+    buf.append(TAG_TUPLE)
+    _write_varint(len(obj), buf)
+    _encode_items(obj, buf)
+
+
+def _encode_float(obj: float, buf: bytearray) -> None:
+    buf.append(TAG_FLOAT)
+    buf += _FLOAT.pack(obj)
+
+
+def _encode_dict(obj: dict, buf: bytearray) -> None:
+    buf.append(TAG_DICT)
+    _write_varint(len(obj), buf)
+    _encode_items(chain.from_iterable(obj.items()), buf)
+
+
+def _encode_list(obj: list, buf: bytearray) -> None:
+    buf.append(TAG_LIST)
+    _write_varint(len(obj), buf)
+    _encode_items(obj, buf)
+
+
+def _encode_bytes(obj: bytes, buf: bytearray) -> None:
+    buf.append(TAG_BYTES)
+    _write_varint(len(obj), buf)
+    buf += obj
+
+
+def _encode_opaque(obj: Opaque, buf: bytearray) -> None:
+    buf.append(TAG_BLOB)
+    _write_varint(len(obj.data), buf)
+    buf += obj.data
+
+
+def _encode_kind(obj: DecisionKind, buf: bytearray) -> None:
+    buf.append(TAG_KIND)
+    _write_varint(_KIND_INDEX[obj], buf)
+
+
+def _encode_bottom(obj: Any, buf: bytearray) -> None:
+    if obj is BOTTOM:
         buf.append(TAG_BOTTOM)
-    elif kind is frozenset:
-        # Deterministic order: sort by encoded bytes, so equal sets encode
-        # equal frames regardless of build order.
-        buf.append(TAG_FROZENSET)
-        _write_varint(len(obj), buf)
-        encoded = []
-        for item in obj:
-            item_buf = bytearray()
-            _encode_value(item, item_buf)
-            encoded.append(bytes(item_buf))
-        for raw in sorted(encoded):
-            buf += raw
-    else:
-        entry = _schema.entry_for_class(kind)
-        if entry is not None:
-            _encode_struct(obj, entry, buf)
-        else:
-            raw = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-            buf.append(TAG_PICKLE)
-            _write_varint(len(raw), buf)
-            buf += raw
+    else:  # a second instance of the sentinel's class is just an object
+        _encode_pickle(obj, buf)
 
 
-def _encode_struct(obj: Any, entry: _schema.SchemaEntry, buf: bytearray) -> None:
-    buf.append(TAG_STRUCT)
-    _write_varint(entry.tag, buf)
-    blobs = entry.blobs
-    if blobs:
-        for name in entry.fields:
-            value = getattr(obj, name)
-            if name in blobs:
-                if type(value) is Opaque:
-                    buf.append(TAG_BLOB)
-                    _write_varint(len(value.data), buf)
-                    buf += value.data
-                else:
-                    inner = bytearray()
-                    _encode_value(value, inner)
-                    buf.append(TAG_BLOB)
-                    _write_varint(len(inner), buf)
-                    buf += inner
-            else:
-                _encode_value(value, buf)
+def _encode_frozenset(obj: frozenset, buf: bytearray) -> None:
+    # Deterministic order: sort by encoded bytes, so equal sets encode
+    # equal frames regardless of build order.
+    buf.append(TAG_FROZENSET)
+    _write_varint(len(obj), buf)
+    encoded = []
+    for item in obj:
+        item_buf = bytearray()
+        _encode_value(item, item_buf)
+        encoded.append(bytes(item_buf))
+    for raw in sorted(encoded):
+        buf += raw
+
+
+def _encode_pickle(obj: Any, buf: bytearray) -> None:
+    raw = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    buf.append(TAG_PICKLE)
+    _write_varint(len(raw), buf)
+    buf += raw
+
+
+def _encode_blob_field(value: Any, buf: bytearray) -> None:
+    """A record field marked as a blob: length-prefixed, a span spliced."""
+    if type(value) is Opaque:
+        inner = value.data
     else:
-        for name in entry.fields:
-            _encode_value(getattr(obj, name), buf)
+        inner = bytearray()
+        _encode_value(value, inner)
+    buf.append(TAG_BLOB)
+    _write_varint(len(inner), buf)
+    buf += inner
 
 
 _envelope_cls: type | None = None
@@ -255,13 +335,20 @@ def _schema_envelope_cls() -> type:
     return _envelope_cls
 
 
+#: ``TAG_ENVELOPE`` + the one-byte encoding of each interned component.
+_TABLE_HEADERS = {
+    name: bytes((TAG_ENVELOPE, _COMPONENT_TABLE_BASE + index))
+    for index, name in enumerate(_schema.COMPONENT_TABLE)
+}
+
+
 def _encode_envelope(obj: Any, buf: bytearray) -> None:
-    buf.append(TAG_ENVELOPE)
     component = obj.component
-    index = _schema.component_index(component)
-    if index is not None:
-        buf.append(_COMPONENT_TABLE_BASE + index)
+    header = _TABLE_HEADERS.get(component)
+    if header is not None:
+        buf += header
     else:
+        buf.append(TAG_ENVELOPE)
         instance = _schema.parse_instance(component)
         if instance is not None:
             buf.append(_COMPONENT_INSTANCE)
@@ -273,6 +360,88 @@ def _encode_envelope(obj: Any, buf: bytearray) -> None:
             _write_varint(len(raw), buf)
             buf += raw
     _encode_value(obj.payload, buf)
+
+
+#: ``type(obj)`` → encoder.  Exact types: a subclass of ``int`` is not an
+#: ``int`` here.  Registered records and ``Envelope`` join on first sight
+#: (:func:`_encoder_for`).
+_ENCODERS: dict[type, Encoder] = {
+    int: _encode_int,
+    str: _encode_str,
+    bool: _encode_bool,
+    type(None): _encode_none,
+    tuple: _encode_tuple,
+    float: _encode_float,
+    dict: _encode_dict,
+    list: _encode_list,
+    bytes: _encode_bytes,
+    Opaque: _encode_opaque,
+    DecisionKind: _encode_kind,
+    type(BOTTOM): _encode_bottom,
+    frozenset: _encode_frozenset,
+}
+
+
+def _encoder_for(kind: type) -> Encoder:
+    """The encoder of a type :data:`_ENCODERS` has not met: a registered
+    record's is compiled and kept, so is ``Envelope``'s.  Anything else
+    takes the pickle escape — answered afresh every time, never kept, so a
+    class that registers after its first encode is struct-packed from then
+    on."""
+    if kind is _schema_envelope_cls():
+        encoder = _encode_envelope
+    else:
+        entry = _schema.entry_for_class(kind)
+        if entry is None:
+            return _encode_pickle
+        encoder = _compile_encoder(entry)
+    _ENCODERS[kind] = encoder
+    return encoder
+
+
+def _compile_encoder(entry: _schema.SchemaEntry) -> Encoder:
+    """Build one record's encoder: the header is two constant bytes, one
+    ``attrgetter`` fetches every field, and which fields are blob-framed or
+    carry a declared layout was decided here, not per message."""
+    head = bytearray((TAG_STRUCT,))
+    _write_varint(entry.tag, head)
+    header = bytes(head)
+    fields = entry.fields
+    if not fields:
+
+        def encode_record(obj: Any, buf: bytearray) -> None:
+            buf += header
+
+        return encode_record
+    fetch = attrgetter(*fields)
+    declared = tuple(
+        entry.layouts[name][0]
+        if name in entry.layouts
+        else _encode_blob_field if name in entry.blobs else None
+        for name in fields
+    )
+    if len(fields) == 1:
+        encode_field = declared[0] or _encode_value
+
+        def encode_record(obj: Any, buf: bytearray) -> None:
+            buf += header
+            encode_field(fetch(obj), buf)
+
+    elif not any(declared):
+
+        def encode_record(obj: Any, buf: bytearray) -> None:
+            buf += header
+            _encode_items(fetch(obj), buf)
+
+    else:
+        encoders = tuple(encoder or _encode_value for encoder in declared)
+
+        def encode_record(obj: Any, buf: bytearray) -> None:
+            buf += header
+            for encode_field, value in zip(encoders, fetch(obj)):
+                encode_field(value, buf)
+
+    return encode_record
 
 
 def encode_into(obj: Any, buf: bytearray) -> None:
@@ -287,6 +456,12 @@ def encode(obj: Any) -> bytes:
 
 
 # -- decoding ------------------------------------------------------------------------
+#
+# Every decoder takes ``(data, pos, codec)`` and returns ``(value, next pos)``;
+# ``codec`` is the :class:`BinaryCodec` the decode runs for — its mode, its
+# span memo, and the shareability flag of the blob span being decoded.  A tag
+# decoder starts after its tag byte; a field decoder (:func:`_decode_value`,
+# a declared layout) starts on it.
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
@@ -304,131 +479,139 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         raise CodecError("truncated varint") from None
 
 
-def _decode_value(
-    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
-) -> tuple[Any, int]:
+#: The integer behind each one-byte zigzag varint.
+_SMALL_UNZIGZAG = tuple(
+    (zig >> 1) if not zig & 1 else -((zig + 1) >> 1) for zig in range(0x80)
+)
+
+
+def _decode_value(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
     try:
-        tag = data[pos]
+        decoder = _DECODERS[data[pos]]
     except IndexError:
         raise CodecError("truncated value (no tag byte)") from None
-    pos += 1
-    if tag == TAG_INT:
-        zig, pos = _read_varint(data, pos)
-        return (zig >> 1) if not zig & 1 else -((zig + 1) >> 1), pos
-    if tag == TAG_STR:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated string")
-        return data[pos:end].decode("utf-8"), end
-    if tag == TAG_STRUCT:
-        return _decode_struct(data, pos, lazy, memo)
-    if tag == TAG_ENVELOPE:
-        return _decode_envelope(data, pos, lazy, memo)
-    if tag == TAG_TUPLE:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(data, pos, lazy, memo)
-            items.append(item)
-        return tuple(items), pos
-    if tag == TAG_BLOB:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated blob")
-        if lazy:
-            return Opaque(bytes(data[pos:end])), end
-        memoable = memo is not None and length <= SPAN_MEMO_MAX_BYTES
-        if memoable:
-            span = bytes(data[pos:end])
-            try:
-                return memo[span], end
-            except KeyError:
-                pass
-        inner, inner_end = _decode_value(data, pos, lazy, memo)
-        if inner_end != end:
-            raise CodecError("blob length does not match its contents")
-        if memoable and _shareable(inner):
-            if len(memo) >= SPAN_MEMO_ENTRIES:
-                del memo[next(iter(memo))]  # oldest first: dicts keep insertion order
-            memo[span] = inner
-        return inner, end
-    if tag == TAG_NONE:
-        return None, pos
-    if tag == TAG_TRUE:
-        return True, pos
-    if tag == TAG_FALSE:
-        return False, pos
-    if tag == TAG_FLOAT:
-        end = pos + 8
-        if end > len(data):
-            raise CodecError("truncated float")
-        return _FLOAT.unpack_from(data, pos)[0], end
-    if tag == TAG_BYTES:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated bytes")
-        return bytes(data[pos:end]), end
-    if tag == TAG_LIST:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(data, pos, lazy, memo)
-            items.append(item)
-        return items, pos
-    if tag == TAG_DICT:
-        count, pos = _read_varint(data, pos)
-        out = {}
-        for _ in range(count):
-            key, pos = _decode_value(data, pos, lazy, memo)
-            value, pos = _decode_value(data, pos, lazy, memo)
-            out[key] = value
-        return out, pos
-    if tag == TAG_KIND:
-        index, pos = _read_varint(data, pos)
-        if index >= len(_KIND_MEMBERS):
-            raise CodecError(f"unknown DecisionKind index {index}")
-        return _KIND_MEMBERS[index], pos
-    if tag == TAG_PICKLE:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated pickle escape")
-        return pickle.loads(data[pos:end]), end
-    if tag == TAG_BOTTOM:
-        return BOTTOM, pos
-    if tag == TAG_FROZENSET:
-        count, pos = _read_varint(data, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _decode_value(data, pos, lazy, memo)
-            items.append(item)
-        return frozenset(items), pos
-    raise CodecError(f"unknown binary tag 0x{tag:02x}")
+    return decoder(data, pos + 1, codec)
 
 
-def _decode_struct(
-    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
-) -> tuple[Any, int]:
+def _decode_items(
+    data: bytes, pos: int, count: int, codec: "BinaryCodec"
+) -> tuple[list, int]:
+    """Decode ``count`` consecutive values — the loop under every sequence
+    and under every record's fields.  Values that open with a one-byte
+    varint — a small integer, a short string, a short tuple, a blob span the
+    codec has already decoded — are settled here; any other value, and any
+    truncation, goes to its tag's decoder."""
+    items: list = []
+    append = items.append
+    memo, size = codec._spans, len(data)
+    decoders, unzigzag = _DECODERS, _SMALL_UNZIGZAG
+    for _ in range(count):
+        try:
+            tag = data[pos]
+            head = data[pos + 1]
+        except IndexError:
+            value, pos = _decode_value(data, pos, codec)  # a last byte, or cut short
+            append(value)
+            continue
+        if head < 0x80:
+            if tag == TAG_INT:
+                append(unzigzag[head])
+                pos += 2
+                continue
+            if tag == TAG_TUPLE:
+                value, pos = _decode_items(data, pos + 2, head, codec)
+                append(tuple(value))
+                continue
+            end = pos + 2 + head
+            if end <= size:
+                if tag == TAG_STR:
+                    append(data[pos + 2 : end].decode())
+                    pos = end
+                    continue
+                if tag == TAG_BLOB and memo is not None:
+                    hit = memo.get(data[pos + 2 : end])
+                    if hit is not None:
+                        append(hit)
+                        pos = end
+                        continue
+        value, pos = decoders[tag](data, pos + 1, codec)
+        append(value)
+    return items, pos
+
+
+def _decode_none(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    return None, pos
+
+
+def _decode_true(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    return True, pos
+
+
+def _decode_false(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    return False, pos
+
+
+def _decode_int(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    zig, pos = _read_varint(data, pos)
+    return (zig >> 1) if not zig & 1 else -((zig + 1) >> 1), pos
+
+
+def _decode_float(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    end = pos + 8
+    if end > len(data):
+        raise CodecError("truncated float")
+    return _FLOAT.unpack_from(data, pos)[0], end
+
+
+def _decode_str(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    length, pos = _read_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise CodecError("truncated string")
+    return data[pos:end].decode("utf-8"), end
+
+
+def _decode_bytes(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    length, pos = _read_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise CodecError("truncated bytes")
+    return data[pos:end], end
+
+
+def _decode_tuple(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    count, pos = _read_varint(data, pos)
+    items, pos = _decode_items(data, pos, count, codec)
+    return tuple(items), pos
+
+
+def _decode_list(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    codec._mutable = True
+    count, pos = _read_varint(data, pos)
+    return _decode_items(data, pos, count, codec)
+
+
+def _decode_dict(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    codec._mutable = True
+    count, pos = _read_varint(data, pos)
+    out = {}
+    for _ in range(count):
+        key, pos = _decode_value(data, pos, codec)
+        value, pos = _decode_value(data, pos, codec)
+        out[key] = value
+    return out, pos
+
+
+def _decode_struct(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
     tag, pos = _read_varint(data, pos)
-    entry = _schema.entry_for_tag(tag)
-    if entry is None:
-        _schema.ensure_registered()
-        entry = _schema.entry_for_tag(tag)
-        if entry is None:
-            raise CodecError(f"unknown schema tag {tag}")
-    values = []
-    for _ in entry.fields:
-        value, pos = _decode_value(data, pos, lazy, memo)
-        values.append(value)
-    return entry.cls(*values), pos
+    try:
+        decoder = _RECORD_DECODERS[tag]
+    except KeyError:
+        decoder = _compile_decoder(tag)
+    return decoder(data, pos, codec)
 
 
-def _decode_envelope(
-    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
-) -> tuple[Any, int]:
+def _decode_envelope(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
     try:
         kind = data[pos]
     except IndexError:
@@ -451,32 +634,251 @@ def _decode_envelope(
             raise CodecError("truncated envelope component")
         component = data[pos:end].decode("utf-8")
         pos = end
-    payload, pos = _decode_value(data, pos, lazy, memo)
-    return _schema_envelope_cls()(component, payload), pos
+    payload, pos = _decode_value(data, pos, codec)
+    return (_envelope_cls or _schema_envelope_cls())(component, payload), pos
 
 
-def _shareable(value: Any) -> bool:
-    """Whether two deliveries may hold the *same* decoded object: nothing
-    mutable anywhere inside it.  Exact types only — a ``list``, a ``dict``
-    and whatever came out of a :data:`TAG_PICKLE` escape all answer no."""
-    kind = type(value)
-    if kind in _ATOM_TYPES:
-        return True
-    if kind is tuple or kind is frozenset:
-        return all(map(_shareable, value))
-    if kind is _schema_envelope_cls():
-        return _shareable(value.payload)
-    entry = _schema.entry_for_class(kind)  # registered records are frozen
-    return entry is not None and all(
-        _shareable(getattr(value, name)) for name in entry.fields
+def _decode_kind(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    index, pos = _read_varint(data, pos)
+    if index >= len(_KIND_MEMBERS):
+        raise CodecError(f"unknown DecisionKind index {index}")
+    return _KIND_MEMBERS[index], pos
+
+
+def _decode_blob(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    length, pos = _read_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise CodecError("truncated blob")
+    if codec._lazy:
+        return Opaque(data[pos:end]), end
+    return _materialize(data, pos, end, codec), end
+
+
+def _materialize(data: bytes, pos: int, end: int, codec: "BinaryCodec") -> Any:
+    """The value of the blob span ``data[pos:end]``: the codec's memo of it,
+    or a decode — which the memo keeps if nothing mutable turned up inside.
+
+    Shareability is decided while decoding: the decoders of a ``list``, a
+    ``dict`` and the pickle escape raise ``codec._mutable``, and each span
+    starts with the flag down, so after its decode the flag says whether
+    *this* span may be shared.  A clean span puts the enclosing span's flag
+    back; a tainted one leaves it up, tainting every span around it."""
+    memo = codec._spans
+    if memo is None or end - pos > SPAN_MEMO_MAX_BYTES:
+        inner, inner_end = _decode_value(data, pos, codec)
+        if inner_end != end:
+            raise CodecError("blob length does not match its contents")
+        return inner
+    span = data[pos:end]
+    try:
+        return memo[span]
+    except KeyError:
+        pass
+    enclosing = codec._mutable
+    codec._mutable = False
+    inner, inner_end = _decode_value(data, pos, codec)
+    if inner_end != end:
+        raise CodecError("blob length does not match its contents")
+    if not codec._mutable:
+        if len(memo) >= SPAN_MEMO_ENTRIES:
+            del memo[next(iter(memo))]  # oldest first: dicts keep insertion order
+        memo[span] = inner
+        codec._mutable = enclosing
+    return inner
+
+
+def _decode_pickle(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    codec._mutable = True  # whatever comes out of the escape is not trusted
+    length, pos = _read_varint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise CodecError("truncated pickle escape")
+    return pickle.loads(data[pos:end]), end
+
+
+def _decode_bottom(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    return BOTTOM, pos
+
+
+def _decode_frozenset(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    count, pos = _read_varint(data, pos)
+    items, pos = _decode_items(data, pos, count, codec)
+    return frozenset(items), pos
+
+
+def _decode_unknown(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    raise CodecError(f"unknown binary tag 0x{data[pos - 1]:02x}")
+
+
+Decoder = Callable[[bytes, int, "BinaryCodec"], "tuple[Any, int]"]
+
+#: tag byte → decoder, every byte answered.
+_DECODERS: tuple[Decoder, ...] = (
+    _decode_none,
+    _decode_true,
+    _decode_false,
+    _decode_int,
+    _decode_float,
+    _decode_str,
+    _decode_bytes,
+    _decode_tuple,
+    _decode_list,
+    _decode_dict,
+    _decode_struct,
+    _decode_envelope,
+    _decode_kind,
+    _decode_blob,
+    _decode_pickle,
+    _decode_bottom,
+    _decode_frozenset,
+) + (_decode_unknown,) * (256 - 17)
+
+#: schema tag → the record's compiled decoder, built on first sight.
+_RECORD_DECODERS: dict[int, Decoder] = {}
+
+
+def _compile_decoder(tag: int) -> Decoder:
+    """Build one record's decoder (its fields are decoded by one item loop,
+    or by their declared layouts) and keep it under its schema tag."""
+    entry = _schema.entry_for_tag(tag)
+    if entry is None:
+        _schema.ensure_registered()
+        entry = _schema.entry_for_tag(tag)
+        if entry is None:
+            raise CodecError(f"unknown schema tag {tag}")
+    cls, count = entry.cls, len(entry.fields)
+    declared = tuple(
+        entry.layouts[name][1] if name in entry.layouts else None
+        for name in entry.fields
     )
+    if not any(declared):
+
+        def decode_record(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+            values, pos = _decode_items(data, pos, count, codec)
+            return cls(*values), pos
+
+    else:
+        decoders = tuple(decoder or _decode_value for decoder in declared)
+
+        def decode_record(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+            values = []
+            for decode_field in decoders:
+                value, pos = decode_field(data, pos, codec)
+                values.append(value)
+            return cls(*values), pos
+
+    _RECORD_DECODERS[tag] = decode_record
+    return decode_record
 
 
-def _decode(data: bytes, lazy: bool, memo: dict[bytes, Any] | None) -> Any:
-    value, end = _decode_value(data, 0, lazy, memo)
-    if end != len(data):
-        raise CodecError(f"{len(data) - end} trailing bytes after value")
-    return value
+# -- declared field layouts ------------------------------------------------------------
+#
+# A record may declare, at its ``@wire_record``, that one of its fields has
+# a known shape: ``layouts={"field": (encoder, field decoder)}``.  The pair
+# must write and read exactly the generic encoding — it is a faster way to
+# the same bytes and the same object, never a second format — so each entry
+# that is not of the declared shape takes the generic path on the spot.
+
+#: ``TAG_TUPLE 3 TAG_INT <sender> TAG_BLOB``: how a delivery entry starts,
+#: at index ``sender + 64``.
+_ENTRY_HEADS = tuple(
+    bytes((TAG_TUPLE, 3, TAG_INT, _zigzag(sender), TAG_BLOB)) for sender in range(-64, 64)
+)
+
+
+def _encode_delivery_entries(entries: Any, buf: bytearray) -> None:
+    """``MsgDeliverBatch.entries`` on the hub: ``(sender, span, depth)`` with
+    a one-byte sender and a span under 128 bytes is written flat — constant
+    head, length byte, splice, depth — and any other entry by the generic
+    encoder."""
+    if type(entries) is not tuple:
+        _encode_value(entries, buf)
+        return
+    buf.append(TAG_TUPLE)
+    _write_varint(len(entries), buf)
+    heads, small = _ENTRY_HEADS, _SMALL_INTS
+    for entry in entries:
+        if type(entry) is tuple and len(entry) == 3:
+            sender, payload, depth = entry
+            if (
+                type(payload) is Opaque
+                and type(sender) is int
+                and type(depth) is int
+                and -64 <= sender < 64
+                and len(payload.data) < 0x80
+            ):
+                span = payload.data
+                buf += heads[sender + 64]
+                buf.append(len(span))
+                buf += span
+                if 0 <= depth < 64:
+                    buf += small[depth + 64]
+                else:
+                    _encode_int(depth, buf)
+                continue
+        _encode_value(entry, buf)
+
+
+def _decode_delivery_entries(
+    data: bytes, pos: int, codec: "BinaryCodec"
+) -> tuple[Any, int]:
+    """``MsgDeliverBatch.entries`` on a replica: the mirror of
+    :func:`_encode_delivery_entries`.  An entry whose bytes are not of the
+    flat shape — or are cut short — is decoded by the generic decoder from
+    its first byte, so the result (and the error) is always the generic
+    one."""
+    try:
+        count = data[pos + 1]
+        if data[pos] != TAG_TUPLE or count >= 0x80:
+            return _decode_value(data, pos, codec)
+    except IndexError:
+        return _decode_value(data, pos, codec)  # names the truncation
+    pos += 2
+    entries: list = []
+    append = entries.append
+    lazy, memo, unzigzag = codec._lazy, codec._spans, _SMALL_UNZIGZAG
+    for _ in range(count):
+        try:
+            if (
+                data[pos] == TAG_TUPLE
+                and data[pos + 1] == 3
+                and data[pos + 2] == TAG_INT
+                and data[pos + 4] == TAG_BLOB
+            ):
+                sender, length = data[pos + 3], data[pos + 5]
+                start = pos + 6
+                end = start + length
+                if sender < 0x80 and length < 0x80 and data[end] == TAG_INT:
+                    zig, after = data[end + 1], end + 2
+                    if zig >= 0x80:  # a two-byte depth; a longer one is not flat
+                        high = data[end + 2]
+                        zig = (zig & 0x7F) | (high << 7)
+                        after = end + 3 if high < 0x80 else 0
+                    if after:
+                        if lazy:
+                            payload = Opaque(data[start:end])
+                        else:
+                            payload = None if memo is None else memo.get(data[start:end])
+                            if payload is None:
+                                payload = _materialize(data, start, end, codec)
+                        depth = (zig >> 1) if not zig & 1 else -((zig + 1) >> 1)
+                        append((unzigzag[sender], payload, depth))
+                        pos = after
+                        continue
+        except IndexError:
+            pass
+        entry, pos = _decode_value(data, pos, codec)
+        append(entry)
+    return tuple(entries), pos
+
+
+#: The declared layout of ``MsgDeliverBatch.entries`` (see
+#: :mod:`repro.net.wire`): a tuple of ``(sender, blob payload, depth)``.
+DELIVERY_ENTRIES = (_encode_delivery_entries, _decode_delivery_entries)
+
+
+# -- the codec -------------------------------------------------------------------------
 
 
 def decode(data: bytes, lazy: bool = False) -> Any:
@@ -485,7 +887,7 @@ def decode(data: bytes, lazy: bool = False) -> Any:
     With ``lazy=True``, blob-framed spans come back as :class:`Opaque`
     instead of being materialized (the hub's relay mode).
     """
-    return _decode(data, lazy, None)
+    return (_RELAY if lazy else _FRESH).decode(data)
 
 
 class BinaryCodec:
@@ -494,10 +896,15 @@ class BinaryCodec:
     A materializing instance remembers the blob spans it has decoded (see
     :data:`SPAN_MEMO_ENTRIES`): a node receives the byte-identical payload
     of one broadcast once per echoer, and pays one decode for all of them.
+    Whether a span may be shared is noted while it decodes, in a flag on the
+    instance (:func:`_materialize`) — so one instance decodes on one thread
+    at a time; a :class:`~repro.net.wire.FrameDecoder` owns its own.
 
     Args:
         lazy: decode blob fields as :class:`Opaque` spans (relay mode).
     """
+
+    __slots__ = ("_lazy", "_spans", "_mutable")
 
     id = 3
     name = "binary"
@@ -505,6 +912,7 @@ class BinaryCodec:
     def __init__(self, lazy: bool = False) -> None:
         self._lazy = lazy
         self._spans: dict[bytes, Any] | None = None if lazy else {}
+        self._mutable = False
 
     def encode_into(self, obj: Any, buf: bytearray) -> None:
         _encode_value(obj, buf)
@@ -515,4 +923,23 @@ class BinaryCodec:
         return bytes(buf)
 
     def decode(self, data: bytes) -> Any:
-        return _decode(data, self._lazy, self._spans)
+        """Decode one value from ``bytes`` — or a ``bytearray`` or
+        ``memoryview`` (WAL and snapshot readers pass slices), copied once
+        here: spans are memoised under, and ``Opaque`` holds, ``bytes``."""
+        if type(data) is not bytes:
+            data = bytes(data)
+        value, end = _decode_value(data, 0, self)
+        if end != len(data):
+            raise CodecError(f"{len(data) - end} trailing bytes after value")
+        return value
+
+
+def _without_memo(lazy: bool) -> BinaryCodec:
+    codec = BinaryCodec(lazy)
+    codec._spans = None
+    return codec
+
+
+#: What the module-level :func:`decode` runs on: no memo, so no state that a
+#: second thread or a nested call could disturb.
+_FRESH, _RELAY = _without_memo(False), _without_memo(True)

@@ -22,8 +22,8 @@ components as two varints instead of a string), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Callable, Iterator, TypeVar
+from dataclasses import dataclass, field, fields as dataclass_fields
+from typing import Any, Callable, Iterator, Mapping, TypeVar
 
 __all__ = [
     "SchemaEntry",
@@ -41,6 +41,10 @@ __all__ = [
 
 _T = TypeVar("_T", bound=type)
 
+#: One field's declared layout: ``(encoder, decoder)`` as the binary codec
+#: calls them (``encoder(value, buf)``, ``decoder(data, pos, codec)``).
+FieldCodec = tuple[Callable[..., Any], Callable[..., Any]]
+
 
 @dataclass(frozen=True, slots=True)
 class SchemaEntry:
@@ -53,12 +57,19 @@ class SchemaEntry:
         blobs: names of fields carried as length-prefixed blobs, so a relay
             (the hub) can forward them without decoding — see
             :class:`repro.codec.binary.Opaque`.
+        layouts: per-field codec pairs for fields whose shape the record
+            declares (``MsgDeliverBatch.entries`` is a tuple of ``(sender,
+            blob payload, depth)``).  A layout is a faster way to the bytes
+            the generic encoding of that field would produce, never a
+            different format — so it is no part of the wire format, of
+            equality, or of the pinned registry table.
     """
 
     tag: int
     cls: type
     fields: tuple[str, ...]
     blobs: frozenset[str]
+    layouts: Mapping[str, FieldCodec] = field(default_factory=dict, compare=False)
 
 
 #: tag -> entry and class -> entry; filled by :func:`register`.
@@ -88,7 +99,12 @@ _SCHEMA_MODULES = (
 _registered_all = False
 
 
-def register(tag: int, cls: type, blobs: tuple[str, ...] = ()) -> SchemaEntry:
+def register(
+    tag: int,
+    cls: type,
+    blobs: tuple[str, ...] = (),
+    layouts: Mapping[str, FieldCodec] | None = None,
+) -> SchemaEntry:
     """Register ``cls`` under ``tag``.  Idempotent for the same class."""
     if not 0 < tag < 128:
         raise ValueError(f"schema tag must fit one varint byte, got {tag}")
@@ -98,20 +114,29 @@ def register(tag: int, cls: type, blobs: tuple[str, ...] = ()) -> SchemaEntry:
             return existing
         raise ValueError(f"schema tag {tag} already taken by {existing.cls.__qualname__}")
     names = tuple(f.name for f in dataclass_fields(cls))
-    unknown = set(blobs) - set(names)
+    layouts = dict(layouts or {})
+    unknown = (set(blobs) | set(layouts)) - set(names)
     if unknown:
-        raise ValueError(f"blob fields {sorted(unknown)} not on {cls.__qualname__}")
-    entry = SchemaEntry(tag=tag, cls=cls, fields=names, blobs=frozenset(blobs))
+        raise ValueError(f"fields {sorted(unknown)} not on {cls.__qualname__}")
+    if set(blobs) & set(layouts):
+        raise ValueError("a field is blob-framed or has a declared layout, not both")
+    entry = SchemaEntry(
+        tag=tag, cls=cls, fields=names, blobs=frozenset(blobs), layouts=layouts
+    )
     _BY_TAG[tag] = entry
     _BY_CLASS[cls] = entry
     return entry
 
 
-def wire_record(tag: int, blobs: tuple[str, ...] = ()) -> Callable[[_T], _T]:
+def wire_record(
+    tag: int,
+    blobs: tuple[str, ...] = (),
+    layouts: Mapping[str, FieldCodec] | None = None,
+) -> Callable[[_T], _T]:
     """Class decorator registering a dataclass in the wire schema."""
 
     def apply(cls: _T) -> _T:
-        register(tag, cls, blobs)
+        register(tag, cls, blobs, layouts)
         return cls
 
     return apply
@@ -155,15 +180,7 @@ def ensure_registered() -> dict[int, SchemaEntry]:
 #: the wire encoding.
 COMPONENT_TABLE: tuple[str, ...] = ("mux", "idb", "uc", "dex", "bosco", "brasileiro", "crash")
 
-_COMPONENT_INDEX = {name: i for i, name in enumerate(COMPONENT_TABLE)}
-
 INSTANCE_PREFIX = "s"
-
-
-def component_index(component: str) -> int | None:
-    """Wire index of an interned component name, or ``None``."""
-    return _COMPONENT_INDEX.get(component)
-
 
 #: Instance names remembered per direction (name -> key and key -> name),
 #: oldest evicted first.  One name is formatted by the decoder and parsed

@@ -97,7 +97,16 @@ class _MessageEvent(RunEvent):
         return self.__class__, self._values()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+# The two per-message events are built once per routed copy — 882 a slot
+# at n=7 — so their constructors are written out: each slot is set through
+# its member descriptor, which is what ``object.__setattr__`` resolves to on
+# every call of a generated frozen ``__init__``.  Everything else about
+# them is the dataclass's: still frozen, same fields, same ``__match_args__``.
+_set_time = RunEvent.time.__set__
+_set_pid = RunEvent.pid.__set__
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class SendEvent(_MessageEvent):
     """``pid`` shipped a message to ``dst`` (once per destination).
     Constructed ``SendEvent(time, pid, dst, payload, depth)``."""
@@ -107,8 +116,22 @@ class SendEvent(_MessageEvent):
     raw: Any
     depth: int
 
+    def __init__(
+        self, time: float, pid: ProcessId, dst: ProcessId, raw: Any, depth: int
+    ) -> None:
+        _set_time(self, time)
+        _set_pid(self, pid)
+        _set_send_dst(self, dst)
+        _set_send_raw(self, raw)
+        _set_send_depth(self, depth)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+_set_send_dst = SendEvent.dst.__set__
+_set_send_raw = SendEvent.raw.__set__
+_set_send_depth = SendEvent.depth.__set__
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DeliverEvent(_MessageEvent):
     """``pid`` received (and handled) a message from ``sender``.
     Constructed ``DeliverEvent(time, pid, sender, payload, depth)``."""
@@ -117,6 +140,20 @@ class DeliverEvent(_MessageEvent):
     sender: ProcessId
     raw: Any
     depth: int
+
+    def __init__(
+        self, time: float, pid: ProcessId, sender: ProcessId, raw: Any, depth: int
+    ) -> None:
+        _set_time(self, time)
+        _set_pid(self, pid)
+        _set_deliver_sender(self, sender)
+        _set_deliver_raw(self, raw)
+        _set_deliver_depth(self, depth)
+
+
+_set_deliver_sender = DeliverEvent.sender.__set__
+_set_deliver_raw = DeliverEvent.raw.__set__
+_set_deliver_depth = DeliverEvent.depth.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,11 +315,12 @@ class TeeSink(EventSink):
     """Fan one event stream out to several sinks."""
 
     def __init__(self, *sinks: EventSink) -> None:
-        self.sinks = [s for s in sinks if s is not None]
+        self.sinks = tuple(s for s in sinks if s is not None)
+        self._emits = [sink.emit for sink in self.sinks]  # bound once, not per event
 
     def emit(self, event: RunEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
+        for emit in self._emits:
+            emit(event)
 
 
 class EventStats(EventSink):

@@ -425,8 +425,10 @@ class DataPlane:
         dsts = range(self.n) if type(msg) is MsgBroadcast else (msg.dst,)
         self.sent += len(dsts)
         owner = self._owner_of(payload)
+        events = self.events
+        now = events.now()  # one frame, one arrival time
         for dst in dsts:
-            self.events.send(src, dst, payload, depth)
+            events.send(src, dst, payload, depth, now)
             if owner == self.index:
                 self._enqueue(src, dst, payload, depth)
             else:
@@ -489,9 +491,11 @@ class DataPlane:
                 # huge payloads: fall back to one frame per message
                 delivered = [e for e in entries if self._write_single(link, e)]
             self.delivered += len(delivered)
-            if self.events.sink is not None:
+            events = self.events
+            if events.sink is not None:
+                wrote = events.now()  # one write, one departure time
                 for sender, payload, depth in delivered:
-                    self.events.deliver(dst, sender, payload, depth)
+                    events.deliver(dst, sender, payload, depth, wrote)
 
     def _write_single(self, link: HubLink, entry: tuple[ProcessId, Any, int]) -> bool:
         try:

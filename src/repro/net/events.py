@@ -13,6 +13,12 @@ emitted when the hub hands the frame to the destination's socket, not when
 the destination process dequeues it.  The gap is one socket hop; per-run
 counters (the thing :class:`EventStats` computes) are exact either way.
 
+What is stamped when: a frame, not a message.  The hub reads the clock
+once per frame it takes in and once per write it makes, and hands that time
+to :meth:`HubEvents.send` / :meth:`HubEvents.deliver` — the ``n`` sends of
+one broadcast were one frame and carry one time, as do the deliveries
+coalesced into one write.
+
 What decodes when: never on relay.  Binary-codec payloads reach the hub as
 :class:`~repro.codec.Opaque` spans and go into the send/deliver events as
 they are; a span decodes at most once per message, on the first
@@ -66,15 +72,24 @@ class HubEvents:
         self.sink = sink
         self.clock = clock
 
-    def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
+    def now(self) -> float:
+        """The stream time to stamp one frame's — or one write's — message
+        events with.  The clock is not read when nobody is watching."""
+        return self.clock.now() if self.sink is not None else 0.0
+
+    def send(
+        self, src: ProcessId, dst: ProcessId, payload: Any, depth: int, now: float
+    ) -> None:
+        """One routed copy of the frame that arrived at stream time ``now``."""
         if self.sink is not None:
-            self.sink.emit(SendEvent(self.clock.now(), src, dst, payload, depth))
+            self.sink.emit(SendEvent(now, src, dst, payload, depth))
 
     def deliver(
-        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int
+        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, now: float
     ) -> None:
+        """One delivery of the write that was made at stream time ``now``."""
         if self.sink is not None:
-            self.sink.emit(DeliverEvent(self.clock.now(), dst, sender, payload, depth))
+            self.sink.emit(DeliverEvent(now, dst, sender, payload, depth))
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, step: int) -> None:
         if self.sink is not None:

@@ -221,6 +221,8 @@ class LinkPlan:
 
     def route(self, src: ProcessId, dst: ProcessId, rng: Random) -> list[float]:
         """Extra delays of the copies that survive the link, ``[]`` = dropped."""
+        if not self.everywhere and not self.per_source.get(src):
+            return [0.0]  # no fault on this link: one copy, on time, no draw
         copies = [0.0]
         for fault in self.chain_for(src):
             if not copies:

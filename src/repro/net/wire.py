@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ..codec import CODEC_BINARY, CODEC_PICKLE, BinaryCodec, CodecError, codec_for
+from ..codec.binary import DELIVERY_ENTRIES
 from ..codec.schema import wire_record
 from ..errors import ReproError
 from ..runtime.effects import ServiceCall
@@ -301,7 +302,7 @@ class MsgDeliver:
     depth: int
 
 
-@wire_record(tag=6)
+@wire_record(tag=6, layouts={"entries": DELIVERY_ENTRIES})
 @dataclass(frozen=True, slots=True)
 class MsgDeliverBatch:
     """Hub → node: several co-scheduled deliveries in one frame.
@@ -315,7 +316,9 @@ class MsgDeliverBatch:
     be :class:`repro.codec.Opaque` spans on the hub side; they encode by
     splicing, and the node side materializes each distinct span once (the
     copies of one broadcast share the decoded object — see
-    :data:`repro.codec.binary.SPAN_MEMO_ENTRIES`).
+    :data:`repro.codec.binary.SPAN_MEMO_ENTRIES`).  That shape is declared
+    to the codec (``layouts``), which then writes and reads an entry in one
+    flat step instead of walking it as a generic tuple — same bytes.
     """
 
     entries: tuple[tuple[ProcessId, Any, int], ...]

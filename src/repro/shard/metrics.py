@@ -101,16 +101,14 @@ class ShardStreamSink(EventSink):
     # -- sink --------------------------------------------------------------------------
 
     def emit(self, event: RunEvent) -> None:
-        if isinstance(event, SendEvent):
+        kind = type(event)  # the event classes are final: exact-type dispatch
+        if kind is SendEvent:
             self.sends[shard_of_payload(event.raw, self.shards)] += 1
-        elif isinstance(event, DeliverEvent):
+        elif kind is DeliverEvent:
             self.delivers[shard_of_payload(event.raw, self.shards)] += 1
-        elif isinstance(event, ServiceEvent):
+        elif kind is ServiceEvent:
             self.service_calls[self._shard_of_service(event.payload)] += 1
-        elif isinstance(event, LogEvent) and event.event in (
-            "shard.open",
-            "shard.decide",
-        ):
+        elif kind is LogEvent and event.event in ("shard.open", "shard.decide"):
             data = event.data
             key = (event.pid, int(data["shard"]), int(data["slot"]))
             if event.event == "shard.open":

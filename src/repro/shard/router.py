@@ -117,7 +117,19 @@ def shard_of_payload(payload: Any, shards: int) -> int:
     decoded object would.
     """
     if type(payload) is Opaque:
-        return peek_shard(payload.data, shards)
+        data = payload.data
+        # What every instance message looks like — ``TAG_ENVELOPE``, instance
+        # component, a one-byte shard in range — is answered from three
+        # bytes; anything else is walked.
+        if (
+            len(data) > 2
+            and data[0] == TAG_ENVELOPE
+            and data[1] == _COMPONENT_INSTANCE
+            and data[2] < shards
+            and data[2] < 0x80
+        ):
+            return data[2]
+        return peek_shard(data, shards)
     seen = 0
     while isinstance(payload, Envelope) and seen < 8:
         key = parse_instance(payload.component)

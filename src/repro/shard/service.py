@@ -37,6 +37,7 @@ never from string hashes — so forked replicas flip identically.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -203,8 +204,9 @@ class ShardNode(ShardMultiplexer):
         self.seed = seed
         self.durability = durability
         self._batchers = {s: ShardBatcher(max_batch, max_wait) for s in range(shards)}
-        self._arrivals: dict[int, list[tuple[int, Command]]] = {
-            s: [] for s in range(shards)
+        # per-shard arrival queues, consumed from the head once per arrival
+        self._arrivals: dict[int, deque[tuple[int, Command]]] = {
+            s: deque() for s in range(shards)
         }
         for arrival, command in arrivals:
             self._arrivals[shard_of(command[1], shards)].append((arrival, command))
@@ -234,7 +236,7 @@ class ShardNode(ShardMultiplexer):
         now = self._slot[shard]
         pending = self._arrivals[shard]
         while pending and pending[0][0] <= now:
-            _, command = pending.pop(0)
+            _, command = pending.popleft()
             self._batchers[shard].submit(command, now)
 
     def _open(self, shard: int) -> list[Effect]:
@@ -449,7 +451,7 @@ class ShardNode(ShardMultiplexer):
             pending = self._arrivals[shard]
             for s in range(slot):
                 while pending and pending[0][0] <= s:
-                    _, command = pending.pop(0)
+                    _, command = pending.popleft()
                     batcher.submit(command, s)
                 batch = batches[s] if s < len(batches) else ()
                 safe_batch = batch if isinstance(batch, tuple) else ()

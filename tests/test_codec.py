@@ -496,3 +496,301 @@ class TestDecodeErrors:
     def test_unknown_value_tag_rejected(self):
         with pytest.raises(Exception):
             decode(b"\x7f\x00")
+
+
+# -- the compiled codec against the interpreter it replaced -----------------------------
+#
+# ``tests/codec_reference.py`` is the codec as one generic interpreter, kept
+# as the specification.  The production codec compiles an encoder and a
+# decoder per record and settles common values inline; these tests hold it
+# to the reference byte for byte and object for object.
+
+import dataclasses
+
+from repro.codec import binary
+
+try:
+    from . import codec_reference as reference
+except ImportError:  # imported top-level: ``PYTHONPATH=src:tests`` (write_golden)
+    import codec_reference as reference
+from repro.runtime.effects import SERVICE_SENDER
+
+
+@dataclasses.dataclass(frozen=True)
+class LateRecord:
+    """Registered (and unregistered again) by one test, after its first encode."""
+
+    shard: int
+    note: str
+
+
+def _record_instances():
+    """Any registered record, its fields drawn from the value grammar."""
+    entries = list(registered_entries())
+    return st.sampled_from(entries).flatmap(
+        lambda entry: st.tuples(*[_values] * len(entry.fields)).map(
+            lambda fields: entry.cls(*fields)
+        )
+    )
+
+
+_components = (
+    st.sampled_from(COMPONENT_TABLE)
+    | st.builds(instance_name, st.integers(0, 300), st.integers(0, 20_000))
+    | st.text(max_size=12)
+)
+_envelopes = st.builds(Envelope, _components, _values | _record_instances())
+_anything = _values | _record_instances() | _envelopes | st.sampled_from(golden_messages())
+_spans = _anything.map(lambda value: Opaque(encode(value)))
+#: delivery entries of every shape: flat ones, and every way not to be flat.
+_entries = st.tuples(
+    st.integers(-70, 70) | st.just(SERVICE_SENDER),
+    _spans | _anything,
+    st.integers(-3, 9_000) | st.sampled_from([63, 64, 8_191, 8_192]),
+) | st.lists(_values, max_size=3)
+_batches = st.lists(_entries, max_size=5).map(lambda e: MsgDeliverBatch(tuple(e)))
+_relayed = st.builds(MsgDeliver, st.integers(0, 6), _spans, st.integers(0, 70))
+_wire_values = _anything | _batches | _relayed
+
+
+def _assert_same_decode(wire):
+    """Compiled ≡ reference on ``wire``: lazy, fresh, and through one memo
+    decoded twice — equal objects, equal errors, and the same spans kept."""
+    for lazy in (True, False):
+        assert decode(wire, lazy=lazy) == reference.decode(wire, lazy=lazy)
+    codec, memo = BinaryCodec(), {}
+    for _ in range(2):
+        assert codec.decode(wire) == reference.decode(wire, memo=memo)
+        assert list(codec._spans.items()) == list(memo.items())
+
+
+class TestCompiledAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_wire_values)
+    def test_encode_matches_the_reference_bytes(self, value):
+        wire = encode(value)
+        assert wire == reference.encode(value)
+        buf = bytearray(b"head")
+        BinaryCodec().encode_into(value, buf)
+        assert bytes(buf) == b"head" + wire
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_wire_values)
+    def test_decode_matches_the_reference_object(self, value):
+        _assert_same_decode(reference.encode(value))
+
+    def test_the_whole_registry_on_its_canonical_instances(self):
+        for msg in golden_messages():
+            assert encode(msg) == reference.encode(msg)
+            _assert_same_decode(encode(msg))
+
+    def test_records_compile_on_first_use_not_at_import(self):
+        """``setup_s`` must not pay for the registry: nothing is compiled
+        until a record of that class is met."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import repro.net.wire, repro.codec.binary as b; "
+            "print(len(b._RECORD_DECODERS), sum(1 for k in b._ENCODERS if "
+            "hasattr(k, '__dataclass_fields__')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert out.stdout.split() == ["0", "0"]
+
+    def test_a_class_that_registers_late_is_struct_packed_from_then_on(self):
+        """The pickle escape is an answer, never a cached decision."""
+        tag, value = 120, LateRecord(3, "x")
+        assert encode(value)[0] == binary.TAG_PICKLE
+        assert LateRecord not in binary._ENCODERS
+        try:
+            schema.register(tag, LateRecord)
+            wire = encode(value)
+            assert wire == bytes([TAG_STRUCT, tag]) + encode(3) + encode("x")
+            assert wire == reference.encode(value)
+            assert decode(wire) == value
+        finally:
+            del schema._BY_TAG[tag], schema._BY_CLASS[LateRecord]
+            binary._ENCODERS.pop(LateRecord, None)
+            binary._RECORD_DECODERS.pop(tag, None)
+
+
+class TestDeliveryEntriesLayout:
+    """``MsgDeliverBatch.entries`` declares its shape; the flat path is a
+    faster way to the generic bytes and the generic object, entry by entry."""
+
+    PAYLOAD = _consensus_envelope()
+
+    def _span(self, size):
+        """A span of exactly ``size`` bytes (``None``, or a padded string)."""
+        span = encode("p" * (size - 2) if size > 1 else None)
+        assert len(span) == size
+        return Opaque(span)
+
+    def _edge_batches(self):
+        span = Opaque(encode(self.PAYLOAD))
+        yield "depths", tuple((1, span, depth) for depth in (0, 63, 64, 8_191, 8_192, -1))
+        yield "spans", ((1, self._span(127), 0), (2, self._span(128), 0), (3, self._span(1), 0))
+        yield "inline envelope", ((0, self.PAYLOAD, 2), (1, span, 2))  # a hub-hosted reply
+        yield "service sender", ((SERVICE_SENDER, span, 1), (-64, span, 1), (-65, span, 1))
+        yield "wide sender", ((63, span, 1), (64, span, 1), (True, span, 1))
+        yield "list entry", ([1, span, 0], (1, span, 0), (1, span), (1, span, 0, 0), "x")
+        yield "depth types", ((1, span, True), (1, span, 2.0), (1, span, None))
+        yield "empty", ()
+
+    def test_the_declaration_is_on_the_record_not_in_the_codec(self):
+        entry = schema.entry_for_class(MsgDeliverBatch)
+        assert entry.layouts == {"entries": binary.DELIVERY_ENTRIES}
+        assert all(not e.layouts for e in registered_entries() if e is not entry)
+
+    def test_each_edge_is_the_generic_path(self):
+        for name, entries in self._edge_batches():
+            batch = MsgDeliverBatch(entries)
+            wire = encode(batch)
+            assert wire == reference.encode(batch), name
+            _assert_same_decode(wire)
+            assert decode(wire, lazy=True) == batch, name
+
+    def test_an_empty_span_is_spliced_and_refused_like_the_generic_path(self):
+        batch = MsgDeliverBatch(((1, Opaque(b""), 0),))
+        wire = encode(batch)
+        assert wire == reference.encode(batch)
+        assert decode(wire, lazy=True) == batch
+        for run in (decode, reference.decode, BinaryCodec().decode):
+            with pytest.raises(CodecError, match="blob length"):
+                run(wire)
+
+    def test_an_entries_field_that_is_not_a_tuple(self):
+        for entries in ([(1, Opaque(encode(7)), 0)], None, "entries", {1: 2}):
+            batch = MsgDeliverBatch(entries)
+            assert encode(batch) == reference.encode(batch)
+            _assert_same_decode(encode(batch))
+
+    def test_a_batch_of_130_entries_has_a_two_byte_count(self):
+        batch = MsgDeliverBatch(tuple((i % 7, Opaque(encode(i)), i) for i in range(130)))
+        assert encode(batch) == reference.encode(batch)
+        _assert_same_decode(encode(batch))
+
+    def test_truncation_at_every_offset_is_a_codec_error(self):
+        """Never an ``IndexError``: the flat loop reads ahead by index."""
+        for _, entries in self._edge_batches():
+            wire = encode(MsgDeliverBatch(entries))
+            for cut in range(len(wire)):
+                for codec in (BinaryCodec(), BinaryCodec(lazy=True)):
+                    with pytest.raises(CodecError):
+                        codec.decode(wire[:cut])
+                with pytest.raises(CodecError):
+                    reference.decode(wire[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=_batches, data=st.data())
+    def test_corrupting_one_byte_agrees_with_the_reference(self, batch, data):
+        wire = bytearray(encode(batch))
+        at = data.draw(st.integers(0, len(wire) - 1))
+        wire[at] = data.draw(st.integers(0, 255))
+        outcomes = []
+        for run in (
+            lambda: decode(bytes(wire)),
+            lambda: reference.decode(bytes(wire)),
+            lambda: decode(bytes(wire), lazy=True),
+            lambda: reference.decode(bytes(wire), lazy=True),
+        ):
+            try:
+                outcomes.append(run())
+            except Exception as exc:  # any error, so long as both raise it
+                outcomes.append((type(exc), str(exc)))
+        for ours, theirs in (outcomes[:2], outcomes[2:]):
+            # repr: a corrupted float may be NaN, which no ``==`` accepts
+            assert ours == theirs or repr(ours) == repr(theirs)
+
+
+class TestShareabilityWhileDecoding:
+    """Whether a span may be shared is noted by the decoders as they go (a
+    flag on the codec, saved and restored around each span); the reference
+    decides it by a second walk (``shareable``).  Same answer, always."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_anything)
+    def test_memoised_after_decode_iff_the_reference_says_shareable(self, value):
+        codec = BinaryCodec()
+        decoded = codec.decode(encode(MsgDeliver(1, value, 0)))
+        span = encode(value)
+        if len(span) <= SPAN_MEMO_MAX_BYTES:
+            assert (span in codec._spans) == reference.shareable(decoded.payload)
+        else:
+            assert not codec._spans
+
+    def test_a_mutable_value_inside_an_immutable_blob_inside_a_batch(self):
+        clean = MsgDeliver(4, ("a", 1), 0)  # a record with a blob field of its own
+        tainted = MsgDeliver(4, ("a", [1]), 0)
+        batch = MsgDeliverBatch(
+            ((1, Opaque(encode(clean)), 0), (2, Opaque(encode(tainted)), 0))
+        )
+        codec = BinaryCodec()
+        first, second = codec.decode(encode(batch)), codec.decode(encode(batch))
+        assert first == second == decode(encode(batch))
+        # kept: the clean outer span and both inner spans but the list's
+        assert set(codec._spans) == {encode(clean), encode(("a", 1))}
+        assert first.entries[0][1] is second.entries[0][1]
+        assert first.entries[1][1] is not second.entries[1][1]
+        first.entries[1][1].payload[1].append(2)
+        assert codec.decode(encode(batch)) == decode(encode(batch))
+
+    def test_the_outer_flag_survives_a_nested_immutable_span(self):
+        """``[list…, blob(clean)]``: decoding the clean inner span must not
+        wash the taint off the span around it."""
+        inner = MsgDeliver(2, "clean", 0)
+        outer = MsgDeliver(1, ([0], inner), 0)  # the list comes first
+        codec = BinaryCodec()
+        codec.decode(encode(MsgDeliver(0, outer, 0)))
+        assert set(codec._spans) == {encode("clean")}
+        # and a taint after the nested span is seen too
+        codec = BinaryCodec()
+        codec.decode(encode(MsgDeliver(0, MsgDeliver(1, (inner, {1: 2}), 0), 0)))
+        assert set(codec._spans) == {encode("clean")}
+
+    def test_a_hit_on_a_nested_span_taints_nothing(self):
+        inner = MsgDeliver(2, "clean", 0)
+        codec = BinaryCodec()
+        codec.decode(encode(inner))  # the inner span is known
+        outer = MsgDeliver(1, (inner, 7), 0)
+        codec.decode(encode(MsgDeliver(0, outer, 0)))
+        assert encode(outer) in codec._spans
+
+
+class TestBytesLikeInputs:
+    """WAL and snapshot readers pass slices; the codec copies a non-``bytes``
+    input once, at the door, and memoises under ``bytes`` either way."""
+
+    MESSAGES = (
+        MsgDeliver(1, _consensus_envelope(), 2),
+        MsgDeliverBatch(((1, Opaque(encode(_consensus_envelope())), 0), (2, Opaque(encode("x")), 9))),
+        ApplyRecord(0, 1, (("set", "k", 1),)),
+        ("héllo", b"\x00\xff", [1], {"a": 1}),
+    )
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview], ids=lambda w: w.__name__)
+    def test_every_input_type_decodes_to_the_one_expected_object(self, wrap):
+        for msg in self.MESSAGES:
+            wire = wrap(encode(msg))
+            expected = reference.decode(encode(msg))
+            assert decode(wire) == expected
+            relayed = decode(wire, lazy=True)
+            assert relayed == reference.decode(encode(msg), lazy=True)
+            if type(relayed) is MsgDeliver:
+                assert type(relayed.payload.data) is bytes
+            codec = BinaryCodec()
+            assert codec.decode(wire) == codec.decode(wire) == expected  # miss, then hit
+            assert all(type(span) is bytes for span in codec._spans)
+            assert len(codec._spans) <= SPAN_MEMO_ENTRIES
+
+    def test_a_slice_of_a_larger_buffer(self):
+        wire = encode(self.MESSAGES[0])
+        buffer = bytearray(b"\x03" + wire + b"tail")
+        view = memoryview(buffer)[1 : 1 + len(wire)]
+        assert codec_for(CODEC_BINARY).decode(view) == self.MESSAGES[0]
+        with pytest.raises(CodecError):
+            decode(memoryview(buffer)[1:])  # trailing bytes, whatever the type

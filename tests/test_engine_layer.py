@@ -16,6 +16,7 @@ from repro.engine.events import (
     DecideEvent,
     DeliverEvent,
     EventLog,
+    EventSink,
     EventStats,
     FaultEvent,
     SendEvent,
@@ -377,6 +378,80 @@ class TestLazyPayloadEvents:
         assert calls == []  # building events decodes nothing
         assert send.payload is deliver.payload
         assert len(calls) == 1
+
+
+class TestMessageEventConstructors:
+    """``SendEvent``/``DeliverEvent`` carry hand-written constructors (the
+    hub builds two per routed copy); everything observable about them is
+    what the generated ones gave."""
+
+    @pytest.mark.parametrize(
+        "cls, third", [(SendEvent, "dst"), (DeliverEvent, "sender")], ids=["send", "deliver"]
+    )
+    def test_positional_and_keyword_construction_agree(self, cls, third):
+        positional = cls(0.5, 1, 2, "m", 3)
+        keyword = cls(**{"time": 0.5, "pid": 1, third: 2, "raw": "m", "depth": 3})
+        mixed = cls(0.5, 1, 2, depth=3, raw="m")
+        assert positional == keyword == mixed
+        assert hash(positional) == hash(keyword)
+        assert repr(positional) == (
+            f"{cls.__name__}(time=0.5, pid=1, {third}=2, payload='m', depth=3)"
+        )
+        assert (positional.time, positional.pid, getattr(positional, third)) == (0.5, 1, 2)
+        assert (positional.raw, positional.payload, positional.depth) == ("m", "m", 3)
+        assert cls.__match_args__ == ("time", "pid", third, "raw", "depth")
+        assert [f.name for f in dataclasses.fields(cls)] == list(cls.__match_args__)
+        match positional:
+            case SendEvent(t, pid, dst, raw, depth) | DeliverEvent(t, pid, dst, raw, depth):
+                assert (t, pid, dst, raw, depth) == (0.5, 1, 2, "m", 3)
+
+    @pytest.mark.parametrize("cls", [SendEvent, DeliverEvent])
+    def test_wrong_arguments_are_type_errors(self, cls):
+        for args, kwargs in (
+            ((0.5, 1, 2, "m"), {}),
+            ((0.5, 1, 2, "m", 3, 4), {}),
+            ((0.5, 1, 2, "m", 3), {"depth": 3}),
+            ((0.5, 1, 2, "m"), {"payload": "m"}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+    @pytest.mark.parametrize("cls", [SendEvent, DeliverEvent])
+    def test_still_frozen_and_slotted(self, cls):
+        event = cls(0.5, 1, 2, "m", 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.time = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.depth
+        assert event.time == 0.5 and not hasattr(event, "__dict__")
+        assert cls.__dataclass_params__.frozen
+
+    @pytest.mark.parametrize("cls", [SendEvent, DeliverEvent])
+    def test_round_trips_from_a_span_and_from_an_object(self, cls):
+        payload = Envelope("s1.3", ("propose", 7))
+        for raw in (payload, Opaque(encode(payload))):
+            event = cls(0.5, 1, 2, raw, 3)
+            for clone in (pickle.loads(pickle.dumps(event)), copy.copy(event)):
+                assert clone == event == cls(0.5, 1, 2, payload, 3)
+                assert hash(clone) == hash(event) and repr(clone) == repr(event)
+                assert clone.raw == payload  # materialized on the way
+
+    def test_tee_sink_calls_each_sink_once_per_event_in_order(self):
+        seen = []
+
+        class Tagged(EventSink):
+            def __init__(self, tag):
+                self.tag = tag
+
+            def emit(self, event):
+                seen.append((self.tag, event))
+
+        tee = TeeSink(Tagged("a"), None, Tagged("b"))
+        events = [SendEvent(0.0, 0, 1, "m", 1), DeliverEvent(0.1, 1, 0, "m", 1)]
+        for event in events:
+            tee.emit(event)
+        assert seen == [("a", events[0]), ("b", events[0]), ("a", events[1]), ("b", events[1])]
+        assert len(tee.sinks) == 2
 
 
 class TestLockstepSimulation:

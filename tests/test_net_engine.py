@@ -144,6 +144,54 @@ class TestLinkPlan:
         assert "DropLink" in described[1] and "CutAfter" in described[1]
 
 
+class TestLinkPlanCleanSource:
+    """A source with no fault chain is answered at once — the one on-time
+    copy, no generator, and no RNG draw, as before (seeded streams must not
+    move) — and the answer is the chain walk's."""
+
+    @staticmethod
+    def _chain_walk(plan, src, dst, rng):
+        copies = [0.0]
+        for fault in plan.chain_for(src):
+            copies = [b + e for b in copies for e in fault.deliveries(src, dst, rng)]
+        return copies
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            LinkPlan(),
+            LinkPlan(per_source={3: [DropLink(1.0)]}),
+            LinkPlan(per_source={1: [], 3: [ReorderLink(0.5)]}),
+        ],
+        ids=["empty", "other-source", "empty-chain"],
+    )
+    def test_no_draw_and_the_chain_walks_answer(self, plan):
+        rng = random.Random(5)
+        before = rng.getstate()
+        for dst in range(4):
+            copies = plan.route(1, dst, rng)
+            assert copies == [0.0] == self._chain_walk(plan, 1, dst, random.Random(5))
+        assert rng.getstate() == before
+        first, second = plan.route(1, 0, rng), plan.route(1, 0, rng)
+        first.append(9.9)  # each caller owns its answer
+        assert second == [0.0] and plan.route(1, 0, rng) == [0.0]
+
+    def test_an_everywhere_fault_still_draws_per_destination(self):
+        plan = LinkPlan(per_source={3: [DropLink(1.0)]}, everywhere=[ReorderLink(0.5, 0.01)])
+        rng, twin = random.Random(9), random.Random(9)
+        routed = [plan.route(1, dst, rng) for dst in range(6)]
+        assert routed == [self._chain_walk(plan, 1, dst, twin) for dst in range(6)]
+        assert rng.getstate() == twin.getstate() != random.Random(9).getstate()
+        assert len({tuple(copies) for copies in routed}) > 1  # six draws, not one
+        assert plan.route(3, 0, rng) == []  # and the faulty source is still faulty
+
+    def test_a_per_source_fault_is_not_skipped(self):
+        plan = LinkPlan(per_source={2: [CutAfter(budget=1)]})
+        rng = random.Random(0)
+        assert [plan.route(2, dst, rng) for dst in range(3)] == [[0.0], [], []]
+        assert plan.route(1, 0, rng) == [0.0]
+
+
 class TestPlanFromPlane:
     def _plane(self, faults, n=7, t=1):
         from repro.engine.faults import FaultPlane
@@ -596,6 +644,64 @@ class TestBroadcastFrame:
             peer.close()
             control.close()
             hub._close()
+
+    def test_one_frame_one_time_and_one_write_one_time(self):
+        """The hub reads the clock per frame and per write, not per copy:
+        the ``n`` sends of one broadcast share a time, as do the deliveries
+        coalesced into one write — and frames, like writes, still differ."""
+        import time
+
+        from repro.net.wire import MsgBroadcast, MsgSend
+
+        log = EventLog()
+        cluster = _hub0(log)
+        cluster._clock.start()
+        _, first = _stub_node(cluster, 1)
+        _, second = _stub_node(cluster, 2)
+        try:
+            assert first.send(MsgBroadcast(1, self._payload(), 1))
+            _serve(cluster, lambda: cluster.sent >= 4)
+            time.sleep(0.002)
+            assert second.send(MsgBroadcast(2, self._payload(), 2))
+            assert second.send(MsgSend(2, 1, self._payload(), 3))
+            _serve(cluster, lambda: cluster.sent >= 9)
+            sends = log.of_type(SendEvent)
+            assert [e.pid for e in sends] == [1] * 4 + [2] * 5
+            by_frame = [{e.time for e in sends if e.depth == depth} for depth in (1, 2, 3)]
+            assert [len(times) for times in by_frame] == [1, 1, 1]
+            (t1,), (t2,), (t3,) = by_frame
+            assert 0.0 < t1 < t2 <= t3
+            # every queued copy comes due: one write per connected node
+            cluster._deliver_due(time.monotonic() + 1.0)
+            delivers = log.of_type(DeliverEvent)
+            assert sorted(e.pid for e in delivers) == [1, 1, 1, 2, 2]  # nodes 0, 3: no link
+            per_write = {dst: {e.time for e in delivers if e.pid == dst} for dst in (1, 2)}
+            assert all(len(times) == 1 for times in per_write.values())
+            assert per_write[1] != per_write[2] and min(per_write[1] | per_write[2]) >= t3
+            assert (cluster.delivered, cluster.frames) == (5, 2)
+        finally:
+            first.close()
+            second.close()
+            cluster._close()
+
+    def test_without_a_sink_the_clock_is_not_read(self, monkeypatch):
+        from repro.net.wire import MsgBroadcast
+
+        cluster = _hub0()
+        _, peer = _stub_node(cluster, 2)
+        monkeypatch.setattr(
+            cluster._clock, "now", lambda: pytest.fail("stamped an event nobody sees")
+        )
+        try:
+            assert peer.send(MsgBroadcast(2, self._payload(), 1))
+            _serve(cluster, lambda: cluster.sent >= 4)
+            import time
+
+            cluster._deliver_due(time.monotonic() + 1.0)
+            assert cluster.delivered == 1
+        finally:
+            peer.close()
+            cluster._close()
 
     def test_pickle_node_broadcast_reaches_binary_peers(self):
         # Mixed-codec cluster: the frame header, not the cluster, names the

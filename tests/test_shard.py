@@ -116,6 +116,37 @@ class TestShardAttribution:
         got = peek_shard(data[: min(cut, len(data))], shards)
         assert got in (UNATTRIBUTED, shard_of_payload(payload, shards))
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        span=st.binary(max_size=3)
+        | st.binary(max_size=24)
+        | st.builds(
+            lambda kind, shard, rest: bytes([0x0B, kind]) + shard + rest,
+            st.sampled_from([0x00, 0x01, 0x01, 0x01, 0x02, 0x05]),
+            st.sampled_from([b"", b"\x00", b"\x03", b"\x07", b"\x7f", b"\x80\x01", b"\x83\x00", b"\xff"]),
+            st.binary(max_size=12),
+        )
+        | _chains.map(encode),
+        shards=st.sampled_from([1, 2, 4, 8, 127, 128, 129, 300]),
+    )
+    def test_a_span_answers_exactly_what_the_peek_answers(self, span, shards):
+        """The three-byte answer for ``TAG_ENVELOPE, instance, one-byte
+        shard in range`` is a shortcut to :func:`peek_shard`, never a
+        different opinion: out-of-range shards, two-byte shard varints,
+        empty and 1-3 byte spans included."""
+        assert shard_of_payload(Opaque(span), shards) == peek_shard(span, shards)
+
+    def test_the_short_answer_reads_the_shard_byte(self):
+        for shard in (0, 3, 127):
+            span = encode(Envelope(instance_name(shard, 9), "x"))
+            assert span[:3] == bytes([0x0B, 0x01, shard])
+            assert shard_of_payload(Opaque(span), 128) == shard == peek_shard(span, 128)
+            assert shard_of_payload(Opaque(span), shard) == UNATTRIBUTED  # shard >= shards
+        wide = encode(Envelope(instance_name(200, 9), "x"))  # a two-byte shard varint
+        assert wide[2] >= 0x80
+        assert shard_of_payload(Opaque(wide), 300) == 200 == peek_shard(wide, 300)
+        assert shard_of_payload(Opaque(wide[:3]), 300) == UNATTRIBUTED
+
     def test_foreign_shard_is_stepped_over_not_trusted(self):
         nested = Envelope("s9.0", Envelope("mux", Envelope("s2.5", "x")))
         assert shard_of_payload(nested, 4) == 2
@@ -503,6 +534,37 @@ class TestShardedServiceSim:
             for batch in batches:
                 for _, key, _ in batch:
                     assert shard_of(key, 4) == shard
+
+    def test_per_shard_counts_are_the_streams_own(self):
+        """``ShardStreamSink`` dispatches on exact event type; folded again
+        the slow way (``isinstance``, payloads read) the recorded stream
+        gives the same per-shard sends and delivers, and ``EventStats`` the
+        same totals — on every seed the same numbers."""
+        from collections import Counter
+
+        from repro.engine.events import EventLog, EventStats
+
+        def run():
+            log = EventLog()
+            report = ShardedService(n=7, shards=4, seed=8, event_sink=log).run(count=16)
+            return log, report
+
+        (log, report), (_, again) = run(), run()
+        sends, delivers, stats = Counter(), Counter(), EventStats()
+        for event in log:
+            stats.emit(event)
+            if isinstance(event, SendEvent):
+                sends[shard_of_payload(event.payload, 4)] += 1
+            elif isinstance(event, DeliverEvent):
+                delivers[shard_of_payload(event.payload, 4)] += 1
+        rows = {row["shard"]: row for row in report.per_shard}
+        assert {s: rows[s]["sends"] for s in rows} == {s: sends[s] for s in range(4)}
+        assert {s: rows[s]["delivers"] for s in rows} == {s: delivers[s] for s in range(4)}
+        assert report.aggregate["sends"] == stats.sends == sum(sends.values())
+        assert report.aggregate["delivers"] == stats.delivers == sum(delivers.values())
+        assert all(count > 0 for count in sends.values())
+        assert [r["sends"] for r in again.per_shard] == [r["sends"] for r in report.per_shard]
+        assert again.digest == report.digest
 
     def test_same_seed_identical_digest_under_contention(self):
         # The shard-tagged determinism claim: same seed → identical applied
