@@ -47,8 +47,9 @@ def sweep():
                 assert result.decided_value in admissible, (name, engine, seed)
                 aggregate.add_stats(
                     stats,
-                    wall_seconds=getattr(result, "wall_seconds", None),
-                    timed_out=getattr(result, "timed_out", False),
+                    # end_time is wall-clock only on net (virtual on sim)
+                    wall_seconds=result.end_time if engine == "net" else None,
+                    timed_out=result.timed_out,
                 )
             summary = aggregate.summary()
             rows.append(

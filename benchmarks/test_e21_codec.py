@@ -32,7 +32,7 @@ def sweep():
         frames = nbytes = delivered = 0
         wall = 0.0
         for seed in range(1, RUNS + 1):
-            result = Scenario(dex_freq(), INPUTS, seed=seed, codec=codec).run_net(
+            result = Scenario(dex_freq(), INPUTS, seed=seed, codec=codec, engine="net").run(
                 timeout=20.0
             )
             assert not result.timed_out
@@ -45,7 +45,7 @@ def sweep():
             frames += result.hub_frames
             nbytes += result.hub_bytes
             delivered += result.stats.messages_delivered
-            wall += result.wall_seconds
+            wall += result.end_time
         rows.append(
             {
                 "codec": codec,

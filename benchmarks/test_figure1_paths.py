@@ -13,6 +13,7 @@ activates the underlying consensus exactly once.
 
 from _util import write_report
 
+from repro.engine.events import DecideEvent, EventLog, ServiceEvent
 from repro.harness import Scenario, dex_freq
 from repro.sim.latency import ConstantLatency
 from repro.sim.scheduler import DelaySenders
@@ -20,36 +21,43 @@ from repro.types import DecisionKind
 from repro.workloads.inputs import split, unanimous, with_frequency_gap
 
 
+def traced(scenario: Scenario):
+    """``(result, event log)`` of one traced run."""
+    return scenario.run(), scenario.event_sink
+
+
 def run_three_paths():
-    one = Scenario(
-        dex_freq(), unanimous(1, 7), seed=0, trace=True,
+    one = traced(Scenario(
+        dex_freq(), unanimous(1, 7), seed=0, event_sink=EventLog(),
         latency=ConstantLatency(1.0),
-    ).run()
-    two = Scenario(
-        dex_freq(), with_frequency_gap(1, 2, 7, 5), seed=1, trace=True,
+    ))
+    two = traced(Scenario(
+        dex_freq(), with_frequency_gap(1, 2, 7, 5), seed=1, event_sink=EventLog(),
         latency=ConstantLatency(1.0), scheduler=DelaySenders([0], extra=50.0),
-    ).run()
-    fallback = Scenario(
-        dex_freq(), split(1, 2, 7, 3), seed=2, trace=True,
+    ))
+    fallback = traced(Scenario(
+        dex_freq(), split(1, 2, 7, 3), seed=2, event_sink=EventLog(),
         latency=ConstantLatency(1.0),
-    ).run()
+    ))
     return one, two, fallback
 
 
 def test_figure1_decision_paths(benchmark):
-    one, two, fallback = benchmark.pedantic(run_three_paths, rounds=1, iterations=1)
+    paths = benchmark.pedantic(run_three_paths, rounds=1, iterations=1)
+    (one, _), (two, _), (fallback, _) = paths
 
     lines = ["Figure 1 decision paths (n=7, t=1, constant latency):", ""]
-    for label, result in [("line 8 (one-step)", one),
-                          ("line 17 (two-step)", two),
-                          ("line 21 (underlying)", fallback)]:
+    for label, (result, log) in zip(
+        ("line 8 (one-step)", "line 17 (two-step)", "line 21 (underlying)"), paths
+    ):
         kinds = sorted({d.kind.value for d in result.correct_decisions.values()})
         steps = sorted({d.step for d in result.correct_decisions.values()})
         lines.append(
             f"{label:22} decided={result.decided_value!r} kinds={kinds} steps={steps}"
         )
-        for event in result.tracer.by_event("decide")[:3]:
-            lines.append(f"    {event.data}")
+        for event in log.of_type(DecideEvent)[:3]:
+            fields = {"value": event.value, "kind": event.kind.value, "step": event.step}
+            lines.append(f"    {fields}")
     write_report("figure1_paths", "\n".join(lines))
 
     # line 8: all correct decide one-step at depth 1
@@ -68,12 +76,12 @@ def test_figure1_decision_paths(benchmark):
 
 def test_figure1_uc_activated_exactly_once(benchmark):
     def run():
-        sim = Scenario(dex_freq(), unanimous(1, 7), seed=3, trace=True).build()
+        log = EventLog()
+        sim = Scenario(dex_freq(), unanimous(1, 7), seed=3, event_sink=log).build()
         sim.run_until_decided()
         sim.run_to_quiescence()
-        return sim
+        return log
 
-    sim = benchmark.pedantic(run, rounds=1, iterations=1)
-    calls = [e for e in sim.tracer.events if e.event.startswith("service-call")]
-    callers = [e.pid for e in calls]
+    log = benchmark.pedantic(run, rounds=1, iterations=1)
+    callers = [e.pid for e in log.of_type(ServiceEvent)]
     assert sorted(callers) == list(range(7))  # lines 12-15: once per process

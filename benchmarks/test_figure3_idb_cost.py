@@ -12,6 +12,7 @@ for ``n`` concurrent broadcasts (``n² (n+1)`` = init ``n²`` + echo ``n³``).
 from _util import write_report
 
 from repro.broadcast.idb import DELIVER_TAG, IdbEcho, IdenticalBroadcast
+from repro.engine.events import DeliverEvent, EventLog
 from repro.metrics.report import format_table
 from repro.sim.latency import ConstantLatency
 from repro.sim.runner import Simulation
@@ -24,12 +25,11 @@ def run_idb(n: int, t: int):
         pid: IdenticalBroadcast(pid, config, initial_value=pid)
         for pid in config.processes
     }
-    sim = Simulation(config, protocols, latency=ConstantLatency(1.0), trace=True)
+    log = EventLog()
+    sim = Simulation(config, protocols, latency=ConstantLatency(1.0), event_sink=log)
     result = sim.run_to_quiescence()
     echo_depths = {
-        e.data["depth"]
-        for e in result.tracer.by_event("deliver")
-        if isinstance(e.data.get("payload"), IdbEcho)
+        e.depth for e in log.of_type(DeliverEvent) if isinstance(e.payload, IdbEcho)
     }
     deliveries = sum(
         1 for pid in config.processes for d in result.outputs[pid] if d.tag == DELIVER_TAG

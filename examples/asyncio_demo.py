@@ -16,24 +16,26 @@ from repro import Equivocate, Scenario, dex_freq
 def show(title, result):
     kinds = sorted({d.kind.value for d in result.correct_decisions.values()})
     print(f"{title:32} decided={result.decided_value!r:3} paths={kinds} "
-          f"steps≤{result.max_correct_step} wall={result.wall_seconds * 1000:.1f} ms")
+          f"steps≤{result.max_correct_step} wall={result.end_time * 1000:.1f} ms")
 
 
 def main():
     print(__doc__)
 
-    result = Scenario(dex_freq(), [1] * 7, seed=1).run_async(timeout=15, mean_delay=0.002)
+    result = Scenario(dex_freq(), [1] * 7, seed=1, engine="asyncio").run(
+        timeout=15, mean_delay=0.002
+    )
     show("unanimous (one step)", result)
     assert result.max_correct_step == 1
 
-    result = Scenario(dex_freq(), [1, 1, 1, 1, 2, 2, 2], seed=2).run_async(
+    result = Scenario(dex_freq(), [1, 1, 1, 1, 2, 2, 2], seed=2, engine="asyncio").run(
         timeout=15, mean_delay=0.002
     )
     show("contended (fallback)", result)
 
     result = Scenario(
-        dex_freq(), [1] * 7, faults={6: Equivocate(1, 2)}, seed=3
-    ).run_async(timeout=15, mean_delay=0.002)
+        dex_freq(), [1] * 7, faults={6: Equivocate(1, 2)}, seed=3, engine="asyncio"
+    ).run(timeout=15, mean_delay=0.002)
     show("unanimous + equivocator", result)
     assert result.agreement_holds()
 

@@ -74,7 +74,8 @@ from .harness import (
     run_once,
     twostep,
 )
-from .sim import RunResult, Simulation
+from .engine.run import RunResult
+from .sim import Simulation
 from .types import BOTTOM, Decision, DecisionKind, SystemConfig
 
 __version__ = "1.0.0"

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from ..engine.run import RunResult
 from ..errors import ConfigurationError
 from ..runtime.effects import Decide, Deliver, Effect
 from ..shard.router import ShardInstanceFactory, ShardMultiplexer, dex_shard_factory
-from ..sim.runner import RunResult, Simulation
+from ..sim.runner import Simulation
 from ..types import DecisionKind, ProcessId, SystemConfig, Value
 from ..underlying.oracle import OracleService
 
@@ -102,7 +103,6 @@ def run_pipelined(
     t: int | None = None,
     window: int = 4,
     seed: int = 0,
-    trace: bool = True,
 ) -> tuple[RunResult, dict[ProcessId, tuple[Value, ...]]]:
     """Run a pipelined DEX log end to end.
 
@@ -112,7 +112,6 @@ def run_pipelined(
         t: failure bound (default: frequency pair's maximum for this n).
         window: slots kept in flight per replica.
         seed: simulation seed.
-        trace: keep the structured trace (per-slot timestamps live there).
 
     Returns:
         ``(run_result, logs)`` where ``logs[pid]`` is the ordered decided
@@ -138,7 +137,6 @@ def run_pipelined(
         protocols,
         services={"oracle-uc": service},
         seed=seed,
-        trace=trace,
     )
     result = sim.run_until_decided()
     logs = {

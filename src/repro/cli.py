@@ -37,6 +37,7 @@ from .conditions.frequency import FrequencyPair
 from .conditions.legality import LegalityChecker
 from .conditions.privileged import PrivilegedPair
 from .conditions.views import View
+from .engine.events import EventLog
 from .errors import ReproError
 from .harness import (
     ENGINES,
@@ -307,8 +308,8 @@ def _cmd_run(args) -> int:
         faults=dict(args.faults),
         uc=args.uc,
         seed=args.seed,
-        trace=args.trace,
         engine=args.engine,
+        event_sink=EventLog() if args.trace else None,
         net_jitter=args.net_jitter,
         codec=args.codec,
         mesh=mesh,
@@ -342,13 +343,13 @@ def _cmd_run(args) -> int:
     print(f"messages={result.stats.messages_sent} "
           f"decided={len(rows)}/{correct} "
           f"agreement={'ok' if result.agreement_holds() else 'VIOLATED'}")
-    if args.trace and hasattr(result, "tracer"):
-        print(result.tracer.format())
+    if args.trace:
+        print(scenario.event_sink.format())
     if result.all_correct_decided() and result.agreement_holds():
         return 0
     # Agreement is vacuous on zero decisions: an undecided run is a failure,
     # and the engines that can say why (deadline, dead workers) do.
-    if getattr(result, "timed_out", False):
+    if result.timed_out:
         print("error: run timed_out before every correct process decided",
               file=sys.stderr)
     failed = {pid: code for pid, code in getattr(result, "exit_codes", {}).items()

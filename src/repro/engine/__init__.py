@@ -9,6 +9,8 @@ discrete-event :class:`~repro.sim.runner.Simulation`, the
 * :mod:`repro.engine.interpreter` — the single effect-interpretation code
   path (:func:`interpret` over the :class:`ExecutionPorts` interface) and
   the single effect-rewriting path (:class:`EffectRewriter`);
+* :mod:`repro.engine.run` — the one set of books (:class:`Engine`) and the
+  one result type (:class:`RunResult`) every engine keeps and returns;
 * :mod:`repro.engine.faults` — the unified fault plane;
 * :mod:`repro.engine.events` — the typed run-event stream every backend
   emits into pluggable sinks.
@@ -35,7 +37,6 @@ from .events import (
     SendEvent,
     ServiceEvent,
     TeeSink,
-    TracerSink,
     combine,
 )
 from .faults import (
@@ -58,6 +59,7 @@ from .interpreter import (
     expand_broadcasts,
     interpret,
 )
+from .run import Engine, RunResult, check_deployment
 
 __all__ = [
     # interpreter
@@ -67,6 +69,10 @@ __all__ = [
     "expand_broadcasts",
     "EffectRewriter",
     "CensoringRewriter",
+    # run
+    "Engine",
+    "RunResult",
+    "check_deployment",
     # events
     "RunEvent",
     "SendEvent",
@@ -80,7 +86,6 @@ __all__ = [
     "EventSink",
     "EventLog",
     "EventStats",
-    "TracerSink",
     "TeeSink",
     "combine",
     # faults

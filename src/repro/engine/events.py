@@ -2,11 +2,10 @@
 
 Every backend emits the same typed events (message sent, message
 delivered, decision, service call, fault activation, …) into an
-:class:`EventSink`.  The legacy :class:`~repro.sim.trace.Tracer` is fed by
-:class:`TracerSink` (exact record-for-record parity with the old inline
-``tracer.record`` calls), metrics can be computed online by
+:class:`EventSink`.  An :class:`EventLog` is *the* trace of a run — pass
+one as ``event_sink`` on any engine — metrics can be computed online by
 :class:`EventStats`, and the model checker's counterexample replays record
-an :class:`EventLog` instead of a backend-specific trace.
+an :class:`EventLog` too.
 
 Events are frozen slotted dataclasses, so a recorded stream is hashable,
 comparable and cheap; ``time`` is whatever clock the backend runs
@@ -36,7 +35,6 @@ __all__ = [
     "RoundEvent",
     "EventSink",
     "EventLog",
-    "TracerSink",
     "TeeSink",
     "EventStats",
     "combine",
@@ -268,47 +266,15 @@ class EventLog(EventSink):
                 out[e.pid] = e
         return out
 
-
-class TracerSink(EventSink):
-    """Adapt the event stream onto the legacy :class:`~repro.sim.trace.
-    Tracer` record format, record for record identical to the inline
-    ``tracer.record`` calls the runners used to make.  ``SendEvent``,
-    ``FaultEvent`` and ``RoundEvent`` have no legacy counterpart and are
-    dropped."""
-
-    def __init__(self, tracer) -> None:
-        self.tracer = tracer
-
-    def emit(self, event: RunEvent) -> None:
-        if isinstance(event, DeliverEvent):
-            self.tracer.record(
-                event.time,
-                event.pid,
-                "deliver",
-                {"from": event.sender, "payload": event.payload, "depth": event.depth},
-            )
-        elif isinstance(event, DecideEvent):
-            self.tracer.record(
-                event.time,
-                event.pid,
-                "decide",
-                {"value": event.value, "kind": event.kind.value, "step": event.step},
-            )
-        elif isinstance(event, OutputEvent):
-            self.tracer.record(
-                event.time,
-                event.pid,
-                f"output:{event.tag}",
-                {"sender": event.sender, "value": event.value},
-            )
-        elif isinstance(event, ServiceEvent):
-            self.tracer.record(
-                event.time, event.pid, f"service-call:{event.service}", {"payload": event.payload}
-            )
-        elif isinstance(event, LogEvent):
-            self.tracer.record(
-                event.time, event.data.get("pid", event.pid), event.event, event.data
-            )
+    def format(self, limit: int | None = None) -> str:
+        """Human-readable rendering, one line per event (the first
+        ``limit`` of them): time, process, event type, then its fields."""
+        lines = []
+        for e in self.events[:limit]:
+            names = ("payload" if n == "raw" else n for n in e.__match_args__[2:])
+            detail = " ".join(f"{n}={getattr(e, n)!r}" for n in names)
+            lines.append(f"[t={e.time:8.3f}] p{e.pid:<3} {type(e).__name__:<14} {detail}")
+        return "\n".join(lines)
 
 
 class TeeSink(EventSink):

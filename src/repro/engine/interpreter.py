@@ -83,12 +83,6 @@ class ExecutionPorts:
     def log_record(self, pid: ProcessId, record: Log, depth: int) -> None:
         """Record a structured trace effect; backends may drop it."""
 
-    # -- convenience ---------------------------------------------------------------
-
-    def interpret(self, pid: ProcessId, effects: list[Effect], depth: int) -> None:
-        """Run :func:`interpret` against this backend."""
-        interpret(self, pid, effects, depth)
-
 
 def interpret(
     ports: ExecutionPorts, pid: ProcessId, effects: list[Effect], depth: int

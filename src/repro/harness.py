@@ -24,8 +24,8 @@ Example::
     ).run()
     assert result.agreement_holds()
 
-``Scenario(..., engine="asyncio")`` (or ``"sync"``, ``"mc"``) runs the same
-deployment on a different backend — see :meth:`Scenario.run`.
+``Scenario(..., engine="asyncio")`` (or ``"sync"``, ``"mc"``, ``"net"``) runs
+the same deployment on a different backend — see :meth:`Scenario.run`.
 """
 
 from __future__ import annotations
@@ -58,15 +58,16 @@ from .engine.faults import (
     Spoiler,
     restart_plans,
 )
+from .engine.run import RunResult
 from .errors import ConfigurationError
 from .runtime.composite import Envelope
 from .runtime.effects import Deliver
 from .runtime.protocol import Protocol
 from .runtime.services import Service
 from .sim.latency import LatencyModel
-from .sim.runner import RunResult, Simulation
+from .sim.runner import Simulation
 from .sim.scheduler import DeliveryScheduler
-from .types import ProcessId, SystemConfig, Value
+from .types import Decision, ProcessId, RunStats, SystemConfig, Value
 from .underlying.coin import CommonCoin
 from .underlying.multivalued import MultivaluedConsensus
 from .underlying.oracle import SERVICE_NAME, OracleConsensus, OracleService
@@ -305,6 +306,22 @@ ENGINES = ("sim", "asyncio", "sync", "mc", "net")
 NET_JITTERS = ("uniform", "lognormal")
 
 
+def _check_choice(what: str, value: str, choices) -> None:
+    if value not in choices:
+        raise ConfigurationError(
+            f"unknown {what} {value!r} (one of: {', '.join(choices)})"
+        )
+
+
+def _check_net_knobs(net_jitter: str, codec: str) -> None:
+    """The by-name socket-engine knobs :class:`Scenario` and
+    :class:`Deployment` both carry."""
+    from .codec import CODEC_NAMES
+
+    _check_choice("net jitter", net_jitter, NET_JITTERS)
+    _check_choice("codec", codec, sorted(CODEC_NAMES))
+
+
 @dataclass
 class Deployment:
     """A fully wired, engine-agnostic deployment.
@@ -323,9 +340,9 @@ class Deployment:
         services: trusted services by name.
         faulty: ids of the faulty processes.
         seed: backend PRNG seed (scheduling, jitter).
-        trace: enable the legacy tracer on the discrete-event backend.
         latency, scheduler, max_events: discrete-event backend knobs.
-        event_sink: receives the structured run events of any backend.
+        event_sink: receives the structured run events of any backend
+            (an :class:`~repro.engine.events.EventLog` is a trace).
         net_jitter: hub jitter model on the socket engine — ``"uniform"``
             (bounded) or ``"lognormal"`` (long-tailed), both seeded.
         codec: wire codec of the socket engine by name — ``"binary"``
@@ -354,7 +371,6 @@ class Deployment:
     services: dict[str, Service] = field(default_factory=dict)
     faulty: frozenset = frozenset()
     seed: int = 0
-    trace: bool = False
     latency: LatencyModel | None = None
     scheduler: DeliveryScheduler | None = None
     max_events: int | None = None
@@ -367,17 +383,7 @@ class Deployment:
     shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.net_jitter not in NET_JITTERS:
-            raise ConfigurationError(
-                f"unknown net jitter {self.net_jitter!r} "
-                f"(one of: {', '.join(NET_JITTERS)})"
-            )
-        from .codec import CODEC_NAMES
-
-        if self.codec not in CODEC_NAMES:
-            raise ConfigurationError(
-                f"unknown codec {self.codec!r} (one of: {', '.join(sorted(CODEC_NAMES))})"
-            )
+        _check_net_knobs(self.net_jitter, self.codec)
 
     def _reject_restarts(self, engine: str) -> None:
         if self.restarts:
@@ -386,8 +392,10 @@ class Deployment:
                 "restarts; run on 'sim' or 'net'"
             )
 
-    def run(self, engine: str = "sim", **kwargs: Any):
-        """Run on ``engine``, forwarding ``kwargs`` to its runner method."""
+    def run(self, engine: str = "sim", **kwargs: Any) -> RunResult:
+        """Run on ``engine``, forwarding ``kwargs`` to its runner method.
+        Every engine returns a :class:`~repro.engine.run.RunResult`."""
+        _check_choice("engine", engine, ENGINES)
         if engine == "asyncio":
             return self.run_async(**kwargs)
         if engine == "sync":
@@ -396,11 +404,7 @@ class Deployment:
             return self.run_mc(**kwargs)
         if engine == "net":
             return self.run_net(**kwargs)
-        if engine == "sim":
-            return self.run_sim(**kwargs)
-        raise ConfigurationError(
-            f"unknown engine {engine!r} (one of: {', '.join(ENGINES)})"
-        )
+        return self.run_sim(**kwargs)
 
     def build_sim(self) -> Simulation:
         """The fully wired discrete-event simulation (not yet run)."""
@@ -415,7 +419,6 @@ class Deployment:
             scheduler=self.scheduler,
             services=self.services,
             seed=self.seed,
-            trace=self.trace,
             event_sink=self.event_sink,
             restarts=self.restarts,
             **kwargs,
@@ -436,17 +439,16 @@ class Deployment:
             faulty=self.faulty,
             services=self.services,
             seed=self.seed,
-            trace=self.trace,
             event_sink=self.event_sink,
         ).run_until_decided()
 
     def run_mc(self) -> RunResult:
         """Run the model checker's state machine on its FIFO baseline
-        schedule and repackage the outcome as a :class:`RunResult`."""
+        schedule and repackage its tuple decision book as a
+        :class:`RunResult` (time is the delivery index; the checker stamps
+        no decision, so ``Decision.time`` is ``0.0``)."""
         self._reject_restarts("mc")
         from .mc.state import McSystem
-        from .sim.trace import Tracer
-        from .types import Decision, RunStats
 
         system = McSystem(
             self.config,
@@ -468,22 +470,20 @@ class Deployment:
             messages_sent=system.counter,
             messages_delivered=system.deliveries,
             decisions=dict(decisions),
-            end_time=float(system.deliveries),
+            end_time=system.now(),
         )
         return RunResult(
             config=self.config,
             decisions=decisions,
             outputs=outputs,
             stats=stats,
-            tracer=Tracer(enabled=False),
             faulty=self.faulty,
-            end_time=float(system.deliveries),
+            end_time=system.now(),
             drained=not system.pending,
         )
 
-    def run_async(self, timeout: float = 30.0, mean_delay: float = 0.001):
-        """Run on the asyncio runtime; returns an
-        :class:`~repro.runtime.asyncio_runner.AsyncRunResult`."""
+    def run_async(self, timeout: float = 30.0, mean_delay: float = 0.001) -> RunResult:
+        """Run on the asyncio runtime (``end_time`` is wall-clock seconds)."""
         self._reject_restarts("asyncio")
         from .runtime.asyncio_runner import AsyncioRunner
 
@@ -506,7 +506,8 @@ class Deployment:
         link_plan: Any = None,
     ):
         """Run as real OS processes over sockets; returns a
-        :class:`~repro.net.cluster.NetRunResult`.
+        :class:`~repro.net.cluster.NetRunResult` (a :class:`RunResult` plus
+        hub counters and per-node exit codes).
 
         With a :attr:`mesh` topology of more than one hub group this
         builds a :class:`~repro.mesh.cluster.MeshCluster` (lazy import —
@@ -566,8 +567,8 @@ class Scenario:
         uc: ``"oracle"`` (the paper's §2.2 abstraction, default) or
             ``"real"`` (Bracha RBC + common-coin ABA + ACS).
         uc_step_cost: causal step cost of the oracle abstraction.
-        latency, scheduler, seed, trace, max_events: passed to the
-            simulator (``latency``/``scheduler``/``max_events`` apply to the
+        latency, scheduler, seed, max_events: passed to the simulator
+            (``latency``/``scheduler``/``max_events`` apply to the
             discrete-event backend only).
         engine: which backend :meth:`run` drives — ``"sim"`` (deterministic
             discrete-event), ``"asyncio"`` (real event loop), ``"sync"``
@@ -575,7 +576,8 @@ class Scenario:
             checker's state machine on its FIFO baseline schedule) or
             ``"net"`` (one OS process per node over real sockets).
         event_sink: optional :class:`~repro.engine.events.EventSink`
-            receiving the structured run events of any backend.
+            receiving the structured run events of any backend; pass an
+            :class:`~repro.engine.events.EventLog` to keep a trace.
         codec: socket-engine wire codec by name — ``"binary"`` (default)
             or ``"pickle"``; see :mod:`repro.codec`.  The in-memory
             engines never serialize, so they ignore it.
@@ -598,7 +600,6 @@ class Scenario:
     latency: LatencyModel | None = None
     scheduler: DeliveryScheduler | None = None
     seed: int = 0
-    trace: bool = False
     max_events: int | None = None
     engine: str = "sim"
     event_sink: EventSink | None = None
@@ -629,21 +630,8 @@ class Scenario:
             algorithm_name=self.algorithm.name,
         )
         self.faults = self._plane.faults
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r} (one of: {', '.join(ENGINES)})"
-            )
-        if self.net_jitter not in NET_JITTERS:
-            raise ConfigurationError(
-                f"unknown net jitter {self.net_jitter!r} "
-                f"(one of: {', '.join(NET_JITTERS)})"
-            )
-        from .codec import CODEC_NAMES
-
-        if self.codec not in CODEC_NAMES:
-            raise ConfigurationError(
-                f"unknown codec {self.codec!r} (one of: {', '.join(sorted(CODEC_NAMES))})"
-            )
+        _check_choice("engine", self.engine, ENGINES)
+        _check_net_knobs(self.net_jitter, self.codec)
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -659,11 +647,7 @@ class Scenario:
         raise ConfigurationError(f"unknown underlying consensus kind {self.uc!r}")
 
     def components(self) -> tuple[dict[ProcessId, Protocol], dict[str, Service]]:
-        """Build the per-process protocols and the trusted services.
-
-        Shared by the simulator path (:meth:`build`) and the asyncio path
-        (:meth:`run_async`).
-        """
+        """Build the per-process protocols and the trusted services."""
         uc_factory, services = self._uc_factory_and_services()
         protocols: dict[ProcessId, Protocol] = {}
         for pid in self.config.processes:
@@ -708,7 +692,6 @@ class Scenario:
             services=services,
             faulty=frozenset(self.faults) - self._plane.recovering(),
             seed=self.seed,
-            trace=self.trace,
             latency=self.latency,
             scheduler=self.scheduler,
             max_events=self.max_events,
@@ -724,43 +707,17 @@ class Scenario:
         """Construct the fully wired discrete-event simulation (not yet run)."""
         return self.deployment().build_sim()
 
-    def run(self):
-        """Run the scenario on the selected :attr:`engine`.
-
-        Returns a :class:`~repro.sim.runner.RunResult` for the ``"sim"``,
-        ``"sync"`` and ``"mc"`` backends, an
-        :class:`~repro.runtime.asyncio_runner.AsyncRunResult` for
-        ``"asyncio"`` and a :class:`~repro.net.cluster.NetRunResult` for
-        ``"net"`` — all expose the shared observability surface
-        (``correct_decisions``, ``max_correct_step``, ``end_time``,
-        ``agreement_holds()``, …).
+    def run(self, **engine_kwargs: Any) -> RunResult:
+        """Run the scenario on the selected :attr:`engine`; ``engine_kwargs``
+        go to its ``Deployment.run_*`` method (``timeout=`` on ``"asyncio"``
+        and ``"net"``, ``transport=`` on ``"net"``).  On ``"net"`` the fault
+        plane's crash-model faults are also projected onto the hub's links.
         """
         if self.engine == "net":
-            return self.run_net()
-        return self.deployment().run(self.engine)
+            from .net.faults import plan_from_plane
 
-    def run_net(
-        self,
-        timeout: float = 30.0,
-        transport: str = "uds",
-        mean_delay: float = 0.0005,
-    ):
-        """Run the same deployment as real OS processes over sockets.
-
-        One forked worker per node, framed traffic through the hub of
-        :class:`~repro.net.cluster.NetCluster`, the plane's crash-model
-        faults projected onto link behaviors.  Returns a
-        :class:`~repro.net.cluster.NetRunResult` (the asyncio result
-        surface plus per-node exit codes).
-        """
-        from .net.faults import plan_from_plane
-
-        return self.deployment().run_net(
-            timeout=timeout,
-            transport=transport,
-            mean_delay=mean_delay,
-            link_plan=plan_from_plane(self._plane),
-        )
+            engine_kwargs["link_plan"] = plan_from_plane(self._plane)
+        return self.deployment().run(self.engine, **engine_kwargs)
 
     def run_many(
         self,
@@ -773,8 +730,7 @@ class Scenario:
 
         Each per-seed clone is made with :func:`dataclasses.replace`, so
         every field of this scenario — including ones added after this
-        method was written — carries over; only ``seed`` and ``trace``
-        differ.
+        method was written — carries over; only ``seed`` differs.
 
         Args:
             seeds: iterable of simulation seeds; each run is otherwise
@@ -792,7 +748,7 @@ class Scenario:
         from .metrics.collectors import RunAggregate
 
         def one_run(seed: int):
-            return dataclasses.replace(self, seed=seed, trace=False).run()
+            return dataclasses.replace(self, seed=seed).run()
 
         if parallel:
             from .sim.parallel import parallel_map
@@ -804,13 +760,6 @@ class Scenario:
         for run in runs:
             aggregate.add(run, expected_value=expected_value)
         return aggregate
-
-    def run_async(self, timeout: float = 30.0, mean_delay: float = 0.001):
-        """Run the same deployment on the asyncio runtime instead.
-
-        Returns an :class:`~repro.runtime.asyncio_runner.AsyncRunResult`.
-        """
-        return self.deployment().run_async(timeout=timeout, mean_delay=mean_delay)
 
 
 def run_once(

@@ -26,8 +26,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..engine.run import RunResult
 from ..sim.latency import ConstantLatency
-from ..sim.runner import RunResult, Simulation
+from ..sim.runner import Simulation
 from ..sim.scheduler import ReplayScheduler
 from .state import McSystem
 

@@ -256,7 +256,7 @@ def build_simulation(
     scheduler: DeliveryScheduler | None = None,
     latency: LatencyModel | None = None,
     seed: int = 0,
-    trace: bool = False,
+    event_sink=None,
 ) -> Simulation:
     """Instantiate the *same* composition on the discrete-event simulator."""
     config, protocols, services, faulty = _build_components(spec)
@@ -268,7 +268,7 @@ def build_simulation(
         scheduler=scheduler,
         services=services,
         seed=seed,
-        trace=trace,
+        event_sink=event_sink,
     )
 
 

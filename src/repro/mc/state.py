@@ -34,14 +34,13 @@ from ..engine.events import (
     DecideEvent,
     DeliverEvent,
     EventSink,
-    LogEvent,
     OutputEvent,
     SendEvent,
-    ServiceEvent,
 )
-from ..engine.interpreter import ExecutionPorts, dispatch_service_call, interpret
+from ..engine.interpreter import interpret
+from ..engine.run import Engine
 from ..errors import SimulationError
-from ..runtime.effects import SERVICE_SENDER, Deliver, Effect, Log, ServiceCall
+from ..runtime.effects import SERVICE_SENDER, Deliver, ServiceCall
 from ..runtime.protocol import Protocol, guarded
 from ..runtime.services import Service, ServiceReply
 from ..types import ProcessId, SystemConfig
@@ -66,12 +65,13 @@ class McMessage:
     depth: int
 
 
-class McSystem(ExecutionPorts):
+class McSystem(Engine):
     """A branchable global state of one protocol composition.
 
-    Effect semantics come from :mod:`repro.engine.interpreter` — this class
-    implements :class:`~repro.engine.interpreter.ExecutionPorts` with the
-    pending-multiset scheduling described above.
+    Effect semantics come from :mod:`repro.engine.interpreter`, validation
+    and the service/log ports from :class:`~repro.engine.run.Engine`; this
+    class adds the pending-multiset scheduling described above and keeps
+    its own tuple books (see :attr:`decisions`).
 
     Args:
         config: system parameters.
@@ -97,24 +97,21 @@ class McSystem(ExecutionPorts):
         payload_key: Callable[[Any], str] = repr,
         event_sink: EventSink | None = None,
     ) -> None:
-        if set(protocols) != set(config.processes):
-            raise SimulationError(
-                "protocols must cover exactly the process ids of the config"
-            )
-        self.config = config
+        super().__init__(config, protocols, faulty, services, event_sink)
         self.protocols = dict(protocols)
-        self.services = dict(services or {})
-        self.faulty = frozenset(faulty)
         self.payload_key = payload_key
-        self.correct = [p for p in config.processes if p not in self.faulty]
         self.pending: dict[int, McMessage] = {}
-        #: pid -> (value, DecisionKind, step); first decision only.
+        #: pid -> (value, DecisionKind, step); first decision only.  A tuple
+        #: book, not the engine's time-stamped ``Decision``s: decisions are
+        #: part of the fingerprint, and a stamp would split states that
+        #: differ only in *when* a process decided.  (``stats`` and
+        #: ``_undecided_correct`` therefore stay unused here.)
         self.decisions: dict[ProcessId, tuple[Any, Any, int]] = {}
-        #: pid -> [(tag, sender, value)] top-level Deliver upcalls.
+        #: pid -> [(tag, sender, value)] top-level Deliver upcalls — plain
+        #: tuples too: they are re-fingerprinted at every explored state.
         self.outputs: dict[ProcessId, list[tuple[str, ProcessId, Any]]] = {
             pid: [] for pid in config.processes
         }
-        self._events = event_sink
         self.counter = 0
         self.deliveries = 0
         #: uid -> names of services the delivery of uid called (DPOR
@@ -141,7 +138,7 @@ class McSystem(ExecutionPorts):
         self._started = True
         for pid in self.config.processes:
             self._footprint = set()
-            self._apply(pid, self.protocols[pid].on_start(), depth=0)
+            interpret(self, pid, self.protocols[pid].on_start(), 0)
 
     def deliver(self, uid: int) -> frozenset[str]:
         """Deliver pending message ``uid``; returns its service footprint."""
@@ -186,11 +183,11 @@ class McSystem(ExecutionPorts):
             self.deliver(min(self.pending))
             delivered += 1
 
-    def _apply(self, pid: ProcessId, effects: list[Effect], depth: int) -> None:
-        """Compatibility shim: route through the engine interpreter."""
-        interpret(self, pid, effects, depth)
-
     # -- ExecutionPorts (broadcast inherits the per-destination default) --------------
+
+    def now(self) -> float:
+        """The delivery index: the checker's only clock."""
+        return float(self.deliveries)
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
         uid = self.counter
@@ -211,31 +208,15 @@ class McSystem(ExecutionPorts):
         self.outputs[pid].append((effect.tag, effect.sender, effect.value))
         if self._events is not None:
             self._events.emit(
-                OutputEvent(
-                    float(self.deliveries), pid, effect.tag, effect.sender, effect.value
-                )
+                OutputEvent(self.now(), pid, effect.tag, effect.sender, effect.value)
             )
 
     def service_call(self, pid: ProcessId, call: ServiceCall, depth: int) -> None:
         self._footprint.add(call.service)
-        if self._events is not None:
-            self._events.emit(
-                ServiceEvent(float(self.deliveries), pid, call.service, call.payload)
-            )
-        dispatch_service_call(self.services, pid, call, depth, 0.0, self._deliver_reply)
-
-    def log_record(self, pid: ProcessId, record: Log, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(
-                LogEvent(float(self.deliveries), pid, record.event, record.data)
-            )
+        super().service_call(pid, call, depth)
 
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         self.send(SERVICE_SENDER, reply.dst, payload, reply.depth)
-
-    def _push(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
-        """Compatibility alias for the ``send`` port."""
-        self.send(src, dst, payload, depth)
 
     # -- observability --------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Aggregation of run results into experiment statistics.
 
 One :class:`RunAggregate` summarises a batch of
-:class:`~repro.sim.runner.RunResult` values — decision-step distribution,
+:class:`~repro.engine.run.RunResult` values — decision-step distribution,
 decision-kind mix, message and latency statistics — which the report layer
 renders and the benchmarks assert on.
 
@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..engine.events import EventStats
-from ..sim.runner import RunResult
+from ..engine.run import RunResult
 from ..types import DecisionKind
 
 

@@ -55,8 +55,8 @@ from ..codec import CODEC_IDS, Opaque
 from ..engine.events import EventSink
 from ..engine.faults import RestartPlan
 from ..engine.interpreter import dispatch_service_call
+from ..engine.run import RunResult, check_deployment
 from ..errors import SimulationError
-from ..runtime.asyncio_runner import AsyncRunResult
 from ..runtime.effects import SERVICE_SENDER, Deliver
 from ..runtime.protocol import Protocol
 from ..runtime.services import Service, ServiceReply
@@ -572,13 +572,13 @@ class DataPlane:
 
 
 @dataclass
-class NetRunResult(AsyncRunResult):
+class NetRunResult(RunResult):
     """Outcome of one socket-engine run.
 
-    Extends the shared wall-clock result surface with per-node OS exit
-    codes (``None`` = the worker never terminated and was killed) and the
-    transport used, so robustness tests can assert *how* each process
-    died, not just that the run survived it.
+    Extends :class:`~repro.engine.run.RunResult` with per-node OS exit
+    codes (``None`` = the worker never terminated and was killed), the
+    transport used and the hub's frame counters, so robustness tests can
+    assert *how* each process died, not just that the run survived it.
     """
 
     exit_codes: dict[ProcessId, int | None] = field(default_factory=dict)
@@ -683,10 +683,7 @@ class NetCluster(DataPlane):
         restarts: Mapping[ProcessId, RestartPlan] | None = None,
         high_water: int = DEFAULT_HIGH_WATER,
     ) -> None:
-        if set(protocols) != set(config.processes):
-            raise SimulationError(
-                "protocols must cover exactly the process ids of the config"
-            )
+        faulty = check_deployment(config, protocols, faulty)
         if transport not in TRANSPORTS:
             raise SimulationError(
                 f"unknown transport {transport!r} (one of: {', '.join(TRANSPORTS)})"
@@ -718,13 +715,14 @@ class NetCluster(DataPlane):
         )
         self.config = config
         self.protocols = dict(protocols)
-        self.faulty = frozenset(faulty)
+        self.faulty = faulty
         self.services = dict(services or {})
         self.seed = seed
         self.transport = transport
         self.chaos = dict(chaos or {})
         self.connect_timeout = connect_timeout
         self.jitter = jitter
+        self.stats = RunStats()
         self.decisions: dict[ProcessId, Decision] = {}
         self.outputs: dict[ProcessId, list[Deliver]] = {
             pid: [] for pid in config.processes
@@ -867,10 +865,13 @@ class NetCluster(DataPlane):
             self._ingress(pid, msg)
         elif isinstance(msg, MsgDecide):
             if pid not in self.decisions:
-                self.decisions[pid] = Decision(
-                    msg.value, msg.kind, step=msg.step, time=time.monotonic()
-                )
-                self.events.decide(pid, msg.value, msg.kind, msg.step)
+                # Stamped on arrival at the hub, with the stream clock: the
+                # decision and its event carry the same time.
+                now = self._clock.now()
+                decision = Decision(msg.value, msg.kind, step=msg.step, time=now)
+                self.decisions[pid] = decision
+                self.stats.record_decision(pid, decision)
+                self.events.decide(pid, msg.value, msg.kind, msg.step, now)
         elif isinstance(msg, MsgOutput):
             self.outputs[pid].append(Deliver(msg.tag, msg.sender, msg.value))
             self.events.output(pid, msg.tag, msg.sender, msg.value)
@@ -881,7 +882,7 @@ class NetCluster(DataPlane):
                 pid,
                 msg.call,
                 msg.depth,
-                time.monotonic(),
+                self._clock.now(),
                 self._deliver_reply,
             )
         elif isinstance(msg, MsgLog):
@@ -921,8 +922,8 @@ class NetCluster(DataPlane):
         """Spawn, connect, route until every correct node decided (or the
         deadline), then tear everything down — stragglers killed, exit
         codes collected, sockets and the UDS directory removed."""
-        start = time.monotonic()
         self._clock.start()
+        start = time.monotonic()
         timed_out = False
         try:
             self._open()
@@ -959,13 +960,12 @@ class NetCluster(DataPlane):
             self._running = False
             self._shutdown()
             exit_codes = {pid: reap(proc) for pid, proc in self._children.items()}
-        return NetRunResult(
-            config=self.config,
-            decisions=dict(self.decisions),
-            outputs=self.outputs,
-            stats=RunStats(messages_sent=self.sent, messages_delivered=self.delivered),
-            faulty=self.faulty,
-            wall_seconds=time.monotonic() - start,
+        self.stats.messages_sent = self.sent
+        self.stats.messages_delivered = self.delivered
+        return NetRunResult.from_books(
+            self,
+            self._clock.now(),
+            drained=not self._heap,
             timed_out=timed_out,
             exit_codes=exit_codes,
             transport=self.transport,

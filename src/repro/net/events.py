@@ -3,10 +3,9 @@
 The orchestrator observes every frame that crosses the hub and translates
 it into the same typed :mod:`repro.engine.events` vocabulary the other
 four backends emit, so :class:`~repro.engine.events.EventStats`,
-:class:`~repro.engine.events.TracerSink`, :class:`~repro.engine.events.
-EventLog` — and any metrics built on them — work unchanged over real
-sockets.  Event ``time`` is wall-clock seconds since the run started
-(the same convention as the asyncio backend).
+:class:`~repro.engine.events.EventLog` — and any metrics built on them —
+work unchanged over real sockets.  Event ``time`` is wall-clock seconds
+since the run started (the same convention as the asyncio backend).
 
 One approximation is inherent to the topology: a ``DeliverEvent`` is
 emitted when the hub hands the frame to the destination's socket, not when
@@ -91,9 +90,12 @@ class HubEvents:
         if self.sink is not None:
             self.sink.emit(DeliverEvent(now, dst, sender, payload, depth))
 
-    def decide(self, pid: ProcessId, value: Any, kind: Any, step: int) -> None:
+    def decide(
+        self, pid: ProcessId, value: Any, kind: Any, step: int, now: float
+    ) -> None:
+        """The decision the hub booked at stream time ``now``."""
         if self.sink is not None:
-            self.sink.emit(DecideEvent(self.clock.now(), pid, value, kind, step))
+            self.sink.emit(DecideEvent(now, pid, value, kind, step))
 
     def output(self, pid: ProcessId, tag: str, sender: ProcessId, value: Any) -> None:
         if self.sink is not None:

@@ -22,86 +22,18 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..engine.events import (
-    DecideEvent,
-    DeliverEvent,
-    EventSink,
-    LogEvent,
-    OutputEvent,
-    SendEvent,
-    ServiceEvent,
-)
-from ..engine.interpreter import ExecutionPorts, dispatch_service_call, interpret
-from ..errors import SimulationError
-from ..types import Decision, ProcessId, RunStats, SystemConfig
-from .effects import SERVICE_SENDER, Deliver, Log, ServiceCall
+from ..engine.events import DeliverEvent, EventSink, SendEvent
+from ..engine.interpreter import interpret
+from ..engine.run import Engine, RunResult
+from ..types import ProcessId, SystemConfig
+from .effects import SERVICE_SENDER
 from .protocol import Protocol, guarded
 from .services import Service, ServiceReply
 
 
-@dataclass
-class AsyncRunResult:
-    """Observable outcome of one asyncio run (wall-clock timed).
-
-    A timed-out run is returned, not raised: ``timed_out`` is set, the
-    partial ``decisions`` collected so far are surfaced, and
-    :attr:`undecided_correct` names the correct processes still missing a
-    decision.
-    """
-
-    config: SystemConfig
-    decisions: dict[ProcessId, Decision]
-    outputs: dict[ProcessId, list[Deliver]]
-    stats: RunStats
-    faulty: frozenset[ProcessId]
-    wall_seconds: float
-    timed_out: bool = False
-
-    @property
-    def correct_decisions(self) -> dict[ProcessId, Decision]:
-        return {p: d for p, d in self.decisions.items() if p not in self.faulty}
-
-    @property
-    def undecided_correct(self) -> frozenset[ProcessId]:
-        """Correct processes that had not decided when the run ended."""
-        return frozenset(
-            p
-            for p in self.config.processes
-            if p not in self.faulty and p not in self.decisions
-        )
-
-    def agreement_holds(self) -> bool:
-        return len({d.value for d in self.correct_decisions.values()}) <= 1
-
-    def all_correct_decided(self) -> bool:
-        return not self.undecided_correct
-
-    @property
-    def decided_value(self) -> Any:
-        values = {d.value for d in self.correct_decisions.values()}
-        if len(values) != 1:
-            raise SimulationError(f"no single decided value: {values!r}")
-        return next(iter(values))
-
-    @property
-    def max_correct_step(self) -> int:
-        return max((d.step for d in self.correct_decisions.values()), default=0)
-
-    @property
-    def end_time(self) -> float:
-        """Alias for ``wall_seconds`` (RunResult-compatible aggregation)."""
-        return self.wall_seconds
-
-
-@dataclass
-class _Mailbox:
-    queue: asyncio.Queue = field(default_factory=asyncio.Queue)
-
-
-class AsyncioRunner(ExecutionPorts):
+class AsyncioRunner(Engine):
     """Run one protocol deployment over in-memory asyncio transport.
 
     Args:
@@ -126,30 +58,18 @@ class AsyncioRunner(ExecutionPorts):
         mean_delay: float = 0.001,
         event_sink: EventSink | None = None,
     ) -> None:
-        if set(protocols) != set(config.processes):
-            raise SimulationError(
-                "protocols must cover exactly the process ids of the config"
-            )
-        self.config = config
+        super().__init__(config, protocols, faulty, services, event_sink)
         self.protocols = dict(protocols)
-        self.faulty = frozenset(faulty)
-        self.services = dict(services or {})
         self.rng = random.Random(seed)
         self.mean_delay = mean_delay
-        self.stats = RunStats()
-        self.decisions: dict[ProcessId, Decision] = {}
-        self.outputs: dict[ProcessId, list[Deliver]] = {
-            pid: [] for pid in config.processes
-        }
-        self._events = event_sink
         self._t0 = 0.0
-        self._mailboxes: dict[ProcessId, _Mailbox] = {}
+        self._mailboxes: dict[ProcessId, asyncio.Queue] = {}
         self._all_decided = asyncio.Event()
         self._pending: set[asyncio.Task] = set()
 
     # -- transport ------------------------------------------------------------------
 
-    def _now(self) -> float:
+    def now(self) -> float:
         return time.monotonic() - self._t0
 
     def _delay(self) -> float:
@@ -161,15 +81,11 @@ class AsyncioRunner(ExecutionPorts):
         async def deliver() -> None:
             if delay > 0:
                 await asyncio.sleep(delay)
-            await self._mailboxes[dst].queue.put((sender, payload, depth))
+            await self._mailboxes[dst].put((sender, payload, depth))
 
         task = asyncio.ensure_future(deliver())
         self._pending.add(task)
         task.add_done_callback(self._pending.discard)
-
-    def _apply(self, pid: ProcessId, effects: list, depth: int) -> None:
-        """Compatibility shim: route through the engine interpreter."""
-        interpret(self, pid, effects, depth)
 
     # -- ExecutionPorts (broadcast inherits the per-destination default) --------------
 
@@ -177,37 +93,12 @@ class AsyncioRunner(ExecutionPorts):
         self.stats.messages_sent += 1
         self._deliver_later(dst, src, payload, depth, 0.0 if dst == src else self._delay())
         if self._events is not None:
-            self._events.emit(SendEvent(self._now(), src, dst, payload, depth))
+            self._events.emit(SendEvent(self.now(), src, dst, payload, depth))
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
-        if pid not in self.decisions:
-            self.decisions[pid] = Decision(value, kind, step=depth, time=time.monotonic())
-            if self._events is not None:
-                self._events.emit(DecideEvent(self._now(), pid, value, kind, depth))
-            if all(
-                p in self.decisions
-                for p in self.config.processes
-                if p not in self.faulty
-            ):
-                self._all_decided.set()
-
-    def output(self, pid: ProcessId, effect: Deliver, depth: int) -> None:
-        self.outputs[pid].append(effect)
-        if self._events is not None:
-            self._events.emit(
-                OutputEvent(self._now(), pid, effect.tag, effect.sender, effect.value)
-            )
-
-    def service_call(self, pid: ProcessId, call: ServiceCall, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(ServiceEvent(self._now(), pid, call.service, call.payload))
-        dispatch_service_call(
-            self.services, pid, call, depth, time.monotonic(), self._deliver_reply
-        )
-
-    def log_record(self, pid: ProcessId, record: Log, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(LogEvent(self._now(), pid, record.event, record.data))
+        super().decide(pid, value, kind, depth)
+        if not self._undecided_correct:
+            self._all_decided.set()
 
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         self._deliver_later(reply.dst, SERVICE_SENDER, payload, reply.depth, self._delay())
@@ -217,23 +108,22 @@ class AsyncioRunner(ExecutionPorts):
     async def _process_loop(self, pid: ProcessId) -> None:
         mailbox = self._mailboxes[pid]
         while True:
-            sender, payload, depth = await mailbox.queue.get()
+            sender, payload, depth = await mailbox.get()
             self.stats.messages_delivered += 1
             if self._events is not None:
-                self._events.emit(DeliverEvent(self._now(), pid, sender, payload, depth))
+                self._events.emit(DeliverEvent(self.now(), pid, sender, payload, depth))
             effects = guarded(self.protocols[pid], sender, payload)
             interpret(self, pid, effects, depth)
 
-    async def run(self, timeout: float = 30.0) -> AsyncRunResult:
+    async def run(self, timeout: float = 30.0) -> RunResult:
         """Run until every correct process decided (or ``timeout``).
 
         On timeout every in-flight delivery task is cancelled (nothing
         leaks into later event loops) and the partial result is returned
         with ``timed_out=True``.
         """
-        start = time.monotonic()
-        self._t0 = start
-        self._mailboxes = {pid: _Mailbox() for pid in self.config.processes}
+        self._t0 = time.monotonic()
+        self._mailboxes = {pid: asyncio.Queue() for pid in self.config.processes}
         loops = [
             asyncio.ensure_future(self._process_loop(pid))
             for pid in self.config.processes
@@ -246,21 +136,14 @@ class AsyncioRunner(ExecutionPorts):
         except asyncio.TimeoutError:
             timed_out = True
         finally:
+            drained = not self._pending
             for task in loops:
                 task.cancel()
             for task in list(self._pending):
                 task.cancel()
             await asyncio.gather(*loops, *self._pending, return_exceptions=True)
-        return AsyncRunResult(
-            config=self.config,
-            decisions=dict(self.decisions),
-            outputs=self.outputs,
-            stats=self.stats,
-            faulty=self.faulty,
-            wall_seconds=time.monotonic() - start,
-            timed_out=timed_out,
-        )
+        return self._result(drained=drained, timed_out=timed_out)
 
-    def run_sync(self, timeout: float = 30.0) -> AsyncRunResult:
+    def run_sync(self, timeout: float = 30.0) -> RunResult:
         """Convenience wrapper: ``asyncio.run`` the deployment."""
         return asyncio.run(self.run(timeout))

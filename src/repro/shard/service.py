@@ -816,16 +816,13 @@ class ShardedService:
             result = deployment.run_async(timeout=timeout)
         else:
             result = deployment.run(self.engine)
-        divergence = not result.agreement_holds() or not result.correct_decisions
-        undecided = [
-            pid
-            for pid in self.config.processes
-            if pid not in deployment.faulty and pid not in result.correct_decisions
-        ]
-        if undecided:
-            divergence = True
+        divergence = (
+            not result.agreement_holds()
+            or not result.correct_decisions
+            or bool(result.undecided_correct)
+        )
         digest = result.decided_value if result.correct_decisions else None
-        duration = getattr(result, "wall_seconds", None) or result.end_time
+        duration = result.end_time
         commands, slots, states = 0, 0, {}
         if digest is not None and not divergence:
             for shard, batches in digest:

@@ -4,9 +4,10 @@ The simulator realises the paper's system model (§2.1): reliable
 authenticated links, no bounds on relative speeds or delivery times (any
 delay is schedulable), up to ``t`` arbitrary-behavior processes.  On top it
 adds what a reproduction needs: determinism from a seed, adversarial
-schedulers, causal step accounting and tracing.
+schedulers and causal step accounting.
 """
 
+from ..engine.run import RunResult
 from .events import Event, EventQueue
 from .latency import (
     ConstantLatency,
@@ -15,7 +16,7 @@ from .latency import (
     PerLinkLatency,
     UniformLatency,
 )
-from .runner import DEFAULT_MAX_EVENTS, RunResult, Simulation
+from .runner import DEFAULT_MAX_EVENTS, Simulation
 from .scheduler import (
     ComposedScheduler,
     DelayMatching,
@@ -32,7 +33,6 @@ from .synchronous import (
     SyncProtocol,
     SyncRunResult,
 )
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "Event",
@@ -52,8 +52,6 @@ __all__ = [
     "RandomJitterScheduler",
     "ComposedScheduler",
     "PartitionScheduler",
-    "Tracer",
-    "TraceEvent",
     "SynchronousSimulation",
     "SyncProtocol",
     "SyncRunResult",

@@ -14,8 +14,9 @@ keeps the books the paper cares about:
   while handling a depth-1 proposal), "two-step" is ``step == 2`` (a
   depth-2 IDB echo), and the appendix claim "each IDB step costs two plain
   steps" is directly measurable.
-* message counts, per-process decisions, top-level protocol outputs
-  (e.g. standalone IDB deliveries) and a structured trace.
+* message counts, per-process decisions and top-level protocol outputs
+  (e.g. standalone IDB deliveries); attach an ``EventLog`` as
+  ``event_sink`` for the structured trace.
 
 Every run is a pure function of ``(config, protocols, seed, latency,
 scheduler)``.
@@ -24,34 +25,26 @@ scheduler)``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from ..engine.events import (
-    DecideEvent,
     DeliverEvent,
     EventSink,
     FaultEvent,
-    LogEvent,
-    OutputEvent,
     RestartEvent,
     SendEvent,
-    ServiceEvent,
-    TracerSink,
-    combine,
 )
 from ..engine.faults import RestartPlan
-from ..engine.interpreter import ExecutionPorts, dispatch_service_call, interpret
+from ..engine.interpreter import interpret
+from ..engine.run import Engine, RunResult
 from ..errors import SimulationDeadlock, SimulationError
-from ..runtime.effects import SERVICE_SENDER, Deliver, Effect, Log, ServiceCall
+from ..runtime.effects import SERVICE_SENDER
 from ..runtime.protocol import Protocol, guarded
-from ..runtime.services import ServiceReply
-from ..runtime.services import Service
-from ..types import Decision, ProcessId, RunStats, SystemConfig
+from ..runtime.services import Service, ServiceReply
+from ..types import ProcessId, SystemConfig
 from .events import Event, EventQueue
 from .latency import ConstantLatency, LatencyModel, UniformLatency
 from .scheduler import DeliveryScheduler, FairScheduler
-from .trace import Tracer
 
 #: Default safety valve: a single consensus instance at the sizes used in the
 #: benchmarks never comes close to this many events.
@@ -60,72 +53,23 @@ DEFAULT_MAX_EVENTS = 2_000_000
 _INF = float("inf")
 
 
-@dataclass
-class RunResult:
-    """Everything observable about one finished simulation run."""
-
-    config: SystemConfig
-    decisions: dict[ProcessId, Decision]
-    outputs: dict[ProcessId, list[Deliver]]
-    stats: RunStats
-    tracer: Tracer
-    faulty: frozenset[ProcessId]
-    end_time: float
-    drained: bool
-    depths: dict[ProcessId, int] = field(default_factory=dict)
-
-    @property
-    def correct(self) -> list[ProcessId]:
-        return [p for p in self.config.processes if p not in self.faulty]
-
-    @property
-    def correct_decisions(self) -> dict[ProcessId, Decision]:
-        """Decisions of correct processes only (the ones the properties
-        quantify over)."""
-        return {p: d for p, d in self.decisions.items() if p not in self.faulty}
-
-    def agreement_holds(self) -> bool:
-        """Agreement: all correct deciders decided the same value."""
-        values = {d.value for d in self.correct_decisions.values()}
-        return len(values) <= 1
-
-    def all_correct_decided(self) -> bool:
-        """Termination (within this run)."""
-        return all(p in self.decisions for p in self.correct)
-
-    @property
-    def max_correct_step(self) -> int:
-        """Largest decision step among correct processes."""
-        ds = self.correct_decisions
-        return max((d.step for d in ds.values()), default=0)
-
-    @property
-    def decided_value(self) -> Any:
-        """The agreed value (requires agreement to hold and someone decided)."""
-        values = {d.value for d in self.correct_decisions.values()}
-        if len(values) != 1:
-            raise SimulationError(f"no single decided value: {values!r}")
-        return next(iter(values))
-
-
 class _ProcessState:
     """Runner-internal per-process bookkeeping."""
 
-    __slots__ = ("protocol", "depth", "decision")
+    __slots__ = ("protocol", "depth")
 
     def __init__(self, protocol: Protocol) -> None:
         self.protocol = protocol
         self.depth = 0
-        self.decision: Decision | None = None
 
 
-class Simulation(ExecutionPorts):
+class Simulation(Engine):
     """One configured, runnable execution.
 
-    The effect semantics live in :mod:`repro.engine.interpreter`; this
-    class implements the :class:`~repro.engine.interpreter.ExecutionPorts`
-    interface (how to ship, decide, call services) on top of a seeded
-    discrete-event queue.
+    The effect semantics live in :mod:`repro.engine.interpreter` and the
+    books in :class:`~repro.engine.run.Engine`; this class ships messages
+    (``send``/``broadcast``, inlined — the simulator's hot loop) and
+    delivers them off a seeded discrete-event queue.
 
     Args:
         config: system parameters ``(n, t)``.
@@ -139,11 +83,10 @@ class Simulation(ExecutionPorts):
         scheduler: adversarial extra-delay hook (default none).
         services: trusted services by name.
         seed: PRNG seed; equal seeds give identical runs.
-        trace: enable structured tracing.
         event_sink: optional structured-event sink
-            (:mod:`repro.engine.events`); attaching one never perturbs the
-            seeded rng stream, so a traced run delivers exactly like an
-            untraced one.
+            (:mod:`repro.engine.events`; pass an ``EventLog`` for a
+            trace); attaching one never perturbs the seeded rng stream, so
+            a traced run delivers exactly like an untraced one.
     """
 
     def __init__(
@@ -155,39 +98,18 @@ class Simulation(ExecutionPorts):
         scheduler: DeliveryScheduler | None = None,
         services: Mapping[str, Service] | None = None,
         seed: int = 0,
-        trace: bool = False,
         max_events: int = DEFAULT_MAX_EVENTS,
         event_sink: EventSink | None = None,
         restarts: Mapping[ProcessId, RestartPlan] | None = None,
     ) -> None:
-        if set(protocols) != set(config.processes):
-            raise SimulationError(
-                "protocols must cover exactly the process ids of the config"
-            )
-        faulty = frozenset(faulty)
-        if len(faulty) > config.t:
-            raise SimulationError(
-                f"{len(faulty)} faulty processes exceed the bound t={config.t}"
-            )
-        self.config = config
-        self.faulty = faulty
+        super().__init__(config, protocols, faulty, services, event_sink)
         self.latency = latency or UniformLatency()
         self.scheduler = scheduler or FairScheduler()
-        self.services = dict(services or {})
         self.rng = random.Random(seed)
-        self.tracer = Tracer(enabled=trace)
-        # Single hot-path check: ``None`` unless tracing or an external
-        # sink is attached.  The legacy tracer is fed through TracerSink,
-        # so its record stream is identical to the old inline calls.
-        self._events = combine(TracerSink(self.tracer) if trace else None, event_sink)
         self.max_events = max_events
         self.queue = EventQueue()
-        self.stats = RunStats()
         self.time = 0.0
         self._states = {pid: _ProcessState(p) for pid, p in protocols.items()}
-        self._outputs: dict[ProcessId, list[Deliver]] = {
-            pid: [] for pid in config.processes
-        }
         self._started = False
         # Crash-recovery bookkeeping: processes currently down drop every
         # delivery (matching the net engine, where a dead process's socket
@@ -195,10 +117,6 @@ class Simulation(ExecutionPorts):
         # hot-path check is a falsy test and legacy runs are untouched.
         self._restarts = dict(restarts or {})
         self._down: set[ProcessId] = set()
-        self._correct = [p for p in config.processes if p not in faulty]
-        # O(1) stop condition: the set shrinks as correct processes decide,
-        # so the per-event check is a truth test, not an O(n) scan.
-        self._undecided_correct = set(self._correct)
         # Hot-path specializations, resolved once instead of per message.
         # The no-op FairScheduler is skipped outright; the two stateless
         # latency models are inlined with the *same* arithmetic on the same
@@ -224,9 +142,8 @@ class Simulation(ExecutionPorts):
 
     # -- public API ---------------------------------------------------------------
 
-    @property
-    def correct(self) -> list[ProcessId]:
-        return list(self._correct)
+    def now(self) -> float:
+        return self.time
 
     def run_until_decided(self) -> RunResult:
         """Run until every correct process has decided.
@@ -287,15 +204,10 @@ class Simulation(ExecutionPorts):
                 self._dispatch_fields("deliver", entry[2], entry[3], entry[4], entry[5])
         else:
             if stop is not None and not stop(self):
-                undecided = frozenset(
-                    p for p in self.correct if self._states[p].decision is None
-                )
-                raise SimulationDeadlock(undecided)
-        return self._result()
-
-    def _dispatch(self, event: Event) -> None:
-        self._dispatch_fields(
-            event.kind, event.dst, event.sender, event.payload, event.depth
+                raise SimulationDeadlock(frozenset(self._undecided_correct))
+        return self._result(
+            drained=not self.queue,
+            depths={pid: s.depth for pid, s in self._states.items()},
         )
 
     def _dispatch_fields(
@@ -334,19 +246,7 @@ class Simulation(ExecutionPorts):
         if effects:
             interpret(self, dst, effects, depth)
 
-    def _apply_effects(self, pid: ProcessId, effects: list[Effect], depth: int) -> None:
-        """Compatibility shim: route through the engine interpreter.
-
-        ``depth`` is the causal depth of the event being handled; outgoing
-        messages extend exactly this chain (depth + 1), decisions happen at
-        this depth, and service calls happen "within" the step at this
-        depth.  This is the paper's communication-step metric: a one-step
-        decision fires while handling a depth-1 proposal, a two-step
-        decision while handling a depth-2 IDB echo.
-        """
-        interpret(self, pid, effects, depth)
-
-    # -- ExecutionPorts ------------------------------------------------------------
+    # -- ExecutionPorts: shipping (the books are Engine's) -----------------------------
 
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
         self.stats.messages_sent += 1
@@ -420,33 +320,6 @@ class Simulation(ExecutionPorts):
                     events.emit(SendEvent(time, pid, dst, payload, message_depth))
         self.stats.messages_sent += self.config.n
 
-    def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
-        state = self._states[pid]
-        if state.decision is None:
-            state.decision = Decision(value, kind, step=depth, time=self.time)
-            self.stats.record_decision(pid, state.decision)
-            self._undecided_correct.discard(pid)
-            if self._events is not None:
-                self._events.emit(DecideEvent(self.time, pid, value, kind, depth))
-
-    def output(self, pid: ProcessId, effect: Deliver, depth: int) -> None:
-        self._outputs[pid].append(effect)
-        if self._events is not None:
-            self._events.emit(
-                OutputEvent(self.time, pid, effect.tag, effect.sender, effect.value)
-            )
-
-    def service_call(self, pid: ProcessId, call: ServiceCall, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(ServiceEvent(self.time, pid, call.service, call.payload))
-        dispatch_service_call(
-            self.services, pid, call, depth, self.time, self._deliver_reply
-        )
-
-    def log_record(self, pid: ProcessId, record: Log, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(LogEvent(self.time, pid, record.event, record.data))
-
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         delay = reply.delay
         if self._dictated:
@@ -459,22 +332,4 @@ class Simulation(ExecutionPorts):
                 delay = 0.0
         self.queue.push_deliver(
             self.time + delay, reply.dst, SERVICE_SENDER, payload, reply.depth
-        )
-
-    def _result(self) -> RunResult:
-        self.stats.end_time = self.time
-        return RunResult(
-            config=self.config,
-            decisions={
-                pid: s.decision
-                for pid, s in self._states.items()
-                if s.decision is not None
-            },
-            outputs=self._outputs,
-            stats=self.stats,
-            tracer=self.tracer,
-            faulty=self.faulty,
-            end_time=self.time,
-            drained=not self.queue,
-            depths={pid: s.depth for pid, s in self._states.items()},
         )

@@ -30,20 +30,16 @@ from ..engine.events import (
     DecideEvent,
     DeliverEvent,
     EventSink,
-    LogEvent,
-    OutputEvent,
     RoundEvent,
     SendEvent,
-    ServiceEvent,
-    TracerSink,
-    combine,
 )
-from ..engine.interpreter import ExecutionPorts, dispatch_service_call, interpret
-from ..errors import SimulationError
-from ..runtime.effects import SERVICE_SENDER, Deliver, Log, ServiceCall
+from ..engine.interpreter import interpret
+from ..engine.run import Engine, RunResult, Verdicts, check_deployment
+from ..errors import SimulationDeadlock, SimulationError
+from ..runtime.effects import SERVICE_SENDER
 from ..runtime.protocol import Protocol, guarded
 from ..runtime.services import Service, ServiceReply
-from ..types import Decision, DecisionKind, ProcessId, RunStats, SystemConfig, Value
+from ..types import DecisionKind, ProcessId, SystemConfig, Value
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,15 +109,8 @@ class SynchronousSimulation:
         seed: int = 0,
         event_sink: EventSink | None = None,
     ) -> None:
-        if set(protocols) != set(config.processes):
-            raise SimulationError(
-                "protocols must cover exactly the process ids of the config"
-            )
         crashes = dict(crashes or {})
-        if len(crashes) > config.t:
-            raise SimulationError(
-                f"{len(crashes)} crashes exceed the bound t={config.t}"
-            )
+        check_deployment(config, protocols, crashes)  # a crash is a fault
         self.config = config
         self.protocols = dict(protocols)
         self.crashes = crashes
@@ -199,8 +188,9 @@ class SynchronousSimulation:
 
 
 @dataclass
-class SyncRunResult:
-    """Outcome of a synchronous run."""
+class SyncRunResult(Verdicts):
+    """Outcome of a synchronous run: round-stamped decisions under the
+    same predicates as every other result."""
 
     config: SystemConfig
     decisions: dict[ProcessId, SyncDecision]
@@ -209,30 +199,11 @@ class SyncRunResult:
     extras: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def correct_decisions(self) -> dict[ProcessId, SyncDecision]:
-        return {p: d for p, d in self.decisions.items() if p not in self.faulty}
-
-    def agreement_holds(self) -> bool:
-        return len({d.value for d in self.correct_decisions.values()}) <= 1
-
-    def all_correct_decided(self) -> bool:
-        return all(
-            p in self.decisions for p in self.config.processes if p not in self.faulty
-        )
-
-    @property
-    def decided_value(self) -> Value:
-        values = {d.value for d in self.correct_decisions.values()}
-        if len(values) != 1:
-            raise SimulationError(f"no single decided value: {values!r}")
-        return next(iter(values))
-
-    @property
     def max_decision_round(self) -> int:
         return max((d.round for d in self.correct_decisions.values()), default=0)
 
 
-class LockstepSimulation(ExecutionPorts):
+class LockstepSimulation(Engine):
     """Run *asynchronous* sans-IO protocols in deterministic lockstep rounds.
 
     This is the ``engine="sync"`` backend of
@@ -247,7 +218,8 @@ class LockstepSimulation(ExecutionPorts):
     Not to be confused with :class:`SynchronousSimulation`, which hosts
     round-*native* :class:`SyncProtocol` implementations (the Mostefaoui
     Table-1 row); this class is a scheduling policy for effect-based
-    protocols and interprets effects through the shared engine.
+    protocols — effects go through the shared interpreter, the books are
+    :class:`~repro.engine.run.Engine`'s.
     """
 
     def __init__(
@@ -257,45 +229,20 @@ class LockstepSimulation(ExecutionPorts):
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         services: Mapping[str, Service] | None = None,
         seed: int = 0,
-        trace: bool = False,
         event_sink: EventSink | None = None,
         max_rounds: int = 10_000,
     ) -> None:
-        if set(protocols) != set(config.processes):
-            raise SimulationError(
-                "protocols must cover exactly the process ids of the config"
-            )
-        faulty = frozenset(faulty)
-        if len(faulty) > config.t:
-            raise SimulationError(
-                f"{len(faulty)} faulty processes exceed the bound t={config.t}"
-            )
-        from .trace import Tracer
-
-        self.config = config
+        super().__init__(config, protocols, faulty, services, event_sink)
         self.protocols = dict(protocols)
-        self.faulty = faulty
-        self.services = dict(services or {})
         self.rng = random.Random(seed)  # unused by the schedule; kept for parity
-        self.tracer = Tracer(enabled=trace)
-        self._events = combine(TracerSink(self.tracer) if trace else None, event_sink)
         self.max_rounds = max_rounds
-        self.stats = RunStats()
         self.time = 0.0
-        self.decisions: dict[ProcessId, Decision] = {}
-        self.outputs: dict[ProcessId, list[Deliver]] = {
-            pid: [] for pid in config.processes
-        }
         self._depths: dict[ProcessId, int] = {pid: 0 for pid in config.processes}
         #: messages to deliver next round, in send order.
         self._next: list[tuple[ProcessId, ProcessId, Any, int]] = []
-        self._undecided_correct = {
-            p for p in config.processes if p not in faulty
-        }
 
-    @property
-    def correct(self) -> list[ProcessId]:
-        return [p for p in self.config.processes if p not in self.faulty]
+    def now(self) -> float:
+        return self.time
 
     # -- ExecutionPorts (broadcast inherits the per-destination default) --------------
 
@@ -305,47 +252,14 @@ class LockstepSimulation(ExecutionPorts):
         if self._events is not None:
             self._events.emit(SendEvent(self.time, src, dst, payload, depth))
 
-    def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
-        if pid not in self.decisions:
-            decision = Decision(value, kind, step=depth, time=self.time)
-            self.decisions[pid] = decision
-            self.stats.record_decision(pid, decision)
-            self._undecided_correct.discard(pid)
-            if self._events is not None:
-                self._events.emit(DecideEvent(self.time, pid, value, kind, depth))
-
-    def output(self, pid: ProcessId, effect: Deliver, depth: int) -> None:
-        self.outputs[pid].append(effect)
-        if self._events is not None:
-            self._events.emit(
-                OutputEvent(self.time, pid, effect.tag, effect.sender, effect.value)
-            )
-
-    def service_call(self, pid: ProcessId, call: ServiceCall, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(ServiceEvent(self.time, pid, call.service, call.payload))
-        dispatch_service_call(
-            self.services, pid, call, depth, self.time, self._deliver_reply
-        )
-
-    def log_record(self, pid: ProcessId, record: Log, depth: int) -> None:
-        if self._events is not None:
-            self._events.emit(LogEvent(self.time, pid, record.event, record.data))
-
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         self._next.append((reply.dst, SERVICE_SENDER, payload, reply.depth))
 
     # -- round loop -------------------------------------------------------------------
 
-    def run_until_decided(self) -> "RunResult":
-        """Run rounds until every correct process decided.
-
-        Returns the same :class:`~repro.sim.runner.RunResult` type as the
-        discrete-event backend (``end_time`` is the final round number), so
-        aggregation and assertions work unchanged.
-        """
-        from .runner import RunResult
-
+    def run_until_decided(self) -> RunResult:
+        """Run rounds until every correct process decided (``end_time`` is
+        the final round number)."""
         for pid in self.config.processes:
             interpret(self, pid, self.protocols[pid].on_start(), 0)
         round_ = 0
@@ -370,18 +284,5 @@ class LockstepSimulation(ExecutionPorts):
                 effects = guarded(self.protocols[dst], sender, payload)
                 interpret(self, dst, effects, depth)
         if self._undecided_correct and not self._next:
-            from ..errors import SimulationDeadlock
-
             raise SimulationDeadlock(frozenset(self._undecided_correct))
-        self.stats.end_time = self.time
-        return RunResult(
-            config=self.config,
-            decisions=dict(self.decisions),
-            outputs=self.outputs,
-            stats=self.stats,
-            tracer=self.tracer,
-            faulty=self.faulty,
-            end_time=self.time,
-            drained=not self._next,
-            depths=dict(self._depths),
-        )
+        return self._result(drained=not self._next, depths=dict(self._depths))

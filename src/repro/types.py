@@ -146,13 +146,13 @@ class SystemConfig:
 class RunStats:
     """Aggregate counters filled in by a runtime while a protocol executes.
 
-    The simulator and the asyncio runner both produce one :class:`RunStats`
-    per run, which the metrics layer consumes.
+    Every engine produces one :class:`RunStats` per run (``decisions`` and
+    ``end_time`` mirror the :class:`~repro.engine.run.RunResult` carrying
+    it), which the metrics layer consumes.
     """
 
     messages_sent: int = 0
     messages_delivered: int = 0
-    bytes_sent: int = 0
     decisions: dict[ProcessId, Decision] = field(default_factory=dict)
     end_time: float = 0.0
 

@@ -10,7 +10,7 @@ from repro.workloads.inputs import split, unanimous
 
 class TestScenarioRunAsync:
     def test_unanimous_one_step(self):
-        result = Scenario(dex_freq(), unanimous(1, 7), seed=1).run_async(timeout=15)
+        result = Scenario(dex_freq(), unanimous(1, 7), seed=1, engine="asyncio").run(timeout=15)
         assert not result.timed_out
         assert result.decided_value == 1
         assert result.max_correct_step == 1
@@ -19,34 +19,34 @@ class TestScenarioRunAsync:
         }
 
     def test_contended_falls_back_and_agrees(self):
-        result = Scenario(dex_freq(), split(1, 2, 7, 3), seed=2).run_async(timeout=15)
+        result = Scenario(dex_freq(), split(1, 2, 7, 3), seed=2, engine="asyncio").run(timeout=15)
         assert not result.timed_out
         assert result.agreement_holds()
         assert result.decided_value in (1, 2)
 
     def test_with_silent_fault(self):
         result = Scenario(
-            dex_freq(), unanimous(1, 7), faults={6: Silent()}, seed=3
-        ).run_async(timeout=15)
+            dex_freq(), unanimous(1, 7), faults={6: Silent()}, seed=3, engine="asyncio"
+        ).run(timeout=15)
         assert not result.timed_out
         assert result.decided_value == 1
 
     def test_with_equivocator(self):
         result = Scenario(
-            dex_freq(), unanimous(1, 7), faults={6: Equivocate(1, 2)}, seed=4
-        ).run_async(timeout=15)
+            dex_freq(), unanimous(1, 7), faults={6: Equivocate(1, 2)}, seed=4, engine="asyncio"
+        ).run(timeout=15)
         assert not result.timed_out
         assert result.agreement_holds()
 
     def test_twostep_baseline(self):
-        result = Scenario(twostep(), [1, 2, 3, 4], seed=5).run_async(timeout=15)
+        result = Scenario(twostep(), [1, 2, 3, 4], seed=5, engine="asyncio").run(timeout=15)
         assert not result.timed_out
         assert result.agreement_holds()
 
     def test_real_uc_stack(self):
         result = Scenario(
-            dex_freq(), split(1, 2, 7, 3), uc="real", seed=6
-        ).run_async(timeout=20)
+            dex_freq(), split(1, 2, 7, 3), uc="real", seed=6, engine="asyncio"
+        ).run(timeout=20)
         assert not result.timed_out
         assert result.agreement_holds()
 
@@ -79,7 +79,7 @@ class TestRunnerMechanics:
         assert result.decisions == {}
 
     def test_message_stats_collected(self):
-        result = Scenario(dex_freq(), unanimous(1, 7), seed=7).run_async(timeout=15)
+        result = Scenario(dex_freq(), unanimous(1, 7), seed=7, engine="asyncio").run(timeout=15)
         assert result.stats.messages_sent > 0
         assert result.stats.messages_delivered > 0
 
@@ -144,7 +144,7 @@ class TestTimeoutRegression:
         assert result.agreement_holds()  # vacuously — nobody disagreed
 
     def test_clean_run_reports_no_undecided(self):
-        result = Scenario(dex_freq(), unanimous(1, 7), seed=8).run_async(timeout=15)
+        result = Scenario(dex_freq(), unanimous(1, 7), seed=8, engine="asyncio").run(timeout=15)
         assert result.undecided_correct == frozenset()
         assert result.all_correct_decided()
 
@@ -157,7 +157,7 @@ class TestEquivocatorImpact:
         # gap 11 — even the stingiest n-t view has gap 9, so everyone
         # one-steps.
         inputs = [1] * 10 + [2, 1, 1]
-        clean = Scenario(dex_freq(), inputs, seed=11).run_async(timeout=20)
+        clean = Scenario(dex_freq(), inputs, seed=11, engine="asyncio").run(timeout=20)
         assert not clean.timed_out
         assert clean.max_correct_step == 1
         # Two byzantine processes argue for 2 on both faces: correct views
@@ -169,7 +169,8 @@ class TestEquivocatorImpact:
             inputs,
             faults={11: Equivocate(2, 2), 12: Equivocate(2, 2)},
             seed=11,
-        ).run_async(timeout=20)
+            engine="asyncio",
+        ).run(timeout=20)
         assert not faulty.timed_out
         assert faulty.agreement_holds()
         assert faulty.decided_value == 1

@@ -63,9 +63,18 @@ class TestCommands:
         assert "decided=5/5 agreement=ok" in out  # the faulty pid is not counted
 
     def test_run_trace(self, capsys):
-        code = main(["run", "-i", "1,1,1,1,1,1,1", "--trace", "--seed", "1"])
-        assert code == 0
-        assert "decide" in capsys.readouterr().out
+        for engine in ("sim", "mc"):  # the flag prints the event log on any engine
+            code = main(
+                ["run", "-i", "1,1,1,1,1,1,1", "--trace", "--seed", "1", "--engine", engine]
+            )
+            assert code == 0
+            decide_lines = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if "DecideEvent" in line
+            ]
+            assert len(decide_lines) == 7, engine  # one per correct process
+            assert all("value=1" in ln and "step=1" in ln for ln in decide_lines)
 
     def test_run_bad_algorithm(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,17 +1,22 @@
-"""Cross-engine equivalence: one Scenario, four backends, same verdicts.
+"""Cross-engine equivalence: one Scenario, five backends, same verdicts.
 
 The tentpole claim of the engine layer is that ``sim``, ``asyncio``,
-``sync`` and ``mc`` are *backends* of one interpreter, not four
+``sync``, ``mc`` and ``net`` are *backends* of one interpreter, not five
 reimplementations.  These tests pin the observable consequences: the same
 seeded scenario decides the same value (and satisfies the same
-properties) no matter which engine runs it.
+properties) no matter which engine runs it, and every engine returns the
+same :class:`~repro.engine.run.RunResult` surface.
 """
 
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 
 from repro.engine.events import DecideEvent, EventLog, FaultEvent
+from repro.engine.run import RunResult
+from repro.errors import SimulationError
 from repro.harness import (
     ENGINES,
     Crash,
@@ -22,6 +27,7 @@ from repro.harness import (
     dex_prv,
     run_once,
 )
+from repro.metrics.collectors import RunAggregate
 from repro.workloads.inputs import split, unanimous
 
 DETERMINISTIC_ENGINES = ("sim", "sync", "mc")
@@ -113,6 +119,74 @@ class TestEventStreamParity:
         assert [(e.pid, e.fault) for e in faults] == [(6, "Equivocate")]
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+class TestOneRunSurface:
+    """What a run returns and records does not depend on the engine."""
+
+    def test_one_result_type_on_the_engines_own_clock(self, engine):
+        log = EventLog()
+        result = Scenario(
+            dex_freq(), unanimous(1, 7), seed=2, engine=engine, event_sink=log
+        ).run()
+        assert isinstance(result, RunResult)
+        assert result.undecided_correct == frozenset()
+        assert not result.timed_out
+        # Decision.time is an offset on the run's own clock, not machine uptime
+        for decision in result.correct_decisions.values():
+            assert 0 <= decision.time <= result.end_time
+        for event in log.of_type(DecideEvent):
+            if engine == "mc":
+                # the checker's tuple decision book carries no time (a stamp
+                # would enter the fingerprint); run_mc reports 0.0
+                assert result.decisions[event.pid].time == 0.0
+            else:
+                assert event.time == result.decisions[event.pid].time
+        # the stats mirror the result instead of staying empty
+        assert result.stats.decisions == result.decisions
+        assert result.stats.end_time == result.end_time
+        assert result.stats.max_decision_step == result.max_correct_step == 1
+        assert result.stats.decided_values == {1}
+
+    def test_more_than_t_declared_faulty_is_refused(self, engine):
+        deployment = Scenario(dex_freq(), unanimous(1, 7), seed=2).deployment()
+        deployment.faulty = frozenset({5, 6})  # t = 1
+        with pytest.raises(SimulationError, match="exceed the bound t=1"):
+            deployment.run(engine)
+
+
+class TestResultSurface:
+    def test_timed_out_run_is_returned_with_its_stragglers(self):
+        result = Scenario(dex_freq(), unanimous(1, 7), seed=2, engine="asyncio").run(
+            timeout=0.0
+        )
+        assert type(result) is RunResult
+        assert result.timed_out
+        assert not result.all_correct_decided()
+        assert result.undecided_correct == frozenset(range(7)) - set(result.decisions)
+        assert result.undecided_correct  # somebody was still waiting
+
+    def test_aggregate_folds_one_result_from_each_engine(self):
+        aggregate = RunAggregate(label="mixed")
+        scenario = Scenario(dex_freq(), unanimous(1, 7), seed=3)
+        for engine in ENGINES:
+            aggregate.add(_run_on(scenario, engine), expected_value=1)
+        assert aggregate.runs == len(ENGINES)
+        assert len(aggregate.times) == len(aggregate.messages) == len(ENGINES)
+        assert aggregate.agreement_violations == 0
+        assert aggregate.unanimity_violations == 0
+        assert aggregate.undecided_runs == 0
+        assert aggregate.worst_step == 1
+
+    def test_net_engine_does_not_import_asyncio(self):
+        # the socket path paid that import only to inherit a result dataclass
+        probe = (
+            "import sys, repro.net.cluster as c; "
+            "assert issubclass(c.NetRunResult, c.RunResult); "
+            "sys.exit('asyncio' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
+
+
 class TestScenarioDataclass:
     """Regression guards for the ``dataclasses.replace``-based cloning."""
 
@@ -126,7 +200,6 @@ class TestScenarioDataclass:
         "latency",
         "scheduler",
         "seed",
-        "trace",
         "max_events",
         "engine",
         "event_sink",
@@ -157,13 +230,12 @@ class TestScenarioDataclass:
             faults={6: Silent()},
             uc_step_cost=3,
             seed=4,
-            trace=True,
             max_events=5000,
             engine="mc",
         )
-        clone = dataclasses.replace(scenario, seed=9, trace=False)
-        assert clone.seed == 9 and clone.trace is False
-        for name in self.EXPECTED_FIELDS - {"seed", "trace", "config", "faults"}:
+        clone = dataclasses.replace(scenario, seed=9)
+        assert clone.seed == 9
+        for name in self.EXPECTED_FIELDS - {"seed", "config", "faults"}:
             assert getattr(clone, name) == getattr(scenario, name), name
         assert clone.faults == scenario.faults
         assert clone.config == scenario.config
@@ -179,7 +251,7 @@ class TestScenarioDataclass:
         scenario = Scenario(dex_freq(), split(1, 2, 7, 3))
         aggregate = scenario.run_many(range(4), expected_value=None)
         singles = [
-            dataclasses.replace(scenario, seed=seed, trace=False).run()
+            dataclasses.replace(scenario, seed=seed).run()
             for seed in range(4)
         ]
         assert aggregate.runs == 4

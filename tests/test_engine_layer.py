@@ -21,7 +21,6 @@ from repro.engine.events import (
     FaultEvent,
     SendEvent,
     TeeSink,
-    TracerSink,
     combine,
 )
 from repro.engine.faults import Crash, Custom, Equivocate, FaultPlane, Silent
@@ -294,17 +293,16 @@ class TestEventStream:
         assert stats.decide_steps == {1: 1, 0: 2}
         assert stats.one_step_fraction == 0.5
 
-    def test_tracer_sink_matches_legacy_record_format(self):
-        from repro.sim.trace import Tracer
-
-        via_sink, direct = Tracer(enabled=True), Tracer(enabled=True)
-        sink = TracerSink(via_sink)
-        sink.emit(DeliverEvent(1.5, 2, 0, "m", 3))
-        direct.record(1.5, 2, "deliver", {"from": 0, "payload": "m", "depth": 3})
-        sink.emit(DecideEvent(2.0, 2, 7, DecisionKind.ONE_STEP, 1))
-        direct.record(2.0, 2, "decide", {"value": 7, "kind": "one-step", "step": 1})
-        sink.emit(SendEvent(0.5, 0, 1, "m", 1))  # no legacy counterpart
-        assert via_sink.events == direct.events
+    def test_event_log_format_renders_one_line_per_event(self):
+        log = EventLog()
+        log.emit(DeliverEvent(1.5, 2, 0, "m", 3))
+        log.emit(DecideEvent(2.0, 2, 7, DecisionKind.ONE_STEP, 1))
+        lines = log.format().splitlines()
+        assert len(lines) == 2
+        assert "p2" in lines[0] and "DeliverEvent" in lines[0]
+        assert "sender=0 payload='m' depth=3" in lines[0]
+        assert "DecideEvent" in lines[1] and "value=7" in lines[1] and "step=1" in lines[1]
+        assert log.format(limit=1) == lines[0]
 
     def test_combine(self):
         log = EventLog()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.events import DecideEvent, EventLog
 from repro.errors import ConfigurationError
 from repro.harness import (
     Equivocate,
@@ -107,8 +108,9 @@ class TestScenarioExecution:
         assert scenario.build().max_events == 123
 
     def test_trace_enabled(self):
-        result = Scenario(dex_freq(), unanimous(1, 7), trace=True, seed=0).run()
-        assert result.tracer.by_event("decide")
+        log = EventLog()
+        Scenario(dex_freq(), unanimous(1, 7), event_sink=log, seed=0).run()
+        assert log.of_type(DecideEvent)
 
     def test_privileged_spec_parameterised(self):
         result = Scenario(dex_prv("GO"), ["GO"] * 6, seed=1).run()

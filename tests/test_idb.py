@@ -3,6 +3,7 @@
 import pytest
 
 from repro.broadcast.idb import DELIVER_TAG, IdbEcho, IdbInit, IdenticalBroadcast
+from repro.engine.events import DeliverEvent, EventLog, OutputEvent
 from repro.errors import ResilienceError
 from repro.runtime.effects import Send
 from repro.runtime.protocol import Protocol
@@ -174,24 +175,24 @@ class TestStepCost:
             pid: IdenticalBroadcast(pid, config, initial_value=pid)
             for pid in config.processes
         }
-        sim = Simulation(config, protocols, latency=ConstantLatency(1.0), trace=True)
-        result = sim.run_to_quiescence()
+        log = EventLog()
+        sim = Simulation(
+            config, protocols, latency=ConstantLatency(1.0), event_sink=log
+        )
+        sim.run_to_quiescence()
         for pid in config.processes:
             records = [
                 e
-                for e in result.tracer.by_pid(pid)
-                if e.event == f"output:{DELIVER_TAG}"
+                for e in log.of_type(OutputEvent)
+                if e.pid == pid and e.tag == DELIVER_TAG
             ]
             assert records, "no deliveries traced"
         # With constant latency nothing needs echo amplification: every
         # delivery is triggered by a depth-2 echo.
-        deliver_events = [
-            e for e in result.tracer.events if e.event == "deliver"
-        ]
         echo_depths = {
-            e.data["depth"]
-            for e in deliver_events
-            if isinstance(e.data.get("payload"), IdbEcho)
+            e.depth
+            for e in log.of_type(DeliverEvent)
+            if isinstance(e.payload, IdbEcho)
         }
         assert echo_depths == {2}
 

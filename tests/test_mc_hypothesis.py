@@ -8,17 +8,18 @@ semantics together from both sides."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.events import DeliverEvent, EventLog
 from repro.mc.counterexample import run_schedule
 from repro.mc.scenario import build_simulation, build_system, dex_scenario, idb_scenario
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
-def traced_schedule(result):
+def traced_schedule(log):
     """The global delivery order of a traced run, as checker records."""
     return [
-        (event.data["from"], event.pid, repr(event.data["payload"]))
-        for event in result.tracer.by_event("deliver")
+        (event.sender, event.pid, repr(event.payload))
+        for event in log.of_type(DeliverEvent)
     ]
 
 
@@ -26,8 +27,9 @@ def traced_schedule(result):
 @given(seed=seeds)
 def test_sampled_dex_schedules_reproduce_decisions_on_the_checker(seed):
     spec = dex_scenario(7, 1, [1, 1, 1, 1, 1, 2, 2])
-    result = build_simulation(spec, seed=seed, trace=True).run_until_decided()
-    system = run_schedule(build_system(spec), traced_schedule(result))
+    log = EventLog()
+    result = build_simulation(spec, seed=seed, event_sink=log).run_until_decided()
+    system = run_schedule(build_system(spec), traced_schedule(log))
     assert system is not None  # the sampled schedule is a checker path
     assert {
         pid: (value, kind, step)
@@ -49,8 +51,9 @@ def test_sampled_byzantine_idb_schedules_reproduce_outputs(seed):
             4: {"kind": "two-faced", "value_a": 2, "value_b": 1, "group_a": [0, 1]}
         },
     )
-    result = build_simulation(spec, seed=seed, trace=True).run_to_quiescence()
-    system = run_schedule(build_system(spec), traced_schedule(result))
+    log = EventLog()
+    result = build_simulation(spec, seed=seed, event_sink=log).run_to_quiescence()
+    system = run_schedule(build_system(spec), traced_schedule(log))
     assert system is not None
     for pid in system.correct:
         simulated = [

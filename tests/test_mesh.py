@@ -419,10 +419,10 @@ class TestMeshCluster:
         try:
             port = queue.get(timeout=10.0)
             scenario = Scenario(
-                dex_freq(), unanimous(1, 7), seed=3,
+                dex_freq(), unanimous(1, 7), seed=3, engine="net",
                 mesh=MeshTopology(hubs=2, remote={1: ("127.0.0.1", port)}),
             )
-            result = scenario.run_net(timeout=30.0, transport="tcp")
+            result = scenario.run(timeout=30.0, transport="tcp")
             assert result.agreement_holds()
             assert {d.kind for d in result.correct_decisions.values()} == {
                 DecisionKind.ONE_STEP
@@ -441,11 +441,11 @@ class TestMeshCluster:
 
     def test_remote_topology_requires_tcp(self):
         scenario = Scenario(
-            dex_freq(), unanimous(1, 7), seed=3,
+            dex_freq(), unanimous(1, 7), seed=3, engine="net",
             mesh=MeshTopology(hubs=2, remote={1: ("127.0.0.1", 1)}),
         )
         with pytest.raises(SimulationError):
-            scenario.run_net(timeout=5.0)  # UDS transport, remote hub
+            scenario.run(timeout=5.0)  # UDS transport, remote hub
 
     def test_node_exit_code_names_the_lost_hub(self):
         # EXIT_HUB_LOST is part of the contract surfaced to operators;

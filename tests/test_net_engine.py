@@ -260,7 +260,7 @@ class TestNetSmoke:
         assert_no_leaks()
 
     def test_tcp_transport(self):
-        result = Scenario(dex_freq(), unanimous(1, 4), seed=3, engine="net").run_net(
+        result = Scenario(dex_freq(), unanimous(1, 4), seed=3, engine="net").run(
             timeout=20.0, transport="tcp"
         )
         assert result.transport == "tcp"
@@ -281,9 +281,9 @@ class TestNetSmoke:
         # proposals, so the cross-codec equality is asserted on the
         # thin-split run, where every view's most frequent value is 1.
         for inputs, admissible in (([1, 2, 1, 2, 1, 2, 1], {1, 2}), (split(1, 2, 7, 1), {1})):
-            result = Scenario(dex_freq(), inputs, seed=7, codec=codec).run_net(
-                timeout=20.0
-            )
+            result = Scenario(
+                dex_freq(), inputs, seed=7, codec=codec, engine="net"
+            ).run(timeout=20.0)
             assert not result.timed_out
             assert result.exit_codes and set(result.exit_codes.values()) == {0}
             assert result.all_correct_decided()
@@ -1185,7 +1185,7 @@ class TestDeliveryBatching:
         # the hub winds the run down — so the assertion is an ordering.)
         result = Scenario(
             dex_freq(), unanimous(1, 7), seed=21, engine="net"
-        ).run_net(timeout=20.0)
+        ).run(timeout=20.0)
         assert result.all_correct_decided()
         assert result.decided_value == 1
         assert result.hub_frames < result.stats.messages_delivered

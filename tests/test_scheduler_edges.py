@@ -3,6 +3,7 @@ clamping, the lazy (flat-entry) heap, and schedule replay fidelity."""
 
 import pytest
 
+from repro.engine.events import DeliverEvent, EventLog
 from repro.harness import Equivocate, Scenario, dex_freq
 from repro.sim.events import Event, EventQueue
 from repro.sim.latency import ConstantLatency
@@ -41,13 +42,13 @@ class TestNegativeDelayClamping:
             dex_freq(),
             [1, 1, 1, 1, 1, 2, 2],
             scheduler=NegativeExtra(),
-            trace=True,
+            event_sink=EventLog(),
         )
         result = scenario.run()
         assert result.all_correct_decided()
         # Clamping pins every delivery at (not before) its send time, so
         # simulated time stays monotone and never goes negative.
-        times = [e.time for e in result.tracer.by_event("deliver")]
+        times = [e.time for e in scenario.event_sink.of_type(DeliverEvent)]
         assert times == sorted(times)
         assert all(t >= 0.0 for t in times)
         assert result.end_time >= 0.0
@@ -123,12 +124,12 @@ class TestReplayScheduler:
         replay pipeline."""
         inputs = [1, 1, 1, 1, 1, 2, 2]
         faults = {6: Equivocate(1, 2)}
+        log = EventLog()
         original = Scenario(
-            dex_freq(), inputs, faults=faults, seed=7, trace=True
+            dex_freq(), inputs, faults=faults, seed=7, event_sink=log
         ).run()
         schedule = [
-            (e.data["from"], e.pid, repr(e.data["payload"]))
-            for e in original.tracer.by_event("deliver")
+            (e.sender, e.pid, repr(e.payload)) for e in log.of_type(DeliverEvent)
         ]
         replayed = Scenario(
             dex_freq(),

@@ -1,11 +1,12 @@
-"""Unit tests for the discrete-event simulator: queue, latency, schedulers,
-tracing and the runner's semantics (depth accounting, services, stops)."""
+"""Unit tests for the discrete-event simulator: queue, latency, schedulers
+and the runner's semantics (depth accounting, services, stops)."""
 
 import random
 from dataclasses import dataclass
 
 import pytest
 
+from repro.engine.events import EventLog, LogEvent
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.runtime.effects import (
     Broadcast,
@@ -31,7 +32,6 @@ from repro.sim.scheduler import (
     DelaySenders,
     RandomJitterScheduler,
 )
-from repro.sim.trace import Tracer
 from repro.types import DecisionKind, SystemConfig
 
 
@@ -126,31 +126,6 @@ class TestSchedulers:
         )
         rng = random.Random(0)
         assert scheduler.extra_delay(rng, 0, 1, None, 0.0) == 3.0
-
-
-class TestTracer:
-    def test_disabled_is_noop(self):
-        tracer = Tracer(enabled=False)
-        tracer.record(0.0, 1, "e")
-        assert len(tracer) == 0
-
-    def test_capacity_cap(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.record(float(i), 0, "e")
-        assert len(tracer) == 2
-
-    def test_filters(self):
-        tracer = Tracer()
-        tracer.record(0.0, 1, "a")
-        tracer.record(1.0, 2, "b")
-        assert len(tracer.by_event("a")) == 1
-        assert len(tracer.by_pid(2)) == 1
-
-    def test_format_renders_lines(self):
-        tracer = Tracer()
-        tracer.record(0.5, 1, "decide", {"value": 9})
-        assert "decide" in tracer.format()
 
 
 # -- runner semantics ------------------------------------------------------------------
@@ -336,9 +311,11 @@ class TestRunnerOutputsAndServices:
 
         config = SystemConfig(2, 0)
         protocols = {pid: Strict(pid, config) for pid in config.processes}
-        sim = Simulation(config, protocols, trace=True)
-        result = sim.run_to_quiescence()
-        assert result.tracer.by_event("malformed-message-dropped")
+        log = EventLog()
+        Simulation(config, protocols, event_sink=log).run_to_quiescence()
+        assert [
+            e for e in log.of_type(LogEvent) if e.event == "malformed-message-dropped"
+        ]
 
 
 class TestSchedulerIntegration:
@@ -364,18 +341,3 @@ class TestSchedulerIntegration:
         )
         sim.run_to_quiescence()
         assert arrivals[-1] == 2
-
-
-class TestTimelineFormatting:
-    def test_timeline_marks_decisions(self):
-        tracer = Tracer()
-        tracer.record(0.0, 0, "decide", {"value": 1})
-        tracer.record(5.0, 1, "decide", {"value": 1})
-        art = tracer.format_timeline([0, 1], width=20)
-        lines = art.splitlines()
-        assert lines[0].startswith("p0")
-        assert "D" in lines[0] and "D" in lines[1]
-        assert lines[0].index("D") < lines[1].index("D")
-
-    def test_timeline_empty(self):
-        assert "no matching events" in Tracer().format_timeline([0])
