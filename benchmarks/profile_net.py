@@ -1,5 +1,6 @@
 """Profile one process of a benchmark trial: hub 0 or one replica.
 
+    python3 benchmarks/profile_net.py --census --workload pipeline_star
     python3 benchmarks/profile_net.py --role node --label after
     python3 benchmarks/profile_net.py --role node --label before --src /path/to/parent/src
     python3 benchmarks/profile_net.py --role node --workload pipeline_star --sample --label after
@@ -31,6 +32,16 @@ the recorded chunks through ``FrameDecoder`` → ``NodeWorker._dispatch`` with a
 discarding socket and a fresh WAL directory.  It prints the best fork's CPU
 milliseconds and the messages the replay sent, and exits non-zero unless that
 count equals the live replica's — the determinism the comparison rests on.
+
+``--census`` (no profiler, no ``--role``, no ``--label``) counts instead of
+timing: the frames hub 0 read off node links by record kind, and the log
+records among them by name, in total and per slot — read off the run's own
+event stream (the ``n`` sends of one ``MsgBroadcast`` share one payload span,
+a ``MsgSend`` has its own and is named after what it carries), and checked
+against ``NetRunResult.hub_frames_in``.  Both workloads are healthy runs —
+nobody crashes — so a slot should cost its 63 consensus broadcasts and its
+bookkeeping records and nothing else: the census exits non-zero on any
+``MsgOutput``, ``MsgSend`` or ``recovery.re_served``.
 
 Two profilers.  The default, cProfile, counts calls but charges each one
 its tracing overhead, so call-heavy Python (the codec's recursion) reads
@@ -142,6 +153,72 @@ def _report(stats_paths: list[str], header: str) -> str:
     return "".join(
         line for line in out.getvalue().splitlines(True) if stats_path not in line
     )
+
+
+class Census:
+    """An event sink that counts hub 0's inbound frames by record kind.
+
+    The hub emits one event per control frame and one ``SendEvent`` per
+    destination of a data frame, consecutively and all holding the frame's
+    one payload span — so a run of sends over one span is one frame:
+    ``MsgBroadcast`` when it fans out, else a ``MsgSend``, booked under
+    the record it carries."""
+
+    #: the event hub 0 emits for each control frame that is not a log.
+    _CONTROL = {
+        "DecideEvent": "MsgDecide",
+        "OutputEvent": "MsgOutput",
+        "ServiceEvent": "MsgService",
+    }
+
+    def __init__(self) -> None:
+        self.frames: collections.Counter[str] = collections.Counter()
+        self.logs: collections.Counter[str] = collections.Counter()
+        self._span, self._copies = None, 0
+
+    def emit(self, event) -> None:
+        kind = type(event).__name__
+        if kind == "SendEvent":
+            if event.raw is not self._span:
+                self._close_frame()
+                self._span = event.raw
+            self._copies += 1
+        elif kind == "LogEvent":
+            if event.pid >= 0:  # else the frontend's own record: no frame carried it
+                self.frames["MsgLog"] += 1
+                self.logs[event.event] += 1
+        elif kind in self._CONTROL:
+            self.frames[self._CONTROL[kind]] += 1
+
+    def _close_frame(self) -> None:
+        if self._copies > 1:
+            self.frames["MsgBroadcast"] += 1
+        elif self._copies:
+            span = self._span
+            carried = span.decode() if hasattr(span, "decode") else span
+            self.frames[f"MsgSend({type(carried).__name__})"] += 1
+        self._span, self._copies = None, 0
+
+    def report(self, slots: int, frames_in: int, header: str) -> tuple[str, list[str]]:
+        """The two tables, and what a healthy run should not contain."""
+        self._close_frame()
+        out = [header, f"{slots} slots, {frames_in} frames into hub 0 off node links"]
+        for title, table in (("frames by record", self.frames), ("log records by name", self.logs)):
+            out.append(f"\n== {title} ==\n")
+            out.append("   total  per slot  kind")
+            for name, count in sorted(table.items(), key=lambda row: (-row[1], row[0])):
+                out.append(f"{count:8d}  {count / slots:8.2f}  {name}")
+            total = sum(table.values())
+            out.append(f"{total:8d}  {total / slots:8.2f}  (all)")
+        unhealthy = [
+            f"{count} {name}"
+            for name, count in (*self.frames.items(), *self.logs.items())
+            if name.startswith(("MsgOutput", "MsgSend")) or name == "recovery.re_served"
+        ]
+        counted = sum(self.frames.values())
+        if counted != frames_in:
+            unhealthy.append(f"{counted} frames counted, hub 0 read {frames_in}")
+        return "\n".join(out) + "\n", unhealthy
 
 
 class _Recorded:
@@ -344,7 +421,7 @@ def _serve_in_main_thread(workloads) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--role", choices=("hub0", "node"), required=True)
+    parser.add_argument("--role", choices=("hub0", "node"))
     parser.add_argument("--label", choices=("before", "after"))
     parser.add_argument(
         "--workload", choices=("floor_star", "pipeline_star"), default="floor_star"
@@ -358,13 +435,22 @@ def main() -> None:
         help="no profile: re-run replica 3 offline on its recorded inbound bytes",
     )
     parser.add_argument(
+        "--census",
+        action="store_true",
+        help="no profile: hub 0's inbound frames by record kind and log records by name",
+    )
+    parser.add_argument(
         "--commands", type=int, default=COMMANDS, help="trial size (more commands, more samples)"
     )
     parser.add_argument("--src", default=str(HERE.parent / "src"))
     args = parser.parse_args()
+    if args.census and (args.role or args.sample or args.label or args.replay):
+        parser.error("--census goes alone")
     if args.replay and (args.role != "node" or args.sample or args.label):
         parser.error("--replay goes with --role node alone")
-    if not args.replay and args.label is None:
+    if not args.census and args.role is None:
+        parser.error("--role is required for a profile or a replay")
+    if not (args.replay or args.census) and args.label is None:
         parser.error("--label is required for a profile")
     src = os.path.abspath(args.src)
     sys.path[:0] = [src, str(HERE / "e2e")]
@@ -383,6 +469,23 @@ def main() -> None:
     workload = workloads.WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory(prefix="profile-net-") as tmp:
         trial_root = os.path.join(tmp, "trial")
+        if args.census:
+            census = Census()
+            trial = workloads.run_trial(
+                workload, SEED, args.commands, trial_root, extra_sink=census
+            )
+            if trial.problems or trial.digest is None:
+                sys.exit(f"the counted trial failed: {trial.problems}")
+            text, unhealthy = census.report(
+                trial.slots,
+                trial.result.hub_frames_in,
+                f"census of hub 0: {args.workload}, seed {SEED}, {args.commands} "
+                f"commands, checkout {commit}",
+            )
+            print(text)
+            if unhealthy:
+                sys.exit("a healthy run paid for more than consensus: " + "; ".join(unhealthy))
+            return
         if args.replay:
             result_path = _install_replay(NodeWorker, tmp)
             trial = workloads.run_trial(workload, SEED, args.commands, trial_root)

@@ -38,18 +38,22 @@ from ..codec.schema import wire_record
 DELIVER_TAG = "id-receive"
 
 
-@wire_record(tag=17)
+@wire_record(tag=17, blobs=("value",))
 @dataclass(frozen=True, slots=True)
 class IdbInit:
-    """``(init, m)`` — the sender's own broadcast of its message."""
+    """``(init, m)`` — the sender's own broadcast of its message.
+
+    ``value`` is blob-framed (see :class:`~repro.core.dex.DexProposal`)."""
 
     value: Value
 
 
-@wire_record(tag=18)
+@wire_record(tag=18, blobs=("value",))
 @dataclass(frozen=True, slots=True)
 class IdbEcho:
-    """``(echo, m', j)`` — a witness statement that ``p_j`` sent ``m'``."""
+    """``(echo, m', j)`` — a witness statement that ``p_j`` sent ``m'``.
+
+    ``value`` is blob-framed (see :class:`~repro.core.dex.DexProposal`)."""
 
     value: Value
     origin: ProcessId

@@ -14,7 +14,11 @@ Three properties the pickle codec cannot offer:
   into outgoing frames — the payload crosses the hub without ever being
   decoded or re-encoded.  This, not raw encode speed, is where the data
   plane wins: the hub is the global bottleneck, and with this codec it
-  never looks inside a consensus payload.
+  never looks inside a consensus payload.  The same framing serves the
+  receiving end: a length-prefixed span is what a materializing decoder
+  memoises, so a value that many messages quote under different headers
+  (``DexProposal``/``IdbInit``/``IdbEcho`` all blob-frame their ``value``)
+  is decoded once per replica, not once per message.
 * **Buffer reuse.**  :meth:`BinaryCodec.encode_into` appends to a caller
   bytearray, so hot loops encode straight into one reusable send buffer
   instead of allocating per-frame ``bytes``.
@@ -105,10 +109,11 @@ _KIND_INDEX = {member: i for i, member in enumerate(_KIND_MEMBERS)}
 #: Decoded blob spans one materializing :class:`BinaryCodec` remembers, keyed
 #: by their raw bytes, oldest evicted first.  A replica's live set is the
 #: distinct payloads of its open slots (≤ 21 each at n=7: proposals, inits
-#: and one echo per origin, each echo arriving n times): the hit rate of a
-#: 4-shard ``floor_star``/``pipeline_star`` trial stops rising at 64 entries
-#: (85 % of 8 250 deliveries, as at 1 024), so 256 leaves room for four
-#: times the shards or pipeline depth.
+#: and one echo per origin, each echo arriving n times) plus the blob-framed
+#: values inside them (one span per distinct batch, one or two a slot): the
+#: hit rate of a 4-shard ``floor_star``/``pipeline_star`` trial stops rising
+#: at 128 entries (85 % of 11 680 lookups, as at 1 024; 84 % at 64), so 256
+#: leaves room for twice the shards or pipeline depth.
 SPAN_MEMO_ENTRIES = 256
 
 #: Spans longer than this decode afresh every time.  Benchmark payloads are

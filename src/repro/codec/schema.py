@@ -56,7 +56,11 @@ class SchemaEntry:
         fields: field names in wire order (the dataclass field order).
         blobs: names of fields carried as length-prefixed blobs, so a relay
             (the hub) can forward them without decoding — see
-            :class:`repro.codec.binary.Opaque`.
+            :class:`repro.codec.binary.Opaque` — and a replica's decoder can
+            share one decoded value among every message that quotes the
+            same bytes.  ``TAG_BLOB`` is a value tag the decoder accepts in
+            any field position, so marking (or unmarking) a field changes
+            what is written, never what can be read.
         layouts: per-field codec pairs for fields whose shape the record
             declares (``MsgDeliverBatch.entries`` is a tuple of ``(sender,
             blob payload, depth)``).  A layout is a faster way to the bytes

@@ -54,10 +54,17 @@ UcFactory = Callable[[ProcessId, SystemConfig], UnderlyingConsensus]
 IdbFactory = Callable[[ProcessId, SystemConfig], Protocol]
 
 
-@wire_record(tag=16)
+@wire_record(tag=16, blobs=("value",))
 @dataclass(frozen=True, slots=True)
 class DexProposal:
-    """The plain (``P-Send``) proposal message of line 3."""
+    """The plain (``P-Send``) proposal message of line 3.
+
+    ``value`` is blob-framed on the wire, like the ``value`` of
+    :class:`~repro.broadcast.idb.IdbInit` and ``IdbEcho``: the three carry
+    the same value bytes under different headers, and a length-prefixed
+    span is what a replica's decoder memoises — one decode of a batch per
+    replica, not one per message that quotes it.
+    """
 
     value: Value
 

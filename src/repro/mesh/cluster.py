@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import multiprocessing
 import socket
+import time
 from typing import Any, Mapping
 
 from ..errors import SimulationError
@@ -187,7 +188,7 @@ class MeshCluster(NetCluster):
             # plan and jitter apply here when hub 0 owns delivery.
             owner = self._owner_of(msg.payload)
             if owner == 0:
-                self._enqueue(msg.src, msg.dst, msg.payload, msg.depth)
+                self._enqueue(msg.src, msg.dst, msg.payload, msg.depth, time.monotonic())
             else:
                 self._relay(owner, msg.src, msg.dst, msg.payload, msg.depth)
         elif isinstance(msg, HubReady):

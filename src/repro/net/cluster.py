@@ -426,11 +426,12 @@ class DataPlane:
         self.sent += len(dsts)
         owner = self._owner_of(payload)
         events = self.events
-        now = events.now()  # one frame, one arrival time
+        now = events.now()  # one frame, one arrival time ...
+        arrived = time.monotonic()  # ... on the delay heap's clock too
         for dst in dsts:
             events.send(src, dst, payload, depth, now)
             if owner == self.index:
-                self._enqueue(src, dst, payload, depth)
+                self._enqueue(src, dst, payload, depth, arrived)
             else:
                 self._relay(owner, src, dst, payload, depth)
 
@@ -439,12 +440,16 @@ class DataPlane:
     ) -> None:
         raise NotImplementedError  # a one-hub plane owns every frame
 
-    def _enqueue(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
-        """Queue one owned message: the fault plan draws first, then one
-        jitter draw per surviving copy (self-sends undelayed)."""
+    def _enqueue(
+        self, src: ProcessId, dst: ProcessId, payload: Any, depth: int, arrived: float
+    ) -> None:
+        """Queue one owned message that reached this hub at ``arrived``
+        (``time.monotonic()``, read once per frame): the fault plan draws
+        first, then one jitter draw per surviving copy (self-sends
+        undelayed)."""
         for extra in self.link_plan.route(src, dst, self.rng):
             base = 0.0 if dst == src else self._jitter()
-            self._schedule(dst, src, payload, depth, base + extra)
+            self._schedule(dst, src, payload, depth, arrived + base + extra)
 
     def _jitter(self) -> float:
         if self._lognormal is not None:
@@ -452,13 +457,13 @@ class DataPlane:
         return self.rng.uniform(0.5, 1.5) * self.mean_delay
 
     def _schedule(
-        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, delay: float
+        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, due: float
     ) -> None:
+        """Put one delivery on the delay heap, due at ``due`` on the
+        ``time.monotonic()`` clock (a time already past leaves at the next
+        sweep)."""
         self._seq += 1
-        heapq.heappush(
-            self._heap,
-            (time.monotonic() + delay, self._seq, dst, sender, payload, depth),
-        )
+        heapq.heappush(self._heap, (due, self._seq, dst, sender, payload, depth))
         if not self._saturated and len(self._heap) >= self.high_water:
             self._saturated = True
             self.events.saturated(self.index, len(self._heap), self.high_water)
@@ -891,7 +896,9 @@ class NetCluster(DataPlane):
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         # Simulated-units reply delay is replaced by hub jitter, exactly as
         # on the asyncio backend.
-        self._schedule(reply.dst, SERVICE_SENDER, payload, reply.depth, self._jitter())
+        self._schedule(
+            reply.dst, SERVICE_SENDER, payload, reply.depth, time.monotonic() + self._jitter()
+        )
 
     # -- liveness -------------------------------------------------------------------
 

@@ -223,11 +223,17 @@ class ShardNode(ShardMultiplexer):
         self._recovering = False
         self._catchup = CatchUpTracker(config.t + 1)
         self._future: dict[tuple[int, int], tuple[Any, Any]] = {}
-        # rejoin-race plumbing: peers with an outstanding catch-up request
-        # (served again as new slots settle) and the one-shot book of
-        # ``SlotDecided`` notices already sent per (peer, shard, slot).
-        self._rejoining: set[ProcessId] = set()
-        self._decided_served: set[tuple[ProcessId, int, int]] = set()
+        # rejoin evidence, per ``(peer, shard)``: a peer is offered decided
+        # slots only between its ``CatchUpRequest`` and its next top-level
+        # proposal at or past our frontier on that shard.  The keys of
+        # ``_decided_served`` are the pairs under evidence, each mapped to
+        # the slots already offered to it (one ``SlotDecided`` per slot);
+        # ``_late`` remembers the newest stale proposal of a pair without
+        # evidence, for a request the transport delivers after it.  Both
+        # hold at most ``(n - 1) * shards`` keys, and a pair's offered
+        # slots go when its evidence clears.
+        self._decided_served: dict[tuple[ProcessId, int], set[int]] = {}
+        self._late: dict[tuple[ProcessId, int], int] = {}
 
     # -- slot lifecycle --------------------------------------------------------------
 
@@ -324,36 +330,54 @@ class ShardNode(ShardMultiplexer):
                     effects.extend(self._enter_catchup())
                 return effects
             return [self.log("shard.stale-decision", shard=shard, slot=slot)]
-        (upcall,) = super().on_instance_decided(shard, slot, batch, kind)
-        return self._commit(shard, slot, batch, kind, upcall)
+        return self._commit(shard, slot, batch, kind)
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        """Node-level routing, plus the stale-proposal rejoin trigger.
+        """Node-level routing, plus the rejoin evidence rule.
 
         A replica that needs slot ``k`` must *open* it, and opening
         broadcasts the instance's own top-level message (DEX line 3,
-        ``P-Send``) to every peer.  Such a message — an instance envelope
-        whose payload is not a sub-component envelope — addressed to a slot
-        this replica has already settled is evidence the sender is behind:
-        our instance still answers, but its first-step messages went out
-        before the sender (re)started, so the sender's fresh instance can
-        never collect them and stalls without help.  Re-serve the decided
-        slot once per (sender, shard, slot); every stalled opener reaches
-        ``>= n - t - 1 >= t + 1`` settled peers this way.  A late
-        ``idb``/``uc`` envelope is evidence of nothing (a peer that has
-        itself decided keeps echoing) and is only routed.  An envelope at
-        or past our frontier marks the sender caught up.
+        ``P-Send``) to every peer — an instance envelope whose payload is
+        not a sub-component envelope.  A late ``idb``/``uc`` envelope is
+        evidence of nothing (a peer that has itself decided keeps echoing,
+        and a restarted one echoes before it has caught up) and is only
+        routed.
+
+        A proposal at or past our frontier says its sender is current on
+        that shard: whatever evidence we held against the pair is dropped.
+        A proposal for a slot we have settled is late — routinely so on a
+        healthy run, where a replica decides one-step off the first
+        ``n - t`` and the rest trail in; our instance still answers those.
+        Only a sender that *restarted* cannot use the answers: our
+        first-step messages went out while it was down, so its fresh
+        instance can never collect them and stalls without help.  Its
+        ``CatchUpRequest`` is the evidence of that; between the request and
+        its next current proposal on the shard, each late proposal is
+        answered with the decided slot (once per slot), and every stalled
+        opener reaches ``>= n - t - 1 >= t + 1`` settled peers this way.
+        The transport may deliver the request *after* the late proposal it
+        explains (independent jitter per message, independent hubs on a
+        mesh), so the newest late slot per pair is remembered and offered
+        when the request lands (:meth:`_serve_catchup`).
         """
-        if self.durability is not None and isinstance(payload, Envelope):
+        if (
+            self.durability is not None
+            and isinstance(payload, Envelope)
+            and not isinstance(payload.payload, Envelope)
+        ):
             key = parse_instance(payload.component)
             if key is not None and 0 <= key[0] < self.shards:
                 shard, slot = key
+                pair = (sender, shard)
                 if slot >= self._slot[shard]:
-                    self._rejoining.discard(sender)
-                elif not isinstance(payload.payload, Envelope):
+                    self._decided_served.pop(pair, None)
+                    self._late.pop(pair, None)
+                elif pair in self._decided_served:
                     effects = self._offer_decided(sender, shard, slot)
                     effects.extend(super().on_message(sender, payload))
                     return effects
+                elif slot > self._late.get(pair, -1):
+                    self._late[pair] = slot
         return super().on_message(sender, payload)
 
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
@@ -394,13 +418,14 @@ class ShardNode(ShardMultiplexer):
             )
         return safe_batch
 
-    def _commit(
-        self, shard: int, slot: int, batch: Any, kind: Any, effect: Effect
-    ) -> list[Effect]:
-        """A frontier decision from this node's own consensus instance."""
+    def _commit(self, shard: int, slot: int, batch: Any, kind: Any) -> list[Effect]:
+        """A frontier decision from this node's own consensus instance.
+
+        The decision is not surfaced as a runner output: the digest this
+        replica decides at the end carries every batch, and an output per
+        slot would ship each one to the hub a second time."""
         safe_batch = self._settle(shard, slot, batch, kind.value)
-        effects: list[Effect] = [effect]  # re-surface for the runner's outputs
-        effects.append(
+        effects: list[Effect] = [
             self.log(
                 "shard.decide",
                 shard=shard,
@@ -408,7 +433,7 @@ class ShardNode(ShardMultiplexer):
                 kind=kind.value,
                 size=len(safe_batch),
             )
-        )
+        ]
         effects.extend(self._notify_rejoining(shard, slot))
         effects.extend(self._advance(shard))
         if not self._recovering:
@@ -494,10 +519,17 @@ class ShardNode(ShardMultiplexer):
         """Answer a recovering peer: every applied batch past its frontier
         (capped), plus our own frontier so it knows when it is current.
 
-        The sender is also marked rejoining: slots that settle *after* this
-        reply — the window between its catch-up rounds — are pushed to it
+        The request is the evidence that the sender restarted or fell
+        behind, on every shard: a late proposal of its that overtook the
+        request is answered now, and slots that settle *after* this reply —
+        the window between its catch-up rounds — are pushed to it
         unsolicited as :class:`~repro.durable.recovery.SlotDecided`."""
-        self._rejoining.add(sender)
+        offers: list[Effect] = []
+        for shard in range(self.shards):
+            self._decided_served.setdefault((sender, shard), set())
+            late = self._late.pop((sender, shard), None)
+            if late is not None:
+                offers.extend(self._offer_decided(sender, shard, late))
         wanted: dict[int, int] = {}
         frontier = request.frontier if isinstance(request.frontier, tuple) else ()
         for pair in frontier[: self.shards * 2]:
@@ -523,6 +555,7 @@ class ShardNode(ShardMultiplexer):
         return [
             self.log("recovery.served", peer=sender, entries=len(entries)),
             Send(sender, reply),
+            *offers,
         ]
 
     def _absorb_catchup(self, sender: ProcessId, reply: CatchUpReply) -> list[Effect]:
@@ -563,19 +596,22 @@ class ShardNode(ShardMultiplexer):
     # -- crash recovery: re-serving decided slots -------------------------------------
 
     def _offer_decided(self, peer: ProcessId, shard: int, slot: int) -> list[Effect]:
-        """Push one already-decided slot to a lagging peer, at most once
-        per (peer, shard, slot) — the peer adopts it only under the same
-        ``t + 1`` identical-batch rule as catch-up replies."""
+        """Push one already-decided slot to a peer we hold rejoin evidence
+        against on that shard, at most once per slot — the peer adopts it
+        only under the same ``t + 1`` identical-batch rule as catch-up
+        replies."""
+        offered = self._decided_served.get((peer, shard))
         if (
-            peer == self.process_id
+            offered is None
+            or slot in offered
+            or peer == self.process_id
             or peer not in self.config.processes
-            or (peer, shard, slot) in self._decided_served
         ):
             return []
         history = self.applied[shard]
         if slot >= len(history):
             return []
-        self._decided_served.add((peer, shard, slot))
+        offered.add(slot)
         return [
             self.log("recovery.re_served", peer=peer, shard=shard, slot=slot),
             Send(peer, SlotDecided(shard, slot, history[slot])),
@@ -586,8 +622,9 @@ class ShardNode(ShardMultiplexer):
         outstanding: push it to each of them, closing the race where the
         decision lands *between* their catch-up rounds."""
         effects: list[Effect] = []
-        for peer in sorted(self._rejoining):
-            effects.extend(self._offer_decided(peer, shard, slot))
+        for peer, behind_on in sorted(self._decided_served):
+            if behind_on == shard:
+                effects.extend(self._offer_decided(peer, shard, slot))
         return effects
 
     def _absorb_decided(self, sender: ProcessId, notice: SlotDecided) -> list[Effect]:

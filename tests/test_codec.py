@@ -88,6 +88,9 @@ from repro.types import BOTTOM, DecisionKind
 from repro.underlying.oracle import OracleDecision, OracleProposal
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "codec_frames.bin"
+#: The fixture as it stood before tags 16-18 blob-framed their ``value``:
+#: what a peer one commit older writes, which must stay readable.
+LEGACY_PATH = GOLDEN_PATH.with_name("codec_frames_unframed_values.bin")
 
 
 def _consensus_envelope():
@@ -420,14 +423,15 @@ class TestSpanMemo:
             + encode(2)
         )
         codec = BinaryCodec()
+        value = encode(7)  # the proposal's own blob-framed value: an honest span
         for _ in range(3):
             with pytest.raises(CodecError, match="blob length"):
                 codec.decode(wire)
-            assert not codec._spans
+            assert list(codec._spans) == [value]  # nothing of the lying span
         # the same bytes as an honest span still cache, and still decode right
         honest = encode(MsgDeliver(1, _consensus_envelope(), 2))
         assert codec.decode(honest) == codec.decode(honest) == decode(honest)
-        assert list(codec._spans) == [inner]
+        assert list(codec._spans) == [value, inner]
 
     def test_oversized_spans_are_not_cached(self):
         codec = BinaryCodec()
@@ -652,7 +656,12 @@ class TestDeliveryEntriesLayout:
             wire = encode(batch)
             assert wire == reference.encode(batch), name
             _assert_same_decode(wire)
-            assert decode(wire, lazy=True) == batch, name
+            relayed = decode(wire, lazy=True)
+            assert encode(relayed) == wire, name
+            # an envelope that is not itself a span is walked in relay mode,
+            # and its proposal's blob-framed value stays one
+            if name != "inline envelope":
+                assert relayed == batch, name
 
     def test_an_empty_span_is_spliced_and_refused_like_the_generic_path(self):
         batch = MsgDeliverBatch(((1, Opaque(b""), 0),))
@@ -759,6 +768,97 @@ class TestShareabilityWhileDecoding:
         outer = MsgDeliver(1, (inner, 7), 0)
         codec.decode(encode(MsgDeliver(0, outer, 0)))
         assert encode(outer) in codec._spans
+
+
+class TestBlobFramedValues:
+    """``DexProposal.value``, ``IdbInit.value`` and ``IdbEcho.value`` are
+    blob-framed: the same value bytes under three headers are one span, so
+    a replica's decoder materializes a batch once however many messages
+    quote it — and the marking reads both ways across the change."""
+
+    BATCH = (("set", "k3", 17), ("set", "k9", 18), ("set", "k3", 19), ("set", "k1", 20))
+
+    def _payloads(self, value):
+        """What one slot puts on the wire around one value: the proposal,
+        the init, and echoes naming two origins."""
+        name = instance_name(0, 3)
+        return [
+            Envelope(name, DexProposal(value)),
+            Envelope(name, Envelope("idb", IdbInit(value))),
+            Envelope(name, Envelope("idb", IdbEcho(value, 2))),
+            Envelope(name, Envelope("idb", IdbEcho(value, 5))),
+        ]
+
+    def test_the_three_records_round_trip(self):
+        for value in (self.BATCH, (), 7, BOTTOM, [1, 2], _Unregistered([1])):
+            for payload in self._payloads(value):
+                wire = encode(payload)
+                assert wire == reference.encode(payload)
+                assert decode(wire) == BinaryCodec().decode(wire) == payload
+                assert encode(decode(wire, lazy=True)) == wire
+
+    def test_equal_value_bytes_decode_to_one_object_per_decoder(self):
+        decoder = FrameDecoder()
+        frames = b"".join(
+            encode_frame(MsgDeliver(sender, payload, 1), CODEC_BINARY)
+            for sender, payload in enumerate(self._payloads(self.BATCH))
+        )
+        proposal, init, echo, other = (m.payload for m in decoder.feed(frames))
+        values = [proposal.payload.value, init.payload.payload.value,
+                  echo.payload.payload.value, other.payload.payload.value]
+        assert all(value is values[0] for value in values)
+        assert values[0] == self.BATCH
+        # four distinct payload spans around it, one value span
+        assert sum(span == encode(self.BATCH) for span in decoder._binary._spans) == 1
+        assert len(decoder._binary._spans) == 5
+        # ... per decoder: another link owes this one nothing
+        fresh, *_ = FrameDecoder().feed(frames)
+        assert fresh.payload.payload.value == self.BATCH
+        assert fresh.payload.payload.value is not values[0]
+
+    @pytest.mark.parametrize(
+        "value, mutate",
+        [
+            ((("set", "k", 1), [2]), lambda v: v[1].append(3)),
+            ((_Unregistered([1]),), lambda v: v[0].items.append(2)),
+        ],
+        ids=["list", "pickle-escape"],
+    )
+    def test_a_mutable_or_pickled_value_is_never_shared(self, value, mutate):
+        codec = BinaryCodec()
+        proposal, init, *_ = self._payloads(value)
+        first = codec.decode(encode(MsgDeliver(1, proposal, 0))).payload.payload.value
+        mutate(first)
+        for payload in (proposal, init, proposal):
+            again = codec.decode(encode(MsgDeliver(1, payload, 0))).payload
+            assert again == payload
+        assert not codec._spans  # the taint reaches the spans around it too
+
+    def test_frames_written_before_the_marking_still_decode(self):
+        """The parent commit's golden bytes — tags 16-18 with the value
+        written in place, no blob header — decode to the same objects."""
+        legacy = LEGACY_PATH.read_bytes()
+        assert len(GOLDEN_PATH.read_bytes()) - len(legacy) == 2 * 7  # 7 frames quote one
+        for lazy_first in (False, True):
+            decoder = FrameDecoder(lazy=lazy_first)
+            decoded = list(decoder.feed(legacy))
+            decoder.eof()
+            if lazy_first:  # a relay's view of them, materialized on demand
+                decoded = [decode(encode(msg)) for msg in decoded]
+            assert decoded == golden_messages()
+        assert reference.decode(encode(IdbEcho(2, 3))) == IdbEcho(2, 3)
+        unframed = bytes([TAG_STRUCT, 18]) + encode(self.BATCH) + encode(3)
+        assert decode(unframed) == IdbEcho(self.BATCH, 3)
+
+    def test_a_relay_splices_them_byte_for_byte(self):
+        """The hub never looks inside: payload spans pass through whole,
+        and a walked record re-encodes its value span as it found it."""
+        for payload in self._payloads(self.BATCH):
+            wire = encode(MsgBroadcast(1, payload, 2))
+            relayed = decode(wire, lazy=True)
+            assert relayed.payload == Opaque(encode(payload))
+            assert encode(MsgDeliver(1, relayed.payload, 2)) == encode(MsgDeliver(1, payload, 2))
+            assert encode(decode(encode(payload), lazy=True)) == encode(payload)
 
 
 class TestBytesLikeInputs:

@@ -600,7 +600,7 @@ class TestCatchUpTracker:
 # -- the rejoin liveness race ----------------------------------------------------------
 
 
-def _shard_node(tmp_path, pid, name="race", arrivals=()):
+def _shard_node(tmp_path, pid, name="race", arrivals=(), shards=1):
     from repro.types import SystemConfig
 
     config = DurabilityConfig(str(tmp_path / f"{name}{pid}"), snapshot_every=0)
@@ -608,17 +608,17 @@ def _shard_node(tmp_path, pid, name="race", arrivals=()):
     return ShardNode(
         0 if pid is None else pid,
         sys_config,
-        1,
+        shards,
         list(arrivals),
         dex_shard_factory(pid, sys_config),
         durability=config.node(pid),
     )
 
 
-def _instance_envelope(slot, payload="stale-probe"):
+def _instance_envelope(slot, payload="stale-probe", shard=0):
     from repro.runtime.effects import Envelope
 
-    return Envelope(f"s0.{slot}", payload)
+    return Envelope(f"s{shard}.{slot}", payload)
 
 
 class TestRejoinRace:
@@ -637,18 +637,30 @@ class TestRejoinRace:
         return peer
 
     def test_stale_envelope_triggers_one_reserve(self, tmp_path):
+        """Under the evidence gate: the sender's ``CatchUpRequest`` is what
+        makes its stale proposal worth an answer."""
         from repro.durable import SlotDecided
-        from repro.runtime.effects import Send
 
         peer = self._settled_peer(tmp_path, 1)
-        effects = peer.on_message(0, _instance_envelope(0))
-        sends = [e for e in effects if isinstance(e, Send) and e.dst == 0
-                 and isinstance(e.payload, SlotDecided)]
-        assert sends and sends[0].payload == SlotDecided(0, 0, self.BATCH)
+        peer.on_message(0, CatchUpRequest(1, ((0, 0),)))
+        offers = self._offers(peer.on_message(0, _instance_envelope(0)))
+        assert offers == [SlotDecided(0, 0, self.BATCH)]
         # once per (sender, shard, slot): a repeat probe is not re-served
-        again = peer.on_message(0, _instance_envelope(0))
-        assert not [e for e in again if isinstance(e, Send)
-                    and isinstance(e.payload, SlotDecided)]
+        assert not self._offers(peer.on_message(0, _instance_envelope(0)))
+
+    def test_a_never_restarted_straggler_is_not_offered(self, tmp_path):
+        """No request, no evidence: a proposal that merely arrives late —
+        the seventh of seven on a healthy run — is routed to the instance
+        and answered by nobody, however often it happens."""
+        peer = self._settled_peer(tmp_path, 1)
+        peer._settle(0, 1, (), "one-step")
+        for slot in (0, 1, 0):
+            assert not self._offers(peer.on_message(0, _instance_envelope(slot)))
+        assert not peer._decided_served
+        assert peer._late == {(0, 0): 1}  # the newest late slot, nothing more
+        # ... and its next current proposal forgets even that
+        peer.on_message(0, _instance_envelope(2))
+        assert not peer._late
 
     def test_current_envelope_is_not_reserved(self, tmp_path):
         from repro.durable import SlotDecided
@@ -663,15 +675,12 @@ class TestRejoinRace:
         """Trigger 2: the decision that lands between catch-up rounds is
         pushed to the peer whose request is still outstanding."""
         from repro.durable import SlotDecided
-        from repro.runtime.effects import Decide, Send
+        from repro.runtime.effects import Send
         from repro.types import DecisionKind
 
         peer = _shard_node(tmp_path, 1)
         peer.on_own_message(0, CatchUpRequest(1, ((0, 0),)))  # 0 is rejoining
-        effects = peer._commit(
-            0, 0, self.BATCH, DecisionKind.ONE_STEP,
-            Decide(self.BATCH, DecisionKind.ONE_STEP),
-        )
+        effects = peer._commit(0, 0, self.BATCH, DecisionKind.ONE_STEP)
         pushed = [e for e in effects if isinstance(e, Send) and e.dst == 0
                   and isinstance(e.payload, SlotDecided)]
         assert pushed and pushed[0].payload == SlotDecided(0, 0, self.BATCH)
@@ -776,6 +785,8 @@ class TestRejoinRace:
 
         peer = self._settled_peer(tmp_path, 1)
         peer._settle(0, 1, (), "one-step")
+        for sender in (0, 2):  # both restarted: the gate is open for both
+            peer.on_message(sender, CatchUpRequest(1, ((0, 0),)))
         proposal = DexProposal((("set", "z", 9),))
         served = []
         for sender, slot in [(0, 0), (0, 0), (2, 0), (0, 1), (2, 0), (0, 1)]:
@@ -791,44 +802,136 @@ class TestRejoinRace:
             (0, SlotDecided(0, 1, ())),
         ]
 
+    def test_evidence_is_per_shard_and_its_book_goes_when_it_clears(self, tmp_path):
+        """A replica current on shard 0 can still be stuck on shard 1: a
+        current proposal clears the evidence (and the offered-slots book)
+        of its own shard only."""
+        from repro.core.dex import DexProposal
+        from repro.durable import SlotDecided
+
+        peer = _shard_node(tmp_path, 1, shards=2)
+        for shard in (0, 1):
+            peer._settle(shard, 0, self.BATCH, "one-step")
+        peer.on_message(0, CatchUpRequest(1, ((0, 0), (1, 0))))
+        proposal = DexProposal(())
+        stale = peer.on_message(0, _instance_envelope(0, proposal, shard=0))
+        assert self._offers(stale) == [SlotDecided(0, 0, self.BATCH)]
+        assert peer._decided_served == {(0, 0): {0}, (0, 1): set()}
+        # current on shard 0 (slot 1 is the frontier there) ...
+        peer.on_message(0, _instance_envelope(1, proposal, shard=0))
+        assert peer._decided_served == {(0, 1): set()}
+        # ... so a later straggler there is a straggler, not a rejoiner,
+        peer._settle(0, 1, (), "one-step")
+        assert not self._offers(peer.on_message(0, _instance_envelope(1, proposal, shard=0)))
+        # while shard 1 is still answered, and still pushed new slots
+        stuck = peer.on_message(0, _instance_envelope(0, proposal, shard=1))
+        assert self._offers(stuck) == [SlotDecided(1, 0, self.BATCH)]
+        assert self._offers(peer._notify_rejoining(1, 0)) == []  # once per slot
+        peer._settle(1, 1, (), "one-step")
+        assert self._offers(peer._notify_rejoining(1, 1)) == [SlotDecided(1, 1, ())]
+        assert self._offers(peer._notify_rejoining(0, 1)) == []
+
     def test_echoes_alone_stall_then_opening_the_slot_closes_it(self, tmp_path):
-        """The PR-7 stall under the gated trigger.  Every peer settled slot
-        0 while replica 0 was down, so their first-step messages are gone.
-        A passive instance on the restarted replica (woken by one late
-        init) only echoes — no peer offers anything and it stays stuck;
-        the moment it *opens* the slot its proposal reaches every settled
-        peer, each offers the slot exactly once, and ``t + 1`` identical
-        batches settle it."""
+        for order in ("request-first", "proposal-first"):
+            (tmp_path / order).mkdir()
+            self._stall_closed_by_opening(tmp_path / order, order)
+
+    def _stall_closed_by_opening(self, tmp_path, order):
+        """The PR-7 stall under the evidence gate, with the restarted
+        replica's ``CatchUpRequest`` in the schedule.  Replica 0 restarts
+        and asks around while slot 0 is still open everywhere; peers 1 and
+        2 answer (nothing decided yet) and that quorum lets it resume.
+        Then every peer settles slot 0 — their first-step messages went
+        out while replica 0 was down, so they are gone.  Replica 0's
+        echoes for the slot are offered nothing (a sub-component envelope
+        is evidence of nothing, request or no request); once the proposal
+        it sent on *opening* the slot reaches the settled peers, each
+        offers the slot exactly once and ``t + 1`` identical batches
+        settle it.  Peers 3–6 see the request and the proposal in
+        either order — the hub draws each message's delay independently —
+        and offer at whichever comes second."""
         from repro.broadcast.idb import IdbInit
-        from repro.runtime.effects import Broadcast, Envelope
+        from repro.core.dex import DexProposal
+        from repro.durable import SlotDecided
+        from repro.runtime.effects import Broadcast, Envelope, Send
 
-        peers = [self._settled_peer(tmp_path, pid) for pid in range(1, 7)]
-        node = _shard_node(tmp_path, 0, arrivals=[(0, ("set", "b", 2))])
+        arrivals = [(0, ("set", "b", 2))]
+        crashed = _shard_node(tmp_path, 0, arrivals=arrivals)
+        crashed.on_start()  # proposes into slot 0, then dies
+        crashed.durability.close()
+        node = _shard_node(tmp_path, 0, arrivals=arrivals)
+        peers = {pid: _shard_node(tmp_path, pid) for pid in range(1, 7)}
 
-        def relay(effects):
-            """Deliver the node's broadcasts to every peer; their offers."""
-            offers = []
-            for effect in effects:
-                if isinstance(effect, Broadcast):
-                    for peer in peers:
-                        offers += [
-                            (peer.process_id, offer)
-                            for offer in self._offers(peer.on_message(0, effect.payload))
-                        ]
-            return offers
+        def deliver(pids, payload):
+            """One message of replica 0's to ``pids``: their replies."""
+            return {
+                pid: [e for e in peers[pid].on_message(0, payload) if isinstance(e, Send)]
+                for pid in pids
+            }
 
+        (request,) = {e.payload for e in node.on_start() if isinstance(e, Send)}
+        assert isinstance(request, CatchUpRequest)
+        opened = []
+        for pid, (reply,) in deliver((1, 2), request).items():
+            opened += node.on_message(pid, reply.payload)
+        proposal, _init = [e.payload for e in opened if isinstance(e, Broadcast)]
+        assert isinstance(proposal.payload, DexProposal)  # the top-level P-Send
+        assert node._slot[0] == 0 and not node._recovering  # resumed, into slot 0
+        if order == "request-first":
+            deliver((3, 4, 5, 6), request)
+
+        for peer in peers.values():
+            peer._settle(0, 0, self.BATCH, "one-step")
         woken = node.on_message(
             1, _instance_envelope(0, Envelope("idb", IdbInit(self.BATCH)))
         )
-        assert any(isinstance(e, Broadcast) for e in woken)  # its echo goes out
-        assert relay(woken) == [] and node._slot[0] == 0  # ... and nothing comes back
+        (echo,) = [e.payload for e in woken if isinstance(e, Broadcast)]
+        assert not any(deliver(range(1, 7), echo).values())  # nothing comes back
+        assert node._slot[0] == 0
 
-        offers = relay(node.on_start())  # fresh directory: opens slot 0
-        assert sorted(pid for pid, _ in offers) == [1, 2, 3, 4, 5, 6]  # one each
-        node.on_message(*offers[0])
+        offers = deliver(range(1, 7), proposal)
+        if order == "proposal-first":
+            assert not any(offers[pid] for pid in (3, 4, 5, 6))  # no evidence yet
+            for pid, sends in deliver((3, 4, 5, 6), request).items():
+                offers[pid] = [e for e in sends if not isinstance(e.payload, CatchUpReply)]
+        assert {pid: self._offers(sends) for pid, sends in offers.items()} == {
+            pid: [SlotDecided(0, 0, self.BATCH)] for pid in range(1, 7)
+        }  # one each
+        assert not any(deliver(range(1, 7), proposal).values())  # ... and once only
+        node.on_message(1, offers[1][0].payload)
         assert node._slot[0] == 0  # one voucher is not enough (t=1)
-        node.on_message(*offers[1])
+        node.on_message(2, offers[2][0].payload)
         assert node._slot[0] == 1 and node.applied[0] == [self.BATCH]
+
+
+def _late_proposals_and_reserves(tmp_path, engine, count, **run):
+    """One healthy durable service run: how many top-level proposals were
+    delivered to a replica that had already settled their slot, and how
+    many ``recovery.re_served`` records the run logged."""
+    from repro.core.dex import DexProposal
+    from repro.engine.events import DeliverEvent
+    from repro.runtime.effects import Envelope
+    from repro.shard.router import parse_instance
+
+    log = EventLog()
+    service = ShardedService(
+        n=7, shards=4, seed=5, engine=engine, event_sink=log,
+        durability=DurabilityConfig(str(tmp_path)),
+    )
+    report = service.run(count=count, **run)
+    assert not report.divergence and report.commands == count
+    settled, late, re_served = set(), 0, 0
+    for event in log.events:
+        name = getattr(event, "event", None)
+        if name == "shard.decide":
+            settled.add((event.pid, event.data["shard"], event.data["slot"]))
+        elif name == "recovery.re_served":
+            re_served += 1
+        elif isinstance(event, DeliverEvent) and event.sender != event.pid:
+            inner = event.payload
+            if isinstance(inner, Envelope) and isinstance(inner.payload, DexProposal):
+                late += (event.pid, *parse_instance(inner.component)) in settled
+    return late, re_served
 
 
 # -- the CrashRecover fault ------------------------------------------------------------
@@ -920,38 +1023,15 @@ class TestSimRecovery:
         assert (tmp_path / "node2" / "wal.log").exists()
 
     def test_healthy_run_reserves_only_late_proposals(self, tmp_path):
-        """Nobody crashes, so the only evidence of lag a replica ever sees
-        is a peer's top-level proposal landing after it settled the slot
-        (it decides one-step off the first ``n - t``): ``re_served``
-        records equal exactly those deliveries — 455 on this run, 6.9 per
-        slot, against 2 740 (41.5 per slot) at the parent commit, where
-        every late echo counted; ``shard.open``/``shard.decide`` counts
-        (462 each) and the digest are the parent's."""
-        from repro.core.dex import DexProposal
-        from repro.engine.events import DeliverEvent
-        from repro.runtime.effects import Envelope
-        from repro.shard.router import parse_instance
-
-        log = EventLog()
-        service = ShardedService(
-            n=7, shards=4, seed=5, event_sink=log,
-            durability=DurabilityConfig(str(tmp_path)),
-        )
-        report = service.run(count=256)
-        assert not report.divergence and report.commands == 256
-        settled, late, re_served = set(), 0, 0
-        for event in log.events:
-            name = getattr(event, "event", None)
-            if name == "shard.decide":
-                settled.add((event.pid, event.data["shard"], event.data["slot"]))
-            elif name == "recovery.re_served":
-                re_served += 1
-            elif isinstance(event, DeliverEvent) and event.sender != event.pid:
-                inner = event.payload
-                if isinstance(inner, Envelope) and isinstance(inner.payload, DexProposal):
-                    late += (event.pid, *parse_instance(inner.component)) in settled
-        assert re_served == late == 455
-        assert re_served < 7 * report.slots
+        """Nobody crashes, so nobody is offered anything: a peer's
+        top-level proposal landing after a replica settled the slot (it
+        decides one-step off the first ``n - t``) happens hundreds of
+        times on this run and is evidence of nothing without a
+        ``CatchUpRequest`` — zero ``re_served``, where the ungated rule
+        answered every one of them (455 on this seed)."""
+        late, re_served = _late_proposals_and_reserves(tmp_path, "sim", count=256)
+        assert late > 256
+        assert re_served == 0
 
     def test_wal_replay_from_snapshot_mid_history(self, tmp_path):
         service, log = self._service(
@@ -1045,6 +1125,17 @@ class TestNetRecovery:
         ]
         assert caught_up, "the restarted worker never finished catching up"
         assert (tmp_path / "node2" / "wal.log").exists()
+        assert_no_leaks()
+
+    def test_healthy_run_offers_nothing(self, tmp_path):
+        """The sim pin over real sockets.  The hub logs a delivery when it
+        queues it and a ``shard.decide`` when the replica's record comes
+        back, so "late" here undercounts — it is still never zero."""
+        late, re_served = _late_proposals_and_reserves(
+            tmp_path, "net", count=64, timeout=45.0
+        )
+        assert late > 0
+        assert re_served == 0
         assert_no_leaks()
 
     def test_process_crash_without_restart_stays_dead(self):

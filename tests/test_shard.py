@@ -658,3 +658,47 @@ class TestShardedServiceNet:
         assert reports["sim"].digest == reports["net"].digest is not None
         assert reports["net"].commands == 10
         assert_no_leaks()
+
+    def test_a_healthy_slot_pays_for_its_consensus_frames_and_nothing_else(self, tmp_path):
+        """Frame census of a healthy durable star run, off the hub's own
+        event stream (the ``n`` sends of one ``MsgBroadcast`` share one
+        payload span, a ``MsgSend`` has a span to itself): no ``MsgOutput``
+        — a decided slot is not re-surfaced as a runner output —, no
+        ``MsgSend`` — nobody restarted, so nobody is offered a slot —, and
+        per replica and opened instance exactly the nine broadcasts DEX
+        over IDB costs: the proposal, the init, and one echo per origin."""
+        from collections import Counter
+
+        from repro.durable import DurabilityConfig
+        from repro.engine.events import EventLog, LogEvent, OutputEvent, SendEvent
+
+        log = EventLog()
+        report = ShardedService(
+            n=7, shards=2, seed=5, engine="net", event_sink=log,
+            durability=DurabilityConfig(str(tmp_path)),
+        ).run(count=48, timeout=45.0)
+        assert not report.divergence and report.commands == 48
+        assert not log.of_type(OutputEvent)
+        assert not any(report.result.outputs.values())
+        frames: dict[int, SendEvent] = {}
+        copies: Counter[int] = Counter()
+        for send in log.of_type(SendEvent):
+            frames[id(send.raw)] = send  # the log keeps every span alive: ids are spans
+            copies[id(send.raw)] += 1
+        assert set(copies.values()) == {7}  # every data frame was a broadcast
+        broadcasts = Counter(
+            (send.pid, send.payload.component) for send in frames.values()
+        )
+        opened = {
+            (e.pid, instance_name(e.data["shard"], e.data["slot"]))
+            for e in log.of_type(LogEvent)
+            if e.event == "shard.open"
+        }
+        assert set(broadcasts) == opened and len(opened) == 7 * report.slots
+        last = {instance_name(shard, len(batches) - 1) for shard, batches in report.digest}
+        for (pid, name), count in broadcasts.items():
+            # the run ends at the seventh digest: echoes of a shard's last
+            # slot may still be on their way then
+            assert count == 9 or (name in last and count < 9), (pid, name, count)
+        assert not [e for e in log.of_type(LogEvent) if e.event.startswith("recovery.")]
+        assert_no_leaks()
