@@ -85,7 +85,8 @@ class IdenticalBroadcast(Protocol):
         self.initial_value = initial_value
         self._echoed: set[ProcessId] = set()
         self._accepted: set[ProcessId] = set()
-        self._witnesses: dict[tuple[ProcessId, Value], set[ProcessId]] = {}
+        # witnesses per origin not yet accepted: ``{origin: {value: senders}}``
+        self._witnesses: dict[ProcessId, dict[Value, set[ProcessId]]] = {}
 
     # -- input action -------------------------------------------------------------
 
@@ -114,17 +115,29 @@ class IdenticalBroadcast(Protocol):
         return [Broadcast(IdbEcho(message.value, sender))]
 
     def _on_echo(self, sender: ProcessId, message: IdbEcho) -> list[Effect]:
-        key = (message.origin, message.value)
-        witnesses = self._witnesses.setdefault(key, set())
+        origin = message.origin
+        if origin in self._accepted:
+            # finished: ``n - t`` witnesses imply the ``n - 2t`` echo went
+            # out in the same call or an earlier one
+            return []
+        book = self._witnesses.get(origin)
+        if book is None:
+            if origin not in self.config.processes:
+                # never ``n - 2t`` witnesses with ``<= t`` liars, and the
+                # one book no accept would ever free
+                return []
+            book = self._witnesses[origin] = {}
+        witnesses = book.setdefault(message.value, set())
         witnesses.add(sender)
         num = len(witnesses)
         effects: list[Effect] = []
-        if num >= self.n - 2 * self.t and message.origin not in self._echoed:
-            self._echoed.add(message.origin)
-            effects.append(Broadcast(IdbEcho(message.value, message.origin)))
-        if num >= self.n - self.t and message.origin not in self._accepted:
-            self._accepted.add(message.origin)
-            effects.append(Deliver(DELIVER_TAG, message.origin, message.value))
+        if num >= self.n - 2 * self.t and origin not in self._echoed:
+            self._echoed.add(origin)
+            effects.append(Broadcast(IdbEcho(message.value, origin)))
+        if num >= self.n - self.t:
+            self._accepted.add(origin)
+            del self._witnesses[origin]  # equivocated values go with it
+            effects.append(Deliver(DELIVER_TAG, origin, message.value))
         return effects
 
     # -- observability ----------------------------------------------------------------
@@ -133,3 +146,13 @@ class IdenticalBroadcast(Protocol):
     def accepted_origins(self) -> frozenset[ProcessId]:
         """Origins whose broadcast this process has Id-Received."""
         return frozenset(self._accepted)
+
+    @property
+    def inert(self) -> bool:
+        """True once this process has echoed for every origin.
+
+        From then on :meth:`on_message` sends nothing: an ``init`` or an
+        amplification finds its origin in ``_echoed``, so the one thing left
+        to happen is the Id-Receive of an origin not yet accepted.
+        """
+        return len(self._echoed) == self.n

@@ -148,6 +148,20 @@ class DexConsensus(CompositeProtocol):
     def has_proposed_to_uc(self) -> bool:
         return self._uc.has_proposed
 
+    @property
+    def inert(self) -> bool:
+        """True once no arrival can make this instance send, deliver or
+        decide again, so whoever hosts it may drop it and its late traffic.
+
+        Decided, every origin echoed, the underlying consensus activated: a
+        late ``P-Send`` stops at ``decided``, a late ``init`` or echo at the
+        IDB's ``_echoed``, a late Id-Receive finds the UC proposed and the
+        instance decided, a late UC announcement stops at ``decided``.  A
+        child that never says ``inert`` (a UC exchanging messages of its
+        own, the model checker's oracle IDB) keeps the instance alive.
+        """
+        return self.decided and self._idb.inert and self._uc.inert
+
     # -- lines 1-4: Propose ---------------------------------------------------------
 
     def on_start(self) -> list[Effect]:

@@ -31,6 +31,11 @@ class Protocol(abc.ABC):
         config: the static ``(n, t)`` system parameters.
     """
 
+    #: True once no arrival can make this protocol send, deliver or decide
+    #: again: whoever hosts it may drop it together with its late traffic.
+    #: A protocol that never reaches such a point, or does not say, is kept.
+    inert: bool = False
+
     def __init__(self, process_id: ProcessId, config: SystemConfig) -> None:
         self.process_id = process_id
         self.config = config

@@ -27,11 +27,16 @@ instance comes into existence two ways — locally via
 :meth:`ShardMultiplexer.propose`, or remotely when the first envelope for
 an unseen instance arrives, in which case it is created *without*
 proposing (a lagging replica participating in a round it has not reached).
+It goes out of existence one way: decided and ``inert`` (nothing that
+arrives can make it send, deliver or decide again), it is dropped by the
+next :meth:`ShardMultiplexer._sweep` of its shard, and its late envelopes
+with it — a replica holds its open slots, not its history.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from typing import Any, Callable
 
 from ..codec.binary import (
@@ -45,6 +50,7 @@ from ..codec.binary import (
 from ..codec.schema import instance_name, parse_instance
 from ..conditions.frequency import FrequencyPair
 from ..core.dex import DexConsensus
+from ..errors import ConfigurationError
 from ..runtime.composite import CompositeProtocol, Envelope
 from ..runtime.effects import Decide, Deliver, Effect
 from ..runtime.protocol import Protocol
@@ -70,6 +76,10 @@ INSTANCE_DECIDED_TAG = "shard-slot-decided"
 #: Shard index meaning "no shard tag found": top-level control messages and
 #: foreign envelopes.  Metrics book them apart; a mesh pins them to hub 0.
 UNATTRIBUTED = -1
+
+#: Decided-but-live instances one :meth:`ShardMultiplexer._sweep` examines.
+#: A healthy shard has two or three at a time, so all of them are looked at.
+SWEEP_LIMIT = 8
 
 #: builds the consensus instance for one ``(shard, slot)``:
 #: ``(shard, slot, proposal) -> Protocol``.
@@ -210,7 +220,9 @@ class ShardMultiplexer(CompositeProtocol):
         make_instance: per-instance consensus factory.
         shards: number of shards — instance keys outside ``[0, shards)``
             are rejected (Byzantine shard-number inflation guard).
-        max_slots: ceiling on slot numbers (slot-number inflation guard).
+        max_slots: ceiling on slot numbers (slot-number inflation guard):
+            envelopes at or past it are refused, and :meth:`propose` there
+            raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(
@@ -229,6 +241,9 @@ class ShardMultiplexer(CompositeProtocol):
         self._max_slots = max_slots
         self._proposed: set[tuple[int, int]] = set()
         self.decided: dict[tuple[int, int], tuple[Value, DecisionKind]] = {}
+        # per shard, the decided slots whose instance is still a child — a
+        # decided key with no child is a retired instance (:meth:`_sweep`)
+        self._lingering: list[deque[int]] = [deque() for _ in range(shards)]
 
     # -- instance management ---------------------------------------------------------
 
@@ -250,9 +265,19 @@ class ShardMultiplexer(CompositeProtocol):
         return self.child(name)
 
     def propose(self, shard: int, slot: int, value: Value) -> list[Effect]:
-        """Start this replica's participation in instance ``(shard, slot)``."""
+        """Start this replica's participation in instance ``(shard, slot)``.
+
+        Raises :class:`~repro.errors.ConfigurationError` at the slot
+        ceiling: peers refuse that instance's traffic (:meth:`_instance_of`),
+        so opening it would stall the shard in silence.
+        """
         if (shard, slot) in self._proposed:
             return []
+        if slot >= self._max_slots:
+            raise ConfigurationError(
+                f"shard {shard} reached slot {slot}: the multiplexer's "
+                f"ceiling is max_slots={self._max_slots}"
+            )
         self._proposed.add((shard, slot))
         name = instance_name(shard, slot)
         if name in self._children:
@@ -270,6 +295,8 @@ class ShardMultiplexer(CompositeProtocol):
         if isinstance(payload, Envelope) and payload.component not in self._children:
             key = self._instance_of(payload.component)
             if key is not None:
+                if key in self.decided:
+                    return []  # retired: inert, so it would have answered this
                 self._ensure(*key)
         return super().on_message(sender, payload)
 
@@ -280,7 +307,31 @@ class ShardMultiplexer(CompositeProtocol):
         if key is None or key in self.decided:
             return []
         self.decided[key] = (effect.value, effect.kind)
+        self._lingering[key[0]].append(key[1])
+        self._sweep(key[0])
         return self.on_instance_decided(*key, effect.value, effect.kind)
+
+    def _sweep(self, shard: int) -> None:
+        """Retire the shard's decided instances that have become inert.
+
+        An instance that declares itself ``inert`` answers every further
+        message with nothing, so deleting it — and dropping its late
+        envelopes in :meth:`on_message` instead of re-creating it as a
+        fresh passive instance that would echo a second time — changes no
+        message this replica sends.  One that does not (an origin's
+        ``init`` is still missing; a UC child with traffic of its own)
+        stays, and is looked at again when the shard next decides — at most
+        :data:`SWEEP_LIMIT` a time, taking turns, so a shard pinned by a
+        silent origin pays a constant per decision, not its history.
+        """
+        lingering = self._lingering[shard]
+        for _ in range(min(len(lingering), SWEEP_LIMIT)):
+            slot = lingering.popleft()
+            name = instance_name(shard, slot)
+            if self._children[name].inert:
+                del self._children[name]
+            else:
+                lingering.append(slot)
 
     def on_instance_decided(
         self, shard: int, slot: int, value: Value, kind: DecisionKind

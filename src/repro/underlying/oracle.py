@@ -114,7 +114,9 @@ class OracleService(Service):
         announcement = OracleDecision(instance, value)
         # Announce to every proposer so far, each along its own request
         # path; processes that have not proposed this instance yet get the
-        # decision when their proposal arrives (late-proposer branch).
+        # decision when their proposal arrives (late-proposer branch, which
+        # reads ``_decisions`` only — the proposal book is done).
+        del self._proposals[instance]
         return [
             ServiceReply(dst, announcement, decision_depth, self.reply_delay, path)
             for dst, (_, _, path) in proposals.items()
@@ -158,6 +160,12 @@ class OracleConsensus(UnderlyingConsensus):
 
     @property
     def has_proposed(self) -> bool:
+        return self._proposed
+
+    @property
+    def inert(self) -> bool:
+        """Proposing is this adapter's one duty: once done, an arrival can
+        at most surface the service's decision to the parent."""
         return self._proposed
 
     def propose(self, value: Value) -> list[Effect]:

@@ -213,3 +213,64 @@ class TestStateAccessors:
         assert result is not None
         node = sim._states[0].protocol
         assert node.accepted_origins == frozenset(config.processes)
+
+
+class TestWitnessBookLifecycle:
+    """The witness book is per origin and lives until that origin's accept."""
+
+    VALUE = ("v", 3)
+
+    def node(self):
+        return IdenticalBroadcast(0, SystemConfig(7, 1))
+
+    def echo(self, node, sender, value=None, origin=3):
+        return node.on_message(sender, IdbEcho(value or self.VALUE, origin))
+
+    def test_book_is_dropped_at_accept_and_later_echoes_early_out(self):
+        node = self.node()
+        for sender in range(4):
+            assert self.echo(node, sender) == []
+        (amplified,) = self.echo(node, 4)  # n - 2t = 5 witnesses
+        assert amplified.payload == IdbEcho(self.VALUE, 3)
+        assert node._witnesses == {3: {self.VALUE: {0, 1, 2, 3, 4}}}
+        (delivered,) = self.echo(node, 5)  # n - t = 6 witnesses
+        assert (delivered.tag, delivered.sender, delivered.value) == (
+            DELIVER_TAG,
+            3,
+            self.VALUE,
+        )
+        assert node._witnesses == {}
+        assert self.echo(node, 6) == []  # the seventh echo finds nothing to do
+        assert node._witnesses == {}
+        assert node.accepted_origins == {3}
+
+    def test_equivocated_value_goes_with_the_accepted_one(self):
+        node = self.node()
+        self.echo(node, 6, value=("v", "other"))  # the liar's second value
+        for sender in range(6):
+            self.echo(node, sender)
+        assert node.accepted_origins == {3}
+        assert node._witnesses == {}
+        assert self.echo(node, 5, value=("v", "other")) == []
+        assert node._witnesses == {}
+
+    def test_echo_for_an_origin_that_is_no_process_is_ignored(self):
+        """Such a book could never reach ``n - 2t`` witnesses with ``<= t``
+        liars, and no accept would ever free it."""
+        node = self.node()
+        for origin in (7, -1, "p3", None):
+            assert self.echo(node, 6, origin=origin) == []
+        assert node._witnesses == {} and node._echoed == set()
+
+    def test_inert_once_every_origin_is_echoed(self):
+        node = self.node()
+        for sender in range(6):
+            node.on_message(sender, IdbInit(("v", sender)))
+        assert not node.inert  # origin 6 has not been heard of
+        for sender in range(5):
+            self.echo(node, sender, value=("v", 6), origin=6)  # amplification
+        assert node.inert
+        # inert is about sending: the accept of origin 6 is still to come
+        assert node.on_message(6, IdbInit(("v", 6))) == []
+        (delivered,) = self.echo(node, 5, value=("v", 6), origin=6)
+        assert delivered.tag == DELIVER_TAG

@@ -11,12 +11,13 @@ graph)."""
 import pytest
 
 from repro.broadcast.bracha import BrachaBroadcast
-from repro.broadcast.idb import IdenticalBroadcast
+from repro.broadcast.idb import IdbEcho, IdenticalBroadcast
 from repro.harness import (
     Crash,
     Equivocate,
     Scenario,
     all_algorithms,
+    dex_freq,
 )
 from repro.mc.fingerprint import fingerprint
 from repro.mc.state import McSystem
@@ -190,3 +191,46 @@ class TestSnapshotEncoding:
         proto.values[1].append(99)
         proto.restore(token)
         assert proto.values == {1: [2, 3]}
+
+
+class TestLifecycleState:
+    """The per-origin witness book and the ``inert`` point survive
+    ``snapshot()``/``restore()``."""
+
+    def test_witness_book_round_trips(self):
+        config = SystemConfig(7, 1)
+        node = IdenticalBroadcast(0, config)
+        for sender in range(6):
+            node.on_message(sender, IdbEcho("a", 1))  # origin 1 accepted
+        for sender in range(3):
+            node.on_message(sender, IdbEcho("b", 2))
+        node.on_message(6, IdbEcho("liar", 2))
+        book = {2: {"b": {0, 1, 2}, "liar": {6}}}
+        assert node._witnesses == book
+        token = node.snapshot()
+        for sender in range(3, 6):
+            node.on_message(sender, IdbEcho("b", 2))
+        assert node._witnesses == {} and node.accepted_origins == {1, 2}
+        node.restore(token)
+        assert node._witnesses == book and node.accepted_origins == {1}
+        # the restored book is a copy: filling it does not touch the token
+        for sender in range(3, 6):
+            node.on_message(sender, IdbEcho("b", 2))
+        node.restore(token)
+        assert node._witnesses == book
+
+    def test_restored_to_a_pre_inert_token_is_not_inert(self):
+        scenario = Scenario(dex_freq(), [1] * 7, seed=4)
+        system = mc_system(scenario)
+        system.start()
+        dex = system.protocols[0]
+        tokens = []
+        while system.pending and not dex.inert:
+            tokens.append(dex.snapshot())
+            system.deliver(min(system.pending))
+        assert dex.inert and dex.decided
+        after = dex.snapshot()
+        dex.restore(tokens[-1])
+        assert not dex.inert
+        dex.restore(after)
+        assert dex.inert

@@ -92,6 +92,20 @@ class TestOracleService:
         assert replies[0].dst == 3
         assert replies[0].payload.value == "v"
 
+    def test_proposal_book_freed_at_decision(self):
+        """The late-proposer branch reads the decision only, so the decided
+        instance's ``(value, depth, path)`` tuples are not kept."""
+        service = self.make()
+        for pid in range(2):
+            service.on_call(pid, OracleProposal(0, "v"), 1, 0.0)
+        service.on_call(0, OracleProposal(1, "other"), 1, 0.0)
+        assert set(service._proposals) == {0, 1}
+        service.on_call(2, OracleProposal(0, "v"), 1, 0.0)
+        assert set(service._proposals) == {1}  # instance 0 decided, 1 open
+        (reply,) = service.on_call(3, OracleProposal(0, "w"), 9, 0.0)
+        assert (reply.dst, reply.payload.value) == (3, "v")
+        assert set(service._proposals) == {1}  # a late proposer opens no book
+
     def test_instances_independent(self):
         service = self.make()
         for pid in range(3):
