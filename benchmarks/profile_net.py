@@ -1,10 +1,11 @@
-"""Profile one process of a benchmark trial: hub 0 or one replica.
+"""Profile one process of a benchmark trial: hub 0, one replica, or the simulator.
 
     python3 benchmarks/profile_net.py --census --workload pipeline_star
     python3 benchmarks/profile_net.py --role node --label after
     python3 benchmarks/profile_net.py --role node --label before --src /path/to/parent/src
     python3 benchmarks/profile_net.py --role node --workload pipeline_star --sample --label after
     python3 benchmarks/profile_net.py --role hub0 --workload pipeline_star --sample --label after
+    python3 benchmarks/profile_net.py --role sim --workload sim_core --sample --label after
     python3 benchmarks/profile_net.py --role node --workload pipeline_star --replay
 
 writes ``benchmarks/results/{role}_profile_{workload}_{label}.txt``.  The
@@ -13,7 +14,10 @@ trial is the benchmark's own (``benchmarks/e2e/workloads.run_trial``, seed
 profile, so a ``git clone`` of the parent commit gives the *before* file.
 ``hub0`` profiles the bench process (the hub loop runs in it); ``node``
 profiles replica 3 inside its forked worker (``--sample``: all seven,
-merged — a replica burns only ~0.3 CPU-seconds on this trial).
+merged — a replica burns only ~0.3 CPU-seconds on this trial); ``sim``
+profiles the bench process running one ``sim_core`` trial (every replica,
+the event stream and its sinks on the simulator's virtual clock) and goes
+with ``--workload sim_core`` only.
 
 ``--workload``: ``floor_star`` (the default) runs no durable, rejoin or
 frontend code, so a cost that lives there is invisible on it —
@@ -421,10 +425,12 @@ def _serve_in_main_thread(workloads) -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--role", choices=("hub0", "node"))
+    parser.add_argument("--role", choices=("hub0", "node", "sim"))
     parser.add_argument("--label", choices=("before", "after"))
     parser.add_argument(
-        "--workload", choices=("floor_star", "pipeline_star"), default="floor_star"
+        "--workload",
+        choices=("floor_star", "pipeline_star", "sim_core"),
+        default="floor_star",
     )
     parser.add_argument(
         "--sample", action="store_true", help="ITIMER_PROF stack samples, not cProfile"
@@ -452,6 +458,8 @@ def main() -> None:
         parser.error("--role is required for a profile or a replay")
     if not (args.replay or args.census) and args.label is None:
         parser.error("--label is required for a profile")
+    if (args.role == "sim") != (args.workload == "sim_core"):
+        parser.error("--role sim profiles --workload sim_core, and nothing else does")
     src = os.path.abspath(args.src)
     sys.path[:0] = [src, str(HERE / "e2e")]
 
@@ -511,13 +519,13 @@ def main() -> None:
                     profile.dump_stats(f"{stats_path}.{self.pid}")
 
             NodeWorker.run = profiled_run
-        if args.role == "hub0":
+        if args.role in ("hub0", "sim"):
             if workload.kind == "pipeline":
                 _serve_in_main_thread(workloads)
             trial = profile.runcall(
                 workloads.run_trial, workload, SEED, args.commands, trial_root
             )
-            profile.dump_stats(f"{stats_path}.hub0")
+            profile.dump_stats(f"{stats_path}.{args.role}")
         else:
             trial = workloads.run_trial(workload, SEED, args.commands, trial_root)
         if trial.problems or trial.digest is None:
@@ -525,6 +533,8 @@ def main() -> None:
         stats = trial.result.stats
         if args.role == "hub0":
             who = "hub 0 (bench process)"
+        elif args.role == "sim":
+            who = "the simulator (bench process)"
         elif args.sample:
             who = "all replicas (forked workers)"
         else:
@@ -532,10 +542,16 @@ def main() -> None:
         how = "under cProfile"
         if args.sample:
             how = f"sampled (ITIMER_PROF, {SAMPLE_EVERY * 1e3:g} ms)"
+        if args.role == "sim":
+            traffic = f"{stats.messages_delivered} deliveries"
+        else:
+            traffic = (
+                f"{trial.result.hub_frames} frames to nodes, "
+                f"{getattr(trial.result, 'hub_frames_in', 'n/a')} frames from nodes"
+            )
         header = (
             f"{who} {how}: {args.workload}, seed {SEED}, {args.commands} commands, "
-            f"{stats.messages_sent} routed messages, {trial.result.hub_frames} frames to "
-            f"nodes, {getattr(trial.result, 'hub_frames_in', 'n/a')} frames from nodes, "
+            f"{stats.messages_sent} routed messages, {traffic}, "
             f"checkout {commit} ({args.label})"
         )
         dumps = sorted(str(path) for path in pathlib.Path(tmp).glob("profile.pstats.*"))

@@ -73,6 +73,10 @@ class IdenticalBroadcast(Protocol):
             themselves and leave this unset.
     """
 
+    #: the two witness thresholds are fixed by ``config``: identity, like
+    #: ``process_id``, never part of a snapshot.
+    _SNAPSHOT_EXCLUDE = Protocol._SNAPSHOT_EXCLUDE | {"_amplify_at", "_accept_at"}
+
     def __init__(
         self,
         process_id: ProcessId,
@@ -82,6 +86,9 @@ class IdenticalBroadcast(Protocol):
         if not config.satisfies(4):
             raise ResilienceError("IdenticalBroadcast", config.n, config.t, "n > 4t")
         super().__init__(process_id, config)
+        # computed once: ``_on_echo`` compares against them on every echo
+        self._amplify_at = config.n - 2 * config.t
+        self._accept_at = config.n - config.t
         self.initial_value = initial_value
         self._echoed: set[ProcessId] = set()
         self._accepted: set[ProcessId] = set()
@@ -131,10 +138,10 @@ class IdenticalBroadcast(Protocol):
         witnesses.add(sender)
         num = len(witnesses)
         effects: list[Effect] = []
-        if num >= self.n - 2 * self.t and origin not in self._echoed:
+        if num >= self._amplify_at and origin not in self._echoed:
             self._echoed.add(origin)
             effects.append(Broadcast(IdbEcho(message.value, origin)))
-        if num >= self.n - self.t:
+        if num >= self._accept_at:
             self._accepted.add(origin)
             del self._witnesses[origin]  # equivocated values go with it
             effects.append(Deliver(DELIVER_TAG, origin, message.value))

@@ -38,6 +38,7 @@ __all__ = [
     "TeeSink",
     "EventStats",
     "combine",
+    "reader",
 ]
 
 
@@ -233,10 +234,31 @@ class EventSink:
 
     Backends call :meth:`emit` once per event.  Implement :meth:`emit` for
     a catch-all sink, or rely on a dispatching subclass.
+
+    ``consumes`` declares, on the class, the event types the sink reads;
+    ``None`` means every type.  A declaration is a promise that :meth:`emit`
+    ignores every other type, and it is what lets the stream skip work: an
+    engine builds ``SendEvent``/``DeliverEvent`` only when its sink reads
+    them (:func:`reader`), and a :class:`TeeSink` hands each type only to
+    the sinks that read it.
     """
+
+    consumes: frozenset[type] | None = None
 
     def emit(self, event: RunEvent) -> None:  # pragma: no cover - interface
         pass
+
+
+def reader(sink: EventSink | None, kind: type) -> EventSink | None:
+    """``sink`` if it reads events of type ``kind``, else ``None`` — what
+    an engine resolves once so that it never builds an event nobody reads.
+    A sink without a declaration reads everything."""
+    if sink is None:
+        return None
+    declared = getattr(sink, "consumes", None)
+    if declared is None or any(issubclass(kind, read) for read in declared):
+        return sink
+    return None
 
 
 class EventLog(EventSink):
@@ -278,14 +300,30 @@ class EventLog(EventSink):
 
 
 class TeeSink(EventSink):
-    """Fan one event stream out to several sinks."""
+    """Fan one event stream out to several sinks: each event goes, in sink
+    order, to the sinks that read its type.  The tee reads the union of
+    what its sinks read."""
 
     def __init__(self, *sinks: EventSink) -> None:
         self.sinks = tuple(s for s in sinks if s is not None)
-        self._emits = [sink.emit for sink in self.sinks]  # bound once, not per event
+        declared = [getattr(sink, "consumes", None) for sink in self.sinks]
+        self.consumes = (
+            None
+            if any(d is None for d in declared)
+            else frozenset().union(*declared)
+        )
+        #: event type -> the bound ``emit``s of the sinks reading it, resolved
+        #: on the type's first event.
+        self._routes: dict[type, tuple] = {}
 
     def emit(self, event: RunEvent) -> None:
-        for emit in self._emits:
+        kind = type(event)
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = tuple(
+                sink.emit for sink in self.sinks if reader(sink, kind) is not None
+            )
+        for emit in route:
             emit(event)
 
 

@@ -25,7 +25,16 @@ from ..runtime.effects import Deliver, Log, ServiceCall
 from ..runtime.protocol import Protocol
 from ..runtime.services import Service, ServiceReply
 from ..types import Decision, ProcessId, RunStats, SystemConfig
-from .events import DecideEvent, EventSink, LogEvent, OutputEvent, ServiceEvent
+from .events import (
+    DecideEvent,
+    DeliverEvent,
+    EventSink,
+    LogEvent,
+    OutputEvent,
+    SendEvent,
+    ServiceEvent,
+    reader,
+)
 from .interpreter import ExecutionPorts, dispatch_service_call
 
 
@@ -165,6 +174,11 @@ class Engine(ExecutionPorts):
         self._undecided_correct = set(self.correct)
         #: ``None`` unless somebody is watching: one check on the hot path.
         self._events = event_sink
+        #: the sink when it reads that per-message event, else ``None``:
+        #: resolved once, so an engine builds a ``SendEvent``/``DeliverEvent``
+        #: only for a sink that reads it.
+        self._sends = reader(event_sink, SendEvent)
+        self._delivers = reader(event_sink, DeliverEvent)
 
     def now(self) -> float:
         """Seconds on this engine's clock since the run started."""

@@ -144,8 +144,8 @@ class McSystem(Engine):
         """Deliver pending message ``uid``; returns its service footprint."""
         message = self.pending.pop(uid)
         self._footprint = set()
-        if self._events is not None:
-            self._events.emit(
+        if self._delivers is not None:
+            self._delivers.emit(
                 DeliverEvent(
                     float(self.deliveries),
                     message.dst,
@@ -193,8 +193,8 @@ class McSystem(Engine):
         uid = self.counter
         self.counter += 1
         self.pending[uid] = McMessage(uid, src, dst, payload, depth)
-        if self._events is not None:
-            self._events.emit(SendEvent(float(self.deliveries), src, dst, payload, depth))
+        if self._sends is not None:
+            self._sends.emit(SendEvent(float(self.deliveries), src, dst, payload, depth))
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
         if pid not in self.decisions:

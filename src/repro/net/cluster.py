@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from ..codec import CODEC_IDS, Opaque
-from ..engine.events import EventSink
+from ..engine.events import DeliverEvent, EventSink, SendEvent
 from ..engine.faults import RestartPlan
 from ..engine.interpreter import dispatch_service_call
 from ..engine.run import RunResult, check_deployment
@@ -425,11 +425,13 @@ class DataPlane:
         dsts = range(self.n) if type(msg) is MsgBroadcast else (msg.dst,)
         self.sent += len(dsts)
         owner = self._owner_of(payload)
-        events = self.events
-        now = events.now()  # one frame, one arrival time ...
+        sends = self.events.sends
+        # one frame, one arrival time (read only for a sink reading sends) ...
+        now = self.events.clock.now() if sends is not None else 0.0
         arrived = time.monotonic()  # ... on the delay heap's clock too
         for dst in dsts:
-            events.send(src, dst, payload, depth, now)
+            if sends is not None:
+                sends.emit(SendEvent(now, src, dst, payload, depth))
             if owner == self.index:
                 self._enqueue(src, dst, payload, depth, arrived)
             else:
@@ -496,11 +498,11 @@ class DataPlane:
                 # huge payloads: fall back to one frame per message
                 delivered = [e for e in entries if self._write_single(link, e)]
             self.delivered += len(delivered)
-            events = self.events
-            if events.sink is not None:
-                wrote = events.now()  # one write, one departure time
+            delivers = self.events.delivers
+            if delivers is not None:
+                wrote = self.events.clock.now()  # one write, one departure time
                 for sender, payload, depth in delivered:
-                    events.deliver(dst, sender, payload, depth, wrote)
+                    delivers.emit(DeliverEvent(wrote, dst, sender, payload, depth))
 
     def _write_single(self, link: HubLink, entry: tuple[ProcessId, Any, int]) -> bool:
         try:

@@ -12,11 +12,14 @@ emitted when the hub hands the frame to the destination's socket, not when
 the destination process dequeues it.  The gap is one socket hop; per-run
 counters (the thing :class:`EventStats` computes) are exact either way.
 
-What is stamped when: a frame, not a message.  The hub reads the clock
-once per frame it takes in and once per write it makes, and hands that time
-to :meth:`HubEvents.send` / :meth:`HubEvents.deliver` — the ``n`` sends of
-one broadcast were one frame and carry one time, as do the deliveries
-coalesced into one write.
+What is built when: a ``SendEvent``/``DeliverEvent`` only for a sink that
+reads it (:attr:`HubEvents.sends` / :attr:`HubEvents.delivers`, resolved
+once from the sink's ``consumes``).  The data plane builds those two
+itself, per routed copy; with no reader it builds none and does not read
+the clock for them.  When it does, it stamps a frame, not a message: the
+clock is read once per frame taken in and once per write made — the ``n``
+sends of one broadcast were one frame and carry one time, as do the
+deliveries coalesced into one write.
 
 What decodes when: never on relay.  Binary-codec payloads reach the hub as
 :class:`~repro.codec.Opaque` spans and go into the send/deliver events as
@@ -40,6 +43,7 @@ from ..engine.events import (
     RestartEvent,
     SendEvent,
     ServiceEvent,
+    reader,
 )
 from ..types import ProcessId
 
@@ -62,33 +66,19 @@ class HubEvents:
 
     A thin guard layer: every method is a no-op when no sink is attached,
     so the cluster keeps a single ``self.events.<kind>(...)`` call per
-    observation and pays nothing when nobody is watching.
+    observation and pays nothing when nobody is watching.  The per-message
+    events have no method: the data plane builds them in its own loops, for
+    :attr:`sends` / :attr:`delivers` — the sink when it reads that type,
+    ``None`` otherwise.
     """
 
-    __slots__ = ("sink", "clock")
+    __slots__ = ("sink", "clock", "sends", "delivers")
 
     def __init__(self, sink: EventSink | None, clock: StreamClock) -> None:
         self.sink = sink
         self.clock = clock
-
-    def now(self) -> float:
-        """The stream time to stamp one frame's — or one write's — message
-        events with.  The clock is not read when nobody is watching."""
-        return self.clock.now() if self.sink is not None else 0.0
-
-    def send(
-        self, src: ProcessId, dst: ProcessId, payload: Any, depth: int, now: float
-    ) -> None:
-        """One routed copy of the frame that arrived at stream time ``now``."""
-        if self.sink is not None:
-            self.sink.emit(SendEvent(now, src, dst, payload, depth))
-
-    def deliver(
-        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, now: float
-    ) -> None:
-        """One delivery of the write that was made at stream time ``now``."""
-        if self.sink is not None:
-            self.sink.emit(DeliverEvent(now, dst, sender, payload, depth))
+        self.sends = reader(sink, SendEvent)
+        self.delivers = reader(sink, DeliverEvent)
 
     def decide(
         self, pid: ProcessId, value: Any, kind: Any, step: int, now: float

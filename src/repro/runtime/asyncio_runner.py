@@ -92,8 +92,8 @@ class AsyncioRunner(Engine):
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
         self.stats.messages_sent += 1
         self._deliver_later(dst, src, payload, depth, 0.0 if dst == src else self._delay())
-        if self._events is not None:
-            self._events.emit(SendEvent(self.now(), src, dst, payload, depth))
+        if self._sends is not None:
+            self._sends.emit(SendEvent(self.now(), src, dst, payload, depth))
 
     def decide(self, pid: ProcessId, value: Any, kind: Any, depth: int) -> None:
         super().decide(pid, value, kind, depth)
@@ -110,8 +110,8 @@ class AsyncioRunner(Engine):
         while True:
             sender, payload, depth = await mailbox.get()
             self.stats.messages_delivered += 1
-            if self._events is not None:
-                self._events.emit(DeliverEvent(self.now(), pid, sender, payload, depth))
+            if self._delivers is not None:
+                self._delivers.emit(DeliverEvent(self.now(), pid, sender, payload, depth))
             effects = guarded(self.protocols[pid], sender, payload)
             interpret(self, pid, effects, depth)
 

@@ -5,12 +5,12 @@ computed from the cross-engine event stream (:mod:`repro.engine.events`),
 so the same collector works whether the replicas are simulator callbacks
 or forked OS processes behind the socket hub.
 
-Attribution works through the message envelopes themselves: every frame a
-consensus instance sends travels inside an ``Envelope`` chain ending in an
-instance component ``s<shard>.<slot>`` (see :mod:`repro.shard.router`), so
-sends and delivers can be charged to their shard from the envelope header
-(:func:`~repro.shard.router.shard_of_payload`, off the raw bytes when the
-socket hub hands over an un-decoded span) — no side channel needed.  Slot
+The sink folds slots, not messages: it reads only ``LogEvent`` and
+``ServiceEvent`` (its ``consumes``), so an engine whose only sink it is
+builds no per-message event at all.  A run's message totals are the
+engine's own counters (``RunResult.stats``), which
+:class:`~repro.shard.service.ShardedService` puts into the aggregate row;
+per-shard rows carry no message counts.  Slot
 timing comes from the ``shard.open`` / ``shard.decide`` log records each
 replica emits: their time delta is the *per-slot* decision latency, which
 sidesteps the fact that causal ``step`` depth accumulates across chained
@@ -29,20 +29,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
-from ..engine.events import (
-    DeliverEvent,
-    EventSink,
-    EventStats,
-    LogEvent,
-    RunEvent,
-    SendEvent,
-    ServiceEvent,
-)
+from ..engine.events import EventSink, EventStats, LogEvent, RunEvent, ServiceEvent
 from ..metrics.collectors import StreamAggregate
-from ..types import DecisionKind
-from .router import UNATTRIBUTED, hub_of, shard_of_payload
+from ..types import DecisionKind, RunStats
+from .router import UNATTRIBUTED, hub_of
 
 __all__ = ["step_of_kind", "ShardStreamSink"]
+
+#: the summary keys a slot fold cannot fill: message counts are the
+#: engine's (``RunStats``), not this sink's.
+_MESSAGE_KEYS = ("sends", "delivers", "throughput_msgs_per_s")
 
 
 def step_of_kind(kind: DecisionKind, uc_step_cost: int = 2) -> int:
@@ -70,6 +66,8 @@ class ShardStreamSink(EventSink):
     one "run" of that shard's log.
     """
 
+    consumes = frozenset({LogEvent, ServiceEvent})
+
     def __init__(self, shards: int, uc_step_cost: int = 2, hubs: int = 1) -> None:
         self.shards = shards
         self.uc_step_cost = uc_step_cost
@@ -77,8 +75,6 @@ class ShardStreamSink(EventSink):
         #: the owning hub and the summary a per-hub rollup, so a report
         #: shows how the load *should* split across hubs.
         self.hubs = hubs
-        self.sends: Counter = Counter()
-        self.delivers: Counter = Counter()
         self.service_calls: Counter = Counter()
         #: ``(pid, shard, slot) -> open time`` from ``shard.open`` records.
         self.opens: dict[tuple[Any, int, int], float] = {}
@@ -102,11 +98,7 @@ class ShardStreamSink(EventSink):
 
     def emit(self, event: RunEvent) -> None:
         kind = type(event)  # the event classes are final: exact-type dispatch
-        if kind is SendEvent:
-            self.sends[shard_of_payload(event.raw, self.shards)] += 1
-        elif kind is DeliverEvent:
-            self.delivers[shard_of_payload(event.raw, self.shards)] += 1
-        elif kind is ServiceEvent:
+        if kind is ServiceEvent:
             self.service_calls[self._shard_of_service(event.payload)] += 1
         elif kind is LogEvent and event.event in ("shard.open", "shard.decide"):
             data = event.data
@@ -127,8 +119,8 @@ class ShardStreamSink(EventSink):
         :class:`~repro.engine.events.EventStats` — per replica a per-slot
         step count (:func:`step_of_kind`) and a per-slot latency (decide
         time minus that replica's open time) — folded into its shard's
-        aggregate and the overall one.  Message counters are then assigned
-        from the envelope attribution.
+        aggregate and the overall one, next to the shard's service calls.
+        Message counters stay 0: this sink reads no message events.
         """
         per_shard = {s: StreamAggregate(label=f"shard{s}") for s in range(self.shards)}
         overall = StreamAggregate(label="aggregate")
@@ -147,11 +139,7 @@ class ShardStreamSink(EventSink):
             per_shard[shard].add_stats(stats)
             overall.add_stats(stats)
         for shard in range(self.shards):
-            per_shard[shard].sends = self.sends.get(shard, 0)
-            per_shard[shard].delivers = self.delivers.get(shard, 0)
             per_shard[shard].service_calls = self.service_calls.get(shard, 0)
-        overall.sends = sum(self.sends.values())
-        overall.delivers = sum(self.delivers.values())
         overall.service_calls = sum(self.service_calls.values())
         return per_shard, overall
 
@@ -159,14 +147,21 @@ class ShardStreamSink(EventSink):
         self,
         commands_by_shard: dict[int, int] | None = None,
         duration: float | None = None,
+        stats: RunStats | None = None,
     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         """Summary rows: one dict per shard plus the aggregate dict.
+
+        Message counts (``sends``, ``delivers``, ``throughput_msgs_per_s``)
+        appear in the aggregate only, and only when ``stats`` is given:
+        the key is missing, never a made-up 0.
 
         Args:
             commands_by_shard: applied-command counts (from the agreed
                 digest); enables commands-per-duration throughput.
             duration: the run's duration in engine time units (virtual on
                 the simulator, wall seconds on asyncio/net).
+            stats: the run's own counters (``RunResult.stats``) — every
+                message the engine routed, on a mesh the data hubs' too.
         """
         per_shard, overall = self.fold()
         rows: list[dict[str, Any]] = []
@@ -183,7 +178,7 @@ class ShardStreamSink(EventSink):
                 "throughput_cmds": (
                     round(commands / duration, 3) if duration else 0.0
                 ),
-                **aggregate.summary(),
+                **_slot_summary(aggregate),
             }
             rows.append(row)
         per_hub: dict[int, dict[str, int]] = {
@@ -207,4 +202,21 @@ class ShardStreamSink(EventSink):
             "per_hub": {str(hub): counts for hub, counts in per_hub.items()},
             **overall.summary(),
         }
+        if stats is None:
+            for key in _MESSAGE_KEYS:
+                del summary[key]
+        else:
+            summary["sends"] = stats.messages_sent
+            summary["delivers"] = stats.messages_delivered
+            summary["throughput_msgs_per_s"] = (
+                round(stats.messages_delivered / duration, 1) if duration else 0.0
+            )
         return rows, summary
+
+
+def _slot_summary(aggregate: StreamAggregate) -> dict[str, Any]:
+    """One shard's summary without the message counts a slot fold lacks."""
+    summary = aggregate.summary()
+    for key in _MESSAGE_KEYS:
+        del summary[key]
+    return summary

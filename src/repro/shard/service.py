@@ -651,7 +651,10 @@ class ShardReport:
     ``digest`` is the agreed value — per shard, the ordered tuple of
     applied batches — from which ``states`` is reconstructed by replay, so
     the report is identical no matter which engine (in-memory or forked
-    processes) produced it.
+    processes) produced it.  ``per_shard`` rows fold slots (latency, steps,
+    decision kinds, service calls); message totals — ``sends``,
+    ``delivers``, ``throughput_msgs_per_s`` — are the run's own counters
+    (``result.stats``) and appear in ``aggregate`` only.
     """
 
     shards: int
@@ -880,6 +883,7 @@ class ShardedService:
                 else None
             ),
             duration=duration,
+            stats=result.stats,
         )
         return ShardReport(
             shards=self.shards,

@@ -49,7 +49,8 @@ class EventQueue:
     every correct process decided), so materialising an :class:`Event` per
     push would waste the bulk of the allocations on the hottest loop of a
     run.  :meth:`pop` builds the :class:`Event` lazily; :meth:`pop_entry`
-    exposes the raw tuple for the simulator's dispatch loop.
+    exposes the raw tuple.  The simulator's delivery loop pops ``_heap``
+    itself and adds what it popped to :attr:`popped` when it stops.
     """
 
     def __init__(self) -> None:

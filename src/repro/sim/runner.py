@@ -25,6 +25,7 @@ scheduler)``.
 from __future__ import annotations
 
 import random
+from heapq import heappop
 from typing import Any, Callable, Mapping
 
 from ..engine.events import (
@@ -85,8 +86,11 @@ class Simulation(Engine):
         seed: PRNG seed; equal seeds give identical runs.
         event_sink: optional structured-event sink
             (:mod:`repro.engine.events`; pass an ``EventLog`` for a
-            trace); attaching one never perturbs the seeded rng stream, so
-            a traced run delivers exactly like an untraced one.
+            trace).  Attaching one changes neither the seeded rng stream
+            nor the delay arithmetic, so a traced run delivers every
+            message at exactly the time, to the last bit, that an untraced
+            run does; ``SendEvent``/``DeliverEvent`` are built only when
+            the sink reads them (``EventSink.consumes``).
     """
 
     def __init__(
@@ -152,7 +156,7 @@ class Simulation(Engine):
             SimulationDeadlock: the event queue drained first.
             SimulationError: the ``max_events`` safety valve tripped.
         """
-        return self._run(stop=self._all_correct_decided)
+        return self._run(stop=None, until_decided=True)
 
     def run_to_quiescence(self) -> RunResult:
         """Run until no events remain (for protocols without decisions)."""
@@ -164,10 +168,17 @@ class Simulation(Engine):
 
     # -- engine ---------------------------------------------------------------------
 
-    def _all_correct_decided(self, sim: "Simulation") -> bool:
-        return not self._undecided_correct
+    def _run(
+        self, stop: Callable[["Simulation"], bool] | None, until_decided: bool = False
+    ) -> RunResult:
+        """Pop and handle events until ``stop`` holds (checked before every
+        event), every correct process decided (``until_decided``), or the
+        queue drains.
 
-    def _run(self, stop: Callable[["Simulation"], bool] | None) -> RunResult:
+        The loop runs once per delivered message, so it pops the queue's
+        heap itself and handles a flat deliver entry inline; only the
+        whole-``Event`` entries (start, crash, restart) take a call.
+        """
         if not self._started:
             self._started = True
             for pid in self.config.processes:
@@ -180,39 +191,61 @@ class Simulation(Engine):
                     self.queue.push(
                         Event(plan.at + plan.restart_after, "restart", dst=pid)
                     )
+        heap = self.queue._heap  # see EventQueue for the two entry layouts
+        states = self._states
+        down = self._down
+        stats = self.stats
+        delivers = self._delivers
+        undecided = self._undecided_correct
+        max_events = self.max_events
         processed = 0
-        while self.queue:
-            if stop is not None and stop(self):
-                break
-            # Raw heap entries: flat deliver tuples skip Event construction
-            # entirely on the pop side too (see EventQueue.pop_entry).
-            entry = self.queue.pop_entry()
-            time = entry[0]
-            if time > self.time:
-                self.time = time
-            processed += 1
-            if processed > self.max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self.max_events}; likely livelock"
-                )
-            if len(entry) == 3:
-                event = entry[2]
-                self._dispatch_fields(
-                    event.kind, event.dst, event.sender, event.payload, event.depth
-                )
+        try:
+            while heap:
+                if until_decided:
+                    if not undecided:
+                        break
+                elif stop is not None and stop(self):
+                    break
+                entry = heappop(heap)
+                if entry[0] > self.time:
+                    self.time = entry[0]
+                processed += 1
+                if processed > max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events}; likely livelock"
+                    )
+                if len(entry) == 3:
+                    self._dispatch_fields(entry[2].kind, entry[2].dst)
+                    continue
+                _, _, dst, sender, payload, depth = entry
+                if down and dst in down:
+                    continue  # killed: see the "crash" case of _dispatch_fields
+                state = states[dst]
+                if depth > state.depth:
+                    state.depth = depth
+                stats.messages_delivered += 1
+                if delivers is not None:
+                    delivers.emit(DeliverEvent(self.time, dst, sender, payload, depth))
+                effects = guarded(state.protocol, sender, payload)
+                if effects:
+                    interpret(self, dst, effects, depth)
             else:
-                self._dispatch_fields("deliver", entry[2], entry[3], entry[4], entry[5])
-        else:
-            if stop is not None and not stop(self):
-                raise SimulationDeadlock(frozenset(self._undecided_correct))
+                if until_decided:
+                    stuck = bool(undecided)
+                else:
+                    stuck = stop is not None and not stop(self)
+                if stuck:
+                    raise SimulationDeadlock(frozenset(self._undecided_correct))
+        finally:
+            self.queue.popped += processed
         return self._result(
-            drained=not self.queue,
+            drained=not heap,
             depths={pid: s.depth for pid, s in self._states.items()},
         )
 
-    def _dispatch_fields(
-        self, kind: str, dst: ProcessId, sender: ProcessId, payload: Any, depth: int
-    ) -> None:
+    def _dispatch_fields(self, kind: str, dst: ProcessId) -> None:
+        """One whole-``Event`` entry: a process starts, is killed, or
+        restarts (deliveries are handled inline by :meth:`_run`)."""
         state = self._states[dst]
         if kind == "start":
             effects = state.protocol.on_start()
@@ -226,7 +259,7 @@ class Simulation(Engine):
                     FaultEvent(self.time, dst, fault="CrashRecover", detail="killed")
                 )
             return
-        elif kind == "restart":
+        else:  # "restart"
             plan = self._restarts[dst]
             state.protocol = plan.factory()
             state.depth = 0
@@ -234,17 +267,8 @@ class Simulation(Engine):
             if self._events is not None:
                 self._events.emit(RestartEvent(self.time, dst))
             effects = state.protocol.on_start()
-        else:
-            if self._down and dst in self._down:
-                return
-            if depth > state.depth:
-                state.depth = depth
-            self.stats.messages_delivered += 1
-            if self._events is not None:
-                self._events.emit(DeliverEvent(self.time, dst, sender, payload, depth))
-            effects = guarded(state.protocol, sender, payload)
         if effects:
-            interpret(self, dst, effects, depth)
+            interpret(self, dst, effects, 0)
 
     # -- ExecutionPorts: shipping (the books are Engine's) -----------------------------
 
@@ -268,33 +292,33 @@ class Simulation(Engine):
                 if delay < 0.0:
                     delay = 0.0
         self.queue.push_deliver(self.time + delay, dst, src, payload, depth)
-        if self._events is not None:
-            self._events.emit(SendEvent(self.time, src, dst, payload, depth))
+        if self._sends is not None:
+            self._sends.emit(SendEvent(self.time, src, dst, payload, depth))
 
     def broadcast(self, pid: ProcessId, payload: Any, message_depth: int) -> None:
         # Inlined fan-out of ``send``: one Broadcast becomes n queue
-        # pushes, the single hottest loop of a simulated run.
+        # pushes, the single hottest loop of a simulated run.  Every path
+        # computes a delivery time as ``send`` does, ``time + delay``, so
+        # whether a sink reads the sends never moves a delivery.
         time = self.time
         push = self.queue.push_deliver
         params = self._uniform_params
-        events = self._events
-        if params is not None and self._fair_scheduler and events is None:
-            # Uniform latency, no adversarial delay, nobody watching:
-            # sample inline with the exact random.Random.uniform arithmetic
-            # so the rng stream stays bit-identical to the generic path.
+        sends = self._sends
+        if params is not None and self._fair_scheduler:
+            # Uniform latency, no adversarial delay: the draw of
+            # ``_sample_latency`` inlined, on the same rng stream.
             low, span = params
             rand = self.rng.random
             for dst in self.config.processes:
-                if dst == pid:
-                    push(time, dst, pid, payload, message_depth)
-                else:
-                    push(
-                        time + low + span * rand(),
-                        dst,
-                        pid,
-                        payload,
-                        message_depth,
-                    )
+                push(
+                    time if dst == pid else time + (low + span * rand()),
+                    dst,
+                    pid,
+                    payload,
+                    message_depth,
+                )
+                if sends is not None:
+                    sends.emit(SendEvent(time, pid, dst, payload, message_depth))
         else:
             sample = self._sample_latency
             fair = self._fair_scheduler
@@ -316,8 +340,8 @@ class Simulation(Engine):
                         if delay < 0.0:
                             delay = 0.0
                 push(time + delay, dst, pid, payload, message_depth)
-                if events is not None:
-                    events.emit(SendEvent(time, pid, dst, payload, message_depth))
+                if sends is not None:
+                    sends.emit(SendEvent(time, pid, dst, payload, message_depth))
         self.stats.messages_sent += self.config.n
 
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:

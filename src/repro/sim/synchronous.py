@@ -32,6 +32,7 @@ from ..engine.events import (
     EventSink,
     RoundEvent,
     SendEvent,
+    reader,
 )
 from ..engine.interpreter import interpret
 from ..engine.run import Engine, RunResult, Verdicts, check_deployment
@@ -116,6 +117,7 @@ class SynchronousSimulation:
         self.crashes = crashes
         self.rng = random.Random(seed)
         self._events = event_sink
+        self._delivers = reader(event_sink, DeliverEvent)
 
     @property
     def faulty(self) -> frozenset[ProcessId]:
@@ -161,9 +163,9 @@ class SynchronousSimulation:
             for pid, protocol in self.protocols.items():
                 if pid in crashed:
                     continue
-                if self._events is not None:
+                if self._delivers is not None:
                     for sender, message in deliveries[pid].items():
-                        self._events.emit(
+                        self._delivers.emit(
                             DeliverEvent(float(round_), pid, sender, message, round_)
                         )
                 message, decision = protocol.on_round(round_, deliveries[pid])
@@ -249,8 +251,8 @@ class LockstepSimulation(Engine):
     def send(self, src: ProcessId, dst: ProcessId, payload: Any, depth: int) -> None:
         self.stats.messages_sent += 1
         self._next.append((dst, src, payload, depth))
-        if self._events is not None:
-            self._events.emit(SendEvent(self.time, src, dst, payload, depth))
+        if self._sends is not None:
+            self._sends.emit(SendEvent(self.time, src, dst, payload, depth))
 
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         self._next.append((reply.dst, SERVICE_SENDER, payload, reply.depth))
@@ -277,8 +279,8 @@ class LockstepSimulation(Engine):
                 if depth > self._depths[dst]:
                     self._depths[dst] = depth
                 self.stats.messages_delivered += 1
-                if self._events is not None:
-                    self._events.emit(
+                if self._delivers is not None:
+                    self._delivers.emit(
                         DeliverEvent(self.time, dst, sender, payload, depth)
                     )
                 effects = guarded(self.protocols[dst], sender, payload)

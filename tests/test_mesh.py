@@ -347,6 +347,22 @@ class TestMeshCluster:
         assert all(n > 0 for n in result.hub_byte_counts.values())
         assert_no_mesh_leaks()
 
+    def test_aggregate_totals_include_data_hub_traffic(self):
+        # Hub 0's event stream sees only what hub 0 routes; the report's
+        # message totals are the run's own counters, data hubs included.
+        from repro.engine.events import EventStats
+
+        hub0 = EventStats()
+        report = ShardedService(
+            n=7, shards=4, contention=0.0, seed=11, engine="net",
+            mesh=MeshTopology(hubs=2), event_sink=hub0,
+        ).run(count=12, timeout=30.0)
+        totals = report.result.stats
+        assert not report.divergence
+        assert report.aggregate["sends"] == totals.messages_sent > hub0.sends > 0
+        assert report.aggregate["delivers"] == totals.messages_delivered > hub0.delivers
+        assert_no_mesh_leaks()
+
     def test_mesh_digest_matches_sim(self):
         # Cross-engine determinism with the transport split across hub
         # processes: contention 0 keeps proposals timing-independent, so

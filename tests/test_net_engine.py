@@ -355,11 +355,12 @@ class TestHubNeverDecodesRelayedPayloads:
         report = self._service(stats).run(count=16, timeout=25.0)
         assert not report.divergence and report.commands == 16
         assert calls == {"decode": 0, "opaque": 0}
-        # ... although every send was observed and charged to its shard.
-        routed = report.result.stats.messages_sent
-        assert stats.sends == routed > 0
-        assert sum(row["sends"] for row in report.per_shard) == routed
-        assert all(row["sends"] > 0 for row in report.per_shard)
+        # ... although every send and delivery was observed and counted.
+        totals = report.result.stats
+        assert report.aggregate["sends"] == totals.messages_sent == stats.sends > 0
+        assert (
+            report.aggregate["delivers"] == totals.messages_delivered == stats.delivers > 0
+        )
         assert_no_leaks()
 
     def test_event_log_pays_one_decode_per_routed_message(self, monkeypatch):

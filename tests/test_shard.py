@@ -13,13 +13,14 @@ Four layers, mirroring :mod:`repro.shard`'s structure:
   decides the *identical* digest on the simulator and over real sockets.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.codec.binary import Opaque, encode
 from repro.codec.schema import COMPONENT_TABLE
-from repro.engine.events import DeliverEvent, SendEvent
 from repro.engine.faults import Silent
 from repro.harness import Scenario, dex_freq
 from repro.runtime.composite import Envelope
@@ -27,7 +28,6 @@ from repro.runtime.effects import Broadcast, Decide, Deliver, Log
 from repro.runtime.protocol import Protocol
 from repro.shard import (
     INSTANCE_DECIDED_TAG,
-    ShardStreamSink,
     ShardBatcher,
     ShardMultiplexer,
     ShardedService,
@@ -169,7 +169,10 @@ class TestShardAttribution:
         assert parse_instance("s\u00b2.1") is None
 
 
-class TestShardStreamSinkAttribution:
+class TestPayloadCharging:
+    """Charging a stream of routed copies to shards — what mesh steering
+    and the benchmark's relay count do — through ``shard_of_payload``."""
+
     def _messages(self):
         out = []
         for n in range(40):
@@ -179,28 +182,24 @@ class TestShardStreamSinkAttribution:
         out.append((1, 2, Envelope("uc", 3)))
         return out
 
-    def _fold(self, as_span):
-        sink = ShardStreamSink(shards=4)
-        for at, (src, dst, payload) in enumerate(self._messages()):
+    def _charge(self, as_span):
+        charged = Counter()
+        for _, _, payload in self._messages():
             raw = Opaque(encode(payload)) if as_span else payload
-            sink.emit(SendEvent(float(at), src, dst, raw, 1))
-            sink.emit(DeliverEvent(at + 0.5, dst, src, raw, 1))
-            if at % 3 == 0:  # a duplicated delivery
-                sink.emit(DeliverEvent(at + 0.6, dst, src, raw, 1))
-        return sink
+            charged[shard_of_payload(raw, 4)] += 1
+        return charged
 
-    def test_spans_and_objects_fold_identically(self):
-        objects, spans = self._fold(False), self._fold(True)
-        assert spans.sends == objects.sends and spans.delivers == objects.delivers
-        assert set(objects.sends) == {0, 1, 2, 3, UNATTRIBUTED}
-        assert objects.sends[UNATTRIBUTED] == 8 + 2  # shard 4 is foreign here
-        assert sum(objects.delivers.values()) > sum(objects.sends.values())
+    def test_spans_and_objects_attribute_identically(self):
+        objects, spans = self._charge(False), self._charge(True)
+        assert spans == objects
+        assert set(objects) == {0, 1, 2, 3, UNATTRIBUTED}
+        assert objects[UNATTRIBUTED] == 8 + 2  # shard 4 is foreign here
 
-    def test_charging_a_span_decodes_nothing(self, monkeypatch):
+    def test_attributing_a_span_decodes_nothing(self, monkeypatch):
         monkeypatch.setattr(
-            Opaque, "decode", lambda self: pytest.fail("the sink decoded a payload")
+            Opaque, "decode", lambda self: pytest.fail("attribution decoded a payload")
         )
-        assert sum(self._fold(True).sends.values()) == len(self._messages())
+        assert sum(self._charge(True).values()) == len(self._messages())
 
 
 class TestShardBatcher:
@@ -536,34 +535,27 @@ class TestShardedServiceSim:
                     assert shard_of(key, 4) == shard
 
     def test_per_shard_counts_are_the_streams_own(self):
-        """``ShardStreamSink`` dispatches on exact event type; folded again
-        the slow way (``isinstance``, payloads read) the recorded stream
-        gives the same per-shard sends and delivers, and ``EventStats`` the
-        same totals — on every seed the same numbers."""
-        from collections import Counter
-
-        from repro.engine.events import EventLog, EventStats
+        """The aggregate's message totals are the run's own counters, and an
+        ``EventStats`` beside the service's sink counts the same; per-shard
+        rows carry none (a missing key, never a 0) — on every seed the same
+        numbers."""
+        from repro.engine.events import EventStats
 
         def run():
-            log = EventLog()
-            report = ShardedService(n=7, shards=4, seed=8, event_sink=log).run(count=16)
-            return log, report
+            stats = EventStats()
+            report = ShardedService(n=7, shards=4, seed=8, event_sink=stats).run(count=16)
+            return stats, report
 
-        (log, report), (_, again) = run(), run()
-        sends, delivers, stats = Counter(), Counter(), EventStats()
-        for event in log:
-            stats.emit(event)
-            if isinstance(event, SendEvent):
-                sends[shard_of_payload(event.payload, 4)] += 1
-            elif isinstance(event, DeliverEvent):
-                delivers[shard_of_payload(event.payload, 4)] += 1
-        rows = {row["shard"]: row for row in report.per_shard}
-        assert {s: rows[s]["sends"] for s in rows} == {s: sends[s] for s in range(4)}
-        assert {s: rows[s]["delivers"] for s in rows} == {s: delivers[s] for s in range(4)}
-        assert report.aggregate["sends"] == stats.sends == sum(sends.values())
-        assert report.aggregate["delivers"] == stats.delivers == sum(delivers.values())
-        assert all(count > 0 for count in sends.values())
-        assert [r["sends"] for r in again.per_shard] == [r["sends"] for r in report.per_shard]
+        (stats, report), (_, again) = run(), run()
+        totals = report.result.stats
+        assert report.aggregate["sends"] == totals.messages_sent == stats.sends > 0
+        assert report.aggregate["delivers"] == totals.messages_delivered == stats.delivers
+        assert report.aggregate["throughput_msgs_per_s"] == round(
+            totals.messages_delivered / report.duration, 1
+        )
+        for row in report.per_shard:
+            assert not {"sends", "delivers", "throughput_msgs_per_s"} & set(row)
+        assert again.aggregate == report.aggregate and again.per_shard == report.per_shard
         assert again.digest == report.digest
 
     def test_same_seed_identical_digest_under_contention(self):
