@@ -17,7 +17,9 @@ profiles replica 3 inside its forked worker (``--sample``: all seven,
 merged — a replica burns only ~0.3 CPU-seconds on this trial); ``sim``
 profiles the bench process running one ``sim_core`` trial (every replica,
 the event stream and its sinks on the simulator's virtual clock) and goes
-with ``--workload sim_core`` only.
+with ``--workload sim_core`` only.  Under cProfile its header also gives
+the trial's Python calls per delivery — an exact count for one checkout
+and seed, so two checkouts compare without timing noise.
 
 ``--workload``: ``floor_star`` (the default) runs no durable, rejoin or
 frontend code, so a cost that lives there is invisible on it —
@@ -542,8 +544,16 @@ def main() -> None:
         how = "under cProfile"
         if args.sample:
             how = f"sampled (ITIMER_PROF, {SAMPLE_EVERY * 1e3:g} ms)"
+        dumps = sorted(str(path) for path in pathlib.Path(tmp).glob("profile.pstats.*"))
         if args.role == "sim":
             traffic = f"{stats.messages_delivered} deliveries"
+            if not args.sample:
+                # per code object: pstats merges same-named generated code
+                calls = sum(entry.callcount for entry in profile.getstats())
+                traffic += (
+                    f", {calls} Python calls, "
+                    f"{calls / stats.messages_delivered:.2f} Python calls per delivery"
+                )
         else:
             traffic = (
                 f"{trial.result.hub_frames} frames to nodes, "
@@ -554,7 +564,6 @@ def main() -> None:
             f"{stats.messages_sent} routed messages, {traffic}, "
             f"checkout {commit} ({args.label})"
         )
-        dumps = sorted(str(path) for path in pathlib.Path(tmp).glob("profile.pstats.*"))
         text = (_sample_report if args.sample else _report)(dumps, header)
     path = HERE / "results" / f"{args.role}_profile_{args.workload}_{args.label}.txt"
     path.write_text(text)

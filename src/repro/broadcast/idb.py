@@ -32,13 +32,14 @@ from typing import Any
 from ..errors import ResilienceError
 from ..runtime.effects import Broadcast, Deliver, Effect
 from ..runtime.protocol import Protocol
-from ..types import ProcessId, SystemConfig, Value
+from ..types import ProcessId, SystemConfig, Value, slot_init
 from ..codec.schema import wire_record
 
 DELIVER_TAG = "id-receive"
 
 
 @wire_record(tag=17, blobs=("value",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class IdbInit:
     """``(init, m)`` — the sender's own broadcast of its message.
@@ -49,6 +50,7 @@ class IdbInit:
 
 
 @wire_record(tag=18, blobs=("value",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class IdbEcho:
     """``(echo, m', j)`` — a witness statement that ``p_j`` sent ``m'``.
@@ -109,7 +111,11 @@ class IdenticalBroadcast(Protocol):
     # -- message handlers -----------------------------------------------------------
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if isinstance(payload, IdbInit):
+        # exact types first: echoes are ``n`` of every ``n + 1`` arrivals
+        kind = type(payload)
+        if kind is IdbEcho:
+            return self._on_echo(sender, payload)
+        if kind is IdbInit or isinstance(payload, IdbInit):
             return self._on_init(sender, payload)
         if isinstance(payload, IdbEcho):
             return self._on_echo(sender, payload)

@@ -36,7 +36,7 @@ from ..errors import ConfigurationError, ResilienceError
 from ..runtime.composite import CompositeProtocol
 from ..runtime.effects import Broadcast, Decide, Deliver, Effect
 from ..runtime.protocol import Protocol
-from ..types import DecisionKind, ProcessId, SystemConfig, Value
+from ..types import DecisionKind, ProcessId, SystemConfig, Value, slot_init
 from ..underlying.base import UC_DECIDE_TAG, UnderlyingConsensus
 from ..underlying.oracle import OracleConsensus
 from ..codec.schema import wire_record
@@ -55,6 +55,7 @@ IdbFactory = Callable[[ProcessId, SystemConfig], Protocol]
 
 
 @wire_record(tag=16, blobs=("value",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DexProposal:
     """The plain (``P-Send``) proposal message of line 3.
@@ -174,7 +175,7 @@ class DexConsensus(CompositeProtocol):
     # -- lines 5-9: one-step scheme ----------------------------------------------------
 
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if not isinstance(payload, DexProposal):
+        if type(payload) is not DexProposal and not isinstance(payload, DexProposal):
             return [self.log("dex-ignored", sender=sender, payload=repr(payload))]
         if not _storable(payload.value):
             return [self.log("dex-unhashable-dropped", sender=sender)]

@@ -8,7 +8,8 @@ discrete-event :class:`~repro.sim.runner.Simulation`, the
 
 * :mod:`repro.engine.interpreter` — the single effect-interpretation code
   path (:func:`interpret` over the :class:`ExecutionPorts` interface) and
-  the single effect-rewriting path (:class:`EffectRewriter`);
+  the effect-rewriting path of the Byzantine wrappers
+  (:class:`EffectRewriter`);
 * :mod:`repro.engine.run` — the one set of books (:class:`Engine`) and the
   one result type (:class:`RunResult`) every engine keeps and returns;
 * :mod:`repro.engine.faults` — the unified fault plane;

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..codec.binary import Opaque
-from ..types import DecisionKind, ProcessId
+from ..types import DecisionKind, ProcessId, slot_init
 
 __all__ = [
     "RunEvent",
@@ -97,14 +97,12 @@ class _MessageEvent(RunEvent):
 
 
 # The two per-message events are built once per routed copy — 882 a slot
-# at n=7 — so their constructors are written out: each slot is set through
-# its member descriptor, which is what ``object.__setattr__`` resolves to on
-# every call of a generated frozen ``__init__``.  Everything else about
-# them is the dataclass's: still frozen, same fields, same ``__match_args__``.
-_set_time = RunEvent.time.__set__
-_set_pid = RunEvent.pid.__set__
+# at n=7 — so their constructors set each slot through its member
+# descriptor (:func:`~repro.types.slot_init`).  Everything else about them
+# is the dataclass's: still frozen, same fields, same ``__match_args__``.
 
 
+@slot_init
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class SendEvent(_MessageEvent):
     """``pid`` shipped a message to ``dst`` (once per destination).
@@ -115,21 +113,8 @@ class SendEvent(_MessageEvent):
     raw: Any
     depth: int
 
-    def __init__(
-        self, time: float, pid: ProcessId, dst: ProcessId, raw: Any, depth: int
-    ) -> None:
-        _set_time(self, time)
-        _set_pid(self, pid)
-        _set_send_dst(self, dst)
-        _set_send_raw(self, raw)
-        _set_send_depth(self, depth)
 
-
-_set_send_dst = SendEvent.dst.__set__
-_set_send_raw = SendEvent.raw.__set__
-_set_send_depth = SendEvent.depth.__set__
-
-
+@slot_init
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class DeliverEvent(_MessageEvent):
     """``pid`` received (and handled) a message from ``sender``.
@@ -139,20 +124,6 @@ class DeliverEvent(_MessageEvent):
     sender: ProcessId
     raw: Any
     depth: int
-
-    def __init__(
-        self, time: float, pid: ProcessId, sender: ProcessId, raw: Any, depth: int
-    ) -> None:
-        _set_time(self, time)
-        _set_pid(self, pid)
-        _set_deliver_sender(self, sender)
-        _set_deliver_raw(self, raw)
-        _set_deliver_depth(self, depth)
-
-
-_set_deliver_sender = DeliverEvent.sender.__set__
-_set_deliver_raw = DeliverEvent.raw.__set__
-_set_deliver_depth = DeliverEvent.depth.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,11 +221,19 @@ class EventSink:
 
 
 def reader(sink: EventSink | None, kind: type) -> EventSink | None:
-    """``sink`` if it reads events of type ``kind``, else ``None`` — what
-    an engine resolves once so that it never builds an event nobody reads.
-    A sink without a declaration reads everything."""
+    """What reads events of type ``kind`` from ``sink``, else ``None`` —
+    what an engine resolves once so that it never builds an event nobody
+    reads.  A sink without a declaration reads everything.  A
+    :class:`TeeSink` is narrowed to its readers of ``kind``: the one
+    reading sink itself, or a tee of exactly those, in order — so an event
+    with one reader costs no hop through the tee."""
     if sink is None:
         return None
+    if type(sink) is TeeSink:
+        readers = [r for s in sink.sinks if (r := reader(s, kind)) is not None]
+        if not readers:
+            return None
+        return readers[0] if len(readers) == 1 else TeeSink(*readers)
     declared = getattr(sink, "consumes", None)
     if declared is None or any(issubclass(kind, read) for read in declared):
         return sink
@@ -321,7 +300,7 @@ class TeeSink(EventSink):
         route = self._routes.get(kind)
         if route is None:
             route = self._routes[kind] = tuple(
-                sink.emit for sink in self.sinks if reader(sink, kind) is not None
+                r.emit for sink in self.sinks if (r := reader(sink, kind)) is not None
             )
         for emit in route:
             emit(event)

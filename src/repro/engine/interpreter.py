@@ -19,10 +19,9 @@ This module is now the only place that inspects effect types:
   *meaning* of each effect is decided here, once.
 * :func:`dispatch_service_call` owns the trusted-service calling
   convention (lookup, reply-path envelope wrapping) every backend shares.
-* :class:`EffectRewriter` is the matching single dispatch path for code
-  that *transforms* effect lists rather than executing them: Byzantine
-  behavior wrappers (mutate/drop sends, censor upcalls) and composite
-  protocols (wrap child traffic in envelopes, intercept child upcalls).
+* :class:`EffectRewriter` is the matching single dispatch path for the
+  Byzantine behavior wrappers, which *transform* effect lists rather than
+  execute them (mutate/drop sends, censor upcalls).
 """
 
 from __future__ import annotations
@@ -151,7 +150,8 @@ def expand_broadcasts(effects: list[Effect] | Any, config) -> list[Effect]:
 
 
 class EffectRewriter:
-    """Single dispatch path for *transforming* effect lists.
+    """Single dispatch path for *transforming* effect lists — the base of
+    the Byzantine behavior wrappers (:mod:`repro.byzantine.adversary`).
 
     Subclasses override the ``rewrite_*`` visitors they care about; each
     visitor returns an effect (kept), ``None`` (dropped), or a list of
@@ -168,8 +168,8 @@ class EffectRewriter:
     :meth:`stop_rewrite` aborts the current rewrite after the running
     visitor's result is applied — how a crashing process drops the tail of
     its own output.  The stop flag is saved and restored around each
-    rewrite, so re-entrant rewrites (a composite routing a child's upcall
-    into another child) cannot clobber an outer rewrite's state.
+    rewrite, so a re-entrant rewrite (a visitor that rewrites another
+    list) cannot clobber an outer rewrite's state.
     """
 
     rewriter_expands_broadcasts = False

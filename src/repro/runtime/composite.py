@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..engine.interpreter import EffectRewriter
 from ..types import ProcessId
 from .effects import Broadcast, Decide, Deliver, Effect, Envelope, Send, ServiceCall
 from .protocol import Protocol
@@ -26,7 +25,7 @@ from .protocol import Protocol
 __all__ = ["CompositeProtocol", "Envelope"]
 
 
-class CompositeProtocol(Protocol, EffectRewriter):
+class CompositeProtocol(Protocol):
     """A protocol that hosts named child protocols.
 
     Subclasses register children with :meth:`add_child`, drive them by
@@ -35,19 +34,15 @@ class CompositeProtocol(Protocol, EffectRewriter):
     in an :class:`Envelope` are routed to the named child automatically by
     :meth:`on_message`; everything else goes to :meth:`on_own_message`.
 
-    Routing is the :class:`~repro.engine.interpreter.EffectRewriter`
-    dispatch: the ``rewrite_*`` visitors below wrap child traffic for the
-    component currently being routed (``_route_component``), which is plain
-    saved/restored state — not a cached helper object — so snapshots taken
-    by the model checker restore cleanly and re-entrant routing (a child
-    upcall driving another child) cannot corrupt the outer call.
+    Routing keeps no state on the composite: the component being routed is
+    an argument of :meth:`child_call`, so snapshots taken by the model
+    checker restore cleanly and re-entrant routing (a child upcall driving
+    another child) cannot corrupt the outer call.
     """
 
     def __init__(self, process_id: ProcessId, config) -> None:
         super().__init__(process_id, config)
         self._children: dict[str, Protocol] = {}
-        self._route_component: str | None = None
-        self._rewrite_stopped = False
 
     # -- child management --------------------------------------------------------
 
@@ -65,49 +60,48 @@ class CompositeProtocol(Protocol, EffectRewriter):
     def child_call(self, name: str, effects: list[Effect]) -> list[Effect]:
         """Post-process the effects of a child handler or method call.
 
-        ``Send``/``Broadcast`` payloads are wrapped in an envelope for
-        ``name``; ``ServiceCall`` replies are routed back to ``name``;
+        One pass: ``Send``/``Broadcast`` payloads are wrapped in an envelope
+        for ``name``; ``ServiceCall`` replies are routed back to ``name``;
         ``Deliver``/``Decide`` upcalls are handed to
-        :meth:`on_child_output`, whose own effects are processed
-        recursively (they may drive other children).  Most handler calls
-        (every echo short of a threshold) produce nothing to process.
+        :meth:`on_child_output`, whose effects are spliced in (they may
+        drive other children, through their own ``child_call``); anything
+        else (``Log``) is kept.  The routed effects are matched
+        on their exact type first — a child's traffic is almost all
+        ``Broadcast`` — and everything else, a subclass of an effect type
+        included, falls through to the ``isinstance`` checks, so a
+        subclass routes like its base.
         """
-        if not effects:
-            return []
-        prev = self._route_component
-        self._route_component = name
-        try:
-            return self.rewrite_effects(effects)
-        finally:
-            self._route_component = prev
-
-    # -- routing visitors (EffectRewriter) ------------------------------------------
-
-    def rewrite_send(self, effect: Send) -> Effect:
-        return Send(effect.dst, Envelope(self._route_component, effect.payload))
-
-    def rewrite_broadcast(self, effect: Broadcast) -> Effect:
-        return Broadcast(Envelope(self._route_component, effect.payload))
-
-    def rewrite_service_call(self, effect: ServiceCall) -> Effect:
-        return effect.pushed(self._route_component)
-
-    def rewrite_deliver(self, effect: Deliver) -> list[Effect]:
-        return self.on_child_output(self._route_component, effect)
-
-    def rewrite_decide(self, effect: Decide) -> list[Effect]:
-        return self.on_child_output(self._route_component, effect)
+        out: list[Effect] = []
+        for effect in effects:
+            kind = type(effect)
+            if kind is Broadcast:
+                out.append(Broadcast(Envelope(name, effect.payload)))
+            elif kind is Send:
+                out.append(Send(effect.dst, Envelope(name, effect.payload)))
+            elif kind is Deliver or kind is Decide:
+                out.extend(self.on_child_output(name, effect))
+            elif isinstance(effect, Send):
+                out.append(Send(effect.dst, Envelope(name, effect.payload)))
+            elif isinstance(effect, Broadcast):
+                out.append(Broadcast(Envelope(name, effect.payload)))
+            elif isinstance(effect, (Decide, Deliver)):
+                out.extend(self.on_child_output(name, effect))
+            elif isinstance(effect, ServiceCall):
+                out.append(effect.pushed(name))
+            else:
+                out.append(effect)
+        return out
 
     # -- message routing -----------------------------------------------------------
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if isinstance(payload, Envelope):
-            child = self._children.get(payload.component)
+        if type(payload) is Envelope or isinstance(payload, Envelope):
+            name = payload.component
+            child = self._children.get(name)
             if child is None:
-                return [self.log("unknown-component", component=payload.component)]
-            return self.child_call(
-                payload.component, child.on_message(sender, payload.payload)
-            )
+                return [self.log("unknown-component", component=name)]
+            effects = child.on_message(sender, payload.payload)
+            return self.child_call(name, effects) if effects else effects
         return self.on_own_message(sender, payload)
 
     # -- hooks for subclasses ---------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..types import DecisionKind, ProcessId, Value
+from ..types import DecisionKind, ProcessId, Value, slot_init
 from ..codec.schema import wire_record
 
 #: Pseudo sender id used when a trusted harness service delivers a payload.
@@ -30,6 +30,7 @@ class Effect:
     __slots__ = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Envelope:
     """A child component's payload, tagged with the component name.
@@ -46,6 +47,7 @@ class Envelope:
     payload: Any
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Send(Effect):
     """Unicast ``payload`` to process ``dst`` over the reliable link."""
@@ -54,6 +56,7 @@ class Send(Effect):
     payload: Any
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Broadcast(Effect):
     """Send ``payload`` to every process, the sender included.

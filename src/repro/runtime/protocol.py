@@ -6,8 +6,8 @@ delivered payload; both return lists of :class:`~repro.runtime.effects.Effect`.
 
 Handlers must never raise on malformed input — Byzantine processes may send
 arbitrary payloads, and robust protocols treat garbage as silence.  The
-:func:`tolerant` decorator (applied by the runtimes around every handler
-call) enforces this by converting unexpected exceptions into a dropped
+:func:`guarded` wrapper (the runtimes call every handler through it)
+enforces this by converting unexpected exceptions into a dropped
 message plus a trace record, so a malicious payload can crash neither the
 process nor the experiment.
 """

@@ -290,15 +290,58 @@ class ShardMultiplexer(CompositeProtocol):
     # -- routing ---------------------------------------------------------------------
 
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        # A child exists under a name only if that name was validated, so
-        # all but an instance's first envelope skip the guards.
-        if isinstance(payload, Envelope) and payload.component not in self._children:
-            key = self._instance_of(payload.component)
-            if key is not None:
-                if key in self.decided:
-                    return []  # retired: inert, so it would have answered this
-                self._ensure(*key)
-        return super().on_message(sender, payload)
+        """Route an instance envelope in one lookup; anything else is the
+        multiplexer's own (:meth:`on_own_message`).
+
+        An envelope whose payload is not itself an envelope is an
+        instance's own top-level message (DEX line 3, ``P-Send``): it is
+        shown to :meth:`on_instance_message` first, and the effects that
+        hook returns go in front of the routed ones.
+        """
+        if type(payload) is not Envelope and not isinstance(payload, Envelope):
+            return self.on_own_message(sender, payload)
+        name = payload.component
+        inner = payload.payload
+        head = None
+        if type(inner) is not Envelope and not isinstance(inner, Envelope):
+            head = self.on_instance_message(sender, name)
+        child = self._children.get(name)
+        if child is None:
+            effects = self._first_envelope(sender, name, inner)
+        else:
+            effects = child.on_message(sender, inner)
+            if effects:
+                effects = self.child_call(name, effects)
+        if head:
+            head.extend(effects)
+            return head
+        return effects
+
+    def _first_envelope(self, sender: ProcessId, name: str, inner: Any) -> list[Effect]:
+        """An envelope naming no child.  A child exists under a name only
+        if that name was validated, so only here are the guards run: a new
+        valid instance gets its child (passive — no proposal) and the
+        payload; a retired one — decided, no child — is dropped (being
+        inert, it would have answered with nothing).  Anything else is an
+        unknown component, a non-canonical spelling of a valid key
+        (``"s01.2"``) included: that one opens the canonical child
+        (``"s1.2"``) but is routed nowhere."""
+        key = self._instance_of(name)
+        if key is not None:
+            if key in self.decided:
+                return []
+            self._ensure(*key)
+            child = self._children.get(name)
+            if child is not None:
+                effects = child.on_message(sender, inner)
+                return self.child_call(name, effects) if effects else effects
+        return [self.log("unknown-component", component=name)]
+
+    def on_instance_message(self, sender: ProcessId, component: str) -> list[Effect]:
+        """Hook: ``sender``'s envelope for ``component`` carries the
+        instance's own top-level message, about to be routed.  Effects
+        returned here precede the routed ones; the default has none."""
+        return []
 
     def on_child_output(self, name: str, effect: Effect) -> list[Effect]:
         if not isinstance(effect, Decide):

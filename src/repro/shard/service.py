@@ -56,7 +56,6 @@ from ..engine.events import EventSink, combine
 from ..engine.faults import Fault, FaultPlane, restart_plans
 from ..errors import ConfigurationError
 from ..harness import AlgorithmSpec, Deployment
-from ..runtime.composite import Envelope
 from ..runtime.effects import Decide, Effect, Send
 from ..runtime.protocol import Protocol
 from ..types import DecisionKind, ProcessId, SystemConfig
@@ -332,16 +331,17 @@ class ShardNode(ShardMultiplexer):
             return [self.log("shard.stale-decision", shard=shard, slot=slot)]
         return self._commit(shard, slot, batch, kind)
 
-    def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        """Node-level routing, plus the rejoin evidence rule.
+    def on_instance_message(self, sender: ProcessId, component: str) -> list[Effect]:
+        """The rejoin evidence rule, run by the multiplexer before it routes
+        an instance's own top-level message.
 
         A replica that needs slot ``k`` must *open* it, and opening
         broadcasts the instance's own top-level message (DEX line 3,
         ``P-Send``) to every peer — an instance envelope whose payload is
-        not a sub-component envelope.  A late ``idb``/``uc`` envelope is
-        evidence of nothing (a peer that has itself decided keeps echoing,
-        and a restarted one echoes before it has caught up) and is only
-        routed.
+        not a sub-component envelope, the one kind of arrival this hook
+        sees.  A late ``idb``/``uc`` envelope is evidence of nothing (a
+        peer that has itself decided keeps echoing, and a restarted one
+        echoes before it has caught up) and is only routed.
 
         A proposal at or past our frontier says its sender is current on
         that shard: whatever evidence we held against the pair is dropped.
@@ -353,32 +353,29 @@ class ShardNode(ShardMultiplexer):
         instance can never collect them and stalls without help.  Its
         ``CatchUpRequest`` is the evidence of that; between the request and
         its next current proposal on the shard, each late proposal is
-        answered with the decided slot (once per slot), and every stalled
-        opener reaches ``>= n - t - 1 >= t + 1`` settled peers this way.
-        The transport may deliver the request *after* the late proposal it
-        explains (independent jitter per message, independent hubs on a
-        mesh), so the newest late slot per pair is remembered and offered
-        when the request lands (:meth:`_serve_catchup`).
+        answered with the decided slot (once per slot, ahead of whatever
+        the routed proposal produces), and every stalled opener reaches
+        ``>= n - t - 1 >= t + 1`` settled peers this way.  The transport
+        may deliver the request *after* the late proposal it explains
+        (independent jitter per message, independent hubs on a mesh), so
+        the newest late slot per pair is remembered and offered when the
+        request lands (:meth:`_serve_catchup`).
         """
-        if (
-            self.durability is not None
-            and isinstance(payload, Envelope)
-            and not isinstance(payload.payload, Envelope)
-        ):
-            key = parse_instance(payload.component)
-            if key is not None and 0 <= key[0] < self.shards:
-                shard, slot = key
-                pair = (sender, shard)
-                if slot >= self._slot[shard]:
-                    self._decided_served.pop(pair, None)
-                    self._late.pop(pair, None)
-                elif pair in self._decided_served:
-                    effects = self._offer_decided(sender, shard, slot)
-                    effects.extend(super().on_message(sender, payload))
-                    return effects
-                elif slot > self._late.get(pair, -1):
-                    self._late[pair] = slot
-        return super().on_message(sender, payload)
+        if self.durability is None:
+            return []
+        key = parse_instance(component)
+        if key is None or not 0 <= key[0] < self.shards:
+            return []
+        shard, slot = key
+        pair = (sender, shard)
+        if slot >= self._slot[shard]:
+            self._decided_served.pop(pair, None)
+            self._late.pop(pair, None)
+        elif pair in self._decided_served:
+            return self._offer_decided(sender, shard, slot)
+        elif slot > self._late.get(pair, -1):
+            self._late[pair] = slot
+        return []
 
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
         if isinstance(payload, CatchUpRequest):

@@ -15,9 +15,10 @@ The paper's vocabulary maps onto these types as follows:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import TypeAlias
+from typing import TypeAlias, TypeVar
 
 ProcessId: TypeAlias = int
 Value: TypeAlias = object
@@ -35,6 +36,40 @@ BOTTOM = type("Bottom", (), {
 def _get_bottom() -> object:
     """Support pickling of the :data:`BOTTOM` singleton."""
     return BOTTOM
+
+
+_Record = TypeVar("_Record", bound=type)
+
+
+def slot_init(cls: _Record) -> _Record:
+    """Give a frozen, slotted dataclass an ``__init__`` that fills each slot
+    through its member descriptor.
+
+    A generated frozen ``__init__`` calls ``object.__setattr__`` once per
+    field, which resolves to the slot's descriptor on every call; this one
+    calls the descriptor's ``__set__`` directly.  Apply it above
+    ``@dataclass`` on records built once per routed message.  Everything
+    else stays the dataclass's: the same positional/keyword signature,
+    still frozen (assignment raises ``FrozenInstanceError``), and the same
+    eq, hash, repr, ``__match_args__`` and pickling.  Fields may not have
+    defaults.
+    """
+    names = []
+    setters = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"slot_init: {cls.__qualname__}.{f.name} has a default")
+        names.append(f.name)
+        setters[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    source = f"def __init__(self, {', '.join(names)}):\n{body}"
+    namespace: dict = {}
+    # a file name of its own, so a profile tells the records apart
+    exec(compile(source, f"<slot_init {cls.__qualname__}>", "exec"), setters, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 def order_key(value: Value) -> tuple[str, str]:

@@ -105,7 +105,7 @@ class TestTeeRouting:
         assert service.consumes == {LogEvent, ServiceEvent}
         assert reader(TeeSink(logs, service), SendEvent) is None
         tee = TeeSink(service, messages)
-        assert reader(tee, DeliverEvent) is tee and reader(tee, DecideEvent) is None
+        assert reader(tee, DeliverEvent) is messages and reader(tee, DecideEvent) is None
         assert reader(None, SendEvent) is None
         assert reader(EventLog(), SendEvent) is not None
 
