@@ -161,11 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="net engine: per-message hub delay model — bounded "
                           "uniform jitter or a long-tailed lognormal of the "
                           "same mean")
-    run.add_argument("--codec", choices=["binary", "pickle"],
-                     default="binary",
-                     help="net engine: payload codec for wire frames and "
-                          "durable records (struct-packed binary by default; "
-                          "pickle is the escape hatch)")
     run.add_argument("--hubs", type=int, default=1,
                      help="net engine: hub groups of the mesh transport "
                           "(1 = the classic single-hub star)")
@@ -217,8 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="shed")
     serve.add_argument("--deadline", type=int, default=None,
                        help="queue-wait bound in ticks (deadline policy)")
-    serve.add_argument("--codec", choices=["binary", "pickle"],
-                       default="binary")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--sessions", type=int, default=1,
                        help="client sessions to serve before exiting")
@@ -249,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hub.add_argument("--mean-delay", type=float, default=0.0005)
     hub.add_argument("--net-jitter", choices=["uniform", "lognormal"],
                      default="uniform")
-    hub.add_argument("--codec", choices=["binary", "pickle"],
-                     default="binary")
     hub.add_argument("--timeout", type=float, default=300.0,
                      help="failsafe deadline in seconds")
 
@@ -284,8 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "in-process service")
     load.add_argument("--tcp", default=None, metavar="HOST:PORT",
                       help="drive a `repro serve` TCP endpoint")
-    load.add_argument("--codec", choices=["binary", "pickle"],
-                      default="binary")
     load.add_argument("--timeout", type=float, default=60.0)
     return parser
 
@@ -311,7 +300,6 @@ def _cmd_run(args) -> int:
         engine=args.engine,
         event_sink=EventLog() if args.trace else None,
         net_jitter=args.net_jitter,
-        codec=args.codec,
         mesh=mesh,
     )
     if args.runs > 1:
@@ -498,7 +486,6 @@ def _frontend_factory(args):
 
 
 def _cmd_serve(args) -> int:
-    from .codec import CODEC_NAMES
     from .frontend.socket import FrontendServer
 
     if (args.path is None) == (args.tcp is None):
@@ -509,7 +496,6 @@ def _cmd_serve(args) -> int:
         _frontend_factory(args),
         path=args.path,
         address=_parse_hostport(args.tcp) if args.tcp else None,
-        codec=CODEC_NAMES[args.codec],
     )
     where = server.bind()
     print(f"serving frontend at {where} "
@@ -525,7 +511,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_hub(args) -> int:
-    from .codec import CODEC_NAMES
     from .mesh.hub import serve_hub
 
     peers: dict[int, tuple[str, int]] = {}
@@ -553,22 +538,18 @@ def _cmd_hub(args) -> int:
         seed=args.seed,
         mean_delay=args.mean_delay,
         jitter=args.net_jitter,
-        codec=CODEC_NAMES[args.codec],
         deadline_seconds=args.timeout,
         announce=announce,
     )
 
 
 def _cmd_load(args) -> int:
-    from .codec import CODEC_NAMES
-
     if args.path or args.tcp:
         from .frontend.socket import ClientReply, SocketClient
 
         client = SocketClient(
             path=args.path,
             address=_parse_hostport(args.tcp) if args.tcp else None,
-            codec=CODEC_NAMES[args.codec],
             timeout=args.timeout,
         )
         import random

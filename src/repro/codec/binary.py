@@ -6,7 +6,7 @@ body; registered dataclasses (see :mod:`repro.codec.schema`) pack as their
 schema tag plus field values in schema order, so a DEX proposal inside two
 envelopes costs a handful of varints instead of a pickle of class paths.
 
-Three properties the pickle codec cannot offer:
+Three properties a pickle of the same records cannot offer:
 
 * **Relay passthrough.**  Schema fields marked as blobs are carried
   length-prefixed; a relay (the hub) decodes the surrounding struct but
@@ -129,8 +129,8 @@ class Opaque:
     the span verbatim, so relaying costs a memcpy instead of a decode +
     encode round trip — the relay path never calls :meth:`decode`.  The
     span materializes at most once, when someone first asks (an event sink
-    reading ``event.payload``, a pickle-codec destination): :meth:`decode`
-    memoizes, so every holder of the span shares one decoded object.
+    reading ``event.payload``): :meth:`decode` memoizes, so every holder of
+    the span shares one decoded object.
     """
 
     __slots__ = ("data", "_value")
@@ -896,7 +896,7 @@ def decode(data: bytes, lazy: bool = False) -> Any:
 
 
 class BinaryCodec:
-    """The struct-packed codec behind the shared codec interface.
+    """The struct-packed codec, as an object with its own span memo.
 
     A materializing instance remembers the blob spans it has decoded (see
     :data:`SPAN_MEMO_ENTRIES`): a node receives the byte-identical payload
@@ -910,9 +910,6 @@ class BinaryCodec:
     """
 
     __slots__ = ("_lazy", "_spans", "_mutable")
-
-    id = 3
-    name = "binary"
 
     def __init__(self, lazy: bool = False) -> None:
         self._lazy = lazy

@@ -26,7 +26,6 @@ from .wal import (
     ProposeRecord,
     ReadResult,
     WriteAheadLog,
-    codec_label,
     encode_record,
     scan_records,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "SlotDecided",
     "SnapshotStore",
     "WriteAheadLog",
-    "codec_label",
     "encode_record",
     "scan_records",
 ]

@@ -34,10 +34,9 @@ the socket engine (a re-forked OS process re-authenticating to the hub).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from ..codec import CODEC_NAMES
 from ..codec.schema import wire_record
 from ..errors import ConfigurationError
 from ..types import ProcessId
@@ -76,24 +75,17 @@ class DurabilityConfig:
             engines' fault model — needs only the default flush).
         snapshot_every: decided slots between snapshots (0 = never
             snapshot, replay the whole log).
-        codec: :mod:`repro.codec` name for new WAL records and snapshots
-            ("binary" default); reads accept any codec the files declare.
     """
 
     root: str
     fsync: bool = False
     snapshot_every: int = 8
-    codec: str = "binary"
 
     def __post_init__(self) -> None:
         if not self.root:
             raise ConfigurationError("durability root must be a directory path")
         if self.snapshot_every < 0:
             raise ConfigurationError("snapshot_every must be non-negative")
-        if self.codec not in CODEC_NAMES:
-            raise ConfigurationError(
-                f"unknown codec {self.codec!r}; expected one of {sorted(CODEC_NAMES)}"
-            )
 
     def node_dir(self, pid: ProcessId) -> str:
         return os.path.join(self.root, f"node{pid}")
@@ -105,19 +97,13 @@ class DurabilityConfig:
 
 @dataclass(frozen=True)
 class RecoveredState:
-    """What disk gave back: the state to resume from.
-
-    ``wal_codecs`` reports which codec each recovered WAL record used
-    (label → count, e.g. ``{"pickle": 3, "binary": 12}``), so a codec
-    switch that left mixed logs behind is visible rather than silent.
-    """
+    """What disk gave back: the state to resume from."""
 
     slots: dict[int, int]
     applied: dict[int, list[tuple]]
     replayed_records: int
     from_snapshot: bool
     truncated_bytes: int = 0
-    wal_codecs: dict[str, int] = field(default_factory=dict)
 
 
 class NodeDurability:
@@ -135,14 +121,9 @@ class NodeDurability:
         self.pid = pid
         self.directory = config.node_dir(pid)
         os.makedirs(self.directory, exist_ok=True)
-        codec_id = CODEC_NAMES[config.codec]
-        self.snapshots = SnapshotStore(
-            self.directory, fsync=config.fsync, codec=codec_id
-        )
+        self.snapshots = SnapshotStore(self.directory, fsync=config.fsync)
         self.wal = WriteAheadLog(
-            os.path.join(self.directory, "wal.log"),
-            fsync=config.fsync,
-            codec=codec_id,
+            os.path.join(self.directory, "wal.log"), fsync=config.fsync
         )
         self._seq = 0
         self._since_snapshot = 0
@@ -222,7 +203,6 @@ class NodeDurability:
             replayed_records=replayed,
             from_snapshot=snapshot is not None,
             truncated_bytes=self.wal.truncated_bytes,
-            wal_codecs=self.wal.recovered_codec_counts(),
         )
 
     def close(self) -> None:

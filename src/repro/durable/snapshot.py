@@ -14,7 +14,7 @@ complete snapshot or the new complete snapshot, never a torn hybrid — a
 crash mid-write loses at most the *new* snapshot, and the WAL records it
 would have compacted are still on disk.  The payload carries the same
 ``length | crc32 | codec id`` framing as a WAL record (struct-packed
-binary by default), so a corrupt snapshot is detected and ignored
+binary, the only codec), so a corrupt snapshot is detected and ignored
 (recovery then falls back to genesis + full log replay) instead of
 poisoning the restarted node.
 """
@@ -27,8 +27,16 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..codec import CODEC_BINARY, codec_for
-from ..codec.binary import TAG_DICT, TAG_STRUCT, TAG_TUPLE, _write_varint, encode_into
+from ..codec import CODEC_BINARY
+from ..codec.binary import (
+    TAG_DICT,
+    TAG_STRUCT,
+    TAG_TUPLE,
+    _write_varint,
+    decode,
+    encode,
+    encode_into,
+)
 from ..codec.schema import wire_record
 
 __all__ = ["ShardSnapshot", "SnapshotStore", "SNAPSHOT_NAME"]
@@ -69,16 +77,11 @@ class SnapshotStore:
     Args:
         directory: the node's durability directory (must exist).
         fsync: flush the temp file to stable storage before the rename.
-        codec: :mod:`repro.codec` id for new snapshots (binary default);
-            the read side decodes whatever the file declares.
     """
 
-    def __init__(
-        self, directory: str, fsync: bool = False, codec: int = CODEC_BINARY
-    ) -> None:
+    def __init__(self, directory: str, fsync: bool = False) -> None:
         self.directory = directory
         self.fsync = fsync
-        self.codec = codec
         self.path = os.path.join(directory, SNAPSHOT_NAME)
         self._tmp = os.path.join(directory, SNAPSHOT_TMP)
         #: shard -> (batches encoded, their concatenated bytes), for
@@ -87,7 +90,7 @@ class SnapshotStore:
 
     def save(self, snapshot: ShardSnapshot) -> None:
         """Write ``snapshot`` atomically (write temp → flush → rename)."""
-        self._write(codec_for(self.codec).encode(snapshot))
+        self._write(encode(snapshot))
 
     def save_state(
         self,
@@ -105,18 +108,8 @@ class SnapshotStore:
         a prefix of its next snapshot's: keep them, encode only the tail,
         and splice.  A store that has encoded nothing yet (a restarted
         node's first snapshot) or is handed a shorter history encodes it
-        all; the pickle codec has no spliceable layout and always does.
+        all.
         """
-        if self.codec != CODEC_BINARY:
-            self.save(
-                ShardSnapshot(
-                    slots=dict(slots),
-                    applied={s: tuple(batches) for s, batches in applied.items()},
-                    kv={s: dict(data) for s, data in kv.items()},
-                    seq=seq,
-                )
-            )
-            return
         body = bytearray((TAG_STRUCT,))
         _write_varint(_SNAPSHOT_TAG, body)
         encode_into(dict(slots), body)
@@ -138,7 +131,7 @@ class SnapshotStore:
         self._write(bytes(body))
 
     def _write(self, encoded: bytes) -> None:
-        payload = bytes((self.codec,)) + encoded
+        payload = bytes((CODEC_BINARY,)) + encoded
         blob = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         with open(self._tmp, "wb") as fh:
             fh.write(blob)
@@ -150,7 +143,7 @@ class SnapshotStore:
     def load(self) -> ShardSnapshot | None:
         """The last complete snapshot, or ``None``.
 
-        Missing, truncated, CRC-failing, unknown-codec and undecodable
+        Missing, truncated, CRC-failing, foreign-codec and undecodable
         files all return ``None`` — recovery falls back to genesis + log
         replay rather than trusting a damaged snapshot.
         """
@@ -165,8 +158,10 @@ class SnapshotStore:
         payload = data[_HEADER.size : _HEADER.size + length]
         if len(payload) != length or len(payload) == 0 or zlib.crc32(payload) != crc:
             return None
+        if payload[0] != CODEC_BINARY:
+            return None  # a reserved or unknown codec byte: never decoded
         try:
-            snapshot = codec_for(payload[0]).decode(payload[1:])
+            snapshot = decode(payload[1:])
         except Exception:
             return None
         return snapshot if isinstance(snapshot, ShardSnapshot) else None

@@ -14,14 +14,14 @@ the crash that makes the log matter)::
     +----------------+----------------+----------------+--------------+
 
 ``length`` counts the payload (codec byte + body); the body is one record
-dataclass encoded by the named :mod:`repro.codec` codec — struct-packed
-binary by default.
+dataclass in the struct-packed binary codec (:mod:`repro.codec`), and the
+codec byte is always ``CODEC_BINARY``.
 Recovery never raises on a damaged log: :func:`scan_records` walks
 records until the first hole — a torn final record (the classic
-crash-mid-append), a flipped CRC byte, an implausible length, an unknown
-codec byte, an undecodable payload — and everything from the hole onward
-is discarded, because nothing after a corrupt record can be trusted to be
-aligned.
+crash-mid-append), a flipped CRC byte, an implausible length, a codec
+byte other than ``CODEC_BINARY``, an undecodable payload — and
+everything from the hole onward is discarded, because nothing after a
+corrupt record can be trusted to be aligned.
 :class:`WriteAheadLog` then truncates the file back to the last good
 record, so the log is append-ready again.
 
@@ -40,7 +40,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..codec import CODEC_BINARY, CODEC_NAMES, codec_for
+from ..codec import CODEC_BINARY
+from ..codec.binary import decode, encode
 from ..codec.schema import wire_record
 
 __all__ = [
@@ -48,19 +49,10 @@ __all__ = [
     "DecideRecord",
     "ApplyRecord",
     "ReadResult",
-    "codec_label",
     "encode_record",
     "scan_records",
     "WriteAheadLog",
 ]
-
-_CODEC_LABELS = {codec_id: name for name, codec_id in CODEC_NAMES.items()}
-
-
-def codec_label(codec_id: int) -> str:
-    """Human-readable name of a per-record codec id."""
-    return _CODEC_LABELS.get(codec_id, f"codec-{codec_id}")
-
 
 #: Cap on one record's payload — mirrors the wire-frame cap: a batch of
 #: client commands is a few hundred bytes, so anything near this is
@@ -68,6 +60,7 @@ def codec_label(codec_id: int) -> str:
 DEFAULT_MAX_RECORD = 1 << 20
 
 _HEADER = struct.Struct("!II")  # payload length, crc32(payload)
+_CODEC_BYTE = bytes((CODEC_BINARY,))
 
 
 @wire_record(tag=32)
@@ -109,15 +102,13 @@ class ApplyRecord:
     batch: tuple
 
 
-def encode_record(
-    record: Any, max_record: int = DEFAULT_MAX_RECORD, codec: int = CODEC_BINARY
-) -> bytes:
+def encode_record(record: Any, max_record: int = DEFAULT_MAX_RECORD) -> bytes:
     """One record as a complete on-disk frame (codec byte + encoded body).
 
     Raises:
         ValueError: the encoded payload exceeds ``max_record``.
     """
-    payload = bytes((codec,)) + codec_for(codec).encode(record)
+    payload = _CODEC_BYTE + encode(record)
     if len(payload) > max_record:
         raise ValueError(
             f"record payload of {len(payload)} bytes exceeds the cap of {max_record}"
@@ -127,26 +118,16 @@ def encode_record(
 
 @dataclass
 class ReadResult:
-    """What a log scan trusted, with per-record codec accounting.
+    """What a log scan trusted.
 
     Attributes:
         records: every record up to the first hole, in append order.
         good_bytes: offset of the first byte that cannot be trusted (the
             self-healing truncation point).
-        codecs: per-record codec ids, parallel to ``records``.
     """
 
     records: list[Any] = field(default_factory=list)
     good_bytes: int = 0
-    codecs: list[int] = field(default_factory=list)
-
-    def codec_counts(self) -> dict[str, int]:
-        """Records per codec, by label (e.g. ``{"binary": 12}``)."""
-        counts: dict[str, int] = {}
-        for codec_id in self.codecs:
-            label = codec_label(codec_id)
-            counts[label] = counts.get(label, 0) + 1
-        return counts
 
 
 def scan_records(path: str, max_record: int = DEFAULT_MAX_RECORD) -> ReadResult:
@@ -154,7 +135,7 @@ def scan_records(path: str, max_record: int = DEFAULT_MAX_RECORD) -> ReadResult:
 
     Returns a :class:`ReadResult`; a missing file is an empty log.
     Corruption is a *stop*, never an exception: a torn tail, a failed CRC,
-    an implausible length, an unknown codec byte and an undecodable payload
+    an implausible length, a foreign codec byte and an undecodable payload
     all end the scan at the last good record — bytes after a hole have no
     reliable framing and are dropped wholesale.
     """
@@ -176,13 +157,13 @@ def scan_records(path: str, max_record: int = DEFAULT_MAX_RECORD) -> ReadResult:
         payload = data[offset + header : end]
         if zlib.crc32(payload) != crc:
             break  # bit rot or a torn overwrite
-        codec_id = payload[0]
+        if payload[0] != CODEC_BINARY:
+            break  # a reserved or unknown codec byte: never decoded
         try:
-            record = codec_for(codec_id).decode(payload[1:])
+            record = decode(payload[1:])
         except Exception:
-            break  # unknown codec byte or garbage body; do not trust the rest
+            break  # garbage body; do not trust the rest
         result.records.append(record)
-        result.codecs.append(codec_id)
         offset = end
     result.good_bytes = offset
     return result
@@ -202,9 +183,6 @@ class WriteAheadLog:
             machine, not just the process) — the knob experiment E20
             prices.
         max_record: per-record payload cap, enforced both ways.
-        codec: :mod:`repro.codec` id for *new* appends (binary default);
-            the read side decodes whatever each record declares, so a log
-            may mix codecs across a version upgrade.
     """
 
     def __init__(
@@ -212,18 +190,12 @@ class WriteAheadLog:
         path: str,
         fsync: bool = False,
         max_record: int = DEFAULT_MAX_RECORD,
-        codec: int = CODEC_BINARY,
     ) -> None:
         self.path = path
         self.fsync = fsync
         self.max_record = max_record
-        self.codec = codec
         scan = scan_records(path, max_record)
         self.recovered: list[Any] = scan.records
-        #: per-record codec ids of the recovered records (parallel list);
-        #: :func:`ReadResult.codec_counts`-style summary via
-        #: :meth:`recovered_codec_counts`.
-        self.recovered_codecs: list[int] = scan.codecs
         self.truncated_bytes = 0
         try:
             size = os.path.getsize(path)
@@ -236,18 +208,9 @@ class WriteAheadLog:
         self._file = open(path, "ab")
         self.record_count = len(scan.records)
 
-    def recovered_codec_counts(self) -> dict[str, int]:
-        """Recovered records per codec, by label (e.g. ``{"pickle": 3,
-        "binary": 12}`` for a log written across a codec switch)."""
-        counts: dict[str, int] = {}
-        for codec_id in self.recovered_codecs:
-            label = codec_label(codec_id)
-            counts[label] = counts.get(label, 0) + 1
-        return counts
-
     def append(self, record: Any) -> None:
         """Durably append one record (flushed; fsynced when configured)."""
-        self._file.write(encode_record(record, self.max_record, self.codec))
+        self._file.write(encode_record(record, self.max_record))
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
@@ -261,7 +224,6 @@ class WriteAheadLog:
             os.fsync(self._file.fileno())
         self.record_count = 0
         self.recovered = []
-        self.recovered_codecs = []
 
     def close(self) -> None:
         try:

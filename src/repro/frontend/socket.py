@@ -34,7 +34,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from ..codec import CODEC_BINARY
 from ..codec.schema import wire_record
 from ..errors import ConfigurationError
 from ..net.wire import FrameDecoder, WireError, encode_frame_into
@@ -105,8 +104,6 @@ class FrontendServer:
         path: UDS path to bind (the default transport).
         address: ``(host, port)`` to bind for TCP instead (pass port 0 to
             let the kernel pick; see :attr:`where` after :meth:`bind`).
-        codec: wire codec id for server→client frames (client→server
-            frames are self-describing per the frame header).
         tick_every: admission ticks advance once per this many submits —
             approximating arrival pacing for a client that streams a
             whole workload in one burst.
@@ -117,7 +114,6 @@ class FrontendServer:
         frontend_factory: Callable[[], Frontend],
         path: str | None = None,
         address: tuple[str, int] | None = None,
-        codec: int = CODEC_BINARY,
         tick_every: int = 4,
     ) -> None:
         if (path is None) == (address is None):
@@ -127,7 +123,6 @@ class FrontendServer:
         self.frontend_factory = frontend_factory
         self.path = path
         self.address = address
-        self.codec = codec
         self.tick_every = tick_every
         self._listener: socket.socket | None = None
         #: where the listener actually bound (UDS path or ``(host, port)``).
@@ -219,7 +214,6 @@ class FrontendServer:
                             future.rejection.shard,
                         ),
                         out,
-                        self.codec,
                     )
                 if submits % self.tick_every == 0:
                     frontend.tick()
@@ -234,7 +228,6 @@ class FrontendServer:
                         request_id, future.shard, future.slot, future.latency
                     ),
                     out,
-                    self.codec,
                 )
             elif future.rejection is not None and future.rejection.reason != "shed":
                 # deadline drops surface at drain time, after EOF.
@@ -243,7 +236,6 @@ class FrontendServer:
                         request_id, future.rejection.reason, future.rejection.shard
                     ),
                     out,
-                    self.codec,
                 )
         if out:
             sock.sendall(out)
@@ -267,14 +259,12 @@ class SocketClient:
         self,
         path: str | None = None,
         address: tuple[str, int] | None = None,
-        codec: int = CODEC_BINARY,
         timeout: float = 30.0,
     ) -> None:
         if (path is None) == (address is None):
             raise ConfigurationError("pass exactly one of path (UDS) or address (TCP)")
         self.path = path
         self.address = address
-        self.codec = codec
         self.timeout = timeout
 
     def submit_all(
@@ -292,7 +282,7 @@ class SocketClient:
         try:
             buf = bytearray()
             for request_id, (key, op) in enumerate(commands):
-                encode_frame_into(ClientSubmit(request_id, key, op), buf, self.codec)
+                encode_frame_into(ClientSubmit(request_id, key, op), buf)
             if buf:
                 sock.sendall(buf)
             sock.shutdown(socket.SHUT_WR)

@@ -313,15 +313,6 @@ def _check_choice(what: str, value: str, choices) -> None:
         )
 
 
-def _check_net_knobs(net_jitter: str, codec: str) -> None:
-    """The by-name socket-engine knobs :class:`Scenario` and
-    :class:`Deployment` both carry."""
-    from .codec import CODEC_NAMES
-
-    _check_choice("net jitter", net_jitter, NET_JITTERS)
-    _check_choice("codec", codec, sorted(CODEC_NAMES))
-
-
 @dataclass
 class Deployment:
     """A fully wired, engine-agnostic deployment.
@@ -345,10 +336,6 @@ class Deployment:
             (an :class:`~repro.engine.events.EventLog` is a trace).
         net_jitter: hub jitter model on the socket engine — ``"uniform"``
             (bounded) or ``"lognormal"`` (long-tailed), both seeded.
-        codec: wire codec of the socket engine by name — ``"binary"``
-            (default, the struct-packed data plane) or ``"pickle"``; see
-            :mod:`repro.codec`.  In-memory engines never serialize, so
-            they ignore it.
         restarts: per-pid :class:`~repro.engine.faults.RestartPlan`
             crash-recovery schedules (kill at ``at``, relaunch
             ``restart_after`` later with a freshly built protocol).
@@ -376,14 +363,13 @@ class Deployment:
     max_events: int | None = None
     event_sink: EventSink | None = None
     net_jitter: str = "uniform"
-    codec: str = "binary"
     restarts: dict[ProcessId, RestartPlan] = field(default_factory=dict)
     durability: Any = None
     mesh: Any = None
     shards: int = 1
 
     def __post_init__(self) -> None:
-        _check_net_knobs(self.net_jitter, self.codec)
+        _check_choice("net jitter", self.net_jitter, NET_JITTERS)
 
     def _reject_restarts(self, engine: str) -> None:
         if self.restarts:
@@ -438,7 +424,6 @@ class Deployment:
             self.protocols,
             faulty=self.faulty,
             services=self.services,
-            seed=self.seed,
             event_sink=self.event_sink,
         ).run_until_decided()
 
@@ -512,7 +497,6 @@ class Deployment:
         With a :attr:`mesh` topology of more than one hub group this
         builds a :class:`~repro.mesh.cluster.MeshCluster` (lazy import —
         plain net runs never load the mesh subsystem)."""
-        from .codec import codec_named
         from .net.cluster import NetCluster
 
         kwargs: dict[str, Any] = dict(
@@ -522,7 +506,6 @@ class Deployment:
             mean_delay=mean_delay,
             event_sink=self.event_sink,
             transport=transport,
-            codec=codec_named(self.codec),
             link_plan=link_plan,
             jitter=self.net_jitter,
             restarts=self.restarts,
@@ -578,9 +561,6 @@ class Scenario:
         event_sink: optional :class:`~repro.engine.events.EventSink`
             receiving the structured run events of any backend; pass an
             :class:`~repro.engine.events.EventLog` to keep a trace.
-        codec: socket-engine wire codec by name — ``"binary"`` (default)
-            or ``"pickle"``; see :mod:`repro.codec`.  The in-memory
-            engines never serialize, so they ignore it.
         durability: optional :class:`~repro.durable.DurabilityConfig`.
             Consensus algorithms hold no replicated state machine, so a
             plain scenario only carries it through to the deployment
@@ -604,7 +584,6 @@ class Scenario:
     engine: str = "sim"
     event_sink: EventSink | None = None
     net_jitter: str = "uniform"
-    codec: str = "binary"
     durability: Any = None
     #: optional :class:`~repro.mesh.topology.MeshTopology` — parallel hub
     #: groups on the socket engine; other engines ignore it.
@@ -631,7 +610,7 @@ class Scenario:
         )
         self.faults = self._plane.faults
         _check_choice("engine", self.engine, ENGINES)
-        _check_net_knobs(self.net_jitter, self.codec)
+        _check_choice("net jitter", self.net_jitter, NET_JITTERS)
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -697,7 +676,6 @@ class Scenario:
             max_events=self.max_events,
             event_sink=self.event_sink,
             net_jitter=self.net_jitter,
-            codec=self.codec,
             restarts=restarts,
             durability=self.durability,
             mesh=self.mesh,

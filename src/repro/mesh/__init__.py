@@ -7,8 +7,7 @@ orchestrator and keeps the control plane (events, services, liveness,
 fault plans), while each extra hub is its own process running the same
 data plane (:class:`repro.net.cluster.DataPlane`) over only the shard
 traffic it owns, relaying stray frames hub-to-hub.  Hubs can live
-on other hosts (``repro hub`` + :attr:`MeshTopology.remote`), which is
-what the versioned per-frame codec negotiation was for.
+on other hosts (``repro hub`` + :attr:`MeshTopology.remote`).
 
 Entry points: :class:`MeshTopology` (surfaced as ``Scenario(mesh=...)``
 and ``--hubs N`` on the CLI) and :class:`MeshCluster` (constructed by the

@@ -34,6 +34,7 @@ import socket
 import time
 from typing import Any, Mapping
 
+from ..codec import CODEC_BINARY
 from ..errors import SimulationError
 from ..net.cluster import HubLink, NetCluster, NetRunResult, reap
 from ..net.wire import MsgLog, Stop
@@ -125,7 +126,6 @@ class MeshCluster(NetCluster):
                     "seed": self.seed,
                     "mean_delay": self.mean_delay,
                     "jitter": self.jitter,
-                    "codec": self.codec,
                     "max_frame": self.max_frame,
                     "link_plan": self.link_plan,
                     "high_water": self.high_water,
@@ -140,8 +140,7 @@ class MeshCluster(NetCluster):
             try:
                 link = HubLink.dial(
                     *self._endpoints[hub],
-                    HubHello(CONTROL_LINK, self.codec),
-                    self.codec,
+                    HubHello(CONTROL_LINK, CODEC_BINARY),
                     self.max_frame,
                 )
             except SimulationError:

@@ -31,13 +31,13 @@ import socket
 import time
 from typing import Any
 
+from ..codec import CODEC_BINARY
 from ..errors import SimulationError
 from ..net.cluster import DEFAULT_HIGH_WATER, DataPlane, HubLink
 from ..net.events import HubEvents, StreamClock
 from ..net.faults import LinkPlan
 from ..net.node import EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_RECV_TIMEOUT
 from ..net.wire import (
-    CODEC_BINARY,
     DEFAULT_MAX_FRAME,
     FrameTooLarge,
     MsgBroadcast,
@@ -106,7 +106,6 @@ class HubWorker(DataPlane):
         seed: int = 0,
         mean_delay: float = 0.0005,
         jitter: str = "uniform",
-        codec: int = CODEC_BINARY,
         max_frame: int = DEFAULT_MAX_FRAME,
         link_plan: LinkPlan | None = None,
         high_water: int = DEFAULT_HIGH_WATER,
@@ -121,7 +120,6 @@ class HubWorker(DataPlane):
             events=_Uplink(self),
             mean_delay=mean_delay,
             jitter=jitter,
-            codec=codec,
             max_frame=max_frame,
             high_water=high_water,
         )
@@ -140,7 +138,6 @@ class HubWorker(DataPlane):
         if not isinstance(msg, HubHello):
             self._drop(link)
             return
-        link.codec = self._conn_codec(msg.codec)
         link.ident = msg.hub
         if msg.hub == CONTROL_LINK:
             link.kind = "control"
@@ -188,7 +185,7 @@ class HubWorker(DataPlane):
             return None  # hub 0, or no dialable address: route via control
         try:
             link = HubLink.dial(
-                *endpoint, HubHello(self.index, self.codec), self.codec, self.max_frame
+                *endpoint, HubHello(self.index, CODEC_BINARY), self.max_frame
             )
         except SimulationError:
             return None
@@ -273,7 +270,6 @@ def serve_hub(
     seed: int = 0,
     mean_delay: float = 0.0005,
     jitter: str = "uniform",
-    codec: int = CODEC_BINARY,
     max_frame: int = DEFAULT_MAX_FRAME,
     high_water: int = DEFAULT_HIGH_WATER,
     deadline_seconds: float = 300.0,
@@ -309,7 +305,6 @@ def serve_hub(
         seed=seed,
         mean_delay=mean_delay,
         jitter=jitter,
-        codec=codec,
         max_frame=max_frame,
         high_water=high_water,
     )

@@ -43,8 +43,8 @@ class HubHello:
     """First frame on a hub-facing link; identifies the dialing side.
 
     ``hub`` is the dialer's hub index — :data:`CONTROL_LINK` when the
-    dialer is the orchestrator.  ``codec`` announces the dialer's wire
-    codec exactly like :attr:`~repro.net.wire.Hello.codec`."""
+    dialer is the orchestrator.  ``codec`` is pinned and unread, exactly
+    like :attr:`~repro.net.wire.Hello.codec`."""
 
     hub: int
     codec: int = 0

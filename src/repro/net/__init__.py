@@ -8,8 +8,8 @@ jitter, socket buffering, real reordering — instead of a simulated clock.
 
 Layout:
 
-* :mod:`repro.net.wire` — length-prefixed framing and the versioned codec
-  (the wire protocol proper);
+* :mod:`repro.net.wire` — length-prefixed, versioned framing of binary-codec
+  payloads (the wire protocol proper);
 * :mod:`repro.net.node` — the worker process hosting one sans-IO
   :class:`~repro.runtime.protocol.Protocol` behind
   :class:`~repro.engine.interpreter.ExecutionPorts`, one socket per hub;
@@ -40,7 +40,6 @@ from .faults import (
     plan_from_plane,
 )
 from .wire import (
-    CODEC_PICKLE,
     WIRE_VERSION,
     FrameDecoder,
     FrameTooLarge,
@@ -62,7 +61,6 @@ __all__ = [
     "ProcessCrash",
     "plan_from_plane",
     "WIRE_VERSION",
-    "CODEC_PICKLE",
     "FrameDecoder",
     "FrameTooLarge",
     "TruncatedStream",

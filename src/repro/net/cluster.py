@@ -51,7 +51,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from ..codec import CODEC_IDS, Opaque
 from ..engine.events import DeliverEvent, EventSink, SendEvent
 from ..engine.faults import RestartPlan
 from ..engine.interpreter import dispatch_service_call
@@ -67,7 +66,6 @@ from .events import HubEvents, StreamClock
 from .faults import LinkPlan, ProcessCrash
 from .node import connect_with_retry, node_main
 from .wire import (
-    CODEC_BINARY,
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     FrameTooLarge,
@@ -75,7 +73,6 @@ from .wire import (
     MsgBroadcast,
     MsgDecide,
     MsgDeliver,
-    MsgDeliverBatch,
     MsgLog,
     MsgOutput,
     MsgSend,
@@ -109,24 +106,6 @@ OUTBOX_CAP = 4 << 20
 CLOSE_LINGER = 1.0
 
 
-def materialize_for(codec: int, msg: Any) -> Any:
-    """Decode relayed :class:`~repro.codec.Opaque` spans when the
-    destination link does not speak the binary codec (mixed-codec cluster):
-    a span splices only into binary frames."""
-    if codec == CODEC_BINARY:
-        return msg
-    if type(msg) is MsgDeliver and type(msg.payload) is Opaque:
-        return MsgDeliver(msg.sender, msg.payload.decode(), msg.depth)
-    if type(msg) is MsgDeliverBatch:
-        return MsgDeliverBatch(
-            tuple(
-                (s, p.decode() if type(p) is Opaque else p, d)
-                for s, p, d in msg.entries
-            )
-        )
-    return msg
-
-
 class HubLink:
     """One framed link to or from a hub: socket, decoder, identity, outbox.
 
@@ -146,19 +125,16 @@ class HubLink:
     """
 
     __slots__ = (
-        "sock", "decoder", "codec", "max_frame", "kind", "ident", "outbox", "writing",
-        "broken",
+        "sock", "decoder", "max_frame", "kind", "ident", "outbox", "writing", "broken",
     )
 
     def __init__(
         self,
         sock: socket.socket,
-        codec: int = CODEC_BINARY,
         max_frame: int = DEFAULT_MAX_FRAME,
         lazy: bool = True,
     ) -> None:
         self.sock = sock
-        self.codec = codec
         self.max_frame = max_frame
         self.decoder = FrameDecoder(max_frame, lazy=lazy)
         self.kind = "pending"
@@ -173,7 +149,6 @@ class HubLink:
         family: int,
         address: Any,
         hello: Any,
-        codec: int,
         max_frame: int = DEFAULT_MAX_FRAME,
         lazy: bool = True,
     ) -> "HubLink":
@@ -182,7 +157,7 @@ class HubLink:
         Raises:
             SimulationError: the endpoint never accepted.
         """
-        link = cls(connect_with_retry(family, address), codec, max_frame, lazy)
+        link = cls(connect_with_retry(family, address), max_frame, lazy)
         link.send(hello)
         return link
 
@@ -193,11 +168,11 @@ class HubLink:
         Raises:
             FrameTooLarge: some frame exceeds the cap.
         """
-        out, codec = self.outbox, self.codec
+        out = self.outbox
         mark = len(out)
         try:
             for msg in msgs:
-                encode_frame_into(materialize_for(codec, msg), out, codec, self.max_frame)
+                encode_frame_into(msg, out, max_frame=self.max_frame)
         except Exception:
             del out[mark:]
             raise
@@ -260,7 +235,6 @@ class DataPlane:
         events: HubEvents,
         mean_delay: float,
         jitter: str,
-        codec: int,
         max_frame: int,
         high_water: int,
     ) -> None:
@@ -276,7 +250,6 @@ class DataPlane:
             LognormalLatency(mean_delay) if jitter == "lognormal" and mean_delay > 0
             else None
         )
-        self.codec = codec
         self.max_frame = max_frame
         #: ready-queue saturation watermark; the latch makes the event fire
         #: once per saturation episode, not once per frame past the mark.
@@ -316,12 +289,7 @@ class DataPlane:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Whoever dialed is classified when (if) its first frame arrives —
         # a dialer that says nothing costs the loop nothing.
-        self._attach(HubLink(sock, self.codec, self.max_frame))
-
-    def _conn_codec(self, announced: int) -> int:
-        """The codec to speak on a link: the announced one when it is a
-        known id, the hub default otherwise (``0`` = no preference)."""
-        return announced if announced in CODEC_IDS else self.codec
+        self._attach(HubLink(sock, self.max_frame))
 
     def _classify(self, link: HubLink, msg: Any) -> None:
         """First frame on a fresh link decides what it is.  A ``Hello``
@@ -337,7 +305,6 @@ class DataPlane:
             self._drop(link)
         else:
             link.kind, link.ident = "node", msg.pid
-            link.codec = self._conn_codec(msg.codec)
             self._nodes[msg.pid] = link
             self._admitted(link)
 
@@ -598,8 +565,8 @@ class NetRunResult(RunResult):
     #: ``stats.messages_sent``.  (A mesh's data hubs count theirs too, but
     #: the pinned ``HubStats`` record has no field to report it in.)
     hub_frames_in: int = 0
-    #: bytes the hub wrote to node sockets (the codec ablation's
-    #: bytes-per-frame denominator is ``hub_bytes / hub_frames``).
+    #: bytes the hub wrote to node sockets (bytes per frame is
+    #: ``hub_bytes / hub_frames``).
     hub_bytes: int = 0
     #: per-hub frame/byte split (hub index → count).  The star topology has
     #: exactly one hub, so these are ``{0: hub_frames}`` / ``{0: hub_bytes}``;
@@ -644,9 +611,6 @@ class NetCluster(DataPlane):
         event_sink: optional structured-event sink; times are wall-clock
             seconds since the run started.
         transport: ``"uds"`` (default) or ``"tcp"`` (loopback).
-        codec: wire codec (:data:`~repro.net.wire.CODEC_BINARY` default —
-            the struct-packed data plane; nodes announce theirs in the
-            Hello frame and the hub honors it per connection).
         max_frame: frame size cap, enforced on every link in both
             directions.
         link_plan: transport-level fault plan (see
@@ -681,7 +645,6 @@ class NetCluster(DataPlane):
         mean_delay: float = 0.0005,
         event_sink: EventSink | None = None,
         transport: str = "uds",
-        codec: int = CODEC_BINARY,
         max_frame: int = DEFAULT_MAX_FRAME,
         link_plan: LinkPlan | None = None,
         chaos: Mapping[ProcessId, ProcessCrash] | None = None,
@@ -716,7 +679,6 @@ class NetCluster(DataPlane):
             events=HubEvents(event_sink, self._clock),
             mean_delay=mean_delay,
             jitter=jitter,
-            codec=codec,
             max_frame=max_frame,
             high_water=high_water,
         )
@@ -786,7 +748,6 @@ class NetCluster(DataPlane):
                 self.route,
             ),
             kwargs={
-                "codec": self.codec,
                 "max_frame": self.max_frame,
                 "crash": None if restarted else self.chaos.get(pid),
                 "build": plan.factory if plan is not None else None,

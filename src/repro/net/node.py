@@ -40,7 +40,7 @@ from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..types import ProcessId
 from .faults import NODE_ENV_MARKER, ProcessCrash
 from .wire import (
-    CODEC_PICKLE,
+    CODEC_BINARY,
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     Hello,
@@ -120,7 +120,6 @@ class NodeWorker(ExecutionPorts):
         route: ``"direct"`` steers each data frame to the hub owning its
             shard; ``"hub0"`` sends everything to hub 0 (exercising the
             hub-to-hub relay path end to end).
-        codec: wire codec for outgoing frames.
         max_frame: frame size cap (must match the hubs').
         crash: optional :class:`~repro.net.faults.ProcessCrash` chaos spec;
             checked before every outgoing message write.
@@ -133,7 +132,6 @@ class NodeWorker(ExecutionPorts):
         socks: list[socket.socket],
         shards: int = 1,
         route: str = "direct",
-        codec: int = CODEC_PICKLE,
         max_frame: int = DEFAULT_MAX_FRAME,
         crash: ProcessCrash | None = None,
     ) -> None:
@@ -145,7 +143,6 @@ class NodeWorker(ExecutionPorts):
         self.socks = socks
         self.shards = shards
         self.steer = route == "direct" and len(socks) > 1
-        self.codec = codec
         self.max_frame = max_frame
         self.crash = crash
         self._sent = 0
@@ -164,7 +161,7 @@ class NodeWorker(ExecutionPorts):
             self.crash.maybe_kill(self._sent)
         buf = self._buf
         buf.clear()
-        encode_frame_into(msg, buf, self.codec, self.max_frame)
+        encode_frame_into(msg, buf, max_frame=self.max_frame)
         # Blocking, from inside a handler, without reading: safe because no
         # hub ever blocks in a write of its own (see repro.net.cluster).
         self.socks[hub].sendall(buf)
@@ -230,7 +227,7 @@ class NodeWorker(ExecutionPorts):
             for hub, sock in enumerate(socks):
                 sock.settimeout(recv_timeout)
                 sel.register(sock, selectors.EVENT_READ)
-                self._write(Hello(self.pid, self.codec), hub)
+                self._write(Hello(self.pid, CODEC_BINARY), hub)
             self._hello_sent = True
             self._sent = 0
             while True:
@@ -280,7 +277,6 @@ def node_main(
     endpoints: list[tuple[int, Any]],
     shards: int = 1,
     route: str = "direct",
-    codec: int = CODEC_PICKLE,
     max_frame: int = DEFAULT_MAX_FRAME,
     crash: ProcessCrash | None = None,
     recv_timeout: float = 60.0,
@@ -308,7 +304,7 @@ def node_main(
         for family, address in endpoints:
             socks.append(connect_with_retry(family, address))
         worker = NodeWorker(
-            pid, protocol, socks, shards, route, codec, max_frame, crash
+            pid, protocol, socks, shards, route, max_frame, crash
         )
         code = worker.run(recv_timeout)
     except SimulationError:

@@ -13,18 +13,11 @@ letting them mis-decode each other's payloads.
 
 This module owns *framing* — length prefixes, size caps, version checks —
 and nothing else.  Payload bytes are produced and consumed by
-:mod:`repro.codec`; the codec byte of the header selects which codec, per
-frame:
-
-* ``CODEC_BINARY`` — the data plane: struct-packed records from the schema
-  registry, relayable without decoding (see :class:`repro.codec.Opaque`).
-* ``CODEC_PICKLE`` — legacy escape hatch; only safe because every peer is
-  a process *we forked on this machine*.
-
-Each side announces its preferred codec in the hello frame
-(:attr:`Hello.codec`) and the hub honors it per connection, so mixed-codec
-clusters work: the frame header, not the cluster config, is authoritative
-for every frame.
+:mod:`repro.codec`: every frame is ``CODEC_BINARY``, struct-packed records
+from the schema registry, relayable without decoding (see
+:class:`repro.codec.Opaque`).  A frame with any other codec byte is a
+:class:`WireError` before a byte of its payload is looked at — ids 1 and 2
+are reserved for codecs that are gone.
 
 Size caps are enforced on both sides: :func:`encode_frame` refuses to
 build an oversized frame and :class:`FrameDecoder` rejects an oversized
@@ -43,8 +36,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..codec import CODEC_BINARY, CODEC_PICKLE, BinaryCodec, CodecError, codec_for
-from ..codec.binary import DELIVERY_ENTRIES
+from ..codec import CODEC_BINARY, BinaryCodec
+from ..codec.binary import DELIVERY_ENTRIES, encode_into
 from ..codec.schema import wire_record
 from ..errors import ReproError
 from ..runtime.effects import ServiceCall
@@ -52,7 +45,6 @@ from ..types import ProcessId
 
 __all__ = [
     "WIRE_VERSION",
-    "CODEC_PICKLE",
     "CODEC_BINARY",
     "DEFAULT_MAX_FRAME",
     "DELIVERY_BATCH_CHUNK",
@@ -102,7 +94,7 @@ class TruncatedStream(WireError):
 def encode_frame_into(
     obj: Any,
     buf: bytearray,
-    codec: int = CODEC_PICKLE,
+    codec: int = CODEC_BINARY,
     max_frame: int = DEFAULT_MAX_FRAME,
 ) -> None:
     """Append one complete wire frame for ``obj`` to ``buf``.
@@ -114,20 +106,21 @@ def encode_frame_into(
     failure the buffer is restored to its original length, so a caller
     coalescing many frames can fall back per-frame.
 
+    ``codec`` has one legal value: ``benchmarks/e2e/layers.py`` passes
+    ``CODEC_BINARY`` positionally, so the parameter stays until it stops.
+
     Raises:
         FrameTooLarge: the encoded body exceeds ``max_frame``.
-        WireError: unknown codec id.
+        WireError: ``codec`` is not ``CODEC_BINARY``.
     """
-    try:
-        payload_codec = codec_for(codec)
-    except CodecError as exc:
-        raise WireError(str(exc)) from None
+    if codec != CODEC_BINARY:
+        raise WireError(f"unknown codec id {codec}")
     start = len(buf)
     buf += b"\x00\x00\x00\x00"  # length backpatched below
     buf.append(WIRE_VERSION)
-    buf.append(codec)
+    buf.append(CODEC_BINARY)
     try:
-        payload_codec.encode_into(obj, buf)
+        encode_into(obj, buf)
     except Exception:
         del buf[start:]
         raise
@@ -140,17 +133,14 @@ def encode_frame_into(
     _LENGTH.pack_into(buf, start, body_len)
 
 
-def encode_frame(
-    obj: Any, codec: int = CODEC_PICKLE, max_frame: int = DEFAULT_MAX_FRAME
-) -> bytes:
+def encode_frame(obj: Any, *, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
     """Encode one message as a complete wire frame.
 
     Raises:
         FrameTooLarge: the encoded body exceeds ``max_frame``.
-        WireError: unknown codec id.
     """
     buf = bytearray()
-    encode_frame_into(obj, buf, codec, max_frame)
+    encode_frame_into(obj, buf, CODEC_BINARY, max_frame)
     return bytes(buf)
 
 
@@ -211,21 +201,15 @@ class FrameDecoder:
                     return
                 version = buffer[body]
                 codec = buffer[body + 1]
-                payload = bytes(buffer[body + _HEADER_BYTES : end])
                 pos = end
                 if version != WIRE_VERSION:
                     raise WireError(
                         f"wire version mismatch: peer speaks v{version}, "
                         f"this end speaks v{WIRE_VERSION}"
                     )
-                if codec == CODEC_BINARY:
-                    payload_codec = self._binary
-                else:
-                    try:
-                        payload_codec = codec_for(codec)
-                    except CodecError:
-                        raise WireError(f"unknown codec id {codec}") from None
-                yield payload_codec.decode(payload)
+                if codec != CODEC_BINARY:
+                    raise WireError(f"unknown codec id {codec}")
+                yield self._binary.decode(bytes(buffer[body + _HEADER_BYTES : end]))
         finally:
             # Consumed frames leave the buffer once per call, not once per
             # frame (each ``del`` memmoves the rest of a 64 KB read).  In
@@ -259,9 +243,9 @@ class FrameDecoder:
 class Hello:
     """Node → hub: first frame after connecting; identifies the node.
 
-    ``codec`` announces the codec the node will write and wants to read;
-    the hub honors it per connection (``0`` = use the hub's default, which
-    is also what legacy pickled hellos decode to)."""
+    ``codec`` is a pinned field nobody reads: nodes write ``CODEC_BINARY``
+    there, and the golden frames and the registry drift table hold the
+    record's shape."""
 
     pid: ProcessId
     codec: int = 0

@@ -694,8 +694,9 @@ class ShardedService:
             per-slot step accounting of the metrics).
         net_jitter: hub jitter model on the socket engine
             (``"uniform"`` or ``"lognormal"``).
-        codec: payload codec on the socket engine and for durable records
-            (``"binary"`` — the struct-packed default — or ``"pickle"``).
+        codec: ``"binary"``, the only legal value —
+            ``benchmarks/e2e/workloads.py`` passes it, so the keyword stays
+            until that stops.
         event_sink: optional extra sink receiving the run's event stream.
         durability: optional :class:`~repro.durable.recovery.
             DurabilityConfig` — every replica persists proposals and
@@ -727,6 +728,8 @@ class ShardedService:
         durability: DurabilityConfig | None = None,
         mesh: Any = None,
     ) -> None:
+        if codec != "binary":
+            raise ConfigurationError(f"unknown codec {codec!r}; the only codec is 'binary'")
         self.config = SystemConfig(n, t if t is not None else max((n - 1) // 6, 0))
         if not self.config.satisfies(6):
             raise ConfigurationError(
@@ -745,7 +748,6 @@ class ShardedService:
         self.engine = engine
         self.uc_step_cost = uc_step_cost
         self.net_jitter = net_jitter
-        self.codec = codec
         self.event_sink = event_sink
         self.durability = durability
         #: optional :class:`~repro.mesh.topology.MeshTopology` — parallel
@@ -809,7 +811,6 @@ class ShardedService:
             seed=self.seed,
             event_sink=sink,
             net_jitter=self.net_jitter,
-            codec=self.codec,
             restarts=restarts,
             durability=self.durability,
             mesh=self.mesh,

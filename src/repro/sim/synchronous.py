@@ -230,13 +230,11 @@ class LockstepSimulation(Engine):
         protocols: Mapping[ProcessId, Protocol],
         faulty: frozenset[ProcessId] | set[ProcessId] = frozenset(),
         services: Mapping[str, Service] | None = None,
-        seed: int = 0,
         event_sink: EventSink | None = None,
         max_rounds: int = 10_000,
     ) -> None:
         super().__init__(config, protocols, faulty, services, event_sink)
         self.protocols = dict(protocols)
-        self.rng = random.Random(seed)  # unused by the schedule; kept for parity
         self.max_rounds = max_rounds
         self.time = 0.0
         self._depths: dict[ProcessId, int] = {pid: 0 for pid in config.processes}

@@ -36,14 +36,7 @@ from repro.baselines.brasileiro import BrasileiroValue
 from repro.baselines.crash_onestep import CrashValue
 from repro.baselines.sync_onestep import SyncFlood, SyncRound1
 from repro.broadcast.idb import IdbEcho, IdbInit
-from repro.codec import (
-    CODEC_BINARY,
-    CODEC_PICKLE,
-    CodecError,
-    Opaque,
-    codec_for,
-    codec_named,
-)
+from repro.codec import CODEC_BINARY, CodecError, Opaque
 from repro.codec.binary import (
     SPAN_MEMO_ENTRIES,
     SPAN_MEMO_MAX_BYTES,
@@ -81,6 +74,7 @@ from repro.net.wire import (
     MsgService,
     Start,
     Stop,
+    WireError,
     encode_frame,
 )
 from repro.runtime.effects import Deliver, Envelope, ServiceCall
@@ -154,7 +148,7 @@ def golden_messages():
 
 
 def golden_bytes():
-    return b"".join(encode_frame(m, CODEC_BINARY) for m in golden_messages())
+    return b"".join(encode_frame(m) for m in golden_messages())
 
 
 def write_golden():
@@ -329,7 +323,7 @@ class TestGoldenFrames:
         and still splice back to identical wire bytes."""
         decoder = FrameDecoder(lazy=True)
         decoded = list(decoder.feed(GOLDEN_PATH.read_bytes()))
-        relayed = b"".join(encode_frame(m, CODEC_BINARY) for m in decoded)
+        relayed = b"".join(encode_frame(m) for m in decoded)
         assert relayed == GOLDEN_PATH.read_bytes()
 
 
@@ -390,7 +384,7 @@ class TestSpanMemo:
 
     def test_immutable_spans_decode_once_and_are_shared(self):
         decoder = FrameDecoder()
-        frame = encode_frame(MsgDeliver(1, _consensus_envelope(), 2), CODEC_BINARY)
+        frame = encode_frame(MsgDeliver(1, _consensus_envelope(), 2))
         first, second = decoder.feed(frame + frame)
         assert first == second and first.payload is second.payload
         # ... per link: another decoder owes this one nothing
@@ -454,34 +448,18 @@ class TestSpanMemo:
         assert BinaryCodec(lazy=True)._spans is None
 
 
-# -- the escape hatches ----------------------------------------------------------------
+# -- codec ids: one codec, the rest reserved -------------------------------------------
 
 
 class TestFallbackCodecs:
-    @pytest.mark.parametrize("codec_id", [CODEC_PICKLE, CODEC_BINARY])
-    def test_same_interface(self, codec_id):
-        codec = codec_for(codec_id)
-        value = {"a": [1, 2], "b": None}
-        buf = bytearray()
-        codec.encode_into(value, buf)
-        assert codec.decode(bytes(buf)) == value
-        assert codec.decode(codec.encode(value)) == value
-
-    def test_pickle_handles_arbitrary_objects(self):
-        codec = codec_for(CODEC_PICKLE)
-        assert codec.decode(codec.encode(golden_messages())) == golden_messages()
-
     def test_unknown_codec_id_rejected(self):
-        for codec_id in (77, 2):  # 2 is reserved (it was JSON), never assigned
-            with pytest.raises(CodecError):
-                codec_for(codec_id)
-
-    def test_codec_named(self):
-        assert codec_named("binary") == CODEC_BINARY
-        assert codec_named("pickle") == CODEC_PICKLE
-        for name in ("json", "msgpack"):
-            with pytest.raises(CodecError):
-                codec_named(name)
+        # 1 (it was pickle) and 2 (it was JSON) are reserved, never assigned.
+        for codec_id in (77, 2, 1):
+            frame = bytearray(encode_frame(Start()))
+            frame[5] = codec_id
+            with pytest.raises(WireError, match=f"unknown codec id {codec_id}"):
+                list(FrameDecoder().feed(bytes(frame)))
+        assert list(FrameDecoder().feed(encode_frame(Start()))) == [Start()]
 
 
 # -- decode robustness -----------------------------------------------------------------
@@ -800,7 +778,7 @@ class TestBlobFramedValues:
     def test_equal_value_bytes_decode_to_one_object_per_decoder(self):
         decoder = FrameDecoder()
         frames = b"".join(
-            encode_frame(MsgDeliver(sender, payload, 1), CODEC_BINARY)
+            encode_frame(MsgDeliver(sender, payload, 1))
             for sender, payload in enumerate(self._payloads(self.BATCH))
         )
         proposal, init, echo, other = (m.payload for m in decoder.feed(frames))
@@ -891,6 +869,6 @@ class TestBytesLikeInputs:
         wire = encode(self.MESSAGES[0])
         buffer = bytearray(b"\x03" + wire + b"tail")
         view = memoryview(buffer)[1 : 1 + len(wire)]
-        assert codec_for(CODEC_BINARY).decode(view) == self.MESSAGES[0]
+        assert BinaryCodec().decode(view) == self.MESSAGES[0]
         with pytest.raises(CodecError):
             decode(memoryview(buffer)[1:])  # trailing bytes, whatever the type

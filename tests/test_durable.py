@@ -33,7 +33,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.rsm import KeyValueStore
-from repro.codec import CODEC_BINARY, CODEC_NAMES, CODEC_PICKLE, codec_for
+from repro.codec import CODEC_BINARY
+from repro.codec.binary import encode
 from repro.durable import (
     ApplyRecord,
     CatchUpReply,
@@ -45,7 +46,6 @@ from repro.durable import (
     ShardSnapshot,
     SnapshotStore,
     WriteAheadLog,
-    codec_label,
     encode_record,
     scan_records,
 )
@@ -58,6 +58,7 @@ from repro.shard.service import ShardNode, ShardedService, dex_shard_factory
 from repro.types import SystemConfig
 
 from .test_net_engine import assert_no_leaks
+from .test_net_wire import Unpickled
 
 
 # -- WAL framing and corruption --------------------------------------------------------
@@ -84,7 +85,6 @@ class TestWalRoundtrip:
     def test_missing_file_is_an_empty_log(self, tmp_path):
         result = scan_records(str(tmp_path / "absent.log"))
         assert result.records == [] and result.good_bytes == 0
-        assert result.codecs == [] and result.codec_counts() == {}
 
     def test_oversize_record_rejected_before_write(self):
         with pytest.raises(ValueError):
@@ -104,21 +104,20 @@ class TestWalRoundtrip:
         reopened.close()
 
 
-@pytest.mark.parametrize(
-    "codec", [CODEC_BINARY, CODEC_PICKLE], ids=["binary", "pickle"]
-)
+@pytest.mark.parametrize("codec", [CODEC_BINARY], ids=["binary"])
 class TestWalCorruption:
     """The crash-damage trio: every case recovers cleanly on open.
 
-    Parametrized over the binary and pickle codecs — the self-healing
-    contract is framing-level and must hold whatever the bodies are.
+    The codec axis has one value, the binary codec every record is written
+    in — the self-healing contract is framing-level, whatever the bodies.
     """
 
     def _write(self, path, records, codec):
-        wal = WriteAheadLog(path, codec=codec)
+        wal = WriteAheadLog(path)
         for record in records:
             wal.append(record)
         wal.close()
+        assert pathlib.Path(path).read_bytes()[8] == codec  # first codec byte
 
     def test_torn_final_record_truncated(self, tmp_path, codec):
         path = str(tmp_path / "wal.log")
@@ -126,12 +125,9 @@ class TestWalCorruption:
         self._write(path, good, codec)
         intact = os.path.getsize(path)
         with open(path, "ab") as fh:  # crash mid-append: half a record
-            fh.write(
-                encode_record(ApplyRecord(0, 3, (("set", "k", 3),)), codec=codec)[:-5]
-            )
-        wal = WriteAheadLog(path, codec=codec)
+            fh.write(encode_record(ApplyRecord(0, 3, (("set", "k", 3),)))[:-5])
+        wal = WriteAheadLog(path)
         assert wal.recovered == good
-        assert wal.recovered_codec_counts() == {codec_label(codec): 3}
         assert wal.truncated_bytes > 0
         assert os.path.getsize(path) == intact  # tail healed away
         wal.append(ApplyRecord(0, 3, (("set", "k", 3),)))  # append-ready again
@@ -144,11 +140,11 @@ class TestWalCorruption:
         path = str(tmp_path / "wal.log")
         records = [DecideRecord(0, s, "one-step") for s in range(3)]
         self._write(path, records, codec)
-        first = len(encode_record(records[0], codec=codec))
+        first = len(encode_record(records[0]))
         data = bytearray(pathlib.Path(path).read_bytes())
         data[first + 10] ^= 0xFF  # flip a byte inside the second record
         pathlib.Path(path).write_bytes(bytes(data))
-        wal = WriteAheadLog(path, codec=codec)
+        wal = WriteAheadLog(path)
         assert wal.recovered == records[:1]  # nothing after the hole is trusted
         assert wal.truncated_bytes > 0
         assert os.path.getsize(path) == first
@@ -157,7 +153,7 @@ class TestWalCorruption:
     def test_empty_file_recovers_to_genesis(self, tmp_path, codec):
         path = str(tmp_path / "wal.log")
         pathlib.Path(path).touch()
-        wal = WriteAheadLog(path, codec=codec)
+        wal = WriteAheadLog(path)
         assert wal.recovered == [] and wal.truncated_bytes == 0
         wal.append(DecideRecord(0, 0, "one-step"))
         wal.close()
@@ -167,16 +163,9 @@ class TestWalCorruption:
         self._write(path, [DecideRecord(0, 0, "one-step")], codec)
         with open(path, "ab") as fh:
             fh.write(b"\xff\xff\xff\xff\x00\x00\x00\x00garbage")
-        wal = WriteAheadLog(path, codec=codec)
+        wal = WriteAheadLog(path)
         assert wal.recovered == [DecideRecord(0, 0, "one-step")]
         wal.close()
-
-
-class _Unpickled:
-    """A raw-pickle payload that fails the test if anything unpickles it."""
-
-    def __reduce__(self):
-        return (pytest.fail, ("a payload with no codec byte was unpickled",))
 
 
 def _frame(payload: bytes) -> bytes:
@@ -185,18 +174,17 @@ def _frame(payload: bytes) -> bytes:
 
 
 def _unknown_first_byte_payloads(obj) -> list[bytes]:
-    """Payloads whose first byte names no codec: a raw pickle (``0x80``
-    PROTO opcode), and the reserved id 2 (it was JSON) before a valid
-    binary encoding of ``obj``."""
-    return [
-        pickle.dumps(_Unpickled(), pickle.HIGHEST_PROTOCOL),
-        b"\x02" + codec_for(CODEC_BINARY).encode(obj),
-    ]
+    """Payloads whose first byte is not ``CODEC_BINARY``: a raw pickle
+    (``0x80`` PROTO opcode), the reserved id 1 (it was pickle) before a
+    pickle, and the reserved id 2 (it was JSON) before a valid binary
+    encoding of ``obj``."""
+    unpickled = pickle.dumps(Unpickled(), pickle.HIGHEST_PROTOCOL)
+    return [unpickled, b"\x01" + unpickled, b"\x02" + encode(obj)]
 
 
 class TestWalCodecCompat:
-    """Each record is decoded by the codec it declares — and only by one
-    it declares: an unknown first byte is corruption, not a format."""
+    """Only a ``CODEC_BINARY`` first byte is decoded: any other first byte
+    is corruption, not a format, and its body is never looked at."""
 
     def test_unknown_first_byte_stops_the_scan(self, tmp_path):
         good = DecideRecord(0, 0, "one-step")
@@ -211,30 +199,6 @@ class TestWalCodecCompat:
             assert wal.truncated_bytes > 0
             assert os.path.getsize(path) == len(encode_record(good))
             wal.close()
-
-    def test_mixed_codec_log_accounts_per_record(self, tmp_path):
-        """A log written across a codec switch: pickle-codec records, then
-        binary — one file, two codecs, each record decoded by what it
-        declares."""
-        path = str(tmp_path / "wal.log")
-        wal = WriteAheadLog(path, codec=CODEC_PICKLE)
-        wal.append(DecideRecord(0, 0, "two-step"))
-        wal.close()
-        wal = WriteAheadLog(path, codec=CODEC_BINARY)
-        wal.append(DecideRecord(0, 1, "one-step"))
-        wal.close()
-        result = scan_records(path)
-        assert [r.slot for r in result.records] == [0, 1]
-        assert result.codecs == [CODEC_PICKLE, CODEC_BINARY]
-        assert result.codec_counts() == {"pickle": 1, "binary": 1}
-
-    def test_recovered_state_reports_wal_codecs(self, tmp_path):
-        config = DurabilityConfig(str(tmp_path), snapshot_every=0)
-        writer = config.node(0)
-        writer.commit(0, 0, (("set", "a", 1),), "one-step")
-        writer.close()
-        state = config.node(0).recover(1)
-        assert state.wal_codecs == {"binary": 2}  # decide + apply records
 
     def test_unknown_first_byte_snapshot_loads_as_none(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
@@ -420,23 +384,22 @@ class TestIncrementalSnapshot:
         ops=st.lists(st.tuples(st.integers(0, 2), _batch, st.booleans()), max_size=24),
         every=st.integers(min_value=1, max_value=4),
         restart_at=st.none() | st.integers(min_value=0, max_value=23),
-        codec=st.sampled_from(["binary", "pickle"]),
     )
     # restart mid-history, then two more snapshots over the recovered prefix
     @example(
         ops=[(s % 3, (("set", "a", s),), True) for s in range(12)],
-        every=3, restart_at=5, codec="binary",
+        every=3, restart_at=5,
     )
     def test_file_is_byte_identical_to_a_full_save(
-        self, tmp_path_factory, ops, every, restart_at, codec
+        self, tmp_path_factory, ops, every, restart_at
     ):
         """Any interleaving of ``commit``/``maybe_snapshot`` across shards,
         with or without a restart in the middle (the new process starts
         with nothing encoded and resumes from its ``RecoveredState``),
         leaves exactly ``SnapshotStore.save(ShardSnapshot(...))`` on disk."""
         root = tmp_path_factory.mktemp("snap-prop")
-        config = DurabilityConfig(str(root / "live"), snapshot_every=every, codec=codec)
-        reference = SnapshotStore(str(root), codec=CODEC_NAMES[codec])
+        config = DurabilityConfig(str(root / "live"), snapshot_every=every)
+        reference = SnapshotStore(str(root))
         durability = config.node(0)
         shards = range(3)
         slots = {s: 0 for s in shards}

@@ -16,15 +16,16 @@ Five layers, mirroring :mod:`repro.frontend`'s structure:
   StreamAggregate` / :class:`~repro.shard.metrics.ShardStreamSink` — an
   empty shard, a single-sample shard, and a shed-only run must yield a
   defined number or an explicit ``None``, never a crash;
-* ``@pytest.mark.net`` socket round-trips: submit→decide→reply over UDS
-  in both the binary and pickle codecs, plus shed rejections mid-session.
+* ``@pytest.mark.net`` socket round-trips: submit→decide→reply over UDS,
+  shed rejections mid-session, and a client frame in a reserved codec
+  refused unread.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codec import CODEC_BINARY, CODEC_PICKLE
+from repro.codec import CODEC_BINARY
 from repro.engine.events import EventLog, LogEvent
 from repro.errors import ConfigurationError, ReproError
 from repro.frontend import (
@@ -33,6 +34,7 @@ from repro.frontend import (
     AdmissionQueue,
     ClientRejected,
     ClientReply,
+    ClientSubmit,
     Frontend,
     FrontendReport,
     FrontendServer,
@@ -43,9 +45,12 @@ from repro.frontend import (
     saturation_sweep,
 )
 from repro.metrics.collectors import StreamAggregate
+from repro.net.wire import WireError, encode_frame
 from repro.shard import ShardBatcher, ShardedService, shard_of
 from repro.shard.metrics import ShardStreamSink
 from repro.types import DecisionKind
+
+from .test_net_wire import pickle_frame
 
 
 def keys_of_shard(shard: int, shards: int, count: int) -> list[str]:
@@ -412,17 +417,16 @@ def frontend_factory(**kwargs):
 
 @pytest.mark.net
 class TestSocketFrontend:
-    @pytest.mark.parametrize(
-        "codec", [CODEC_BINARY, CODEC_PICKLE], ids=["binary", "pickle"]
-    )
+    @pytest.mark.parametrize("codec", [CODEC_BINARY], ids=["binary"])
     def test_submit_decide_reply_roundtrip_over_uds(self, tmp_path, codec):
+        # The codec axis has one value: every frame either side writes.
         path = str(tmp_path / "frontend.sock")
         server = FrontendServer(
-            frontend_factory(queue_bound=32), path=path, codec=codec, tick_every=2
+            frontend_factory(queue_bound=32), path=path, tick_every=2
         )
         thread = server.serve_once_in_thread(timeout=30.0)
         try:
-            outcomes = SocketClient(path=path, codec=codec).submit_all(
+            outcomes = SocketClient(path=path).submit_all(
                 [(f"k{i}", i) for i in range(12)]
             )
         finally:
@@ -437,6 +441,23 @@ class TestSocketFrontend:
         # replies agree with the server-side digest placement
         for request_id, reply in outcomes.items():
             assert reply.shard == shard_of(f"k{request_id}", 2)
+            assert encode_frame(reply)[5] == codec
+
+    def test_a_reserved_codec_frame_is_a_wire_error_never_unpickled(self):
+        # Any UDS/TCP client reaches the session's decoder: a pickle under
+        # the reserved codec id 1 must end the session before it is loaded.
+        import socket
+
+        server = FrontendServer(frontend_factory(), path="/unused")
+        ours, theirs = socket.socketpair()
+        try:
+            theirs.sendall(encode_frame(ClientSubmit(0, "k0", 0)) + pickle_frame(1))
+            theirs.shutdown(socket.SHUT_WR)
+            with pytest.raises(WireError, match="unknown codec id 1"):
+                server._session(ours, 5.0)
+        finally:
+            ours.close()
+            theirs.close()
 
     def test_shed_rejections_stream_back_mid_session(self, tmp_path):
         path = str(tmp_path / "shed.sock")

@@ -205,16 +205,13 @@ class TestHubWorkerRouting:
         try:
             address = str(tmp_path / "hub1.sock")
             control = HubLink.dial(
-                socket.AF_UNIX, address, HubHello(CONTROL_LINK), CODEC_BINARY,
-                lazy=False,
+                socket.AF_UNIX, address, HubHello(CONTROL_LINK), lazy=False
             )
             node0 = HubLink.dial(
-                socket.AF_UNIX, address, Hello(0, CODEC_BINARY), CODEC_BINARY,
-                lazy=False,
+                socket.AF_UNIX, address, Hello(0, CODEC_BINARY), lazy=False
             )
             node1 = HubLink.dial(
-                socket.AF_UNIX, address, Hello(1, CODEC_BINARY), CODEC_BINARY,
-                lazy=False,
+                socket.AF_UNIX, address, Hello(1, CODEC_BINARY), lazy=False
             )
             (ready,) = _drain(control, 1)
             assert ready == HubReady(1, 2)

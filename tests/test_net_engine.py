@@ -61,6 +61,8 @@ from repro.net.wire import CODEC_BINARY
 from repro.types import DecisionKind
 from repro.workloads.inputs import split, unanimous
 
+from .test_net_wire import pickle_frame
+
 DATA = pathlib.Path(__file__).parent / "data" / "seed_decisions.json"
 
 # Same registries as the fixture replay in test_incremental_equiv.py: the
@@ -274,16 +276,13 @@ class TestNetSmoke:
         assert result.agreement_holds()
         assert_no_leaks()
 
-    @pytest.mark.parametrize("codec", ["binary", "pickle"])
-    def test_both_codecs_run_the_cluster_to_a_decision(self, codec):
+    def test_every_message_kind_runs_the_cluster_to_a_decision(self):
         # The contended run crosses every message kind (proposals, IDB, the
         # underlying consensus); its decided value is a race between the two
-        # proposals, so the cross-codec equality is asserted on the
-        # thin-split run, where every view's most frequent value is 1.
+        # proposals, so the value is pinned on the thin-split run, where
+        # every view's most frequent value is 1.
         for inputs, admissible in (([1, 2, 1, 2, 1, 2, 1], {1, 2}), (split(1, 2, 7, 1), {1})):
-            result = Scenario(
-                dex_freq(), inputs, seed=7, codec=codec, engine="net"
-            ).run(timeout=20.0)
+            result = Scenario(dex_freq(), inputs, seed=7, engine="net").run(timeout=20.0)
             assert not result.timed_out
             assert result.exit_codes and set(result.exit_codes.values()) == {0}
             assert result.all_correct_decided()
@@ -426,21 +425,24 @@ def _close_stub_peers():
         _STUB_PEERS.pop().close()
 
 
-def _stub_link(plane, first, codec=CODEC_BINARY):
+def _stub_link(plane, first):
     """Attach one socketpair end to ``plane`` as a fresh (pending) link whose
-    peer opens with ``first``; returns ``(hub-side link, peer)`` — the peer
-    a bare, blocking :class:`HubLink` writing ``codec`` (binary unless
-    told), as a real dialer's would be."""
+    peer opens with ``first`` — a message, or raw ``bytes``; returns
+    ``(hub-side link, peer)`` — the peer a bare, blocking :class:`HubLink`,
+    as a real dialer's would be."""
     import socket
 
     from repro.net.cluster import HubLink
 
     ours, theirs = socket.socketpair()
     theirs.settimeout(20.0)
-    link, peer = HubLink(ours), HubLink(theirs, codec, lazy=False)
+    link, peer = HubLink(ours), HubLink(theirs, lazy=False)
     _STUB_PEERS.append(peer)
     plane._attach(link)
-    assert peer.send(first)
+    if isinstance(first, bytes):
+        peer.sock.sendall(first)
+    else:
+        assert peer.send(first)
     return link, peer
 
 
@@ -454,10 +456,10 @@ def _serve(plane, until, timeout=20.0):
         plane._poll(0.01)
 
 
-def _stub_node(plane, pid, codec=CODEC_BINARY):
+def _stub_node(plane, pid):
     from repro.net.wire import Hello
 
-    link, peer = _stub_link(plane, Hello(pid, codec), codec)
+    link, peer = _stub_link(plane, Hello(pid, CODEC_BINARY))
     _serve(plane, lambda: plane._nodes.get(pid) is link)
     return link, peer
 
@@ -547,6 +549,11 @@ class TestDuplicateHello:
             dialer.sock.sendall(b"\x00\x00\x00\x02\x63\x01")  # wire version 99
             _serve(plane, lambda: link.kind == "closed")
             assert faults(1) == [(2, "wire-error")]
+            # A pickle under the reserved codec id 1 as a dialer's first
+            # frame: refused unread, before the link is ever classified.
+            pending, _ = _stub_link(plane, pickle_frame(1))
+            _serve(plane, lambda: pending.kind == "closed")
+            assert faults(1)[-1:] == [(-1, "wire-error")]
             assert plane._nodes[1] is node and node.kind == "node"
             plane._close()
 
@@ -704,30 +711,6 @@ class TestBroadcastFrame:
             peer.close()
             cluster._close()
 
-    def test_pickle_node_broadcast_reaches_binary_peers(self):
-        # Mixed-codec cluster: the frame header, not the cluster, names the
-        # codec, so a pickled MsgBroadcast fans out to a binary link as a
-        # struct-packed delivery and back to its sender as a pickled one.
-        import time
-
-        from repro.net.wire import CODEC_PICKLE, MsgBroadcast, MsgDeliver
-
-        cluster = _hub0(n=2)
-        _, pickler = _stub_node(cluster, 0, CODEC_PICKLE)
-        link, binary = _stub_node(cluster, 1)
-        try:
-            assert pickler.send(MsgBroadcast(0, self._payload(), 3))
-            _serve(cluster, lambda: cluster.sent >= 2)
-            cluster._deliver_due(time.monotonic() + 1.0)
-            expected = [MsgDeliver(0, self._payload(), 3)]
-            assert _drain(binary, 1) == expected
-            assert _drain(pickler, 1) == expected
-            assert (link.codec, cluster._nodes[0].codec) == (CODEC_BINARY, CODEC_PICKLE)
-        finally:
-            pickler.close()
-            binary.close()
-            cluster._close()
-
 
 class TestSilentDialer:
     def test_a_silent_dialer_delays_no_delivery(self, tmp_path):
@@ -798,17 +781,17 @@ class TestOutbox:
         # However the socket slices the writes, the bytes that reach the
         # wire are exactly the blocking path's: frame after frame, in order.
         from repro.net.cluster import HubLink
-        from repro.net.wire import CODEC_BINARY, FrameDecoder, MsgDeliver, encode_frame
+        from repro.net.wire import FrameDecoder, MsgDeliver, encode_frame
 
         sock = _ChokedSocket()
-        link = HubLink(sock, CODEC_BINARY, lazy=False)
+        link = HubLink(sock, lazy=False)
         msgs = [MsgDeliver(i, blob, i) for i, (blob, _) in enumerate(script)]
         for msg, (_, budgets) in zip(msgs, script):
             sock.budgets = list(budgets)
             assert link.send(msg)
         sock.budgets = None  # the socket drains at last
         assert link.flush() and not link.outbox
-        assert bytes(sock.wire) == b"".join(encode_frame(m, CODEC_BINARY) for m in msgs)
+        assert bytes(sock.wire) == b"".join(encode_frame(m) for m in msgs)
         assert list(FrameDecoder().feed(bytes(sock.wire))) == msgs
 
     def test_a_node_that_never_reads_is_disconnected_at_the_cap(self):
@@ -871,14 +854,13 @@ class TestHubWriteCannotDeadlock:
     FRAMES = 10
 
     def _traffic(self, sends):
-        from repro.net.wire import CODEC_BINARY, MsgDeliver, MsgSend, encode_frame
+        from repro.net.wire import MsgDeliver, MsgSend, encode_frame
 
         upstream = b"".join(
-            encode_frame(MsgSend(2, 1, ("vote", 7, "x" * 40), i), CODEC_BINARY)
-            for i in range(sends)
+            encode_frame(MsgSend(2, 1, ("vote", 7, "x" * 40), i)) for i in range(sends)
         )
         frames = [MsgDeliver(1, f"{i}" + "y" * 200_000, 1) for i in range(self.FRAMES)]
-        downstream = b"".join(encode_frame(f, CODEC_BINARY) for f in frames)
+        downstream = b"".join(encode_frame(f) for f in frames)
         return upstream, frames, downstream
 
     def _node(self, up_sock, upstream, down_sock, downstream, received):

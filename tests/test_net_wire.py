@@ -3,16 +3,17 @@
 Pure in-memory tests of :mod:`repro.net.wire` — no sockets, no processes —
 covering the decode paths a hostile or dying peer exercises: split reads
 across frame boundaries, oversized declared lengths, streams that end
-mid-frame, and version/codec mismatches.
+mid-frame, and version/codec mismatches.  Every frame is built by the
+binary codec, the only one that writes.
 """
 
+import pickle
 import struct
 
 import pytest
 
 from repro.net.wire import (
     CODEC_BINARY,
-    CODEC_PICKLE,
     WIRE_VERSION,
     FrameDecoder,
     FrameTooLarge,
@@ -26,7 +27,22 @@ from repro.net.wire import (
     TruncatedStream,
     WireError,
     encode_frame,
+    encode_frame_into,
 )
+
+
+class Unpickled:
+    """A pickle that fails the test if anything unpickles it."""
+
+    def __reduce__(self):
+        return (pytest.fail, ("a payload that is not CODEC_BINARY was unpickled",))
+
+
+def pickle_frame(codec: int = 1) -> bytes:
+    """A well-formed frame whose payload is a pickle of :class:`Unpickled`
+    under codec byte ``codec`` (id 1 was the pickle codec's)."""
+    payload = pickle.dumps(Unpickled(), pickle.HIGHEST_PROTOCOL)
+    return struct.pack("!I", 2 + len(payload)) + bytes((WIRE_VERSION, codec)) + payload
 
 
 def decode_all(data: bytes, max_frame: int = 1 << 20) -> list:
@@ -37,7 +53,7 @@ def decode_all(data: bytes, max_frame: int = 1 << 20) -> list:
 
 
 class TestRoundTrip:
-    def test_pickle_codec_roundtrips_wire_messages(self):
+    def test_wire_messages_roundtrip(self):
         messages = [
             Hello(3),
             Start(),
@@ -47,17 +63,15 @@ class TestRoundTrip:
             Stop(),
         ]
         data = b"".join(encode_frame(m) for m in messages)
+        assert all(frame[5] == CODEC_BINARY for frame in map(encode_frame, messages))
         assert decode_all(data) == messages
 
-    def test_mixed_codecs_on_one_stream(self):
-        data = encode_frame({"p": 1}, codec=CODEC_PICKLE) + encode_frame(
-            Hello(0), codec=CODEC_BINARY
-        )
-        assert decode_all(data) == [{"p": 1}, Hello(0)]
-
     def test_unknown_codec_on_encode(self):
-        with pytest.raises(WireError, match="unknown codec"):
-            encode_frame("x", codec=77)
+        for codec in (1, 2, 77):
+            buf = bytearray(b"kept")
+            with pytest.raises(WireError, match=f"unknown codec id {codec}"):
+                encode_frame_into("x", buf, codec)
+            assert buf == b"kept"
 
 
 class TestSplitReads:
@@ -159,30 +173,36 @@ class TestTruncation:
 
 class TestVersioning:
     def _frame_with_header(self, version: int, codec: int) -> bytes:
-        good = encode_frame("payload", codec=CODEC_PICKLE)
+        good = encode_frame("payload")
         body = bytearray(good)
         body[4] = version
         body[5] = codec
         return bytes(body)
 
     def test_version_mismatch_is_rejected(self):
-        data = self._frame_with_header(version=WIRE_VERSION + 1, codec=CODEC_PICKLE)
+        data = self._frame_with_header(version=WIRE_VERSION + 1, codec=CODEC_BINARY)
         with pytest.raises(WireError, match="wire version mismatch"):
             list(FrameDecoder().feed(data))
 
     def test_version_mismatch_names_both_versions(self):
-        data = self._frame_with_header(version=9, codec=CODEC_PICKLE)
+        data = self._frame_with_header(version=9, codec=CODEC_BINARY)
         with pytest.raises(WireError, match=r"v9.*v1"):
             list(FrameDecoder().feed(data))
 
     def test_unknown_codec_id_is_rejected(self):
-        for codec in (55, 2):  # 2 is reserved (it was JSON), never assigned
-            data = self._frame_with_header(version=WIRE_VERSION, codec=codec)
-            with pytest.raises(WireError, match=f"unknown codec id {codec}"):
-                list(FrameDecoder().feed(data))
+        # 1 (it was pickle) and 2 (it was JSON) are reserved, never
+        # reassigned; a codec-1 frame's pickle must never be loaded.
+        for data, codec in (
+            (pickle_frame(1), 1),
+            (self._frame_with_header(version=WIRE_VERSION, codec=2), 2),
+            (self._frame_with_header(version=WIRE_VERSION, codec=99), 99),
+        ):
+            for lazy in (False, True):
+                with pytest.raises(WireError, match=f"unknown codec id {codec}"):
+                    list(FrameDecoder(lazy=lazy).feed(data))
 
     def test_frames_after_a_good_one_still_checked(self):
-        data = encode_frame(Hello(0)) + self._frame_with_header(99, CODEC_PICKLE)
+        data = encode_frame(Hello(0)) + self._frame_with_header(99, CODEC_BINARY)
         decoder = FrameDecoder()
         with pytest.raises(WireError):
             list(decoder.feed(data))
