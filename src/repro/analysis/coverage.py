@@ -144,8 +144,6 @@ def pair_coverage(
     vectors: Sequence[View],
     f_values: Iterable[int],
     weights: Sequence[int] | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
 ) -> list[CoveragePoint]:
     """Fraction of ``vectors`` guaranteed to decide in ≤1 / ≤2 steps per
     failure count.
@@ -158,30 +156,8 @@ def pair_coverage(
     Args:
         weights: optional per-vector multiplicities (used by the multiset
             enumerator); fractions are then weighted by ``w / sum(weights)``.
-        parallel: compute the per-vector levels on a thread pool (chunked,
-            order-preserving — the points are identical to the serial ones).
-        max_workers: pool size when ``parallel`` (``None`` = default).
     """
-    if parallel and len(vectors) > 1:
-        from ..sim.parallel import parallel_map
-
-        chunk = max(1, len(vectors) // 32)
-        chunks = [vectors[i : i + chunk] for i in range(0, len(vectors), chunk)]
-        levels = [
-            pair_levels
-            for chunk_levels in parallel_map(
-                lambda vs: [
-                    (pair.one_step_level(v), pair.two_step_level(v)) for v in vs
-                ],
-                chunks,
-                max_workers=max_workers,
-            )
-            for pair_levels in chunk_levels
-        ]
-    else:
-        levels = [
-            (pair.one_step_level(v), pair.two_step_level(v)) for v in vectors
-        ]
+    levels = [(pair.one_step_level(v), pair.two_step_level(v)) for v in vectors]
     return _level_points(levels, weights, f_values)
 
 

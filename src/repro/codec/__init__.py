@@ -21,8 +21,10 @@ belonged to codecs that are gone, and stay reserved so a stray byte 1 or
 2 is rejected as an unknown codec rather than decoded as something else.
 
 The schema registry (:mod:`repro.codec.schema`) defines which record
-shapes the binary codec struct-packs; everything else falls back to an
-embedded pickle blob, so encoding is total.
+shapes the binary codec struct-packs: a class that crosses a socket or a
+disk registers with ``@wire_record``, and encoding an unregistered one is
+a :class:`CodecError`.  Value tag ``0x0E`` (it was a pickle escape) is
+reserved like ids 1 and 2.
 """
 
 from __future__ import annotations

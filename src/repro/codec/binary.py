@@ -23,10 +23,10 @@ Three properties a pickle of the same records cannot offer:
   bytearray, so hot loops encode straight into one reusable send buffer
   instead of allocating per-frame ``bytes``.
 * **A language-neutral core.**  Varints, UTF-8, IEEE doubles, and a
-  published tag table — nothing Python-specific on the main paths.  The
-  escape hatch (:data:`TAG_PICKLE`) wraps any unregistered object in a
-  pickle blob behind the same interface, so encoding is total; frames that
-  use it are by definition not cross-language portable.
+  published tag table — nothing Python-specific anywhere.  A class that
+  crosses a socket or a disk registers with ``@wire_record``; encoding
+  anything else is a :class:`CodecError` at the sender, and no byte a peer
+  sends can make a decoder run code.
 
 Integers use zigzag varints; ``None``/``True``/``False`` and the
 :data:`repro.types.BOTTOM` sentinel are single bytes; envelope components
@@ -49,7 +49,6 @@ compiled codec is property-tested against, byte for byte.
 
 from __future__ import annotations
 
-import pickle
 import struct
 from itertools import chain
 from operator import attrgetter
@@ -71,7 +70,8 @@ __all__ = [
 
 
 class CodecError(ReproError):
-    """A byte stream violated the binary codec (bad tag, truncation)."""
+    """A byte stream violated the binary codec (bad tag, truncation), or a
+    value has no encoding (its class is not a registered record)."""
 
 
 # -- value tags ----------------------------------------------------------------------
@@ -92,7 +92,8 @@ TAG_STRUCT = 0x0A  # varint schema tag + fields in schema order
 TAG_ENVELOPE = 0x0B  # component (see below) + payload value
 TAG_KIND = 0x0C  # varint index into DecisionKind member order
 TAG_BLOB = 0x0D  # varint length + encoded inner value
-TAG_PICKLE = 0x0E  # varint length + pickle bytes (escape hatch)
+# 0x0E is reserved, never reassigned: it was a pickle escape, and reads as
+# an unknown tag.
 TAG_BOTTOM = 0x0F
 TAG_FROZENSET = 0x10  # varint count + values in encoded-bytes order
 
@@ -289,10 +290,9 @@ def _encode_kind(obj: DecisionKind, buf: bytearray) -> None:
 
 
 def _encode_bottom(obj: Any, buf: bytearray) -> None:
-    if obj is BOTTOM:
-        buf.append(TAG_BOTTOM)
-    else:  # a second instance of the sentinel's class is just an object
-        _encode_pickle(obj, buf)
+    if obj is not BOTTOM:  # a second instance of the sentinel's class
+        raise _unregistered(type(obj))
+    buf.append(TAG_BOTTOM)
 
 
 def _encode_frozenset(obj: frozenset, buf: bytearray) -> None:
@@ -307,13 +307,6 @@ def _encode_frozenset(obj: frozenset, buf: bytearray) -> None:
         encoded.append(bytes(item_buf))
     for raw in sorted(encoded):
         buf += raw
-
-
-def _encode_pickle(obj: Any, buf: bytearray) -> None:
-    raw = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    buf.append(TAG_PICKLE)
-    _write_varint(len(raw), buf)
-    buf += raw
 
 
 def _encode_blob_field(value: Any, buf: bytearray) -> None:
@@ -387,18 +380,24 @@ _ENCODERS: dict[type, Encoder] = {
 }
 
 
+def _unregistered(kind: type) -> CodecError:
+    return CodecError(
+        f"cannot encode {kind.__module__}.{kind.__qualname__}: "
+        "not a registered record (@wire_record)"
+    )
+
+
 def _encoder_for(kind: type) -> Encoder:
     """The encoder of a type :data:`_ENCODERS` has not met: a registered
-    record's is compiled and kept, so is ``Envelope``'s.  Anything else
-    takes the pickle escape — answered afresh every time, never kept, so a
-    class that registers after its first encode is struct-packed from then
-    on."""
+    record's is compiled and kept, so is ``Envelope``'s.  Anything else is
+    a :class:`CodecError`, and nothing is kept for it, so a class that
+    registers later encodes from then on."""
     if kind is _schema_envelope_cls():
         encoder = _encode_envelope
     else:
         entry = _schema.entry_for_class(kind)
         if entry is None:
-            return _encode_pickle
+            raise _unregistered(kind)
         encoder = _compile_encoder(entry)
     _ENCODERS[kind] = encoder
     return encoder
@@ -664,8 +663,8 @@ def _materialize(data: bytes, pos: int, end: int, codec: "BinaryCodec") -> Any:
     """The value of the blob span ``data[pos:end]``: the codec's memo of it,
     or a decode — which the memo keeps if nothing mutable turned up inside.
 
-    Shareability is decided while decoding: the decoders of a ``list``, a
-    ``dict`` and the pickle escape raise ``codec._mutable``, and each span
+    Shareability is decided while decoding: the decoders of a ``list`` and
+    a ``dict`` raise ``codec._mutable``, and each span
     starts with the flag down, so after its decode the flag says whether
     *this* span may be shared.  A clean span puts the enclosing span's flag
     back; a tainted one leaves it up, tainting every span around it."""
@@ -693,15 +692,6 @@ def _materialize(data: bytes, pos: int, end: int, codec: "BinaryCodec") -> Any:
     return inner
 
 
-def _decode_pickle(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
-    codec._mutable = True  # whatever comes out of the escape is not trusted
-    length, pos = _read_varint(data, pos)
-    end = pos + length
-    if end > len(data):
-        raise CodecError("truncated pickle escape")
-    return pickle.loads(data[pos:end]), end
-
-
 def _decode_bottom(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
     return BOTTOM, pos
 
@@ -718,7 +708,7 @@ def _decode_unknown(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, i
 
 Decoder = Callable[[bytes, int, "BinaryCodec"], "tuple[Any, int]"]
 
-#: tag byte → decoder, every byte answered.
+#: tag byte → decoder, every byte answered (0x0E, reserved, as unknown).
 _DECODERS: tuple[Decoder, ...] = (
     _decode_none,
     _decode_true,
@@ -734,7 +724,7 @@ _DECODERS: tuple[Decoder, ...] = (
     _decode_envelope,
     _decode_kind,
     _decode_blob,
-    _decode_pickle,
+    _decode_unknown,
     _decode_bottom,
     _decode_frozenset,
 ) + (_decode_unknown,) * (256 - 17)
@@ -927,10 +917,16 @@ class BinaryCodec:
     def decode(self, data: bytes) -> Any:
         """Decode one value from ``bytes`` — or a ``bytearray`` or
         ``memoryview`` (WAL and snapshot readers pass slices), copied once
-        here: spans are memoised under, and ``Opaque`` holds, ``bytes``."""
+        here: spans are memoised under, and ``Opaque`` holds, ``bytes``.
+        Whatever is wrong with a malformed input — bad UTF-8, an unhashable
+        set member, a record built from the wrong fields, nesting too deep
+        — it is a :class:`CodecError`."""
         if type(data) is not bytes:
             data = bytes(data)
-        value, end = _decode_value(data, 0, self)
+        try:
+            value, end = _decode_value(data, 0, self)
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise CodecError(f"malformed value: {type(exc).__name__}: {exc}") from exc
         if end != len(data):
             raise CodecError(f"{len(data) - end} trailing bytes after value")
         return value

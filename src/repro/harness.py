@@ -341,9 +341,6 @@ class Deployment:
             ``restart_after`` later with a freshly built protocol).
             Honored by the ``"sim"`` and ``"net"`` engines; the others
             reject a deployment that carries one.
-        durability: optional :class:`~repro.durable.DurabilityConfig`
-            carried for protocols that persist (the sharded service);
-            stateless consensus protocols ignore it.
         mesh: optional :class:`~repro.mesh.topology.MeshTopology` — the
             socket engine runs a :class:`~repro.mesh.cluster.MeshCluster`
             (parallel hub groups) instead of the single-hub star when one
@@ -364,7 +361,6 @@ class Deployment:
     event_sink: EventSink | None = None
     net_jitter: str = "uniform"
     restarts: dict[ProcessId, RestartPlan] = field(default_factory=dict)
-    durability: Any = None
     mesh: Any = None
     shards: int = 1
 
@@ -561,14 +557,6 @@ class Scenario:
         event_sink: optional :class:`~repro.engine.events.EventSink`
             receiving the structured run events of any backend; pass an
             :class:`~repro.engine.events.EventLog` to keep a trace.
-        durability: optional :class:`~repro.durable.DurabilityConfig`.
-            Consensus algorithms hold no replicated state machine, so a
-            plain scenario only carries it through to the deployment
-            (state-machine frontends like the sharded service consume it);
-            what it *does* change here is the restart semantics of a
-            :class:`CrashRecover` fault — the restarted protocol instance
-            is rebuilt by the algorithm factory either way, amnesiac
-            without durable state to replay.
     """
 
     algorithm: AlgorithmSpec
@@ -584,7 +572,6 @@ class Scenario:
     engine: str = "sim"
     event_sink: EventSink | None = None
     net_jitter: str = "uniform"
-    durability: Any = None
     #: optional :class:`~repro.mesh.topology.MeshTopology` — parallel hub
     #: groups on the socket engine; other engines ignore it.
     mesh: Any = None
@@ -677,7 +664,6 @@ class Scenario:
             event_sink=self.event_sink,
             net_jitter=self.net_jitter,
             restarts=restarts,
-            durability=self.durability,
             mesh=self.mesh,
         )
 
@@ -697,13 +683,7 @@ class Scenario:
             engine_kwargs["link_plan"] = plan_from_plane(self._plane)
         return self.deployment().run(self.engine, **engine_kwargs)
 
-    def run_many(
-        self,
-        seeds,
-        expected_value: Value | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
-    ):
+    def run_many(self, seeds, expected_value: Value | None = None):
         """Run the scenario once per seed and aggregate the results.
 
         Each per-seed clone is made with :func:`dataclasses.replace`, so
@@ -715,27 +695,15 @@ class Scenario:
                 identical to this scenario.
             expected_value: when set, decisions differing from it count as
                 unanimity violations in the aggregate.
-            parallel: run the seeds on a thread pool.  Each seed builds its
-                own simulation with its own PRNG and results are folded in
-                seed order, so the aggregate is identical to the serial one.
-            max_workers: pool size when ``parallel`` (``None`` = default).
 
         Returns:
             A :class:`repro.metrics.collectors.RunAggregate`.
         """
         from .metrics.collectors import RunAggregate
 
-        def one_run(seed: int):
-            return dataclasses.replace(self, seed=seed).run()
-
-        if parallel:
-            from .sim.parallel import parallel_map
-
-            runs = parallel_map(one_run, seeds, max_workers=max_workers)
-        else:
-            runs = [one_run(seed) for seed in seeds]
         aggregate = RunAggregate(label=self.algorithm.name)
-        for run in runs:
+        for seed in seeds:
+            run = dataclasses.replace(self, seed=seed).run()
             aggregate.add(run, expected_value=expected_value)
         return aggregate
 

@@ -387,9 +387,15 @@ class DataPlane:
         authenticated pid, not the frame's claim): keep or relay.  A
         ``MsgBroadcast`` is the ``n`` sends it stands for, in pid order —
         attributed once, then observed, fault-planned and jittered per
-        destination, all sharing the one payload span."""
+        destination, all sharing the one payload span.  A ``MsgSend`` to
+        no process of the cluster is a :class:`WireError`."""
         payload, depth = msg.payload, msg.depth
-        dsts = range(self.n) if type(msg) is MsgBroadcast else (msg.dst,)
+        if type(msg) is MsgBroadcast:
+            dsts = range(self.n)
+        elif msg.dst in range(self.n):
+            dsts = (msg.dst,)
+        else:
+            raise WireError(f"send to pid {msg.dst!r}, outside the cluster")
         self.sent += len(dsts)
         owner = self._owner_of(payload)
         sends = self.events.sends

@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from ..codec import CODEC_BINARY, BinaryCodec
+from ..codec import CODEC_BINARY, BinaryCodec, CodecError
 from ..codec.binary import DELIVERY_ENTRIES, encode_into
 from ..codec.schema import wire_record
 from ..errors import ReproError
@@ -179,7 +179,9 @@ class FrameDecoder:
             FrameTooLarge: a declared body length exceeds the cap (raised
                 as soon as the length prefix is readable, without waiting
                 for — or buffering — the oversized body).
-            WireError: version mismatch or unknown codec id.
+            WireError: version mismatch, unknown codec id, or a payload
+                the codec refused (the frame is consumed, so the stream
+                stays aligned on the next one).
         """
         buffer = self._buffer
         buffer.extend(data)
@@ -209,7 +211,11 @@ class FrameDecoder:
                     )
                 if codec != CODEC_BINARY:
                     raise WireError(f"unknown codec id {codec}")
-                yield self._binary.decode(bytes(buffer[body + _HEADER_BYTES : end]))
+                try:
+                    msg = self._binary.decode(bytes(buffer[body + _HEADER_BYTES : end]))
+                except CodecError as exc:
+                    raise WireError(f"undecodable frame: {exc}") from exc
+                yield msg
         finally:
             # Consumed frames leave the buffer once per call, not once per
             # frame (each ``del`` memmoves the rest of a 64 KB read).  In

@@ -812,7 +812,6 @@ class ShardedService:
             event_sink=sink,
             net_jitter=self.net_jitter,
             restarts=restarts,
-            durability=self.durability,
             mesh=self.mesh,
             shards=self.shards,
         )

@@ -13,7 +13,6 @@ it and do not import it from ``src/``.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any
 
 from repro.codec import schema as _schema
@@ -38,7 +37,6 @@ from repro.codec.binary import (
     TAG_KIND,
     TAG_LIST,
     TAG_NONE,
-    TAG_PICKLE,
     TAG_STR,
     TAG_STRUCT,
     TAG_TRUE,
@@ -134,13 +132,12 @@ def _encode_value(obj: Any, buf: bytearray) -> None:
             buf += raw
     else:
         entry = _schema.entry_for_class(kind)
-        if entry is not None:
-            _encode_struct(obj, entry, buf)
-        else:
-            raw = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-            buf.append(TAG_PICKLE)
-            _write_varint(len(raw), buf)
-            buf += raw
+        if entry is None:
+            raise CodecError(
+                f"cannot encode {kind.__module__}.{kind.__qualname__}: "
+                "not a registered record (@wire_record)"
+            )
+        _encode_struct(obj, entry, buf)
 
 
 def _encode_struct(obj: Any, entry: _schema.SchemaEntry, buf: bytearray) -> None:
@@ -299,12 +296,6 @@ def _decode_value(
         if index >= len(_KIND_MEMBERS):
             raise CodecError(f"unknown DecisionKind index {index}")
         return _KIND_MEMBERS[index], pos
-    if tag == TAG_PICKLE:
-        length, pos = _read_varint(data, pos)
-        end = pos + length
-        if end > len(data):
-            raise CodecError("truncated pickle escape")
-        return pickle.loads(data[pos:end]), end
     if tag == TAG_BOTTOM:
         return BOTTOM, pos
     if tag == TAG_FROZENSET:
@@ -365,8 +356,8 @@ def _decode_envelope(
 
 def shareable(value: Any) -> bool:
     """Whether two deliveries may hold the *same* decoded object: nothing
-    mutable anywhere inside it.  Exact types only — a ``list``, a ``dict``
-    and whatever came out of a :data:`TAG_PICKLE` escape all answer no."""
+    mutable anywhere inside it.  Exact types only — a ``list`` and a
+    ``dict`` answer no."""
     kind = type(value)
     if kind in _ATOM_TYPES:
         return True
@@ -381,7 +372,10 @@ def shareable(value: Any) -> bool:
 
 
 def _decode(data: bytes, lazy: bool, memo: dict[bytes, Any] | None) -> Any:
-    value, end = _decode_value(data, 0, lazy, memo)
+    try:
+        value, end = _decode_value(data, 0, lazy, memo)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise CodecError(f"malformed value: {type(exc).__name__}: {exc}") from exc
     if end != len(data):
         raise CodecError(f"{len(data) - end} trailing bytes after value")
     return value

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
 import signal
+import tempfile
 
 import pytest
 
@@ -34,6 +36,28 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def socket_dirs() -> set[pathlib.Path]:
+    """Every hub socket directory (a UDS run binds its listeners in one)."""
+    return set(pathlib.Path(tempfile.gettempdir()).glob("repro-net-*"))
+
+
+_socket_dirs_before: set[pathlib.Path] = set()
+
+
+@pytest.fixture(autouse=True)
+def _socket_dir_baseline():
+    """Note the socket directories that exist before each test: one a
+    killed earlier run could not remove is not the current test's leak."""
+    global _socket_dirs_before
+    _socket_dirs_before = socket_dirs()
+    yield
+
+
+def leaked_socket_dirs() -> list[pathlib.Path]:
+    """Socket directories made since the current test started and still there."""
+    return sorted(socket_dirs() - _socket_dirs_before)
 
 
 @pytest.fixture

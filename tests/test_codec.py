@@ -26,6 +26,7 @@ change) with::
 
 import os
 import pathlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,7 @@ from repro.net.wire import (
     MsgOutput,
     MsgSend,
     MsgService,
+    WIRE_VERSION,
     Start,
     Stop,
     WireError,
@@ -359,16 +361,6 @@ class TestOpaque:
 # -- the span memo: one decode per distinct blob span -----------------------------------
 
 
-class _Unregistered:
-    """Travels through the TAG_PICKLE escape."""
-
-    def __init__(self, items):
-        self.items = items
-
-    def __eq__(self, other):
-        return type(other) is _Unregistered and other.items == self.items
-
-
 class TestSpanMemo:
     """A materializing ``BinaryCodec`` decodes each distinct blob span once —
     invisibly: same values as a fresh decode, nothing mutable ever shared,
@@ -396,7 +388,7 @@ class TestSpanMemo:
         [
             (("batch", [1, 2]), lambda p: p[1].append(3)),
             (Envelope("dex", {"k": 1}), lambda p: p.payload.update(k=2)),
-            ((_Unregistered([1]),), lambda p: p[0].items.append(2)),
+            ((DexProposal([1]),), lambda p: p[0].value.append(2)),
         ],
     )
     def test_mutable_payloads_are_never_shared(self, payload, mutate):
@@ -465,7 +457,30 @@ class TestFallbackCodecs:
 # -- decode robustness -----------------------------------------------------------------
 
 
+#: Payloads a dialer can put behind a valid frame header, and what the
+#: decoder used to raise on each instead of a ``CodecError``.
+MALFORMED = {
+    "unknown-tag": b"\x20",
+    "bad-utf8": b"\x05\x02\xff\xfe",  # UnicodeDecodeError
+    "unhashable-member": b"\x10\x01\x08\x00",  # a frozenset holding a list: TypeError
+    "too-deep": b"\x07\x01" * 5000 + b"\x00",  # 5 000 nested 1-tuples: RecursionError
+}
+
+
 class TestDecodeErrors:
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_input_is_a_codec_error(self, payload):
+        for run in (decode, BinaryCodec().decode, BinaryCodec(lazy=True).decode):
+            with pytest.raises(CodecError):
+                run(payload)
+        # in a frame: a WireError, and the stream stays aligned on the next one
+        frame = struct.pack("!I", 2 + len(payload)) + bytes((WIRE_VERSION, CODEC_BINARY))
+        decoder = FrameDecoder()
+        feed = decoder.feed(frame + payload + encode_frame(Start()))
+        with pytest.raises(WireError, match="undecodable frame"):
+            next(feed)
+        assert list(decoder.feed(b"")) == [Start()]
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(CodecError):
             decode(encode(1) + b"\x00")
@@ -584,9 +599,12 @@ class TestCompiledAgainstReference:
         assert out.stdout.split() == ["0", "0"]
 
     def test_a_class_that_registers_late_is_struct_packed_from_then_on(self):
-        """The pickle escape is an answer, never a cached decision."""
+        """An unregistered class is refused at the sender, by name, and the
+        refusal is never cached."""
         tag, value = 120, LateRecord(3, "x")
-        assert encode(value)[0] == binary.TAG_PICKLE
+        for run in (encode, reference.encode):
+            with pytest.raises(CodecError, match=r"LateRecord.*@wire_record"):
+                run(value)
         assert LateRecord not in binary._ENCODERS
         try:
             schema.register(tag, LateRecord)
@@ -768,7 +786,7 @@ class TestBlobFramedValues:
         ]
 
     def test_the_three_records_round_trip(self):
-        for value in (self.BATCH, (), 7, BOTTOM, [1, 2], _Unregistered([1])):
+        for value in (self.BATCH, (), 7, BOTTOM, [1, 2]):
             for payload in self._payloads(value):
                 wire = encode(payload)
                 assert wire == reference.encode(payload)
@@ -798,11 +816,10 @@ class TestBlobFramedValues:
         "value, mutate",
         [
             ((("set", "k", 1), [2]), lambda v: v[1].append(3)),
-            ((_Unregistered([1]),), lambda v: v[0].items.append(2)),
         ],
-        ids=["list", "pickle-escape"],
+        ids=["list"],
     )
-    def test_a_mutable_or_pickled_value_is_never_shared(self, value, mutate):
+    def test_a_mutable_value_is_never_shared(self, value, mutate):
         codec = BinaryCodec()
         proposal, init, *_ = self._payloads(value)
         first = codec.decode(encode(MsgDeliver(1, proposal, 0))).payload.payload.value

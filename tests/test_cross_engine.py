@@ -204,7 +204,6 @@ class TestScenarioDataclass:
         "engine",
         "event_sink",
         "net_jitter",
-        "durability",
         "mesh",
         "config",
     }

@@ -58,7 +58,7 @@ from repro.shard.service import ShardNode, ShardedService, dex_shard_factory
 from repro.types import SystemConfig
 
 from .test_net_engine import assert_no_leaks
-from .test_net_wire import Unpickled
+from .test_net_wire import Unpickled, tagged_pickle
 
 
 # -- WAL framing and corruption --------------------------------------------------------
@@ -173,22 +173,29 @@ def _frame(payload: bytes) -> bytes:
     return struct.pack("!II", len(payload), zlib.crc32(payload)) + payload
 
 
-def _unknown_first_byte_payloads(obj) -> list[bytes]:
-    """Payloads whose first byte is not ``CODEC_BINARY``: a raw pickle
-    (``0x80`` PROTO opcode), the reserved id 1 (it was pickle) before a
-    pickle, and the reserved id 2 (it was JSON) before a valid binary
-    encoding of ``obj``."""
+def _refused_payloads(obj) -> list[bytes]:
+    """Payloads no reader may load: three whose first byte is not
+    ``CODEC_BINARY`` — a raw pickle (``0x80`` PROTO opcode), the reserved
+    id 1 (it was pickle) before a pickle, the reserved id 2 (it was JSON)
+    before a valid binary encoding of ``obj`` — and a ``CODEC_BINARY`` one
+    whose value is a pickle under the reserved value tag ``0x0E``."""
     unpickled = pickle.dumps(Unpickled(), pickle.HIGHEST_PROTOCOL)
-    return [unpickled, b"\x01" + unpickled, b"\x02" + encode(obj)]
+    return [
+        unpickled,
+        b"\x01" + unpickled,
+        b"\x02" + encode(obj),
+        bytes((CODEC_BINARY,)) + tagged_pickle(),
+    ]
 
 
 class TestWalCodecCompat:
     """Only a ``CODEC_BINARY`` first byte is decoded: any other first byte
-    is corruption, not a format, and its body is never looked at."""
+    is corruption, not a format, and its body is never looked at; nor is a
+    value under a reserved tag."""
 
     def test_unknown_first_byte_stops_the_scan(self, tmp_path):
         good = DecideRecord(0, 0, "one-step")
-        for index, payload in enumerate(_unknown_first_byte_payloads(good)):
+        for index, payload in enumerate(_refused_payloads(good)):
             path = str(tmp_path / f"wal-{index}.log")
             with open(path, "wb") as fh:
                 fh.write(encode_record(good))
@@ -202,7 +209,7 @@ class TestWalCodecCompat:
 
     def test_unknown_first_byte_snapshot_loads_as_none(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
-        for payload in _unknown_first_byte_payloads(ShardSnapshot(slots={0: 2})):
+        for payload in _refused_payloads(ShardSnapshot(slots={0: 2})):
             pathlib.Path(store.path).write_bytes(_frame(payload))
             assert store.load() is None
 

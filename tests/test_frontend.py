@@ -50,7 +50,7 @@ from repro.shard import ShardBatcher, ShardedService, shard_of
 from repro.shard.metrics import ShardStreamSink
 from repro.types import DecisionKind
 
-from .test_net_wire import pickle_frame
+from .test_net_wire import pickle_frame, tagged_pickle_frame
 
 
 def keys_of_shard(shard: int, shards: int, count: int) -> list[str]:
@@ -445,19 +445,24 @@ class TestSocketFrontend:
 
     def test_a_reserved_codec_frame_is_a_wire_error_never_unpickled(self):
         # Any UDS/TCP client reaches the session's decoder: a pickle under
-        # the reserved codec id 1 must end the session before it is loaded.
+        # the reserved codec id 1, or under the reserved value tag 0x0E of
+        # the binary codec, must end the session before it is loaded.
         import socket
 
-        server = FrontendServer(frontend_factory(), path="/unused")
-        ours, theirs = socket.socketpair()
-        try:
-            theirs.sendall(encode_frame(ClientSubmit(0, "k0", 0)) + pickle_frame(1))
-            theirs.shutdown(socket.SHUT_WR)
-            with pytest.raises(WireError, match="unknown codec id 1"):
-                server._session(ours, 5.0)
-        finally:
-            ours.close()
-            theirs.close()
+        for frame, error in (
+            (pickle_frame(1), "unknown codec id 1"),
+            (tagged_pickle_frame(), "unknown binary tag 0x0e"),
+        ):
+            server = FrontendServer(frontend_factory(), path="/unused")
+            ours, theirs = socket.socketpair()
+            try:
+                theirs.sendall(encode_frame(ClientSubmit(0, "k0", 0)) + frame)
+                theirs.shutdown(socket.SHUT_WR)
+                with pytest.raises(WireError, match=error):
+                    server._session(ours, 5.0)
+            finally:
+                ours.close()
+                theirs.close()
 
     def test_shed_rejections_stream_back_mid_session(self, tmp_path):
         path = str(tmp_path / "shed.sock")

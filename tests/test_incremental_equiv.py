@@ -10,9 +10,8 @@ Four pillars, mirroring the engine's layers:
   /``f_incremental``) agree with the batch predicates on random views;
 * the multiset-weighted exhaustive enumerator reproduces brute-force
   coverage exactly (same integers, hence bit-identical fractions);
-* ``run_many(parallel=True)`` aggregates identically to the serial path,
-  and replaying the frozen seed fixture reproduces the pre-engine
-  decisions bit-for-bit.
+* replaying the frozen seed fixture reproduces the pre-engine decisions
+  bit-for-bit.
 """
 
 import json
@@ -254,29 +253,12 @@ class TestMultisetCoverage:
         reference = exact_space_coverage(FrequencyPair(7, 1), [1, 2], range(2))
         assert fallback == reference
 
-    def test_parallel_pair_coverage_identical(self):
-        pair = FrequencyPair(7, 1)
-        vectors = list(all_vectors([1, 2], pair.n))
-        serial = pair_coverage(pair, vectors, range(2))
-        parallel = pair_coverage(pair, vectors, range(2), parallel=True)
-        assert serial == parallel
 
-
-class TestParallelRunMany:
-    def test_parallel_aggregate_identical_to_serial(self):
-        scenario = Scenario(dex_freq(), split(1, 2, 13, 3), faults={12: Silent()})
-        serial = scenario.run_many(range(10), expected_value=1)
-        parallel = scenario.run_many(
-            range(10), expected_value=1, parallel=True, max_workers=4
-        )
-        assert parallel.summary() == serial.summary()
-        assert parallel.max_steps == serial.max_steps
-        assert parallel.confidence_interval() == serial.confidence_interval()
-
-    def test_parallel_single_seed_and_empty(self):
+class TestRunMany:
+    def test_run_many_single_seed_and_empty(self):
         scenario = Scenario(dex_freq(), unanimous(1, 7))
-        assert scenario.run_many([5], parallel=True).runs == 1
-        assert scenario.run_many([], parallel=True).runs == 0
+        assert scenario.run_many([5]).runs == 1
+        assert scenario.run_many([]).runs == 0
 
 
 SEED_ALGOS = {

@@ -16,7 +16,6 @@ Three layers:
 
 import multiprocessing
 import os
-import pathlib
 import signal
 import socket
 import tempfile
@@ -51,6 +50,7 @@ from repro.shard.service import ShardedService
 from repro.types import DecisionKind
 from repro.workloads.inputs import unanimous
 
+from .conftest import leaked_socket_dirs
 from .test_net_engine import _data_hub, _drain, _serve, _stub_link
 
 UNATTRIBUTED = -1
@@ -64,7 +64,7 @@ def assert_no_mesh_leaks():
         if "repro-net" in p.name or "repro-mesh" in p.name
     ]
     assert not leaked, f"leaked processes: {leaked}"
-    residue = list(pathlib.Path("/tmp").glob("repro-net-*"))
+    residue = leaked_socket_dirs()
     assert not residue, f"leaked socket directories: {residue}"
 
 

@@ -61,7 +61,9 @@ from repro.net.wire import CODEC_BINARY
 from repro.types import DecisionKind
 from repro.workloads.inputs import split, unanimous
 
-from .test_net_wire import pickle_frame
+from .conftest import leaked_socket_dirs
+from .test_codec import MALFORMED
+from .test_net_wire import binary_frame, pickle_frame, tagged_pickle_frame
 
 DATA = pathlib.Path(__file__).parent / "data" / "seed_decisions.json"
 
@@ -91,7 +93,7 @@ def assert_no_leaks():
     """No worker processes or hub socket dirs left behind."""
     leaked = [p for p in multiprocessing.active_children() if "repro-net" in p.name]
     assert not leaked, f"leaked node processes: {leaked}"
-    residue = list(pathlib.Path("/tmp").glob("repro-net-*"))
+    residue = leaked_socket_dirs()
     assert not residue, f"leaked socket directories: {residue}"
 
 
@@ -554,6 +556,41 @@ class TestDuplicateHello:
             pending, _ = _stub_link(plane, pickle_frame(1))
             _serve(plane, lambda: pending.kind == "closed")
             assert faults(1)[-1:] == [(-1, "wire-error")]
+            # ... and a pickle under the binary codec's reserved tag 0x0E
+            pending, _ = _stub_link(plane, tagged_pickle_frame())
+            _serve(plane, lambda: pending.kind == "closed")
+            assert faults(1)[-1:] == [(-1, "wire-error")]
+            assert plane._nodes[1] is node and node.kind == "node"
+            plane._close()
+
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_an_undecodable_first_frame_costs_only_its_own_link(self, tmp_path, payload):
+        # Each of these escaped the hub's loop as a non-wire error (the
+        # codec raised CodecError, UnicodeDecodeError, TypeError or
+        # RecursionError), so one unauthenticated dialer stopped the run.
+        for plane, faults in self._planes(tmp_path):
+            node, _ = _stub_node(plane, 1)
+            pending, _ = _stub_link(plane, binary_frame(payload))
+            _serve(plane, lambda: pending.kind == "closed")
+            assert faults(1) == [(-1, "wire-error")]
+            assert plane._nodes[1] is node and node.kind == "node"
+            plane._close()
+
+    def test_a_send_to_no_process_costs_only_its_own_link(self, tmp_path):
+        # An authenticated node's MsgSend whose dst is a list used to be
+        # queued and to raise "unhashable type" in the delivery sweep.
+        import time
+
+        from repro.net.wire import MsgSend
+
+        for plane, faults in self._planes(tmp_path):
+            node, _ = _stub_node(plane, 1)
+            link, peer = _stub_node(plane, 2)
+            assert peer.send(MsgSend(0, [1], 5, 1))
+            _serve(plane, lambda: link.kind == "closed" or plane.sent)
+            plane._deliver_due(time.monotonic() + 60.0)
+            assert link.kind == "closed"
+            assert faults(1) == [(2, "wire-error")]
             assert plane._nodes[1] is node and node.kind == "node"
             plane._close()
 
@@ -967,6 +1004,36 @@ class TestNetFaults:
         assert result.all_correct_decided()
         assert result.agreement_holds()
         assert result.decided_value == 1
+        assert_no_leaks()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open (ROADMAP.md, untrusted input): the hub relays a payload "
+        "blob unread, so an undecodable one reaches every replica's decoder "
+        "and ends its worker",
+    )
+    def test_an_undecodable_payload_crashes_no_correct_replica(self):
+        # A faulty process may send arbitrary messages (§2.1) but must not
+        # crash a correct one — here one broadcast whose payload is the
+        # single byte 0x20, a tag no decoder knows.
+        from repro.byzantine.adversary import ByzantineBehavior
+        from repro.codec import Opaque
+        from repro.engine.faults import Custom
+        from repro.runtime.effects import Broadcast
+
+        class UndecodableBroadcast(ByzantineBehavior):
+            def on_start(self):
+                return [Broadcast(Opaque(b"\x20"))]
+
+        result = Scenario(
+            dex_freq(),
+            unanimous(1, 7),
+            faults={6: Custom(lambda pid, config, *_: UndecodableBroadcast(pid, config))},
+            seed=4,
+            engine="net",
+        ).run(timeout=5.0)
+        assert result.all_correct_decided()
+        assert all(code == 0 for pid, code in result.exit_codes.items() if pid != 6)
         assert_no_leaks()
 
     def test_ambient_link_chaos_still_decides(self):

@@ -45,6 +45,30 @@ def pickle_frame(codec: int = 1) -> bytes:
     return struct.pack("!I", 2 + len(payload)) + bytes((WIRE_VERSION, codec)) + payload
 
 
+def tagged_pickle() -> bytes:
+    """A binary-codec value under the reserved value tag ``0x0E`` (it was
+    the pickle escape): varint length, then a pickle of :class:`Unpickled`."""
+    raw = pickle.dumps(Unpickled(), pickle.HIGHEST_PROTOCOL)
+    length = bytearray()
+    n = len(raw)
+    while n > 0x7F:
+        length.append((n & 0x7F) | 0x80)
+        n >>= 7
+    length.append(n)
+    return b"\x0e" + bytes(length) + raw
+
+
+def binary_frame(payload: bytes) -> bytes:
+    """``payload`` behind a valid ``CODEC_BINARY`` frame header, unchecked."""
+    header = bytes((WIRE_VERSION, CODEC_BINARY))
+    return struct.pack("!I", 2 + len(payload)) + header + payload
+
+
+def tagged_pickle_frame() -> bytes:
+    """:func:`tagged_pickle` as the payload of a well-formed binary frame."""
+    return binary_frame(tagged_pickle())
+
+
 def decode_all(data: bytes, max_frame: int = 1 << 20) -> list:
     decoder = FrameDecoder(max_frame)
     frames = list(decoder.feed(data))
@@ -200,6 +224,14 @@ class TestVersioning:
             for lazy in (False, True):
                 with pytest.raises(WireError, match=f"unknown codec id {codec}"):
                     list(FrameDecoder(lazy=lazy).feed(data))
+
+    def test_the_reserved_value_tag_is_never_unpickled(self):
+        for lazy in (False, True):
+            decoder = FrameDecoder(lazy=lazy)
+            feed = decoder.feed(tagged_pickle_frame() + encode_frame(Stop()))
+            with pytest.raises(WireError, match="unknown binary tag 0x0e"):
+                next(feed)
+            assert list(decoder.feed(b"")) == [Stop()]
 
     def test_frames_after_a_good_one_still_checked(self):
         data = encode_frame(Hello(0)) + self._frame_with_header(99, CODEC_BINARY)
