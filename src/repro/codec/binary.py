@@ -40,16 +40,17 @@ decoder, *compiled* from its schema entry the first time the record is met
 ``operator.attrgetter``, blob framing and declared field layouts
 (:data:`DELIVERY_ENTRIES`) fixed per field.  The item loops
 (:func:`_encode_items`, :func:`_decode_items`) settle the values that open
-with a one-byte varint — small integers, short strings and tuples, blob
-spans already memoised — inline; everything else goes through the tables,
-so the answer is always the tables' answer.  The interpreter this
-replaced lives on as ``tests/codec_reference.py``, the specification the
-compiled codec is property-tested against, byte for byte.
+with a one-byte varint — small integers, short strings and tuples, short
+blob spans in relay mode or already memoised — inline; everything else goes
+through the tables, so the answer is always the tables' answer.  The
+interpreter this replaced lives on as ``tests/codec_reference.py``, the
+specification the compiled codec is property-tested against, byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Callable
@@ -121,6 +122,12 @@ SPAN_MEMO_ENTRIES = 256
 #: 71–78 bytes (4 commands a batch); 4 KiB admits batches fifty times that
 #: and bounds one codec's memo at 1 MiB of keys however large payloads get.
 SPAN_MEMO_MAX_BYTES = 4096
+
+#: Every memo's other direction, process-wide (encoders have no codec): the span
+#: each memoised, hence immutable, value decoded from, by identity (the entry
+#: holds the value, so its id stays its own; ``popitem`` is one atomic step).
+#: A replica echoes a decoded batch seven times a slot: the echoes splice it.
+_SPAN_OF: OrderedDict[int, tuple[Any, bytes]] = OrderedDict()
 
 class Opaque:
     """A value carried as its encoded bytes.
@@ -313,6 +320,8 @@ def _encode_blob_field(value: Any, buf: bytearray) -> None:
     """A record field marked as a blob: length-prefixed, a span spliced."""
     if type(value) is Opaque:
         inner = value.data
+    elif (known := _SPAN_OF.get(id(value))) is not None and known[0] is value:
+        inner = known[1]
     else:
         inner = bytearray()
         _encode_value(value, inner)
@@ -472,6 +481,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     shift = 0
     result = 0
     try:
+        if data[pos] < 0x80:  # one byte: every tag, pid, shard and early slot
+            return data[pos], pos + 1
         while True:
             byte = data[pos]
             pos += 1
@@ -502,12 +513,12 @@ def _decode_items(
 ) -> tuple[list, int]:
     """Decode ``count`` consecutive values — the loop under every sequence
     and under every record's fields.  Values that open with a one-byte
-    varint — a small integer, a short string, a short tuple, a blob span the
-    codec has already decoded — are settled here; any other value, and any
-    truncation, goes to its tag's decoder."""
+    varint — a small integer, a short string, a short tuple, a short blob
+    span in relay mode or one the codec has already decoded — are settled
+    here; any other value, and any truncation, goes to its tag's decoder."""
     items: list = []
     append = items.append
-    memo, size = codec._spans, len(data)
+    lazy, memo, size = codec._lazy, codec._spans, len(data)
     decoders, unzigzag = _DECODERS, _SMALL_UNZIGZAG
     for _ in range(count):
         try:
@@ -532,8 +543,9 @@ def _decode_items(
                     append(data[pos + 2 : end].decode())
                     pos = end
                     continue
-                if tag == TAG_BLOB and memo is not None:
-                    hit = memo.get(data[pos + 2 : end])
+                if tag == TAG_BLOB and (lazy or memo is not None):
+                    span = data[pos + 2 : end]
+                    hit = Opaque(span) if lazy else memo.get(span)
                     if hit is not None:
                         append(hit)
                         pos = end
@@ -687,7 +699,9 @@ def _materialize(data: bytes, pos: int, end: int, codec: "BinaryCodec") -> Any:
     if not codec._mutable:
         if len(memo) >= SPAN_MEMO_ENTRIES:
             del memo[next(iter(memo))]  # oldest first: dicts keep insertion order
-        memo[span] = inner
+        if len(_SPAN_OF) >= SPAN_MEMO_ENTRIES:
+            _SPAN_OF.popitem(last=False)
+        memo[span], _SPAN_OF[id(inner)] = inner, (inner, span)
         codec._mutable = enclosing
     return inner
 
@@ -785,8 +799,8 @@ _ENTRY_HEADS = tuple(
 def _encode_delivery_entries(entries: Any, buf: bytearray) -> None:
     """``MsgDeliverBatch.entries`` on the hub: ``(sender, span, depth)`` with
     a one-byte sender and a span under 128 bytes is written flat — constant
-    head, length byte, splice, depth — and any other entry by the generic
-    encoder."""
+    head, length byte, splice, a depth of one or two bytes — and any other
+    entry by the generic encoder."""
     if type(entries) is not tuple:
         _encode_value(entries, buf)
         return
@@ -809,6 +823,10 @@ def _encode_delivery_entries(entries: Any, buf: bytearray) -> None:
                 buf += span
                 if 0 <= depth < 64:
                     buf += small[depth + 64]
+                elif 64 <= depth < 8192:  # a two-byte zigzag varint
+                    buf.append(TAG_INT)
+                    buf.append(((depth << 1) & 0x7F) | 0x80)
+                    buf.append(depth >> 6)
                 else:
                     _encode_int(depth, buf)
                 continue

@@ -187,7 +187,7 @@ class MeshCluster(NetCluster):
             # plan and jitter apply here when hub 0 owns delivery.
             owner = self._owner_of(msg.payload)
             if owner == 0:
-                self._enqueue(msg.src, msg.dst, msg.payload, msg.depth, time.monotonic())
+                self._schedule(msg.dst, msg.src, msg.payload, msg.depth, time.monotonic())
             else:
                 self._relay(owner, msg.src, msg.dst, msg.payload, msg.depth)
         elif isinstance(msg, HubReady):

@@ -205,7 +205,7 @@ class HubWorker(DataPlane):
         elif isinstance(msg, MsgRelay):
             # Ownership was decided by the relaying hub: deliver, never
             # re-relay.  Already counted as sent where it ingressed.
-            self._enqueue(msg.src, msg.dst, msg.payload, msg.depth, time.monotonic())
+            self._schedule(msg.dst, msg.src, msg.payload, msg.depth, time.monotonic())
         elif isinstance(msg, Stop) and link.kind == "control":
             self._report(
                 HubStats(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..codec.schema import wire_record
-from ..types import ProcessId
+from ..types import ProcessId, slot_init
 
 __all__ = [
     "CONTROL_LINK",
@@ -51,6 +51,7 @@ class HubHello:
 
 
 @wire_record(tag=57, blobs=("payload",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgRelay:
     """Hub ↔ hub: one node→node message in flight to its owning hub.

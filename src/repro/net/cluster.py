@@ -23,9 +23,10 @@ the event loop every hub runs:
   attributed disconnect, never a silent drop or a timeout-based guess.
 
 Seeded per-message jitter (``uniform(0.5, 1.5) × mean_delay``, self-sends
-undelayed) mirrors the asyncio runner, and — as there — real scheduling
-makes interleavings only *mostly* reproducible; exact-replay tests belong
-on the simulator.
+undelayed) mirrors the asyncio runner: per copy a hub pays one jitter draw
+and one heap push, the rest once per frame (:meth:`DataPlane._schedule`).
+As there, real scheduling makes interleavings only *mostly* reproducible;
+exact-replay tests belong on the simulator.
 
 :class:`NetCluster` is hub 0: the plane plus what only the orchestrator
 does — fork/reap/restart of the node workers (:func:`~repro.net.node.
@@ -40,6 +41,7 @@ only hub-to-hub relay.
 from __future__ import annotations
 
 import heapq
+import math
 import multiprocessing
 import os
 import random
@@ -48,6 +50,7 @@ import shutil
 import socket
 import tempfile
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
@@ -386,28 +389,27 @@ class DataPlane:
         """One data frame off node ``src``'s link (``src`` is the link's
         authenticated pid, not the frame's claim): keep or relay.  A
         ``MsgBroadcast`` is the ``n`` sends it stands for, in pid order —
-        attributed once, then observed, fault-planned and jittered per
-        destination, all sharing the one payload span.  A ``MsgSend`` to
-        no process of the cluster is a :class:`WireError`."""
+        attributed once, observed, then queued (or relayed) per destination,
+        all sharing the one payload span.  A ``MsgSend`` to no process of
+        the cluster is a :class:`WireError`."""
         payload, depth = msg.payload, msg.depth
         if type(msg) is MsgBroadcast:
-            dsts = range(self.n)
+            first, stop = 0, self.n
         elif msg.dst in range(self.n):
-            dsts = (msg.dst,)
+            first, stop = msg.dst, msg.dst + 1
         else:
             raise WireError(f"send to pid {msg.dst!r}, outside the cluster")
-        self.sent += len(dsts)
+        self.sent += stop - first
         owner = self._owner_of(payload)
         sends = self.events.sends
-        # one frame, one arrival time (read only for a sink reading sends) ...
-        now = self.events.clock.now() if sends is not None else 0.0
-        arrived = time.monotonic()  # ... on the delay heap's clock too
-        for dst in dsts:
-            if sends is not None:
+        if sends is not None:
+            now = self.events.clock.now()  # one frame, one arrival time
+            for dst in range(first, stop):
                 sends.emit(SendEvent(now, src, dst, payload, depth))
-            if owner == self.index:
-                self._enqueue(src, dst, payload, depth, arrived)
-            else:
+        if owner == self.index:
+            self._schedule(first, src, payload, depth, time.monotonic(), stop)
+        else:
+            for dst in range(first, stop):
                 self._relay(owner, src, dst, payload, depth)
 
     def _relay(
@@ -415,33 +417,34 @@ class DataPlane:
     ) -> None:
         raise NotImplementedError  # a one-hub plane owns every frame
 
-    def _enqueue(
-        self, src: ProcessId, dst: ProcessId, payload: Any, depth: int, arrived: float
-    ) -> None:
-        """Queue one owned message that reached this hub at ``arrived``
-        (``time.monotonic()``, read once per frame): the fault plan draws
-        first, then one jitter draw per surviving copy (self-sends
-        undelayed)."""
-        for extra in self.link_plan.route(src, dst, self.rng):
-            base = 0.0 if dst == src else self._jitter()
-            self._schedule(dst, src, payload, depth, arrived + base + extra)
-
-    def _jitter(self) -> float:
-        if self._lognormal is not None:
-            return self._lognormal.sample(self.rng, 0, 0)
-        return self.rng.uniform(0.5, 1.5) * self.mean_delay
-
     def _schedule(
-        self, dst: ProcessId, sender: ProcessId, payload: Any, depth: int, due: float
+        self, first: ProcessId, src: ProcessId, payload: Any, depth: int, arrived: float,
+        stop: ProcessId | None = None,
     ) -> None:
-        """Put one delivery on the delay heap, due at ``due`` on the
-        ``time.monotonic()`` clock (a time already past leaves at the next
-        sweep)."""
-        self._seq += 1
-        heapq.heappush(self._heap, (due, self._seq, dst, sender, payload, depth))
-        if not self._saturated and len(self._heap) >= self.high_water:
+        """Queue the copies of one frame that reached this hub at ``arrived``
+        (``time.monotonic()``, read once per frame) for pids ``first`` up to
+        ``stop`` (just ``first``).  Per frame: the fault chain of ``src``'s
+        link (a service reply crosses none), heap, RNG, jitter model.  Per
+        copy: the plan's draws on a faulted link, one jitter draw (none for a
+        self copy), one push.  Then, once, the saturation latch."""
+        plan, rng = self.link_plan, self.rng
+        chain = src != SERVICE_SENDER and (plan.per_source.get(src) or plan.everywhere)
+        heap, push, seq = self._heap, heapq.heappush, self._seq
+        random, mean_delay, lognormal = rng.random, self.mean_delay, self._lognormal
+        for dst in range(first, first + 1 if stop is None else stop):
+            for extra in plan.route(src, dst, rng) if chain else (0.0,):
+                seq += 1
+                if dst == src:
+                    due = arrived + extra
+                elif lognormal is None:
+                    due = arrived + (0.5 + random()) * mean_delay + extra
+                else:
+                    due = arrived + lognormal.sample(rng, 0, 0) + extra
+                push(heap, (due, seq, dst, src, payload, depth))
+        self._seq = seq
+        if not self._saturated and len(heap) >= self.high_water:
             self._saturated = True
-            self.events.saturated(self.index, len(self._heap), self.high_water)
+            self.events.saturated(self.index, len(heap), self.high_water)
 
     # -- egress: one coalesced write per destination per sweep -----------------------
 
@@ -451,15 +454,21 @@ class DataPlane:
         # Coalesce every due delivery per destination into one frame (per
         # 32-entry chunk): multiplexed workloads make whole quorums of
         # instance traffic come due in the same sweep.  Per-destination
-        # delivery order is exactly the heap's pop order.
+        # delivery order is exactly the heap's pop order: sorted (one C sort,
+        # no pop per copy), the heap is still a heap, the due copies a prefix.
         heap = self._heap
+        if not heap or heap[0][0] > now:
+            return
+        heap.sort()
+        due = bisect_right(heap, (now, math.inf))
         batches: dict[ProcessId, list[tuple[ProcessId, Any, int]]] = {}
-        while heap and heap[0][0] <= now:
-            _, _, dst, sender, payload, depth = heapq.heappop(heap)
-            if dst in batches:
-                batches[dst].append((sender, payload, depth))
-            else:
+        for _, _, dst, sender, payload, depth in heap[:due]:
+            batch = batches.get(dst)
+            if batch is None:
                 batches[dst] = [(sender, payload, depth)]
+            else:
+                batch.append((sender, payload, depth))
+        del heap[:due]
         for dst, entries in batches.items():
             link = self._nodes.get(dst)
             if link is None:
@@ -865,9 +874,7 @@ class NetCluster(DataPlane):
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         # Simulated-units reply delay is replaced by hub jitter, exactly as
         # on the asyncio backend.
-        self._schedule(
-            reply.dst, SERVICE_SENDER, payload, reply.depth, time.monotonic() + self._jitter()
-        )
+        self._schedule(reply.dst, SERVICE_SENDER, payload, reply.depth, time.monotonic())
 
     # -- liveness -------------------------------------------------------------------
 

@@ -32,6 +32,7 @@ import socket
 import time
 from typing import Any
 
+from ..codec import Opaque
 from ..engine.interpreter import ExecutionPorts, interpret
 from ..errors import SimulationError
 from ..runtime.effects import Deliver, Log, ServiceCall
@@ -258,14 +259,15 @@ class NodeWorker(ExecutionPorts):
             if not self._started:
                 self._started = True
                 interpret(self, self.pid, self.protocol.on_start(), 0)
-        elif isinstance(msg, MsgDeliver):
-            effects = guarded(self.protocol, msg.sender, msg.payload)
-            interpret(self, self.pid, effects, msg.depth)
-        elif isinstance(msg, MsgDeliverBatch):
-            # Identical to the same deliveries as consecutive frames.
-            for sender, payload, depth in msg.entries:
-                effects = guarded(self.protocol, sender, payload)
-                interpret(self, self.pid, effects, depth)
+        elif isinstance(msg, (MsgDeliver, MsgDeliverBatch)):
+            # A batch is identical to the same deliveries as consecutive frames.
+            lone = isinstance(msg, MsgDeliver)
+            entries = ((msg.sender, msg.payload, msg.depth),) if lone else msg.entries
+            for sender, payload, depth in entries:
+                if type(payload) is Opaque:  # it did not decode: drop it, say whose
+                    self._write(MsgLog(self.pid, "wire.undecodable", {"sender": sender}))
+                elif effects := guarded(self.protocol, sender, payload):
+                    interpret(self, self.pid, effects, depth)
         elif isinstance(msg, Stop):
             return False
         return True

@@ -33,15 +33,15 @@ clean end-of-stream from a peer that died mid-frame.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from ..codec import CODEC_BINARY, BinaryCodec, CodecError
-from ..codec.binary import DELIVERY_ENTRIES, encode_into
+from ..codec import CODEC_BINARY, BinaryCodec, CodecError, Opaque
+from ..codec.binary import DELIVERY_ENTRIES, decode, encode, encode_into
 from ..codec.schema import wire_record
 from ..errors import ReproError
 from ..runtime.effects import ServiceCall
-from ..types import ProcessId
+from ..types import ProcessId, slot_init
 
 __all__ = [
     "WIRE_VERSION",
@@ -211,10 +211,13 @@ class FrameDecoder:
                     )
                 if codec != CODEC_BINARY:
                     raise WireError(f"unknown codec id {codec}")
+                payload = bytes(buffer[body + _HEADER_BYTES : end])
                 try:
-                    msg = self._binary.decode(bytes(buffer[body + _HEADER_BYTES : end]))
+                    msg = self._binary.decode(payload)
                 except CodecError as exc:
-                    raise WireError(f"undecodable frame: {exc}") from exc
+                    msg = None if self.lazy else self._salvage(payload)
+                    if msg is None:
+                        raise WireError(f"undecodable frame: {exc}") from exc
                 yield msg
         finally:
             # Consumed frames leave the buffer once per call, not once per
@@ -222,6 +225,28 @@ class FrameDecoder:
             # ``finally`` so a caller that stops iterating early (the hub's
             # Hello handshake) still leaves the unread frames buffered.
             del buffer[:pos]
+
+    def _salvage(self, payload: bytes) -> Any:
+        """A delivery frame whose framing decodes but a payload span does not
+        (a faulty sender's, relayed unread): a bad span stays an :class:`Opaque`
+        for the node to drop.  ``None`` for anything else: the link fails."""
+        try:
+            msg = decode(payload, lazy=True)
+        except CodecError:
+            return None
+        if type(msg) is MsgDeliver:
+            return MsgDeliver(msg.sender, self._settle(msg.payload), msg.depth)
+        entries = msg.entries if type(msg) is MsgDeliverBatch else None
+        if type(entries) is tuple and all(type(e) is tuple and len(e) == 3 for e in entries):
+            return MsgDeliverBatch(tuple((s, self._settle(p), d) for s, p, d in entries))
+        return None
+
+    def _settle(self, payload: Any) -> Any:
+        raw = payload.data if type(payload) is Opaque else encode(payload)
+        try:
+            return self._binary.decode(raw)
+        except CodecError:
+            return Opaque(raw)
 
     def eof(self) -> None:
         """Signal end-of-stream; raises if the peer died mid-frame.
@@ -238,8 +263,8 @@ class FrameDecoder:
 # -- wire message vocabulary ---------------------------------------------------------
 #
 # The control-plane messages exchanged between the hub and its nodes.
-# Frozen + slotted for the same reasons as the effects; registered in the
-# codec schema so the binary codec struct-packs them.  The ``payload`` of
+# Frozen + slotted (``slot_init`` where built per frame) like the effects;
+# registered so the binary codec struct-packs them.  The ``payload`` of
 # ``MsgSend``, ``MsgBroadcast`` and ``MsgDeliver`` is a blob field: the hub
 # relays it as an opaque span without decoding (the data-plane fast path).
 
@@ -270,6 +295,7 @@ class Stop:
 
 
 @wire_record(tag=4, blobs=("payload",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgSend:
     """Node → hub: ship ``payload`` to ``dst`` (src is link-authenticated:
@@ -283,6 +309,7 @@ class MsgSend:
 
 
 @wire_record(tag=5, blobs=("payload",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgDeliver:
     """Hub → node: one message delivery."""
@@ -293,6 +320,7 @@ class MsgDeliver:
 
 
 @wire_record(tag=6, layouts={"entries": DELIVERY_ENTRIES})
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgDeliverBatch:
     """Hub → node: several co-scheduled deliveries in one frame.
@@ -315,6 +343,7 @@ class MsgDeliverBatch:
 
 
 @wire_record(tag=7)
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgDecide:
     """Node → hub: the hosted protocol decided (first decision only)."""
@@ -326,6 +355,7 @@ class MsgDecide:
 
 
 @wire_record(tag=8)
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgOutput:
     """Node → hub: a top-level protocol upcall (e.g. an IDB delivery)."""
@@ -337,6 +367,7 @@ class MsgOutput:
 
 
 @wire_record(tag=9)
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgService:
     """Node → hub: invoke a trusted service (services live at the hub —
@@ -349,16 +380,18 @@ class MsgService:
 
 
 @wire_record(tag=10)
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgLog:
     """Node → hub: a structured trace record."""
 
     pid: ProcessId
     event: str
-    data: dict[str, Any] = field(default_factory=dict)
+    data: dict[str, Any]
 
 
 @wire_record(tag=13, blobs=("payload",))
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MsgBroadcast:
     """Node → hub: ship ``payload`` to every process, the sender included.
@@ -390,13 +423,10 @@ def batch_frames(
     — and the entries behind each frame, so a caller falling back
     per-frame on :class:`FrameTooLarge` knows what every frame held.
     """
-    frames: list[Any] = []
-    per_frame: list[list[tuple[ProcessId, Any, int]]] = []
-    for at in range(0, len(entries), DELIVERY_BATCH_CHUNK):
-        chunk = entries[at : at + DELIVERY_BATCH_CHUNK]
-        if len(chunk) == 1:
-            frames.append(MsgDeliver(*chunk[0]))
-        else:
-            frames.append(MsgDeliverBatch(tuple(chunk)))
-        per_frame.append(chunk)
+    size = DELIVERY_BATCH_CHUNK
+    per_frame = [entries[at : at + size] for at in range(0, len(entries), size)]
+    frames = [
+        MsgDeliver(*chunk[0]) if len(chunk) == 1 else MsgDeliverBatch(tuple(chunk))
+        for chunk in per_frame
+    ]
     return frames, per_frame

@@ -855,6 +855,20 @@ class TestBlobFramedValues:
             assert encode(MsgDeliver(1, relayed.payload, 2)) == encode(MsgDeliver(1, payload, 2))
             assert encode(decode(encode(payload), lazy=True)) == encode(payload)
 
+    def test_a_replica_echoes_a_shared_value_as_its_span(self):
+        """A value a replica's memo shares re-encodes in a blob field as the
+        span it was decoded from — the bytes it arrived as, not a re-walk.
+        Witness: a count written as a two-byte varint survives the echo."""
+        padded = b"\x07\x84\x00" + b"".join(encode(c) for c in self.BATCH)
+        assert decode(padded) == self.BATCH and padded != encode(self.BATCH)
+        init = bytes([TAG_STRUCT, 17, TAG_BLOB, len(padded)]) + padded
+        value = BinaryCodec().decode(init).value
+        assert padded in encode(IdbEcho(value, 2))
+        assert padded not in encode(IdbEcho(self.BATCH, 2))  # an equal, fresh value
+        # a value with something mutable inside is never shared, so never spliced
+        listed = bytes([TAG_STRUCT, 17]) + encode(Opaque(b"\x07\x81\x00" + encode([2])))
+        assert encode(IdbInit(BinaryCodec().decode(listed).value)) == encode(IdbInit(([2],)))
+
 
 class TestBytesLikeInputs:
     """WAL and snapshot readers pass slices; the codec copies a non-``bytes``

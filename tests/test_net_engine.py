@@ -749,6 +749,169 @@ class TestBroadcastFrame:
             cluster._close()
 
 
+#: The delay heap's clock, frozen for the hub tests below: every frame
+#: arrives at this instant, so each due time is a known float expression.
+ARRIVED = 1234.5678
+
+
+def _frozen_hub(monkeypatch, seed=0, n=4, event_sink=None, **kwargs):
+    """A never-run hub 0 seeded with ``random.Random(seed)`` whose delay heap
+    reads :data:`ARRIVED` as the time of every frame."""
+    import types
+
+    from repro.net import cluster as cluster_module
+    from repro.types import SystemConfig
+
+    monkeypatch.setattr(cluster_module, "time", types.SimpleNamespace(monotonic=lambda: ARRIVED))
+    config = SystemConfig(n, 0)
+    return NetCluster(
+        config, {pid: None for pid in config.processes}, seed=seed,
+        event_sink=event_sink, mean_delay=0.0005, **kwargs,
+    )
+
+
+class TestHubRngStream:
+    """The hub's seeded stream, draw for draw: per destination in pid order
+    the link plan draws first (only on a faulted link), then one jitter draw
+    per surviving copy but the self copy — and every due time is exactly
+    ``arrived + jitter + extra`` in that float order."""
+
+    SRC = 2
+
+    def _broadcast(self, cluster):
+        from repro.net.wire import MsgBroadcast
+
+        _, peer = _stub_node(cluster, self.SRC)
+        try:
+            assert peer.send(MsgBroadcast(self.SRC, "ping", 3))
+            _serve(cluster, lambda: cluster.sent >= cluster.n)
+        finally:
+            peer.close()
+        by_seq = sorted(cluster._heap, key=lambda entry: entry[1])
+        return [(dst, due) for due, _, dst, _, _, _ in by_seq]
+
+    def _replay(self, seed, extras, jitter):
+        """Expected ``(dst, due)`` per copy: ``extras(rng, dst)`` draws the
+        plan's extra delays, ``jitter(rng)`` one copy's jitter."""
+        rng, expected = random.Random(seed), []
+        for dst in range(4):
+            for extra in extras(rng, dst):
+                base = 0.0 if dst == self.SRC else jitter(rng)
+                expected.append((dst, ARRIVED + base + extra))
+        return rng, expected
+
+    @staticmethod
+    def _uniform(rng):
+        return rng.uniform(0.5, 1.5) * 0.0005
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_uniform_jitter(self, monkeypatch, seed):
+        cluster = _frozen_hub(monkeypatch, seed)
+        try:
+            got = self._broadcast(cluster)
+            rng, expected = self._replay(seed, lambda rng, dst: [0.0], self._uniform)
+            assert got == expected
+            assert [due - ARRIVED for dst, due in got if dst == self.SRC] == [0.0]
+            assert cluster.rng.getstate() == rng.getstate()  # no draw more or less
+        finally:
+            cluster._close()
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_lognormal_jitter(self, monkeypatch, seed):
+        from repro.sim.latency import LognormalLatency
+
+        model = LognormalLatency(0.0005)
+        cluster = _frozen_hub(monkeypatch, seed, jitter="lognormal")
+        try:
+            got = self._broadcast(cluster)
+            rng, expected = self._replay(
+                seed, lambda rng, dst: [0.0], lambda rng: model.sample(rng, 0, 0)
+            )
+            assert got == expected
+            assert [due - ARRIVED for dst, due in got if dst == self.SRC] == [0.0]
+            assert cluster.rng.getstate() == rng.getstate()
+        finally:
+            cluster._close()
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_a_faulted_source_draws_its_plan_first(self, monkeypatch, seed):
+        plan = LinkPlan(
+            per_source={self.SRC: [DelayLink(0.001, jitter=0.002), DuplicateLink(0.5, copies=2)]}
+        )
+
+        def extras(rng, dst):
+            delay = 0.001 + rng.uniform(0.0, 0.002)
+            copies = 2 if rng.random() < 0.5 else 1
+            return [delay + 0.0] * copies
+
+        cluster = _frozen_hub(monkeypatch, seed, link_plan=plan)
+        try:
+            got = self._broadcast(cluster)
+            rng, expected = self._replay(seed, extras, self._uniform)
+            assert got == expected
+            assert cluster.rng.getstate() == rng.getstate()
+        finally:
+            cluster._close()
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_a_plan_on_another_source_draws_nothing(self, monkeypatch, seed):
+        plan = LinkPlan(per_source={0: [DropLink(0.5), DuplicateLink(0.5)]})
+        cluster = _frozen_hub(monkeypatch, seed, link_plan=plan)
+        try:
+            got = self._broadcast(cluster)
+            rng, expected = self._replay(seed, lambda rng, dst: [0.0], self._uniform)
+            assert got == expected
+            assert cluster.rng.getstate() == rng.getstate()
+        finally:
+            cluster._close()
+
+
+class TestHubSaturationLatch:
+    """One :class:`HubSaturatedEvent` per episode: raised when the delay
+    heap reaches ``high_water``, silent while it stays above half of it,
+    re-armed by a sweep that finds it at half or less."""
+
+    def test_one_event_per_episode(self, monkeypatch):
+        from repro.engine.events import HubSaturatedEvent
+        from repro.net.wire import MsgBroadcast
+
+        log = EventLog()
+        cluster = _frozen_hub(monkeypatch, event_sink=log, high_water=8)
+        _, peer = _stub_node(cluster, 1)
+
+        def broadcast():  # four copies on the heap
+            sent = cluster.sent
+            assert peer.send(MsgBroadcast(1, "ping", 1))
+            _serve(cluster, lambda: cluster.sent >= sent + 4)
+
+        def episodes():
+            return [(e.pid, e.depth, e.high_water) for e in log.of_type(HubSaturatedEvent)]
+
+        try:
+            broadcast()
+            assert len(cluster._heap) == 4 and episodes() == []
+            broadcast()
+            ((hub, depth, high_water),) = episodes()
+            assert hub == 0 and high_water == 8 and depth >= 8
+            # the self copies come due: the heap stays above half the mark
+            cluster._deliver_due(ARRIVED)
+            assert len(cluster._heap) == 6
+            broadcast()
+            cluster._deliver_due(ARRIVED)
+            broadcast()
+            assert len(cluster._heap) > 4 and len(episodes()) == 1
+            # a sweep drains it; the next one finds it at half or less
+            cluster._deliver_due(ARRIVED + 1.0)
+            cluster._deliver_due(ARRIVED + 1.0)
+            assert cluster._heap == [] and len(episodes()) == 1
+            broadcast()
+            broadcast()
+            assert len(episodes()) == 2 and episodes()[1][1] >= 8
+        finally:
+            peer.close()
+            cluster._close()
+
+
 class TestSilentDialer:
     def test_a_silent_dialer_delays_no_delivery(self, tmp_path):
         # Regression: mid-run, hub 0 accepted a connection and then blocked
@@ -1006,12 +1169,6 @@ class TestNetFaults:
         assert result.decided_value == 1
         assert_no_leaks()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="open (ROADMAP.md, untrusted input): the hub relays a payload "
-        "blob unread, so an undecodable one reaches every replica's decoder "
-        "and ends its worker",
-    )
     def test_an_undecodable_payload_crashes_no_correct_replica(self):
         # A faulty process may send arbitrary messages (§2.1) but must not
         # crash a correct one — here one broadcast whose payload is the

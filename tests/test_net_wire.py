@@ -270,3 +270,117 @@ class TestDeliverBatch:
         batch = MsgDeliverBatch(entries=((0, "x", 0),))
         with pytest.raises(Exception):
             batch.entries = ()
+
+
+class _Recorder:
+    """A hosted protocol that records what it is handed."""
+
+    def __init__(self):
+        from repro.types import SystemConfig
+
+        self.process_id, self.config, self.got = 3, SystemConfig(7, 1), []
+
+    def on_message(self, sender, payload):
+        self.got.append((sender, payload))
+        return []
+
+
+class _Wire:
+    """A node's hub socket, in memory: what the node writes, framed."""
+
+    def __init__(self):
+        self.sent = bytearray()
+
+    def sendall(self, data):
+        self.sent += data
+
+    def frames(self):
+        return decode_all(bytes(self.sent))
+
+
+class TestUndecodablePayload:
+    """A payload span a faulty sender made undecodable reaches a replica
+    unread (the hub relays spans as they are).  The replica drops that one
+    delivery, reports it to hub 0 against its sender, and keeps the link and
+    every other delivery of the frame; broken framing still fails the link."""
+
+    BAD = b"\x20"  # a value tag no decoder knows
+
+    def _dispatch(self, data):
+        from repro.net.node import NodeWorker
+
+        protocol, wire = _Recorder(), _Wire()
+        worker = NodeWorker(3, protocol, [wire])
+        for msg in FrameDecoder().feed(data):
+            assert worker._dispatch(msg)
+        return protocol.got, wire.frames()
+
+    def _batch(self, bad, sender=2, depth=1):
+        from repro.codec import Opaque
+        from repro.codec.binary import encode
+
+        good = Opaque(encode(("vote", 7)))
+        return MsgDeliverBatch(((1, good, 0), (sender, Opaque(bad), depth), (4, good, 2)))
+
+    def test_the_middle_entry_of_a_batch_is_dropped_and_attributed(self):
+        from repro.net.wire import MsgLog
+
+        got, reports = self._dispatch(encode_frame(self._batch(self.BAD)))
+        assert got == [(1, ("vote", 7)), (4, ("vote", 7))]
+        assert reports == [MsgLog(3, "wire.undecodable", {"sender": 2})]
+
+    @pytest.mark.parametrize(
+        "bad, sender, depth",
+        [(BAD * 200, 2, 1), (BAD, 64, 1), (BAD, 2, 9_000)],
+        ids=["long-span", "wide-sender", "wide-depth"],
+    )
+    def test_an_entry_off_the_flat_path_is_dropped_too(self, bad, sender, depth):
+        from repro.net.wire import MsgLog
+
+        got, reports = self._dispatch(encode_frame(self._batch(bad, sender, depth)))
+        assert got == [(1, ("vote", 7)), (4, ("vote", 7))]
+        assert reports == [MsgLog(3, "wire.undecodable", {"sender": sender})]
+
+    def test_every_malformed_span_is_dropped(self):
+        from .test_codec import MALFORMED
+
+        for bad in MALFORMED.values():
+            got, reports = self._dispatch(encode_frame(self._batch(bad)))
+            assert len(got) == 2 and [r.data for r in reports] == [{"sender": 2}]
+
+    def test_a_lone_delivery_is_dropped(self):
+        from repro.codec import Opaque
+        from repro.net.wire import MsgLog
+
+        got, reports = self._dispatch(encode_frame(MsgDeliver(5, Opaque(self.BAD), 4)))
+        assert got == [] and reports == [MsgLog(3, "wire.undecodable", {"sender": 5})]
+
+    def test_the_next_frame_in_the_buffer_still_decodes(self):
+        from repro.codec import Opaque
+
+        data = (
+            encode_frame(self._batch(self.BAD))
+            + encode_frame(MsgDeliver(5, Opaque(self.BAD), 4))
+            + encode_frame(MsgDeliver(6, "after", 5))
+            + encode_frame(Start())
+        )
+        frames = list(FrameDecoder().feed(data))
+        assert [type(f) for f in frames] == [MsgDeliverBatch, MsgDeliver, MsgDeliver, Start]
+        assert frames[0].entries[1] == (2, Opaque(self.BAD), 1)
+        assert frames[2] == MsgDeliver(6, "after", 5)
+
+    def test_the_relay_decoder_is_unchanged(self):
+        batch = self._batch(self.BAD)
+        assert list(FrameDecoder(lazy=True).feed(encode_frame(batch))) == [batch]
+
+    def test_broken_framing_still_fails_the_link(self):
+        from repro.codec import Opaque
+
+        frame = bytearray(encode_frame(MsgDeliver(5, Opaque(self.BAD), 4)))
+        frame[-4] = 0x40  # the span's length now runs past the frame
+        for data in (
+            bytes(frame),
+            encode_frame(MsgSend(5, 3, Opaque(self.BAD), 4)),  # not a delivery
+        ):
+            with pytest.raises(WireError, match="undecodable frame"):
+                list(FrameDecoder().feed(data))

@@ -19,6 +19,17 @@ import pytest
 from repro.broadcast.idb import IdbEcho, IdbInit, IdenticalBroadcast
 from repro.core.dex import DexProposal
 from repro.engine.events import DeliverEvent, SendEvent
+from repro.mesh.wire import MsgRelay
+from repro.net.wire import (
+    MsgBroadcast,
+    MsgDecide,
+    MsgDeliver,
+    MsgDeliverBatch,
+    MsgLog,
+    MsgOutput,
+    MsgSend,
+    MsgService,
+)
 from repro.runtime.composite import CompositeProtocol
 from repro.runtime.effects import Broadcast, Deliver, Envelope, Send, ServiceCall
 from repro.shard.router import ShardMultiplexer, dex_shard_factory
@@ -92,6 +103,22 @@ class TestMessageEvents:
         assert [getattr(event, n) for n in cls.__match_args__] == [1.5, 2, 3, "raw", 4]
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.pid = 0
+
+
+#: The wire records built once per frame: a node's sends, the hub's decode of
+#: them and its delivery frames, the mesh relay.
+WIRE_RECORDS = [
+    MsgSend, MsgDeliver, MsgDeliverBatch, MsgDecide, MsgOutput, MsgService, MsgLog,
+    MsgBroadcast, MsgRelay,
+]
+
+
+@pytest.mark.parametrize("cls", WIRE_RECORDS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize(
+    "check", sorted(n for n in vars(TestAgainstTheDataclassTwin) if n.startswith("test_"))
+)
+def test_wire_records_against_the_dataclass_twin(cls, check):
+    getattr(TestAgainstTheDataclassTwin(), check)(cls)
 
 
 def test_a_field_with_a_default_is_refused():
