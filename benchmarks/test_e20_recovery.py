@@ -32,7 +32,7 @@ def replay_row(root, length, snapshot_every):
     slots, applied, kv = {0: 0}, {0: []}, {0: {}}
     for slot in range(length):
         batch = (("set", f"k{slot % 8}", slot),)
-        writer.commit(0, slot, batch, "one-step")
+        writer.commit(0, slot, batch)
         applied[0].append(batch)
         kv[0][batch[0][1]] = slot
         slots[0] = slot + 1

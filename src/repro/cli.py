@@ -590,7 +590,6 @@ def _cmd_load(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "table1": _cmd_table1,
@@ -603,6 +602,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "load": _cmd_load,
     }
     try:
+        # inside the try: a fault spec is built (and validated) while parsing
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

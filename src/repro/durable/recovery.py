@@ -4,8 +4,9 @@ Three pieces turn the WAL (:mod:`repro.durable.wal`) and the snapshots
 (:mod:`repro.durable.snapshot`) into a rejoin path:
 
 * :class:`DurabilityConfig` / :class:`NodeDurability` — per-node
-  persistence handles.  A replica commits every decided slot through
-  :meth:`NodeDurability.commit` *before* advancing in memory, and on
+  persistence handles.  A replica commits every settled slot through
+  :meth:`NodeDurability.commit` — one :class:`~repro.durable.wal.
+  ApplyRecord` per slot — *before* advancing in memory, and on
   restart :meth:`NodeDurability.recover` folds snapshot + log back into
   the slot frontier and applied-batch history.  Periodic snapshots
   (:meth:`NodeDurability.maybe_snapshot`) reset the log so replay length
@@ -41,7 +42,7 @@ from ..codec.schema import wire_record
 from ..errors import ConfigurationError
 from ..types import ProcessId
 from .snapshot import SnapshotStore
-from .wal import ApplyRecord, DecideRecord, ProposeRecord, WriteAheadLog
+from .wal import ApplyRecord, WriteAheadLog
 
 __all__ = [
     "DurabilityConfig",
@@ -111,9 +112,10 @@ class NodeDurability:
 
     Opening scans the WAL (truncating any damaged tail) and loads the
     last complete snapshot; :meth:`recover` folds both into a
-    :class:`RecoveredState`, or ``None`` when the directory holds no
-    state — which is how a replica distinguishes first boot from restart
-    without any flag: recovery is simply "resume from whatever exists".
+    :class:`RecoveredState`, or ``None`` when this handle created the log
+    — which is how a replica distinguishes first boot from restart
+    without any flag: recovery is simply "resume from whatever exists",
+    and a log file exists, even empty, once the replica has booted.
     """
 
     def __init__(self, config: DurabilityConfig, pid: ProcessId) -> None:
@@ -122,21 +124,21 @@ class NodeDurability:
         self.directory = config.node_dir(pid)
         os.makedirs(self.directory, exist_ok=True)
         self.snapshots = SnapshotStore(self.directory, fsync=config.fsync)
-        self.wal = WriteAheadLog(
-            os.path.join(self.directory, "wal.log"), fsync=config.fsync
-        )
+        path = os.path.join(self.directory, "wal.log")
+        # A replica that dies before it settles a slot leaves an empty log,
+        # but it has spoken: its restart must still catch up from peers.
+        self._booted = os.path.exists(path)
+        self.wal = WriteAheadLog(path, fsync=config.fsync)
         self._seq = 0
         self._since_snapshot = 0
 
     # -- write path ------------------------------------------------------------------
 
-    def log_propose(self, shard: int, slot: int, batch: tuple) -> None:
-        """Record a proposal before it leaves the process."""
-        self.wal.append(ProposeRecord(shard, slot, batch))
-
-    def commit(self, shard: int, slot: int, batch: tuple, kind: str) -> None:
-        """Persist one decided-and-applied slot (decide + apply records)."""
-        self.wal.append(DecideRecord(shard, slot, kind))
+    def commit(self, shard: int, slot: int, batch: tuple) -> None:
+        """Persist one settled slot: its one :class:`ApplyRecord`, the
+        only record replay reads.  Nothing is logged per proposal — a
+        restarted replica recomputes its proposal from the replayed
+        batcher, the arrival list and the seed."""
         self.wal.append(ApplyRecord(shard, slot, batch))
         self._since_snapshot += 1
 
@@ -172,11 +174,13 @@ class NodeDurability:
         The snapshot (if any) seeds the frontier; apply records then
         replay strictly in slot order — a record for any slot other than
         the shard's current frontier is a duplicate or a remnant of a
-        pre-snapshot log and is skipped, so replay is idempotent.
+        pre-snapshot log and is skipped, so replay is idempotent.  Records
+        of other kinds (older logs hold propose and decide records) are
+        skipped too.
         """
         snapshot = self.snapshots.load()
         records = self.wal.recovered
-        if snapshot is None and not records:
+        if snapshot is None and not records and not self._booted:
             return None
         slots = {s: 0 for s in range(shards)}
         applied: dict[int, list[tuple]] = {s: [] for s in range(shards)}

@@ -1,13 +1,16 @@
 """Append-only, CRC-checked per-node write-ahead log.
 
-The durability layer's ground truth: every record a replica must be able
-to reconstruct after a crash is appended here *before* the in-memory state
-advances.  The on-disk format reuses the framing idioms of
-:mod:`repro.net.wire` — a big-endian length prefix, a strict size cap
-checked before a single payload byte is trusted, and sans-IO decoding —
-with a CRC-32 in place of the wire version/codec header (a log is read
-back by the process family that wrote it, but the *bytes* may be torn by
-the crash that makes the log matter)::
+The durability layer's ground truth: one :class:`ApplyRecord` per settled
+slot, appended *before* the in-memory state advances — the only record
+replay reads.  :class:`ProposeRecord` and :class:`DecideRecord` stay
+registered so older logs still scan, but nothing writes them.
+
+The on-disk format reuses the framing idioms of :mod:`repro.net.wire` —
+a big-endian length prefix, a strict size cap checked before a single
+payload byte is trusted, and sans-IO decoding — with a CRC-32 in place
+of the wire version/codec header (a log is read back by the process
+family that wrote it, but the *bytes* may be torn by the crash that
+makes the log matter)::
 
     +----------------+----------------+----------------+--------------+
     | length (4B BE) | crc32 (4B BE)  | codec id (1B)  | body (bytes) |
@@ -68,8 +71,8 @@ _CODEC_BYTE = bytes((CODEC_BINARY,))
 class ProposeRecord:
     """This replica proposed ``batch`` for ``(shard, slot)``.
 
-    Logged before the proposal leaves the process, so a recovered replica
-    knows which slots it may already have spoken in.
+    Written by older replicas only; replay skips it (a restarted replica
+    recomputes its proposal from its replayed state).
     """
 
     shard: int
@@ -82,7 +85,8 @@ class ProposeRecord:
 class DecideRecord:
     """Slot ``(shard, slot)`` decided; ``kind`` is the decision path
     (a :class:`~repro.types.DecisionKind` value, or ``"catchup"`` for
-    slots adopted from peers during recovery)."""
+    slots adopted from peers during recovery).  Written by older replicas
+    only; replay skips it."""
 
     shard: int
     slot: int

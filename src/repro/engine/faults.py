@@ -3,23 +3,21 @@
 A :class:`Fault` says how one faulty process misbehaves; a
 :class:`FaultPlane` owns a scenario's full fault mapping — validation
 against the system bound and the algorithm's failure model, construction
-of the per-process behavior protocols (identical wiring on the
-discrete-event, asyncio, lockstep and model-checking backends), the
-projection onto the synchronous round engine's crash schedule, and fault
-activation announcements on the structured event stream.
+of the per-process behavior protocols, and fault activation
+announcements on the structured event stream.
 
-Before this module the same concepts were split three ways:
-``harness.Fault`` subclasses (moved here, re-exported from
-:mod:`repro.harness` for compatibility), the wrapper protocols of
-:mod:`repro.byzantine` (still the mechanism — faults *build* them), and
-the pattern generators of :mod:`repro.workloads.failures` (now thin
-constructors over these classes).
+The protocol a fault builds *is* the fault, on every engine: the
+discrete-event, asyncio, lockstep and model-checking backends run it
+in-process, and the socket engine runs it inside the faulty node's
+worker.  Nothing re-declares, re-projects or re-enforces a fault
+elsewhere; a :class:`~repro.net.faults.LinkPlan` is a transport condition
+a caller passes, never a fault.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..runtime.protocol import Protocol
@@ -93,6 +91,8 @@ class Crash(Fault):
     model = "crash"
 
     def __init__(self, budget: int) -> None:
+        if budget < 0:
+            raise ConfigurationError("Crash.budget must be non-negative")
         self.budget = budget
 
     def build(self, pid, config, make_honest, value, spec) -> Protocol:
@@ -320,33 +320,6 @@ class FaultPlane:
             return make_honest(value)
         return fault.build(pid, self.config, make_honest, value, spec)
 
-    def crash_schedule(self) -> dict[ProcessId, Any]:
-        """Project the plane onto the synchronous round engine.
-
-        Only crash-model faults have a projection: ``Silent`` becomes a
-        round-1 crash delivered to nobody, ``Crash(budget)`` a round-1
-        crash whose final message reaches the first ``budget`` processes —
-        the same "prefix of the broadcast got out" asymmetry the
-        message-budget semantics produce on the asynchronous backends.
-        """
-        from ..sim.synchronous import CrashEvent
-
-        schedule: dict[ProcessId, CrashEvent] = {}
-        for pid, fault in self.faults.items():
-            if isinstance(fault, Silent):
-                schedule[pid] = CrashEvent(round=1, delivered_to=frozenset())
-            elif isinstance(fault, Crash):
-                schedule[pid] = CrashEvent(
-                    round=1,
-                    delivered_to=frozenset(range(min(fault.budget, self.config.n))),
-                )
-            else:
-                raise ConfigurationError(
-                    f"fault {type(fault).__name__} on p{pid} has no synchronous "
-                    "round-model projection (crash-model faults only)"
-                )
-        return schedule
-
     def announce(self, sink: EventSink | None, time: float = 0.0) -> None:
         """Emit one :class:`FaultEvent` per configured fault."""
         if sink is None:
@@ -372,9 +345,7 @@ class RestartPlan:
     """One process's kill/relaunch schedule, projected off the fault plane.
 
     Args:
-        at: engine time of the kill (``None`` = no scheduled kill; the
-            plan only supplies the relaunch ``factory``, e.g. for chaos
-            :class:`~repro.net.faults.ProcessCrash` restarts).
+        at: engine time of the kill.
         restart_after: kill-to-relaunch delay (``None`` = stays down).
         factory: zero-argument builder of the restarted protocol instance
             — called *at restart time* (in the restarted child process on
@@ -384,7 +355,7 @@ class RestartPlan:
 
     def __init__(
         self,
-        at: float | None,
+        at: float,
         restart_after: float | None,
         factory: Callable[[], Protocol],
     ) -> None:

@@ -374,10 +374,17 @@ class Deployment:
                 "restarts; run on 'sim' or 'net'"
             )
 
-    def run(self, engine: str = "sim", **kwargs: Any) -> RunResult:
-        """Run on ``engine``, forwarding ``kwargs`` to its runner method.
-        Every engine returns a :class:`~repro.engine.run.RunResult`."""
+    def run(
+        self, engine: str = "sim", timeout: float | None = None, **kwargs: Any
+    ) -> RunResult:
+        """Run on ``engine``, forwarding ``kwargs`` to its runner method —
+        the one place an engine is picked.  ``timeout`` bounds the
+        wall-clock engines (``"asyncio"``, ``"net"``); the in-memory ones
+        run to their own end and ignore it.  Every engine returns a
+        :class:`~repro.engine.run.RunResult`."""
         _check_choice("engine", engine, ENGINES)
+        if timeout is not None and engine in ("asyncio", "net"):
+            kwargs["timeout"] = timeout
         if engine == "asyncio":
             return self.run_async(**kwargs)
         if engine == "sync":
@@ -673,14 +680,8 @@ class Scenario:
 
     def run(self, **engine_kwargs: Any) -> RunResult:
         """Run the scenario on the selected :attr:`engine`; ``engine_kwargs``
-        go to its ``Deployment.run_*`` method (``timeout=`` on ``"asyncio"``
-        and ``"net"``, ``transport=`` on ``"net"``).  On ``"net"`` the fault
-        plane's crash-model faults are also projected onto the hub's links.
-        """
-        if self.engine == "net":
-            from .net.faults import plan_from_plane
-
-            engine_kwargs["link_plan"] = plan_from_plane(self._plane)
+        go to :meth:`Deployment.run` (``timeout=`` bounds ``"asyncio"`` and
+        ``"net"``, ``transport=`` and ``link_plan=`` reach ``"net"``)."""
         return self.deployment().run(self.engine, **engine_kwargs)
 
     def run_many(self, seeds, expected_value: Value | None = None):

@@ -17,9 +17,8 @@ Layout:
   (authenticated links, fault plan, delay heap, non-blocking bounded write
   queues) and, on it, the orchestrator: spawn, connect, collect, with
   deadlines and straggler kill;
-* :mod:`repro.net.faults` — link-level fault behaviors (drop, delay,
-  duplicate, cut) and the projection of the
-  :class:`~repro.engine.faults.FaultPlane` onto them;
+* :mod:`repro.net.faults` — link conditions (drop, delay, duplicate,
+  reorder, cut) and the unannounced :class:`ProcessCrash` chaos spec;
 * :mod:`repro.net.events` — the hub-side adapter emitting the shared
   typed :mod:`repro.engine.events` stream.
 
@@ -37,7 +36,6 @@ from .faults import (
     LinkPlan,
     ProcessCrash,
     ReorderLink,
-    plan_from_plane,
 )
 from .wire import (
     WIRE_VERSION,
@@ -59,7 +57,6 @@ __all__ = [
     "ReorderLink",
     "CutAfter",
     "ProcessCrash",
-    "plan_from_plane",
     "WIRE_VERSION",
     "FrameDecoder",
     "FrameTooLarge",

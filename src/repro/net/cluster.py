@@ -628,8 +628,9 @@ class NetCluster(DataPlane):
         transport: ``"uds"`` (default) or ``"tcp"`` (loopback).
         max_frame: frame size cap, enforced on every link in both
             directions.
-        link_plan: transport-level fault plan (see
-            :func:`~repro.net.faults.plan_from_plane`).
+        link_plan: the transport conditions the hub applies per source
+            link (:class:`~repro.net.faults.LinkPlan`) — never a fault:
+            faults run as wrapper protocols inside the nodes.
         jitter: per-message delay model — ``"uniform"`` (bounded,
             ``uniform(0.5, 1.5) × mean_delay``) or ``"lognormal"``
             (long-tailed with the same mean; see
@@ -643,10 +644,7 @@ class NetCluster(DataPlane):
             re-fork that many seconds later.  The restarted worker builds
             its protocol *in the child* via ``plan.factory``, dials the
             hub, and is re-authenticated by its Hello exactly like an
-            initial connection.  A chaos :class:`~repro.net.faults.
-            ProcessCrash` with ``restart_after`` set relaunches the same
-            way when its EOF is noticed (using the plan's factory when
-            one exists, an amnesiac re-fork otherwise).
+            initial connection.
         high_water: ready-queue depth that raises a saturation event.
     """
 
@@ -747,17 +745,16 @@ class NetCluster(DataPlane):
         self._listen(listener)
 
     def _fork_node(self, pid: ProcessId, restarted: bool = False) -> None:
-        """Fork the worker of ``pid``.  A restarted worker with a
-        :class:`RestartPlan` builds its protocol *in the child* — a durable
+        """Fork the worker of ``pid``.  A restarted worker builds its
+        protocol *in the child* from its :class:`RestartPlan` — a durable
         protocol scans its WAL and snapshot on construction, after the
-        crash mutated them; without one it is an amnesiac re-fork of the
-        parent's pristine instance.  Chaos specs arm first launches only."""
-        plan = self.restarts.get(pid) if restarted else None
+        crash mutated them.  Chaos specs arm first launches only."""
+        build = self.restarts[pid].factory if restarted else None
         proc = multiprocessing.get_context("fork").Process(
             target=node_main,
             args=(
                 pid,
-                None if plan is not None else self.protocols[pid],
+                None if restarted else self.protocols[pid],
                 list(self._endpoints),
                 self.shards,
                 self.route,
@@ -765,7 +762,7 @@ class NetCluster(DataPlane):
             kwargs={
                 "max_frame": self.max_frame,
                 "crash": None if restarted else self.chaos.get(pid),
-                "build": plan.factory if plan is not None else None,
+                "build": build,
             },
             daemon=True,
             name=f"repro-net-node-{pid}" + ("-r" if restarted else ""),
@@ -806,14 +803,12 @@ class NetCluster(DataPlane):
             proc.kill()
             proc.join(timeout=2.0)
         self.events.fault(pid, "CrashRecover", "killed")
-        plan = self.restarts.get(pid)
-        if plan is not None and plan.restart_after is not None:
-            # Register the relaunch *before* the link drops so the EOF
-            # path cannot double-schedule it.
+        restart_after = self.restarts[pid].restart_after
+        if restart_after is not None:
+            # Pending until the relaunched worker re-authenticates: the
+            # stall check must not end the run in between.
             self._pending_restart.add(pid)
-            heapq.heappush(
-                self._relaunches, (time.monotonic() + plan.restart_after, pid)
-            )
+            heapq.heappush(self._relaunches, (time.monotonic() + restart_after, pid))
         if pid in self._nodes:
             self._drop(self._nodes[pid])
 
@@ -825,20 +820,8 @@ class NetCluster(DataPlane):
             self._write(link, [Start()])
 
     def _link_lost(self, link: HubLink, kind: str) -> None:
-        if kind != "node":
-            return
-        pid = link.ident
-        self._dead.add(pid)
-        # Chaos recovery: an *unannounced* ProcessCrash with a restart
-        # delay relaunches once its EOF is noticed (scheduled CrashRecover
-        # kills register their relaunch in _kill_node before reaching here).
-        if self._running and pid not in self._pending_restart:
-            spec = self.chaos.get(pid)
-            if spec is not None and spec.restart_after is not None:
-                self._pending_restart.add(pid)
-                heapq.heappush(
-                    self._relaunches, (time.monotonic() + spec.restart_after, pid)
-                )
+        if kind == "node":
+            self._dead.add(link.ident)
 
     # -- frames off node links -------------------------------------------------------
 
@@ -919,8 +902,7 @@ class NetCluster(DataPlane):
             for link in list(self._nodes.values()):
                 self._write(link, [Start()])
             for pid, plan in sorted(self.restarts.items()):
-                if plan.at is not None:
-                    heapq.heappush(self._kills, (started + plan.at, pid))
+                heapq.heappush(self._kills, (started + plan.at, pid))
             self._running = True
             deadline = start + timeout
             while not self._all_correct_decided():

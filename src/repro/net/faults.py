@@ -1,23 +1,15 @@
-"""Link-level faults: the transport projection of the fault plane.
+"""Link conditions of the socket engine, and unannounced process death.
 
-On the in-memory backends a fault is a wrapper *protocol* — the faulty
-process itself misbehaves.  On the socket engine the same wrappers still
-run inside the node processes (the :class:`~repro.engine.faults.FaultPlane`
-builds them exactly as everywhere else), but the transport adds a second,
-independent enforcement point: the hub routes every frame through a
-:class:`LinkPlan`, which can drop, delay, duplicate, or cut traffic
-per source link.
+A fault is the wrapper protocol the :class:`~repro.engine.faults.FaultPlane`
+builds; on the socket engine it runs inside the faulty node's worker, as
+on every other engine, and nothing here declares or enforces it again.
 
 Two things live here:
 
-* the :class:`LinkFault` behaviors and :func:`plan_from_plane`, which
-  projects the crash-model faults of a plane onto links (``Silent`` — a
-  crashed node sends nothing, so its link drops everything; ``Crash(b)`` —
-  the link dies after ``b`` point-to-point messages, matching the
-  message-budget semantics of the other backends).  Byzantine faults have
-  *no* link projection — equivocation is a payload property, not a link
-  property — and are skipped: their wrapper protocols ride inside the node
-  processes and their traffic crosses the wire verbatim.
+* the :class:`LinkFault` behaviors and the :class:`LinkPlan` the hub
+  routes every frame through — transport conditions (drop, delay,
+  duplicate, reorder, cut) a caller passes per source link or on every
+  link, independent of the fault plane;
 * :class:`ProcessCrash`, the chaos spec for an *unannounced* OS-process
   death.  It is deliberately not a :class:`~repro.engine.faults.Fault`:
   the fault plane (and therefore the correct set, validation, and every
@@ -35,7 +27,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
-from ..engine.faults import Crash, FaultPlane, Silent
 from ..types import ProcessId
 
 __all__ = [
@@ -46,14 +37,17 @@ __all__ = [
     "ReorderLink",
     "CutAfter",
     "LinkPlan",
-    "plan_from_plane",
     "ProcessCrash",
+    "EXIT_PROCESS_CRASH",
 ]
 
 #: Environment marker set by the node worker's main; :class:`ProcessCrash`
 #: refuses to kill any process that does not carry it, so a chaos spec
 #: that leaks into the wrong engine (or the test runner) is inert.
 NODE_ENV_MARKER = "REPRO_NET_NODE"
+
+#: Exit code of a node worker killed by its :class:`ProcessCrash`.
+EXIT_PROCESS_CRASH = 17
 
 
 class LinkFault(abc.ABC):
@@ -64,7 +58,7 @@ class LinkFault(abc.ABC):
     unchanged, ``[0.0, 0.0]`` duplicates it.  Faults on a link compose in
     order, each applied to every surviving copy.  Instances may keep
     per-run state (:class:`CutAfter` counts messages), so build a fresh
-    plan per run — :func:`plan_from_plane` does.
+    plan per run.
     """
 
     @abc.abstractmethod
@@ -83,7 +77,7 @@ class LinkFault(abc.ABC):
         return copy.deepcopy(self)
 
     def describe(self) -> str:
-        """One-line description for the event stream."""
+        """The fault's parameters, one line."""
         return ""
 
 
@@ -168,13 +162,7 @@ class ReorderLink(LinkFault):
 
 
 class CutAfter(LinkFault):
-    """Pass the first ``budget`` messages, then cut the link forever.
-
-    The transport projection of :class:`~repro.engine.faults.Crash`: the
-    first ``budget`` point-to-point messages get out, the rest die — the
-    same "prefix of the broadcast escaped" asymmetry the message-budget
-    wrappers produce in-memory.
-    """
+    """Pass the first ``budget`` messages, then cut the link forever."""
 
     def __init__(self, budget: int) -> None:
         if budget < 0:
@@ -253,33 +241,6 @@ class LinkPlan:
             [f.clone() for f in self.everywhere],
         )
 
-    def describe(self) -> dict[ProcessId, str]:
-        """Per-source one-liners for fault announcement on the event stream."""
-        out: dict[ProcessId, str] = {}
-        for pid, chain in sorted(self.per_source.items()):
-            out[pid] = ", ".join(
-                f"{type(f).__name__}({f.describe()})" for f in chain
-            )
-        return out
-
-
-def plan_from_plane(plane: FaultPlane) -> LinkPlan:
-    """Project a fault plane's crash-model faults onto link behaviors.
-
-    ``Silent`` becomes a dead source link, ``Crash(budget)`` a
-    :class:`CutAfter`.  Byzantine faults are skipped, not rejected (unlike
-    :meth:`FaultPlane.crash_schedule`): on this engine they are enforced by
-    the wrapper protocols running inside the node processes, and the link
-    carries their traffic untouched.
-    """
-    per_source: dict[ProcessId, list[LinkFault]] = {}
-    for pid, fault in plane.faults.items():
-        if isinstance(fault, Silent):
-            per_source[pid] = [DropLink(1.0)]
-        elif isinstance(fault, Crash):
-            per_source[pid] = [CutAfter(fault.budget)]
-    return LinkPlan(per_source=per_source)
-
 
 @dataclass(frozen=True)
 class ProcessCrash:
@@ -291,18 +252,11 @@ class ProcessCrash:
     send attempt.  Unlike every :class:`~repro.engine.faults.Fault`, this
     is invisible to the fault plane: the dead pid stays in the correct
     set, which is exactly the straggler regime the cluster's deadline and
-    EOF handling must survive.
-
-    ``restart_after`` turns the chaos crash into chaos *recovery*: the
-    cluster notices the EOF and re-forks the worker that many seconds
-    later (a durable protocol then replays its disk state and rejoins).
-    ``None`` — the default, and the pinned legacy behavior — leaves the
-    process dead forever.
+    EOF handling must survive.  The process exits with
+    :data:`EXIT_PROCESS_CRASH` and stays dead.
     """
 
     after: int = 0
-    exit_code: int = 17
-    restart_after: float | None = None
 
     def maybe_kill(self, sent: int) -> None:
         """Kill the current process if its send budget is exhausted.
@@ -312,4 +266,4 @@ class ProcessCrash:
         or an in-memory backend that a chaos spec leaked into.
         """
         if sent >= self.after and os.environ.get(NODE_ENV_MARKER):
-            os._exit(self.exit_code)
+            os._exit(EXIT_PROCESS_CRASH)

@@ -58,7 +58,9 @@ from .wire import (
     encode_frame_into,
 )
 
-#: Worker exit codes (collected by the cluster for post-mortems).
+#: Worker exit codes (collected by the cluster for post-mortems).  A worker
+#: its :class:`~repro.net.faults.ProcessCrash` kills exits with
+#: :data:`~repro.net.faults.EXIT_PROCESS_CRASH`.
 EXIT_OK = 0
 EXIT_RECV_TIMEOUT = 3
 EXIT_CONNECT_FAILED = 4

@@ -221,7 +221,7 @@ class ShardNode(ShardMultiplexer):
         # that ran ahead of the frontier.
         self._recovering = False
         self._catchup = CatchUpTracker(config.t + 1)
-        self._future: dict[tuple[int, int], tuple[Any, Any]] = {}
+        self._future: dict[tuple[int, int], Any] = {}
         # rejoin evidence, per ``(peer, shard)``: a peer is offered decided
         # slots only between its ``CatchUpRequest`` and its next top-level
         # proposal at or past our frontier on that shard.  The keys of
@@ -261,8 +261,6 @@ class ShardNode(ShardMultiplexer):
         else:
             self._drained.add(shard)
             return self._maybe_finish()
-        if self.durability is not None:
-            self.durability.log_propose(shard, slot, batch)
         effects: list[Effect] = [
             self.log("shard.open", shard=shard, slot=slot, size=len(batch))
         ]
@@ -321,7 +319,7 @@ class ShardNode(ShardMultiplexer):
                 # mesh).  Either way the instance decides exactly once, so
                 # dropping the value would wedge the slot forever — buffer
                 # it and let the advancing frontier settle it.
-                self._future[(shard, slot)] = (batch, kind)
+                self._future[(shard, slot)] = batch
                 effects = [
                     self.log("shard.future-decision", shard=shard, slot=slot)
                 ]
@@ -388,7 +386,7 @@ class ShardNode(ShardMultiplexer):
 
     # -- decided-slot bookkeeping ----------------------------------------------------
 
-    def _settle(self, shard: int, slot: int, batch: Any, kind_label: str) -> tuple:
+    def _settle(self, shard: int, slot: int, batch: Any) -> tuple:
         """Apply one decided slot and advance the frontier (persisting
         through the WAL first when durable); returns the safe batch.
 
@@ -401,7 +399,7 @@ class ShardNode(ShardMultiplexer):
         safe_batch = batch if isinstance(batch, tuple) else ()
         self._catchup.forget(shard, slot)
         if self.durability is not None:
-            self.durability.commit(shard, slot, safe_batch, kind_label)
+            self.durability.commit(shard, slot, safe_batch)
         self._inject(shard)  # ``slot`` is the frontier: the shard's current slot
         self._apply(shard, safe_batch)
         self.applied[shard].append(safe_batch)
@@ -421,7 +419,7 @@ class ShardNode(ShardMultiplexer):
         The decision is not surfaced as a runner output: the digest this
         replica decides at the end carries every batch, and an output per
         slot would ship each one to the hub a second time."""
-        safe_batch = self._settle(shard, slot, batch, kind.value)
+        safe_batch = self._settle(shard, slot, batch)
         effects: list[Effect] = [
             self.log(
                 "shard.decide",
@@ -445,14 +443,13 @@ class ShardNode(ShardMultiplexer):
         effects: list[Effect] = []
         while True:
             slot = self._slot[shard]
-            buffered = self._future.pop((shard, slot), None)
-            if buffered is not None:
-                batch, label = buffered[0], buffered[1].value
+            if (shard, slot) in self._future:
+                batch = self._future.pop((shard, slot))
             else:
-                batch, label = self._catchup.verified(shard, slot), "catchup"
+                batch = self._catchup.verified(shard, slot)
                 if batch is None:
                     return effects
-            safe_batch = self._settle(shard, slot, batch, label)
+            safe_batch = self._settle(shard, slot, batch)
             effects.append(
                 self.log("recovery.slot", shard=shard, slot=slot, size=len(safe_batch))
             )
@@ -842,17 +839,7 @@ class ShardedService:
             hubs=getattr(self.mesh, "hubs", 1) if self.mesh is not None else 1,
         )
         sink = combine(shard_sink, self.event_sink)
-        deployment = self.deployment(arrivals, sink)
-        if self.engine == "net":
-            from ..net.faults import plan_from_plane
-
-            result = deployment.run_net(
-                timeout=timeout, link_plan=plan_from_plane(self._plane)
-            )
-        elif self.engine == "asyncio":
-            result = deployment.run_async(timeout=timeout)
-        else:
-            result = deployment.run(self.engine)
+        result = self.deployment(arrivals, sink).run(self.engine, timeout=timeout)
         divergence = (
             not result.agreement_holds()
             or not result.correct_decisions

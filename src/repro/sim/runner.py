@@ -184,8 +184,6 @@ class Simulation(Engine):
             for pid in self.config.processes:
                 self.queue.push(Event(0.0, "start", dst=pid))
             for pid, plan in sorted(self._restarts.items()):
-                if plan.at is None:
-                    continue
                 self.queue.push(Event(plan.at, "crash", dst=pid))
                 if plan.restart_after is not None:
                     self.queue.push(

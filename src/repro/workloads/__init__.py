@@ -1,12 +1,6 @@
 """Workload generators: input vectors and failure patterns."""
 
-from .failures import (
-    FailureSweep,
-    crash_faults,
-    equivocating_faults,
-    garbage_faults,
-    silent_faults,
-)
+from .failures import FailureSweep
 from .inputs import (
     AdversarialBoundaryWorkload,
     ContentionWorkload,
@@ -28,8 +22,4 @@ __all__ = [
     "AdversarialBoundaryWorkload",
     "as_view",
     "FailureSweep",
-    "silent_faults",
-    "crash_faults",
-    "equivocating_faults",
-    "garbage_faults",
 ]

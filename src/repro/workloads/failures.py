@@ -1,4 +1,4 @@
-"""Failure-pattern generators: which processes fail, and how.
+"""Failure patterns: which processes fail (the caller says how).
 
 Produces the ``faults`` mapping consumed by
 :class:`repro.harness.Scenario` and validated by the
@@ -12,35 +12,8 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from ..engine.faults import Crash, Equivocate, Fault, Garbage, Silent
-from ..types import ProcessId, Value
-
-
-def silent_faults(pids: Sequence[ProcessId]) -> dict[ProcessId, Fault]:
-    """Every listed process is silent (crashed from the start)."""
-    return {pid: Silent() for pid in pids}
-
-
-def crash_faults(
-    pids: Sequence[ProcessId], budget: int = 3
-) -> dict[ProcessId, Fault]:
-    """Every listed process crashes after ``budget`` messages
-    (mid-broadcast for ``0 < budget < n``)."""
-    return {pid: Crash(budget) for pid in pids}
-
-
-def equivocating_faults(
-    pids: Sequence[ProcessId], value_a: Value, value_b: Value
-) -> dict[ProcessId, Fault]:
-    """Every listed process two-facedly proposes ``value_a``/``value_b``."""
-    return {pid: Equivocate(value_a, value_b) for pid in pids}
-
-
-def garbage_faults(
-    pids: Sequence[ProcessId], values: Sequence[Value] = (0, 1, 2), seed: int = 0
-) -> dict[ProcessId, Fault]:
-    """Every listed process sprays wire-shaped garbage."""
-    return {pid: Garbage(values=values, seed=seed) for pid in pids}
+from ..engine.faults import Fault
+from ..types import ProcessId
 
 
 class FailureSweep:

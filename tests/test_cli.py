@@ -86,6 +86,10 @@ class TestCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_a_negative_crash_budget_is_a_configuration_error(self, capsys):
+        assert main(["run", "-i", "1,1,1,1,1,1,1", "-f", "6:crash:-1"]) == 2
+        assert "error: Crash.budget must be non-negative" in capsys.readouterr().err
+
     def test_run_help_lists_all_five_engines(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--help"])

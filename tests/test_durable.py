@@ -258,7 +258,7 @@ def _commit_stream(durability, batches_by_shard):
     stores = {s: KeyValueStore() for s in shards}
     for shard in shards:
         for slot, batch in enumerate(batches_by_shard[shard]):
-            durability.commit(shard, slot, batch, "one-step")
+            durability.commit(shard, slot, batch)
             for command in batch:
                 stores[shard].apply(command)
             applied[shard].append(batch)
@@ -301,7 +301,7 @@ class TestNodeDurability:
     def test_stale_apply_records_skipped(self, tmp_path):
         config = DurabilityConfig(str(tmp_path), snapshot_every=0)
         writer = config.node(0)
-        writer.commit(0, 0, (("set", "a", 1),), "one-step")
+        writer.commit(0, 0, (("set", "a", 1),))
         writer.wal.append(ApplyRecord(0, 0, (("set", "a", 99),)))  # duplicate slot
         writer.wal.append(ApplyRecord(0, 5, (("set", "b", 2),)))  # hole ahead
         writer.close()
@@ -421,7 +421,7 @@ class TestIncrementalSnapshot:
                 if state is not None:
                     assert state.applied == applied
                     applied = state.applied
-            durability.commit(shard, slots[shard], batch, "one-step")
+            durability.commit(shard, slots[shard], batch)
             for command in batch:
                 stores[shard].apply(command)
             applied[shard].append(batch)
@@ -603,7 +603,7 @@ class TestRejoinRace:
     def _settled_peer(self, tmp_path, pid):
         """A peer that has already decided and applied slot 0."""
         peer = _shard_node(tmp_path, pid)
-        peer._settle(0, 0, self.BATCH, "one-step")
+        peer._settle(0, 0, self.BATCH)
         return peer
 
     def test_stale_envelope_triggers_one_reserve(self, tmp_path):
@@ -623,7 +623,7 @@ class TestRejoinRace:
         the seventh of seven on a healthy run — is routed to the instance
         and answered by nobody, however often it happens."""
         peer = self._settled_peer(tmp_path, 1)
-        peer._settle(0, 1, (), "one-step")
+        peer._settle(0, 1, ())
         for slot in (0, 1, 0):
             assert not self._offers(peer.on_message(0, _instance_envelope(slot)))
         assert not peer._decided_served
@@ -754,7 +754,7 @@ class TestRejoinRace:
         from repro.durable import SlotDecided
 
         peer = self._settled_peer(tmp_path, 1)
-        peer._settle(0, 1, (), "one-step")
+        peer._settle(0, 1, ())
         for sender in (0, 2):  # both restarted: the gate is open for both
             peer.on_message(sender, CatchUpRequest(1, ((0, 0),)))
         proposal = DexProposal((("set", "z", 9),))
@@ -781,7 +781,7 @@ class TestRejoinRace:
 
         peer = _shard_node(tmp_path, 1, shards=2)
         for shard in (0, 1):
-            peer._settle(shard, 0, self.BATCH, "one-step")
+            peer._settle(shard, 0, self.BATCH)
         peer.on_message(0, CatchUpRequest(1, ((0, 0), (1, 0))))
         proposal = DexProposal(())
         stale = peer.on_message(0, _instance_envelope(0, proposal, shard=0))
@@ -791,13 +791,13 @@ class TestRejoinRace:
         peer.on_message(0, _instance_envelope(1, proposal, shard=0))
         assert peer._decided_served == {(0, 1): set()}
         # ... so a later straggler there is a straggler, not a rejoiner,
-        peer._settle(0, 1, (), "one-step")
+        peer._settle(0, 1, ())
         assert not self._offers(peer.on_message(0, _instance_envelope(1, proposal, shard=0)))
         # while shard 1 is still answered, and still pushed new slots
         stuck = peer.on_message(0, _instance_envelope(0, proposal, shard=1))
         assert self._offers(stuck) == [SlotDecided(1, 0, self.BATCH)]
         assert self._offers(peer._notify_rejoining(1, 0)) == []  # once per slot
-        peer._settle(1, 1, (), "one-step")
+        peer._settle(1, 1, ())
         assert self._offers(peer._notify_rejoining(1, 1)) == [SlotDecided(1, 1, ())]
         assert self._offers(peer._notify_rejoining(0, 1)) == []
 
@@ -851,7 +851,7 @@ class TestRejoinRace:
             deliver((3, 4, 5, 6), request)
 
         for peer in peers.values():
-            peer._settle(0, 0, self.BATCH, "one-step")
+            peer._settle(0, 0, self.BATCH)
         woken = node.on_message(
             1, _instance_envelope(0, Envelope("idb", IdbInit(self.BATCH)))
         )
@@ -1026,6 +1026,56 @@ class TestSimRecovery:
             )
             digests.append(service.run(count=12).digest)
         assert digests[0] == digests[1]
+
+    def test_the_log_holds_one_apply_record_per_settled_slot(self, tmp_path):
+        """Replay reads only apply records, so a replica writes nothing
+        else: with snapshots off, each log is the replica's settled slots,
+        one record each."""
+        service = ShardedService(
+            n=7, shards=4, seed=11, rate=4,
+            durability=DurabilityConfig(str(tmp_path), snapshot_every=0),
+        )
+        report = service.run(count=48)
+        assert not report.divergence and report.commands == 48
+        settled = sorted(
+            (shard, slot) for shard, batches in report.digest for slot in range(len(batches))
+        )
+        assert len(settled) == report.slots > 0
+        for pid in range(7):
+            wal = WriteAheadLog(str(tmp_path / f"node{pid}" / "wal.log"))
+            records = wal.recovered
+            wal.close()
+            assert {type(record) for record in records} == {ApplyRecord}, pid
+            assert sorted((r.shard, r.slot) for r in records) == settled, pid
+
+    def test_a_restarted_replica_reproposes_its_twins_batches(self, tmp_path, monkeypatch):
+        """No proposal record is needed: a proposal is a pure function of
+        the replayed batcher, the arrivals and the seed, so every slot the
+        restarted replica opens gets the batch its never-crashed twin
+        proposed for it."""
+        proposed = []
+        propose = ShardNode.propose
+
+        def recording(node, shard, slot, value):
+            if node.process_id == 2:
+                proposed.append((node, shard, slot, value))
+            return propose(node, shard, slot, value)
+
+        monkeypatch.setattr(ShardNode, "propose", recording)
+
+        def run(root, faults):
+            proposed.clear()
+            service, _ = self._service(root, faults=faults, rate=2)
+            assert not service.run(count=24).divergence
+            return list(proposed)
+
+        twin = {(shard, slot): batch for _, shard, slot, batch in run(tmp_path / "twin", {})}
+        crashed = run(tmp_path / "crash", {2: CrashRecover(at=1.0, restart_after=1.0)})
+        first = crashed[0][0]
+        reopened = [(shard, slot, batch) for node, shard, slot, batch in crashed if node is not first]
+        assert any(batch for _, _, batch in reopened)
+        for shard, slot, batch in reopened:
+            assert twin[(shard, slot)] == batch, (shard, slot)
 
     def test_crash_stop_without_restart_stays_dead(self, tmp_path):
         """``restart_after=None`` is crash-stop: the replica never comes

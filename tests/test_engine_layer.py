@@ -233,17 +233,10 @@ class TestFaultPlane:
         assert isinstance(honest, Nop) and honest is not marker
         assert plane.build(3, lambda v: Nop(3, config), "v", spec=None) is marker
 
-    def test_crash_schedule_projection(self):
-        plane = FaultPlane(SystemConfig(7, 2), {5: Silent(), 6: Crash(3)})
-        schedule = plane.crash_schedule()
-        assert schedule[5].delivered_to == frozenset()
-        assert schedule[6].delivered_to == frozenset({0, 1, 2})
-        assert schedule[5].round == schedule[6].round == 1
-
-    def test_crash_schedule_rejects_byzantine(self):
-        plane = FaultPlane(SystemConfig(7, 1), {6: Equivocate(1, 2)})
-        with pytest.raises(ConfigurationError, match="no synchronous"):
-            plane.crash_schedule()
+    def test_a_negative_crash_budget_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="budget"):
+            Crash(-1)
+        assert Crash(0).budget == 0
 
     def test_announce_emits_sorted_fault_events(self):
         log = EventLog()

@@ -3,9 +3,9 @@
 Two layers:
 
 * unmarked unit tests for the link-fault algebra
-  (:class:`~repro.net.faults.LinkPlan`, :func:`plan_from_plane`) and the
-  inertness of :class:`~repro.net.faults.ProcessCrash` outside a node
-  process — pure, no forking;
+  (:class:`~repro.net.faults.LinkPlan`) and the inertness of
+  :class:`~repro.net.faults.ProcessCrash` outside a node process — pure,
+  no forking;
 * ``@pytest.mark.net`` integration tests that fork node processes and run
   full consensus rounds over UDS/TCP, under a hard SIGALRM timeout (see
   ``conftest.py``) so a hung hub cannot stall the suite.
@@ -55,7 +55,6 @@ from repro.net import (
     NetCluster,
     ProcessCrash,
     ReorderLink,
-    plan_from_plane,
 )
 from repro.net.wire import CODEC_BINARY
 from repro.types import DecisionKind
@@ -142,11 +141,6 @@ class TestLinkPlan:
         )
         assert plan.route(0, 1, random.Random(0)) == []
 
-    def test_describe_names_the_chain(self):
-        plan = LinkPlan(per_source={1: [DropLink(1.0), CutAfter(5)]})
-        described = plan.describe()
-        assert "DropLink" in described[1] and "CutAfter" in described[1]
-
 
 class TestLinkPlanCleanSource:
     """A source with no fault chain is answered at once — the one on-time
@@ -194,34 +188,6 @@ class TestLinkPlanCleanSource:
         rng = random.Random(0)
         assert [plan.route(2, dst, rng) for dst in range(3)] == [[0.0], [], []]
         assert plan.route(1, 0, rng) == [0.0]
-
-
-class TestPlanFromPlane:
-    def _plane(self, faults, n=7, t=1):
-        from repro.engine.faults import FaultPlane
-        from repro.types import SystemConfig
-
-        return FaultPlane(SystemConfig(n, t), faults)
-
-    def test_silent_becomes_total_drop(self):
-        plan = plan_from_plane(self._plane({6: Silent()}))
-        assert plan.route(6, 0, random.Random(0)) == []
-
-    def test_crash_becomes_cut_after_budget(self):
-        plan = plan_from_plane(self._plane({6: Crash(budget=2)}))
-        rng = random.Random(0)
-        assert plan.route(6, 0, rng) == [0.0]
-        assert plan.route(6, 1, rng) == [0.0]
-        assert plan.route(6, 2, rng) == []
-
-    def test_byzantine_faults_ride_in_node_not_on_the_link(self):
-        # Equivocate wraps the protocol inside the worker; the link plan
-        # must leave its traffic alone.
-        plan = plan_from_plane(self._plane({6: Equivocate(1, 2)}))
-        assert plan.route(6, 0, random.Random(0)) == [0.0]
-
-    def test_empty_plane_is_empty_plan(self):
-        assert not plan_from_plane(self._plane({}))
 
 
 class TestProcessCrashInert:
@@ -1148,12 +1114,30 @@ class TestNetFaults:
         assert_no_leaks()
 
     def test_crash_budget_over_the_wire(self):
+        # The wrapper the fault plane builds is the only enforcement: the
+        # node sends exactly its budget (self copy included), and every
+        # one of those copies reaches its destination.
+        log = EventLog()
         result = Scenario(
             dex_freq(), unanimous(1, 7), faults={6: Crash(budget=3)}, seed=4,
-            engine="net",
+            engine="net", event_sink=log,
         ).run()
         assert result.all_correct_decided()
         assert result.decided_value == 1
+        assert len([e for e in log.of_type(SendEvent) if e.pid == 6]) == 3
+        assert len([e for e in log.of_type(DeliverEvent) if e.sender == 6]) == 3
+        assert_no_leaks()
+
+    def test_the_callers_link_plan_reaches_the_hub(self):
+        # A link plan is a transport condition the caller passes; the
+        # fault plane does not replace it.
+        log = EventLog()
+        result = Scenario(
+            dex_freq(), unanimous(1, 7), seed=4, engine="net", event_sink=log
+        ).run(link_plan=LinkPlan(per_source={2: [DropLink(1.0)]}))
+        assert not [e for e in log.of_type(DeliverEvent) if e.sender == 2]
+        others = {pid: d.value for pid, d in result.decisions.items() if pid != 2}
+        assert others == {pid: 1 for pid in range(7) if pid != 2}
         assert_no_leaks()
 
     def test_equivocator_over_the_wire(self):
@@ -1282,7 +1266,6 @@ class TestNetRobustness:
             faulty=frozenset({5}),
             services=services,
             seed=11,
-            link_plan=plan_from_plane(scenario._plane),
             chaos={6: ProcessCrash(after=0)},
         )
         result = cluster.run(timeout=8.0)
@@ -1291,7 +1274,7 @@ class TestNetRobustness:
         assert result.agreement_holds()
         assert result.decided_value == 1
         assert result.timed_out  # partial: an undecided correct pid remains
-        assert result.exit_codes[6] == 17  # ProcessCrash exit_code default
+        assert result.exit_codes[6] == 17
         assert_no_leaks()
 
 
@@ -1354,10 +1337,7 @@ class TestReorderLink:
             ReorderLink(0.5, window=0.0)
 
     def test_describe_names_the_parameters(self):
-        plan = LinkPlan(per_source={2: [ReorderLink(0.7, window=0.004)]})
-        described = plan.describe()
-        assert "ReorderLink" in described[2]
-        assert "p=0.7" in described[2]
+        assert ReorderLink(0.7, window=0.004).describe() == "p=0.7, window=0.004s"
 
 
 @pytest.mark.net

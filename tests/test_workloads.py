@@ -3,13 +3,8 @@
 import pytest
 
 from repro.conditions.views import View
-from repro.harness import Crash, Equivocate, Silent
-from repro.workloads.failures import (
-    FailureSweep,
-    crash_faults,
-    equivocating_faults,
-    silent_faults,
-)
+from repro.harness import Silent
+from repro.workloads.failures import FailureSweep
 from repro.workloads.inputs import (
     AdversarialBoundaryWorkload,
     ContentionWorkload,
@@ -105,23 +100,6 @@ class TestBoundaryWorkload:
         for k in range(t):
             vector = View(workload.two_step_boundary(k))
             assert pair.two_step_level(vector) == k
-
-
-class TestFailureFactories:
-    def test_silent_faults(self):
-        faults = silent_faults([1, 2])
-        assert set(faults) == {1, 2}
-        assert all(isinstance(f, Silent) for f in faults.values())
-
-    def test_crash_faults_budget(self):
-        faults = crash_faults([0], budget=5)
-        assert isinstance(faults[0], Crash)
-        assert faults[0].budget == 5
-
-    def test_equivocating_faults(self):
-        faults = equivocating_faults([3], "a", "b")
-        assert isinstance(faults[3], Equivocate)
-        assert faults[3].value_a == "a"
 
 
 class TestFailureSweep:
