@@ -38,6 +38,8 @@ the recorded chunks through ``FrameDecoder`` → ``NodeWorker._dispatch`` with a
 discarding socket and a fresh WAL directory.  It prints the best fork's CPU
 milliseconds and the messages the replay sent, and exits non-zero unless that
 count equals the live replica's — the determinism the comparison rests on.
+The replay's decoder starts with an empty span table, as the live link's
+did, so a passing replay also says the table is a function of the bytes.
 
 ``--census`` (no profiler, no ``--role``, no ``--label``) counts instead of
 timing: the frames hub 0 read off node links by record kind, and the log

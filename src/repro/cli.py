@@ -38,7 +38,7 @@ from .conditions.legality import LegalityChecker
 from .conditions.privileged import PrivilegedPair
 from .conditions.views import View
 from .engine.events import EventLog
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .harness import (
     ENGINES,
     AlgorithmSpec,
@@ -163,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "same mean")
     run.add_argument("--hubs", type=int, default=1,
                      help="net engine: hub groups of the mesh transport "
-                          "(1 = the classic single-hub star)")
+                          "(1 = the classic single-hub star; more needs "
+                          "--engine net)")
     run.add_argument("--trace", action="store_true", help="print the event trace")
 
     table1 = sub.add_parser("table1", help="print the paper's Table 1")
@@ -285,6 +286,13 @@ def _cmd_run(args) -> int:
         if isinstance(args.algorithm, AlgorithmSpec)
         else _algorithm_by_name(args.algorithm)
     )
+    if args.hubs < 1:
+        raise ConfigurationError(f"--hubs must be at least 1, not {args.hubs}")
+    if args.hubs > 1 and args.engine != "net":
+        raise ConfigurationError(
+            f"--hubs {args.hubs} runs a mesh of hub groups, which only the net "
+            f"engine has (got --engine {args.engine})"
+        )
     mesh = None
     if args.hubs > 1:
         from .mesh.topology import MeshTopology

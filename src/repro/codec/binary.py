@@ -15,10 +15,13 @@ Three properties a pickle of the same records cannot offer:
   decoded or re-encoded.  This, not raw encode speed, is where the data
   plane wins: the hub is the global bottleneck, and with this codec it
   never looks inside a consensus payload.  The same framing serves the
-  receiving end: a length-prefixed span is what a materializing decoder
-  memoises, so a value that many messages quote under different headers
-  (``DexProposal``/``IdbInit``/``IdbEcho`` all blob-frame their ``value``)
-  is decoded once per replica, not once per message.
+  receiving end: a payload a hub → node link already carried crosses it
+  again as a one-byte reference into the link's span table
+  (:data:`DELIVERY_REFS`), decoded once; and a length-prefixed span inside
+  a payload is what a materializing decoder memoises, so a value that many
+  messages quote under different headers (``DexProposal``/``IdbInit``/
+  ``IdbEcho`` all blob-frame their ``value``) is decoded once per replica,
+  not once per message.
 * **Buffer reuse.**  :meth:`BinaryCodec.encode_into` appends to a caller
   bytearray, so hot loops encode straight into one reusable send buffer
   instead of allocating per-frame ``bytes``.
@@ -38,7 +41,7 @@ byte through one tuple, and every registered record gets its own encoder and
 decoder, *compiled* from its schema entry the first time the record is met
 (never at import): header bytes precomputed, all fields fetched by one
 ``operator.attrgetter``, blob framing and declared field layouts
-(:data:`DELIVERY_ENTRIES`) fixed per field.  The item loops
+(:data:`DELIVERY_ENTRIES`, :data:`DELIVERY_REFS`) fixed per field.  The item loops
 (:func:`_encode_items`, :func:`_decode_items`) settle the values that open
 with a one-byte varint — small integers, short strings and tuples, short
 blob spans in relay mode or already memoised — inline; everything else goes
@@ -64,6 +67,8 @@ __all__ = [
     "CodecError",
     "Opaque",
     "DELIVERY_ENTRIES",
+    "DELIVERY_REFS",
+    "SPAN_REFS",
     "encode",
     "encode_into",
     "decode",
@@ -109,19 +114,33 @@ _KIND_MEMBERS = tuple(DecisionKind)
 _KIND_INDEX = {member: i for i, member in enumerate(_KIND_MEMBERS)}
 
 #: Decoded blob spans one materializing :class:`BinaryCodec` remembers, keyed
-#: by their raw bytes, oldest evicted first.  A replica's live set is the
-#: distinct payloads of its open slots (≤ 21 each at n=7: proposals, inits
-#: and one echo per origin, each echo arriving n times) plus the blob-framed
-#: values inside them (one span per distinct batch, one or two a slot): the
-#: hit rate of a 4-shard ``floor_star``/``pipeline_star`` trial stops rising
-#: at 128 entries (85 % of 11 680 lookups, as at 1 024; 84 % at 64), so 256
-#: leaves room for twice the shards or pipeline depth.
+#: by their raw bytes, oldest evicted first.  A repeated delivery payload no
+#: longer reaches the memo — a link's span table (:data:`SPAN_REFS`) answers
+#: it — so what it sees are the blob-framed values inside each new payload:
+#: the batch that a slot's proposals, inits and echoes all quote (one or two
+#: distinct spans a slot).  Replica 3 of a 640-command trial looks up 1 540
+#: such spans on ``floor_star`` (86.6 % hits) and 1 700 on ``pipeline_star``
+#: (87.0 % at 16 entries, 87.4 % at 256): 256 bounds the memo, it is not what
+#: the hit rate needs.
 SPAN_MEMO_ENTRIES = 256
 
 #: Spans longer than this decode afresh every time.  Benchmark payloads are
 #: 71–78 bytes (4 commands a batch); 4 KiB admits batches fifty times that
 #: and bounds one codec's memo at 1 MiB of keys however large payloads get.
 SPAN_MEMO_MAX_BYTES = 4096
+
+#: Slots of the span table each end of a hub → node link keeps
+#: (:class:`repro.net.wire.MsgDeliverRefs`): a reference byte below this
+#: names a slot.  Part of the wire format, not a setting — both ends must
+#: agree.  Of replica 3's 11 323 payloads in a 640-command ``pipeline_star``
+#: trial, 83.5 % repeat a span among the link's last 64 distinct ones, the
+#: same share as at 128, 256 or 1 024 slots (76.7 % at 32); ``floor_star``
+#: 10 303 payloads, 83.5 % (67.5 % at 32).
+SPAN_REFS = 64
+
+#: The reference byte of a literal: a varint length and the span follow,
+#: and the span takes the link table's next slot.
+REF_LITERAL = 0xFF
 
 #: Every memo's other direction, process-wide (encoders have no codec): the span
 #: each memoised, hence immutable, value decoded from, by identity (the entry
@@ -316,15 +335,21 @@ def _encode_frozenset(obj: frozenset, buf: bytearray) -> None:
         buf += raw
 
 
+def _span_of(value: Any) -> bytes | bytearray:
+    """The encoded bytes of ``value``: an :class:`Opaque`'s own span, the
+    span a memoised value decoded from, or a fresh encoding."""
+    if type(value) is Opaque:
+        return value.data
+    if (known := _SPAN_OF.get(id(value))) is not None and known[0] is value:
+        return known[1]
+    inner = bytearray()
+    _encode_value(value, inner)
+    return inner
+
+
 def _encode_blob_field(value: Any, buf: bytearray) -> None:
     """A record field marked as a blob: length-prefixed, a span spliced."""
-    if type(value) is Opaque:
-        inner = value.data
-    elif (known := _SPAN_OF.get(id(value))) is not None and known[0] is value:
-        inner = known[1]
-    else:
-        inner = bytearray()
-        _encode_value(value, inner)
+    inner = _span_of(value)
     buf.append(TAG_BLOB)
     _write_varint(len(inner), buf)
     buf += inner
@@ -785,9 +810,10 @@ def _compile_decoder(tag: int) -> Decoder:
 #
 # A record may declare, at its ``@wire_record``, that one of its fields has
 # a known shape: ``layouts={"field": (encoder, field decoder)}``.  The pair
-# must write and read exactly the generic encoding — it is a faster way to
-# the same bytes and the same object, never a second format — so each entry
-# that is not of the declared shape takes the generic path on the spot.
+# below must write and read exactly the generic encoding — it is a faster way
+# to the same bytes and the same object, never a second format — so each
+# entry that is not of the declared shape takes the generic path on the spot.
+# (``DELIVERY_REFS``, further down, is the one layout that is a format.)
 
 #: ``TAG_TUPLE 3 TAG_INT <sender> TAG_BLOB``: how a delivery entry starts,
 #: at index ``sender + 64``.
@@ -891,6 +917,163 @@ def _decode_delivery_entries(
 DELIVERY_ENTRIES = (_encode_delivery_entries, _decode_delivery_entries)
 
 
+# -- MsgDeliverRefs.entries: deliveries against a link's span table ---------------------
+#
+# Unlike ``DELIVERY_ENTRIES`` this layout is the field's own format, pinned by
+# the golden frames: a varint count, then per entry a zigzag-varint sender, a
+# zigzag-varint depth and one reference byte ``r`` — ``r < SPAN_REFS`` names
+# a slot of the link's span table, ``REF_LITERAL`` is followed by a varint
+# length and the payload's span, which takes the table's next slot (FIFO).
+# Any other ``r`` is a ``CodecError``.  Only a hub link's writer
+# (``repro.net.wire.SpanTable``) emits references; the encoder here writes
+# every payload as a literal.
+
+
+def write_zigzag(n: int, buf: bytearray) -> None:
+    """Append the zigzag varint of the integer ``n`` (no value tag)."""
+    _write_varint((n << 1) if n >= 0 else (-(n << 1) - 1), buf)
+
+
+def write_literal(span: bytes | bytearray, buf: bytearray) -> None:
+    """Append a literal's reference byte, its varint length and ``span``."""
+    buf.append(REF_LITERAL)
+    _write_varint(len(span), buf)
+    buf += span
+
+
+def _encode_delivery_refs(entries: Any, buf: bytearray) -> None:
+    """``MsgDeliverRefs.entries`` with no link table: every payload a
+    literal.  Only a tuple of ``(int sender, payload, int depth)`` has this
+    layout; anything else is a :class:`CodecError` at the sender."""
+    if type(entries) is not tuple:
+        raise CodecError(f"MsgDeliverRefs.entries must be a tuple, not {type(entries).__name__}")
+    _write_varint(len(entries), buf)
+    for entry in entries:
+        if not (
+            type(entry) is tuple
+            and len(entry) == 3
+            and type(entry[0]) is int
+            and type(entry[2]) is int
+        ):
+            raise CodecError(f"not a (sender, payload, depth) delivery: {entry!r}")
+        sender, payload, depth = entry
+        write_zigzag(sender, buf)
+        write_zigzag(depth, buf)
+        write_literal(_span_of(payload), buf)
+
+
+def _decode_span(data: bytes, pos: int, end: int, codec: "BinaryCodec") -> Any:
+    """The one value a literal's span ``data[pos:end]`` holds."""
+    value, inner_end = _decode_value(data, pos, codec)
+    if inner_end != end:
+        raise CodecError("literal length does not match its contents")
+    return value
+
+
+class _Unshared:
+    """A link-table slot whose literal had a ``list`` or ``dict`` inside:
+    no two deliveries may hold one such object, so every reference decodes
+    the span afresh."""
+
+    __slots__ = ("span",)
+
+    def __init__(self, span: bytes) -> None:
+        self.span = span
+
+
+#: A link-table slot no literal has filled yet.
+_VACANT = _Unshared(b"")
+
+
+def _decode_literal(data: bytes, pos: int, end: int, codec: "BinaryCodec") -> Any:
+    """The payload of the literal ``data[pos:end]``.  A relay keeps the span;
+    a decoder without a link table decodes it (its inner blobs through the
+    memo, as always).  With a table the literal also fills the next slot: its
+    value, the span itself when a ``list`` or ``dict`` turned up inside, or —
+    when the span does not decode — an :class:`Opaque`, which is what this
+    delivery and every reference to the slot then carry."""
+    if codec._lazy:
+        return Opaque(data[pos:end])
+    table = codec._refs
+    if table is None:
+        return _decode_span(data, pos, end, codec)
+    enclosing = codec._mutable
+    codec._mutable = False
+    try:
+        value = _decode_span(data, pos, end, codec)
+    except (CodecError, ValueError, TypeError, RecursionError):
+        value = slot = Opaque(data[pos:end])
+        codec._mutable = enclosing
+    else:
+        slot = _Unshared(data[pos:end]) if codec._mutable else value
+        codec._mutable = enclosing or codec._mutable
+    at = codec._ref_next
+    table[at] = slot
+    codec._ref_next = at + 1 if at + 1 < SPAN_REFS else 0
+    return value
+
+
+def _decode_delivery_refs(data: bytes, pos: int, codec: "BinaryCodec") -> tuple[Any, int]:
+    """``MsgDeliverRefs.entries``: a tuple of ``(sender, payload, depth)``.  A
+    reference is one table read; a reference needs a decoder that keeps a
+    link table (a :class:`~repro.net.wire.FrameDecoder`'s, not the relay's
+    nor the module-level :func:`decode`'s)."""
+    count, pos = _read_varint(data, pos)
+    table, unzigzag = codec._refs, _SMALL_UNZIGZAG
+    entries: list = []
+    append = entries.append
+    try:
+        for _ in range(count):
+            zig = data[pos]
+            if zig < 0x80:
+                sender = unzigzag[zig]
+                pos += 1
+            else:
+                zig, pos = _read_varint(data, pos)
+                sender = (zig >> 1) if not zig & 1 else -((zig + 1) >> 1)
+            zig = data[pos]
+            if zig < 0x80:
+                depth = unzigzag[zig]
+                pos += 1
+            else:
+                zig, pos = _read_varint(data, pos)
+                depth = (zig >> 1) if not zig & 1 else -((zig + 1) >> 1)
+            ref = data[pos]
+            pos += 1
+            if ref < SPAN_REFS:
+                if table is None:
+                    raise CodecError("a span reference, but this decoder keeps no link table")
+                payload = table[ref]
+                if type(payload) is _Unshared:
+                    payload = _slot_value(payload, ref, codec)
+            elif ref == REF_LITERAL:
+                length, pos = _read_varint(data, pos)
+                end = pos + length
+                if end > len(data):
+                    raise CodecError("truncated literal")
+                payload = _decode_literal(data, pos, end, codec)
+                pos = end
+            else:
+                raise CodecError(f"bad span reference byte 0x{ref:02x}")
+            append((sender, payload, depth))
+    except IndexError:
+        raise CodecError("truncated delivery entry") from None
+    return tuple(entries), pos
+
+
+def _slot_value(slot: _Unshared, ref: int, codec: "BinaryCodec") -> Any:
+    """What a reference to a slot holding a raw span delivers: a fresh
+    decode of the span — or, for a slot no literal filled, an error."""
+    if slot is _VACANT:
+        raise CodecError(f"a reference to span slot {ref}, which is empty")
+    return _decode_span(slot.span, 0, len(slot.span), codec)
+
+
+#: The declared layout of ``MsgDeliverRefs.entries`` (see
+#: :mod:`repro.net.wire`).
+DELIVERY_REFS = (_encode_delivery_refs, _decode_delivery_refs)
+
+
 # -- the codec -------------------------------------------------------------------------
 
 
@@ -913,16 +1096,26 @@ class BinaryCodec:
     instance (:func:`_materialize`) — so one instance decodes on one thread
     at a time; a :class:`~repro.net.wire.FrameDecoder` owns its own.
 
+    With ``links=True`` it is also the node end of one hub → node link: it
+    keeps that link's span table (:data:`SPAN_REFS` slots, filled by the
+    literals of :class:`~repro.net.wire.MsgDeliverRefs` frames in arrival
+    order), so a payload the link already carried is one table read.
+
     Args:
         lazy: decode blob fields as :class:`Opaque` spans (relay mode).
+        links: keep a link's span table (materializing mode only).
     """
 
-    __slots__ = ("_lazy", "_spans", "_mutable")
+    __slots__ = ("_lazy", "_spans", "_mutable", "_refs", "_ref_next")
 
-    def __init__(self, lazy: bool = False) -> None:
+    def __init__(self, lazy: bool = False, links: bool = False) -> None:
         self._lazy = lazy
         self._spans: dict[bytes, Any] | None = None if lazy else {}
         self._mutable = False
+        self._refs: list[Any] | None = (
+            [_VACANT] * SPAN_REFS if links and not lazy else None
+        )
+        self._ref_next = 0
 
     def encode_into(self, obj: Any, buf: bytearray) -> None:
         _encode_value(obj, buf)
@@ -956,6 +1149,6 @@ def _without_memo(lazy: bool) -> BinaryCodec:
     return codec
 
 
-#: What the module-level :func:`decode` runs on: no memo, so no state that a
-#: second thread or a nested call could disturb.
+#: What the module-level :func:`decode` runs on: no memo and no link table,
+#: so no state that a second thread or a nested call could disturb.
 _FRESH, _RELAY = _without_memo(False), _without_memo(True)

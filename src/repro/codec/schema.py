@@ -63,10 +63,12 @@ class SchemaEntry:
             what is written, never what can be read.
         layouts: per-field codec pairs for fields whose shape the record
             declares (``MsgDeliverBatch.entries`` is a tuple of ``(sender,
-            blob payload, depth)``).  A layout is a faster way to the bytes
-            the generic encoding of that field would produce, never a
-            different format — so it is no part of the wire format, of
-            equality, or of the pinned registry table.
+            blob payload, depth)``).  Such a layout is a faster way to the
+            bytes the generic encoding of that field would produce.  One
+            field's layout is instead its own format:
+            ``MsgDeliverRefs.entries`` (``DELIVERY_REFS``), pinned by the
+            golden frames like any other record's bytes.  Either way a
+            layout is no part of equality or of the pinned registry table.
     """
 
     tag: int

@@ -75,16 +75,15 @@ from .wire import (
     Hello,
     MsgBroadcast,
     MsgDecide,
-    MsgDeliver,
     MsgLog,
     MsgOutput,
     MsgSend,
     MsgService,
+    SpanTable,
     Start,
     Stop,
     TruncatedStream,
     WireError,
-    batch_frames,
     encode_frame_into,
 )
 
@@ -125,10 +124,14 @@ class HubLink:
     is the authenticated pid or the hub index.  ``broken`` says a write
     failed: the peer is gone and the link takes no more frames, but it
     stays readable until EOF — what the peer wrote before dying counts.
+    ``spans`` is the hub end of the link's span table: deliveries leave
+    through :meth:`queue_deliveries`, which names a payload the link already
+    carried by its slot.
     """
 
     __slots__ = (
         "sock", "decoder", "max_frame", "kind", "ident", "outbox", "writing", "broken",
+        "spans",
     )
 
     def __init__(
@@ -145,6 +148,7 @@ class HubLink:
         self.outbox = bytearray()
         self.writing = False  # registered for EVENT_WRITE
         self.broken = False
+        self.spans = SpanTable()
 
     @classmethod
     def dial(
@@ -180,6 +184,18 @@ class HubLink:
             del out[mark:]
             raise
         return len(out) - mark
+
+    def queue_deliveries(self, entries: list[tuple[ProcessId, Any, int]]) -> tuple[int, int]:
+        """Append the :class:`~repro.net.wire.MsgDeliverRefs` frames of
+        ``entries`` to the outbox — all of them or, on any failure, none,
+        the span table untouched.  Returns ``(frames, bytes)`` queued.
+
+        Raises:
+            FrameTooLarge: some frame exceeds the cap.
+        """
+        mark = len(self.outbox)
+        frames = self.spans.encode_frames_into(entries, self.outbox, self.max_frame)
+        return frames, len(self.outbox) - mark
 
     def flush(self) -> bool:
         """Hand the socket as much of the outbox as it takes, in order.
@@ -348,9 +364,23 @@ class DataPlane:
         """
         if link.kind == "closed" or link.broken:
             return False
-        size = link.queue(msgs)
+        return self._wrote(link, len(msgs), link.queue(msgs))
+
+    def _write_deliveries(self, link: HubLink, entries: list[tuple[ProcessId, Any, int]]) -> bool:
+        """:meth:`_write` for one destination's due deliveries, as
+        :class:`~repro.net.wire.MsgDeliverRefs` frames against the link's
+        span table.
+
+        Raises:
+            FrameTooLarge: some frame exceeds the cap — nothing was queued.
+        """
+        if link.kind == "closed" or link.broken:
+            return False
+        return self._wrote(link, *link.queue_deliveries(entries))
+
+    def _wrote(self, link: HubLink, frames: int, size: int) -> bool:
         if link.kind == "node":
-            self.frames += len(msgs)
+            self.frames += frames
             self.bytes += size
         self._flush(link)
         return link.kind != "closed" and not link.broken
@@ -391,8 +421,11 @@ class DataPlane:
         ``MsgBroadcast`` is the ``n`` sends it stands for, in pid order —
         attributed once, observed, then queued (or relayed) per destination,
         all sharing the one payload span.  A ``MsgSend`` to no process of
-        the cluster is a :class:`WireError`."""
+        the cluster, or a frame whose depth is no integer, is a
+        :class:`WireError`."""
         payload, depth = msg.payload, msg.depth
+        if type(depth) is not int:
+            raise WireError(f"message depth {depth!r} is not an integer")
         if type(msg) is MsgBroadcast:
             first, stop = 0, self.n
         elif msg.dst in range(self.n):
@@ -451,8 +484,8 @@ class DataPlane:
     def _deliver_due(self, now: float) -> None:
         if self._saturated and len(self._heap) <= self.high_water // 2:
             self._saturated = False  # episode over: re-arm the latch
-        # Coalesce every due delivery per destination into one frame (per
-        # 32-entry chunk): multiplexed workloads make whole quorums of
+        # Coalesce every due delivery per destination into one write (a
+        # frame per 32 entries): multiplexed workloads make whole quorums of
         # instance traffic come due in the same sweep.  Per-destination
         # delivery order is exactly the heap's pop order: sorted (one C sort,
         # no pop per copy), the heap is still a heap, the due copies a prefix.
@@ -473,9 +506,8 @@ class DataPlane:
             link = self._nodes.get(dst)
             if link is None:
                 continue  # dead or never-connected destination
-            frames = batch_frames(entries)[0]
             try:
-                delivered = entries if self._write(link, frames) else []
+                delivered = entries if self._write_deliveries(link, entries) else []
             except FrameTooLarge:
                 # huge payloads: fall back to one frame per message
                 delivered = [e for e in entries if self._write_single(link, e)]
@@ -488,7 +520,7 @@ class DataPlane:
 
     def _write_single(self, link: HubLink, entry: tuple[ProcessId, Any, int]) -> bool:
         try:
-            return self._write(link, [MsgDeliver(*entry)])
+            return self._write_deliveries(link, [entry])
         except FrameTooLarge as exc:
             self.events.fault(link.ident, "frame-too-large", str(exc))
             return False

@@ -47,8 +47,7 @@ from .wire import (
     Hello,
     MsgBroadcast,
     MsgDecide,
-    MsgDeliver,
-    MsgDeliverBatch,
+    MsgDeliverRefs,
     MsgLog,
     MsgOutput,
     MsgSend,
@@ -257,19 +256,17 @@ class NodeWorker(ExecutionPorts):
 
     def _dispatch(self, msg: Any) -> bool:
         """Handle one inbound frame; ``False`` = Stop, the run is over."""
-        if isinstance(msg, Start):
+        if type(msg) is MsgDeliverRefs:
+            protocol, pid = self.protocol, self.pid
+            for sender, payload, depth in msg.entries:
+                if type(payload) is Opaque:  # it did not decode: drop it, say whose
+                    self._write(MsgLog(pid, "wire.undecodable", {"sender": sender}))
+                elif effects := guarded(protocol, sender, payload):
+                    interpret(self, pid, effects, depth)
+        elif isinstance(msg, Start):
             if not self._started:
                 self._started = True
                 interpret(self, self.pid, self.protocol.on_start(), 0)
-        elif isinstance(msg, (MsgDeliver, MsgDeliverBatch)):
-            # A batch is identical to the same deliveries as consecutive frames.
-            lone = isinstance(msg, MsgDeliver)
-            entries = ((msg.sender, msg.payload, msg.depth),) if lone else msg.entries
-            for sender, payload, depth in entries:
-                if type(payload) is Opaque:  # it did not decode: drop it, say whose
-                    self._write(MsgLog(self.pid, "wire.undecodable", {"sender": sender}))
-                elif effects := guarded(self.protocol, sender, payload):
-                    interpret(self, self.pid, effects, depth)
         elif isinstance(msg, Stop):
             return False
         return True

@@ -12,7 +12,10 @@ version byte rejects cross-version clusters at the first frame instead of
 letting them mis-decode each other's payloads.
 
 This module owns *framing* — length prefixes, size caps, version checks —
-and nothing else.  Payload bytes are produced and consumed by
+and the two ends of each hub → node link's span table (:class:`SpanTable`
+on the hub, the table a materializing :class:`FrameDecoder` keeps), so a
+payload the link already carried crosses it again as a one-byte
+reference.  Payload bytes are produced and consumed by
 :mod:`repro.codec`: every frame is ``CODEC_BINARY``, struct-packed records
 from the schema registry, relayable without decoding (see
 :class:`repro.codec.Opaque`).  A frame with any other codec byte is a
@@ -37,8 +40,17 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..codec import CODEC_BINARY, BinaryCodec, CodecError, Opaque
-from ..codec.binary import DELIVERY_ENTRIES, decode, encode, encode_into
-from ..codec.schema import wire_record
+from ..codec.binary import (
+    DELIVERY_ENTRIES,
+    DELIVERY_REFS,
+    SPAN_REFS,
+    TAG_STRUCT,
+    encode,
+    encode_into,
+    write_literal,
+    write_zigzag,
+)
+from ..codec.schema import entry_for_class, wire_record
 from ..errors import ReproError
 from ..runtime.effects import ServiceCall
 from ..types import ProcessId, slot_init
@@ -48,6 +60,7 @@ __all__ = [
     "CODEC_BINARY",
     "DEFAULT_MAX_FRAME",
     "DELIVERY_BATCH_CHUNK",
+    "SPAN_REFS",
     "WireError",
     "FrameTooLarge",
     "TruncatedStream",
@@ -55,6 +68,7 @@ __all__ = [
     "encode_frame_into",
     "batch_frames",
     "FrameDecoder",
+    "SpanTable",
     "Hello",
     "Start",
     "Stop",
@@ -66,6 +80,7 @@ __all__ = [
     "MsgService",
     "MsgLog",
     "MsgBroadcast",
+    "MsgDeliverRefs",
 ]
 
 #: Protocol version carried in every frame header.
@@ -151,6 +166,11 @@ class FrameDecoder:
     decoded, in order.  The decoder owns the protocol checks: declared
     length against the cap *before* buffering, version byte, codec byte.
 
+    A materializing decoder is the node end of a hub → node link: it keeps
+    the link's span table, which the literals of :class:`MsgDeliverRefs`
+    frames fill in the order they arrive, in lockstep with the hub's
+    :class:`SpanTable` — so the table is a function of the link's bytes.
+
     Args:
         max_frame: size cap on the frame body (must match the writer's).
         lazy: relay mode — binary-codec blob fields decode as
@@ -160,11 +180,11 @@ class FrameDecoder:
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME, lazy: bool = False) -> None:
         self.max_frame = max_frame
-        self.lazy = lazy
         # This link's own binary codec, not the shared one: a materializing
-        # codec remembers the payload spans it decoded, and what one link
-        # has seen should neither outlive it nor be evicted by another's.
-        self._binary = BinaryCodec(lazy)
+        # codec remembers the payload spans it decoded and holds the link's
+        # span table, and what one link has seen should neither outlive it
+        # nor be evicted by another's.
+        self._binary = BinaryCodec(lazy, links=not lazy)
         self._buffer = bytearray()
 
     @property
@@ -215,9 +235,7 @@ class FrameDecoder:
                 try:
                     msg = self._binary.decode(payload)
                 except CodecError as exc:
-                    msg = None if self.lazy else self._salvage(payload)
-                    if msg is None:
-                        raise WireError(f"undecodable frame: {exc}") from exc
+                    raise WireError(f"undecodable frame: {exc}") from exc
                 yield msg
         finally:
             # Consumed frames leave the buffer once per call, not once per
@@ -225,28 +243,6 @@ class FrameDecoder:
             # ``finally`` so a caller that stops iterating early (the hub's
             # Hello handshake) still leaves the unread frames buffered.
             del buffer[:pos]
-
-    def _salvage(self, payload: bytes) -> Any:
-        """A delivery frame whose framing decodes but a payload span does not
-        (a faulty sender's, relayed unread): a bad span stays an :class:`Opaque`
-        for the node to drop.  ``None`` for anything else: the link fails."""
-        try:
-            msg = decode(payload, lazy=True)
-        except CodecError:
-            return None
-        if type(msg) is MsgDeliver:
-            return MsgDeliver(msg.sender, self._settle(msg.payload), msg.depth)
-        entries = msg.entries if type(msg) is MsgDeliverBatch else None
-        if type(entries) is tuple and all(type(e) is tuple and len(e) == 3 for e in entries):
-            return MsgDeliverBatch(tuple((s, self._settle(p), d) for s, p, d in entries))
-        return None
-
-    def _settle(self, payload: Any) -> Any:
-        raw = payload.data if type(payload) is Opaque else encode(payload)
-        try:
-            return self._binary.decode(raw)
-        except CodecError:
-            return Opaque(raw)
 
     def eof(self) -> None:
         """Signal end-of-stream; raises if the peer died mid-frame.
@@ -312,7 +308,8 @@ class MsgSend:
 @slot_init
 @dataclass(frozen=True, slots=True)
 class MsgDeliver:
-    """Hub → node: one message delivery."""
+    """Hub → node: one message delivery.  No hub sends it any more (every
+    delivery is a :class:`MsgDeliverRefs` entry); the tag stays registered."""
 
     sender: ProcessId
     payload: Any
@@ -323,7 +320,9 @@ class MsgDeliver:
 @slot_init
 @dataclass(frozen=True, slots=True)
 class MsgDeliverBatch:
-    """Hub → node: several co-scheduled deliveries in one frame.
+    """Hub → node: several co-scheduled deliveries in one frame.  No hub
+    sends it any more — :class:`MsgDeliverRefs` replaced it — but
+    ``benchmarks/e2e/layers.probe_codec`` still times it.
 
     When many queued messages for one destination come due in the same
     delivery sweep (typical for multiplexed workloads: every instance's
@@ -407,6 +406,27 @@ class MsgBroadcast:
     depth: int
 
 
+@wire_record(tag=14, layouts={"entries": DELIVERY_REFS})
+@slot_init
+@dataclass(frozen=True, slots=True)
+class MsgDeliverRefs:
+    """Hub → node: co-scheduled deliveries, each payload a span the link
+    carried before or a new one.
+
+    Entries are ``(sender, payload, depth)`` in delivery order.  On the wire
+    (``DELIVERY_REFS``, the field's own layout) each entry is a zigzag
+    sender and depth and one reference byte: a slot of the link's span table
+    (:data:`SPAN_REFS` slots, FIFO), or a literal that carries the span and
+    takes the next slot.  The copies of one broadcast and the echoes of one
+    value therefore cross a link once and are decoded by the node once.
+    The hub's :class:`SpanTable` writes references; the stateless encoder
+    (:func:`encode_frame`, the golden frames) writes every payload as a
+    literal; only a materializing :class:`FrameDecoder` reads references.
+    """
+
+    entries: tuple[tuple[ProcessId, Any, int], ...]
+
+
 #: Deliveries coalesced into one frame at most — keeps a batched frame far
 #: below the frame size cap even with large consensus payloads.
 DELIVERY_BATCH_CHUNK = 32
@@ -415,7 +435,9 @@ DELIVERY_BATCH_CHUNK = 32
 def batch_frames(
     entries: list[tuple[ProcessId, Any, int]],
 ) -> tuple[list[Any], list[list[tuple[ProcessId, Any, int]]]]:
-    """Chunk one destination's due deliveries into delivery frames.
+    """Chunk one destination's due deliveries into the delivery frames hubs
+    wrote before :class:`SpanTable` (kept for ``benchmarks/e2e/layers.py``,
+    which times them).
 
     Returns ``(frames, per_frame)``: the frames to write — a lone delivery
     stays a :class:`MsgDeliver`, larger chunks coalesce into
@@ -430,3 +452,112 @@ def batch_frames(
         for chunk in per_frame
     ]
     return frames, per_frame
+
+
+#: ``TAG_STRUCT`` + the schema tag of :class:`MsgDeliverRefs`: how its
+#: frame's payload starts.
+_REFS_HEAD = bytes((TAG_STRUCT, entry_for_class(MsgDeliverRefs).tag))
+
+#: The one-byte zigzag varint of each integer in -64..63, at index ``n + 64``.
+_ZIGZAG1 = tuple((n << 1) if n >= 0 else (-(n << 1) - 1) for n in range(-64, 64))
+
+
+class SpanTable:
+    """The hub end of one hub → node link's span table.
+
+    Writes :class:`MsgDeliverRefs` frames: a payload whose bytes are in the
+    table goes out as its one-byte slot, any other as a literal that takes
+    the next slot, evicting the oldest span — exactly what the node's
+    :class:`FrameDecoder` does on reading the literal, so the two tables
+    stay in lockstep as long as every frame written here reaches the link
+    in order.  That is why slots change only with what is committed to the
+    buffer: :meth:`encode_frames_into` writes all its frames or none, and
+    on failure leaves the table as it found it.  A payload that is not an
+    :class:`~repro.codec.Opaque` span (a service reply the hub built) is
+    encoded here and looked up like any span.
+    """
+
+    __slots__ = ("_slot_of", "_spans", "_next")
+
+    def __init__(self) -> None:
+        self._slot_of: dict[bytes, int] = {}
+        self._spans: list[bytes | None] = [None] * SPAN_REFS
+        self._next = 0
+
+    def encode_frames_into(
+        self,
+        entries: list[tuple[ProcessId, Any, int]],
+        buf: bytearray,
+        max_frame: int = DEFAULT_MAX_FRAME,
+    ) -> int:
+        """Append the frames of ``entries``, :data:`DELIVERY_BATCH_CHUNK` to
+        a frame, to ``buf``; returns the number of frames.  Senders and
+        depths are integers (the hub checks depths at ingress).
+
+        Raises:
+            FrameTooLarge: some frame exceeds ``max_frame`` — ``buf`` and the
+                table are as they were before the call.
+        """
+        mark, first = len(buf), self._next
+        undo: list[tuple[int, bytes | None]] = []
+        try:
+            for at in range(0, len(entries), DELIVERY_BATCH_CHUNK):
+                self._frame(entries[at : at + DELIVERY_BATCH_CHUNK], buf, max_frame, undo)
+        except Exception:
+            del buf[mark:]
+            slot_of, spans = self._slot_of, self._spans
+            for slot, old in reversed(undo):
+                del slot_of[spans[slot]]
+                spans[slot] = old
+                if old is not None:
+                    slot_of[old] = slot
+            self._next = first
+            raise
+        return (len(entries) + DELIVERY_BATCH_CHUNK - 1) // DELIVERY_BATCH_CHUNK
+
+    def _frame(
+        self,
+        chunk: list[tuple[ProcessId, Any, int]],
+        buf: bytearray,
+        max_frame: int,
+        undo: list[tuple[int, bytes | None]],
+    ) -> None:
+        start = len(buf)
+        buf += b"\x00\x00\x00\x00"  # length backpatched below
+        buf.append(WIRE_VERSION)
+        buf.append(CODEC_BINARY)
+        buf += _REFS_HEAD
+        buf.append(len(chunk))  # DELIVERY_BATCH_CHUNK < 0x80: one varint byte
+        slot_of, spans, zigzag1 = self._slot_of, self._spans, _ZIGZAG1
+        for sender, payload, depth in chunk:
+            if -64 <= sender < 64:
+                buf.append(zigzag1[sender + 64])
+            else:
+                write_zigzag(sender, buf)
+            if 0 <= depth < 64:
+                buf.append(depth << 1)
+            elif 0 <= depth < 8192:  # a two-byte zigzag varint
+                buf.append(((depth << 1) & 0x7F) | 0x80)
+                buf.append(depth >> 6)
+            else:
+                write_zigzag(depth, buf)
+            span = payload.data if type(payload) is Opaque else encode(payload)
+            slot = slot_of.get(span)
+            if slot is not None:
+                buf.append(slot)
+                continue
+            write_literal(span, buf)
+            slot = self._next
+            old = spans[slot]
+            if old is not None:
+                del slot_of[old]
+            undo.append((slot, old))
+            spans[slot] = span
+            slot_of[span] = slot
+            self._next = slot + 1 if slot + 1 < SPAN_REFS else 0
+        body_len = len(buf) - start - _LENGTH.size
+        if body_len > max_frame:
+            raise FrameTooLarge(
+                f"frame body of {body_len} bytes exceeds the cap of {max_frame}"
+            )
+        _LENGTH.pack_into(buf, start, body_len)

@@ -9,6 +9,12 @@ specification the compiled codec is checked against — same bytes out of
 "memoised after decode" exactly where ``shareable`` says so
 (``tests/test_codec.py::TestCompiledAgainstReference``).  Do not optimise
 it and do not import it from ``src/``.
+
+One record has a field format of its own: ``MsgDeliverRefs`` (tag 14)
+writes its entries as a count, then per entry a zigzag sender, a zigzag
+depth and a reference byte — here always ``REF_LITERAL`` and the payload's
+span, since a reference needs a link's span table, which this codec does
+not keep (reading one is an error, as for the module-level ``decode``).
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from repro.codec.binary import (
     TAG_STRUCT,
     TAG_TRUE,
     TAG_TUPLE,
+    REF_LITERAL,
+    SPAN_REFS,
     CodecError,
     Opaque,
 )
@@ -140,9 +148,16 @@ def _encode_value(obj: Any, buf: bytearray) -> None:
         _encode_struct(obj, entry, buf)
 
 
+#: The schema tag of ``MsgDeliverRefs``, whose one field has its own layout.
+_DELIVER_REFS = 14
+
+
 def _encode_struct(obj: Any, entry: _schema.SchemaEntry, buf: bytearray) -> None:
     buf.append(TAG_STRUCT)
     _write_varint(entry.tag, buf)
+    if entry.tag == _DELIVER_REFS:
+        _encode_delivery_refs(obj.entries, buf)
+        return
     blobs = entry.blobs
     if blobs:
         for name in entry.fields:
@@ -163,6 +178,31 @@ def _encode_struct(obj: Any, entry: _schema.SchemaEntry, buf: bytearray) -> None
     else:
         for name in entry.fields:
             _encode_value(getattr(obj, name), buf)
+
+
+def _encode_delivery_refs(entries: Any, buf: bytearray) -> None:
+    if type(entries) is not tuple:
+        raise CodecError(f"MsgDeliverRefs.entries must be a tuple, not {type(entries).__name__}")
+    _write_varint(len(entries), buf)
+    for entry in entries:
+        if not (
+            type(entry) is tuple
+            and len(entry) == 3
+            and type(entry[0]) is int
+            and type(entry[2]) is int
+        ):
+            raise CodecError(f"not a (sender, payload, depth) delivery: {entry!r}")
+        sender, payload, depth = entry
+        _write_varint(_zigzag(sender), buf)
+        _write_varint(_zigzag(depth), buf)
+        if type(payload) is Opaque:
+            span = payload.data
+        else:
+            span = bytearray()
+            _encode_value(payload, span)
+        buf.append(REF_LITERAL)
+        _write_varint(len(span), buf)
+        buf += span
 
 
 def _encode_envelope(obj: Any, buf: bytearray) -> None:
@@ -318,11 +358,49 @@ def _decode_struct(
         entry = _schema.entry_for_tag(tag)
         if entry is None:
             raise CodecError(f"unknown schema tag {tag}")
+    if entry.tag == _DELIVER_REFS:
+        entries, pos = _decode_delivery_refs(data, pos, lazy, memo)
+        return entry.cls(entries), pos
     values = []
     for _ in entry.fields:
         value, pos = _decode_value(data, pos, lazy, memo)
         values.append(value)
     return entry.cls(*values), pos
+
+
+def _decode_delivery_refs(
+    data: bytes, pos: int, lazy: bool, memo: dict[bytes, Any] | None
+) -> tuple[Any, int]:
+    count, pos = _read_varint(data, pos)
+    entries = []
+    for _ in range(count):
+        numbers = []
+        for _ in range(2):  # sender, depth
+            if pos >= len(data):
+                raise CodecError("truncated delivery entry")
+            zig, pos = _read_varint(data, pos)
+            numbers.append((zig >> 1) if not zig & 1 else -((zig + 1) >> 1))
+        if pos >= len(data):
+            raise CodecError("truncated delivery entry")
+        ref = data[pos]
+        pos += 1
+        if ref < SPAN_REFS:
+            raise CodecError("a span reference, but this decoder keeps no link table")
+        if ref != REF_LITERAL:
+            raise CodecError(f"bad span reference byte 0x{ref:02x}")
+        length, pos = _read_varint(data, pos)
+        end = pos + length
+        if end > len(data):
+            raise CodecError("truncated literal")
+        if lazy:
+            payload = Opaque(bytes(data[pos:end]))
+        else:
+            payload, inner_end = _decode_value(data, pos, lazy, memo)
+            if inner_end != end:
+                raise CodecError("literal length does not match its contents")
+        pos = end
+        entries.append((numbers[0], payload, numbers[1]))
+    return tuple(entries), pos
 
 
 def _decode_envelope(

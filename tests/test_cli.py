@@ -90,6 +90,21 @@ class TestCommands:
         assert main(["run", "-i", "1,1,1,1,1,1,1", "-f", "6:crash:-1"]) == 2
         assert "error: Crash.budget must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (["--engine", "net", "--hubs", "0"], "--hubs must be at least 1, not 0"),
+            (["--engine", "net", "--hubs", "-3"], "--hubs must be at least 1, not -3"),
+            (["--hubs", "2"], "only the net engine has (got --engine sim)"),
+        ],
+        ids=["zero-hubs", "negative-hubs", "mesh-on-sim"],
+    )
+    def test_hubs_is_validated_not_ignored(self, capsys, argv, says):
+        # Each of these used to run the star (or the simulator) and exit 0.
+        assert main(["run", "-i", "1,2,1,2,1,2,1", "--seed", "7", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
     def test_run_help_lists_all_five_engines(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--help"])

@@ -69,6 +69,7 @@ from repro.net.wire import (
     MsgDecide,
     MsgDeliver,
     MsgDeliverBatch,
+    MsgDeliverRefs,
     MsgLog,
     MsgOutput,
     MsgSend,
@@ -87,6 +88,9 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "codec_frames.bin"
 #: The fixture as it stood before tags 16-18 blob-framed their ``value``:
 #: what a peer one commit older writes, which must stay readable.
 LEGACY_PATH = GOLDEN_PATH.with_name("codec_frames_unframed_values.bin")
+#: How many of ``golden_messages()`` the legacy fixture holds: the ones
+#: before the tags appended since.
+LEGACY_MESSAGES = 39
 
 
 def _consensus_envelope():
@@ -97,7 +101,8 @@ def _consensus_envelope():
 
 def golden_messages():
     """The canonical message list: one instance per registered schema tag,
-    in tag order, plus a plain-values frame exercising every value tag.
+    in tag order, plus a plain-values frame exercising every value tag, then
+    the tags registered since, in the order they were added.
 
     APPEND ONLY in spirit: changing an existing entry changes pinned wire
     bytes and is a compatibility break.
@@ -146,6 +151,11 @@ def golden_messages():
          b"\x00\xff", (), (1, (2, 3)), [1, [2]], {"a": 1, 2: None},
          frozenset({1, 2, 3}), BOTTOM, DecisionKind.FAST,
          Envelope("unregistered-component", 1)),
+        # tag 14, appended after the fixture's first version: every payload
+        # a literal (only a hub link's span table writes references), a
+        # repeated one too; wide senders and depths are multi-byte varints
+        MsgDeliverRefs(((1, _consensus_envelope(), 2), (-1, "reply", 70),
+                        (100, _consensus_envelope(), 9_000), (2, None, -3))),
     ]
 
 
@@ -522,9 +532,13 @@ class LateRecord:
 
 
 def _record_instances():
-    """Any registered record, its fields drawn from the value grammar."""
-    entries = list(registered_entries())
-    return st.sampled_from(entries).flatmap(
+    """Any registered record, its fields drawn from the value grammar — but
+    ``MsgDeliverRefs`` holds deliveries: its layout has no other shape."""
+    entries = [e for e in registered_entries() if e.cls is not MsgDeliverRefs]
+    deliveries = st.lists(
+        st.tuples(st.integers(), _values, st.integers()), max_size=4
+    ).map(lambda e: MsgDeliverRefs(tuple(e)))
+    return deliveries | st.sampled_from(entries).flatmap(
         lambda entry: st.tuples(*[_values] * len(entry.fields)).map(
             lambda fields: entry.cls(*fields)
         )
@@ -642,9 +656,11 @@ class TestDeliveryEntriesLayout:
         yield "empty", ()
 
     def test_the_declaration_is_on_the_record_not_in_the_codec(self):
-        entry = schema.entry_for_class(MsgDeliverBatch)
-        assert entry.layouts == {"entries": binary.DELIVERY_ENTRIES}
-        assert all(not e.layouts for e in registered_entries() if e is not entry)
+        declared = {e.cls: e.layouts for e in registered_entries() if e.layouts}
+        assert declared == {
+            MsgDeliverBatch: {"entries": binary.DELIVERY_ENTRIES},
+            MsgDeliverRefs: {"entries": binary.DELIVERY_REFS},
+        }
 
     def test_each_edge_is_the_generic_path(self):
         for name, entries in self._edge_batches():
@@ -833,14 +849,16 @@ class TestBlobFramedValues:
         """The parent commit's golden bytes — tags 16-18 with the value
         written in place, no blob header — decode to the same objects."""
         legacy = LEGACY_PATH.read_bytes()
-        assert len(GOLDEN_PATH.read_bytes()) - len(legacy) == 2 * 7  # 7 frames quote one
+        canonical = golden_messages()[:LEGACY_MESSAGES]  # the list it was written from
+        framed = b"".join(encode_frame(m) for m in canonical)
+        assert len(framed) - len(legacy) == 2 * 7  # 7 frames quote one
         for lazy_first in (False, True):
             decoder = FrameDecoder(lazy=lazy_first)
             decoded = list(decoder.feed(legacy))
             decoder.eof()
             if lazy_first:  # a relay's view of them, materialized on demand
                 decoded = [decode(encode(msg)) for msg in decoded]
-            assert decoded == golden_messages()
+            assert decoded == canonical
         assert reference.decode(encode(IdbEcho(2, 3))) == IdbEcho(2, 3)
         unframed = bytes([TAG_STRUCT, 18]) + encode(self.BATCH) + encode(3)
         assert decode(unframed) == IdbEcho(self.BATCH, 3)

@@ -43,7 +43,7 @@ from repro.mesh import (
     shard_of_payload,
 )
 from repro.net.faults import DelayLink, DropLink, LinkPlan
-from repro.net.wire import Hello, MsgDeliver, MsgSend, Stop
+from repro.net.wire import Hello, MsgDeliverRefs, MsgSend, Stop
 from repro.runtime.composite import Envelope
 from repro.shard.router import hub_of, instance_name
 from repro.shard.service import ShardedService
@@ -224,15 +224,13 @@ class TestHubWorkerRouting:
             node0.send(MsgSend(0, 1, sharded_payload(2), 0))
 
             # the hub may coalesce co-scheduled deliveries into one
-            # MsgDeliverBatch frame; flatten to (sender, payload, depth)
+            # MsgDeliverRefs frame; flatten to (sender, payload, depth)
             payloads = []
             deadline = time.monotonic() + 5.0
             while len(payloads) < 2 and time.monotonic() < deadline:
                 for frame in _drain(node1, 1):
-                    if isinstance(frame, MsgDeliver):
-                        payloads.append(frame.payload)
-                    else:  # MsgDeliverBatch
-                        payloads.extend(p for _, p, _ in frame.entries)
+                    assert isinstance(frame, MsgDeliverRefs)
+                    payloads.extend(p for _, p, _ in frame.entries)
             assert {shard_of_payload(p, 4) for p in payloads} == {1, 3}
             relayed = _drain(control, 2)
             assert all(isinstance(m, MsgRelay) for m in relayed)

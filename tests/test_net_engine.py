@@ -886,7 +886,7 @@ class TestSilentDialer:
         import socket
         import time
 
-        from repro.net.wire import MsgDeliver
+        from repro.net.wire import MsgDeliverRefs
 
         cluster = _hub0()
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -903,7 +903,7 @@ class TestSilentDialer:
             cluster._poll(0.0)  # accepts the dialer
             cluster._deliver_due(time.monotonic())
             assert time.monotonic() - began < 0.5
-            assert _drain(peer, 1) == [MsgDeliver(0, "ping", 0)]
+            assert _drain(peer, 1) == [MsgDeliverRefs(((0, "ping", 0),))]
             kinds = [
                 key.data.kind for key in cluster._selector.get_map().values() if key.data
             ]
@@ -1376,6 +1376,8 @@ class TestDeliveryBatching:
         assert result.all_correct_decided()
         assert result.decided_value == 1
         assert result.hub_frames < result.stats.messages_delivered
+        # and a payload the link already carried goes out as a one-byte slot
+        assert result.hub_bytes < 10 * result.stats.messages_delivered
         assert_no_leaks()
 
 

@@ -11,7 +11,11 @@ import pickle
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.codec import CodecError, Opaque
+from repro.codec.binary import decode, encode
 from repro.net.wire import (
     CODEC_BINARY,
     WIRE_VERSION,
@@ -21,7 +25,10 @@ from repro.net.wire import (
     MsgDecide,
     MsgDeliver,
     MsgDeliverBatch,
+    MsgDeliverRefs,
     MsgSend,
+    SpanTable,
+    SPAN_REFS,
     Start,
     Stop,
     TruncatedStream,
@@ -320,7 +327,7 @@ class TestUndecodablePayload:
         from repro.codec.binary import encode
 
         good = Opaque(encode(("vote", 7)))
-        return MsgDeliverBatch(((1, good, 0), (sender, Opaque(bad), depth), (4, good, 2)))
+        return MsgDeliverRefs(((1, good, 0), (sender, Opaque(bad), depth), (4, good, 2)))
 
     def test_the_middle_entry_of_a_batch_is_dropped_and_attributed(self):
         from repro.net.wire import MsgLog
@@ -352,7 +359,7 @@ class TestUndecodablePayload:
         from repro.codec import Opaque
         from repro.net.wire import MsgLog
 
-        got, reports = self._dispatch(encode_frame(MsgDeliver(5, Opaque(self.BAD), 4)))
+        got, reports = self._dispatch(encode_frame(MsgDeliverRefs(((5, Opaque(self.BAD), 4),))))
         assert got == [] and reports == [MsgLog(3, "wire.undecodable", {"sender": 5})]
 
     def test_the_next_frame_in_the_buffer_still_decodes(self):
@@ -360,14 +367,14 @@ class TestUndecodablePayload:
 
         data = (
             encode_frame(self._batch(self.BAD))
-            + encode_frame(MsgDeliver(5, Opaque(self.BAD), 4))
-            + encode_frame(MsgDeliver(6, "after", 5))
+            + encode_frame(MsgDeliverRefs(((5, Opaque(self.BAD), 4),)))
+            + encode_frame(MsgDeliverRefs(((6, "after", 5),)))
             + encode_frame(Start())
         )
         frames = list(FrameDecoder().feed(data))
-        assert [type(f) for f in frames] == [MsgDeliverBatch, MsgDeliver, MsgDeliver, Start]
+        assert [type(f) for f in frames] == [MsgDeliverRefs] * 3 + [Start]
         assert frames[0].entries[1] == (2, Opaque(self.BAD), 1)
-        assert frames[2] == MsgDeliver(6, "after", 5)
+        assert frames[2] == MsgDeliverRefs(((6, "after", 5),))
 
     def test_the_relay_decoder_is_unchanged(self):
         batch = self._batch(self.BAD)
@@ -376,11 +383,138 @@ class TestUndecodablePayload:
     def test_broken_framing_still_fails_the_link(self):
         from repro.codec import Opaque
 
-        frame = bytearray(encode_frame(MsgDeliver(5, Opaque(self.BAD), 4)))
-        frame[-4] = 0x40  # the span's length now runs past the frame
+        frame = bytearray(encode_frame(MsgDeliverRefs(((5, Opaque(self.BAD), 4),))))
+        frame[-2] = 0x40  # the span's length now runs past the frame
         for data in (
             bytes(frame),
             encode_frame(MsgSend(5, 3, Opaque(self.BAD), 4)),  # not a delivery
         ):
             with pytest.raises(WireError, match="undecodable frame"):
                 list(FrameDecoder().feed(data))
+
+
+def _table_state(table):
+    return dict(table._slot_of), list(table._spans), table._next
+
+
+def _flatten(frames):
+    assert all(type(f) is MsgDeliverRefs for f in frames)
+    return [entry for frame in frames for entry in frame.entries]
+
+
+class TestLinkSpanTable:
+    """The two ends of one hub → node link: the hub's :class:`SpanTable`
+    writes a payload the link carried before as its slot, the node's
+    :class:`FrameDecoder` reads it back from its own table — in lockstep,
+    whatever the hub commits, and untouched by what it does not."""
+
+    #: 80 distinct payloads — more than the table holds, so it wraps — some
+    #: spans past 127 bytes, some not spans at all (a reply the hub built).
+    POOL = tuple(
+        Opaque(encode(("vote", i, "x" * (150 if i % 5 == 0 else i % 3))))
+        if i % 7 else ("reply", i)
+        for i in range(80)
+    ) + (None,)
+    HUGE = Opaque(encode("y" * 5000))
+    _senders = st.sampled_from([0, 1, 6, -1, 63, 64, -65, 200])  # -1: SERVICE_SENDER
+    _depths = st.sampled_from([0, 1, 63, 64, 100, 8191, 8192, 70_000]) | st.integers(0, 300)
+    _entries = st.lists(
+        st.tuples(_senders, st.integers(0, 80), _depths), min_size=1, max_size=70
+    )
+
+    @staticmethod
+    def _value(payload):
+        return decode(payload.data) if type(payload) is Opaque else payload
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(st.booleans(), _entries), min_size=1, max_size=8))
+    def test_the_node_reads_exactly_what_the_hub_committed(self, steps):
+        table, buf, committed = SpanTable(), bytearray(), []
+        for too_large, picks in steps:
+            entries = [(sender, self.POOL[i], depth) for sender, i, depth in picks]
+            if too_large:  # the oversized entry lands in the frame after the first
+                entries = (entries * 40)[:40]
+                entries.insert(33, (1, self.HUGE, 0))
+                before, mark = _table_state(table), len(buf)
+                with pytest.raises(FrameTooLarge):
+                    table.encode_frames_into(entries, buf, max_frame=4096)
+                assert _table_state(table) == before and len(buf) == mark
+            else:
+                frames = table.encode_frames_into(entries, buf)
+                assert frames == (len(entries) + 31) // 32
+                committed += entries
+        got = _flatten(decode_all(bytes(buf)))
+        assert got == [(s, self._value(p), d) for s, p, d in committed]
+
+    def test_a_repeat_is_one_byte_and_one_shared_object(self):
+        vote = Opaque(encode(("vote", 7, "x" * 60)))
+        table, buf = SpanTable(), bytearray()
+        table.encode_frames_into([(1, vote, 0)], buf)
+        first = len(buf)
+        table.encode_frames_into([(2, vote, 0)], buf)
+        assert len(buf) - first == 4 + 2 + 2 + 1 + 3  # header, head, count, entry
+        (one, two) = _flatten(decode_all(bytes(buf)))
+        assert one[1] == ("vote", 7, "x" * 60) and two[1] is one[1]
+
+    def test_a_list_bearing_payload_decodes_to_two_objects(self):
+        tainted = Opaque(encode(("batch", [1, 2])))
+        table, buf = SpanTable(), bytearray()
+        table.encode_frames_into([(1, tainted, 0), (2, tainted, 1)], buf)
+        table.encode_frames_into([(3, tainted, 2)], buf)
+        payloads = [p for _, p, _ in _flatten(decode_all(bytes(buf)))]
+        assert payloads == [("batch", [1, 2])] * 3
+        assert len({id(p) for p in payloads}) == 3
+        assert len({id(p[1]) for p in payloads}) == 3
+
+    def test_an_undecodable_literal_and_every_reference_to_it_are_dropped(self):
+        from repro.net.node import NodeWorker
+        from repro.net.wire import MsgLog
+
+        bad, good = Opaque(b"\x20"), Opaque(encode(("vote", 7)))
+        table, buf = SpanTable(), bytearray()
+        table.encode_frames_into([(1, good, 0), (2, bad, 1), (4, good, 2)], buf)
+        table.encode_frames_into([(5, bad, 3), (6, good, 4)], buf)
+        entries = _flatten(decode_all(bytes(buf)))
+        assert [p for _, p, _ in entries] == [("vote", 7), bad, ("vote", 7), bad, ("vote", 7)]
+        protocol, wire = _Recorder(), _Wire()
+        worker = NodeWorker(3, protocol, [wire])
+        for msg in FrameDecoder().feed(bytes(buf)):
+            assert worker._dispatch(msg)
+        assert protocol.got == [(1, ("vote", 7)), (4, ("vote", 7)), (6, ("vote", 7))]
+        assert wire.frames() == [
+            MsgLog(3, "wire.undecodable", {"sender": 2}),
+            MsgLog(3, "wire.undecodable", {"sender": 5}),
+        ]
+
+    def _refs_frame(self, *entry_bytes):
+        """A ``MsgDeliverRefs`` frame of one entry: sender 1, depth 0, then
+        ``entry_bytes`` as the reference byte and whatever follows it."""
+        return binary_frame(bytes((0x0A, 14, 1, 2, 0)) + bytes(entry_bytes))
+
+    def test_a_reference_to_an_empty_slot_is_a_codec_error(self):
+        for slot in (0, 5, SPAN_REFS - 1):
+            with pytest.raises(WireError, match=f"slot {slot}, which is empty"):
+                decode_all(self._refs_frame(slot))
+            # without a link table — the relay's decoder, the module-level
+            # decode — no reference is legal at all
+            with pytest.raises(WireError, match="keeps no link table"):
+                list(FrameDecoder(lazy=True).feed(self._refs_frame(slot)))
+            with pytest.raises(CodecError, match="keeps no link table"):
+                decode(self._refs_frame(slot)[6:])
+
+    @pytest.mark.parametrize("ref", [SPAN_REFS, 0x80, 0xFE])
+    def test_any_other_reference_byte_is_a_codec_error(self, ref):
+        with pytest.raises(WireError, match=f"bad span reference byte 0x{ref:02x}"):
+            decode_all(self._refs_frame(ref, 1, 0))
+
+    def test_the_stateless_encoder_writes_every_payload_as_a_literal(self):
+        vote = Opaque(encode(("vote", 7)))
+        entries = ((1, vote, 0), (2, vote, 1), (-1, ("reply", 3), 9_000))
+        table, buf = SpanTable(), bytearray()
+        table.encode_frames_into(list(entries), buf)
+        stateless = encode_frame(MsgDeliverRefs(entries))
+        assert len(stateless) > len(buf)  # the repeat is a literal again
+        assert decode_all(stateless) == decode_all(bytes(buf))
+        for bad in ([(1, vote, 0)], ((1, vote),), ((True, vote, 0),), ((1, vote, "0"),)):
+            with pytest.raises(CodecError):
+                encode_frame(MsgDeliverRefs(bad))

@@ -18,7 +18,7 @@ from repro.codec.schema import check_registry, registered_entries
 
 #: The pinned wire registry: tag -> (qualified class name, field order,
 #: blob fields).  APPEND ONLY — editing an existing row is a wire break.
-#: Tag blocks: 1-13 wire control plane, 16-25 protocol payloads, 32-38
+#: Tag blocks: 1-14 wire control plane, 16-25 protocol payloads, 32-38
 #: durable records, 48-50 client-facing frontend protocol, 56-60 mesh
 #: hub-to-hub protocol.
 PINNED_REGISTRY = {
@@ -35,6 +35,7 @@ PINNED_REGISTRY = {
     11: ("repro.runtime.effects.ServiceCall", ("service", "payload", "reply_path"), ()),
     12: ("repro.runtime.effects.Deliver", ("tag", "sender", "value"), ()),
     13: ("repro.net.wire.MsgBroadcast", ("src", "payload", "depth"), ("payload",)),
+    14: ("repro.net.wire.MsgDeliverRefs", ("entries",), ()),
     # Rows 16-18 gained their blob marking after they were first pinned.
     # That one edit is readable in both directions: ``TAG_BLOB`` is a value
     # tag the decoder accepts in any field position, so frames written
