@@ -11,7 +11,6 @@ from .adversary import (
 )
 from .targeted import GapCollapser, SpoilerBehavior
 from .behaviors import (
-    EquivocatorBehavior,
     RandomGarbageBehavior,
     compose_mutators,
     dropping_mutator,
@@ -28,7 +27,6 @@ __all__ = [
     "TwoFacedBehavior",
     "Mutator",
     "expand_broadcasts",
-    "EquivocatorBehavior",
     "RandomGarbageBehavior",
     "rewrite_value",
     "equivocating_mutator",

@@ -18,7 +18,7 @@ from ..runtime.composite import Envelope
 from ..runtime.effects import Effect, Send
 from ..runtime.protocol import Protocol
 from ..types import ProcessId, SystemConfig, Value
-from .adversary import ByzantineBehavior, Mutator, MutatingBehavior
+from .adversary import ByzantineBehavior, Mutator
 
 
 def rewrite_value(payload: Any, value: Value) -> Any:
@@ -73,13 +73,6 @@ def compose_mutators(*mutators: Mutator) -> Mutator:
         return payload
 
     return mutate
-
-
-class EquivocatorBehavior(MutatingBehavior):
-    """Honest execution of ``inner`` with per-destination value rewriting."""
-
-    def __init__(self, inner: Protocol, value_for: Callable[[ProcessId], Value]) -> None:
-        super().__init__(inner, equivocating_mutator(value_for))
 
 
 class RandomGarbageBehavior(ByzantineBehavior):

@@ -11,8 +11,8 @@ else.  This module owns the rest, once:
   paper's properties are stated in (they quantify over the *correct*
   processes of one run).
 
-It imports neither ``asyncio`` nor the simulator, so the socket engine can
-return a :class:`RunResult` without loading either.
+It imports neither ``asyncio`` nor the simulator, so the socket engine's
+hub 0 keeps its books here without loading either.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ class RunResult(Verdicts):
     timed_out: bool = False
 
     @classmethod
-    def from_books(cls, books: Any, end_time: float, **fields: Any) -> "RunResult":
-        """Close an engine's books at ``end_time``.  ``books`` is anything
-        keeping ``config``/``decisions``/``outputs``/``stats``/``faulty`` —
-        every :class:`Engine`, and the socket hub."""
+    def from_books(cls, books: Engine, end_time: float, **fields: Any) -> "RunResult":
+        """Close an :class:`Engine`'s books at ``end_time``."""
         books.stats.end_time = end_time
         return cls(
             config=books.config,
@@ -142,14 +140,16 @@ class RunResult(Verdicts):
 
 
 class Engine(ExecutionPorts):
-    """The books behind the ports, shared by the in-process engines.
+    """The books behind the ports, shared by every engine.
 
-    Subclasses schedule: they implement ``send`` (and usually inline
-    ``broadcast``), the delivery loop, :meth:`now` and
-    :meth:`_deliver_reply`.  Everything that only *records* — the first
+    Subclasses schedule: they implement the delivery loop, :meth:`now`,
+    :meth:`_deliver_reply` and — in process — ``send`` (and usually an
+    inlined ``broadcast``).  Everything that only *records* — the first
     decision of a process, a top-level upcall, a service call, a log
     record — is written here once, stamped with :meth:`now`, the same
-    stream time the matching event carries.
+    stream time the matching event carries.  The socket engine's hub 0
+    (:class:`~repro.net.cluster.NetCluster`) calls these ports with what
+    a node's ports wrote up its link.
     """
 
     def __init__(

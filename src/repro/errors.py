@@ -44,10 +44,6 @@ class ProtocolViolation(ReproError):
     """
 
 
-class DuplicateDecision(ProtocolViolation):
-    """A protocol attempted to decide twice on the same instance."""
-
-
 class SimulationError(ReproError):
     """The simulation harness was driven into an invalid state."""
 

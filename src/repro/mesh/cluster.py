@@ -52,8 +52,7 @@ class MeshCluster(NetCluster):
 
     Args:
         mesh: the :class:`~repro.mesh.topology.MeshTopology` — hub count,
-            node-side routing mode, remote hub addresses, saturation
-            watermark.
+            remote hub addresses, saturation watermark.
         shards: shard count of the workload; shard→hub attribution needs
             it on the orchestrator, every hub, and every node.
         (remaining arguments exactly as for ``NetCluster``.)
@@ -75,7 +74,6 @@ class MeshCluster(NetCluster):
         self.mesh = mesh
         self.hubs = mesh.hubs
         self.shards = shards
-        self.route = mesh.route
         #: live control links by hub; a hub leaves it for ``_failed_hubs``.
         self._hub_links: dict[int, HubLink] = {}
         self._failed_hubs: set[int] = set()
@@ -145,7 +143,7 @@ class MeshCluster(NetCluster):
                 )
             except SimulationError:
                 self._failed_hubs.add(hub)
-                self.events.fault(hub, "hub-lost", "control dial failed")
+                self._fault(hub, "hub-lost", "control dial failed")
                 continue
             link.kind, link.ident = "control", hub
             self._hub_links[hub] = link
@@ -169,9 +167,9 @@ class MeshCluster(NetCluster):
         self, owner: int, src: ProcessId, dst: ProcessId, payload: Any, depth: int
     ) -> None:
         """A frame another hub owns goes down that hub's control link — a
-        node handed it to hub 0 (the ``hub0`` routing mode, or an unsteered
-        client; counted and observed here, the data hub won't), or a hub
-        without a direct peer endpoint relayed it through the switchboard.
+        node handed it to hub 0 (a mis-steered frame; counted and observed
+        here, the data hub won't), or a hub without a direct peer endpoint
+        relayed it through the switchboard.
         To a failed hub it goes nowhere: that run is already stalling."""
         link = self._hub_links.get(owner)
         if link is not None:
@@ -193,13 +191,11 @@ class MeshCluster(NetCluster):
         elif isinstance(msg, HubReady):
             self._hub_ready.add(msg.hub)
         elif isinstance(msg, HubSaturated):
-            self.events.saturated(msg.hub, msg.depth, msg.high_water)
+            self._saturation(msg.hub, msg.depth, msg.high_water)
         elif isinstance(msg, HubStats):
             self._hub_stats[msg.hub] = msg
         elif isinstance(msg, MsgLog):  # a data hub's fault report
-            self.events.fault(
-                msg.pid, msg.event, f"hub {link.ident}: {msg.data.get('detail', '')}"
-            )
+            self._fault(msg.pid, msg.event, f"hub {link.ident}: {msg.data.get('detail', '')}")
 
     def _link_lost(self, link: HubLink, kind: str) -> None:
         if kind == "control":
@@ -214,7 +210,7 @@ class MeshCluster(NetCluster):
         hang waiting on frames that can no longer arrive."""
         if self._hub_links.pop(link.ident, None) is not None:
             self._failed_hubs.add(link.ident)
-            self.events.fault(link.ident, "hub-lost", detail)
+            self._fault(link.ident, "hub-lost", detail)
             self._drop(link)
 
     # -- liveness --------------------------------------------------------------------

@@ -19,9 +19,10 @@ too — plus the three things only a data hub does:
   materialization here (binary payloads stay :class:`~repro.codec.Opaque`
   spans end to end; that skipped work is the mesh's scaling lever on one
   machine).  What the plane reports — a refused ``Hello``, an outbox
-  overflow, saturation — goes up the control link instead
-  (:class:`_Uplink`), and the counters come back in one
-  :class:`~repro.mesh.wire.HubStats` frame in reply to ``Stop``.
+  overflow, saturation — goes up the control link instead, where hub 0
+  turns it into the typed event it would have emitted itself, and the
+  counters come back in one :class:`~repro.mesh.wire.HubStats` frame in
+  reply to ``Stop``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Any
 from ..codec import CODEC_BINARY
 from ..errors import SimulationError
 from ..net.cluster import DEFAULT_HIGH_WATER, DataPlane, HubLink
-from ..net.events import HubEvents, StreamClock
 from ..net.faults import LinkPlan
 from ..net.node import EXIT_INTERNAL_ERROR, EXIT_OK, EXIT_RECV_TIMEOUT
 from ..net.wire import (
@@ -54,26 +54,6 @@ __all__ = ["HubLink", "HubWorker", "hub_worker_main", "serve_hub"]
 #: ``(family, address)`` of a dialable hub listener, or ``None`` when the
 #: hub is reachable only through the orchestrator's control link.
 Endpoint = tuple[int, Any] | None
-
-
-class _Uplink(HubEvents):
-    """A data hub's event surface.  No sink, so per-message observations
-    cost nothing; faults and saturation travel up the control link, where
-    hub 0 turns them into the typed events it would have emitted itself
-    (a fault rides an existing record: ``MsgLog(pid, fault, detail)``)."""
-
-    __slots__ = ("hub",)
-
-    def __init__(self, hub: "HubWorker") -> None:
-        super().__init__(None, StreamClock())
-        self.hub = hub
-
-    def fault(self, pid: ProcessId, fault: str, detail: str = "") -> None:
-        self.hub._report(MsgLog(pid, fault, {"detail": detail}))
-
-    def saturated(self, hub: int, depth: int, high_water: int) -> None:
-        self.hub.saturation_episodes += 1
-        self.hub._report(HubSaturated(hub, depth, high_water))
 
 
 class HubWorker(DataPlane):
@@ -117,7 +97,6 @@ class HubWorker(DataPlane):
             n=nodes,
             rng=hub_rng(seed, index),
             link_plan=(link_plan if link_plan is not None else LinkPlan()).project(index),
-            events=_Uplink(self),
             mean_delay=mean_delay,
             jitter=jitter,
             max_frame=max_frame,
@@ -159,6 +138,14 @@ class HubWorker(DataPlane):
         whose orchestrator is gone is exiting anyway)."""
         return self._control is not None and self._write(self._control, [msg])
 
+    def _fault(self, pid: ProcessId, fault: str, detail: str = "") -> None:
+        # A fault rides an existing record: ``MsgLog(pid, fault, detail)``.
+        self._report(MsgLog(pid, fault, {"detail": detail}))
+
+    def _saturation(self, hub: int, depth: int, high_water: int) -> None:
+        self.saturation_episodes += 1
+        self._report(HubSaturated(hub, depth, high_water))
+
     def _link_lost(self, link: HubLink, kind: str) -> None:
         if kind == "control":
             # Orchestrator gone without a Stop: the run is over either way.
@@ -177,7 +164,7 @@ class HubWorker(DataPlane):
                 self.relayed += 1
         except FrameTooLarge as exc:
             # Relay framing pushed it over the cap: not relayed, and said so.
-            self.events.fault(src, "relay-too-large", str(exc))
+            self._fault(src, "relay-too-large", str(exc))
 
     def _dial_peer(self, owner: int) -> HubLink | None:
         endpoint = self.endpoints[owner] if 0 < owner < len(self.endpoints) else None

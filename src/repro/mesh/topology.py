@@ -29,7 +29,6 @@ from ..errors import SimulationError
 from ..shard.router import UNATTRIBUTED, peek_shard, shard_of_payload
 
 __all__ = [
-    "ROUTES",
     "UNATTRIBUTED",
     "MeshTopology",
     "hub_rng",
@@ -37,21 +36,14 @@ __all__ = [
     "peek_shard",
 ]
 
-#: How mesh nodes pick a hub for outgoing data frames.
-#: ``"direct"`` — steer each frame to ``hub_of(shard)`` (the scaling path);
-#: ``"hub0"`` — ship everything to hub 0 and let the hubs relay (exercises
-#: the hub-to-hub forwarding path end to end).
-ROUTES = ("direct", "hub0")
-
-
 @dataclass(frozen=True)
 class MeshTopology:
     """Parallel-hub layout for the socket engine.
 
     Args:
         hubs: number of hub groups.  ``1`` degenerates to the star
-            topology (no hub workers are forked).
-        route: node-side steering mode (see :data:`ROUTES`).
+            topology (no hub workers are forked); with more, each node
+            steers a data frame to the hub owning its shard.
         remote: hub index → ``(host, port)`` for hubs served by a separate
             process/host (started with ``repro hub`` — see
             :func:`repro.mesh.hub.serve_hub`).  The orchestrator dials
@@ -62,17 +54,12 @@ class MeshTopology:
     """
 
     hubs: int = 1
-    route: str = "direct"
     remote: dict[int, tuple[str, int]] = field(default_factory=dict)
     high_water: int = 512
 
     def __post_init__(self) -> None:
         if self.hubs < 1:
             raise SimulationError("a mesh needs at least one hub group")
-        if self.route not in ROUTES:
-            raise SimulationError(
-                f"unknown mesh route {self.route!r} (one of: {', '.join(ROUTES)})"
-            )
         for hub in self.remote:
             if not 1 <= hub < self.hubs:
                 raise SimulationError(

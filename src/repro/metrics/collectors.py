@@ -92,10 +92,6 @@ class RunAggregate:
     def mean_messages(self) -> float:
         return statistics.fmean(self.messages) if self.messages else 0.0
 
-    @property
-    def mean_time(self) -> float:
-        return statistics.fmean(self.times) if self.times else 0.0
-
     def step_percentile(self, q: float) -> float:
         """The ``q``-quantile (``0 < q < 1``) of individual decision steps."""
         if not self.steps:

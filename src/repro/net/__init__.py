@@ -16,11 +16,11 @@ Layout:
 * :mod:`repro.net.cluster` — the hub data plane every hub runs
   (authenticated links, fault plan, delay heap, non-blocking bounded write
   queues) and, on it, the orchestrator: spawn, connect, collect, with
-  deadlines and straggler kill;
+  deadlines and straggler kill.  Hub 0 keeps its books, and emits the
+  typed :mod:`repro.engine.events` stream, through the same
+  :class:`~repro.engine.run.Engine` ports as every in-process engine;
 * :mod:`repro.net.faults` — link conditions (drop, delay, duplicate,
-  reorder, cut) and the unannounced :class:`ProcessCrash` chaos spec;
-* :mod:`repro.net.events` — the hub-side adapter emitting the shared
-  typed :mod:`repro.engine.events` stream.
+  reorder, cut) and the unannounced :class:`ProcessCrash` chaos spec.
 
 Entry point: ``Scenario(..., engine="net")`` or ``python -m repro run
 --engine net``.

@@ -28,14 +28,26 @@ and one heap push, the rest once per frame (:meth:`DataPlane._schedule`).
 As there, real scheduling makes interleavings only *mostly* reproducible;
 exact-replay tests belong on the simulator.
 
-:class:`NetCluster` is hub 0: the plane plus what only the orchestrator
-does — fork/reap/restart of the node workers (:func:`~repro.net.node.
-node_main`), the typed :mod:`repro.engine.events` stream, trusted services
-(the §2.2 oracle must aggregate calls *across* processes), decisions, and
-liveness (the per-run deadline and stall detection, so a crashed or silent
-node can never hang a run).  The mesh's data hubs
-(:class:`~repro.mesh.hub.HubWorker`) instantiate the same plane and add
-only hub-to-hub relay.
+:class:`NetCluster` is hub 0: the plane plus an :class:`~repro.engine.run.
+Engine`.  Each frame a node's ports write — a decision, an output, a
+service call, a log record — is booked through the port an in-process
+engine books it through, so the books, the trusted services (the §2.2
+oracle must aggregate calls *across* processes) and the typed
+:mod:`repro.engine.events` stream exist once.  Around them hub 0 adds
+fork/reap/restart of the node workers (:func:`~repro.net.node.node_main`)
+and liveness (the per-run deadline and stall detection, so a crashed or
+silent node can never hang a run).  The mesh's data hubs
+(:class:`~repro.mesh.hub.HubWorker`) run the same plane and add only
+hub-to-hub relay.
+
+What is built when: a ``SendEvent``/``DeliverEvent`` only for a sink that
+reads it (the ``_sends``/``_delivers`` readers the engine resolves; a data
+hub has no sink and builds none).  When it does, it stamps a frame, not a
+message: the clock is read once per frame taken in and once per write made.
+A ``DeliverEvent`` is stamped when the hub hands the frame to the
+destination's socket, one socket hop before the node handles it.  Payloads
+stay :class:`~repro.codec.Opaque` spans on relay: a span decodes at most
+once per message, on the first ``event.payload`` read.
 """
 
 from __future__ import annotations
@@ -54,18 +66,23 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from ..engine.events import DeliverEvent, EventSink, SendEvent
+from ..engine.events import (
+    DeliverEvent,
+    EventSink,
+    FaultEvent,
+    HubSaturatedEvent,
+    RestartEvent,
+    SendEvent,
+)
 from ..engine.faults import RestartPlan
-from ..engine.interpreter import dispatch_service_call
-from ..engine.run import RunResult, check_deployment
+from ..engine.run import Engine, RunResult
 from ..errors import SimulationError
-from ..runtime.effects import SERVICE_SENDER, Deliver
+from ..runtime.effects import SERVICE_SENDER, Deliver, Log, ServiceCall
 from ..runtime.protocol import Protocol
 from ..runtime.services import Service, ServiceReply
 from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
 from ..sim.latency import LognormalLatency
-from ..types import Decision, ProcessId, RunStats, SystemConfig
-from .events import HubEvents, StreamClock
+from ..types import DecisionKind, ProcessId, SystemConfig
 from .faults import LinkPlan, ProcessCrash
 from .node import connect_with_retry, node_main
 from .wire import (
@@ -231,8 +248,11 @@ class DataPlane:
     classified link may carry), :meth:`_classify_other` (first frames other
     than a node's ``Hello``), :meth:`_admitted` / :meth:`_link_lost`
     (bookkeeping around a link's life), :meth:`_relay` (the route to
-    another hub), and ``events`` — where faults, saturation and per-message
-    observations are reported.
+    another hub), and where the two things only a hub sees are reported —
+    :meth:`_fault` (a link lost with a cause) and :meth:`_saturation` (a
+    saturation episode).  A subclass with an event sink sets the
+    ``_sends``/``_delivers`` readers and :meth:`now`; without them the
+    plane builds no per-message event and reads no clock for one.
 
     Args:
         index: this hub's index; ``hubs``/``shards`` size the shard→hub
@@ -240,8 +260,11 @@ class DataPlane:
         n: node pids are ``range(n)``.
         rng: the hub's seeded stream — fault-plan draws, then jitter.
         link_plan: the transport fault plan this hub applies.
-        events: the hub's :class:`~repro.net.events.HubEvents` surface.
     """
+
+    #: readers of the per-message events (see :class:`~repro.engine.run.Engine`).
+    _sends: EventSink | None = None
+    _delivers: EventSink | None = None
 
     def __init__(
         self,
@@ -251,7 +274,6 @@ class DataPlane:
         n: int,
         rng: random.Random,
         link_plan: LinkPlan,
-        events: HubEvents,
         mean_delay: float,
         jitter: str,
         max_frame: int,
@@ -263,7 +285,6 @@ class DataPlane:
         self.n = n
         self.rng = rng
         self.link_plan = link_plan
-        self.events = events
         self.mean_delay = mean_delay
         self._lognormal = (
             LognormalLatency(mean_delay) if jitter == "lognormal" and mean_delay > 0
@@ -320,7 +341,7 @@ class DataPlane:
             self._drop(link, "hello-refused", f"claimed pid {msg.pid!r}")
         elif msg.pid in self._nodes:
             # A second dialer must not replace (and leak) the proven link.
-            self.events.fault(msg.pid, "duplicate-hello")
+            self._fault(msg.pid, "duplicate-hello")
             self._drop(link)
         else:
             link.kind, link.ident = "node", msg.pid
@@ -336,6 +357,15 @@ class DataPlane:
     def _link_lost(self, link: HubLink, kind: str) -> None:
         """A link of ``kind`` was dropped (it is closed by now)."""
 
+    def _fault(self, pid: ProcessId, fault: str, detail: str = "") -> None:
+        """Report a fault this hub attributes to ``pid`` (or a hub index)."""
+        raise NotImplementedError
+
+    def _saturation(self, hub: int, depth: int, high_water: int) -> None:
+        """Report that ``hub``'s ready queue reached ``depth`` at or above
+        its ``high_water`` mark."""
+        raise NotImplementedError
+
     def _drop(self, link: HubLink, fault: str = "", detail: str = "") -> None:
         """Detach and close one link; a ``fault`` attributes the loss."""
         kind = link.kind
@@ -349,7 +379,7 @@ class DataPlane:
         if kind == "node" and self._nodes.get(link.ident) is link:
             del self._nodes[link.ident]
         if fault:
-            self.events.fault(link.ident, fault, detail)
+            self._fault(link.ident, fault, detail)
         self._link_lost(link, kind)
 
     # -- the one write path ----------------------------------------------------------
@@ -434,9 +464,9 @@ class DataPlane:
             raise WireError(f"send to pid {msg.dst!r}, outside the cluster")
         self.sent += stop - first
         owner = self._owner_of(payload)
-        sends = self.events.sends
+        sends = self._sends
         if sends is not None:
-            now = self.events.clock.now()  # one frame, one arrival time
+            now = self.now()  # one frame, one arrival time
             for dst in range(first, stop):
                 sends.emit(SendEvent(now, src, dst, payload, depth))
         if owner == self.index:
@@ -477,7 +507,7 @@ class DataPlane:
         self._seq = seq
         if not self._saturated and len(heap) >= self.high_water:
             self._saturated = True
-            self.events.saturated(self.index, len(heap), self.high_water)
+            self._saturation(self.index, len(heap), self.high_water)
 
     # -- egress: one coalesced write per destination per sweep -----------------------
 
@@ -512,9 +542,9 @@ class DataPlane:
                 # huge payloads: fall back to one frame per message
                 delivered = [e for e in entries if self._write_single(link, e)]
             self.delivered += len(delivered)
-            delivers = self.events.delivers
+            delivers = self._delivers
             if delivers is not None:
-                wrote = self.events.clock.now()  # one write, one departure time
+                wrote = self.now()  # one write, one departure time
                 for sender, payload, depth in delivered:
                     delivers.emit(DeliverEvent(wrote, dst, sender, payload, depth))
 
@@ -522,7 +552,7 @@ class DataPlane:
         try:
             return self._write_deliveries(link, [entry])
         except FrameTooLarge as exc:
-            self.events.fault(link.ident, "frame-too-large", str(exc))
+            self._fault(link.ident, "frame-too-large", str(exc))
             return False
 
     # -- the loop --------------------------------------------------------------------
@@ -540,7 +570,7 @@ class DataPlane:
             try:
                 link.decoder.eof()
             except TruncatedStream as exc:
-                self.events.fault(link.ident, "truncated-stream", str(exc))
+                self._fault(link.ident, "truncated-stream", str(exc))
             self._drop(link)
             return
         try:
@@ -643,7 +673,7 @@ def reap(proc: Any) -> int | None:
     return code
 
 
-class NetCluster(DataPlane):
+class NetCluster(DataPlane, Engine):
     """Run one protocol deployment as real OS processes over sockets.
 
     Args:
@@ -698,7 +728,7 @@ class NetCluster(DataPlane):
         restarts: Mapping[ProcessId, RestartPlan] | None = None,
         high_water: int = DEFAULT_HIGH_WATER,
     ) -> None:
-        faulty = check_deployment(config, protocols, faulty)
+        Engine.__init__(self, config, protocols, faulty, services, event_sink)
         if transport not in TRANSPORTS:
             raise SimulationError(
                 f"unknown transport {transport!r} (one of: {', '.join(TRANSPORTS)})"
@@ -713,39 +743,31 @@ class NetCluster(DataPlane):
                 "closures that cannot cross an exec boundary); this platform "
                 "does not provide it"
             )
-        self._clock = StreamClock()
-        super().__init__(
+        DataPlane.__init__(
+            self,
             index=0,
             hubs=1,
             shards=1,
             n=config.n,
             rng=random.Random(seed),
             link_plan=link_plan if link_plan is not None else LinkPlan(),
-            events=HubEvents(event_sink, self._clock),
             mean_delay=mean_delay,
             jitter=jitter,
             max_frame=max_frame,
             high_water=high_water,
         )
-        self.config = config
         self.protocols = dict(protocols)
-        self.faulty = faulty
-        self.services = dict(services or {})
         self.seed = seed
         self.transport = transport
         self.chaos = dict(chaos or {})
         self.connect_timeout = connect_timeout
         self.jitter = jitter
-        self.stats = RunStats()
-        self.decisions: dict[ProcessId, Decision] = {}
-        self.outputs: dict[ProcessId, list[Deliver]] = {
-            pid: [] for pid in config.processes
-        }
+        #: ``time.monotonic()`` when the run started: the engine clock's zero.
+        self._t0 = time.monotonic()
         self._dead: set[ProcessId] = set()
         self._uds_dir: str | None = None
-        #: node-side steering mode and the dialable hub endpoints, index 0
-        #: this hub's listener (the mesh appends its data hubs).
-        self.route = "direct"
+        #: the dialable hub endpoints, index 0 this hub's listener (the mesh
+        #: appends its data hubs).
         self._endpoints: list[tuple[int, Any]] = []
         # crash-recovery lifecycle state
         self.restarts = dict(restarts or {})
@@ -789,7 +811,6 @@ class NetCluster(DataPlane):
                 None if restarted else self.protocols[pid],
                 list(self._endpoints),
                 self.shards,
-                self.route,
             ),
             kwargs={
                 "max_frame": self.max_frame,
@@ -815,7 +836,7 @@ class NetCluster(DataPlane):
         for pid in self.config.processes:
             if pid not in self._nodes:
                 self._dead.add(pid)
-                self.events.fault(pid, "never-connected")
+                self._fault(pid, "never-connected")
 
     # -- crash-recovery lifecycle ----------------------------------------------------
 
@@ -834,7 +855,7 @@ class NetCluster(DataPlane):
         if proc is not None and proc.is_alive():
             proc.kill()
             proc.join(timeout=2.0)
-        self.events.fault(pid, "CrashRecover", "killed")
+        self._fault(pid, "CrashRecover", "killed")
         restart_after = self.restarts[pid].restart_after
         if restart_after is not None:
             # Pending until the relaunched worker re-authenticates: the
@@ -848,43 +869,61 @@ class NetCluster(DataPlane):
         if self._running:  # a restarted worker re-authenticated: it rejoins
             self._pending_restart.discard(link.ident)
             self._dead.discard(link.ident)
-            self.events.restart(link.ident)
+            if self._events is not None:
+                self._events.emit(RestartEvent(self.now(), link.ident))
             self._write(link, [Start()])
 
     def _link_lost(self, link: HubLink, kind: str) -> None:
         if kind == "node":
             self._dead.add(link.ident)
 
-    # -- frames off node links -------------------------------------------------------
+    # -- the engine's books --------------------------------------------------------
+
+    def now(self) -> float:
+        return time.monotonic() - self._t0
+
+    def _fault(self, pid: ProcessId, fault: str, detail: str = "") -> None:
+        if self._events is not None:
+            self._events.emit(FaultEvent(self.now(), pid, fault, detail))
+
+    def _saturation(self, hub: int, depth: int, high_water: int) -> None:
+        if self._events is not None:
+            self._events.emit(HubSaturatedEvent(self.now(), hub, depth, high_water))
 
     def _handle(self, link: HubLink, msg: Any) -> None:
+        """One frame off node ``link``: a send is routed, the rest is booked
+        through the port the node's :class:`~repro.net.node.NodeWorker`
+        wrote it from, on behalf of the link's authenticated pid.  A frame
+        no node's port could have written is a :class:`WireError`."""
         pid = link.ident
         if isinstance(msg, (MsgSend, MsgBroadcast)):
             self._ingress(pid, msg)
         elif isinstance(msg, MsgDecide):
-            if pid not in self.decisions:
-                # Stamped on arrival at the hub, with the stream clock: the
-                # decision and its event carry the same time.
-                now = self._clock.now()
-                decision = Decision(msg.value, msg.kind, step=msg.step, time=now)
-                self.decisions[pid] = decision
-                self.stats.record_decision(pid, decision)
-                self.events.decide(pid, msg.value, msg.kind, msg.step, now)
+            if type(msg.kind) is not DecisionKind or type(msg.step) is not int:
+                raise WireError(f"decision kind {msg.kind!r} at step {msg.step!r}")
+            self.decide(pid, msg.value, msg.kind, msg.step)
         elif isinstance(msg, MsgOutput):
-            self.outputs[pid].append(Deliver(msg.tag, msg.sender, msg.value))
-            self.events.output(pid, msg.tag, msg.sender, msg.value)
+            self.output(pid, Deliver(msg.tag, msg.sender, msg.value), 0)
         elif isinstance(msg, MsgService):
-            self.events.service(pid, msg.call.service, msg.call.payload)
-            dispatch_service_call(
-                self.services,
-                pid,
-                msg.call,
-                msg.depth,
-                self._clock.now(),
-                self._deliver_reply,
-            )
+            self.service_call(pid, self._service_call_of(msg), msg.depth)
         elif isinstance(msg, MsgLog):
-            self.events.log(pid, msg.event, msg.data)
+            self.log_record(pid, Log(msg.event, msg.data), 0)
+
+    def _service_call_of(self, msg: MsgService) -> ServiceCall:
+        """The call a ``MsgService`` frame carries, or a :class:`WireError`
+        — the rule :meth:`_ingress` applies to a send: a call hub 0 cannot
+        dispatch, or whose reply it cannot address, costs its own link."""
+        call = msg.call
+        if type(msg.depth) is not int:
+            raise WireError(f"service call depth {msg.depth!r} is not an integer")
+        if type(call) is not ServiceCall:
+            raise WireError(f"a {type(call).__name__} is no service call")
+        if type(call.service) is not str or call.service not in self.services:
+            raise WireError(f"no service registered under {call.service!r}")
+        path = call.reply_path
+        if type(path) is not tuple or any(type(name) is not str for name in path):
+            raise WireError(f"reply path {path!r} is no tuple of names")
+        return call
 
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
         # Simulated-units reply delay is replaced by hub jitter, exactly as
@@ -892,13 +931,6 @@ class NetCluster(DataPlane):
         self._schedule(reply.dst, SERVICE_SENDER, payload, reply.depth, time.monotonic())
 
     # -- liveness -------------------------------------------------------------------
-
-    def _all_correct_decided(self) -> bool:
-        return all(
-            pid in self.decisions
-            for pid in self.config.processes
-            if pid not in self.faulty
-        )
 
     def _stalled(self) -> bool:
         """No progress is possible: every undecided correct node is dead
@@ -908,11 +940,7 @@ class NetCluster(DataPlane):
             return False
         if self._pending_restart or self._kills or self._relaunches:
             return False  # a scheduled kill or a rejoin can still make progress
-        return all(
-            pid in self._dead
-            for pid in self.config.processes
-            if pid not in self.faulty and pid not in self.decisions
-        )
+        return self._undecided_correct <= self._dead
 
     # -- the run --------------------------------------------------------------------
 
@@ -920,8 +948,7 @@ class NetCluster(DataPlane):
         """Spawn, connect, route until every correct node decided (or the
         deadline), then tear everything down — stragglers killed, exit
         codes collected, sockets and the UDS directory removed."""
-        self._clock.start()
-        start = time.monotonic()
+        self._t0 = start = time.monotonic()
         timed_out = False
         try:
             self._open()
@@ -929,7 +956,7 @@ class NetCluster(DataPlane):
                 self._fork_node(pid)
             self._handshake()
             for pid, crash in sorted(self.chaos.items()):
-                self.events.fault(pid, "ProcessCrash", f"after={crash.after}")
+                self._fault(pid, "ProcessCrash", f"after={crash.after}")
             started = time.monotonic()
             for link in list(self._nodes.values()):
                 self._write(link, [Start()])
@@ -937,7 +964,7 @@ class NetCluster(DataPlane):
                 heapq.heappush(self._kills, (started + plan.at, pid))
             self._running = True
             deadline = start + timeout
-            while not self._all_correct_decided():
+            while self._undecided_correct:
                 now = time.monotonic()
                 if now >= deadline:
                     timed_out = True
@@ -961,7 +988,7 @@ class NetCluster(DataPlane):
         self.stats.messages_delivered = self.delivered
         return NetRunResult.from_books(
             self,
-            self._clock.now(),
+            self.now(),
             drained=not self._heap,
             timed_out=timed_out,
             exit_codes=exit_codes,

@@ -118,10 +118,8 @@ class NodeWorker(ExecutionPorts):
             decisions, outputs, service calls, log records, and every
             unattributable payload — goes there, where the event stream
             and the services live.  A star node simply has one socket.
-        shards: shard count for payload attribution.
-        route: ``"direct"`` steers each data frame to the hub owning its
-            shard; ``"hub0"`` sends everything to hub 0 (exercising the
-            hub-to-hub relay path end to end).
+        shards: shard count for payload attribution; with more than one
+            hub, each data frame is steered to the hub owning its shard.
         max_frame: frame size cap (must match the hubs').
         crash: optional :class:`~repro.net.faults.ProcessCrash` chaos spec;
             checked before every outgoing message write.
@@ -133,7 +131,6 @@ class NodeWorker(ExecutionPorts):
         protocol: Protocol,
         socks: list[socket.socket],
         shards: int = 1,
-        route: str = "direct",
         max_frame: int = DEFAULT_MAX_FRAME,
         crash: ProcessCrash | None = None,
     ) -> None:
@@ -144,7 +141,7 @@ class NodeWorker(ExecutionPorts):
         self.config = protocol.config
         self.socks = socks
         self.shards = shards
-        self.steer = route == "direct" and len(socks) > 1
+        self.steer = len(socks) > 1
         self.max_frame = max_frame
         self.crash = crash
         self._sent = 0
@@ -277,7 +274,6 @@ def node_main(
     protocol: Protocol | None,
     endpoints: list[tuple[int, Any]],
     shards: int = 1,
-    route: str = "direct",
     max_frame: int = DEFAULT_MAX_FRAME,
     crash: ProcessCrash | None = None,
     recv_timeout: float = 60.0,
@@ -304,9 +300,7 @@ def node_main(
             protocol = build()
         for family, address in endpoints:
             socks.append(connect_with_retry(family, address))
-        worker = NodeWorker(
-            pid, protocol, socks, shards, route, max_frame, crash
-        )
+        worker = NodeWorker(pid, protocol, socks, shards, max_frame, crash)
         code = worker.run(recv_timeout)
     except SimulationError:
         code = EXIT_CONNECT_FAILED

@@ -141,34 +141,6 @@ class Log(Effect):
         )
 
 
-#: Deterministic rank of each effect class, used by :func:`effect_sort_key`.
-_EFFECT_RANK = {
-    "Send": 0,
-    "Broadcast": 1,
-    "Decide": 2,
-    "Deliver": 3,
-    "ServiceCall": 4,
-    "Log": 5,
-}
-
-
-def effect_sort_key(effect: Effect) -> tuple:
-    """A stable, content-based total-order key for effects.
-
-    Model checking needs canonical orderings that are pure functions of
-    effect *content*: state fingerprints and DPOR independence checks both
-    break if two equal effect lists can serialize differently between runs.
-    ``Log`` data dicts are folded in sorted-key order for exactly that
-    reason; everything else is a frozen dataclass whose ``repr`` is already
-    canonical.
-    """
-    if isinstance(effect, Log):
-        body = (effect.event, tuple(sorted((k, repr(v)) for k, v in effect.data.items())))
-    else:
-        body = (repr(effect),)
-    return (_EFFECT_RANK.get(type(effect).__name__, 99), type(effect).__name__, body)
-
-
 def logs(effects: list[Effect]) -> list[Log]:
     """Extract the :class:`Log` effects from an effect list (test helper)."""
     return [e for e in effects if isinstance(e, Log)]

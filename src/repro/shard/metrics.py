@@ -101,14 +101,23 @@ class ShardStreamSink(EventSink):
         if kind is ServiceEvent:
             self.service_calls[self._shard_of_service(event.payload)] += 1
         elif kind is LogEvent and event.event in ("shard.open", "shard.decide"):
+            # A replica's record is data: one naming no slot of this run, or
+            # no decision kind, is skipped like an unattributable call.
             data = event.data
-            key = (event.pid, int(data["shard"]), int(data["slot"]))
+            if type(data) is not dict:
+                return
+            shard, slot = data.get("shard"), data.get("slot")
+            if type(shard) is not int or not 0 <= shard < self.shards or type(slot) is not int:
+                return
+            key = (event.pid, shard, slot)
             if event.event == "shard.open":
                 self.opens.setdefault(key, event.time)
-            else:
-                self.decides.setdefault(
-                    key, (event.time, DecisionKind(data["kind"]))
-                )
+                return
+            try:
+                decided = DecisionKind(data.get("kind"))
+            except ValueError:
+                return
+            self.decides.setdefault(key, (event.time, decided))
 
     # -- folding -----------------------------------------------------------------------
 

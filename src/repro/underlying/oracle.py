@@ -91,6 +91,10 @@ class OracleService(Service):
         if not isinstance(payload, OracleProposal):
             return []  # garbage from a Byzantine caller
         instance = payload.instance
+        try:
+            hash((instance, payload.value))
+        except TypeError:
+            return []  # garbage too: an unhashable instance or value keys no book
         if instance in self._decisions:
             # Late proposer: repeat the announcement to it alone, along the
             # path of *this* request.

@@ -80,16 +80,11 @@ class TestMeshTopology:
     def test_defaults_are_the_star(self):
         topo = MeshTopology()
         assert topo.hubs == 1
-        assert topo.route == "direct"
         assert not topo.remote
 
     def test_rejects_zero_hubs(self):
         with pytest.raises(SimulationError):
             MeshTopology(hubs=0)
-
-    def test_rejects_unknown_route(self):
-        with pytest.raises(SimulationError):
-            MeshTopology(hubs=2, route="teleport")
 
     def test_rejects_remote_hub_zero(self):
         # hub 0 is the orchestrator itself; it cannot be remote.

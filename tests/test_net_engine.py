@@ -561,6 +561,126 @@ class TestDuplicateHello:
             plane._close()
 
 
+def _oracle_hub(event_sink=None):
+    """Hub 0 of ``n=4, t=1`` hosting the oracle service (quorum 3)."""
+    from repro.types import SystemConfig
+    from repro.underlying.oracle import SERVICE_NAME, OracleService
+
+    config = SystemConfig(4, 1)
+    return NetCluster(
+        config,
+        {pid: None for pid in config.processes},
+        services={SERVICE_NAME: OracleService(config)},
+        event_sink=event_sink,
+    )
+
+
+class TestHubZeroBooks:
+    """What a node reports up its link is booked on hub 0 the way every
+    in-process engine books it: first decision only, each output, each
+    service call and each log record, each with its event, in arrival order."""
+
+    def test_node_frames_are_booked_and_streamed(self):
+        from repro.engine.events import LogEvent, OutputEvent, ServiceEvent
+        from repro.net.wire import MsgDecide, MsgLog, MsgOutput, MsgService
+        from repro.runtime.effects import Deliver, ServiceCall
+        from repro.types import Decision
+        from repro.underlying.oracle import SERVICE_NAME, OracleProposal
+
+        log = EventLog()
+        cluster = _oracle_hub(log)
+        _, peer = _stub_node(cluster, 2)
+        proposal = OracleProposal((0, 3), 7)
+        try:
+            assert peer.send(MsgDecide(2, "v", DecisionKind.ONE_STEP, 3))
+            assert peer.send(MsgDecide(2, "w", DecisionKind.TWO_STEP, 5))  # not booked
+            assert peer.send(MsgOutput(2, "idb", 1, "x"))
+            assert peer.send(MsgService(2, ServiceCall(SERVICE_NAME, proposal, ("uc",)), 4))
+            assert peer.send(MsgLog(2, "shard.open", {"shard": 0, "slot": 3, "size": 1}))
+            _serve(cluster, lambda: cluster.frames_in >= 5)
+            decide, output, service, record = log.events
+            assert decide == DecideEvent(decide.time, 2, "v", DecisionKind.ONE_STEP, 3)
+            assert output == OutputEvent(output.time, 2, "idb", 1, "x")
+            assert service == ServiceEvent(service.time, 2, SERVICE_NAME, proposal)
+            assert record == LogEvent(
+                record.time, 2, "shard.open", {"shard": 0, "slot": 3, "size": 1}
+            )
+            times = [e.time for e in log.events]
+            assert 0.0 <= times[0] and times == sorted(times)
+            assert cluster.decisions == {
+                2: Decision("v", DecisionKind.ONE_STEP, step=3, time=decide.time)
+            }
+            assert cluster.stats.decisions == cluster.decisions
+            assert cluster.outputs == {0: [], 1: [], 2: [Deliver("idb", 1, "x")], 3: []}
+            assert cluster._heap == []  # one call of three: no oracle reply yet
+        finally:
+            peer.close()
+            cluster._close()
+
+    def test_a_hostile_decision_costs_only_its_own_link(self):
+        # A decision kind no DecisionKind (here a list) used to be booked
+        # and then raise in an EventStats sink, inside hub 0's loop.
+        from repro.engine.events import FaultEvent
+        from repro.net.wire import MsgDecide
+
+        log, stats = EventLog(), EventStats()
+        cluster = _hub0(TeeSink(log, stats))
+        node, _ = _stub_node(cluster, 1)
+        link, peer = _stub_node(cluster, 2)
+        try:
+            assert peer.send(MsgDecide(2, "v", [1], 3))
+            _serve(cluster, lambda: link.kind == "closed")
+            assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [(2, "wire-error")]
+            assert cluster.decisions == {} and stats.decide_kinds == {}
+            assert cluster._nodes == {1: node}
+        finally:
+            cluster._close()
+
+    @pytest.mark.parametrize(
+        "shape", ["unregistered", "not-a-call", "reply-path", "depth"]
+    )
+    def test_a_hostile_service_frame_costs_only_its_own_link(self, shape):
+        # Each of these used to raise out of hub 0's loop: a call to no
+        # registered service (SimulationError), a call that is no
+        # ServiceCall (AttributeError), a reply path holding a non-string
+        # (AttributeError when the reply was encoded), a depth that is no
+        # integer (TypeError once a correct call completed the quorum).
+        import time
+
+        from repro.engine.events import FaultEvent, ServiceEvent
+        from repro.net.wire import MsgService
+        from repro.runtime.effects import ServiceCall
+        from repro.underlying.oracle import SERVICE_NAME, OracleProposal
+
+        proposal = OracleProposal((0, 0), 1)
+        good = ServiceCall(SERVICE_NAME, proposal)
+        hostile = {
+            "unregistered": MsgService(2, ServiceCall("nope", proposal), 1),
+            "not-a-call": MsgService(2, "oracle-uc", 1),
+            "reply-path": MsgService(2, ServiceCall(SERVICE_NAME, proposal, (5,)), 1),
+            "depth": MsgService(2, good, "deep"),
+        }[shape]
+        log = EventLog()
+        cluster = _oracle_hub(log)
+        (_, first), (_, second) = _stub_node(cluster, 0), _stub_node(cluster, 1)
+        link, peer = _stub_node(cluster, 2)
+        try:
+            assert peer.send(hostile)
+            _serve(cluster, lambda: cluster.frames_in >= 1)
+            for pid, honest in ((0, first), (1, second)):  # the quorum's other two
+                assert honest.send(MsgService(pid, good, 1))
+            _serve(cluster, lambda: cluster.frames_in >= 3)
+            cluster._deliver_due(time.monotonic() + 60.0)
+            assert link.kind == "closed"
+            assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [(2, "wire-error")]
+            assert sorted(cluster._nodes) == [0, 1]
+            assert [e.pid for e in log.of_type(ServiceEvent)] == [0, 1]
+        finally:
+            first.close()
+            second.close()
+            cluster._close()
+
+
 class TestBroadcastFrame:
     """One ``MsgBroadcast`` frame is exactly the ``n`` sends it stands for —
     on hub 0 and on a data hub, which run the same ingress."""
@@ -666,7 +786,6 @@ class TestBroadcastFrame:
 
         log = EventLog()
         cluster = _hub0(log)
-        cluster._clock.start()
         _, first = _stub_node(cluster, 1)
         _, second = _stub_node(cluster, 2)
         try:
@@ -701,7 +820,7 @@ class TestBroadcastFrame:
         cluster = _hub0()
         _, peer = _stub_node(cluster, 2)
         monkeypatch.setattr(
-            cluster._clock, "now", lambda: pytest.fail("stamped an event nobody sees")
+            cluster, "now", lambda: pytest.fail("stamped an event nobody sees")
         )
         try:
             assert peer.send(MsgBroadcast(2, self._payload(), 1))

@@ -501,6 +501,31 @@ class TestStepOfKind:
         assert step_of_kind(DecisionKind.UNDERLYING, uc_step_cost=5) == 7
 
 
+class TestShardStreamSinkRecords:
+    def test_a_record_naming_no_slot_or_kind_is_skipped(self):
+        # The sink runs inside hub 0's loop on what replicas log; each of
+        # the first three records used to raise there (ValueError,
+        # TypeError, ValueError), the fourth at fold time (KeyError).
+        from repro.engine.events import LogEvent
+        from repro.shard.metrics import ShardStreamSink
+
+        sink = ShardStreamSink(shards=2)
+        slot = {"shard": 1, "slot": 0, "size": 1}
+        for record in [
+            LogEvent(0.0, 0, "shard.open", {"shard": "x", "slot": 0, "size": 1}),
+            LogEvent(0.0, 0, "shard.decide", 5),
+            LogEvent(0.0, 0, "shard.decide", {**slot, "kind": "sideways"}),
+            LogEvent(0.0, 0, "shard.open", {**slot, "shard": 9}),
+            LogEvent(1.0, 1, "shard.open", slot),
+            LogEvent(3.0, 1, "shard.decide", {**slot, "kind": "one-step"}),
+        ]:
+            sink.emit(record)
+        assert sink.opens == {(1, 1, 0): 1.0}
+        assert sink.decides == {(1, 1, 0): (3.0, DecisionKind.ONE_STEP)}
+        per_shard, overall = sink.fold()
+        assert per_shard[1].runs == overall.runs == 1 and per_shard[0].runs == 0
+
+
 def _applied_commands(report):
     return sorted(
         command

@@ -116,6 +116,17 @@ class TestOracleService:
         service = self.make()
         assert service.on_call(0, "garbage", 1, 0.0) == []
 
+    def test_unhashable_proposal_ignored(self):
+        # A decoded wire list is unhashable: as an instance it used to raise
+        # at once, as a value once a quorum was chosen from.
+        service = self.make()
+        assert service.on_call(0, OracleProposal([0], "v"), 1, 0.0) == []
+        assert service.on_call(1, OracleProposal(0, ["v"]), 1, 0.0) == []
+        assert service.on_call(2, OracleProposal(0, "v"), 1, 0.0) == []
+        assert service.on_call(3, OracleProposal(0, "v"), 1, 0.0) == []
+        # the garbage booked nothing: pid 1's real proposal completes the quorum
+        assert {r.dst for r in service.on_call(1, OracleProposal(0, "v"), 1, 0.0)} == {1, 2, 3}
+
     def test_reset(self):
         service = self.make()
         for pid in range(3):
