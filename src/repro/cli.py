@@ -156,11 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(sim), real event loop (asyncio), lockstep rounds "
                           "(sync), the model checker's FIFO schedule (mc) or "
                           "one OS process per node over real sockets (net)")
-    run.add_argument("--net-jitter", choices=["uniform", "lognormal"],
-                     default="uniform",
-                     help="net engine: per-message hub delay model — bounded "
-                          "uniform jitter or a long-tailed lognormal of the "
-                          "same mean")
     run.add_argument("--hubs", type=int, default=1,
                      help="net engine: hub groups of the mesh transport "
                           "(1 = the classic single-hub star; more needs "
@@ -223,26 +218,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one standalone mesh hub group over TCP (repro.mesh)",
     )
     hub.add_argument("--index", type=int, required=True,
-                     help="hub-group index in [1, hubs) — hub 0 always lives "
+                     help="hub-group index, at least 1 — hub 0 always lives "
                           "inside the cluster orchestrator")
-    hub.add_argument("--hubs", type=int, required=True,
-                     help="total hub-group count of the mesh")
-    hub.add_argument("--shards", type=int, required=True,
-                     help="shard count of the workload (attribution modulus)")
     hub.add_argument("--n", type=int, required=True, help="replica count")
     hub.add_argument("--host", default="127.0.0.1", help="bind address")
     hub.add_argument("--port", type=int, default=0,
                      help="bind port (0 = kernel-picked, printed on stderr)")
-    hub.add_argument("--peer", dest="peers", action="append", default=[],
-                     metavar="IDX:HOST:PORT",
-                     help="another remote hub's endpoint, repeatable "
-                          "(cross-group frames for it relay directly instead "
-                          "of through the orchestrator)")
     hub.add_argument("--seed", type=int, default=0,
-                     help="cluster seed (per-hub jitter stream = seed + index)")
+                     help="cluster seed (the hub's jitter stream derives from "
+                          "seed and index)")
     hub.add_argument("--mean-delay", type=float, default=0.0005)
-    hub.add_argument("--net-jitter", choices=["uniform", "lognormal"],
-                     default="uniform")
     hub.add_argument("--timeout", type=float, default=300.0,
                      help="failsafe deadline in seconds")
 
@@ -307,7 +292,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         engine=args.engine,
         event_sink=EventLog() if args.trace else None,
-        net_jitter=args.net_jitter,
         mesh=mesh,
     )
     if args.runs > 1:
@@ -521,31 +505,18 @@ def _cmd_serve(args) -> int:
 def _cmd_hub(args) -> int:
     from .mesh.hub import serve_hub
 
-    peers: dict[int, tuple[str, int]] = {}
-    for spec in args.peers:
-        parts = spec.split(":")
-        if len(parts) != 3 or not parts[0].isdigit() or not parts[2].isdigit():
-            print(f"error: peer {spec!r} must look like IDX:HOST:PORT",
-                  file=sys.stderr)
-            return 2
-        peers[int(parts[0])] = (parts[1], int(parts[2]))
-
     def announce(address) -> None:
         host, port = address[:2]
-        print(f"hub {args.index}/{args.hubs} listening at {host}:{port} "
-              f"(shards={args.shards}, n={args.n})", file=sys.stderr)
+        print(f"hub {args.index} listening at {host}:{port} (n={args.n})",
+              file=sys.stderr)
 
     return serve_hub(
         args.index,
-        args.hubs,
-        args.shards,
         args.n,
         host=args.host,
         port=args.port,
-        peers=peers or None,
         seed=args.seed,
         mean_delay=args.mean_delay,
-        jitter=args.net_jitter,
         deadline_seconds=args.timeout,
         announce=announce,
     )

@@ -77,7 +77,6 @@ __all__ = [
     "Deployment",
     "ENGINES",
     "HonestFactory",
-    "NET_JITTERS",
     "Scenario",
     "run_once",
     # algorithm registry
@@ -302,9 +301,6 @@ def all_algorithms() -> list[AlgorithmSpec]:
 #: The execution backends ``Scenario.engine`` selects between.
 ENGINES = ("sim", "asyncio", "sync", "mc", "net")
 
-#: Hub jitter models of the socket engine (see :mod:`repro.net.cluster`).
-NET_JITTERS = ("uniform", "lognormal")
-
 
 def _check_choice(what: str, value: str, choices) -> None:
     if value not in choices:
@@ -334,8 +330,6 @@ class Deployment:
         latency, scheduler, max_events: discrete-event backend knobs.
         event_sink: receives the structured run events of any backend
             (an :class:`~repro.engine.events.EventLog` is a trace).
-        net_jitter: hub jitter model on the socket engine — ``"uniform"``
-            (bounded) or ``"lognormal"`` (long-tailed), both seeded.
         restarts: per-pid :class:`~repro.engine.faults.RestartPlan`
             crash-recovery schedules (kill at ``at``, relaunch
             ``restart_after`` later with a freshly built protocol).
@@ -359,13 +353,9 @@ class Deployment:
     scheduler: DeliveryScheduler | None = None
     max_events: int | None = None
     event_sink: EventSink | None = None
-    net_jitter: str = "uniform"
     restarts: dict[ProcessId, RestartPlan] = field(default_factory=dict)
     mesh: Any = None
     shards: int = 1
-
-    def __post_init__(self) -> None:
-        _check_choice("net jitter", self.net_jitter, NET_JITTERS)
 
     def _reject_restarts(self, engine: str) -> None:
         if self.restarts:
@@ -510,7 +500,6 @@ class Deployment:
             event_sink=self.event_sink,
             transport=transport,
             link_plan=link_plan,
-            jitter=self.net_jitter,
             restarts=self.restarts,
         )
         if self.mesh is not None and getattr(self.mesh, "hubs", 1) > 1:
@@ -578,7 +567,6 @@ class Scenario:
     max_events: int | None = None
     engine: str = "sim"
     event_sink: EventSink | None = None
-    net_jitter: str = "uniform"
     #: optional :class:`~repro.mesh.topology.MeshTopology` — parallel hub
     #: groups on the socket engine; other engines ignore it.
     mesh: Any = None
@@ -604,7 +592,6 @@ class Scenario:
         )
         self.faults = self._plane.faults
         _check_choice("engine", self.engine, ENGINES)
-        _check_choice("net jitter", self.net_jitter, NET_JITTERS)
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -669,7 +656,6 @@ class Scenario:
             scheduler=self.scheduler,
             max_events=self.max_events,
             event_sink=self.event_sink,
-            net_jitter=self.net_jitter,
             restarts=restarts,
             mesh=self.mesh,
         )

@@ -10,14 +10,18 @@ the shard space.  Around that it adds what having *other* hubs takes:
   operator runs elsewhere via ``repro hub`` — ``MeshTopology.remote``),
   and node workers given every hub's endpoint to dial;
 * one control link per hub, an ordinary link of hub 0's data plane —
-  carrying :class:`~repro.mesh.wire.HubReady` (the Start barrier),
-  relayed frames, a data hub's fault and saturation reports (re-emitted
-  here as typed events), and the final :class:`~repro.mesh.wire.HubStats`;
+  carrying :class:`~repro.mesh.wire.HubReady` (the Start barrier), a data
+  hub's fault and saturation reports (re-emitted here as typed events),
+  and the final :class:`~repro.mesh.wire.HubStats`;
 * loud hub-failure semantics: a control link that dies *or overflows*
   marks the hub failed, stalls the run (``timed_out``), and the
   post-mortem carries the hub's own exit code (``-9`` for a SIGKILLed
   hub) in ``NetRunResult.hub_exit_codes`` — a hub death can never hang a
-  run, and a relayed frame is never silently lost on a slow link.
+  run.
+
+Hub 0 routes like every hub: a frame it receives it delivers, whatever
+shard the frame names (nodes steer each frame to its shard's hub, so in
+a correct run hub 0 receives only its own slice plus the control traffic).
 
 One observability caveat is inherent to the split: data hubs emit no
 per-message events (that skipped work is the scaling win), so
@@ -31,18 +35,17 @@ from __future__ import annotations
 
 import multiprocessing
 import socket
-import time
 from typing import Any, Mapping
 
 from ..codec import CODEC_BINARY
 from ..errors import SimulationError
-from ..net.cluster import HubLink, NetCluster, NetRunResult, reap
+from ..net.cluster import CONNECT_TIMEOUT, HubLink, NetCluster, NetRunResult, reap
 from ..net.wire import MsgLog, Stop
 from ..runtime.protocol import Protocol
 from ..types import ProcessId, SystemConfig
-from .hub import Endpoint, hub_worker_main
+from .hub import hub_worker_main
 from .topology import MeshTopology
-from .wire import CONTROL_LINK, HubHello, HubReady, HubSaturated, HubStats, MsgRelay
+from .wire import CONTROL_LINK, HubHello, HubReady, HubSaturated, HubStats
 
 __all__ = ["MeshCluster"]
 
@@ -51,10 +54,10 @@ class MeshCluster(NetCluster):
     """A :class:`~repro.net.cluster.NetCluster` with parallel hub groups.
 
     Args:
-        mesh: the :class:`~repro.mesh.topology.MeshTopology` — hub count,
-            remote hub addresses, saturation watermark.
-        shards: shard count of the workload; shard→hub attribution needs
-            it on the orchestrator, every hub, and every node.
+        mesh: the :class:`~repro.mesh.topology.MeshTopology` — hub count
+            and remote hub addresses.
+        shards: shard count of the workload; every node steers its frames
+            by it.
         (remaining arguments exactly as for ``NetCluster``.)
     """
 
@@ -69,7 +72,6 @@ class MeshCluster(NetCluster):
         mesh = mesh if mesh is not None else MeshTopology()
         if mesh.remote and kwargs.get("transport", "uds") != "tcp":
             raise SimulationError("remote hubs need transport='tcp'")
-        kwargs.setdefault("high_water", mesh.high_water)
         super().__init__(config, protocols, **kwargs)
         self.mesh = mesh
         self.hubs = mesh.hubs
@@ -105,28 +107,21 @@ class MeshCluster(NetCluster):
                     f"hub{hub}.sock", self.config.n + self.hubs + 2
                 )
                 self._endpoints.append(endpoint)
-        # Peer endpoints as the hubs see them: hub 0 routes via control.
-        peer_endpoints: list[Endpoint] = [None, *self._endpoints[1:]]
         ctx = multiprocessing.get_context("fork")
         for hub, listener in listeners.items():
             proc = ctx.Process(
                 target=hub_worker_main,
                 args=(
-                    self._run_timeout + self.connect_timeout + 30.0,
+                    self._run_timeout + CONNECT_TIMEOUT + 30.0,
                     hub,
-                    self.hubs,
-                    self.shards,
                     self.config.n,
                     listener,
-                    peer_endpoints,
                 ),
                 kwargs={
                     "seed": self.seed,
                     "mean_delay": self.mean_delay,
-                    "jitter": self.jitter,
                     "max_frame": self.max_frame,
                     "link_plan": self.link_plan,
-                    "high_water": self.high_water,
                 },
                 daemon=True,
                 name=f"repro-mesh-hub-{hub}",
@@ -156,38 +151,16 @@ class MeshCluster(NetCluster):
         frames silently)."""
         super()._handshake()
         self._poll_until(
-            lambda: self._hub_ready.issuperset(self._hub_links), self.connect_timeout
+            lambda: self._hub_ready.issuperset(self._hub_links), CONNECT_TIMEOUT
         )
         for hub in set(self._hub_links) - self._hub_ready:
             self._hub_lost(self._hub_links[hub], "never reported ready")
-
-    # -- routing ---------------------------------------------------------------------
-
-    def _relay(
-        self, owner: int, src: ProcessId, dst: ProcessId, payload: Any, depth: int
-    ) -> None:
-        """A frame another hub owns goes down that hub's control link — a
-        node handed it to hub 0 (a mis-steered frame; counted and observed
-        here, the data hub won't), or a hub without a direct peer endpoint
-        relayed it through the switchboard.
-        To a failed hub it goes nowhere: that run is already stalling."""
-        link = self._hub_links.get(owner)
-        if link is not None:
-            self._write(link, [MsgRelay(src, dst, payload, depth)])
 
     # -- hub control links -----------------------------------------------------------
 
     def _handle(self, link: HubLink, msg: Any) -> None:
         if link.kind != "control":
             super()._handle(link, msg)
-        elif isinstance(msg, MsgRelay):
-            # Already counted as sent by the ingressing hub; the fault
-            # plan and jitter apply here when hub 0 owns delivery.
-            owner = self._owner_of(msg.payload)
-            if owner == 0:
-                self._schedule(msg.dst, msg.src, msg.payload, msg.depth, time.monotonic())
-            else:
-                self._relay(owner, msg.src, msg.dst, msg.payload, msg.depth)
         elif isinstance(msg, HubReady):
             self._hub_ready.add(msg.hub)
         elif isinstance(msg, HubSaturated):

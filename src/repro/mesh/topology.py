@@ -3,8 +3,10 @@
 A mesh run splits the star topology's single hub into *hub groups*: hub 0
 stays inside the orchestrator (all control traffic — decisions, service
 calls, logs, catch-up — lands there), while hubs ``1..hubs-1`` are forked
-worker processes that each own a slice of the shard space.  Everything
-that must agree across nodes, hubs and metrics lives here:
+worker processes that each own a slice of the shard space.  Ownership is
+the nodes' steering rule (``hub_of(shard, hubs)``); a hub enforces the link
+plan on the frames it receives and delivers all of them.  What must agree
+across nodes, hubs and metrics lives here:
 
 * :class:`MeshTopology` — the user-facing config surfaced through
   ``Scenario(mesh=...)`` / ``ShardedService(mesh=...)`` / ``run --hubs N``;
@@ -14,10 +16,10 @@ that must agree across nodes, hubs and metrics lives here:
   keeping single-hub digests unchanged);
 * :func:`~repro.shard.router.shard_of_payload` / :func:`~repro.shard.
   router.peek_shard` — shard attribution for a materialized envelope chain
-  and for a raw binary-codec span, so a data hub can steer a frame without
-  decoding its payload.  They live in :mod:`repro.shard.router` beside
-  ``hub_of`` (the metrics layer charges by the same function) and are
-  re-exported here under their old names.
+  and for a raw binary-codec span.  They live in :mod:`repro.shard.router`
+  beside ``hub_of``; the re-exports here (and ``UNATTRIBUTED``) stay only
+  because the benchmark harness (``benchmarks/e2e/sink.py``) imports them
+  from this module.
 """
 
 from __future__ import annotations
@@ -49,13 +51,10 @@ class MeshTopology:
             :func:`repro.mesh.hub.serve_hub`).  The orchestrator dials
             these over TCP instead of forking them; hub 0 can never be
             remote (it *is* the orchestrator).
-        high_water: per-hub ready-queue saturation watermark (see
-            :class:`~repro.engine.events.HubSaturatedEvent`).
     """
 
     hubs: int = 1
     remote: dict[int, tuple[str, int]] = field(default_factory=dict)
-    high_water: int = 512
 
     def __post_init__(self) -> None:
         if self.hubs < 1:
@@ -66,8 +65,6 @@ class MeshTopology:
                     f"remote hub index {hub} out of range [1, {self.hubs})"
                     " — hub 0 is the orchestrator and cannot be remote"
                 )
-        if self.high_water < 1:
-            raise SimulationError("high_water must be positive")
 
 
 def hub_rng(seed: int, hub: int) -> Random:

@@ -1,18 +1,19 @@
-"""Mesh control-plane records: hub handshakes, relay, and hub telemetry.
+"""Mesh control-plane records: the hub handshake and hub telemetry.
 
-These travel on *hub-facing* links — the orchestrator's control link to
-each hub worker, peer hub↔hub links, and a remote ``repro hub`` process's
-listener — never on node links, which speak only the :mod:`repro.net.wire`
-vocabulary.  Registered in the codec schema under a fresh tag block
-(56–60) so golden frames pin them byte-for-byte like every other record.
+These travel on the orchestrator's control link to each hub worker (a
+forked one, or a remote ``repro hub`` process) — never on node links,
+which speak only the :mod:`repro.net.wire` vocabulary.  Registered in the
+codec schema under a fresh tag block (56–60) so golden frames pin them
+byte-for-byte like every other record.
 
 A link's first frame classifies it: nodes open with
-:class:`~repro.net.wire.Hello`, hubs and the orchestrator open with
-:class:`HubHello`.  The orchestrator's control link (``hub == CONTROL_
-LINK``) doubles as the relay channel for frames whose owning hub has no
-direct endpoint, and carries the lifecycle traffic — ``Start``/``Stop``
-downstream, :class:`HubReady`/:class:`HubStats`/:class:`HubSaturated`
-upstream.
+:class:`~repro.net.wire.Hello`, the orchestrator opens with
+``HubHello(CONTROL_LINK)``.  The control link carries the lifecycle
+traffic — ``Stop`` downstream, :class:`HubReady`/:class:`HubStats`/
+:class:`HubSaturated` and fault reports upstream.  Hubs never talk to
+each other: every hub delivers the frames it receives, so
+:class:`MsgRelay` is registered (its tag and layout are pinned) but no
+hub sends it.
 """
 
 from __future__ import annotations
@@ -40,11 +41,11 @@ CONTROL_LINK = -1
 @wire_record(tag=56)
 @dataclass(frozen=True, slots=True)
 class HubHello:
-    """First frame on a hub-facing link; identifies the dialing side.
+    """First frame on the orchestrator's control link to a data hub.
 
-    ``hub`` is the dialer's hub index — :data:`CONTROL_LINK` when the
-    dialer is the orchestrator.  ``codec`` is pinned and unread, exactly
-    like :attr:`~repro.net.wire.Hello.codec`."""
+    ``hub`` must be :data:`CONTROL_LINK`; a hub drops a link announcing
+    any other value, as it drops every unknown first frame.  ``codec`` is
+    pinned and unread, exactly like :attr:`~repro.net.wire.Hello.codec`."""
 
     hub: int
     codec: int = 0
@@ -54,13 +55,13 @@ class HubHello:
 @slot_init
 @dataclass(frozen=True, slots=True)
 class MsgRelay:
-    """Hub ↔ hub: one node→node message in flight to its owning hub.
+    """Unsent: one node→node message forwarded between hubs.
 
-    ``src`` is already link-authenticated by the hub that received the
-    original :class:`~repro.net.wire.MsgSend` from the node — hubs trust
-    each other (they are infrastructure we forked or the operator
-    started), nodes are the Byzantine parties.  The payload is a blob
-    field, so a relay hop splices the span without decoding it."""
+    No hub sends it and none accepts it — every hub delivers what it
+    receives — so a ``src`` claim on a hub-facing link can no longer
+    impersonate a node.  The record stays registered (tag 57, layout
+    pinned by the golden frames and the drift table), like
+    :class:`~repro.net.wire.MsgDeliver`."""
 
     src: ProcessId
     dst: ProcessId
@@ -75,7 +76,9 @@ class HubStats:
 
     Folded into :class:`~repro.net.cluster.NetRunResult` —
     ``hub_frame_counts``/``hub_byte_counts`` per hub, totals into
-    ``hub_frames``/``hub_bytes`` and the run stats."""
+    ``hub_frames``/``hub_bytes`` and the run stats.  ``relayed`` keeps
+    its pinned position and is always written as 0: no hub forwards a
+    frame."""
 
     hub: int
     frames: int

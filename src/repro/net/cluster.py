@@ -5,8 +5,8 @@ channels.  This module implements that model once, as :class:`DataPlane` —
 the event loop every hub runs:
 
     accept → classify by first frame → authenticate the pid → expand a
-    broadcast into its n sends → attribute the shard off raw bytes → fault
-    plan → seeded jitter → delay heap → one coalesced write per destination
+    broadcast into its n sends → fault plan → seeded jitter → delay heap →
+    one coalesced write per destination
 
 * **link authentication** — a link's first frame is its identity; a
   ``Hello`` is admitted only for a pid in range with no live link, and the
@@ -37,8 +37,10 @@ oracle must aggregate calls *across* processes) and the typed
 fork/reap/restart of the node workers (:func:`~repro.net.node.node_main`)
 and liveness (the per-run deadline and stall detection, so a crashed or
 silent node can never hang a run).  The mesh's data hubs
-(:class:`~repro.mesh.hub.HubWorker`) run the same plane and add only
-hub-to-hub relay.
+(:class:`~repro.mesh.hub.HubWorker`) run the same plane and add only a
+control link.  Every hub delivers each frame it receives, whatever shard
+the frame names: the shard→hub split is the nodes' steering, and a hub
+never forwards a frame to another hub.
 
 What is built when: a ``SendEvent``/``DeliverEvent`` only for a sink that
 reads it (the ``_sends``/``_delivers`` readers the engine resolves; a data
@@ -80,8 +82,6 @@ from ..errors import SimulationError
 from ..runtime.effects import SERVICE_SENDER, Deliver, Log, ServiceCall
 from ..runtime.protocol import Protocol
 from ..runtime.services import Service, ServiceReply
-from ..shard.router import UNATTRIBUTED, hub_of, shard_of_payload
-from ..sim.latency import LognormalLatency
 from ..types import DecisionKind, ProcessId, SystemConfig
 from .faults import LinkPlan, ProcessCrash
 from .node import connect_with_retry, node_main
@@ -107,12 +107,13 @@ from .wire import (
 #: Supported transports for the hub listener.
 TRANSPORTS = ("uds", "tcp")
 
-#: Hub jitter models (seeded either way).
-JITTERS = ("uniform", "lognormal")
-
-#: Default ready-queue depth at which a hub declares itself saturated
-#: (see :class:`~repro.engine.events.HubSaturatedEvent`).
+#: Ready-queue depth at which a hub declares itself saturated (see
+#: :class:`~repro.engine.events.HubSaturatedEvent`).
 DEFAULT_HIGH_WATER = 512
+
+#: How long hub 0 waits for every node (and a mesh's every data hub) to
+#: dial in before it marks the missing ones dead.
+CONNECT_TIMEOUT = 10.0
 
 #: Bytes a hub holds for one link that is not reading before it disconnects
 #: it.  A whole 1 280-command benchmark trial moves ≈ 13 MB across seven
@@ -128,8 +129,8 @@ CLOSE_LINGER = 1.0
 class HubLink:
     """One framed link to or from a hub: socket, decoder, identity, outbox.
 
-    A hub holds one per accepted connection and per link it dialed (peer
-    hubs, the orchestrator's control links); attached to a
+    A hub holds one per accepted connection and per link it dialed (the
+    orchestrator's control links); attached to a
     :class:`DataPlane` the socket is non-blocking and whatever ``send``
     could not write stays in ``outbox`` until the plane's selector reports
     the socket writable.  A bare link (:meth:`dial`, then :meth:`send`) is
@@ -137,8 +138,8 @@ class HubLink:
     flush loop simply runs to completion.
 
     ``kind`` is ``pending`` until the first frame classifies the link as
-    ``node``, ``peer`` or ``control`` (``closed`` once dropped); ``ident``
-    is the authenticated pid or the hub index.  ``broken`` says a write
+    ``node`` or ``control`` (``closed`` once dropped); ``ident`` is the
+    authenticated pid or the hub index.  ``broken`` says a write
     failed: the peer is gone and the link takes no more frames, but it
     stays readable until EOF — what the peer wrote before dying counts.
     ``spans`` is the hub end of the link's span table: deliveries leave
@@ -247,19 +248,18 @@ class DataPlane:
     Subclasses supply what differs per hub: :meth:`_handle` (the frames a
     classified link may carry), :meth:`_classify_other` (first frames other
     than a node's ``Hello``), :meth:`_admitted` / :meth:`_link_lost`
-    (bookkeeping around a link's life), :meth:`_relay` (the route to
-    another hub), and where the two things only a hub sees are reported —
-    :meth:`_fault` (a link lost with a cause) and :meth:`_saturation` (a
-    saturation episode).  A subclass with an event sink sets the
+    (bookkeeping around a link's life), and where the two things only a hub
+    sees are reported — :meth:`_fault` (a link lost with a cause) and
+    :meth:`_saturation` (a saturation episode).  A subclass with an event sink sets the
     ``_sends``/``_delivers`` readers and :meth:`now`; without them the
     plane builds no per-message event and reads no clock for one.
 
     Args:
-        index: this hub's index; ``hubs``/``shards`` size the shard→hub
-            attribution (``hubs == 1`` owns everything, nothing is peeked).
+        index: this hub's index (``0`` is hub 0).
         n: node pids are ``range(n)``.
         rng: the hub's seeded stream — fault-plan draws, then jitter.
         link_plan: the transport fault plan this hub applies.
+        mean_delay: mean of the ``uniform(0.5, 1.5) × mean_delay`` jitter.
     """
 
     #: readers of the per-message events (see :class:`~repro.engine.run.Engine`).
@@ -269,31 +269,21 @@ class DataPlane:
     def __init__(
         self,
         index: int,
-        hubs: int,
-        shards: int,
         n: int,
         rng: random.Random,
         link_plan: LinkPlan,
         mean_delay: float,
-        jitter: str,
         max_frame: int,
-        high_water: int,
     ) -> None:
         self.index = index
-        self.hubs = hubs
-        self.shards = shards
         self.n = n
         self.rng = rng
         self.link_plan = link_plan
         self.mean_delay = mean_delay
-        self._lognormal = (
-            LognormalLatency(mean_delay) if jitter == "lognormal" and mean_delay > 0
-            else None
-        )
         self.max_frame = max_frame
         #: ready-queue saturation watermark; the latch makes the event fire
         #: once per saturation episode, not once per frame past the mark.
-        self.high_water = high_water
+        self.high_water = DEFAULT_HIGH_WATER
         self._saturated = False
         self.frames = 0  # frames queued to node links
         self.bytes = 0  # bytes queued to node links
@@ -437,19 +427,13 @@ class DataPlane:
                 link,
             )
 
-    # -- ingress: count, attribute, fault plan, jitter, heap -------------------------
-
-    def _owner_of(self, payload: Any) -> int:
-        if self.hubs == 1:
-            return 0
-        shard = shard_of_payload(payload, self.shards)
-        return 0 if shard == UNATTRIBUTED else hub_of(shard, self.hubs)
+    # -- ingress: count, fault plan, jitter, heap ------------------------------------
 
     def _ingress(self, src: ProcessId, msg: MsgSend | MsgBroadcast) -> None:
         """One data frame off node ``src``'s link (``src`` is the link's
-        authenticated pid, not the frame's claim): keep or relay.  A
-        ``MsgBroadcast`` is the ``n`` sends it stands for, in pid order —
-        attributed once, observed, then queued (or relayed) per destination,
+        authenticated pid, not the frame's claim), queued for delivery here
+        whatever shard it names.  A ``MsgBroadcast`` is the ``n`` sends it
+        stands for, in pid order — observed, then queued per destination,
         all sharing the one payload span.  A ``MsgSend`` to no process of
         the cluster, or a frame whose depth is no integer, is a
         :class:`WireError`."""
@@ -463,22 +447,12 @@ class DataPlane:
         else:
             raise WireError(f"send to pid {msg.dst!r}, outside the cluster")
         self.sent += stop - first
-        owner = self._owner_of(payload)
         sends = self._sends
         if sends is not None:
             now = self.now()  # one frame, one arrival time
             for dst in range(first, stop):
                 sends.emit(SendEvent(now, src, dst, payload, depth))
-        if owner == self.index:
-            self._schedule(first, src, payload, depth, time.monotonic(), stop)
-        else:
-            for dst in range(first, stop):
-                self._relay(owner, src, dst, payload, depth)
-
-    def _relay(
-        self, owner: int, src: ProcessId, dst: ProcessId, payload: Any, depth: int
-    ) -> None:
-        raise NotImplementedError  # a one-hub plane owns every frame
+        self._schedule(first, src, payload, depth, time.monotonic(), stop)
 
     def _schedule(
         self, first: ProcessId, src: ProcessId, payload: Any, depth: int, arrived: float,
@@ -487,22 +461,20 @@ class DataPlane:
         """Queue the copies of one frame that reached this hub at ``arrived``
         (``time.monotonic()``, read once per frame) for pids ``first`` up to
         ``stop`` (just ``first``).  Per frame: the fault chain of ``src``'s
-        link (a service reply crosses none), heap, RNG, jitter model.  Per
-        copy: the plan's draws on a faulted link, one jitter draw (none for a
-        self copy), one push.  Then, once, the saturation latch."""
+        link (a service reply crosses none), heap, RNG.  Per copy: the
+        plan's draws on a faulted link, one jitter draw (none for a self
+        copy), one push.  Then, once, the saturation latch."""
         plan, rng = self.link_plan, self.rng
         chain = src != SERVICE_SENDER and (plan.per_source.get(src) or plan.everywhere)
         heap, push, seq = self._heap, heapq.heappush, self._seq
-        random, mean_delay, lognormal = rng.random, self.mean_delay, self._lognormal
+        random, mean_delay = rng.random, self.mean_delay
         for dst in range(first, first + 1 if stop is None else stop):
             for extra in plan.route(src, dst, rng) if chain else (0.0,):
                 seq += 1
                 if dst == src:
                     due = arrived + extra
-                elif lognormal is None:
-                    due = arrived + (0.5 + random()) * mean_delay + extra
                 else:
-                    due = arrived + lognormal.sample(rng, 0, 0) + extra
+                    due = arrived + (0.5 + random()) * mean_delay + extra
                 push(heap, (due, seq, dst, src, payload, depth))
         self._seq = seq
         if not self._saturated and len(heap) >= self.high_water:
@@ -684,7 +656,8 @@ class NetCluster(DataPlane, Engine):
         faulty: declared-faulty process ids (bookkeeping, as everywhere).
         services: trusted services by name; executed at the hub.
         seed: seeds link jitter and probabilistic link faults.
-        mean_delay: average one-way hub→node delay in seconds.
+        mean_delay: average one-way hub→node delay in seconds (each copy
+            waits ``uniform(0.5, 1.5) × mean_delay``).
         event_sink: optional structured-event sink; times are wall-clock
             seconds since the run started.
         transport: ``"uds"`` (default) or ``"tcp"`` (loopback).
@@ -693,13 +666,8 @@ class NetCluster(DataPlane, Engine):
         link_plan: the transport conditions the hub applies per source
             link (:class:`~repro.net.faults.LinkPlan`) — never a fault:
             faults run as wrapper protocols inside the nodes.
-        jitter: per-message delay model — ``"uniform"`` (bounded,
-            ``uniform(0.5, 1.5) × mean_delay``) or ``"lognormal"``
-            (long-tailed with the same mean; see
-            :class:`~repro.sim.latency.LognormalLatency`).
         chaos: *unannounced* per-pid :class:`~repro.net.faults.
             ProcessCrash` specs — invisible to ``faulty`` on purpose.
-        connect_timeout: how long to wait for all workers to dial in.
         restarts: per-pid :class:`~repro.engine.faults.RestartPlan` crash-
             recovery schedules — a timed SIGKILL at ``plan.at`` seconds
             after Start and (when ``plan.restart_after`` is set) a
@@ -707,7 +675,6 @@ class NetCluster(DataPlane, Engine):
             its protocol *in the child* via ``plan.factory``, dials the
             hub, and is re-authenticated by its Hello exactly like an
             initial connection.
-        high_water: ready-queue depth that raises a saturation event.
     """
 
     def __init__(
@@ -723,19 +690,12 @@ class NetCluster(DataPlane, Engine):
         max_frame: int = DEFAULT_MAX_FRAME,
         link_plan: LinkPlan | None = None,
         chaos: Mapping[ProcessId, ProcessCrash] | None = None,
-        connect_timeout: float = 10.0,
-        jitter: str = "uniform",
         restarts: Mapping[ProcessId, RestartPlan] | None = None,
-        high_water: int = DEFAULT_HIGH_WATER,
     ) -> None:
         Engine.__init__(self, config, protocols, faulty, services, event_sink)
         if transport not in TRANSPORTS:
             raise SimulationError(
                 f"unknown transport {transport!r} (one of: {', '.join(TRANSPORTS)})"
-            )
-        if jitter not in JITTERS:
-            raise SimulationError(
-                f"unknown jitter model {jitter!r} (one of: {', '.join(JITTERS)})"
             )
         if "fork" not in multiprocessing.get_all_start_methods():
             raise SimulationError(
@@ -746,22 +706,18 @@ class NetCluster(DataPlane, Engine):
         DataPlane.__init__(
             self,
             index=0,
-            hubs=1,
-            shards=1,
             n=config.n,
             rng=random.Random(seed),
             link_plan=link_plan if link_plan is not None else LinkPlan(),
             mean_delay=mean_delay,
-            jitter=jitter,
             max_frame=max_frame,
-            high_water=high_water,
         )
         self.protocols = dict(protocols)
         self.seed = seed
         self.transport = transport
         self.chaos = dict(chaos or {})
-        self.connect_timeout = connect_timeout
-        self.jitter = jitter
+        #: shard count node workers steer by (the mesh sets its own).
+        self.shards = 1
         #: ``time.monotonic()`` when the run started: the engine clock's zero.
         self._t0 = time.monotonic()
         self._dead: set[ProcessId] = set()
@@ -832,7 +788,7 @@ class NetCluster(DataPlane, Engine):
     def _handshake(self) -> None:
         """Serve Hellos until every node dialed in (or the connect timeout
         passed — missing nodes are marked dead)."""
-        self._poll_until(lambda: len(self._nodes) == self.config.n, self.connect_timeout)
+        self._poll_until(lambda: len(self._nodes) == self.config.n, CONNECT_TIMEOUT)
         for pid in self.config.processes:
             if pid not in self._nodes:
                 self._dead.add(pid)

@@ -222,20 +222,18 @@ class LinkPlan:
             ]
         return copies
 
-    def project(self, hub: int) -> "LinkPlan":
+    def project(self) -> "LinkPlan":
         """This plan's projection onto one hub of a parallel-hub mesh.
 
         Same per-source/everywhere structure, fresh fault instances
         (:meth:`LinkFault.clone`): every hub enforces the plan on the
-        frames *it* owns with its own state and its own seeded RNG stream,
-        so multi-hub runs stay deterministic regardless of how traffic
-        interleaves across hubs.  Note the semantics this fixes for
-        stateful faults: a :class:`CutAfter` budget counts per owning hub,
-        matching "the link out of this node dies after ``b`` messages" as
-        observed at each enforcement point.  ``hub`` is taken for the
-        call-site's readability; the projection itself is hub-agnostic.
+        frames *it* receives with its own state and its own seeded RNG
+        stream, so multi-hub runs stay deterministic regardless of how
+        traffic interleaves across hubs.  Note the semantics this fixes for
+        stateful faults: a :class:`CutAfter` budget counts per receiving
+        hub, matching "the link out of this node dies after ``b`` messages"
+        as observed at each enforcement point.
         """
-        del hub
         return LinkPlan(
             {pid: [f.clone() for f in chain] for pid, chain in self.per_source.items()},
             [f.clone() for f in self.everywhere],

@@ -689,8 +689,6 @@ class ShardedService:
         engine: any of the harness engines (``sim``/``asyncio``/``net``…).
         uc_step_cost: causal step cost of the oracle UC (feeds the
             per-slot step accounting of the metrics).
-        net_jitter: hub jitter model on the socket engine
-            (``"uniform"`` or ``"lognormal"``).
         codec: ``"binary"``, the only legal value —
             ``benchmarks/e2e/workloads.py`` passes it, so the keyword stays
             until that stops.
@@ -719,7 +717,6 @@ class ShardedService:
         seed: int = 0,
         engine: str = "sim",
         uc_step_cost: int = 2,
-        net_jitter: str = "uniform",
         codec: str = "binary",
         event_sink: EventSink | None = None,
         durability: DurabilityConfig | None = None,
@@ -744,7 +741,6 @@ class ShardedService:
         self.seed = seed
         self.engine = engine
         self.uc_step_cost = uc_step_cost
-        self.net_jitter = net_jitter
         self.event_sink = event_sink
         self.durability = durability
         #: optional :class:`~repro.mesh.topology.MeshTopology` — parallel
@@ -807,7 +803,6 @@ class ShardedService:
             faulty=frozenset(self._plane.faults) - self._plane.recovering(),
             seed=self.seed,
             event_sink=sink,
-            net_jitter=self.net_jitter,
             restarts=restarts,
             mesh=self.mesh,
             shards=self.shards,

@@ -203,7 +203,6 @@ class TestScenarioDataclass:
         "max_events",
         "engine",
         "event_sink",
-        "net_jitter",
         "mesh",
         "config",
     }

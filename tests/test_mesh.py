@@ -1,13 +1,15 @@
-"""The mesh transport end to end: hub groups, relay, and hub death.
+"""The mesh transport end to end: hub groups, their control links, and hub
+death.
 
 Three layers:
 
 * unmarked unit tests for the pure pieces — :class:`~repro.mesh.topology.
   MeshTopology` validation, the per-hub RNG streams, raw-bytes shard
   attribution (``peek_shard``), and the per-hub projection of link plans;
-* an in-thread :class:`~repro.mesh.hub.HubWorker` routing test with stub
-  node sockets — no forking, but the real selector loop, so the
-  owned-vs-relayed split is asserted frame by frame;
+* :class:`~repro.mesh.hub.HubWorker` and hub-0 routing tests on stub
+  sockets — no forking, but the real selector loop: every hub delivers
+  what it receives, whatever shard it names, and a hub-facing link can
+  neither relay a frame nor take over the control link;
 * ``@pytest.mark.net`` integration tests that fork the full mesh (hub
   processes + node processes): sim↔mesh digest parity, per-hub frame
   attribution, a SIGKILLed hub (fail loudly, never hang), and a remote
@@ -16,6 +18,7 @@ Three layers:
 
 import multiprocessing
 import os
+import select
 import signal
 import socket
 import tempfile
@@ -37,13 +40,13 @@ from repro.mesh import (
     HubStats,
     HubWorker,
     MeshTopology,
-    MsgRelay,
     hub_rng,
     peek_shard,
     shard_of_payload,
 )
+from repro.mesh.wire import MsgRelay
 from repro.net.faults import DelayLink, DropLink, LinkPlan
-from repro.net.wire import Hello, MsgDeliverRefs, MsgSend, Stop
+from repro.net.wire import Hello, MsgDeliverRefs, MsgLog, MsgSend, Stop, encode_frame
 from repro.runtime.composite import Envelope
 from repro.shard.router import hub_of, instance_name
 from repro.shard.service import ShardedService
@@ -51,7 +54,7 @@ from repro.types import DecisionKind
 from repro.workloads.inputs import unanimous
 
 from .conftest import leaked_socket_dirs
-from .test_net_engine import _data_hub, _drain, _serve, _stub_link
+from .test_net_engine import _data_hub, _drain, _serve, _stub_link, _stub_node
 
 UNATTRIBUTED = -1
 
@@ -94,10 +97,6 @@ class TestMeshTopology:
     def test_rejects_remote_index_out_of_range(self):
         with pytest.raises(SimulationError):
             MeshTopology(hubs=2, remote={2: ("10.0.0.1", 9000)})
-
-    def test_rejects_nonpositive_high_water(self):
-        with pytest.raises(SimulationError):
-            MeshTopology(hubs=2, high_water=0)
 
 
 class TestHubRng:
@@ -156,7 +155,7 @@ class TestLinkPlanProjection:
         import random
 
         plan = LinkPlan(per_source={1: [DropLink(1.0)]})
-        a, b = plan.project(0), plan.project(1)
+        a, b = plan.project(), plan.project()
         assert a.route(1, 2, random.Random(0)) == []
         assert b.route(1, 2, random.Random(0)) == []
         assert a.per_source[1][0] is not plan.per_source[1][0]
@@ -166,34 +165,29 @@ class TestLinkPlanProjection:
         import random
 
         plan = LinkPlan(everywhere=[DelayLink(0.25)])
-        projected = plan.project(3)
+        projected = plan.project()
         assert projected.route(0, 1, random.Random(0)) == [0.25]
 
 
 # -- the hub worker's selector loop, in a thread ---------------------------------------
 
 
-class TestHubWorkerRouting:
-    def test_owned_delivered_and_foreign_relayed(self, tmp_path):
-        """Every frame for shard s arrives only via hub_of(s).
+def _nothing_to_read(link):
+    """``True`` when no byte waits on a bare link (the hub wrote nothing)."""
+    readable, _, _ = select.select([link.sock], [], [], 0.05)
+    return not readable
 
-        Hub 1 of a 2-hub, 4-shard mesh: frames for shards 1 and 3 are
-        owned (delivered straight to the destination node's socket);
-        frames for shards 0 and 2 belong to hub 0 and must leave over the
-        control link as ``MsgRelay`` — never toward a node.
-        """
+
+class TestHubWorkerRouting:
+    def test_every_frame_is_delivered_by_the_hub_that_received_it(self, tmp_path):
+        """Hub 1 of a 2-hub, 4-shard mesh delivers a frame for every shard —
+        its own (1, 3) and hub 0's (0, 2) alike — straight to the
+        destination node, and writes nothing up its control link but the
+        stats it owes on ``Stop``."""
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(str(tmp_path / "hub1.sock"))
         listener.listen(8)
-        worker = HubWorker(
-            index=1,
-            hubs=2,
-            shards=4,
-            nodes=2,
-            listener=listener,
-            endpoints=[None, None],
-            mean_delay=0.0,
-        )
+        worker = HubWorker(index=1, nodes=2, listener=listener, mean_delay=0.0)
         thread = threading.Thread(target=worker.run, kwargs={"deadline_seconds": 30.0})
         thread.start()
         control = node0 = node1 = None
@@ -211,35 +205,26 @@ class TestHubWorkerRouting:
             (ready,) = _drain(control, 1)
             assert ready == HubReady(1, 2)
 
-            # owned shards (1, 3) → delivered to the destination node
-            node0.send(MsgSend(0, 1, sharded_payload(1), 0))
-            node0.send(MsgSend(0, 1, sharded_payload(3), 1))
-            # foreign shards (0, 2) → relayed over the control link
-            node0.send(MsgSend(0, 1, sharded_payload(0), 0))
-            node0.send(MsgSend(0, 1, sharded_payload(2), 0))
+            for shard in range(4):
+                node0.send(MsgSend(0, 1, sharded_payload(shard), 0))
 
             # the hub may coalesce co-scheduled deliveries into one
             # MsgDeliverRefs frame; flatten to (sender, payload, depth)
-            payloads = []
+            entries = []
             deadline = time.monotonic() + 5.0
-            while len(payloads) < 2 and time.monotonic() < deadline:
+            while len(entries) < 4 and time.monotonic() < deadline:
                 for frame in _drain(node1, 1):
                     assert isinstance(frame, MsgDeliverRefs)
-                    payloads.extend(p for _, p, _ in frame.entries)
-            assert {shard_of_payload(p, 4) for p in payloads} == {1, 3}
-            relayed = _drain(control, 2)
-            assert all(isinstance(m, MsgRelay) for m in relayed)
-            assert {shard_of_payload(m.payload, 4) for m in relayed} == {0, 2}
+                    entries.extend(frame.entries)
+            assert sorted(shard_of_payload(p, 4) for _, p, _ in entries) == [0, 1, 2, 3]
             # src is authenticated: the hub stamps the connection's pid
-            assert {m.src for m in relayed} == {0}
+            assert {sender for sender, _, _ in entries} == {0}
 
             control.send(Stop())
-            (stats,) = [m for m in _drain(control, 1) if isinstance(m, HubStats)]
-            assert stats.hub == 1
-            assert stats.sent == 4
-            assert stats.delivered == 2
-            assert stats.relayed == 2
-            # both deliveries may share one batched frame
+            (stats,) = _drain(control, 1)  # the stats, and nothing before them
+            assert isinstance(stats, HubStats)
+            assert (stats.hub, stats.sent, stats.delivered, stats.relayed) == (1, 4, 4, 0)
+            # the deliveries may share one batched frame
             assert stats.frames >= 1
             assert stats.bytes > 0
         finally:
@@ -249,70 +234,87 @@ class TestHubWorkerRouting:
             thread.join(10.0)
             assert not thread.is_alive()
 
+    def test_a_hub_hello_is_dropped_and_its_relay_reaches_no_node(self, tmp_path):
+        """A dialer announcing itself as hub 2 and claiming to forward a
+        message from node 0 is dropped unread: nothing is queued, nothing
+        reaches node 1, and nothing is reported."""
+        hub = _data_hub(tmp_path)
+        _, control = _stub_link(hub, HubHello(CONTROL_LINK))
+        _serve(hub, lambda: hub._control is not None)
+        _, node1 = _stub_node(hub, 1)
+        forged = MsgRelay(0, 1, "forged", 0)
+        link, dialer = _stub_link(hub, encode_frame(HubHello(2)) + encode_frame(forged))
+        try:
+            _serve(hub, lambda: link.kind == "closed")
+            assert dialer.sock.recv(16) == b""  # the dialer sees EOF
+            hub._deliver_due(time.monotonic() + 1.0)
+            assert hub._heap == [] and hub.delivered == 0
+            assert _nothing_to_read(node1)
+            assert _nothing_to_read(control)
+        finally:
+            for peer in (control, node1, dialer):
+                peer.close()
+            hub._close()
 
-class TestRelayIsNeverSilentlyLost:
-    """Hub-to-hub relay goes through the one write path: a frame that cannot
-    leave is a reported outcome, a control link that cannot take it is a
-    lost hub — never a quiet drop."""
+    def test_a_second_control_link_is_refused_and_reported(self, tmp_path):
+        """Only the first ``HubHello(CONTROL_LINK)`` opens the control link.
+        A second dialer is dropped with a ``duplicate-control`` report up
+        the first, and its hanging up does not end the hub."""
+        hub = _data_hub(tmp_path)
+        first, control = _stub_link(hub, HubHello(CONTROL_LINK))
+        _serve(hub, lambda: hub._control is first)
+        second, intruder = _stub_link(hub, HubHello(CONTROL_LINK))
+        try:
+            _serve(hub, lambda: second.kind == "closed")
+            assert intruder.sock.recv(16) == b""
+            (report,) = _drain(control, 1)
+            assert isinstance(report, MsgLog)
+            assert (report.pid, report.event) == (CONTROL_LINK, "duplicate-control")
+            intruder.close()
+            hub._poll(0.05)
+            assert hub._control is first and first.kind == "control"
+            assert hub._exit is None  # the hub still serves its orchestrator
+        finally:
+            control.close()
+            hub._close()
 
-    def test_overflowing_control_link_fails_the_hub_loudly(self):
-        # Regression: hub 0 ignored a failed control-link send (and a
-        # timed-out one could leave half a frame on the link).
-        from repro.engine.events import EventLog, FaultEvent
+
+class TestHubZeroDeliversMisSteeredFrames:
+    def test_a_frame_for_another_hubs_shard_is_delivered_here(self):
+        """A node that hands hub 0 a frame for hub 1's shard gets it
+        delivered by hub 0, and nothing goes down hub 1's control link."""
         from repro.mesh import MeshCluster
         from repro.types import SystemConfig
 
-        config, log = SystemConfig(4, 0), EventLog()
+        config = SystemConfig(4, 0)
         cluster = MeshCluster(
             config,
             {pid: None for pid in config.processes},
             mesh=MeshTopology(hubs=2),
             shards=4,
-            event_sink=log,
         )
-        ours, hub_one = socket.socketpair()  # hub 1 never reads
-        link = HubLink(ours)
+        ours, theirs = socket.socketpair()
+        link, hub_one = HubLink(ours), HubLink(theirs, lazy=False)
         link.kind, link.ident = "control", 1
         cluster._hub_links[1] = link
         cluster._attach(link)
-        owned_by_one = Envelope("mux", Envelope(instance_name(1, 0), "y" * 200_000))
+        _, sender = _stub_node(cluster, 2)
+        _, receiver = _stub_node(cluster, 1)
+        owned_by_one = sharded_payload(1)
         try:
-            for sent in range(1, 100):
-                cluster._ingress(0, MsgSend(0, 1, owned_by_one, 0))
-                if 1 in cluster._failed_hubs:
-                    break
-            assert 20 <= sent < 60  # a few MiB were held before giving up
-            assert cluster.sent == sent  # counted where it ingressed
-            assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [
-                (1, "outbox-overflow"),
-                (1, "hub-lost"),
-            ]
-            assert cluster._stalled() and link.kind == "closed"
+            assert hub_of(1, 2) == 1
+            assert sender.send(MsgSend(2, 1, owned_by_one, 5))
+            _serve(cluster, lambda: cluster.sent >= 1)
+            cluster._deliver_due(time.monotonic() + 1.0)
+            (frame,) = _drain(receiver, 1)
+            ((src, payload, depth),) = frame.entries
+            assert (src, shard_of_payload(payload, 4), depth) == (2, 1, 5)
+            assert cluster.delivered == 1
+            assert _nothing_to_read(hub_one)
         finally:
-            hub_one.close()
+            for peer in (hub_one, sender, receiver):
+                peer.close()
             cluster._close()
-
-    def test_unrelayable_frame_is_counted_and_reported(self, tmp_path):
-        # Regression: ``except FrameTooLarge: pass``.
-        from repro.net.wire import MsgLog
-
-        hub = _data_hub(tmp_path)
-        hub.max_frame = 1024
-        _, control = _stub_link(hub, HubHello(CONTROL_LINK))
-        _serve(hub, lambda: hub._control is not None)
-        hub._control.max_frame = 1024
-        owned_by_zero = Envelope("mux", Envelope(instance_name(0, 0), "y" * 4096))
-        try:
-            hub._ingress(2, MsgSend(2, 1, owned_by_zero, 0))
-            hub._ingress(2, MsgSend(2, 1, sharded_payload(0), 0))
-            report, relayed = _drain(control, 2)
-            assert isinstance(report, MsgLog)
-            assert (report.pid, report.event) == (2, "relay-too-large")
-            assert relayed == MsgRelay(2, 1, sharded_payload(0), 0)
-            assert (hub.sent, hub.relayed) == (2, 1)
-        finally:
-            control.close()
-            hub._close()
 
 
 # -- full mesh integration: forked hubs + forked nodes ---------------------------------
@@ -414,7 +416,7 @@ class TestMeshCluster:
 
         def hub_main():
             serve_hub(
-                1, 2, 1, 7,
+                1, 7,
                 host="127.0.0.1", port=0,
                 deadline_seconds=60.0,
                 announce=lambda addr: queue.put(addr[1]),

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.codec.binary import Opaque, encode
 from repro.codec.schema import COMPONENT_TABLE
 from repro.engine.faults import Silent
-from repro.harness import Scenario, dex_freq
 from repro.runtime.composite import Envelope
 from repro.runtime.effects import Broadcast, Decide, Deliver, Log
 from repro.runtime.protocol import Protocol
@@ -39,7 +38,6 @@ from repro.shard import (
 )
 from repro.shard.router import UNATTRIBUTED, peek_shard, shard_of_payload
 from repro.types import DecisionKind, SystemConfig
-from repro.workloads.inputs import unanimous
 
 from .test_net_engine import assert_no_leaks
 
@@ -648,14 +646,6 @@ class TestShardedServiceSim:
 
         with pytest.raises(ConfigurationError, match="n > 6t"):
             ShardedService(n=7, t=2)
-
-    def test_shard_scenario_field_reaches_net_run(self):
-        # Scenario grew a net_jitter knob for the shard benchmarks; it must
-        # validate eagerly like engine does.
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown net jitter"):
-            Scenario(dex_freq(), unanimous(1, 7), net_jitter="gamma")
 
 
 @pytest.mark.net
