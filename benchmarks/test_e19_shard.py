@@ -12,6 +12,11 @@ fixed command stream drops.  Zipf skew scales worse than uniform: hot
 keys concentrate traffic on few shards, so extra shards sit idle.  The
 one-step rate stays at 1.0 in the uncontended sweep (every slot's batch
 is unanimously proposed) and degrades once contention is injected.
+
+This table also carries what E9 (the retired pipelined log) claimed:
+running more consensus instances at once raises throughput, and one-step
+decisions survive it — instances do not interfere.  The served system's
+concurrency axis is shards, not an in-flight window.
 """
 
 from _util import write_report
@@ -78,9 +83,11 @@ def test_e19_shard_throughput_scaling(benchmark):
             ),
         ),
     )
-    # Aggregate throughput scales with shard count on the simulator.
+    # Aggregate throughput rises strictly with every added shard on the
+    # simulator: concurrent logs overlap where one log would serialize.
     for skew in ("uniform", "zipf"):
-        assert throughput[(skew, 1)] < throughput[(skew, SHARDS[-1])], skew
+        rates = [throughput[(skew, shards)] for shards in SHARDS]
+        assert all(a < b for a, b in zip(rates, rates[1:])), (skew, rates)
     # Hot keys waste shards: uniform must beat zipf at the widest sweep.
     assert throughput[("uniform", 4)] > throughput[("zipf", 4)]
     # Uncontended slots all take the expedited one-step path.

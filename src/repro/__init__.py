@@ -23,9 +23,10 @@ The package provides:
 * :mod:`repro.byzantine` — a programmable adversary library;
 * :mod:`repro.harness` — declarative scenario construction;
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.analysis`,
-  :mod:`repro.apps` — experiment support and the motivating applications;
-* :mod:`repro.shard` — the keyspace-sharded multi-consensus service (many
-  concurrent DEX instances, batched, multiplexed over one engine).
+  :mod:`repro.apps` — experiment support and the atomic-commit application;
+* :mod:`repro.shard` — the replicated state machine of §1.1 as a
+  keyspace-sharded service (many concurrent instances of any registered
+  algorithm, batched, multiplexed over one engine).
 
 Quickstart::
 

@@ -119,6 +119,10 @@ class AlgorithmSpec:
             rejects stronger injected faults.
         garbage_templates: wire-shaped payload examples for the garbage
             adversary.
+        steps_before_uc: communication steps the algorithm spends before
+            it hands a value to the underlying consensus — a fallback
+            decision costs these plus the UC's steps (DEX 2, BOSCO and the
+            crash-model converters 1, the two-step reference 0).
         table1: the algorithm's row of the paper's Table 1 (used by the
             table-regeneration bench).
     """
@@ -128,6 +132,7 @@ class AlgorithmSpec:
     required_ratio: int
     failure_model: str = "byzantine"
     garbage_templates: tuple[Any, ...] = ()
+    steps_before_uc: int = 2
     table1: dict[str, str] = field(default_factory=dict)
 
     def max_t(self, n: int) -> int:
@@ -189,6 +194,7 @@ def bosco_weak() -> AlgorithmSpec:
         ),
         required_ratio=5,
         garbage_templates=(BoscoVote(0),),
+        steps_before_uc=1,
         table1={
             "system": "Asyn.",
             "failures": "Byzan.",
@@ -208,6 +214,7 @@ def bosco_strong() -> AlgorithmSpec:
         ),
         required_ratio=7,
         garbage_templates=(BoscoVote(0),),
+        steps_before_uc=1,
         table1={
             "system": "Asyn.",
             "failures": "Byzan.",
@@ -230,6 +237,7 @@ def izumi() -> AlgorithmSpec:
         required_ratio=3,
         failure_model="crash",
         garbage_templates=(CrashValue(0),),
+        steps_before_uc=1,
         table1={
             "system": "Asyn.",
             "failures": "Crash",
@@ -250,6 +258,7 @@ def brasileiro() -> AlgorithmSpec:
         required_ratio=3,
         failure_model="crash",
         garbage_templates=(BrasileiroValue(0),),
+        steps_before_uc=1,
         table1={
             "system": "Asyn.",
             "failures": "Crash",
@@ -268,6 +277,7 @@ def twostep() -> AlgorithmSpec:
             pid, config, value, uc_factory
         ),
         required_ratio=3,
+        steps_before_uc=0,
         table1={
             "system": "Asyn.",
             "failures": "Byzan.",

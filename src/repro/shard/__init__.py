@@ -2,9 +2,10 @@
 
 The paper's replicated-server motivation at "heavy traffic" scale: the
 keyspace is split into shards, each shard orders batched client commands
-through consecutive DEX instances, and all instances of all shards
-multiplex over one engine — on the socket engine, one hub connection per
-node carries every instance's frames.
+through consecutive consensus instances of one algorithm (DEX-freq by
+default; ``ShardedService(algorithm=...)`` takes any registered spec), and
+all instances of all shards multiplex over one engine — on the socket
+engine, one hub connection per node carries every instance's frames.
 
 * :mod:`repro.shard.router` — key→shard mapping + the ``(shard, slot)``
   instance multiplexer;
@@ -20,17 +21,27 @@ node carries every instance's frames.
 from .batcher import ShardBatcher
 from .metrics import ShardStreamSink, step_of_kind
 from .router import INSTANCE_DECIDED_TAG, ShardMultiplexer, instance_name, parse_instance, shard_of
-from .service import ShardedService, ShardNode, ShardReport, dex_shard_factory, shard_workload
+from .service import (
+    Command,
+    KeyValueStore,
+    ShardedService,
+    ShardNode,
+    ShardReport,
+    instance_factory,
+    shard_workload,
+)
 
 __all__ = [
     "INSTANCE_DECIDED_TAG",
+    "Command",
+    "KeyValueStore",
     "ShardBatcher",
     "ShardMultiplexer",
     "ShardNode",
     "ShardReport",
     "ShardStreamSink",
     "ShardedService",
-    "dex_shard_factory",
+    "instance_factory",
     "instance_name",
     "parse_instance",
     "shard_of",

@@ -1,9 +1,8 @@
 """Per-shard proposal batching: size- and time-bounded.
 
-Generalizes the per-slot queue of :mod:`repro.apps.rsm` to the multi-shard
-case.  Each shard owns one :class:`ShardBatcher`; a consensus slot decides
-a whole *batch* of client commands, so the ordering cost of one instance is
-amortized over up to ``max_batch`` commands.
+Each shard of the replicated log owns one :class:`ShardBatcher`; a
+consensus slot decides a whole *batch* of client commands, so the ordering
+cost of one instance is amortized over up to ``max_batch`` commands.
 
 The two bounds:
 
@@ -16,8 +15,7 @@ The two bounds:
 
 Commands leave the queue only when *decided* (:meth:`acknowledge`): a
 contended slot decides one of two competing batches, and the losers stay
-queued to be re-proposed in later slots — exactly the fairness story of
-``apps/rsm.py``, per shard.
+queued to be re-proposed in later slots.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ sidesteps the fact that causal ``step`` depth accumulates across chained
 slots (slot 17's decision rides on the message chain of slots 0..16, so
 its raw ``DecideEvent.step`` is useless).
 Per-slot step counts are instead derived from the decision *kind*:
-one-step/fast = 1, two-step = 2, underlying = 2 + the UC's step cost.
+one-step/fast = 1, two-step = 2, underlying = the algorithm's steps before
+its UC (``AlgorithmSpec.steps_before_uc``: DEX 2, BOSCO 1, two-step 0) +
+the UC's step cost.
 
 Everything folds into :class:`~repro.metrics.collectors.StreamAggregate`
 instances — one per shard plus one aggregate — whose summaries feed
@@ -41,20 +43,23 @@ __all__ = ["step_of_kind", "ShardStreamSink"]
 _MESSAGE_KEYS = ("sends", "delivers", "throughput_msgs_per_s")
 
 
-def step_of_kind(kind: DecisionKind, uc_step_cost: int = 2) -> int:
+def step_of_kind(
+    kind: DecisionKind, uc_step_cost: int = 2, steps_before_uc: int = 2
+) -> int:
     """Communication steps one slot's decision took, by decision kind.
 
     The causal ``step`` depth on a :class:`~repro.engine.events.DecideEvent`
     accumulates across chained slots, so per-slot accounting derives the
     step count from the kind instead: the expedited paths decide in one
     step, the plain two-step path in two, and falling back to the
-    underlying consensus costs the two dissemination steps plus the UC.
+    underlying consensus costs the algorithm's dissemination steps before
+    the UC (``steps_before_uc``; DEX's two by default) plus the UC.
     """
     if kind in (DecisionKind.ONE_STEP, DecisionKind.FAST):
         return 1
     if kind is DecisionKind.TWO_STEP:
         return 2
-    return 2 + uc_step_cost
+    return steps_before_uc + uc_step_cost
 
 
 class ShardStreamSink(EventSink):
@@ -68,9 +73,13 @@ class ShardStreamSink(EventSink):
 
     consumes = frozenset({LogEvent, ServiceEvent})
 
-    def __init__(self, shards: int, uc_step_cost: int = 2, hubs: int = 1) -> None:
+    def __init__(
+        self, shards: int, uc_step_cost: int = 2, hubs: int = 1, steps_before_uc: int = 2
+    ) -> None:
         self.shards = shards
         self.uc_step_cost = uc_step_cost
+        #: the deployed algorithm's steps before its UC (:func:`step_of_kind`)
+        self.steps_before_uc = steps_before_uc
         #: hub groups of the transport (mesh runs); per-shard rows carry
         #: the owning hub and the summary a per-hub rollup, so a report
         #: shows how the load *should* split across hubs.
@@ -140,7 +149,9 @@ class ShardStreamSink(EventSink):
             stats = EventStats()
             for pid, (decided_at, kind) in outcomes.items():
                 opened_at = self.opens.get((pid, shard, slot))
-                stats.decide_steps[pid] = step_of_kind(kind, self.uc_step_cost)
+                stats.decide_steps[pid] = step_of_kind(
+                    kind, self.uc_step_cost, self.steps_before_uc
+                )
                 stats.decide_times[pid] = (
                     decided_at - opened_at if opened_at is not None else decided_at
                 )

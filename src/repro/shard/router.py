@@ -17,13 +17,12 @@ work over a *single* transport:
   one cluster per instance.
 
 It is the one multiplexer: the sharded replica
-(:class:`repro.shard.service.ShardNode`) and the pipelined log
-(:class:`repro.apps.pipeline.PipelinedReplica`, ``shards=1``) both *are*
-one — they subclass it and take each instance's decision through
+(:class:`repro.shard.service.ShardNode`) *is* one — it subclasses it and
+takes each instance's decision through
 :meth:`ShardMultiplexer.on_instance_decided` — so an instance message is
 ``Envelope("s<shard>.<slot>", …)`` at the top level of the wire, one
-composite level above the DEX instance's own ``idb``/``uc`` children.  An
-instance comes into existence two ways — locally via
+composite level above the instance's own children (DEX's ``idb``/``uc``).
+An instance comes into existence two ways — locally via
 :meth:`ShardMultiplexer.propose`, or remotely when the first envelope for
 an unseen instance arrives, in which case it is created *without*
 proposing (a lagging replica participating in a round it has not reached).
@@ -48,14 +47,11 @@ from ..codec.binary import (
     _read_varint,
 )
 from ..codec.schema import instance_name, parse_instance
-from ..conditions.frequency import FrequencyPair
-from ..core.dex import DexConsensus
 from ..errors import ConfigurationError
 from ..runtime.composite import CompositeProtocol, Envelope
 from ..runtime.effects import Decide, Deliver, Effect
 from ..runtime.protocol import Protocol
 from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.oracle import OracleConsensus
 
 __all__ = [
     "INSTANCE_DECIDED_TAG",
@@ -67,7 +63,6 @@ __all__ = [
     "instance_name",
     "parse_instance",
     "ShardMultiplexer",
-    "dex_shard_factory",
 ]
 
 #: Upcall tag of a per-instance decision surfaced by the multiplexer.
@@ -185,26 +180,6 @@ def peek_shard(data: bytes, shards: int) -> int:
     except (IndexError, CodecError):
         return UNATTRIBUTED
     return UNATTRIBUTED
-
-
-def dex_shard_factory(process_id: ProcessId, config: SystemConfig) -> ShardInstanceFactory:
-    """Per-``(shard, slot)`` DEX instances (frequency pair) over the shared
-    oracle UC: each instance uses its own oracle instance key, so one
-    :class:`~repro.underlying.oracle.OracleService` serves every shard."""
-    pair = FrequencyPair(config.n, config.t)
-
-    def make(shard: int, slot: int, proposal: Value) -> Protocol:
-        return DexConsensus(
-            process_id,
-            config,
-            pair,
-            proposal,
-            uc_factory=lambda pid, cfg, key=(shard, slot): OracleConsensus(
-                pid, cfg, instance=key
-            ),
-        )
-
-    return make
 
 
 class ShardMultiplexer(CompositeProtocol):

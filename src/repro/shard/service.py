@@ -2,9 +2,11 @@
 
 The paper's §1.1 motivation — replicated servers ordering client update
 requests — at "heavy traffic" scale: the keyspace is split into shards,
-each shard orders its own batched command log through consecutive DEX
-instances, and *all* instances of *all* shards multiplex over one engine
-(one hub connection per node on the socket engine).
+each shard orders its own batched command log through consecutive
+consensus instances of one algorithm (DEX-freq unless told otherwise), and
+*all* instances of *all* shards multiplex over one engine (one hub
+connection per node on the socket engine).  One shard with one command per
+batch is the paper's sequential replicated log, one slot in flight.
 
 Pieces:
 
@@ -13,9 +15,9 @@ Pieces:
   and contention drives the one-step rate) in open loop (arrivals paced by
   ``rate`` per slot-tick) or closed loop (everything enqueued up front);
 * :class:`ShardNode` — one replica: *is* the :class:`~repro.shard.router.
-  ShardMultiplexer` of per-``(shard, slot)`` DEX instances, plus one
+  ShardMultiplexer` of per-``(shard, slot)`` consensus instances, plus one
   :class:`~repro.shard.batcher.ShardBatcher` and one
-  :class:`~repro.apps.rsm.KeyValueStore` per shard.  When a slot decides,
+  :class:`KeyValueStore` per shard.  When a slot decides,
   the batch is applied, losers are re-proposed, and the next slot opens;
   when every shard drains, the replica emits its single top-level
   ``Decide`` whose value is the *digest* of all applied batches — so the
@@ -27,10 +29,11 @@ Pieces:
   engine, and folds the typed event stream into per-shard and aggregate
   throughput/latency/one-step-rate (see :mod:`repro.shard.metrics`).
 
-Contention is modelled exactly like :mod:`repro.apps.rsm`, generalized per
-``(shard, slot)``: with probability ``contention`` a slot has two competing
-batches (head vs. shifted-by-one rival) and each replica independently saw
-one of them first.  All coins are derived from arithmetic-integer seeds —
+Contention follows the paper's §1.1 story — "two or more concurrent
+update-requests for the same data object" — per ``(shard, slot)``: with
+probability ``contention`` a slot has two competing batches (head vs.
+shifted-by-one rival) and each replica independently saw one of them
+first.  All coins are derived from arithmetic-integer seeds —
 never from string hashes — so forked replicas flip identically.
 """
 
@@ -41,7 +44,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from ..apps.rsm import Command, KeyValueStore
 from ..durable.recovery import (
     MAX_CATCHUP_ENTRIES,
     CatchUpReply,
@@ -55,22 +57,43 @@ from ..durable.recovery import (
 from ..engine.events import EventSink, combine
 from ..engine.faults import Fault, FaultPlane, restart_plans
 from ..errors import ConfigurationError
-from ..harness import AlgorithmSpec, Deployment
+from ..harness import AlgorithmSpec, Deployment, dex_freq
 from ..runtime.effects import Decide, Effect, Send
 from ..runtime.protocol import Protocol
-from ..types import DecisionKind, ProcessId, SystemConfig
-from ..underlying.oracle import SERVICE_NAME, OracleService
+from ..types import DecisionKind, ProcessId, SystemConfig, Value
+from ..underlying.oracle import SERVICE_NAME, OracleConsensus, OracleService
 from .batcher import ShardBatcher
 from .metrics import ShardStreamSink
-from .router import ShardMultiplexer, dex_shard_factory, parse_instance, shard_of
+from .router import ShardInstanceFactory, ShardMultiplexer, parse_instance, shard_of
 
 __all__ = [
+    "Command",
+    "KeyValueStore",
     "shard_workload",
+    "instance_factory",
     "ShardNode",
     "ShardReport",
     "ShardedService",
-    "dex_shard_factory",
 ]
+
+#: A state-machine command: ``("set", key, value)``.
+Command = tuple[str, str, int]
+
+
+class KeyValueStore:
+    """The deterministic state machine each shard replicates."""
+
+    def __init__(self) -> None:
+        self.data: dict[str, int] = {}
+        self.log: list[Command] = []
+
+    def apply(self, command: Command) -> None:
+        kind, key, value = command
+        if kind != "set":
+            raise ValueError(f"unknown command kind {kind!r}")
+        self.data[key] = value
+        self.log.append(command)
+
 
 #: Key-skew models of the workload generator.
 SKEWS = ("uniform", "zipf")
@@ -120,6 +143,24 @@ def shard_workload(
     return stream
 
 
+def instance_factory(
+    algorithm: AlgorithmSpec, process_id: ProcessId, config: SystemConfig
+) -> ShardInstanceFactory:
+    """Per-``(shard, slot)`` instances of ``algorithm`` over the shared
+    oracle UC: each instance uses its own oracle instance key, so one
+    :class:`~repro.underlying.oracle.OracleService` serves every shard."""
+
+    def make(shard: int, slot: int, proposal: Value) -> Protocol:
+        return algorithm.make(
+            process_id,
+            config,
+            proposal,
+            lambda pid, cfg, key=(shard, slot): OracleConsensus(pid, cfg, instance=key),
+        )
+
+    return make
+
+
 # -- deterministic contention coins ---------------------------------------------------
 
 
@@ -144,8 +185,7 @@ def proposal_for(
     With probability ``contention`` the slot is contended: two concurrent
     client submissions race, and each replica saw one of the two batches
     first (an independent fair coin per replica, so a random majority
-    backs the head batch) — the multi-shard generalization of
-    :meth:`repro.apps.rsm.ReplicatedStateMachine._slot_proposals`.
+    backs the head batch).
     """
     head = batcher.head_batch()
     rival = batcher.rival_batch()
@@ -196,8 +236,6 @@ class ShardNode(ShardMultiplexer):
         seed: int = 0,
         durability: NodeDurability | None = None,
     ) -> None:
-        if not 0.0 <= contention <= 1.0:
-            raise ConfigurationError("contention must be in [0, 1]")
         super().__init__(process_id, config, make_instance, shards)
         self.contention = contention
         self.seed = seed
@@ -674,7 +712,7 @@ class ShardedService:
 
     Args:
         n: replica count.
-        t: failure bound (default: the frequency pair's max, ``(n-1)//6``).
+        t: failure bound (default: the largest ``algorithm`` tolerates).
         shards: shard count.
         max_batch, max_wait: per-shard batch bounds.
         contention: per-slot contention probability.
@@ -686,6 +724,10 @@ class ShardedService:
             :class:`~repro.engine.faults.FaultPlane`, as everywhere).
         seed: master seed — engine scheduling, workload and contention
             coins all derive from it.
+        algorithm: the consensus algorithm ordering every shard's log
+            (any registered :class:`~repro.harness.AlgorithmSpec`, over the
+            oracle UC); it sets ``t``'s default, the resilience check and
+            the failure model faults are validated against.
         engine: any of the harness engines (``sim``/``asyncio``/``net``…).
         uc_step_cost: causal step cost of the oracle UC (feeds the
             per-slot step accounting of the metrics).
@@ -715,6 +757,7 @@ class ShardedService:
         rate: int | None = None,
         faults: Mapping[ProcessId, Fault] | None = None,
         seed: int = 0,
+        algorithm: AlgorithmSpec = dex_freq(),
         engine: str = "sim",
         uc_step_cost: int = 2,
         codec: str = "binary",
@@ -724,11 +767,14 @@ class ShardedService:
     ) -> None:
         if codec != "binary":
             raise ConfigurationError(f"unknown codec {codec!r}; the only codec is 'binary'")
-        self.config = SystemConfig(n, t if t is not None else max((n - 1) // 6, 0))
-        if not self.config.satisfies(6):
+        if not 0.0 <= contention <= 1.0:
+            raise ConfigurationError("contention must be in [0, 1]")
+        self.algorithm = algorithm
+        self.config = SystemConfig(n, algorithm.max_t(n) if t is None else t)
+        if not self.config.satisfies(algorithm.required_ratio):
             raise ConfigurationError(
-                f"the sharded service deploys DEX (frequency pair): needs "
-                f"n > 6t, got n={n}, t={self.config.t}"
+                f"{algorithm.name} requires n > {algorithm.required_ratio}t; "
+                f"got n={n}, t={self.config.t}"
             )
         self.shards = shards
         self.max_batch = max_batch
@@ -747,11 +793,11 @@ class ShardedService:
         #: hub groups on the socket engine; in-memory engines ignore it.
         self.mesh = mesh
         self._plane = FaultPlane(
-            self.config, faults, failure_model="byzantine", algorithm_name="shard-dex"
+            self.config,
+            faults,
+            failure_model=algorithm.failure_model,
+            algorithm_name=algorithm.name,
         )
-
-    #: minimal spec handed to fault builders (garbage templates and names).
-    _SPEC = AlgorithmSpec(name="shard-dex", make=lambda *a: None, required_ratio=6)
 
     def _make_node(
         self, pid: ProcessId, arrivals: Sequence[tuple[int, Command]]
@@ -764,7 +810,7 @@ class ShardedService:
             self.config,
             self.shards,
             arrivals,
-            dex_shard_factory(pid, self.config),
+            instance_factory(self.algorithm, pid, self.config),
             max_batch=self.max_batch,
             max_wait=self.max_wait,
             contention=self.contention,
@@ -790,7 +836,7 @@ class ShardedService:
             make_honest = lambda value, pid=pid: self._make_node(  # noqa: E731
                 pid, arrivals
             )
-            protocols[pid] = self._plane.build(pid, make_honest, None, self._SPEC)
+            protocols[pid] = self._plane.build(pid, make_honest, None, self.algorithm)
         restarts = restart_plans(
             self._plane,
             lambda pid: lambda: self._make_node(pid, arrivals),
@@ -832,6 +878,7 @@ class ShardedService:
             self.shards,
             uc_step_cost=self.uc_step_cost,
             hubs=getattr(self.mesh, "hubs", 1) if self.mesh is not None else 1,
+            steps_before_uc=self.algorithm.steps_before_uc,
         )
         sink = combine(shard_sink, self.event_sink)
         result = self.deployment(arrivals, sink).run(self.engine, timeout=timeout)

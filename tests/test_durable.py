@@ -32,7 +32,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps.rsm import KeyValueStore
 from repro.codec import CODEC_BINARY
 from repro.codec.binary import encode
 from repro.durable import (
@@ -54,7 +53,7 @@ from repro.engine.faults import Crash, CrashRecover, FaultPlane, Silent, restart
 from repro.errors import ConfigurationError
 from repro.harness import Scenario, dex_freq
 from repro.shard.router import shard_of
-from repro.shard.service import ShardNode, ShardedService, dex_shard_factory
+from repro.shard.service import KeyValueStore, ShardNode, ShardedService, instance_factory
 from repro.types import SystemConfig
 
 from .test_net_engine import assert_no_leaks
@@ -361,7 +360,7 @@ class TestReplayProperty:
 
         sys_config = SystemConfig(7, 1)
         node = ShardNode(
-            0, sys_config, shards, [], dex_shard_factory(0, sys_config),
+            0, sys_config, shards, [], instance_factory(dex_freq(), 0, sys_config),
             durability=config.node(0),
         )
         node.on_start()  # resumes from disk, then asks peers (effects unused)
@@ -580,7 +579,7 @@ def _shard_node(tmp_path, pid, name="race", arrivals=(), shards=1):
         sys_config,
         shards,
         list(arrivals),
-        dex_shard_factory(pid, sys_config),
+        instance_factory(dex_freq(), pid, sys_config),
         durability=config.node(pid),
     )
 

@@ -1,17 +1,17 @@
 """Additional property-based suites: privileged pair under targeted
-attacks, pipeline over random tables, coverage/guarantee consistency, and
-the sync engine under random crash schedules."""
+attacks, the replicated log under random contention, coverage/guarantee
+consistency, and the sync engine under random crash schedules."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.coverage import dex_one_step_guaranteed
-from repro.apps.pipeline import run_pipelined
 from repro.baselines.sync_onestep import SyncOneStepConsensus, sync_one_step_level
 from repro.conditions.frequency import FrequencyPair
 from repro.conditions.privileged import PrivilegedPair
 from repro.conditions.views import View
-from repro.harness import Collapse, Scenario, Spoiler, dex_prv
+from repro.harness import Collapse, Scenario, Spoiler, bosco_weak, dex_freq, dex_prv, twostep
+from repro.shard import ShardedService
 from repro.sim.synchronous import CrashEvent, SynchronousSimulation
 from repro.types import SystemConfig
 
@@ -39,34 +39,26 @@ def test_dex_prv_survives_spoiler(inputs, seed):
 )
 def test_dex_freq_survives_collapser(inputs, seed):
     result = Scenario(
-        dex_freq_spec(), inputs, faults={6: Collapse(2)}, seed=seed
+        dex_freq(), inputs, faults={6: Collapse(2)}, seed=seed
     ).run()
     assert result.all_correct_decided()
     assert result.agreement_holds()
 
 
-def dex_freq_spec():
-    from repro.harness import dex_freq
-
-    return dex_freq()
-
-
 @settings(max_examples=15, deadline=None)
 @given(
-    rivals=st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
-    window=st.integers(min_value=1, max_value=4),
+    contention=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    algorithm=st.sampled_from([dex_freq, bosco_weak, twostep]),
     seed=seeds,
 )
-def test_pipeline_logs_identical(rivals, window, seed):
-    """Random contention pattern per slot: all replica logs identical."""
-    n, slots = 7, 4
-    table = {pid: [f"c{s}" for s in range(slots)] for pid in range(n)}
-    for slot, rival_count in enumerate(rivals):
-        for pid in range(min(rival_count, 3)):
-            table[pid][slot] = f"r{slot}"
-    result, logs = run_pipelined(table, window=window, seed=seed)
-    assert len(set(logs.values())) == 1
-    assert len(logs[0]) == slots
+def test_service_logs_identical(contention, algorithm, seed):
+    """Random contention on the sequential log (one shard, one command a
+    slot): every correct replica orders the same log, and all of it."""
+    report = ShardedService(
+        shards=1, max_batch=1, algorithm=algorithm(), contention=contention, seed=seed
+    ).run(count=4)
+    assert not report.divergence
+    assert report.commands == report.slots == 4
 
 
 @settings(max_examples=60, deadline=None)

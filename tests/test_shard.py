@@ -8,7 +8,8 @@ Four layers, mirroring :mod:`repro.shard`'s structure:
   inflation guards;
 * sim-engine service tests: exactly-once application, determinism (same
   seed → identical applied batches), contention loser re-proposal,
-  open-loop heartbeats, faulty replicas;
+  open-loop heartbeats, faulty replicas, and the sequential log (one
+  shard, one command a slot) under each algorithm it can deploy;
 * ``@pytest.mark.net`` cross-engine parity: the same seeded stream
   decides the *identical* digest on the simulator and over real sockets.
 """
@@ -21,12 +22,15 @@ from hypothesis import strategies as st
 
 from repro.codec.binary import Opaque, encode
 from repro.codec.schema import COMPONENT_TABLE
-from repro.engine.faults import Silent
+from repro.engine.faults import Equivocate, Silent
+from repro.errors import ConfigurationError
+from repro.harness import bosco_weak, brasileiro, dex_freq, twostep
 from repro.runtime.composite import Envelope
 from repro.runtime.effects import Broadcast, Decide, Deliver, Log
 from repro.runtime.protocol import Protocol
 from repro.shard import (
     INSTANCE_DECIDED_TAG,
+    KeyValueStore,
     ShardBatcher,
     ShardMultiplexer,
     ShardedService,
@@ -198,6 +202,19 @@ class TestPayloadCharging:
             Opaque, "decode", lambda self: pytest.fail("attribution decoded a payload")
         )
         assert sum(self._charge(True).values()) == len(self._messages())
+
+
+class TestKeyValueStore:
+    def test_apply_set(self):
+        store = KeyValueStore()
+        store.apply(("set", "x", 1))
+        store.apply(("set", "x", 2))
+        assert store.data == {"x": 2}
+        assert store.log == [("set", "x", 1), ("set", "x", 2)]
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ValueError):
+            KeyValueStore().apply(("del", "x", 0))
 
 
 class TestShardBatcher:
@@ -392,14 +409,15 @@ class TestFlatWireShape:
     SHARDS = 3
 
     def _node(self):
-        from repro.shard import ShardNode, dex_shard_factory
+        from repro.harness import dex_freq
+        from repro.shard import ShardNode, instance_factory
 
         return ShardNode(
             0,
             self.CONFIG,
             self.SHARDS,
             shard_workload(24, seed=2),
-            dex_shard_factory(0, self.CONFIG),
+            instance_factory(dex_freq(), 0, self.CONFIG),
         )
 
     def test_first_broadcast_per_shard_is_a_top_level_instance_envelope(self):
@@ -476,8 +494,6 @@ class TestShardWorkload:
         assert max(counts.values()) > 50
 
     def test_validation(self):
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             shard_workload(10, skew="pareto")
         with pytest.raises(ConfigurationError):
@@ -497,6 +513,8 @@ class TestStepOfKind:
     def test_underlying_adds_uc_cost(self):
         assert step_of_kind(DecisionKind.UNDERLYING, uc_step_cost=2) == 4
         assert step_of_kind(DecisionKind.UNDERLYING, uc_step_cost=5) == 7
+        for spec, steps in ((dex_freq(), 4), (bosco_weak(), 3), (twostep(), 2)):
+            assert step_of_kind(DecisionKind.UNDERLYING, 2, spec.steps_before_uc) == steps
 
 
 class TestShardStreamSinkRecords:
@@ -637,15 +655,67 @@ class TestShardedServiceSim:
             ShardedService(n=7, shards=2, contention=0.3, seed=11, engine=engine)
             .run(count=8)
             .digest
-            for engine in ("sim", "sync")
+            for engine in ("sim", "sync", "asyncio")
         ]
-        assert digests[0] == digests[1] is not None
+        # contended slots fall back to the UC: on asyncio its announcements
+        # route back along each slot's reply path ``("s<shard>.<slot>", "uc")``
+        assert digests[0] == digests[1] == digests[2] is not None
 
     def test_rejects_insufficient_resilience(self):
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError, match="n > 6t"):
             ShardedService(n=7, t=2)
+
+
+def _sequential_log(**kwargs):
+    """The §1.1 replicated log: one shard, one command a slot."""
+    return ShardedService(shards=1, max_batch=1, **kwargs)
+
+
+class TestServiceAlgorithms:
+    """``ShardedService(algorithm=...)``: the served log under each algorithm."""
+
+    @pytest.mark.parametrize(
+        "algorithm, steps", [(dex_freq, 1.0), (bosco_weak, 1.0), (twostep, 2.0)]
+    )
+    def test_uncontended_slot_steps_follow_the_algorithm(self, algorithm, steps):
+        report = _sequential_log(algorithm=algorithm(), contention=0.0, seed=0).run(count=12)
+        assert not report.divergence and report.commands == report.slots == 12
+        assert report.aggregate["mean_max_step"] == steps
+
+    def test_contention_raises_steps(self):
+        low, high = (
+            _sequential_log(contention=p, seed=5).run(count=8).aggregate["mean_max_step"]
+            for p in (0.0, 1.0)
+        )
+        assert low == 1.0 < high
+
+    def test_silent_replica_still_orders_everything(self):
+        report = _sequential_log(contention=0.2, faults={6: Silent()}, seed=7).run(count=5)
+        assert not report.divergence
+        assert report.commands == report.slots == 5
+
+    def test_state_is_a_replay_of_the_digest(self):
+        report = _sequential_log(n=4, algorithm=twostep(), contention=0.5, seed=9).run(count=6)
+        assert report.commands == 6
+        for shard, batches in report.digest:
+            replay = KeyValueStore()
+            for batch in batches:
+                for command in batch:
+                    replay.apply(command)
+            assert replay.data == report.states[shard]
+
+    def test_t_and_resilience_come_from_the_algorithm(self):
+        assert ShardedService(n=4, algorithm=twostep()).config.t == 1
+        with pytest.raises(ConfigurationError, match="n > 5t"):
+            ShardedService(n=5, t=1, algorithm=bosco_weak())
+
+    def test_a_crash_model_algorithm_refuses_a_byzantine_fault(self):
+        with pytest.raises(ConfigurationError, match="crash-model"):
+            ShardedService(algorithm=brasileiro(), faults={3: Equivocate(1, 2)})
+
+    def test_contention_is_validated(self):
+        with pytest.raises(ConfigurationError):
+            ShardedService(contention=1.5)
 
 
 @pytest.mark.net

@@ -32,7 +32,9 @@ from repro.net.wire import (
 )
 from repro.runtime.composite import CompositeProtocol
 from repro.runtime.effects import Broadcast, Deliver, Envelope, Send, ServiceCall
-from repro.shard.router import ShardMultiplexer, dex_shard_factory
+from repro.harness import dex_freq
+from repro.shard.router import ShardMultiplexer
+from repro.shard.service import instance_factory
 from repro.types import SystemConfig, slot_init
 
 RECORDS = [Envelope, Send, Broadcast, IdbInit, IdbEcho, DexProposal]
@@ -188,7 +190,7 @@ def test_a_subclassed_envelope_routes_through_a_composite():
 
 def test_a_subclassed_envelope_routes_through_the_multiplexer():
     def mux():
-        return ShardMultiplexer(0, CONFIG, dex_shard_factory(0, CONFIG), shards=2)
+        return ShardMultiplexer(0, CONFIG, instance_factory(dex_freq(), 0, CONFIG), shards=2)
 
     plain, tagged = mux(), mux()
     a = plain.on_message(4, Envelope("s1.2", Envelope("idb", IdbInit("v"))))
