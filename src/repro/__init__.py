@@ -34,98 +34,60 @@ Quickstart::
 
     result = Scenario(dex_freq(), inputs=[1] * 7, seed=1).run()
     print(result.decided_value, result.max_correct_step)   # 1 1
+
+The names below are re-exported lazily: ``import repro`` loads nothing
+until a name is read, and reading one loads the module defining it (DESIGN §4).
 """
 
-from .conditions import (
-    ConditionSequence,
-    ConditionSequencePair,
-    FrequencyPair,
-    LegalityChecker,
-    PrivilegedPair,
-    View,
-)
-from .core import DexConsensus
-from .errors import (
-    ConfigurationError,
-    LegalityError,
-    ReproError,
-    ResilienceError,
-    SimulationDeadlock,
-    SimulationError,
-)
-from .harness import (
-    AlgorithmSpec,
-    Deployment,
-    Collapse,
-    Crash,
-    Custom,
-    Equivocate,
-    Fault,
-    Garbage,
-    Scenario,
-    Silent,
-    Spoiler,
-    all_algorithms,
-    bosco_strong,
-    bosco_weak,
-    brasileiro,
-    dex_freq,
-    dex_prv,
-    izumi,
-    run_once,
-    twostep,
-)
-from .engine.run import RunResult
-from .sim import Simulation
-from .types import BOTTOM, Decision, DecisionKind, SystemConfig
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "DexConsensus",
-    # conditions
-    "View",
-    "ConditionSequence",
-    "ConditionSequencePair",
-    "FrequencyPair",
-    "PrivilegedPair",
-    "LegalityChecker",
-    # harness
-    "Scenario",
-    "Deployment",
-    "AlgorithmSpec",
-    "run_once",
-    "all_algorithms",
-    "dex_freq",
-    "dex_prv",
-    "bosco_weak",
-    "bosco_strong",
-    "brasileiro",
-    "izumi",
-    "twostep",
-    "Fault",
-    "Silent",
-    "Crash",
-    "Equivocate",
-    "Garbage",
-    "Spoiler",
-    "Collapse",
-    "Custom",
-    # runtime
-    "Simulation",
-    "RunResult",
-    # types
-    "BOTTOM",
-    "SystemConfig",
-    "Decision",
-    "DecisionKind",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "ResilienceError",
-    "SimulationError",
-    "SimulationDeadlock",
-    "LegalityError",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("DexConsensus",),
+        ".conditions": (
+            "View",
+            "ConditionSequence",
+            "ConditionSequencePair",
+            "FrequencyPair",
+            "PrivilegedPair",
+            "LegalityChecker",
+        ),
+        ".harness": (
+            "Scenario",
+            "Deployment",
+            "AlgorithmSpec",
+            "run_once",
+            "all_algorithms",
+            "dex_freq",
+            "dex_prv",
+            "bosco_weak",
+            "bosco_strong",
+            "brasileiro",
+            "izumi",
+            "twostep",
+            "Fault",
+            "Silent",
+            "Crash",
+            "Equivocate",
+            "Garbage",
+            "Spoiler",
+            "Collapse",
+            "Custom",
+        ),
+        ".sim": ("Simulation",),
+        ".engine.run": ("RunResult",),
+        ".types": ("BOTTOM", "SystemConfig", "Decision", "DecisionKind"),
+        ".errors": (
+            "ReproError",
+            "ConfigurationError",
+            "ResilienceError",
+            "SimulationError",
+            "SimulationDeadlock",
+            "LegalityError",
+        ),
+    },
+)
+__all__.insert(0, "__version__")

@@ -22,7 +22,7 @@ at sizes where sampling would be slow.
 
 from __future__ import annotations
 
-from scipy.stats import binom
+import math
 
 
 def _check(n: int, q: float) -> None:
@@ -35,14 +35,14 @@ def _check(n: int, q: float) -> None:
 def gap_exceeds_probability(n: int, q: float, d: int) -> float:
     """``P(|2X − n| > d)`` for ``X ~ Binomial(n, q)`` — membership in
     ``C_freq(d)`` for a random two-value input."""
+    from scipy.stats import binom
+
     _check(n, q)
     if d < 0:
         return 1.0
     # |2X - n| > d  <=>  X > (n + d)/2  or  X < (n - d)/2
     upper = (n + d) / 2.0
     lower = (n - d) / 2.0
-    import math
-
     p_high = binom.sf(math.floor(upper), n, q)  # P(X > upper)
     p_low = binom.cdf(math.ceil(lower) - 1, n, q)  # P(X < lower)
     return float(p_high + p_low)
@@ -51,6 +51,8 @@ def gap_exceeds_probability(n: int, q: float, d: int) -> float:
 def count_exceeds_probability(n: int, q: float, d: int) -> float:
     """``P(X > d)`` for ``X ~ Binomial(n, q)`` — membership in
     ``C_prv(favourite, d)``."""
+    from scipy.stats import binom
+
     _check(n, q)
     return float(binom.sf(d, n, q))
 
@@ -83,13 +85,13 @@ def bosco_one_step(n: int, t: int, f: int, q: float) -> float:
     default); the ``n − f`` correct proposals are i.i.d., and the guarantee
     is ``max(Y, (n − f) − Y) − t > (n + 3t)/2``.
     """
+    from scipy.stats import binom
+
     _check(n, q)
     if f < 0 or f > n:
         raise ValueError(f"f must be in [0, {n}], got {f}")
     correct = n - f
     threshold = (n + 5 * t) / 2.0  # c_v > (n + 3t)/2 + t
-    import math
-
     floor_thr = math.floor(threshold)
     p_fav = binom.sf(floor_thr, correct, q)  # P(Y > threshold)
     p_con = binom.sf(floor_thr, correct, 1.0 - q)  # P(correct - Y > threshold)

@@ -1,19 +1,23 @@
 """Broadcast primitives: Identical Broadcast (paper appendix) and Bracha's
 reliable broadcast (substrate of the concrete underlying consensus)."""
 
-from .bracha import BrachaBroadcast, RbcEcho, RbcInit, RbcReady
-from .bracha import DELIVER_TAG as RBC_DELIVER_TAG
-from .idb import DELIVER_TAG as IDB_DELIVER_TAG
-from .idb import IdbEcho, IdbInit, IdenticalBroadcast
+from .._lazy import lazy_exports
 
-__all__ = [
-    "IdenticalBroadcast",
-    "IdbInit",
-    "IdbEcho",
-    "IDB_DELIVER_TAG",
-    "BrachaBroadcast",
-    "RbcInit",
-    "RbcEcho",
-    "RbcReady",
-    "RBC_DELIVER_TAG",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".idb": (
+            "IdenticalBroadcast",
+            "IdbInit",
+            "IdbEcho",
+            "DELIVER_TAG as IDB_DELIVER_TAG",
+        ),
+        ".bracha": (
+            "BrachaBroadcast",
+            "RbcInit",
+            "RbcEcho",
+            "RbcReady",
+            "DELIVER_TAG as RBC_DELIVER_TAG",
+        ),
+    },
+)

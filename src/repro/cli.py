@@ -32,11 +32,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from .analysis.tables import dex_condition_examples, paper_table1, validated_table1
-from .conditions.frequency import FrequencyPair
-from .conditions.legality import LegalityChecker
-from .conditions.privileged import PrivilegedPair
-from .conditions.views import View
 from .engine.events import EventLog
 from .errors import ConfigurationError, ReproError
 from .harness import (
@@ -54,7 +49,6 @@ from .harness import (
     Spoiler,
     all_algorithms,
 )
-from .metrics.report import format_table
 
 _TABLE1_COLUMNS = [
     "algorithm",
@@ -266,6 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .metrics.report import format_table
+
     algorithm = (
         args.algorithm
         if isinstance(args.algorithm, AlgorithmSpec)
@@ -340,6 +336,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .analysis.tables import dex_condition_examples, paper_table1, validated_table1
+    from .metrics.report import format_table
+
     rows = validated_table1() if args.validate else paper_table1()
     print(format_table(rows, _TABLE1_COLUMNS, title="Table 1"))
     print()
@@ -355,6 +354,7 @@ def _cmd_coverage(args) -> int:
         dex_freq_two_step,
         dex_prv_one_step,
     )
+    from .metrics.report import format_table
 
     qs = args.q or [0.95, 0.9, 0.8, 0.7, 0.5]
     rows = []
@@ -375,6 +375,10 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_legality(args) -> int:
+    from .conditions.frequency import FrequencyPair
+    from .conditions.legality import LegalityChecker
+    from .conditions.privileged import PrivilegedPair
+
     if args.pair == "freq":
         pair = FrequencyPair(args.n, args.t)
     else:
@@ -388,6 +392,11 @@ def _cmd_legality(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
+    from .analysis.tables import dex_condition_examples
+    from .conditions.frequency import FrequencyPair
+    from .conditions.views import View
+    from .metrics.report import format_table
+
     if args.inputs is not None:
         n = len(args.inputs)
         t = max((n - 1) // 6, 0)
@@ -413,6 +422,7 @@ def _cmd_check(args) -> int:
     import json
 
     from .mc.suite import run_suite
+    from .metrics.report import format_table
 
     reports = run_suite(smoke=args.smoke)
     if args.as_json:
@@ -479,6 +489,7 @@ def _frontend_factory(args):
 
 def _cmd_serve(args) -> int:
     from .frontend.socket import FrontendServer
+    from .metrics.report import format_table
 
     if (args.path is None) == (args.tcp is None):
         print("error: pass exactly one of --path (UDS) or --tcp HOST:PORT",
@@ -523,6 +534,8 @@ def _cmd_hub(args) -> int:
 
 
 def _cmd_load(args) -> int:
+    from .metrics.report import format_table
+
     if args.path or args.tcp:
         from .frontend.socket import ClientReply, SocketClient
 

@@ -9,49 +9,29 @@ concrete legal pairs (:mod:`~repro.conditions.frequency`,
 (:mod:`~repro.conditions.legality`).
 """
 
-from .base import (
-    Condition,
-    ConditionSequence,
-    ConditionSequencePair,
-    PredicateCondition,
-)
-from .dlegal import DLegalityResult, condition_members, is_d_legal
-from .frequency import FrequencyCondition, FrequencyPair
-from .generators import (
-    VectorSampler,
-    all_vectors,
-    all_views,
-    multiset_vectors,
-    perturbations,
-)
-from .incremental import ViewStats
-from .legality import LegalityChecker, LegalityReport, completable_within
-from .privileged import PrivilegedCondition, PrivilegedPair
-from .views import View, hamming_distance, merge_compatible, views_of
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Condition",
-    "ConditionSequence",
-    "ConditionSequencePair",
-    "PredicateCondition",
-    "FrequencyCondition",
-    "FrequencyPair",
-    "PrivilegedCondition",
-    "PrivilegedPair",
-    "VectorSampler",
-    "ViewStats",
-    "all_vectors",
-    "all_views",
-    "multiset_vectors",
-    "perturbations",
-    "LegalityChecker",
-    "LegalityReport",
-    "completable_within",
-    "DLegalityResult",
-    "is_d_legal",
-    "condition_members",
-    "View",
-    "hamming_distance",
-    "merge_compatible",
-    "views_of",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "Condition",
+            "ConditionSequence",
+            "ConditionSequencePair",
+            "PredicateCondition",
+        ),
+        ".frequency": ("FrequencyCondition", "FrequencyPair"),
+        ".privileged": ("PrivilegedCondition", "PrivilegedPair"),
+        ".generators": (
+            "VectorSampler",
+            "all_vectors",
+            "all_views",
+            "multiset_vectors",
+            "perturbations",
+        ),
+        ".incremental": ("ViewStats",),
+        ".legality": ("LegalityChecker", "LegalityReport", "completable_within"),
+        ".dlegal": ("DLegalityResult", "is_d_legal", "condition_members"),
+        ".views": ("View", "hamming_distance", "merge_compatible", "views_of"),
+    },
+)

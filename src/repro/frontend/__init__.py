@@ -12,41 +12,32 @@ past the knee (experiment E22).  :mod:`~repro.frontend.socket` puts the
 same path behind a UDS/TCP socket speaking the registry wire format.
 """
 
-from .admission import POLICIES, AdmissionQueue, Rejected, ShedStats
-from .api import CLIENT, DecidedFuture, Frontend, FrontendReport, SubmitRejected
-from .loadgen import (
-    KeyPicker,
-    LoadGenerator,
-    digest_checksum,
-    poisson,
-    saturation_sweep,
-)
-from .socket import (
-    ClientRejected,
-    ClientReply,
-    ClientSubmit,
-    FrontendServer,
-    SocketClient,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "POLICIES",
-    "AdmissionQueue",
-    "Rejected",
-    "ShedStats",
-    "CLIENT",
-    "DecidedFuture",
-    "Frontend",
-    "FrontendReport",
-    "SubmitRejected",
-    "KeyPicker",
-    "LoadGenerator",
-    "digest_checksum",
-    "poisson",
-    "saturation_sweep",
-    "ClientSubmit",
-    "ClientReply",
-    "ClientRejected",
-    "FrontendServer",
-    "SocketClient",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".admission": ("POLICIES", "AdmissionQueue", "Rejected", "ShedStats"),
+        ".api": (
+            "CLIENT",
+            "DecidedFuture",
+            "Frontend",
+            "FrontendReport",
+            "SubmitRejected",
+        ),
+        ".loadgen": (
+            "KeyPicker",
+            "LoadGenerator",
+            "digest_checksum",
+            "poisson",
+            "saturation_sweep",
+        ),
+        ".socket": (
+            "ClientSubmit",
+            "ClientReply",
+            "ClientRejected",
+            "FrontendServer",
+            "SocketClient",
+        ),
+    },
+)

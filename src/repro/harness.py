@@ -32,11 +32,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from .baselines.bosco import BoscoConsensus, BoscoVote
-from .baselines.brasileiro import BrasileiroConsensus, BrasileiroValue
-from .baselines.twostep import TwoStepConsensus
 from .broadcast.idb import IdbInit
 from .conditions.frequency import FrequencyPair
 from .conditions.privileged import PrivilegedPair
@@ -64,13 +61,13 @@ from .runtime.composite import Envelope
 from .runtime.effects import Deliver
 from .runtime.protocol import Protocol
 from .runtime.services import Service
-from .sim.latency import LatencyModel
-from .sim.runner import Simulation
-from .sim.scheduler import DeliveryScheduler
 from .types import Decision, ProcessId, RunStats, SystemConfig, Value
-from .underlying.coin import CommonCoin
-from .underlying.multivalued import MultivaluedConsensus
 from .underlying.oracle import SERVICE_NAME, OracleConsensus, OracleService
+
+if TYPE_CHECKING:
+    from .sim.latency import LatencyModel
+    from .sim.runner import Simulation
+    from .sim.scheduler import DeliveryScheduler
 
 __all__ = [
     "AlgorithmSpec",
@@ -187,6 +184,8 @@ def dex_prv(privileged: Value = 1) -> AlgorithmSpec:
 
 def bosco_weak() -> AlgorithmSpec:
     """BOSCO, weakly one-step (``n > 5t``)."""
+    from .baselines.bosco import BoscoConsensus, BoscoVote
+
     return AlgorithmSpec(
         name="bosco-weak",
         make=lambda pid, config, value, uc_factory: BoscoConsensus(
@@ -207,6 +206,8 @@ def bosco_weak() -> AlgorithmSpec:
 
 def bosco_strong() -> AlgorithmSpec:
     """BOSCO, strongly one-step (``n > 7t``)."""
+    from .baselines.bosco import BoscoConsensus, BoscoVote
+
     return AlgorithmSpec(
         name="bosco-strong",
         make=lambda pid, config, value, uc_factory: BoscoConsensus(
@@ -250,6 +251,8 @@ def izumi() -> AlgorithmSpec:
 
 def brasileiro() -> AlgorithmSpec:
     """Brasileiro et al.'s one-step converter (crash model, ``n > 3t``)."""
+    from .baselines.brasileiro import BrasileiroConsensus, BrasileiroValue
+
     return AlgorithmSpec(
         name="brasileiro",
         make=lambda pid, config, value, uc_factory: BrasileiroConsensus(
@@ -271,6 +274,8 @@ def brasileiro() -> AlgorithmSpec:
 
 def twostep() -> AlgorithmSpec:
     """No fast path: underlying consensus only (zero-degradation reference)."""
+    from .baselines.twostep import TwoStepConsensus
+
     return AlgorithmSpec(
         name="twostep",
         make=lambda pid, config, value, uc_factory: TwoStepConsensus(
@@ -397,6 +402,8 @@ class Deployment:
 
     def build_sim(self) -> Simulation:
         """The fully wired discrete-event simulation (not yet run)."""
+        from .sim.runner import Simulation
+
         kwargs: dict[str, Any] = {}
         if self.max_events is not None:
             kwargs["max_events"] = self.max_events
@@ -611,6 +618,9 @@ class Scenario:
             factory = lambda pid, cfg: OracleConsensus(pid, cfg)  # noqa: E731
             return factory, {SERVICE_NAME: service}
         if self.uc == "real":
+            from .underlying.coin import CommonCoin
+            from .underlying.multivalued import MultivaluedConsensus
+
             coin = CommonCoin(seed=self.seed)
             factory = lambda pid, cfg: MultivaluedConsensus(pid, cfg, coin)  # noqa: E731
             return factory, {}

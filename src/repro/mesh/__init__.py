@@ -16,25 +16,15 @@ and ``--hubs N`` on the CLI) and :class:`MeshCluster` (constructed by the
 harness when a topology is present).
 """
 
-from .cluster import MeshCluster
-from .hub import HubLink, HubWorker, serve_hub
-from ..net.node import EXIT_HUB_LOST
-from .topology import MeshTopology, hub_rng, peek_shard, shard_of_payload
-from .wire import CONTROL_LINK, HubHello, HubReady, HubSaturated, HubStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MeshTopology",
-    "MeshCluster",
-    "HubWorker",
-    "HubLink",
-    "serve_hub",
-    "EXIT_HUB_LOST",
-    "hub_rng",
-    "peek_shard",
-    "shard_of_payload",
-    "CONTROL_LINK",
-    "HubHello",
-    "HubReady",
-    "HubSaturated",
-    "HubStats",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".topology": ("MeshTopology", "hub_rng", "peek_shard", "shard_of_payload"),
+        ".cluster": ("MeshCluster",),
+        ".hub": ("HubWorker", "HubLink", "serve_hub"),
+        "..net.node": ("EXIT_HUB_LOST",),
+        ".wire": ("CONTROL_LINK", "HubHello", "HubReady", "HubSaturated", "HubStats"),
+    },
+)

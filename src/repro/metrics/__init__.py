@@ -1,6 +1,11 @@
 """Run-statistics aggregation and plain-text reporting."""
 
-from .collectors import RunAggregate
-from .report import format_histogram, format_series, format_table
+from .._lazy import lazy_exports
 
-__all__ = ["RunAggregate", "format_table", "format_histogram", "format_series"]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".collectors": ("RunAggregate",),
+        ".report": ("format_table", "format_histogram", "format_series"),
+    },
+)

@@ -18,33 +18,28 @@ engine, one hub connection per node carries every instance's frames.
   latency / one-step-rate folded from the typed event stream.
 """
 
-from .batcher import ShardBatcher
-from .metrics import ShardStreamSink, step_of_kind
-from .router import INSTANCE_DECIDED_TAG, ShardMultiplexer, instance_name, parse_instance, shard_of
-from .service import (
-    Command,
-    KeyValueStore,
-    ShardedService,
-    ShardNode,
-    ShardReport,
-    instance_factory,
-    shard_workload,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "INSTANCE_DECIDED_TAG",
-    "Command",
-    "KeyValueStore",
-    "ShardBatcher",
-    "ShardMultiplexer",
-    "ShardNode",
-    "ShardReport",
-    "ShardStreamSink",
-    "ShardedService",
-    "instance_factory",
-    "instance_name",
-    "parse_instance",
-    "shard_of",
-    "shard_workload",
-    "step_of_kind",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".batcher": ("ShardBatcher",),
+        ".metrics": ("ShardStreamSink", "step_of_kind"),
+        ".router": (
+            "INSTANCE_DECIDED_TAG",
+            "ShardMultiplexer",
+            "instance_name",
+            "parse_instance",
+            "shard_of",
+        ),
+        ".service": (
+            "Command",
+            "KeyValueStore",
+            "ShardedService",
+            "ShardNode",
+            "ShardReport",
+            "instance_factory",
+            "shard_workload",
+        ),
+    },
+)

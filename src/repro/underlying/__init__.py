@@ -8,39 +8,28 @@ Two interchangeable implementations of
   (``n > 3t``), fully message-passing with zero trusted components.
 """
 
-from .aba import DELIVER_TAG as ABA_DELIVER_TAG
-from .aba import AbaAux, AbaDecided, AbaEst, BinaryAgreement
-from .acs import DELIVER_TAG as ACS_DELIVER_TAG
-from .acs import CommonSubset
-from .base import UC_DECIDE_TAG, UnderlyingConsensus
-from .coin import CommonCoin
-from .multivalued import MultivaluedConsensus, extract_decision
-from .oracle import (
-    SERVICE_NAME as ORACLE_SERVICE_NAME,
-)
-from .oracle import (
-    OracleConsensus,
-    OracleDecision,
-    OracleProposal,
-    OracleService,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "UnderlyingConsensus",
-    "UC_DECIDE_TAG",
-    "OracleService",
-    "OracleConsensus",
-    "OracleProposal",
-    "OracleDecision",
-    "ORACLE_SERVICE_NAME",
-    "CommonCoin",
-    "BinaryAgreement",
-    "AbaEst",
-    "AbaAux",
-    "AbaDecided",
-    "ABA_DELIVER_TAG",
-    "CommonSubset",
-    "ACS_DELIVER_TAG",
-    "MultivaluedConsensus",
-    "extract_decision",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("UnderlyingConsensus", "UC_DECIDE_TAG"),
+        ".oracle": (
+            "OracleService",
+            "OracleConsensus",
+            "OracleProposal",
+            "OracleDecision",
+            "SERVICE_NAME as ORACLE_SERVICE_NAME",
+        ),
+        ".coin": ("CommonCoin",),
+        ".aba": (
+            "BinaryAgreement",
+            "AbaEst",
+            "AbaAux",
+            "AbaDecided",
+            "DELIVER_TAG as ABA_DELIVER_TAG",
+        ),
+        ".acs": ("CommonSubset", "DELIVER_TAG as ACS_DELIVER_TAG"),
+        ".multivalued": ("MultivaluedConsensus", "extract_decision"),
+    },
+)

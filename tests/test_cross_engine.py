@@ -9,6 +9,7 @@ same :class:`~repro.engine.run.RunResult` surface.
 """
 
 import dataclasses
+import os
 import subprocess
 import sys
 
@@ -177,14 +178,58 @@ class TestResultSurface:
         assert aggregate.undecided_runs == 0
         assert aggregate.worst_step == 1
 
-    def test_net_engine_does_not_import_asyncio(self):
-        # the socket path paid that import only to inherit a result dataclass
+#: What an entry module must not load (DESIGN §4): a socket node or hub
+#: runs no simulator, checker, analysis, baseline, scenario harness or app,
+#: the service no simulator or baseline, and the CLI loads a subcommand's
+#: layers only when that subcommand runs.
+_WORKER = ("repro.sim", "repro.mc", "repro.analysis", "repro.baselines",
+           "repro.harness", "repro.apps", "asyncio", "scipy")
+FORBIDDEN_IMPORTS = {
+    "repro.net.node": _WORKER,
+    "repro.net.cluster": _WORKER,
+    "repro.mesh.hub": _WORKER,
+    "repro.shard.service": ("repro.sim", "repro.mc", "repro.analysis",
+                            "repro.baselines", "repro.apps", "scipy"),
+    "repro.cli": ("repro.sim", "repro.mc", "repro.analysis", "scipy", "numpy"),
+}
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
+class TestLayering:
+    @pytest.mark.parametrize("entry", sorted(FORBIDDEN_IMPORTS))
+    def test_entry_module_loads_only_its_layers(self, entry):
         probe = (
-            "import sys, repro.net.cluster as c; "
-            "assert issubclass(c.NetRunResult, c.RunResult); "
-            "sys.exit('asyncio' in sys.modules)"
+            f"import sys, {entry}; "
+            f"print(sorted(p for p in {FORBIDDEN_IMPORTS[entry]!r} "
+            "if any(m == p or m.startswith(p + '.') for m in sys.modules)))"
         )
-        assert subprocess.run([sys.executable, "-c", probe], timeout=60).returncode == 0
+        out = _python(probe)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]", f"{entry} loads {out.stdout.strip()}"
+
+    @pytest.mark.net
+    def test_a_net_run_loads_nothing_beyond_the_floor_star_probe(self):
+        """``floor_star``'s ``setup_s`` times exactly this import line, so
+        it is the whole import cost of a sharded net run: the run itself
+        (service, hub 0, forked replicas) loads no further module."""
+        probe = (
+            "import sys, repro.shard.service, repro.net.cluster\n"
+            "before = set(sys.modules)\n"
+            "report = repro.shard.service.ShardedService(\n"
+            "    n=7, shards=4, max_batch=4, contention=0.3, seed=1, engine='net'\n"
+            ").run(count=64, timeout=60.0)\n"
+            "assert report.commands == 64 and not report.divergence, report\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('repro')))\n"
+        )
+        out = _python(probe)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]", out.stdout
 
 
 class TestScenarioDataclass:

@@ -14,7 +14,11 @@ and regenerate the fixture.  Never edit an existing row — that is a wire
 break.
 """
 
-from repro.codec.schema import check_registry, registered_entries
+import pathlib
+import re
+
+import repro
+from repro.codec.schema import _SCHEMA_MODULES, check_registry, registered_entries
 
 #: The pinned wire registry: tag -> (qualified class name, field order,
 #: blob fields).  APPEND ONLY — editing an existing row is a wire break.
@@ -119,3 +123,18 @@ class TestRegistryDrift:
                         f"outside its module's block {lane}"
                     )
                     break
+
+    def test_every_record_module_is_listed_for_ensure_registered(self):
+        """Package imports are lazy, so :func:`ensure_registered` is the
+        only thing that loads some records: a module applying
+        ``@wire_record`` that ``_SCHEMA_MODULES`` leaves out would drop out
+        of this table, and out of the unknown-tag fallback, silently."""
+        root = pathlib.Path(repro.__file__).parent
+        applying = {
+            ".".join(("repro", *path.relative_to(root).with_suffix("").parts))
+            for path in root.rglob("*.py")
+            if re.search(r"^\s*@wire_record\(", path.read_text(), re.MULTILINE)
+        }
+        assert applying and applying <= set(_SCHEMA_MODULES), sorted(
+            applying - set(_SCHEMA_MODULES)
+        )
