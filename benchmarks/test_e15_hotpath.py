@@ -40,7 +40,7 @@ def predicate_row(n=31, t=5):
         for who, value in arrivals:
             stats.set_entry(who, value)
             if stats.known >= n - t:
-                pair.p1_incremental(stats)
+                pair.p1(stats)
 
     def batch():
         entries = [None] * n

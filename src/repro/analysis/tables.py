@@ -58,7 +58,8 @@ def validate_sync_row(n: int = 5, t: int = 2, seeds: range = range(3)) -> Valida
     agreement; a level-``k`` condition input decides in round 1 with
     ``f ≤ k`` crashes.
     """
-    from ..baselines.sync_onestep import SyncOneStepConsensus, sync_one_step_level
+    from ..baselines.crash_onestep import crash_one_step_level
+    from ..baselines.sync_onestep import SyncOneStepConsensus
     from ..conditions.views import View
     from ..sim.synchronous import CrashEvent, SynchronousSimulation
 
@@ -92,7 +93,7 @@ def validate_sync_row(n: int = 5, t: int = 2, seeds: range = range(3)) -> Valida
         crashes = {n - 1: CrashEvent(round=1), n - 2: CrashEvent(round=2)}
         result = run(unanimous(1, n), crashes, seed)
         agreement &= result.agreement_holds()
-        level = sync_one_step_level(View(unanimous(1, n)), t)
+        level = crash_one_step_level(View(unanimous(1, n)), t)
         if level is not None and level >= 2:
             if {d.round for d in result.correct_decisions.values()} != {1}:
                 fast = False

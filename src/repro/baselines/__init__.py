@@ -3,12 +3,7 @@
 from .bosco import BoscoConsensus, BoscoVote
 from .brasileiro import BrasileiroConsensus, BrasileiroValue
 from .crash_onestep import CrashValue, IzumiCrashConsensus, crash_one_step_level
-from .sync_onestep import (
-    SyncFlood,
-    SyncOneStepConsensus,
-    SyncRound1,
-    sync_one_step_level,
-)
+from .sync_onestep import SyncFlood, SyncOneStepConsensus, SyncRound1
 from .twostep import TwoStepConsensus
 
 __all__ = [
@@ -23,5 +18,4 @@ __all__ = [
     "SyncOneStepConsensus",
     "SyncRound1",
     "SyncFlood",
-    "sync_one_step_level",
 ]

@@ -11,6 +11,11 @@ arrives** the process evaluates, exactly once:
   own initial value;
 * adopt the underlying consensus' decision if none was made.
 
+That is Brasileiro's first-quorum vote with Byzantine thresholds: the
+broadcast, the tally, the once-only evaluation and the fallback are
+:class:`~repro.baselines.brasileiro.FirstQuorumVote`; this module supplies
+the vote record, the resilience check and the two thresholds.
+
 With ``n > 5t`` BOSCO is *weakly* one-step (one-step decision when all
 processes propose the same value and no process is faulty); with ``n > 7t``
 the same algorithm is *strongly* one-step (one-step decision whenever all
@@ -25,18 +30,12 @@ quantifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
-from ..conditions.incremental import ViewStats
 from ..errors import ResilienceError
-from ..runtime.composite import CompositeProtocol
-from ..runtime.effects import Broadcast, Decide, Deliver, Effect
-from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.base import UC_DECIDE_TAG, UnderlyingConsensus
-from ..underlying.oracle import OracleConsensus
+from ..types import ProcessId, SystemConfig, Value
+from ..underlying.base import UcFactory
 from ..codec.schema import wire_record
-
-UcFactory = Callable[[ProcessId, SystemConfig], UnderlyingConsensus]
+from .brasileiro import FirstQuorumVote
 
 
 @wire_record(tag=21)
@@ -47,7 +46,7 @@ class BoscoVote:
     value: Value
 
 
-class BoscoConsensus(CompositeProtocol):
+class BoscoConsensus(FirstQuorumVote):
     """One process's BOSCO instance.
 
     Args:
@@ -62,6 +61,8 @@ class BoscoConsensus(CompositeProtocol):
     """
 
     RATIOS = {"weak": 5, "strong": 7}
+    vote = BoscoVote
+    label = "bosco"
 
     def __init__(
         self,
@@ -78,64 +79,11 @@ class BoscoConsensus(CompositeProtocol):
             raise ResilienceError(
                 f"BOSCO ({variant})", config.n, config.t, f"n > {ratio}t"
             )
-        super().__init__(process_id, config)
-        self.proposal = proposal
+        super().__init__(process_id, config, proposal, uc_factory)
         self.variant = variant
-        make_uc = uc_factory or (lambda pid, cfg: OracleConsensus(pid, cfg))
-        self._uc = self.add_child("uc", make_uc(process_id, config))
-        # Incremental tally: votes are binding per sender, so the running
-        # top-count statistics make the one-shot evaluation O(1).
-        self._votes = ViewStats(config.n)
-        self._evaluated = False
-        self.decided = False
-        self.decision_kind: DecisionKind | None = None
 
-    def on_start(self) -> list[Effect]:
-        return [Broadcast(BoscoVote(self.proposal))]
+    def decides_fast(self, top: int) -> bool:
+        return 2 * top > self.n + 3 * self.t
 
-    def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if not isinstance(payload, BoscoVote):
-            return [self.log("bosco-ignored", sender=sender, payload=repr(payload))]
-        try:
-            hash(payload.value)
-        except TypeError:
-            return [self.log("bosco-unhashable-dropped", sender=sender)]
-        self._votes.set_entry(sender, payload.value)
-        if self._votes.known >= self.quorum and not self._evaluated:
-            return self._evaluate()
-        return []
-
-    def _evaluate(self) -> list[Effect]:
-        """The once-only threshold logic, on exactly the first ``n−t`` votes.
-
-        Both thresholds exceed half of the ``n − t`` votes received, so at
-        most one value can clear either and, when one does, it is the
-        maintained most-frequent value — no scan over the tally needed.
-        """
-        self._evaluated = True
-        top_value = self._votes.first()
-        top_count = self._votes.first_count
-        effects: list[Effect] = []
-        if 2 * top_count > self.n + 3 * self.t:
-            effects.extend(self._decide(top_value, DecisionKind.FAST))
-        if 2 * top_count > self.n - self.t:
-            next_proposal = top_value
-        else:
-            next_proposal = self.proposal
-        effects.extend(self.child_call("uc", self._uc.propose(next_proposal)))
-        return effects
-
-    def on_child_output(self, name: str, effect) -> list[Effect]:
-        if (
-            name == "uc"
-            and isinstance(effect, Deliver)
-            and effect.tag == UC_DECIDE_TAG
-            and not self.decided
-        ):
-            return self._decide(effect.value, DecisionKind.UNDERLYING)
-        return []
-
-    def _decide(self, value: Value, kind: DecisionKind) -> list[Effect]:
-        self.decided = True
-        self.decision_kind = kind
-        return [Decide(value, kind)]
+    def adopts(self, top: int) -> bool:
+        return 2 * top > self.n - self.t

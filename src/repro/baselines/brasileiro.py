@@ -10,6 +10,13 @@ when all processes propose the same value, for ``n > 3t`` crash failures:
    underlying consensus, otherwise propose the own value;
 4. adopt the underlying consensus' decision if step 2 didn't fire.
 
+BOSCO (:mod:`repro.baselines.bosco`) is the same first-quorum vote with
+Byzantine thresholds, so :class:`FirstQuorumVote` carries the steps both
+share — the broadcast, the tally, the once-only evaluation and the
+underlying-consensus proposal — and each algorithm supplies its vote
+record, its resilience check and its two thresholds.  Step 4 is
+:class:`~repro.underlying.base.FallbackConsensus`.
+
 Safety rests on crash semantics (a faulty process may stop but never lies),
 so deployments of this baseline must restrict the fault injection to
 :class:`~repro.byzantine.adversary.CrashBehavior` /
@@ -19,19 +26,16 @@ harness (:mod:`repro.harness`) enforces.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-from ..conditions.incremental import ViewStats
+from ..conditions.incremental import ViewStats, storable
 from ..errors import ResilienceError
-from ..runtime.composite import CompositeProtocol
-from ..runtime.effects import Broadcast, Decide, Deliver, Effect
+from ..runtime.effects import Broadcast, Effect
 from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.base import UC_DECIDE_TAG, UnderlyingConsensus
-from ..underlying.oracle import OracleConsensus
+from ..underlying.base import FallbackConsensus, UcFactory
 from ..codec.schema import wire_record
-
-UcFactory = Callable[[ProcessId, SystemConfig], UnderlyingConsensus]
 
 
 @wire_record(tag=22)
@@ -42,7 +46,70 @@ class BrasileiroValue:
     value: Value
 
 
-class BrasileiroConsensus(CompositeProtocol):
+class FirstQuorumVote(FallbackConsensus):
+    """Broadcast a vote; on the ``n − t``-th vote received, evaluate once.
+
+    The evaluation decides the most frequent vote when :meth:`decides_fast`
+    holds for its count, and proposes it to the underlying consensus when
+    :meth:`adopts` holds (the own proposal otherwise).  Both thresholds of
+    every subclass need more than half of the ``n − t`` votes, so at most
+    one value clears either and, when one does, it is the maintained most
+    frequent vote — no scan over the tally.
+
+    Subclasses set :attr:`vote` (the broadcast wire record, one ``value``
+    field) and :attr:`label` (the prefix of their log events).
+    """
+
+    vote: type
+    label: str
+
+    def __init__(
+        self,
+        process_id: ProcessId,
+        config: SystemConfig,
+        proposal: Value,
+        uc_factory: UcFactory | None = None,
+    ) -> None:
+        super().__init__(process_id, config, proposal, uc_factory)
+        # Votes are binding per sender, so the running top count makes the
+        # one-shot evaluation O(1).
+        self._votes = ViewStats(config.n)
+        self._evaluated = False
+
+    @abc.abstractmethod
+    def decides_fast(self, top: int) -> bool:
+        """May ``top`` equal votes among the first ``n − t`` decide at once?"""
+
+    @abc.abstractmethod
+    def adopts(self, top: int) -> bool:
+        """Do ``top`` equal votes make that value the UC proposal?"""
+
+    def on_start(self) -> list[Effect]:
+        return [Broadcast(self.vote(self.proposal))]
+
+    def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
+        if not isinstance(payload, self.vote):
+            return [self.log(f"{self.label}-ignored", sender=sender, payload=repr(payload))]
+        if not storable(payload.value):
+            return [self.log(f"{self.label}-value-refused", sender=sender)]
+        self._votes.set_entry(sender, payload.value)
+        if self._votes.known >= self.quorum and not self._evaluated:
+            return self._evaluate()
+        return []
+
+    def _evaluate(self) -> list[Effect]:
+        self._evaluated = True
+        top_value = self._votes.first()
+        top = self._votes.first_count
+        effects: list[Effect] = []
+        if self.decides_fast(top):
+            effects.extend(self._decide(top_value, DecisionKind.FAST))
+        next_proposal = top_value if self.adopts(top) else self.proposal
+        effects.extend(self.child_call("uc", self._uc.propose(next_proposal)))
+        return effects
+
+
+class BrasileiroConsensus(FirstQuorumVote):
     """One process's instance of the crash-model one-step converter.
 
     Args:
@@ -51,6 +118,9 @@ class BrasileiroConsensus(CompositeProtocol):
         proposal: the initial value.
         uc_factory: underlying-consensus child factory.
     """
+
+    vote = BrasileiroValue
+    label = "brasileiro"
 
     def __init__(
         self,
@@ -61,61 +131,11 @@ class BrasileiroConsensus(CompositeProtocol):
     ) -> None:
         if not config.satisfies(3):
             raise ResilienceError("Brasileiro", config.n, config.t, "n > 3t")
-        super().__init__(process_id, config)
-        self.proposal = proposal
-        make_uc = uc_factory or (lambda pid, cfg: OracleConsensus(pid, cfg))
-        self._uc = self.add_child("uc", make_uc(process_id, config))
-        # Incremental tally (values are binding per sender): the one-shot
-        # evaluation reads the running top count instead of building a
-        # Counter over all n−t received values.
-        self._values = ViewStats(config.n)
-        self._evaluated = False
-        self.decided = False
-        self.decision_kind: DecisionKind | None = None
+        super().__init__(process_id, config, proposal, uc_factory)
 
-    def on_start(self) -> list[Effect]:
-        return [Broadcast(BrasileiroValue(self.proposal))]
+    def decides_fast(self, top: int) -> bool:
+        return top >= self.n - self.t  # all n − t received values identical
 
-    def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        if not isinstance(payload, BrasileiroValue):
-            return [self.log("brasileiro-ignored", sender=sender)]
-        try:
-            hash(payload.value)
-        except TypeError:
-            return [self.log("brasileiro-unhashable-dropped", sender=sender)]
-        self._values.set_entry(sender, payload.value)
-        if self._values.known >= self.quorum and not self._evaluated:
-            return self._evaluate()
-        return []
-
-    def _evaluate(self) -> list[Effect]:
-        # Both thresholds need more than half of the n−t received values
-        # (n − 2t > (n−t)/2 ⇔ n > 3t, which the constructor enforces), so
-        # only the maintained most-frequent value can clear them.
-        self._evaluated = True
-        top_value = self._values.first()
-        top_count = self._values.first_count
-        effects: list[Effect] = []
-        if top_count >= self.quorum:  # all n−t received values identical
-            effects.extend(self._decide(top_value, DecisionKind.FAST))
-        if top_count >= self.n - 2 * self.t:
-            next_proposal = top_value
-        else:
-            next_proposal = self.proposal
-        effects.extend(self.child_call("uc", self._uc.propose(next_proposal)))
-        return effects
-
-    def on_child_output(self, name: str, effect) -> list[Effect]:
-        if (
-            name == "uc"
-            and isinstance(effect, Deliver)
-            and effect.tag == UC_DECIDE_TAG
-            and not self.decided
-        ):
-            return self._decide(effect.value, DecisionKind.UNDERLYING)
-        return []
-
-    def _decide(self, value: Value, kind: DecisionKind) -> list[Effect]:
-        self.decided = True
-        self.decision_kind = kind
-        return [Decide(value, kind)]
+    def adopts(self, top: int) -> bool:
+        # n − 2t > (n − t)/2 ⇔ n > 3t, which the constructor enforces
+        return top >= self.n - 2 * self.t

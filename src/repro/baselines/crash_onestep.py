@@ -4,7 +4,7 @@ The Table 1 row "Izumi et.al [8]" (asynchronous, crash, ``3t+1``,
 condition-based one-step): the adaptive condition-based approach was
 introduced there, and DEX is its Byzantine descendant.  This implementation
 is the crash-model skeleton of DEX — one view, one fast path, the
-underlying consensus as fallback:
+underlying consensus as fallback (:class:`~repro.underlying.base.FallbackConsensus`):
 
 * broadcast the proposal; maintain the view ``J`` of first values;
 * on every update with ``|J| ≥ n − t``: propose ``1st(J)`` to the
@@ -29,19 +29,17 @@ sequence ``C_k = C_freq(t + 2k)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-from ..conditions.incremental import ViewStats
+from ..conditions.base import ConditionSequence
+from ..conditions.frequency import FrequencyCondition
+from ..conditions.incremental import ViewStats, storable
 from ..conditions.views import View
 from ..errors import ResilienceError
-from ..runtime.composite import CompositeProtocol
-from ..runtime.effects import Broadcast, Decide, Deliver, Effect
+from ..runtime.effects import Broadcast, Effect
 from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.base import UC_DECIDE_TAG, UnderlyingConsensus
-from ..underlying.oracle import OracleConsensus
+from ..underlying.base import FallbackConsensus, UcFactory
 from ..codec.schema import wire_record
-
-UcFactory = Callable[[ProcessId, SystemConfig], UnderlyingConsensus]
 
 
 @wire_record(tag=23)
@@ -53,18 +51,14 @@ class CrashValue:
 
 
 def crash_one_step_level(vector: View, t: int) -> int | None:
-    """Largest ``k`` with ``vector ∈ C_freq(t + 2k)`` (``k ≤ t``), i.e. the
-    adaptive level of the crash-model one-step guarantee."""
-    best = None
-    for k in range(t + 1):
-        if vector.frequency_gap() > t + 2 * k:
-            best = k
-        else:
-            break
-    return best
+    """Largest ``k ≤ t`` with ``vector ∈ C_freq(t + 2k)``: the adaptive level
+    of the crash-model one-step guarantee, here and in the synchronous
+    one-round algorithm (:mod:`repro.baselines.sync_onestep`) alike."""
+    sequence = ConditionSequence([FrequencyCondition(t + 2 * k) for k in range(t + 1)])
+    return sequence.level_of(vector)
 
 
-class IzumiCrashConsensus(CompositeProtocol):
+class IzumiCrashConsensus(FallbackConsensus):
     """One process's instance of the adaptive crash-model one-step scheme.
 
     Args:
@@ -84,15 +78,10 @@ class IzumiCrashConsensus(CompositeProtocol):
     ) -> None:
         if not config.satisfies(3):
             raise ResilienceError("IzumiCrashConsensus", config.n, config.t, "n > 3t")
-        super().__init__(process_id, config)
-        self.proposal = proposal
-        make_uc = uc_factory or (lambda pid, cfg: OracleConsensus(pid, cfg))
-        self._uc = self.add_child("uc", make_uc(process_id, config))
+        super().__init__(process_id, config, proposal, uc_factory)
         # Running view statistics — the predicate re-fires on every arrival
         # (the crash-model skeleton of DEX), so it pays the same O(1) way.
         self._stats = ViewStats(config.n)
-        self.decided = False
-        self.decision_kind: DecisionKind | None = None
 
     @property
     def view(self) -> View:
@@ -105,10 +94,8 @@ class IzumiCrashConsensus(CompositeProtocol):
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
         if not isinstance(payload, CrashValue):
             return [self.log("izumi-ignored", sender=sender)]
-        try:
-            hash(payload.value)
-        except TypeError:
-            return [self.log("izumi-unhashable-dropped", sender=sender)]
+        if not storable(payload.value):
+            return [self.log("izumi-value-refused", sender=sender)]
         self._stats.set_entry(sender, payload.value)
         if self.decided and self._uc.has_proposed:
             return []
@@ -125,18 +112,3 @@ class IzumiCrashConsensus(CompositeProtocol):
         if not self.decided and stats.frequency_gap() > self.t + missing:
             effects.extend(self._decide(stats.first(), DecisionKind.ONE_STEP))
         return effects
-
-    def on_child_output(self, name: str, effect) -> list[Effect]:
-        if (
-            name == "uc"
-            and isinstance(effect, Deliver)
-            and effect.tag == UC_DECIDE_TAG
-            and not self.decided
-        ):
-            return self._decide(effect.value, DecisionKind.UNDERLYING)
-        return []
-
-    def _decide(self, value: Value, kind: DecisionKind) -> list[Effect]:
-        self.decided = True
-        self.decision_kind = kind
-        return [Decide(value, kind)]

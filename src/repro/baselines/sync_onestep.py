@@ -24,7 +24,8 @@ miss at most the ``t − 1`` other faulty entries of the decider's view —
 still ranks ``a`` first as well.  With ``f`` actual crashes the round-1
 view misses at most ``f`` entries, so one-round decision is guaranteed for
 ``I ∈ C_freq(t + 2f)`` — again the adaptive sequence ``C_k =
-C_freq(t + 2k)``, now with resilience ``n > t``.
+C_freq(t + 2k)``, now with resilience ``n > t``; its level is
+:func:`~repro.baselines.crash_onestep.crash_one_step_level`.
 
 Validity is the standard synchronous-crash one (the decision was proposed
 by *some* process); the stronger unanimity over correct proposals
@@ -58,18 +59,6 @@ class SyncFlood:
 
     known: tuple[tuple[ProcessId, Value], ...]
     decided: tuple[Value] | None = None
-
-
-def sync_one_step_level(vector: View, t: int) -> int | None:
-    """Adaptive level of the synchronous one-round guarantee
-    (``C_k = C_freq(t + 2k)``)."""
-    best = None
-    for k in range(t + 1):
-        if vector.frequency_gap() > t + 2 * k:
-            best = k
-        else:
-            break
-    return best
 
 
 class SyncOneStepConsensus(SyncProtocol):

@@ -1,6 +1,7 @@
 """Plain two-step baseline: go straight to the underlying consensus.
 
-The zero-degradation reference point: no fast path at all, every run costs
+The zero-degradation reference point: no fast path at all (the shared
+:class:`~repro.underlying.base.FallbackConsensus` alone), every run costs
 exactly the underlying consensus' latency (two steps under the oracle
 abstraction with its default ``step_cost=2`` — the failure-free optimum of
 [9]).  Against this baseline the benchmarks show both sides of the paper's
@@ -10,48 +11,18 @@ and DEX's pipelined fallback (4 steps) loses to it when the input doesn't.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
-from ..runtime.composite import CompositeProtocol
-from ..runtime.effects import Decide, Deliver, Effect
-from ..types import DecisionKind, ProcessId, SystemConfig, Value
-from ..underlying.base import UC_DECIDE_TAG, UnderlyingConsensus
-from ..underlying.oracle import OracleConsensus
-
-UcFactory = Callable[[ProcessId, SystemConfig], UnderlyingConsensus]
+from ..runtime.effects import Effect
+from ..types import ProcessId
+from ..underlying.base import FallbackConsensus
 
 
-class TwoStepConsensus(CompositeProtocol):
+class TwoStepConsensus(FallbackConsensus):
     """Propose to the underlying consensus at start; adopt its decision."""
-
-    def __init__(
-        self,
-        process_id: ProcessId,
-        config: SystemConfig,
-        proposal: Value,
-        uc_factory: UcFactory | None = None,
-    ) -> None:
-        super().__init__(process_id, config)
-        self.proposal = proposal
-        make_uc = uc_factory or (lambda pid, cfg: OracleConsensus(pid, cfg))
-        self._uc = self.add_child("uc", make_uc(process_id, config))
-        self.decided = False
-        self.decision_kind: DecisionKind | None = None
 
     def on_start(self) -> list[Effect]:
         return self.child_call("uc", self._uc.propose(self.proposal))
 
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
-        return []
-
-    def on_child_output(self, name: str, effect) -> list[Effect]:
-        if (
-            name == "uc"
-            and isinstance(effect, Deliver)
-            and effect.tag == UC_DECIDE_TAG
-            and not self.decided
-        ):
-            self.decided = True
-            self.decision_kind = DecisionKind.UNDERLYING
-            return [Decide(effect.value, DecisionKind.UNDERLYING)]
         return []

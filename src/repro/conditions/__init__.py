@@ -29,7 +29,7 @@ __all__, __getattr__ = lazy_exports(
             "multiset_vectors",
             "perturbations",
         ),
-        ".incremental": ("ViewStats",),
+        ".incremental": ("ViewStats", "storable"),
         ".legality": ("LegalityChecker", "LegalityReport", "completable_within"),
         ".dlegal": ("DLegalityResult", "is_d_legal", "condition_members"),
         ".views": ("View", "hamming_distance", "merge_compatible", "views_of"),

@@ -121,30 +121,24 @@ class ConditionSequencePair(abc.ABC):
         self._two_step_sequence_cache: ConditionSequence | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Keep the fast paths honest under subclassing.
-
-        A subclass that overrides a *batch* predicate (``p1``/``p2``/``f``)
-        without also overriding the matching ``*_incremental`` hook must
-        not inherit a parent's O(1) fast path — it would silently bypass
-        the override (e.g. an ablation pair with ``p2 ≡ False`` deciding
-        two-step anyway).  Such hooks are reset to the batch-adapter
-        default.  Likewise ``histogram_invariant`` is a per-class *claim*:
-        it is dropped to False unless the subclass redeclares it.
-        """
+        """``histogram_invariant`` is a per-class *claim*: a subclass that
+        redefines a predicate or a sequence drops it to False unless it
+        redeclares it."""
         super().__init_subclass__(**kwargs)
-        overridden = [name for name in ("p1", "p2", "f") if name in cls.__dict__]
-        for name in overridden:
-            fast = f"{name}_incremental"
-            if fast not in cls.__dict__:
-                setattr(cls, fast, getattr(ConditionSequencePair, fast))
-        redefines_space = overridden or any(
+        redefines_space = any(
             name in cls.__dict__
-            for name in ("one_step_sequence", "two_step_sequence")
+            for name in ("p1", "p2", "f", "one_step_sequence", "two_step_sequence")
         )
         if redefines_space and "histogram_invariant" not in cls.__dict__:
             cls.histogram_invariant = False
 
     # -- run-time parameters (Figure 1) ---------------------------------------
+
+    # Each predicate reads its view through the queries a ``View`` and a
+    # running :class:`~repro.conditions.incremental.ViewStats` both answer
+    # (``count``, ``first``, ``second``, ``frequency_gap``, ``known``,
+    # ``is_complete``, ``entries``): the coverage and legality sweeps pass
+    # a ``View``, the protocols their O(1)-per-arrival ``ViewStats``.
 
     @abc.abstractmethod
     def p1(self, view: View) -> bool:
@@ -157,26 +151,6 @@ class ConditionSequencePair(abc.ABC):
     @abc.abstractmethod
     def f(self, view: View) -> Value:
         """``F(J)`` — the decision value extracted from view ``J``."""
-
-    # -- incremental fast path (hot-path engine) -------------------------------
-
-    # The protocols feed a mutable :class:`~repro.conditions.incremental.
-    # ViewStats` through these hooks so predicate re-evaluation is O(1) per
-    # arrival.  The defaults snapshot the stats into a ``View`` and defer to
-    # the batch predicates, keeping every custom pair correct without code
-    # changes; the shipped pairs override them with O(1) bodies.
-
-    def p1_incremental(self, stats) -> bool:
-        """``P1`` over running :class:`ViewStats` (default: View fallback)."""
-        return self.p1(stats.as_view())
-
-    def p2_incremental(self, stats) -> bool:
-        """``P2`` over running :class:`ViewStats` (default: View fallback)."""
-        return self.p2(stats.as_view())
-
-    def f_incremental(self, stats) -> Value:
-        """``F`` over running :class:`ViewStats` (default: View fallback)."""
-        return self.f(stats.as_view())
 
     # -- the sequences themselves ---------------------------------------------
 

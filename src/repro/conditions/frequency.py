@@ -67,21 +67,6 @@ class FrequencyPair(ConditionSequencePair):
             raise ValueError("F is undefined on the all-⊥ view")
         return top
 
-    def p1_incremental(self, stats) -> bool:
-        """O(1) ``P1`` over running stats: the gap is maintained, not scanned."""
-        return stats.frequency_gap() > 4 * self.t
-
-    def p2_incremental(self, stats) -> bool:
-        """O(1) ``P2`` over running stats."""
-        return stats.frequency_gap() > 2 * self.t
-
-    def f_incremental(self, stats) -> Value:
-        """O(1) ``F``: ``1st(J)`` is maintained with the largest tie-break."""
-        top = stats.first()
-        if top is None:
-            raise ValueError("F is undefined on the all-⊥ view")
-        return top
-
     def one_step_sequence(self) -> ConditionSequence:
         """``C¹_k = C_freq(4t + 2k)`` for ``k = 0 .. t``."""
         return ConditionSequence(

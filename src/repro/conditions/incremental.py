@@ -16,6 +16,8 @@ updates,
 
 each in O(1) per update — so every quantity the shipped predicates need
 (``|J| ≥ n − t``, the frequency gap, ``#_m(J)``, ``1st(J)``) is O(1) too.
+It answers the same queries as ``View``, so a pair's ``P1``/``P2``/``F``
+read it directly.
 
 Why the top-two maintenance is exact: entries are binding (first write
 wins), so a value's count only ever grows by 1.  When ``count[v]`` becomes
@@ -48,20 +50,17 @@ from typing import Optional
 from ..types import BOTTOM, Value, order_key
 from .views import View
 
-def _get_no_value() -> object:
-    """Support pickling of the :data:`_NO_VALUE` singleton (protocol
-    snapshots pickle ``ViewStats``; a bare ``object()`` would come back as
-    a *different* instance and silently break the ``is _NO_VALUE``
-    checks)."""
-    return _NO_VALUE
-
-
-#: Internal "no leader yet" marker — distinct from ``None``, which is a
-#: perfectly proposable value.
-_NO_VALUE = type("NoValue", (), {
-    "__repr__": lambda self: "<no-value>",
-    "__reduce__": lambda self: (_get_no_value, ()),
-})()
+def storable(value: Value) -> bool:
+    """True when a view can hold ``value``: not ``⊥`` (that marks an unbound
+    slot) and hashable (views count values in hash tables).  Protocols
+    refuse a received value that fails this before it reaches a view."""
+    if value is BOTTOM:
+        return False
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _prefer(a: Value, b: Value) -> bool:
@@ -102,7 +101,8 @@ class ViewStats:
         self._counts: dict[Value, int] = {}
         #: ``|J|`` — number of bound (non-``⊥``) entries.
         self.known = 0
-        self._top_value: Value = _NO_VALUE
+        # ``⊥`` while no value is bound: no slot is ever bound to ``⊥``
+        self._top_value: Value = BOTTOM
         self._top_count = 0
         self._second_count = 0
 
@@ -133,7 +133,7 @@ class ViewStats:
         count = self._counts.get(value, 0) + 1
         self._counts[value] = count
         top_count = self._top_count
-        if self._top_value is _NO_VALUE:
+        if self._top_value is BOTTOM:
             self._top_value = value
             self._top_count = 1
         elif value == self._top_value:
@@ -162,7 +162,7 @@ class ViewStats:
 
     def first(self) -> Optional[Value]:
         """``1st(J)`` — most frequent value, largest-value tie-break."""
-        if self._top_value is _NO_VALUE:
+        if self._top_value is BOTTOM:
             return None
         return self._top_value
 
@@ -194,12 +194,12 @@ class ViewStats:
         if self._second_count == 0:
             return None
         top = self._top_value
-        best: Value = _NO_VALUE
+        best: Value = BOTTOM
         for value, count in self._counts.items():
             if count == self._second_count and value != top:
-                if best is _NO_VALUE or _prefer(value, best):
+                if best is BOTTOM or _prefer(value, best):
                     best = value
-        return None if best is _NO_VALUE else best
+        return None if best is BOTTOM else best
 
     @property
     def entries(self) -> tuple[Value, ...]:
@@ -207,7 +207,7 @@ class ViewStats:
         return tuple(self._entries)
 
     def as_view(self) -> View:
-        """Snapshot as an immutable :class:`View` (for custom predicates)."""
+        """Snapshot as an immutable :class:`View`."""
         return View(self._entries)
 
     def __repr__(self) -> str:

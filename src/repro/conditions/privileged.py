@@ -78,23 +78,6 @@ class PrivilegedPair(ConditionSequencePair):
             raise ValueError("F is undefined on the all-⊥ view")
         return top
 
-    def p1_incremental(self, stats) -> bool:
-        """O(1) ``P1`` over running stats: one hash lookup."""
-        return stats.count(self.privileged) > 3 * self.t
-
-    def p2_incremental(self, stats) -> bool:
-        """O(1) ``P2`` over running stats."""
-        return stats.count(self.privileged) > 2 * self.t
-
-    def f_incremental(self, stats) -> Value:
-        """O(1) ``F``: privilege check plus the maintained ``1st(J)``."""
-        if stats.count(self.privileged) > self.t:
-            return self.privileged
-        top = stats.first()
-        if top is None:
-            raise ValueError("F is undefined on the all-⊥ view")
-        return top
-
     def one_step_sequence(self) -> ConditionSequence:
         """``C¹_k = C_prv(m, 3t + k)`` for ``k = 0 .. t``."""
         return ConditionSequence(

@@ -30,19 +30,14 @@ from typing import Any, Callable
 from ..broadcast.idb import DELIVER_TAG as IDB_DELIVER_TAG
 from ..broadcast.idb import IdenticalBroadcast
 from ..conditions.base import ConditionSequencePair
-from ..conditions.incremental import ViewStats
+from ..conditions.incremental import ViewStats, storable
 from ..conditions.views import View
 from ..errors import ConfigurationError, ResilienceError
-from ..runtime.composite import CompositeProtocol
-from ..runtime.effects import Broadcast, Decide, Deliver, Effect
+from ..runtime.effects import Broadcast, Deliver, Effect
 from ..runtime.protocol import Protocol
 from ..types import DecisionKind, ProcessId, SystemConfig, Value, slot_init
-from ..underlying.base import UC_DECIDE_TAG, UnderlyingConsensus
-from ..underlying.oracle import OracleConsensus
+from ..underlying.base import FallbackConsensus, UcFactory
 from ..codec.schema import wire_record
-
-#: Factory signature for the underlying consensus child ("uc" slot).
-UcFactory = Callable[[ProcessId, SystemConfig], UnderlyingConsensus]
 
 #: Factory signature for the identical-broadcast child ("idb" slot).  The
 #: returned protocol must expose ``id_send(value) -> list[Effect]`` and
@@ -70,17 +65,7 @@ class DexProposal:
     value: Value
 
 
-def _storable(value: Value) -> bool:
-    """Views count values in hash tables; unhashable Byzantine payloads are
-    rejected on arrival so they can never poison a view."""
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
-class DexConsensus(CompositeProtocol):
+class DexConsensus(FallbackConsensus):
     """One process's DEX instance.
 
     Args:
@@ -88,11 +73,8 @@ class DexConsensus(CompositeProtocol):
         config: must satisfy ``n > 5t``.
         pair: a legal condition-sequence pair built for the same ``(n, t)``.
         proposal: this process's initial value ``v_i``.
-        uc_factory: builds the underlying-consensus child; defaults to the
-            oracle abstraction (:class:`~repro.underlying.oracle.OracleConsensus`
-            on service ``"oracle-uc"``).  Pass a
-            :class:`~repro.underlying.multivalued.MultivaluedConsensus`
-            factory for a fully trusted-component-free run.
+        uc_factory: builds the underlying-consensus child
+            (:class:`~repro.underlying.base.FallbackConsensus`).
         idb_factory: builds the identical-broadcast child; defaults to the
             witness-based :class:`~repro.broadcast.idb.IdenticalBroadcast`.
             The model checker passes the oracle-IDB abstraction here.
@@ -119,19 +101,14 @@ class DexConsensus(CompositeProtocol):
                 f"condition pair built for (n={pair.n}, t={pair.t}) does not "
                 f"match the system (n={config.n}, t={config.t})"
             )
-        super().__init__(process_id, config)
+        super().__init__(process_id, config, proposal, uc_factory)
         self.pair = pair
-        self.proposal = proposal
         make_idb = idb_factory or (lambda pid, cfg: IdenticalBroadcast(pid, cfg))
         self._idb = self.add_child("idb", make_idb(process_id, config))
-        make_uc = uc_factory or (lambda pid, cfg: OracleConsensus(pid, cfg))
-        self._uc = self.add_child("uc", make_uc(process_id, config))
-        # Running statistics instead of raw entry lists: every quantity the
-        # re-evaluated predicates need is maintained in O(1) per arrival.
+        # Running statistics instead of raw entry lists: the pair's
+        # predicates read them directly, O(1) per arrival.
         self._stats1 = ViewStats(config.n)
         self._stats2 = ViewStats(config.n)
-        self.decided = False
-        self.decision_kind: DecisionKind | None = None
 
     # -- observability -----------------------------------------------------------
 
@@ -177,8 +154,8 @@ class DexConsensus(CompositeProtocol):
     def on_own_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
         if type(payload) is not DexProposal and not isinstance(payload, DexProposal):
             return [self.log("dex-ignored", sender=sender, payload=repr(payload))]
-        if not _storable(payload.value):
-            return [self.log("dex-unhashable-dropped", sender=sender)]
+        if not storable(payload.value):
+            return [self.log("dex-value-refused", sender=sender)]
         self._stats1.set_entry(sender, payload.value)  # line 6 (binding write)
         if self.decided:
             return []
@@ -186,26 +163,20 @@ class DexConsensus(CompositeProtocol):
 
     def _check_one_step(self) -> list[Effect]:
         stats = self._stats1
-        if stats.known >= self.quorum and self.pair.p1_incremental(stats):
-            return self._decide(
-                self.pair.f_incremental(stats), DecisionKind.ONE_STEP  # line 8
-            )
+        if stats.known >= self.quorum and self.pair.p1(stats):
+            return self._decide(self.pair.f(stats), DecisionKind.ONE_STEP)  # line 8
         return []
 
     # -- lines 10-22: two-step scheme and fallback ----------------------------------------
 
     def on_child_output(self, name: str, effect) -> list[Effect]:
-        if not isinstance(effect, Deliver):
-            return []
-        if name == "idb" and effect.tag == IDB_DELIVER_TAG:
+        if name == "idb" and isinstance(effect, Deliver) and effect.tag == IDB_DELIVER_TAG:
             return self._on_id_receive(effect.sender, effect.value)
-        if name == "uc" and effect.tag == UC_DECIDE_TAG:
-            return self._on_uc_decide(effect.value)
-        return []
+        return super().on_child_output(name, effect)  # lines 19-22
 
     def _on_id_receive(self, origin: ProcessId, value: Value) -> list[Effect]:
-        if not _storable(value):
-            return [self.log("dex-unhashable-dropped", sender=origin)]
+        if not storable(value):
+            return [self.log("dex-value-refused", sender=origin)]
         stats = self._stats2
         stats.set_entry(origin, value)  # line 11 (binding write)
         if stats.known < self.quorum:
@@ -215,21 +186,9 @@ class DexConsensus(CompositeProtocol):
             # lines 12-15: activate the underlying consensus exactly once —
             # even after a local fast decision, so the fallback of slower
             # processes sees the same proposal traffic.
+            effects.extend(self.child_call("uc", self._uc.propose(self.pair.f(stats))))
+        if not self.decided and self.pair.p2(stats):
             effects.extend(
-                self.child_call("uc", self._uc.propose(self.pair.f_incremental(stats)))
-            )
-        if not self.decided and self.pair.p2_incremental(stats):
-            effects.extend(
-                self._decide(self.pair.f_incremental(stats), DecisionKind.TWO_STEP)  # line 17
+                self._decide(self.pair.f(stats), DecisionKind.TWO_STEP)  # line 17
             )
         return effects
-
-    def _on_uc_decide(self, value: Value) -> list[Effect]:
-        if self.decided:
-            return []
-        return self._decide(value, DecisionKind.UNDERLYING)  # line 21
-
-    def _decide(self, value: Value, kind: DecisionKind) -> list[Effect]:
-        self.decided = True
-        self.decision_kind = kind
-        return [Decide(value, kind)]

@@ -182,48 +182,36 @@ def dex_prv(privileged: Value = 1) -> AlgorithmSpec:
     )
 
 
-def bosco_weak() -> AlgorithmSpec:
-    """BOSCO, weakly one-step (``n > 5t``)."""
+def _bosco(variant: str, one_step: str) -> AlgorithmSpec:
     from .baselines.bosco import BoscoConsensus, BoscoVote
 
+    ratio = BoscoConsensus.RATIOS[variant]
     return AlgorithmSpec(
-        name="bosco-weak",
+        name=f"bosco-{variant}",
         make=lambda pid, config, value, uc_factory: BoscoConsensus(
-            pid, config, value, "weak", uc_factory
+            pid, config, value, variant, uc_factory
         ),
-        required_ratio=5,
+        required_ratio=ratio,
         garbage_templates=(BoscoVote(0),),
         steps_before_uc=1,
         table1={
             "system": "Asyn.",
             "failures": "Byzan.",
-            "processes": "5t+1 (Weak)",
-            "one_step": "Agreed proposals, no failures",
+            "processes": f"{ratio}t+1 ({variant.capitalize()})",
+            "one_step": one_step,
             "two_step": "—",
         },
     )
+
+
+def bosco_weak() -> AlgorithmSpec:
+    """BOSCO, weakly one-step (``n > 5t``)."""
+    return _bosco("weak", "Agreed proposals, no failures")
 
 
 def bosco_strong() -> AlgorithmSpec:
     """BOSCO, strongly one-step (``n > 7t``)."""
-    from .baselines.bosco import BoscoConsensus, BoscoVote
-
-    return AlgorithmSpec(
-        name="bosco-strong",
-        make=lambda pid, config, value, uc_factory: BoscoConsensus(
-            pid, config, value, "strong", uc_factory
-        ),
-        required_ratio=7,
-        garbage_templates=(BoscoVote(0),),
-        steps_before_uc=1,
-        table1={
-            "system": "Asyn.",
-            "failures": "Byzan.",
-            "processes": "7t+1 (Strong)",
-            "one_step": "Agreed proposals of correct processes",
-            "two_step": "—",
-        },
-    )
+    return _bosco("strong", "Agreed proposals of correct processes")
 
 
 def izumi() -> AlgorithmSpec:
@@ -232,9 +220,7 @@ def izumi() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="izumi",
-        make=lambda pid, config, value, uc_factory: IzumiCrashConsensus(
-            pid, config, value, uc_factory
-        ),
+        make=IzumiCrashConsensus,
         required_ratio=3,
         failure_model="crash",
         garbage_templates=(CrashValue(0),),
@@ -255,9 +241,7 @@ def brasileiro() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="brasileiro",
-        make=lambda pid, config, value, uc_factory: BrasileiroConsensus(
-            pid, config, value, uc_factory
-        ),
+        make=BrasileiroConsensus,
         required_ratio=3,
         failure_model="crash",
         garbage_templates=(BrasileiroValue(0),),
@@ -278,9 +262,7 @@ def twostep() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="twostep",
-        make=lambda pid, config, value, uc_factory: TwoStepConsensus(
-            pid, config, value, uc_factory
-        ),
+        make=TwoStepConsensus,
         required_ratio=3,
         steps_before_uc=0,
         table1={

@@ -13,7 +13,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__ = lazy_exports(
     __name__,
     {
-        ".base": ("UnderlyingConsensus", "UC_DECIDE_TAG"),
+        ".base": ("FallbackConsensus", "UcFactory", "UnderlyingConsensus", "UC_DECIDE_TAG"),
         ".oracle": (
             "OracleService",
             "OracleConsensus",

@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.baselines.bosco import BoscoConsensus, BoscoVote
+from repro.baselines.brasileiro import BrasileiroConsensus, BrasileiroValue
+from repro.baselines.crash_onestep import CrashValue, IzumiCrashConsensus
+from repro.broadcast.idb import IdbInit
 from repro.conditions.frequency import FrequencyPair
 from repro.conditions.privileged import PrivilegedPair
 from repro.core.dex import DexConsensus, DexProposal
+from repro.engine.events import EventLog, LogEvent
 from repro.errors import ConfigurationError, ResilienceError
 from repro.harness import (
     Crash,
+    Custom,
     Equivocate,
     Garbage,
     Scenario,
@@ -15,6 +21,8 @@ from repro.harness import (
     dex_freq,
     dex_prv,
 )
+from repro.runtime.effects import Broadcast, Envelope
+from repro.runtime.protocol import Protocol
 from repro.sim.latency import ConstantLatency
 from repro.sim.scheduler import DelaySenders
 from repro.types import BOTTOM, DecisionKind, SystemConfig
@@ -56,6 +64,64 @@ class TestConstruction:
         node.on_start()
         node.on_message(2, DexProposal(["unhashable"]))
         assert node.view1[2] is BOTTOM
+
+
+class _BottomSender(Protocol):
+    """Byzantine: P-Sends ``⊥`` and Id-Sends ``⊥``, then stays silent."""
+
+    def on_start(self):
+        return [Broadcast(DexProposal(BOTTOM)), Broadcast(Envelope("idb", IdbInit(BOTTOM)))]
+
+    def on_message(self, sender, payload):
+        return []
+
+
+class TestRefusedValues:
+    """``⊥`` marks an unbound view slot, so no message may bind one to it."""
+
+    def test_bottom_id_receive_is_blamed_on_its_origin(self):
+        # Every correct IDB delivers (6, ⊥); DEX refuses it and names the
+        # origin — not whichever correct echoer completed the delivery.  A
+        # contended input, so the run lasts until the IDB deliveries land.
+        log = EventLog()
+        result = Scenario(
+            dex_freq(),
+            [1, 1, 1, 1, 2, 2, 1],
+            faults={6: Custom(lambda pid, config, make, value: _BottomSender(pid, config))},
+            seed=2,
+            event_sink=log,
+        ).run()
+        events = log.of_type(LogEvent)
+        assert not [e for e in events if e.event == "malformed-message-dropped"]
+        refused = [e for e in events if e.event == "dex-value-refused"]
+        # per correct process: the P-Send and the Id-Receive
+        assert sorted(e.data["pid"] for e in refused) == sorted(2 * list(range(6)))
+        assert {e.data["sender"] for e in refused} == {6}
+        assert result.all_correct_decided() and result.agreement_holds()
+
+    @pytest.mark.parametrize(
+        "make, message, event",
+        [
+            (
+                lambda c: DexConsensus(0, c, FrequencyPair(7, 1), 1),
+                DexProposal(BOTTOM),
+                "dex-value-refused",
+            ),
+            (lambda c: BoscoConsensus(0, c, 1), BoscoVote(BOTTOM), "bosco-value-refused"),
+            (
+                lambda c: BrasileiroConsensus(0, c, 1),
+                BrasileiroValue(BOTTOM),
+                "brasileiro-value-refused",
+            ),
+            (lambda c: IzumiCrashConsensus(0, c, 1), CrashValue(BOTTOM), "izumi-value-refused"),
+        ],
+        ids=["dex", "bosco", "brasileiro", "izumi"],
+    )
+    def test_bottom_value_refused(self, make, message, event):
+        node = make(SystemConfig(7, 1))
+        node.on_start()
+        (log,) = node.on_message(2, message)
+        assert (log.event, log.data["sender"]) == (event, 2)
 
 
 class TestDecisionPaths:

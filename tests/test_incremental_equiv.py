@@ -6,8 +6,9 @@ Four pillars, mirroring the engine's layers:
   observations after *every* one of thousands of randomized single-entry
   updates (including mixed int/str alphabets, ``None`` as a value, and
   rejected re-binds);
-* the incremental predicate fast paths (``p1_incremental``/``p2_incremental``
-  /``f_incremental``) agree with the batch predicates on random views;
+* a pair's ``P1``/``P2``/``F`` answer the same on a ``View`` and on the
+  ``ViewStats`` of the same entries, and DEX decides by whatever predicates
+  its pair defines;
 * the multiset-weighted exhaustive enumerator reproduces brute-force
   coverage exactly (same integers, hence bit-identical fractions);
 * replaying the frozen seed fixture reproduces the pre-engine decisions
@@ -27,7 +28,9 @@ from repro.conditions.generators import all_vectors, multiset_vectors
 from repro.conditions.incremental import ViewStats
 from repro.conditions.privileged import PrivilegedPair
 from repro.conditions.views import View
+from repro.core.dex import DexConsensus
 from repro.harness import (
+    AlgorithmSpec,
     Collapse,
     Crash,
     Equivocate,
@@ -42,10 +45,25 @@ from repro.harness import (
     izumi,
     twostep,
 )
-from repro.types import BOTTOM
-from repro.workloads.inputs import split, unanimous
+from repro.mc.scenario import UnderResilientPair
+from repro.sim.latency import ConstantLatency
+from repro.types import BOTTOM, DecisionKind
+from repro.workloads.inputs import split, unanimous, with_frequency_gap
+
+from .conftest import kinds_of
 
 DATA = pathlib.Path(__file__).parent / "data" / "seed_decisions.json"
+
+
+def _dex_with(pair_class, name):
+    """DEX deployed with ``pair_class(n, t)``, as E10 deploys its ablation."""
+    return AlgorithmSpec(
+        name=name,
+        make=lambda pid, config, value, uc_factory: DexConsensus(
+            pid, config, pair_class(config.n, config.t), value, uc_factory
+        ),
+        required_ratio=6,
+    )
 
 ALPHABETS = [
     [0, 1],
@@ -123,25 +141,29 @@ class TestViewStatsEquivalence:
 class TestIncrementalPredicates:
     @pytest.mark.parametrize("seed", range(4))
     def test_fast_paths_match_batch_predicates(self, seed):
+        # One set of predicates per pair, read through the queries a View
+        # and a ViewStats both answer: equal answers on equal entries.
         rng = random.Random(1000 + seed)
-        pairs = [FrequencyPair(13, 2), PrivilegedPair(13, 2, privileged=1)]
-        for _ in range(200):
+        pairs = [
+            FrequencyPair(13, 2),
+            PrivilegedPair(13, 2, privileged=1),
+            UnderResilientPair(13, 2),
+        ]
+        for _ in range(300):
             pair = rng.choice(pairs)
             entries = [
                 rng.choice([BOTTOM, 1, 2, 3]) for _ in range(pair.n)
             ]
             stats = ViewStats.from_entries(entries)
             view = View(entries)
-            assert pair.p1_incremental(stats) == pair.p1(view)
-            assert pair.p2_incremental(stats) == pair.p2(view)
+            assert pair.p1(stats) == pair.p1(view)
+            assert pair.p2(stats) == pair.p2(view)
             if view.known:
-                assert pair.f_incremental(stats) == pair.f(view)
+                assert pair.f(stats) == pair.f(view)
 
-    def test_default_hooks_fall_back_to_batch(self):
-        # A custom pair built on the base class overrides no *_incremental
-        # hook, so the defaults must route through the as_view() adapter —
-        # note it must NOT subclass a shipped pair, whose fast paths it
-        # would inherit.
+    def test_custom_pair_decides_by_its_own_predicates(self):
+        # A pair written on the base class alone, deployed in DEX: its
+        # predicates read the protocol's running ViewStats directly.
         from repro.conditions.base import (
             ConditionSequence,
             ConditionSequencePair,
@@ -168,31 +190,43 @@ class TestIncrementalPredicates:
                     [PredicateCondition(self.p2)] * (self.t + 1)
                 )
 
-        pair = OnlyOnes(7, 1)
-        assert not pair.histogram_invariant  # base default: full enumeration
-        stats = ViewStats.from_entries([1] * 7)
-        assert pair.p1_incremental(stats)
-        assert pair.f_incremental(stats) == 1
-        stats2 = ViewStats.from_entries([1] * 6 + [2])
-        assert not pair.p1_incremental(stats2)
-        assert pair.p2_incremental(stats2)
+        assert not OnlyOnes.histogram_invariant  # base default: full enumeration
+        only_ones = _dex_with(OnlyOnes, "dex-only-ones")
+        unanimous_run = Scenario(only_ones, unanimous(1, 7), seed=3).run()
+        assert kinds_of(unanimous_run) == {DecisionKind.ONE_STEP}
+        # Six 1s: the frequency pair's gap 5 > 4t decides in one step, but
+        # OnlyOnes' P1 wants all seven, so only its P2 (six >= n - t) fires.
+        inputs = [1] * 6 + [2]
+        assert kinds_of(Scenario(dex_freq(), inputs, seed=3).run()) == {
+            DecisionKind.ONE_STEP
+        }
+        result = Scenario(only_ones, inputs, seed=3).run()
+        assert kinds_of(result) == {DecisionKind.TWO_STEP}
+        assert result.decided_value == 1
 
 
 class TestSubclassSafety:
     def test_batch_override_disables_inherited_fast_path(self):
-        # The E10 ablation pattern: a shipped-pair subclass that rewrites a
-        # batch predicate must not have it bypassed by the parent's O(1)
-        # fast path.
+        # The E10 ablation pattern: a shipped-pair subclass that rewrites
+        # P2 decides by the rewrite, never by the parent's two-step rule.
         class NoTwoStep(FrequencyPair):
             def p2(self, view):
                 return False
 
-        pair = NoTwoStep(13, 2)
-        stats = ViewStats.from_entries([1] * 10 + [2] * 3)  # gap 7 > 2t
-        assert FrequencyPair(13, 2).p2_incremental(stats)
-        assert not pair.p2_incremental(stats)
-        # p1 untouched -> the inherited fast path survives
-        assert pair.p1_incremental.__func__ is FrequencyPair.p1_incremental
+        no_two_step = _dex_with(NoTwoStep, "dex-no-2step")
+        # gap 2t + 3 at n=13, t=2: the two-step band; minority values at the
+        # low pids so, under constant latency, P1 never holds on a quorum.
+        inputs = list(reversed(with_frequency_gap(1, 2, 13, 7)))
+        for seed in range(3):
+            runs = {
+                spec.name: Scenario(
+                    spec, inputs, seed=seed, latency=ConstantLatency(1.0)
+                ).run()
+                for spec in (dex_freq(), no_two_step)
+            }
+            assert kinds_of(runs["dex-freq"]) == {DecisionKind.TWO_STEP}
+            assert kinds_of(runs["dex-no-2step"]) == {DecisionKind.UNDERLYING}
+            assert runs["dex-no-2step"].agreement_holds()
 
     def test_histogram_claim_not_inherited_past_overrides(self):
         class NoTwoStep(FrequencyPair):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.coverage import dex_one_step_guaranteed
-from repro.baselines.sync_onestep import SyncOneStepConsensus, sync_one_step_level
+from repro.baselines.crash_onestep import crash_one_step_level
+from repro.baselines.sync_onestep import SyncOneStepConsensus
 from repro.conditions.frequency import FrequencyPair
 from repro.conditions.privileged import PrivilegedPair
 from repro.conditions.views import View
@@ -110,7 +111,7 @@ def test_sync_agreement_random_crashes(inputs, crash_round, seed):
     assert result.agreement_holds()
     assert result.all_correct_decided()
     # one-round guarantee (level >= f with f = 1 crash)
-    level = sync_one_step_level(View(inputs), config.t)
+    level = crash_one_step_level(View(inputs), config.t)
     if level is not None and level >= 1 and crash_round >= 2:
         # crash after round 1: round-1 views are complete
         assert {d.round for d in result.correct_decisions.values()} == {1}

@@ -3,11 +3,8 @@ consensus (the Mostefaoui et al. Table 1 row)."""
 
 import pytest
 
-from repro.baselines.sync_onestep import (
-    SyncOneStepConsensus,
-    SyncRound1,
-    sync_one_step_level,
-)
+from repro.baselines.crash_onestep import crash_one_step_level
+from repro.baselines.sync_onestep import SyncOneStepConsensus, SyncRound1
 from repro.conditions.views import View
 from repro.errors import SimulationError
 from repro.sim.synchronous import (
@@ -83,10 +80,10 @@ class TestEngine:
 class TestConditionLevels:
     def test_adaptive_level_shape(self):
         t = 2
-        assert sync_one_step_level(View(unanimous(1, 9)), t) == 2  # gap 9 > 6
-        assert sync_one_step_level(View(with_frequency_gap(1, 2, 9, 5)), t) == 1
-        assert sync_one_step_level(View(with_frequency_gap(1, 2, 9, 3)), t) == 0
-        assert sync_one_step_level(View(with_frequency_gap(1, 2, 9, 1)), t) is None
+        assert crash_one_step_level(View(unanimous(1, 9)), t) == 2  # gap 9 > 6
+        assert crash_one_step_level(View(with_frequency_gap(1, 2, 9, 5)), t) == 1
+        assert crash_one_step_level(View(with_frequency_gap(1, 2, 9, 3)), t) == 0
+        assert crash_one_step_level(View(with_frequency_gap(1, 2, 9, 1)), t) is None
 
 
 class TestSyncConsensus:
