@@ -16,10 +16,10 @@ The package provides:
   binary agreement + asynchronous common subset);
 * :mod:`repro.baselines` — BOSCO (weak/strong), Brasileiro's one-step
   converter, and a plain two-step reference;
-* :mod:`repro.sim` / :mod:`repro.runtime` — a deterministic discrete-event
-  simulator and an asyncio runtime, both interpreting the same sans-IO
-  protocols, with causal step accounting matching the paper's
-  communication-step metric;
+* :mod:`repro.runtime` / :mod:`repro.sim` — the sans-IO protocol
+  interface and a deterministic discrete-event simulator interpreting it,
+  with causal step accounting matching the paper's communication-step
+  metric;
 * :mod:`repro.byzantine` — a programmable adversary library;
 * :mod:`repro.harness` — declarative scenario construction;
 * :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.analysis`,

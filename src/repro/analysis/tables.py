@@ -19,68 +19,52 @@ from ..conditions.privileged import PrivilegedPair
 from ..conditions.views import View
 from ..harness import (
     AlgorithmSpec,
+    RoundCrash,
     Scenario,
     Silent,
     all_algorithms,
+    sync_onestep,
 )
 from ..types import DecisionKind, SystemConfig
 from ..workloads.inputs import split, unanimous, with_frequency_gap
 
-#: The synchronous row runs on the round-based engine rather than the
-#: asynchronous harness; its static row is kept here and its validation is
-#: :func:`validate_sync_row`.
-SYNC_ROW = {
-    "algorithm": "mostefaoui (sync)",
-    "system": "Syn.",
-    "failures": "Crash",
-    "processes": "t+1",
-    "one_step": "Condition-Based (adaptive)",
-    "two_step": "—",
-}
+
+def _paper_rows() -> list[AlgorithmSpec]:
+    """The paper's rows in its order: every registered algorithm but the
+    two-step reference (our own reference point), the synchronous row third."""
+    specs = [spec for spec in all_algorithms() if spec.name != "twostep"]
+    specs.insert(2, sync_onestep())
+    return specs
 
 
 def paper_table1() -> list[dict[str, str]]:
     """The comparison table, straight from the registry metadata."""
-    rows = []
-    for spec in all_algorithms():
-        if spec.name == "twostep":
-            continue  # our own reference point, not a paper row
-        rows.append({"algorithm": spec.name, **spec.table1, "validated": ""})
-    rows.insert(2, {**SYNC_ROW, "validated": ""})
-    return rows
+    return [{"algorithm": spec.name, **spec.table1, "validated": ""} for spec in _paper_rows()]
 
 
 def validate_sync_row(n: int = 5, t: int = 2, seeds: range = range(3)) -> ValidationOutcome:
-    """Empirically validate the synchronous-model row on the round engine.
+    """Empirically validate the synchronous-model row on the lockstep engine.
 
     Checks: unanimous inputs decide in round 1; contended inputs agree and
     terminate within ``t + 1`` rounds; crashes mid-round-1 never break
     agreement; a level-``k`` condition input decides in round 1 with
-    ``f ≤ k`` crashes.
+    ``f ≤ k`` crashes.  A decision's step is its round.
     """
     from ..baselines.crash_onestep import crash_one_step_level
-    from ..baselines.sync_onestep import SyncOneStepConsensus
-    from ..conditions.views import View
-    from ..sim.synchronous import CrashEvent, SynchronousSimulation
 
-    config = SystemConfig(n, t)
+    spec = sync_onestep()
     fast = True
     terminates = True
     agreement = True
     details = []
 
-    def run(inputs, crashes, seed):
-        protocols = {
-            pid: SyncOneStepConsensus(pid, config, inputs[pid])
-            for pid in config.processes
-        }
-        sim = SynchronousSimulation(config, protocols, crashes, seed=seed)
-        return sim.run(max_rounds=t + 2)
+    def run(inputs, faults, seed):
+        return Scenario(spec, inputs, t=t, faults=faults, seed=seed, engine="sync").run()
 
     for seed in seeds:
         result = run(unanimous(1, n), {}, seed)
         agreement &= result.agreement_holds()
-        if {d.round for d in result.correct_decisions.values()} != {1}:
+        if {d.step for d in result.correct_decisions.values()} != {1}:
             fast = False
             details.append(f"seed {seed}: unanimous not one-round")
 
@@ -88,19 +72,19 @@ def validate_sync_row(n: int = 5, t: int = 2, seeds: range = range(3)) -> Valida
         result = run(contended, {}, seed)
         agreement &= result.agreement_holds()
         terminates &= result.all_correct_decided()
-        terminates &= result.max_decision_round <= t + 1
+        terminates &= result.max_correct_step <= t + 1
 
-        crashes = {n - 1: CrashEvent(round=1), n - 2: CrashEvent(round=2)}
+        crashes = {n - 1: RoundCrash(1, seed=seed), n - 2: RoundCrash(2, seed=seed)}
         result = run(unanimous(1, n), crashes, seed)
         agreement &= result.agreement_holds()
         level = crash_one_step_level(View(unanimous(1, n)), t)
         if level is not None and level >= 2:
-            if {d.round for d in result.correct_decisions.values()} != {1}:
+            if {d.step for d in result.correct_decisions.values()} != {1}:
                 fast = False
                 details.append(f"seed {seed}: f=2 unanimous not one-round")
 
     return ValidationOutcome(
-        algorithm="mostefaoui (sync)",
+        algorithm=spec.name,
         n=n,
         t=t,
         fast_on_claimed=fast,
@@ -211,11 +195,12 @@ def validated_table1(n_by_ratio: dict[int, int] | None = None) -> list[dict[str,
     """
     sizes = n_by_ratio or {3: 7, 5: 11, 6: 13, 7: 15}
     rows = []
-    for spec in all_algorithms():
-        if spec.name == "twostep":
-            continue
-        n = sizes.get(spec.required_ratio, spec.required_ratio * 2 + 1)
-        outcome = validate_algorithm(spec, n)
+    for spec in _paper_rows():
+        if spec.table1["system"] == "Syn.":
+            outcome = validate_sync_row()
+        else:
+            n = sizes.get(spec.required_ratio, spec.required_ratio * 2 + 1)
+            outcome = validate_algorithm(spec, n)
         rows.append(
             {
                 "algorithm": spec.name,
@@ -223,14 +208,6 @@ def validated_table1(n_by_ratio: dict[int, int] | None = None) -> list[dict[str,
                 "validated": "yes" if outcome.ok else f"NO: {outcome.detail}",
             }
         )
-    sync_outcome = validate_sync_row()
-    rows.insert(
-        2,
-        {
-            **SYNC_ROW,
-            "validated": "yes" if sync_outcome.ok else f"NO: {sync_outcome.detail}",
-        },
-    )
     return rows
 
 

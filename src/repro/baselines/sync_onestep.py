@@ -1,8 +1,13 @@
 """One-round condition-based consensus in the synchronous crash model.
 
 The Table 1 row "Mostefaoui et.al [11]" (synchronous, crash, ``t+1``
-processes, condition-based one-step decision).  Algorithm (runs on
-:class:`repro.sim.synchronous.SynchronousSimulation`):
+processes, condition-based one-step decision).  An ordinary
+:class:`~repro.runtime.protocol.Protocol` for the lockstep engine
+(``engine="sync"``), which delivers all of round ``r``'s messages together
+in round ``r + 1``.  A crash is the :class:`~repro.engine.faults.RoundCrash`
+fault, which shows each message a crashed process no longer sends to its
+receiver as ``⊥``.  So every round a process hears one item per process,
+and it ends the round on the ``n``-th:
 
 * **round 1** — broadcast the proposal; build the view ``V`` (``⊥`` for
   senders whose message was lost to a crash).  Decide ``1st(V)`` right at
@@ -36,11 +41,12 @@ crashed majority's proposals from correct ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from ..conditions.views import View
-from ..sim.synchronous import SyncProtocol
-from ..types import BOTTOM, ProcessId, SystemConfig, Value
+from ..runtime.effects import Broadcast, Decide, Effect
+from ..runtime.protocol import Protocol
+from ..types import BOTTOM, DecisionKind, ProcessId, SystemConfig, Value
 from ..codec.schema import wire_record
 
 
@@ -61,8 +67,12 @@ class SyncFlood:
     decided: tuple[Value] | None = None
 
 
-class SyncOneStepConsensus(SyncProtocol):
-    """One process of the synchronous one-round condition-based consensus."""
+class SyncOneStepConsensus(Protocol):
+    """One process of the synchronous one-round condition-based consensus.
+
+    Its step is its round: a round-1 decision is ``ONE_STEP``, a later one
+    (adopted or flooded) ``UNDERLYING``.
+    """
 
     def __init__(self, process_id: ProcessId, config: SystemConfig, proposal: Value) -> None:
         super().__init__(process_id, config)
@@ -70,6 +80,8 @@ class SyncOneStepConsensus(SyncProtocol):
         self.known: dict[ProcessId, Value] = {process_id: proposal}
         self.decision: Value | None = None
         self.decided_round: int | None = None
+        self.round = 1
+        self._heard = 0  # items of the current round
 
     # -- helpers ----------------------------------------------------------------
 
@@ -85,38 +97,41 @@ class SyncOneStepConsensus(SyncProtocol):
             decided=(self.decision,) if self.decision is not None else None,
         )
 
-    def _decide(self, value: Value, round_: int) -> None:
+    def _decide(self, value: Value) -> None:
         if self.decision is None:
             self.decision = value
-            self.decided_round = round_
+            self.decided_round = self.round
 
-    # -- SyncProtocol interface ---------------------------------------------------
+    # -- Protocol interface -------------------------------------------------------
 
-    def first_message(self) -> SyncRound1:
-        return SyncRound1(self.proposal)
+    def on_start(self) -> list[Effect]:
+        return [Broadcast(SyncRound1(self.proposal))]
 
-    def on_round(
-        self, round_: int, received: Mapping[ProcessId, Any]
-    ) -> tuple[Any, Value | None]:
-        if round_ == 1:
-            for sender, message in received.items():
-                if isinstance(message, SyncRound1):
-                    self.known.setdefault(sender, message.value)
+    def on_message(self, sender: ProcessId, message: Any) -> list[Effect]:
+        if self.round == 1:
+            if isinstance(message, SyncRound1):
+                self.known.setdefault(sender, message.value)
+        elif isinstance(message, SyncFlood):
+            for pid, value in message.known:
+                if isinstance(pid, int) and 0 <= pid < self.config.n:
+                    self.known.setdefault(pid, value)
+            if message.decided is not None:
+                self._decide(message.decided[0])
+        self._heard += 1
+        if self._heard < self.config.n:
+            return []
+        if self.round == 1:
             view = self._view()
-            missing = self.config.n - view.known
-            if view.frequency_gap() > self.config.t + missing:
-                self._decide(view.first(), round_)
-        else:
-            for sender, message in received.items():
-                if not isinstance(message, SyncFlood):
-                    continue
-                for pid, value in message.known:
-                    if isinstance(pid, int) and 0 <= pid < self.config.n:
-                        self.known.setdefault(pid, value)
-                if message.decided is not None:
-                    self._decide(message.decided[0], round_)
-            if round_ >= self.config.t + 1 and self.decision is None:
-                self._decide(self._view().first(), round_)
+            if view.frequency_gap() > self.config.t + self.config.n - view.known:
+                self._decide(view.first())
+        elif self.round >= self.config.t + 1:
+            self._decide(self._view().first())
+        effects: list[Effect] = []
+        if self.decided_round == self.round:
+            kind = DecisionKind.ONE_STEP if self.round == 1 else DecisionKind.UNDERLYING
+            effects.append(Decide(self.decision, kind))
+        self.round += 1
+        self._heard = 0
         # Keep flooding even after deciding: laggards need the values.
-        decision_now = self.decision if self.decided_round == round_ else None
-        return self._flood(), decision_now
+        effects.append(Broadcast(self._flood()))
+        return effects

@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..engine.interpreter import CensoringRewriter, expand_broadcasts
-from ..runtime.effects import Effect, Log, Send, ServiceCall
+from ..runtime.effects import Broadcast, Effect, Log, Send, ServiceCall
 from ..runtime.protocol import Protocol, guarded
-from ..types import ProcessId
+from ..types import BOTTOM, ProcessId
 
 __all__ = [
     "expand_broadcasts",
@@ -33,6 +33,7 @@ __all__ = [
     "ByzantineBehavior",
     "SilentBehavior",
     "CrashBehavior",
+    "RoundCrashBehavior",
     "MutatingBehavior",
     "TwoFacedBehavior",
 ]
@@ -91,6 +92,43 @@ class CrashBehavior(ByzantineBehavior, CensoringRewriter):
     def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
         if self.crashed:
             return []
+        return self.rewrite_effects(guarded(self.inner, sender, payload))
+
+
+class RoundCrashBehavior(ByzantineBehavior, CensoringRewriter):
+    """Run a round protocol (one broadcast a round) honestly, then crash in
+    round ``round``: that round's broadcast reaches only ``delivered_to``,
+    and no later one reaches anybody.
+
+    Every copy the crashed process no longer delivers is sent as ``⊥``
+    instead — the synchronous model's round timeout, made visible — so a
+    receiver still hears one item per process each round and can end the
+    round on the ``n``-th.  The inner protocol keeps running only to keep
+    that beat.
+    """
+
+    def __init__(self, inner: Protocol, round: int, delivered_to: frozenset[ProcessId]) -> None:
+        super().__init__(inner.process_id, inner.config)
+        self.inner = inner
+        self.round = round
+        self.delivered_to = delivered_to
+        self.broadcasts = 0
+        self._rewrite_stopped = False
+
+    def rewrite_broadcast(self, effect: Broadcast) -> Effect | list[Effect]:
+        self.broadcasts += 1
+        if self.broadcasts < self.round:
+            return effect
+        reached = self.delivered_to if self.broadcasts == self.round else ()
+        return [
+            Send(dst, effect.payload if dst in reached else BOTTOM)
+            for dst in self.config.processes
+        ]
+
+    def on_start(self) -> list[Effect]:
+        return self.rewrite_effects(self.inner.on_start())
+
+    def on_message(self, sender: ProcessId, payload: Any) -> list[Effect]:
         return self.rewrite_effects(guarded(self.inner, sender, payload))
 
 

@@ -147,9 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--uc", choices=["oracle", "real"], default="oracle")
     run.add_argument("--engine", default="sim", metavar="{" + ",".join(ENGINES) + "}",
                      help="execution backend: deterministic discrete-event "
-                          "(sim), real event loop (asyncio), lockstep rounds "
-                          "(sync), the model checker's FIFO schedule (mc) or "
-                          "one OS process per node over real sockets (net)")
+                          "(sim), lockstep rounds (sync), the model checker's "
+                          "FIFO schedule (mc) or one OS process per node over "
+                          "real sockets (net)")
     run.add_argument("--hubs", type=int, default=1,
                      help="net engine: hub groups of the mesh transport "
                           "(1 = the classic single-hub star; more needs "

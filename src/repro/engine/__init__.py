@@ -1,10 +1,10 @@
 """The shared execution substrate behind every runner.
 
 Four backends execute the same sans-IO protocols — the deterministic
-discrete-event :class:`~repro.sim.runner.Simulation`, the
-:class:`~repro.runtime.asyncio_runner.AsyncioRunner`, the lockstep
-:class:`~repro.sim.synchronous.LockstepSimulation` and the model checker's
-:class:`~repro.mc.state.McSystem`.  This package owns what they share:
+discrete-event :class:`~repro.sim.runner.Simulation`, the lockstep
+:class:`~repro.sim.synchronous.LockstepSimulation`, the model checker's
+:class:`~repro.mc.state.McSystem` and the socket engine's hub 0,
+:class:`~repro.net.cluster.NetCluster`.  This package owns what they share:
 
 * :mod:`repro.engine.interpreter` — the single effect-interpretation code
   path (:func:`interpret` over the :class:`ExecutionPorts` interface) and

@@ -9,7 +9,7 @@ an :class:`EventLog` too.
 
 Events are frozen slotted dataclasses, so a recorded stream is hashable,
 comparable and cheap; ``time`` is whatever clock the backend runs
-(virtual simulated time, wall-clock offsets on asyncio, delivery index in
+(virtual simulated time, wall-clock offsets on net, delivery index in
 the model checker, round number in lockstep mode).
 """
 

@@ -7,7 +7,7 @@ of the per-process behavior protocols, and fault activation
 announcements on the structured event stream.
 
 The protocol a fault builds *is* the fault, on every engine: the
-discrete-event, asyncio, lockstep and model-checking backends run it
+discrete-event, lockstep and model-checking backends run it
 in-process, and the socket engine runs it inside the faulty node's
 worker.  Nothing re-declares, re-projects or re-enforces a fault
 elsewhere; a :class:`~repro.net.faults.LinkPlan` is a transport condition
@@ -17,6 +17,7 @@ a caller passes, never a fault.
 from __future__ import annotations
 
 import abc
+import random
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..errors import ConfigurationError
@@ -35,6 +36,7 @@ __all__ = [
     "Fault",
     "Silent",
     "Crash",
+    "RoundCrash",
     "CrashRecover",
     "Equivocate",
     "Garbage",
@@ -102,6 +104,39 @@ class Crash(Fault):
 
     def describe(self) -> str:
         return f"budget={self.budget}"
+
+
+class RoundCrash(Fault):
+    """The synchronous model's crash (Table 1's Mostefaoui row, on
+    ``engine="sync"``): run honestly, then crash in round ``round`` — that
+    round's broadcast reaches only ``delivered_to`` (``None``: a subset the
+    adversary draws from ``seed``), and the process is silent after it.
+    Each message it no longer delivers reaches its receiver as ``⊥``, the
+    round's timeout (see :class:`repro.byzantine.adversary.RoundCrashBehavior`).
+    """
+
+    model = "crash"
+
+    def __init__(
+        self, round: int, delivered_to: frozenset[ProcessId] | None = None, seed: int = 0
+    ) -> None:
+        if round < 1:
+            raise ConfigurationError("RoundCrash.round counts from 1")
+        self.round = round
+        self.delivered_to = delivered_to
+        self.seed = seed
+
+    def build(self, pid, config, make_honest, value, spec) -> Protocol:
+        from ..byzantine.adversary import RoundCrashBehavior
+
+        reached = self.delivered_to
+        if reached is None:
+            rng = random.Random(self.seed * config.n + pid)
+            reached = frozenset(rng.sample(range(config.n), rng.randint(0, config.n)))
+        return RoundCrashBehavior(make_honest(value), self.round, reached)
+
+    def describe(self) -> str:
+        return f"round={self.round}"
 
 
 class CrashRecover(Fault):

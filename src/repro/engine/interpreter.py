@@ -1,9 +1,9 @@
 """The one effect interpreter shared by every execution backend.
 
 Historically each runtime — the discrete-event :class:`~repro.sim.runner.
-Simulation`, the :class:`~repro.runtime.asyncio_runner.AsyncioRunner`, the
-model checker's :class:`~repro.mc.state.McSystem`, and the Byzantine
-behavior wrappers — privately re-parsed the effect vocabulary of
+Simulation`, an in-memory event-loop runner, the model checker's
+:class:`~repro.mc.state.McSystem`, and the Byzantine behavior wrappers —
+privately re-parsed the effect vocabulary of
 :mod:`repro.runtime.effects`.  Four copies of ``isinstance(effect, Send)``
 meant four places where the fast path and the fallback could drift apart,
 which is fatal for a speculative-path consensus reproduction: the paper's

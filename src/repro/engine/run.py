@@ -1,8 +1,7 @@
 """What every engine keeps and returns: one set of books, one result.
 
-The five engines differ in *scheduling* — a virtual clock, lockstep
-rounds, an event loop, a pending multiset, real sockets — and in nothing
-else.  This module owns the rest, once:
+The four engines differ in *scheduling* — a virtual clock, lockstep
+rounds, a pending multiset, real sockets — and in nothing else.  This module owns the rest, once:
 
 * :func:`check_deployment` — the deployment every engine refuses;
 * :class:`Engine` — the books (decisions, outputs, stats) and the ports
@@ -11,8 +10,8 @@ else.  This module owns the rest, once:
   paper's properties are stated in (they quantify over the *correct*
   processes of one run).
 
-It imports neither ``asyncio`` nor the simulator, so the socket engine's
-hub 0 keeps its books here without loading either.
+It does not import the simulator, so the socket engine's hub 0 keeps its
+books here without loading it.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class RunResult(Verdicts):
     ``end_time`` and every ``Decision.time`` are seconds on the engine's
     own clock, starting at 0 when the run does: virtual time on ``sim``,
     the round number on ``sync``, the delivery index on ``mc``, wall-clock
-    on ``asyncio`` and ``net``.  A run that hit its deadline is returned,
+    on ``net``.  A run that hit its deadline is returned,
     not raised: ``timed_out`` is set, the partial ``decisions`` are
     surfaced and :attr:`undecided_correct` names the stragglers.
     """

@@ -24,8 +24,8 @@ Example::
     ).run()
     assert result.agreement_holds()
 
-``Scenario(..., engine="asyncio")`` (or ``"sync"``, ``"mc"``, ``"net"``) runs
-the same deployment on a different backend — see :meth:`Scenario.run`.
+``Scenario(..., engine="sync")`` (or ``"mc"``, ``"net"``) runs the same
+deployment on a different backend — see :meth:`Scenario.run`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .engine.faults import (
     Garbage,
     HonestFactory,
     RestartPlan,
+    RoundCrash,
     Saboteur,
     Silent,
     Spoiler,
@@ -84,12 +85,14 @@ __all__ = [
     "izumi",
     "brasileiro",
     "twostep",
+    "sync_onestep",
     "all_algorithms",
     # fault vocabulary (re-exported from repro.engine.faults)
     "Fault",
     "FaultPlane",
     "Silent",
     "Crash",
+    "RoundCrash",
     "CrashRecover",
     "Equivocate",
     "Garbage",
@@ -275,11 +278,33 @@ def twostep() -> AlgorithmSpec:
     )
 
 
+def sync_onestep() -> AlgorithmSpec:
+    """Mostefaoui et al.'s one-round condition-based consensus (the
+    synchronous Table 1 row, ``n > t``).  A round protocol: run it on
+    ``engine="sync"``, with its crashes as :class:`RoundCrash` faults."""
+    from .baselines.sync_onestep import SyncOneStepConsensus
+
+    return AlgorithmSpec(
+        name="mostefaoui (sync)",
+        make=lambda pid, config, value, uc_factory: SyncOneStepConsensus(
+            pid, config, value
+        ),
+        required_ratio=1,
+        failure_model="crash",
+        table1={
+            "system": "Syn.",
+            "failures": "Crash",
+            "processes": "t+1",
+            "one_step": "Condition-Based (adaptive)",
+            "two_step": "—",
+        },
+    )
+
+
 def all_algorithms() -> list[AlgorithmSpec]:
     """Every registered asynchronous algorithm, in the paper's Table 1
-    order.  The synchronous row (Mostefaoui et al. [11]) runs on the
-    round-based engine instead — see
-    :class:`repro.baselines.sync_onestep.SyncOneStepConsensus`.
+    order.  The synchronous row (Mostefaoui et al. [11]) runs only on the
+    lockstep engine — see :func:`sync_onestep`.
     """
     return [
         brasileiro(),
@@ -296,7 +321,7 @@ def all_algorithms() -> list[AlgorithmSpec]:
 
 
 #: The execution backends ``Scenario.engine`` selects between.
-ENGINES = ("sim", "asyncio", "sync", "mc", "net")
+ENGINES = ("sim", "sync", "mc", "net")
 
 
 def _check_choice(what: str, value: str, choices) -> None:
@@ -366,14 +391,12 @@ class Deployment:
     ) -> RunResult:
         """Run on ``engine``, forwarding ``kwargs`` to its runner method —
         the one place an engine is picked.  ``timeout`` bounds the
-        wall-clock engines (``"asyncio"``, ``"net"``); the in-memory ones
-        run to their own end and ignore it.  Every engine returns a
+        wall-clock engine (``"net"``); the in-memory ones run to their own
+        end and ignore it.  Every engine returns a
         :class:`~repro.engine.run.RunResult`."""
         _check_choice("engine", engine, ENGINES)
-        if timeout is not None and engine in ("asyncio", "net"):
+        if timeout is not None and engine == "net":
             kwargs["timeout"] = timeout
-        if engine == "asyncio":
-            return self.run_async(**kwargs)
         if engine == "sync":
             return self.run_sync(**kwargs)
         if engine == "mc":
@@ -459,22 +482,6 @@ class Deployment:
             drained=not system.pending,
         )
 
-    def run_async(self, timeout: float = 30.0, mean_delay: float = 0.001) -> RunResult:
-        """Run on the asyncio runtime (``end_time`` is wall-clock seconds)."""
-        self._reject_restarts("asyncio")
-        from .runtime.asyncio_runner import AsyncioRunner
-
-        runner = AsyncioRunner(
-            self.config,
-            self.protocols,
-            faulty=self.faulty,
-            services=self.services,
-            seed=self.seed,
-            mean_delay=mean_delay,
-            event_sink=self.event_sink,
-        )
-        return runner.run_sync(timeout)
-
     def run_net(
         self,
         timeout: float = 30.0,
@@ -545,10 +552,10 @@ class Scenario:
             (``latency``/``scheduler``/``max_events`` apply to the
             discrete-event backend only).
         engine: which backend :meth:`run` drives — ``"sim"`` (deterministic
-            discrete-event), ``"asyncio"`` (real event loop), ``"sync"``
-            (deterministic lockstep rounds), ``"mc"`` (the model
-            checker's state machine on its FIFO baseline schedule) or
-            ``"net"`` (one OS process per node over real sockets).
+            discrete-event), ``"sync"`` (deterministic lockstep rounds),
+            ``"mc"`` (the model checker's state machine on its FIFO
+            baseline schedule) or ``"net"`` (one OS process per node over
+            real sockets).
         event_sink: optional :class:`~repro.engine.events.EventSink`
             receiving the structured run events of any backend; pass an
             :class:`~repro.engine.events.EventLog` to keep a trace.
@@ -668,8 +675,8 @@ class Scenario:
 
     def run(self, **engine_kwargs: Any) -> RunResult:
         """Run the scenario on the selected :attr:`engine`; ``engine_kwargs``
-        go to :meth:`Deployment.run` (``timeout=`` bounds ``"asyncio"`` and
-        ``"net"``, ``transport=`` and ``link_plan=`` reach ``"net"``)."""
+        go to :meth:`Deployment.run` (``timeout=``, ``transport=`` and
+        ``link_plan=`` reach ``"net"``)."""
         return self.deployment().run(self.engine, **engine_kwargs)
 
     def run_many(self, seeds, expected_value: Value | None = None):

@@ -1,6 +1,6 @@
-"""``repro.net`` — the real-socket execution engine (fifth backend).
+"""``repro.net`` — the real-socket execution engine.
 
-Every other backend (``sim``, ``asyncio``, ``sync``, ``mc``) delivers
+Every other backend (``sim``, ``sync``, ``mc``) delivers
 messages in-memory; this package runs each consensus node as its own OS
 process and ships every payload through a kernel socket, so the one-step
 fast path races against *genuine* network nondeterminism — scheduler

@@ -23,10 +23,10 @@ the event loop every hub runs:
   attributed disconnect, never a silent drop or a timeout-based guess.
 
 Seeded per-message jitter (``uniform(0.5, 1.5) × mean_delay``, self-sends
-undelayed) mirrors the asyncio runner: per copy a hub pays one jitter draw
-and one heap push, the rest once per frame (:meth:`DataPlane._schedule`).
-As there, real scheduling makes interleavings only *mostly* reproducible;
-exact-replay tests belong on the simulator.
+undelayed): per copy a hub pays one jitter draw and one heap push, the
+rest once per frame (:meth:`DataPlane._schedule`).  Real scheduling makes
+interleavings only *mostly* reproducible; exact-replay tests belong on the
+simulator.
 
 :class:`NetCluster` is hub 0: the plane plus an :class:`~repro.engine.run.
 Engine`.  Each frame a node's ports write — a decision, an output, a
@@ -323,11 +323,12 @@ class DataPlane:
 
     def _classify(self, link: HubLink, msg: Any) -> None:
         """First frame on a fresh link decides what it is.  A ``Hello``
-        authenticates a node: the pid must be in range and must not have a
-        live link (a restarted node is admitted once the old link hit EOF)."""
+        authenticates a node: the pid must be an ``int`` in range (``1.0``
+        and ``True`` are no pids) and must not have a live link (a restarted
+        node is admitted once the old link hit EOF)."""
         if not isinstance(msg, Hello):
             self._classify_other(link, msg)
-        elif msg.pid not in range(self.n):
+        elif type(msg.pid) is not int or msg.pid not in range(self.n):
             self._drop(link, "hello-refused", f"claimed pid {msg.pid!r}")
         elif msg.pid in self._nodes:
             # A second dialer must not replace (and leak) the proven link.
@@ -442,7 +443,7 @@ class DataPlane:
             raise WireError(f"message depth {depth!r} is not an integer")
         if type(msg) is MsgBroadcast:
             first, stop = 0, self.n
-        elif msg.dst in range(self.n):
+        elif type(msg.dst) is int and msg.dst in range(self.n):
             first, stop = msg.dst, msg.dst + 1
         else:
             raise WireError(f"send to pid {msg.dst!r}, outside the cluster")
@@ -882,8 +883,7 @@ class NetCluster(DataPlane, Engine):
         return call
 
     def _deliver_reply(self, reply: ServiceReply, payload: Any) -> None:
-        # Simulated-units reply delay is replaced by hub jitter, exactly as
-        # on the asyncio backend.
+        # Simulated-units reply delay is replaced by hub jitter.
         self._schedule(reply.dst, SERVICE_SENDER, payload, reply.depth, time.monotonic())
 
     # -- liveness -------------------------------------------------------------------

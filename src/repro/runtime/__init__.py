@@ -1,9 +1,9 @@
-"""Sans-IO protocol runtime: effects, protocol interface, composition,
-trusted services and the asyncio transport.
+"""Sans-IO protocol runtime: effects, protocol interface, composition and
+trusted services.
 
-Protocols written against this package run unchanged under the
-deterministic simulator (:mod:`repro.sim`) and the asyncio in-memory
-network (:mod:`repro.runtime.asyncio_runner`).
+Protocols written against this package run unchanged on every engine:
+the deterministic simulator (:mod:`repro.sim`), the model checker
+(:mod:`repro.mc`) and real processes over sockets (:mod:`repro.net`).
 """
 
 from .composite import CompositeProtocol, Envelope

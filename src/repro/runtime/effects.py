@@ -3,13 +3,13 @@
 Protocols in this library never touch a socket or an event loop: every
 handler returns a list of :class:`Effect` values describing what should
 happen (send a message, decide a value, call a trusted harness service,
-emit a trace record).  A *runtime* — the deterministic simulator in
-:mod:`repro.sim` or the asyncio runner in
-:mod:`repro.runtime.asyncio_runner` — interprets the effects.
+emit a trace record).  An *engine* — the deterministic simulator in
+:mod:`repro.sim`, the model checker in :mod:`repro.mc` or a socket node in
+:mod:`repro.net` — interprets the effects.
 
 Keeping protocols pure state machines gives us deterministic replay,
 adversarial schedulers, and causal step accounting for free, and lets the
-exact same protocol code run under both runtimes.
+exact same protocol code run on every engine.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ own path and reply along it.
 
 Services are trusted — they model abstractions, not processes — but they
 still participate in causal step accounting so that the cost of the
-abstraction shows up in measured step counts.  Both runtimes (simulator
-and asyncio) drive the same service objects.
+abstraction shows up in measured step counts.  Every engine drives the
+same service objects (on ``net``, hub 0 hosts them).
 """
 
 from __future__ import annotations

@@ -179,7 +179,7 @@ class ShardStreamSink(EventSink):
             commands_by_shard: applied-command counts (from the agreed
                 digest); enables commands-per-duration throughput.
             duration: the run's duration in engine time units (virtual on
-                the simulator, wall seconds on asyncio/net).
+                the simulator, wall seconds on net).
             stats: the run's own counters (``RunResult.stats``) — every
                 message the engine routed, on a mesh the data hubs' too.
         """

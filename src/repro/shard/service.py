@@ -728,7 +728,7 @@ class ShardedService:
             (any registered :class:`~repro.harness.AlgorithmSpec`, over the
             oracle UC); it sets ``t``'s default, the resilience check and
             the failure model faults are validated against.
-        engine: any of the harness engines (``sim``/``asyncio``/``net``…).
+        engine: any of the harness engines (``sim``/``sync``/``mc``/``net``).
         uc_step_cost: causal step cost of the oracle UC (feeds the
             per-slot step accounting of the metrics).
         codec: ``"binary"``, the only legal value —

@@ -26,13 +26,6 @@ from .scheduler import (
     PartitionScheduler,
     RandomJitterScheduler,
 )
-from .synchronous import (
-    CrashEvent,
-    SynchronousSimulation,
-    SyncDecision,
-    SyncProtocol,
-    SyncRunResult,
-)
 
 __all__ = [
     "Event",
@@ -52,9 +45,4 @@ __all__ = [
     "RandomJitterScheduler",
     "ComposedScheduler",
     "PartitionScheduler",
-    "SynchronousSimulation",
-    "SyncProtocol",
-    "SyncRunResult",
-    "SyncDecision",
-    "CrashEvent",
 ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import _build_parser, _parse_fault, _parse_inputs, _parse_value, main
 from repro.harness import (
+    ENGINES,
     Collapse,
     Crash,
     Equivocate,
@@ -109,8 +110,9 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["run", "--help"])
         out = capsys.readouterr().out
-        for engine in ("sim", "asyncio", "sync", "mc", "net"):
+        for engine in ENGINES:
             assert engine in out
+        assert "asyncio" not in out  # the retired engine is gone
 
     def test_unknown_engine_is_a_one_line_error(self, capsys):
         code = main(["run", "-i", "1,1,1,1,1,1,1", "--engine", "bogus"])

@@ -1,7 +1,7 @@
-"""Cross-engine equivalence: one Scenario, five backends, same verdicts.
+"""Cross-engine equivalence: one Scenario, four backends, same verdicts.
 
-The tentpole claim of the engine layer is that ``sim``, ``asyncio``,
-``sync``, ``mc`` and ``net`` are *backends* of one interpreter, not five
+The tentpole claim of the engine layer is that ``sim``, ``sync``, ``mc``
+and ``net`` are *backends* of one interpreter, not four
 reimplementations.  These tests pin the observable consequences: the same
 seeded scenario decides the same value (and satisfies the same
 properties) no matter which engine runs it, and every engine returns the
@@ -156,11 +156,12 @@ class TestOneRunSurface:
 
 
 class TestResultSurface:
+    @pytest.mark.net
     def test_timed_out_run_is_returned_with_its_stragglers(self):
-        result = Scenario(dex_freq(), unanimous(1, 7), seed=2, engine="asyncio").run(
+        result = Scenario(dex_freq(), unanimous(1, 7), seed=2, engine="net").run(
             timeout=0.0
         )
-        assert type(result) is RunResult
+        assert isinstance(result, RunResult)
         assert result.timed_out
         assert not result.all_correct_decided()
         assert result.undecided_correct == frozenset(range(7)) - set(result.decisions)

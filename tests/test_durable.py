@@ -940,7 +940,7 @@ class TestCrashRecoverFault:
         assert set(plans) == {1}
         assert plans[1].at == 1.0 and plans[1].restart_after == 2.0
 
-    @pytest.mark.parametrize("engine", ["sync", "mc", "asyncio"])
+    @pytest.mark.parametrize("engine", ["sync", "mc"])
     def test_rejected_off_sim_and_net(self, engine):
         scenario = Scenario(
             dex_freq(),

@@ -131,7 +131,7 @@ def _count_message_events(monkeypatch):
 
 
 class TestNoReaderNoEvent:
-    @pytest.mark.parametrize("engine", ["sim", "sync", "asyncio"])
+    @pytest.mark.parametrize("engine", ["sim", "sync"])
     def test_the_service_sink_alone_builds_no_message_event(self, monkeypatch, engine):
         counts = _count_message_events(monkeypatch)
         report = ShardedService(n=7, shards=4, seed=3, engine=engine).run(count=24)
@@ -139,7 +139,7 @@ class TestNoReaderNoEvent:
         assert report.result.stats.messages_sent > 0
         assert counts == {SendEvent: 0, DeliverEvent: 0}
 
-    @pytest.mark.parametrize("engine", ["sim", "sync", "asyncio"])
+    @pytest.mark.parametrize("engine", ["sim", "sync"])
     def test_a_reader_beside_it_sees_every_message(self, monkeypatch, engine):
         counts = _count_message_events(monkeypatch)
         stats = EventStats()

@@ -1,20 +1,27 @@
 """Additional property-based suites: privileged pair under targeted
 attacks, the replicated log under random contention, coverage/guarantee
-consistency, and the sync engine under random crash schedules."""
+consistency, and the synchronous row under random round crashes."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.coverage import dex_one_step_guaranteed
 from repro.baselines.crash_onestep import crash_one_step_level
-from repro.baselines.sync_onestep import SyncOneStepConsensus
 from repro.conditions.frequency import FrequencyPair
 from repro.conditions.privileged import PrivilegedPair
 from repro.conditions.views import View
-from repro.harness import Collapse, Scenario, Spoiler, bosco_weak, dex_freq, dex_prv, twostep
+from repro.harness import (
+    Collapse,
+    RoundCrash,
+    Scenario,
+    Spoiler,
+    bosco_weak,
+    dex_freq,
+    dex_prv,
+    sync_onestep,
+    twostep,
+)
 from repro.shard import ShardedService
-from repro.sim.synchronous import CrashEvent, SynchronousSimulation
-from repro.types import SystemConfig
 
 seeds = st.integers(min_value=0, max_value=50_000)
 
@@ -101,17 +108,18 @@ def test_guarantee_consistency_prv(count_m, f):
 def test_sync_agreement_random_crashes(inputs, crash_round, seed):
     """Synchronous consensus: agreement + termination for random inputs and
     a random crash (with adversary-chosen partial delivery)."""
-    config = SystemConfig(5, 2)
-    protocols = {
-        pid: SyncOneStepConsensus(pid, config, inputs[pid])
-        for pid in config.processes
-    }
-    crashes = {4: CrashEvent(round=crash_round)}
-    result = SynchronousSimulation(config, protocols, crashes, seed=seed).run(5)
+    result = Scenario(
+        sync_onestep(),
+        inputs,
+        t=2,
+        faults={4: RoundCrash(crash_round, seed=seed)},
+        seed=seed,
+        engine="sync",
+    ).run()
     assert result.agreement_holds()
     assert result.all_correct_decided()
     # one-round guarantee (level >= f with f = 1 crash)
-    level = crash_one_step_level(View(inputs), config.t)
+    level = crash_one_step_level(View(inputs), result.config.t)
     if level is not None and level >= 1 and crash_round >= 2:
         # crash after round 1: round-1 views are complete
-        assert {d.round for d in result.correct_decisions.values()} == {1}
+        assert {d.step for d in result.correct_decisions.values()} == {1}

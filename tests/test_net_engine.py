@@ -495,16 +495,20 @@ class TestDuplicateHello:
 
     def test_pid_outside_the_cluster_is_refused(self, tmp_path):
         # A data hub used to register Hello(pid=999) and count it toward
-        # HubReady; hub 0 always range-checked.
+        # HubReady; hub 0 always range-checked.  1.0 passed the range check
+        # and raised TypeError out of the hub loop at its first broadcast;
+        # True was admitted as an alias of pid 1, refusing the real node 1.
         from repro.net.wire import CODEC_BINARY, Hello
 
         for plane, faults in self._planes(tmp_path):
-            for pid in (999, -1):
+            for pid in (999, -1, 1.0, True):
                 link, dialer = _stub_link(plane, Hello(pid, CODEC_BINARY))
                 _serve(plane, lambda: link.kind == "closed")
                 assert dialer.sock.recv(16) == b""
             assert not plane._nodes
-            assert faults(2) == [(-1, "hello-refused")] * 2
+            assert faults(4) == [(-1, "hello-refused")] * 4
+            node, _ = _stub_node(plane, 1)
+            assert plane._nodes[1] is node and node.kind == "node"
             plane._close()
 
 
@@ -544,21 +548,25 @@ class TestDuplicateHello:
 
     def test_a_send_to_no_process_costs_only_its_own_link(self, tmp_path):
         # An authenticated node's MsgSend whose dst is a list used to be
-        # queued and to raise "unhashable type" in the delivery sweep.
+        # queued and to raise "unhashable type" in the delivery sweep; one
+        # to 1.0 raised TypeError out of the hub loop at ingress, and one to
+        # True was delivered to pid 1.
         import time
 
         from repro.net.wire import MsgSend
 
-        for plane, faults in self._planes(tmp_path):
-            node, _ = _stub_node(plane, 1)
-            link, peer = _stub_node(plane, 2)
-            assert peer.send(MsgSend(0, [1], 5, 1))
-            _serve(plane, lambda: link.kind == "closed" or plane.sent)
-            plane._deliver_due(time.monotonic() + 60.0)
-            assert link.kind == "closed"
-            assert faults(1) == [(2, "wire-error")]
-            assert plane._nodes[1] is node and node.kind == "node"
-            plane._close()
+        for case, dst in enumerate(([1], 1.0, True)):
+            (tmp_path / str(case)).mkdir()
+            for plane, faults in self._planes(tmp_path / str(case)):
+                node, _ = _stub_node(plane, 1)
+                link, peer = _stub_node(plane, 2)
+                assert peer.send(MsgSend(0, dst, 5, 1))
+                _serve(plane, lambda: link.kind == "closed" or plane.sent)
+                plane._deliver_due(time.monotonic() + 60.0)
+                assert link.kind == "closed"
+                assert faults(1) == [(2, "wire-error")]
+                assert plane._nodes[1] is node and node.kind == "node"
+                plane._close()
 
 
 def _oracle_hub(event_sink=None):

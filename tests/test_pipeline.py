@@ -2,6 +2,8 @@
 flight at once — one per shard, one command a slot — so contended slots
 fall back to the UC while their neighbours decide."""
 
+import pytest
+
 from repro.shard import ShardedService, shard_workload
 
 
@@ -59,12 +61,17 @@ class TestReplyPathRegression:
 
 
 class TestPipelineOnAsyncio:
-    """The multi-level reply-path routing must also work on the asyncio
-    runtime (same protocols, real event loop)."""
+    """The multi-level reply-path routing must also work where the replicas
+    are real processes (the socket engine; the class keeps the name of the
+    retired asyncio runtime it first ran on).  Only invariants are asserted:
+    which rival wins a contended slot is a race on sockets."""
 
+    @pytest.mark.net
     def test_pipelined_log_on_event_loop(self):
-        on_loop = pipelined_log(contention=0.5, seed=5, engine="asyncio").run(count=6)
-        on_sim = pipelined_log(contention=0.5, seed=5).run(count=6)
-        assert not on_loop.divergence and on_loop.commands == 6
-        assert on_loop.aggregate["underlying_frac"] > 0  # the UC path ran mid-log
-        assert on_loop.digest == on_sim.digest is not None
+        report = pipelined_log(contention=0.5, seed=5, engine="net").run(count=6)
+        assert not report.divergence and report.commands == 6
+        assert applied(report) == workload(6, seed=5)  # each command applied once
+        # shard 2's first slot is a 4-3 split of two distinct batches (the
+        # seed's coins, not the schedule, decide that): no view decides it
+        # fast, so the UC path runs mid-log on every schedule
+        assert report.aggregate["underlying_frac"] > 0

@@ -655,11 +655,11 @@ class TestShardedServiceSim:
             ShardedService(n=7, shards=2, contention=0.3, seed=11, engine=engine)
             .run(count=8)
             .digest
-            for engine in ("sim", "sync", "asyncio")
+            for engine in ("sim", "sync")
         ]
-        # contended slots fall back to the UC: on asyncio its announcements
-        # route back along each slot's reply path ``("s<shard>.<slot>", "uc")``
-        assert digests[0] == digests[1] == digests[2] is not None
+        # contended slots fall back to the UC: its announcements route back
+        # along each slot's reply path ``("s<shard>.<slot>", "uc")``
+        assert digests[0] == digests[1] is not None
 
     def test_rejects_insufficient_resilience(self):
         with pytest.raises(ConfigurationError, match="n > 6t"):
