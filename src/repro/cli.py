@@ -36,7 +36,6 @@ from .engine.events import EventLog
 from .errors import ConfigurationError, ReproError
 from .harness import (
     ENGINES,
-    AlgorithmSpec,
     Collapse,
     Crash,
     CrashRecover,
@@ -47,6 +46,7 @@ from .harness import (
     Scenario,
     Silent,
     Spoiler,
+    algorithm_named,
     all_algorithms,
 )
 
@@ -115,14 +115,6 @@ def _parse_fault(spec: str) -> tuple[int, Fault]:
     raise argparse.ArgumentTypeError(f"unknown fault kind {kind!r}")
 
 
-def _algorithm_by_name(name: str) -> AlgorithmSpec:
-    for spec in all_algorithms():
-        if spec.name == name:
-            return spec
-    names = ", ".join(s.name for s in all_algorithms())
-    raise argparse.ArgumentTypeError(f"unknown algorithm {name!r} (one of: {names})")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -131,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one consensus instance")
-    run.add_argument("--algorithm", "-a", type=_algorithm_by_name, default="dex-freq")
+    run.add_argument("--algorithm", "-a", default="dex-freq",
+                     choices=[spec.name for spec in all_algorithms()])
     run.add_argument("--inputs", "-i", type=_parse_inputs, required=True,
                      help="comma-separated proposals, one per process")
     run.add_argument("--t", type=int, default=None, help="failure bound")
@@ -262,11 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     from .metrics.report import format_table
 
-    algorithm = (
-        args.algorithm
-        if isinstance(args.algorithm, AlgorithmSpec)
-        else _algorithm_by_name(args.algorithm)
-    )
+    algorithm = algorithm_named(args.algorithm)
     if args.hubs < 1:
         raise ConfigurationError(f"--hubs must be at least 1, not {args.hubs}")
     if args.hubs > 1 and args.engine != "net":

@@ -189,21 +189,30 @@ class CrashRecover(Fault):
 
 
 class Equivocate(Fault):
-    """Two-faced: behave like an honest process proposing ``value_a`` to one
-    half of the system and ``value_b`` to the other (Figure 2's attack,
-    consistently applied at every protocol layer)."""
+    """Two-faced: behave like an honest process proposing ``value_a`` to the
+    processes in ``group_a`` and ``value_b`` to the rest (Figure 2's attack,
+    consistently applied at every protocol layer).  ``group_a`` defaults
+    to the even process ids."""
 
-    def __init__(self, value_a: Value, value_b: Value) -> None:
+    def __init__(
+        self, value_a: Value, value_b: Value, group_a: Sequence[ProcessId] | None = None
+    ) -> None:
         self.value_a = value_a
         self.value_b = value_b
+        self.group_a = None if group_a is None else frozenset(group_a)
 
     def build(self, pid, config, make_honest, value, spec) -> Protocol:
         from ..byzantine.adversary import TwoFacedBehavior
 
-        return TwoFacedBehavior(make_honest(self.value_a), make_honest(self.value_b))
+        group_a = self.group_a
+        group_of = None if group_a is None else lambda dst: "a" if dst in group_a else "b"
+        return TwoFacedBehavior(make_honest(self.value_a), make_honest(self.value_b), group_of)
 
     def describe(self) -> str:
-        return f"faces=({self.value_a!r}, {self.value_b!r})"
+        faces = f"faces=({self.value_a!r}, {self.value_b!r})"
+        if self.group_a is None:
+            return faces
+        return f"{faces} group_a={sorted(self.group_a)}"
 
 
 class Garbage(Fault):
@@ -354,6 +363,20 @@ class FaultPlane:
         if fault is None:
             return make_honest(value)
         return fault.build(pid, self.config, make_honest, value, spec)
+
+    def protocols(
+        self, spec: "AlgorithmSpec", inputs: Sequence[Value], uc_factory, **options
+    ) -> dict[ProcessId, Protocol]:
+        """One protocol per process, honest ones from ``spec.make`` (given
+        ``options``), faulty ones wrapped by their fault."""
+        config = self.config
+        return {
+            pid: self.build(
+                pid, lambda v, pid=pid: spec.make(pid, config, v, uc_factory, **options),
+                inputs[pid], spec,
+            )
+            for pid in config.processes
+        }
 
     def announce(self, sink: EventSink | None, time: float = 0.0) -> None:
         """Emit one :class:`FaultEvent` per configured fault."""

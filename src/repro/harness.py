@@ -66,6 +66,7 @@ from .types import Decision, ProcessId, RunStats, SystemConfig, Value
 from .underlying.oracle import SERVICE_NAME, OracleConsensus, OracleService
 
 if TYPE_CHECKING:
+    from .mc.state import McSystem
     from .sim.latency import LatencyModel
     from .sim.runner import Simulation
     from .sim.scheduler import DeliveryScheduler
@@ -87,6 +88,8 @@ __all__ = [
     "twostep",
     "sync_onestep",
     "all_algorithms",
+    "algorithm_named",
+    "dex_over",
     # fault vocabulary (re-exported from repro.engine.faults)
     "Fault",
     "FaultPlane",
@@ -112,7 +115,10 @@ class AlgorithmSpec:
     Attributes:
         name: short identifier used in reports (e.g. ``"dex-freq"``).
         make: builds the per-process protocol:
-            ``make(pid, config, value, uc_factory)``.
+            ``make(pid, config, value, uc_factory, **options)``.  The
+            model checker passes two options: ``idb_factory`` (its oracle
+            IDB for DEX's child) and ``enforce_resilience`` (``False`` runs
+            DEX and its pair below their bound); the baselines ignore both.
         required_ratio: resilience as a multiplier (``n > ratio · t``).
         failure_model: ``"byzantine"`` or ``"crash"`` — the strongest fault
             class the algorithm's safety argument covers; the harness
@@ -143,13 +149,28 @@ class AlgorithmSpec:
 # -- algorithm registry ------------------------------------------------------------
 
 
+def dex_over(pair_class: type, *pair_args: Any) -> Callable[..., Protocol]:
+    """The ``make`` of DEX over ``pair_class(n, t, *pair_args)``; its
+    ``enforce_resilience`` option reaches both DEX and the pair."""
+
+    def make(pid, config, value, uc_factory, *, idb_factory=None, enforce_resilience=True):
+        pair = pair_class(config.n, config.t, *pair_args, enforce_resilience=enforce_resilience)
+        return DexConsensus(pid, config, pair, value, uc_factory, idb_factory=idb_factory,
+                            enforce_resilience=enforce_resilience)
+
+    return make
+
+
+def _plain(cls: type) -> Callable[..., Protocol]:
+    """The ``make`` of a baseline with no IDB and a fixed resilience check."""
+    return lambda pid, config, value, uc_factory, **_: cls(pid, config, value, uc_factory)
+
+
 def dex_freq() -> AlgorithmSpec:
     """DEX instantiated with the frequency-based pair (``n > 6t``)."""
     return AlgorithmSpec(
         name="dex-freq",
-        make=lambda pid, config, value, uc_factory: DexConsensus(
-            pid, config, FrequencyPair(config.n, config.t), value, uc_factory
-        ),
+        make=dex_over(FrequencyPair),
         required_ratio=6,
         garbage_templates=(DexProposal(0), Envelope("idb", IdbInit(0))),
         table1={
@@ -166,13 +187,7 @@ def dex_prv(privileged: Value = 1) -> AlgorithmSpec:
     """DEX instantiated with the privileged-value pair (``n > 5t``)."""
     return AlgorithmSpec(
         name="dex-prv",
-        make=lambda pid, config, value, uc_factory: DexConsensus(
-            pid,
-            config,
-            PrivilegedPair(config.n, config.t, privileged),
-            value,
-            uc_factory,
-        ),
+        make=dex_over(PrivilegedPair, privileged),
         required_ratio=5,
         garbage_templates=(DexProposal(0), Envelope("idb", IdbInit(0))),
         table1={
@@ -191,7 +206,7 @@ def _bosco(variant: str, one_step: str) -> AlgorithmSpec:
     ratio = BoscoConsensus.RATIOS[variant]
     return AlgorithmSpec(
         name=f"bosco-{variant}",
-        make=lambda pid, config, value, uc_factory: BoscoConsensus(
+        make=lambda pid, config, value, uc_factory, **_: BoscoConsensus(
             pid, config, value, variant, uc_factory
         ),
         required_ratio=ratio,
@@ -223,7 +238,7 @@ def izumi() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="izumi",
-        make=IzumiCrashConsensus,
+        make=_plain(IzumiCrashConsensus),
         required_ratio=3,
         failure_model="crash",
         garbage_templates=(CrashValue(0),),
@@ -244,7 +259,7 @@ def brasileiro() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="brasileiro",
-        make=BrasileiroConsensus,
+        make=_plain(BrasileiroConsensus),
         required_ratio=3,
         failure_model="crash",
         garbage_templates=(BrasileiroValue(0),),
@@ -265,7 +280,7 @@ def twostep() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="twostep",
-        make=TwoStepConsensus,
+        make=_plain(TwoStepConsensus),
         required_ratio=3,
         steps_before_uc=0,
         table1={
@@ -286,7 +301,7 @@ def sync_onestep() -> AlgorithmSpec:
 
     return AlgorithmSpec(
         name="mostefaoui (sync)",
-        make=lambda pid, config, value, uc_factory: SyncOneStepConsensus(
+        make=lambda pid, config, value, uc_factory, **_: SyncOneStepConsensus(
             pid, config, value
         ),
         required_ratio=1,
@@ -315,6 +330,18 @@ def all_algorithms() -> list[AlgorithmSpec]:
         dex_prv(),
         twostep(),
     ]
+
+
+def algorithm_named(name: str, *extra: AlgorithmSpec) -> AlgorithmSpec:
+    """The registered algorithm called ``name``: one of
+    :func:`all_algorithms`, or of ``extra`` (the model checker resolves its
+    deliberately illegal spec here too)."""
+    known = [*all_algorithms(), *extra]
+    for spec in known:
+        if spec.name == name:
+            return spec
+    names = ", ".join(spec.name for spec in known)
+    raise ConfigurationError(f"unknown algorithm {name!r} (one of: {names})")
 
 
 # -- deployment -------------------------------------------------------------------------
@@ -442,21 +469,25 @@ class Deployment:
             event_sink=self.event_sink,
         ).run_until_decided()
 
-    def run_mc(self) -> RunResult:
-        """Run the model checker's state machine on its FIFO baseline
-        schedule and repackage its tuple decision book as a
-        :class:`RunResult` (time is the delivery index; the checker stamps
-        no decision, so ``Decision.time`` is ``0.0``)."""
+    def build_mc(self) -> McSystem:
+        """The model checker's state machine (not yet started)."""
         self._reject_restarts("mc")
         from .mc.state import McSystem
 
-        system = McSystem(
+        return McSystem(
             self.config,
             self.protocols,
             services=self.services,
             faulty=self.faulty,
             event_sink=self.event_sink,
         )
+
+    def run_mc(self) -> RunResult:
+        """Run the model checker's state machine on its FIFO baseline
+        schedule and repackage its tuple decision book as a
+        :class:`RunResult` (time is the delivery index; the checker stamps
+        no decision, so ``Decision.time`` is ``0.0``)."""
+        system = self.build_mc()
         system.run_fifo()
         decisions = {
             pid: Decision(value, kind, step=step)
@@ -598,6 +629,11 @@ class Scenario:
         )
         self.faults = self._plane.faults
         _check_choice("engine", self.engine, ENGINES)
+        if self.uc == "real" and self.engine == "net":
+            raise ConfigurationError(
+                "uc='real' does not run on the 'net' engine: its RBC/ABA/ACS "
+                "records are no wire records, so no node could send them"
+            )
 
     # -- wiring ----------------------------------------------------------------------
 
@@ -618,15 +654,7 @@ class Scenario:
     def components(self) -> tuple[dict[ProcessId, Protocol], dict[str, Service]]:
         """Build the per-process protocols and the trusted services."""
         uc_factory, services = self._uc_factory_and_services()
-        protocols: dict[ProcessId, Protocol] = {}
-        for pid in self.config.processes:
-            value = self.inputs[pid]
-            make_honest: HonestFactory = (
-                lambda v, pid=pid: self.algorithm.make(
-                    pid, self.config, v, uc_factory
-                )
-            )
-            protocols[pid] = self._plane.build(pid, make_honest, value, self.algorithm)
+        protocols = self._plane.protocols(self.algorithm, self.inputs, uc_factory)
         self._plane.announce(self.event_sink)
         return protocols, services
 

@@ -19,7 +19,8 @@ reached state.  The pieces:
   :class:`repro.sim.scheduler.ReplayScheduler`;
 * :mod:`repro.mc.abstraction` — the trusted oracle-IDB service, a sound
   modular abstraction that shrinks the schedule space for larger configs;
-* :mod:`repro.mc.scenario` — serializable scenario specs and bounded
+* :mod:`repro.mc.scenario` — serializable scenario specs, built through
+  the algorithm registry, the fault plane and ``Deployment``, and bounded
   Byzantine-choice enumeration;
 * :mod:`repro.mc.suite` — the named verification suite behind
   ``python -m repro check``.
@@ -39,11 +40,13 @@ from .invariants import (
     one_step_guarantee,
 )
 from .scenario import (
+    UNDER_RESILIENT,
     UnderResilientPair,
+    algorithm_scenario,
+    build_invariants,
     build_simulation,
     build_system,
     byzantine_variants,
-    dex_scenario,
     idb_scenario,
 )
 from .state import McMessage, McSystem
@@ -61,13 +64,15 @@ __all__ = [
     "Invariant",
     "McMessage",
     "McSystem",
+    "UNDER_RESILIENT",
     "Unanimity",
     "UnderResilientPair",
     "Violation",
+    "algorithm_scenario",
+    "build_invariants",
     "build_simulation",
     "build_system",
     "byzantine_variants",
-    "dex_scenario",
     "fingerprint",
     "idb_scenario",
     "minimize",

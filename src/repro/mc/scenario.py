@@ -1,8 +1,12 @@
 """Serializable scenario specs: one recipe, two runtimes.
 
-A *spec* is a JSON-safe dict describing a protocol composition — algorithm,
-``(n, t)``, condition pair, inputs, byzantine assignment, abstraction
-choices.  The same spec builds
+A *spec* is a JSON-safe dict naming a run — a registered algorithm
+(``{"kind": "algorithm", "algorithm": <AlgorithmSpec.name>, ...}``) or the
+standalone Identical Broadcast (``{"kind": "idb", ...}``), ``(n, t)``,
+inputs and the Byzantine assignment.  It is built the way every engine
+builds a run: the algorithm's ``make`` for the honest processes, the
+:class:`~repro.engine.faults.FaultPlane` for the faulty ones, a
+:class:`~repro.harness.Deployment` for the engine.  The same spec gives
 
 * an :class:`~repro.mc.state.McSystem` for exploration
   (:func:`build_system`),
@@ -12,50 +16,41 @@ choices.  The same spec builds
   (:func:`build_invariants`),
 
 so a counterexample carries everything needed to rebuild the execution in
-another process.
+another process.  Under the checker DEX runs on the oracle-IDB abstraction
+(:mod:`repro.mc.abstraction`) and the underlying consensus on its oracle.
 
 Byzantine nondeterminism is handled as *choice points at the root*: a
 behavior template (equivocation values and targets, crash budgets, UC
 poison values) is expanded by :func:`byzantine_variants` into a bounded,
-deterministically-ordered list of concrete behavior specs, and each variant
+deterministically-ordered list of concrete fault specs, and each variant
 is explored as its own tree.  This trades tree-width inside the DPOR for a
 visible, budgetable enumeration — the report says exactly which adversaries
 were covered.
 
-:class:`UnderResilientPair` lives here rather than in
-:mod:`repro.conditions` because it is deliberately *illegal*: a frequency
-pair with its crash-grade margins halved (``P1: gap > 2t``,
-``P2: gap > t``), accepted down to ``n > 3t``.  Against a Byzantine
-process it loses agreement — the checker finds the trace automatically
-(EXPERIMENTS.md E17), which is the point: it demonstrates that the paper's
-``n > 5t``/margin requirements are load-bearing, not conservative.
+:data:`UNDER_RESILIENT` lives here rather than in :mod:`repro.harness`
+because it is deliberately *illegal*: DEX over a frequency pair with its
+crash-grade margins halved (``P1: gap > 2t``, ``P2: gap > t``), accepted
+down to ``n > 3t``.  Against a Byzantine process it loses agreement — the
+checker finds the trace automatically (EXPERIMENTS.md E17), which is the
+point: it demonstrates that the paper's ``n > 5t``/margin requirements are
+load-bearing, not conservative.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any
 
 from ..broadcast.idb import IdenticalBroadcast
-from ..byzantine.adversary import (
-    ByzantineBehavior,
-    CrashBehavior,
-    SilentBehavior,
-    TwoFacedBehavior,
-)
-from ..byzantine.targeted import FallbackSaboteur
-from ..conditions.base import ConditionSequencePair
 from ..conditions.frequency import FrequencyPair
-from ..conditions.privileged import PrivilegedPair
 from ..conditions.views import View
-from ..core.dex import DexConsensus
+from ..engine.faults import Crash, Equivocate, Fault, FaultPlane, Saboteur, Silent
 from ..errors import ConfigurationError
-from ..runtime.protocol import Protocol
-from ..sim.latency import LatencyModel
+from ..harness import AlgorithmSpec, Deployment, algorithm_named, dex_freq, dex_over
 from ..sim.runner import Simulation
-from ..sim.scheduler import DeliveryScheduler
 from ..types import ProcessId, SystemConfig, Value
 from ..underlying.oracle import SERVICE_NAME as UC_SERVICE_NAME
-from ..underlying.oracle import OracleService
+from ..underlying.oracle import OracleConsensus, OracleService
 from .abstraction import IDB_SERVICE_NAME, OracleIdbService, oracle_idb_factory
 from .invariants import (
     Agreement,
@@ -86,47 +81,42 @@ class UnderResilientPair(FrequencyPair):
         return view.frequency_gap() > self.t
 
 
-# -- pair registry -------------------------------------------------------------------
+#: DEX over :class:`UnderResilientPair` — resolved beside the registered
+#: algorithms by name, never registered with them.
+UNDER_RESILIENT = dataclasses.replace(
+    dex_freq(), name="dex-under-resilient", make=dex_over(UnderResilientPair),
+    required_ratio=3, table1={},
+)
 
-def make_pair(spec: dict[str, Any], n: int, t: int) -> ConditionSequencePair:
-    kind = spec["kind"]
-    enforce = bool(spec.get("enforce_resilience", True))
-    if kind == "freq":
-        return FrequencyPair(n, t, enforce_resilience=enforce)
-    if kind == "prv":
-        return PrivilegedPair(
-            n, t, spec["privileged"], enforce_resilience=enforce
-        )
-    if kind == "under-freq":
-        return UnderResilientPair(n, t, enforce_resilience=enforce)
-    raise ConfigurationError(f"unknown pair kind {kind!r}")
+#: The standalone Identical Broadcast, as the spec the ``"idb"`` kind runs.
+IDB = AlgorithmSpec(
+    name="idb",
+    make=lambda pid, config, value, uc_factory, **_: IdenticalBroadcast(
+        pid, config, initial_value=value
+    ),
+    required_ratio=4,
+)
+
+#: Byzantine variant kinds → the fault-plane faults they decode to.
+_FAULTS = {"silent": Silent, "crash": Crash, "equivocate": Equivocate, "saboteur": Saboteur}
 
 
 # -- scenario constructors -----------------------------------------------------------
 
-def dex_scenario(
+def algorithm_scenario(
+    algorithm: str,
     n: int,
     t: int,
     inputs: list[Value],
-    pair: dict[str, Any] | None = None,
     byzantine: dict[int, dict[str, Any]] | None = None,
-    oracle_idb: bool = True,
     enforce_resilience: bool = True,
     step_bound: int | None = None,
 ) -> dict[str, Any]:
-    """Build a DEX scenario spec (see module docstring)."""
-    if len(inputs) != n:
-        raise ConfigurationError(f"need {n} inputs, got {len(inputs)}")
+    """A spec running the algorithm registered as ``algorithm``."""
     return {
-        "kind": "dex",
-        "n": n,
-        "t": t,
-        "pair": dict(pair or {"kind": "freq"}),
-        "inputs": list(inputs),
-        "byzantine": {
-            str(pid): dict(spec) for pid, spec in (byzantine or {}).items()
-        },
-        "oracle_idb": bool(oracle_idb),
+        **idb_scenario(n, t, inputs, byzantine),
+        "kind": "algorithm",
+        "algorithm": algorithm,
         "enforce_resilience": bool(enforce_resilience),
         "step_bound": step_bound,
     }
@@ -154,87 +144,52 @@ def idb_scenario(
 
 # -- builders ------------------------------------------------------------------------
 
-def _faulty(spec: dict[str, Any]) -> frozenset[ProcessId]:
-    return frozenset(int(pid) for pid in spec.get("byzantine", {}))
+def _algorithm(spec: dict[str, Any]) -> AlgorithmSpec:
+    if spec["kind"] == "idb":
+        return IDB
+    if spec["kind"] == "algorithm":
+        return algorithm_named(spec["algorithm"], UNDER_RESILIENT)
+    raise ConfigurationError(f"unknown scenario kind {spec['kind']!r}")
+
+
+def _fault(variant: dict[str, Any]) -> Fault:
+    params = dict(variant)
+    kind = params.pop("kind")
+    if kind not in _FAULTS:
+        raise ConfigurationError(f"unknown byzantine kind {kind!r}")
+    return _FAULTS[kind](**params)
 
 
 def _correct_inputs(spec: dict[str, Any]) -> dict[ProcessId, Value]:
-    faulty = _faulty(spec)
     return {
         pid: value
         for pid, value in enumerate(spec["inputs"])
-        if pid not in faulty
+        if str(pid) not in spec["byzantine"]
     }
 
 
-def _build_components(
-    spec: dict[str, Any]
-) -> tuple[SystemConfig, dict[ProcessId, Protocol], dict[str, Any], frozenset[ProcessId]]:
+def _deployment(spec: dict[str, Any], **engine: Any) -> Deployment:
+    """The spec's run, wired as every engine wires one."""
+    algorithm = _algorithm(spec)
     config = SystemConfig(spec["n"], spec["t"])
-    faulty = _faulty(spec)
-    if spec["kind"] == "dex":
-        services: dict[str, Any] = {UC_SERVICE_NAME: OracleService(config)}
-        idb_factory = None
-        if spec.get("oracle_idb", True):
-            services[IDB_SERVICE_NAME] = OracleIdbService(config)
-            idb_factory = oracle_idb_factory()
-        enforce = bool(spec.get("enforce_resilience", True))
-        pair_spec = dict(spec["pair"])
-        pair_spec.setdefault("enforce_resilience", enforce)
-
-        def honest(pid: ProcessId, value: Value) -> DexConsensus:
-            return DexConsensus(
-                pid,
-                config,
-                make_pair(pair_spec, config.n, config.t),
-                value,
-                idb_factory=idb_factory,
-                enforce_resilience=enforce,
-            )
-
-    elif spec["kind"] == "idb":
-        services = {}
-
-        def honest(pid: ProcessId, value: Value) -> IdenticalBroadcast:
-            return IdenticalBroadcast(pid, config, initial_value=value)
-
-    else:
-        raise ConfigurationError(f"unknown scenario kind {spec['kind']!r}")
-
-    protocols: dict[ProcessId, Protocol] = {}
-    for pid in config.processes:
-        behavior = spec.get("byzantine", {}).get(str(pid))
-        if behavior is None:
-            protocols[pid] = honest(pid, spec["inputs"][pid])
-        else:
-            protocols[pid] = _build_behavior(
-                behavior, pid, config, honest, spec["inputs"][pid]
-            )
-    return config, protocols, services, faulty
-
-
-def _build_behavior(
-    behavior: dict[str, Any],
-    pid: ProcessId,
-    config: SystemConfig,
-    honest,
-    base_value: Value,
-) -> ByzantineBehavior:
-    kind = behavior["kind"]
-    if kind == "silent":
-        return SilentBehavior(pid, config)
-    if kind == "crash":
-        return CrashBehavior(honest(pid, base_value), behavior["budget"])
-    if kind == "two-faced":
-        group_a = frozenset(behavior["group_a"])
-        return TwoFacedBehavior(
-            honest(pid, behavior["value_a"]),
-            honest(pid, behavior["value_b"]),
-            group_of=lambda dst: "a" if dst in group_a else "b",
-        )
-    if kind == "saboteur":
-        return FallbackSaboteur(honest(pid, base_value), behavior["uc_value"])
-    raise ConfigurationError(f"unknown byzantine kind {kind!r}")
+    plane = FaultPlane(
+        config,
+        {int(pid): _fault(variant) for pid, variant in spec["byzantine"].items()},
+        failure_model=algorithm.failure_model,
+        algorithm_name=algorithm.name,
+    )
+    protocols = plane.protocols(
+        algorithm,
+        spec["inputs"],
+        OracleConsensus,
+        idb_factory=oracle_idb_factory(),
+        enforce_resilience=spec.get("enforce_resilience", True),
+    )
+    services = {
+        UC_SERVICE_NAME: OracleService(config),
+        IDB_SERVICE_NAME: OracleIdbService(config),
+    }
+    return Deployment(config, protocols, services, faulty=plane.faulty, **engine)
 
 
 def build_system(spec: dict[str, Any], event_sink=None) -> McSystem:
@@ -245,46 +200,27 @@ def build_system(spec: dict[str, Any], event_sink=None) -> McSystem:
     used by counterexample replay to render traces comparably to every
     other backend.
     """
-    config, protocols, services, faulty = _build_components(spec)
-    return McSystem(
-        config, protocols, services=services, faulty=faulty, event_sink=event_sink
-    )
+    return _deployment(spec, event_sink=event_sink).build_mc()
 
 
-def build_simulation(
-    spec: dict[str, Any],
-    scheduler: DeliveryScheduler | None = None,
-    latency: LatencyModel | None = None,
-    seed: int = 0,
-    event_sink=None,
-) -> Simulation:
-    """Instantiate the *same* composition on the discrete-event simulator."""
-    config, protocols, services, faulty = _build_components(spec)
-    return Simulation(
-        config,
-        protocols,
-        faulty=faulty,
-        latency=latency,
-        scheduler=scheduler,
-        services=services,
-        seed=seed,
-        event_sink=event_sink,
-    )
+def build_simulation(spec: dict[str, Any], **engine: Any) -> Simulation:
+    """Instantiate the *same* composition on the discrete-event simulator
+    (``engine``: the :class:`~repro.harness.Deployment` knobs
+    ``scheduler``, ``latency``, ``seed``, ``event_sink``)."""
+    return _deployment(spec, **engine).build_sim()
 
 
 def build_invariants(spec: dict[str, Any]) -> list[Invariant]:
-    """The invariant set a scenario is checked against."""
+    """The invariant set a scenario is checked against: agreement and
+    unanimity, plus condition-based one-step validity when the built
+    process carries a condition pair."""
     if spec["kind"] == "idb":
         return [IdbConsistency()]
     correct_inputs = _correct_inputs(spec)
-    pair = make_pair(
-        {**spec["pair"], "enforce_resilience": False}, spec["n"], spec["t"]
-    )
-    invariants: list[Invariant] = [
-        Agreement(),
-        Unanimity(correct_inputs),
-        GuaranteedOneStep(pair, correct_inputs),
-    ]
+    invariants: list[Invariant] = [Agreement(), Unanimity(correct_inputs)]
+    honest = _deployment(spec).protocols[min(correct_inputs)]
+    if hasattr(honest, "pair"):
+        invariants.append(GuaranteedOneStep(honest.pair, correct_inputs))
     if spec.get("step_bound") is not None:
         invariants.append(DecisionStepBound(spec["step_bound"]))
     return invariants
@@ -300,11 +236,12 @@ def byzantine_variants(
     """Enumerate concrete byzantine behaviors for process ``pid``.
 
     Deterministic order, cheapest adversaries first: silence, partial
-    crashes, then every two-faced equivocation over the input-value domain
-    crossed with singleton/complement target groups, and (for DEX) the
-    underlying-consensus saboteur per domain value.  ``budget`` truncates
-    the list; ``None`` keeps all of them.  The returned dicts slot into a
-    spec's ``byzantine`` map.
+    crashes, then every equivocation over the input-value domain crossed
+    with singleton/complement target groups, and (for an algorithm, which
+    falls back to the underlying consensus) the UC saboteur per domain
+    value.  A crash-model algorithm gets the silent and crash variants
+    only.  ``budget`` truncates the list; ``None`` keeps all of them.  The
+    returned dicts slot into a spec's ``byzantine`` map.
     """
     n = spec["n"]
     correct = [p for p in range(n) if p != pid]
@@ -312,6 +249,8 @@ def byzantine_variants(
     variants: list[dict[str, Any]] = [{"kind": "silent"}]
     for crash_budget in sorted({1, n // 2}):
         variants.append({"kind": "crash", "budget": crash_budget})
+    if _algorithm(spec).failure_model == "crash":
+        return variants[:budget]
     seen: set[str] = set()
     # Complement splits (lie to one process, tell the rest the other story)
     # are the canonical equivocation and the most likely to break a
@@ -332,30 +271,26 @@ def byzantine_variants(
                 seen.add(key)
                 variants.append(
                     {
-                        "kind": "two-faced",
+                        "kind": "equivocate",
                         "value_a": value_a,
                         "value_b": value_b,
                         "group_a": group_a,
                     }
                 )
-    if spec["kind"] == "dex":
+    if spec["kind"] == "algorithm":
         for value in domain:
             variants.append({"kind": "saboteur", "uc_value": value})
-    if budget is not None:
-        variants = variants[:budget]
-    return variants
+    return variants[:budget]
 
 
 def describe_variant(variant: dict[str, Any]) -> str:
     """Short human-readable label for a byzantine variant."""
     kind = variant["kind"]
-    if kind == "silent":
-        return "silent"
     if kind == "crash":
         return f"crash@{variant['budget']}"
-    if kind == "two-faced":
+    if kind == "equivocate":
         return (
-            f"two-faced({variant['value_a']!r}→{{{','.join(map(str, variant['group_a']))}}}, "
+            f"equivocate({variant['value_a']!r}→{{{','.join(map(str, variant['group_a']))}}}, "
             f"{variant['value_b']!r}→rest)"
         )
     if kind == "saboteur":

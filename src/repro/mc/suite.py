@@ -41,12 +41,13 @@ from .counterexample import (
 )
 from .explorer import ExplorationResult, Explorer
 from .scenario import (
+    UNDER_RESILIENT,
+    algorithm_scenario,
     build_invariants,
     build_simulation,
     build_system,
     byzantine_variants,
     describe_variant,
-    dex_scenario,
     idb_scenario,
 )
 
@@ -228,7 +229,7 @@ def run_check(spec: CheckSpec) -> CheckReport:
     report = CheckReport(
         name=spec.name,
         description=spec.description,
-        config=f"n={base['n']} t={base['t']} kind={base['kind']}",
+        config=f"n={base['n']} t={base['t']} {base.get('algorithm', base['kind'])}",
         expect_violation=spec.expect_violation,
         delay_budget=spec.delay_budget,
     )
@@ -273,7 +274,7 @@ def run_check(spec: CheckSpec) -> CheckReport:
 #: checks keep the full adversary enumeration.
 def _splitter(correct_peers: list[int]) -> dict[str, Any]:
     return {
-        "kind": "two-faced",
+        "kind": "equivocate",
         "value_a": 2,
         "value_b": 1,
         "group_a": correct_peers,
@@ -281,7 +282,26 @@ def _splitter(correct_peers: list[int]) -> dict[str, Any]:
 
 
 def suite_checks(smoke: bool = False) -> list[CheckSpec]:
-    """The named checks, with bounds tightened for ``--smoke``."""
+    """The named checks, with bounds tightened for ``--smoke``: one
+    safety row per registered algorithm, the IDB check and the boundary
+    checks below the resilience bound."""
+
+    def row(
+        algorithm: str, inputs: list, what: str, smoke_variants: int | None = None
+    ) -> CheckSpec:
+        """A registered algorithm at ``t = 1`` against every adversary
+        variant of its last process, FIFO channels (delay budget 0)."""
+        n = len(inputs)
+        return CheckSpec(
+            name=f"{algorithm}-n{n}",
+            description=f"{what} at n={n},t=1",
+            base_spec=algorithm_scenario(algorithm, n, 1, inputs),
+            byzantine_pid=n - 1,
+            delay_budget=0,
+            max_states=40_000 if not smoke else 3_000,
+            variant_budget=None if not smoke else smoke_variants,
+        )
+
     checks = [
         CheckSpec(
             name="idb-n5",
@@ -295,33 +315,25 @@ def suite_checks(smoke: bool = False) -> list[CheckSpec]:
             max_states=40_000 if not smoke else 3_000,
             variant_budget=None if not smoke else 4,
         ),
-        CheckSpec(
-            name="dex-freq-n7",
-            description=(
-                "DEX agreement + condition-based one-step validity with the "
-                "frequency pair at n=7,t=1 (oracle-IDB abstraction)"
-            ),
-            base_spec=dex_scenario(7, 1, [1, 1, 1, 1, 1, 2, 2]),
-            byzantine_pid=6,
-            delay_budget=0,
-            max_states=40_000 if not smoke else 3_000,
-            variant_budget=None if not smoke else 4,
+        row(
+            "dex-freq",
+            [1, 1, 1, 1, 1, 2, 2],
+            "DEX agreement + condition-based one-step validity with the "
+            "frequency pair (oracle-IDB abstraction)",
+            4,
         ),
-        CheckSpec(
-            name="dex-prv-n7",
-            description=(
-                "DEX agreement + one-step validity with the privileged pair "
-                "(m=1) at n=7,t=1 (oracle-IDB abstraction)"
-            ),
-            base_spec=dex_scenario(
-                7, 1, [1, 1, 1, 1, 2, 2, 2], pair={"kind": "prv", "privileged": 1}
-            ),
-            byzantine_pid=6,
-            delay_budget=0,
-            max_states=40_000,
-            variant_budget=None,
-            smoke=False,
+        row(
+            "dex-prv",
+            [1, 1, 1, 1, 2, 2, 2],
+            "DEX agreement + one-step validity with the privileged pair "
+            "(m=1, oracle-IDB abstraction)",
+            3,
         ),
+        row("bosco-weak", [1, 1, 1, 1, 2, 2], "BOSCO (weak) agreement + unanimity", 4),
+        row("bosco-strong", [1] * 6 + [2, 2], "BOSCO (strong) agreement + unanimity", 3),
+        row("brasileiro", [1, 1, 2, 2], "Brasileiro agreement + unanimity, crash template"),
+        row("izumi", [1, 1, 2, 2], "Izumi agreement + unanimity, crash template"),
+        row("twostep", [1, 1, 2, 2], "underlying-only agreement + unanimity"),
         CheckSpec(
             name="dex-freq-n5-below-bound",
             description=(
@@ -329,8 +341,8 @@ def suite_checks(smoke: bool = False) -> list[CheckSpec]:
                 "(n=5,t=1, resilience check disabled): full margins tolerate "
                 "t=1 equivocation"
             ),
-            base_spec=dex_scenario(
-                5, 1, [1, 1, 1, 2, 2], enforce_resilience=False
+            base_spec=algorithm_scenario(
+                "dex-freq", 5, 1, [1, 1, 1, 2, 2], enforce_resilience=False
             ),
             byzantine_pid=4,
             delay_budget=0,
@@ -344,11 +356,11 @@ def suite_checks(smoke: bool = False) -> list[CheckSpec]:
                 "Resilience boundary: halved (crash-grade) margins at n=4,t=1 "
                 "lose agreement — the checker must find the attack schedule"
             ),
-            base_spec=dex_scenario(
+            base_spec=algorithm_scenario(
+                UNDER_RESILIENT.name,
                 4,
                 1,
                 [1, 1, 2, 2],
-                pair={"kind": "under-freq"},
                 byzantine={3: _splitter([1, 2])},
                 enforce_resilience=False,
             ),
@@ -365,11 +377,11 @@ def suite_checks(smoke: bool = False) -> list[CheckSpec]:
                 "Resilience boundary at the paper's margin: n=5,t=1 (n = 5t) "
                 "with halved margins — discovered agreement violation"
             ),
-            base_spec=dex_scenario(
+            base_spec=algorithm_scenario(
+                UNDER_RESILIENT.name,
                 5,
                 1,
                 [1, 1, 1, 2, 2],
-                pair={"kind": "under-freq"},
                 byzantine={4: _splitter([1, 2, 3])},
                 enforce_resilience=False,
             ),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import pathlib
+import shutil
 import signal
 import tempfile
 
@@ -38,9 +40,32 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
+#: This session's own temp dir (set in ``pytest_configure``).
+SESSION_TMP: pathlib.Path | None = None
+
+
+def pytest_configure(config):
+    """Make this session's temp dir the one its runs use.  A UDS run binds
+    its listeners in a ``repro-net-*`` directory under the temp dir, so
+    pointing this process (and the CLI runs it starts, through ``TMPDIR``)
+    here keeps another run on the machine — a concurrent bench, say — out
+    of the leak check.  ``/tmp``-short on purpose: a socket path must fit
+    in 108 bytes.  The ``tmp_path`` fixtures stay in the system temp dir."""
+    global SESSION_TMP
+    os.environ.setdefault("PYTEST_DEBUG_TEMPROOT", tempfile.gettempdir())
+    SESSION_TMP = pathlib.Path(
+        tempfile.mkdtemp(prefix="rt-", dir="/tmp" if os.path.isdir("/tmp") else None)
+    )
+    tempfile.tempdir = os.environ["TMPDIR"] = str(SESSION_TMP)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(SESSION_TMP, ignore_errors=True)
+
+
 def socket_dirs() -> set[pathlib.Path]:
-    """Every hub socket directory (a UDS run binds its listeners in one)."""
-    return set(pathlib.Path(tempfile.gettempdir()).glob("repro-net-*"))
+    """Every hub socket directory this session's runs made."""
+    return set(SESSION_TMP.glob("repro-net-*"))
 
 
 _socket_dirs_before: set[pathlib.Path] = set()

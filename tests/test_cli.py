@@ -202,6 +202,13 @@ class TestRunMany:
         assert code == 0
         assert "agreement=ok" in capsys.readouterr().out
 
+    def test_real_uc_on_net_is_refused_with_a_reason(self, capsys):
+        code = main([
+            "run", "-i", "1,1,1,1,1,1,1", "--uc", "real", "--engine", "net",
+        ])
+        assert code == 2
+        assert "no wire records" in capsys.readouterr().err
+
 
 class TestUndecidedRunFails:
     """Agreement is vacuous on zero decisions: a run in which a correct

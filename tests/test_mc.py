@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.harness import all_algorithms
 from repro.mc.counterexample import (
     Counterexample,
     minimize,
@@ -19,11 +21,11 @@ from repro.mc.explorer import Explorer
 from repro.mc.fingerprint import fingerprint
 from repro.mc.invariants import Agreement
 from repro.mc.scenario import (
+    algorithm_scenario,
     build_invariants,
     build_simulation,
     build_system,
     byzantine_variants,
-    dex_scenario,
     idb_scenario,
 )
 from repro.mc.state import McSystem
@@ -166,7 +168,7 @@ class TestExplorerAgainstBruteForce:
 
 class TestFingerprint:
     def test_fresh_systems_agree(self):
-        spec = dex_scenario(7, 1, [1, 1, 1, 1, 1, 2, 2])
+        spec = algorithm_scenario("dex-freq", 7, 1, [1, 1, 1, 1, 1, 2, 2])
         a, b = build_system(spec), build_system(spec)
         a.start(), b.start()
         assert a.fingerprint() == b.fingerprint()
@@ -331,12 +333,59 @@ class TestSuite:
         assert result.ok
 
     def test_variant_enumeration_is_deterministic_and_bounded(self):
-        spec = dex_scenario(5, 1, [1, 1, 1, 2, 2], enforce_resilience=False)
+        spec = algorithm_scenario(
+            "dex-freq", 5, 1, [1, 1, 1, 2, 2], enforce_resilience=False
+        )
         all_variants = byzantine_variants(spec, 4)
         assert all_variants == byzantine_variants(spec, 4)
         assert all_variants[0] == {"kind": "silent"}
         assert byzantine_variants(spec, 4, 3) == all_variants[:3]
         assert any(v["kind"] == "saboteur" for v in all_variants)
+
+    def test_every_registered_algorithm_has_a_row(self):
+        names = {spec.name for spec in all_algorithms()}
+        for smoke in (False, True):
+            checked = {c.base_spec.get("algorithm") for c in suite_checks(smoke)}
+            assert names <= checked, names - checked
+
+    @pytest.mark.parametrize("name", ["bosco-weak-n6", "brasileiro-n4", "izumi-n4", "twostep-n4"])
+    def test_baseline_smoke_row_is_ok_and_complete(self, name):
+        (check,) = [c for c in suite_checks(smoke=True) if c.name == name]
+        report = run_check(check)
+        assert report.ok and report.complete
+
+    def test_one_step_validity_only_where_a_pair_is_built(self):
+        dex = algorithm_scenario("dex-freq", 7, 1, [1, 1, 1, 1, 1, 2, 2])
+        bosco = algorithm_scenario("bosco-weak", 6, 1, [1, 1, 1, 1, 2, 2])
+        names = lambda spec: [type(i).__name__ for i in build_invariants(spec)]  # noqa: E731
+        assert names(dex) == ["Agreement", "Unanimity", "GuaranteedOneStep"]
+        assert names(bosco) == ["Agreement", "Unanimity"]
+
+    def test_crash_model_gets_the_crash_template_only(self):
+        spec = algorithm_scenario("brasileiro", 4, 1, [1, 1, 2, 2])
+        assert [v["kind"] for v in byzantine_variants(spec, 3)] == [
+            "silent", "crash", "crash"
+        ]
+        with pytest.raises(ConfigurationError, match="crash-model"):
+            build_system({**spec, "byzantine": {"3": {"kind": "saboteur", "uc_value": 1}}})
+
+    def test_variants_decode_to_fault_plane_faults(self):
+        spec = algorithm_scenario(
+            "dex-freq", 7, 1, [1] * 7,
+            byzantine={6: {"kind": "equivocate", "value_a": 1, "value_b": 2, "group_a": [0]}},
+        )
+        wrapper = build_system(spec).protocols[6]
+        assert type(wrapper).__name__ == "TwoFacedBehavior"
+        assert [wrapper.group_of(dst) for dst in range(3)] == ["a", "b", "b"]
+
+    def test_unknown_names_are_refused(self):
+        spec = algorithm_scenario("twostep", 4, 1, [1, 1, 2, 2])
+        with pytest.raises(ConfigurationError, match="unknown algorithm 'paxos'"):
+            build_system({**spec, "algorithm": "paxos"})
+        with pytest.raises(ConfigurationError, match="unknown scenario kind 'dex'"):
+            build_system({**spec, "kind": "dex"})
+        with pytest.raises(ConfigurationError, match="unknown byzantine kind 'two-faced'"):
+            build_system({**spec, "byzantine": {"3": {"kind": "two-faced"}}})
 
     def test_smoke_subset_is_small(self):
         smoke = suite_checks(smoke=True)

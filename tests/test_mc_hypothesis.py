@@ -5,14 +5,27 @@ decisions and outputs exactly.  This is the converse direction of
 counterexample replay (checker trace → simulator) and pins the two
 semantics together from both sides."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.events import DeliverEvent, EventLog
 from repro.mc.counterexample import run_schedule
-from repro.mc.scenario import build_simulation, build_system, dex_scenario, idb_scenario
+from repro.mc.scenario import (
+    algorithm_scenario,
+    build_simulation,
+    build_system,
+    idb_scenario,
+)
+from repro.mc.suite import suite_checks
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+#: The suite's safety rows over a registered algorithm.
+ROWS = [
+    check
+    for check in suite_checks()
+    if check.base_spec["kind"] == "algorithm" and check.byzantine_pid is not None
+]
 
 
 def traced_schedule(log):
@@ -26,7 +39,7 @@ def traced_schedule(log):
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds)
 def test_sampled_dex_schedules_reproduce_decisions_on_the_checker(seed):
-    spec = dex_scenario(7, 1, [1, 1, 1, 1, 1, 2, 2])
+    spec = algorithm_scenario("dex-freq", 7, 1, [1, 1, 1, 1, 1, 2, 2])
     log = EventLog()
     result = build_simulation(spec, seed=seed, event_sink=log).run_until_decided()
     system = run_schedule(build_system(spec), traced_schedule(log))
@@ -40,6 +53,21 @@ def test_sampled_dex_schedules_reproduce_decisions_on_the_checker(seed):
     }
 
 
+@pytest.mark.parametrize("check", ROWS, ids=[check.name for check in ROWS])
+@settings(max_examples=5, deadline=None)
+@given(seed=seeds)
+def test_every_suite_row_replays_sampled_schedules_on_the_checker(check, seed):
+    # Each row's spec, with its last process crashing mid-broadcast.
+    spec = {**check.base_spec, "byzantine": {str(check.byzantine_pid): {"kind": "crash", "budget": 2}}}
+    log = EventLog()
+    result = build_simulation(spec, seed=seed, event_sink=log).run_until_decided()
+    system = run_schedule(build_system(spec), traced_schedule(log))
+    assert system is not None
+    assert {pid: decision[0] for pid, decision in system.correct_decisions().items()} == {
+        pid: d.value for pid, d in result.correct_decisions.items()
+    }
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds)
 def test_sampled_byzantine_idb_schedules_reproduce_outputs(seed):
@@ -48,7 +76,7 @@ def test_sampled_byzantine_idb_schedules_reproduce_outputs(seed):
         1,
         [1, 1, 1, 2, 2],
         byzantine={
-            4: {"kind": "two-faced", "value_a": 2, "value_b": 1, "group_a": [0, 1]}
+            4: {"kind": "equivocate", "value_a": 2, "value_b": 1, "group_a": [0, 1]}
         },
     )
     log = EventLog()

@@ -26,13 +26,7 @@ from repro.types import SystemConfig
 
 
 def mc_system(scenario: Scenario) -> McSystem:
-    protocols, services = scenario.components()
-    return McSystem(
-        scenario.config,
-        protocols,
-        services=services,
-        faulty=frozenset(scenario.faults),
-    )
+    return scenario.deployment().build_mc()
 
 
 def drive(system: McSystem, steps: int) -> None:
