@@ -4,9 +4,11 @@ The paper's one-step claim is a race: a node fast-decides iff its first
 ``n - t`` arrivals witness the condition.  The simulator resolves that race
 with a seeded virtual clock; the ``net`` engine forks one OS process per
 node and ships every message through a kernel socket, so real scheduling
-resolves it.  Per algorithm, workload and engine, the same seeds run with a
-fresh :class:`~repro.engine.events.EventStats` sink each, folded into a
-:class:`~repro.metrics.collectors.StreamAggregate`.
+resolves it.  Per algorithm, workload and engine, the same seeds run and
+their :class:`~repro.engine.run.RunResult`\ s fold into a
+:class:`~repro.metrics.collectors.RunAggregate`; no event sink is attached.
+"1-step frac" is the share of correct decisions taken at step 1 (so
+BOSCO's fast decisions count), latency the correct decisions' times.
 
 Expected shape: ``unanimous`` and ``thin-split`` fast-decide in one step on
 every run of both engines (the condition holds in every ``n - t`` subset,
@@ -25,8 +27,9 @@ the fast paths hold or fail in every ``n - t`` subset of these inputs.
 from _util import write_report
 
 from repro.harness import Scenario, bosco_weak, dex_freq, twostep
-from repro.metrics.collectors import StreamAggregate
+from repro.metrics.collectors import RunAggregate
 from repro.metrics.report import format_table
+from repro.types import percentile
 from repro.workloads.inputs import split, unanimous
 
 N = 7
@@ -47,32 +50,30 @@ def sweep():
     for algorithm, workloads in CELLS:
         for name, inputs, admissible in workloads:
             for engine in ("sim", "net"):
-                aggregate = StreamAggregate(label=f"{name}/{engine}")
+                aggregate = RunAggregate(label=f"{name}/{engine}")
+                latencies, delivered, wall, timeouts = [], 0, 0.0, 0
                 for seed in range(1, RUNS + 1):
-                    stats = aggregate.new_sink()
-                    result = Scenario(
-                        algorithm(), inputs, seed=seed, engine=engine, event_sink=stats
-                    ).run()
+                    result = Scenario(algorithm(), inputs, seed=seed, engine=engine).run()
                     assert result.all_correct_decided() and result.agreement_holds()
                     assert result.decided_value in admissible, (name, engine, seed)
-                    aggregate.add_stats(
-                        stats,
-                        # end_time is wall-clock only on net (virtual on sim)
-                        wall_seconds=result.end_time if engine == "net" else None,
-                        timed_out=result.timed_out,
-                    )
-                summary = aggregate.summary()
+                    aggregate.add(result)
+                    latencies += [d.time for d in result.correct_decisions.values()]
+                    delivered += result.stats.messages_delivered
+                    wall += result.end_time
+                    timeouts += result.timed_out
+                steps = aggregate.steps
                 rows.append(
                     {
                         "algorithm": algorithm().name,
                         "workload": name,
                         "engine": engine,
-                        "1-step frac": summary["one_step_frac"],
-                        "mean max step": summary["mean_max_step"],
-                        "p50 latency": round(summary["p50_decision_latency_s"], 4),
-                        "p99 latency": round(summary["p99_decision_latency_s"], 4),
-                        "msgs/s": summary["throughput_msgs_per_s"] or "",
-                        "timeouts": summary["timeouts"],
+                        "1-step frac": round(sum(s <= 1 for s in steps) / len(steps), 3),
+                        "mean max step": round(aggregate.mean_max_step, 3),
+                        "p50 latency": round(percentile(latencies, 0.50), 4),
+                        "p99 latency": round(percentile(latencies, 0.99), 4),
+                        # end_time is wall-clock only on net (virtual on sim)
+                        "msgs/s": round(delivered / wall, 1) if engine == "net" else "",
+                        "timeouts": timeouts,
                     }
                 )
     return rows

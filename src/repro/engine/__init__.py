@@ -14,7 +14,8 @@ discrete-event :class:`~repro.sim.runner.Simulation`, the lockstep
   one result type (:class:`RunResult`) every engine keeps and returns;
 * :mod:`repro.engine.faults` — the unified fault plane;
 * :mod:`repro.engine.events` — the typed run-event stream every backend
-  emits into pluggable sinks.
+  emits into pluggable sinks.  A sink traces or folds what no counter
+  keeps; a run's counts are its :class:`RunResult`'s.
 
 Import discipline: this package imports only :mod:`repro.runtime`,
 :mod:`repro.types`, :mod:`repro.errors` and the leaf codec module
@@ -29,7 +30,6 @@ from .events import (
     DeliverEvent,
     EventLog,
     EventSink,
-    EventStats,
     FaultEvent,
     LogEvent,
     OutputEvent,
@@ -86,7 +86,6 @@ __all__ = [
     "RoundEvent",
     "EventSink",
     "EventLog",
-    "EventStats",
     "TeeSink",
     "combine",
     # faults

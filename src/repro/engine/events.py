@@ -3,9 +3,11 @@
 Every backend emits the same typed events (message sent, message
 delivered, decision, service call, fault activation, …) into an
 :class:`EventSink`.  An :class:`EventLog` is *the* trace of a run — pass
-one as ``event_sink`` on any engine — metrics can be computed online by
-:class:`EventStats`, and the model checker's counterexample replays record
-an :class:`EventLog` too.
+one as ``event_sink`` on any engine — and the model checker's
+counterexample replays record an :class:`EventLog` too.  A run's counts
+are the engine's own (:class:`~repro.engine.run.RunResult`); a sink folds
+only what no counter keeps, such as the sharded service's slot rows
+(:class:`~repro.shard.metrics.ShardStreamSink`).
 
 Events are frozen slotted dataclasses, so a recorded stream is hashable,
 comparable and cheap; ``time`` is whatever clock the backend runs
@@ -36,7 +38,6 @@ __all__ = [
     "EventSink",
     "EventLog",
     "TeeSink",
-    "EventStats",
     "combine",
     "reader",
 ]
@@ -304,47 +305,6 @@ class TeeSink(EventSink):
             )
         for emit in route:
             emit(event)
-
-
-class EventStats(EventSink):
-    """Online per-run counters computed from the event stream alone —
-    usable identically on every backend (see
-    :mod:`repro.metrics.collectors`)."""
-
-    def __init__(self) -> None:
-        self.sends = 0
-        self.delivers = 0
-        self.service_calls = 0
-        self.fault_activations = 0
-        self.restarts = 0
-        self.decide_steps: dict[ProcessId, int] = {}
-        self.decide_kinds: dict[Any, int] = {}
-        self.decide_times: dict[ProcessId, float] = {}
-
-    def emit(self, event: RunEvent) -> None:
-        if isinstance(event, SendEvent):
-            self.sends += 1
-        elif isinstance(event, DeliverEvent):
-            self.delivers += 1
-        elif isinstance(event, ServiceEvent):
-            self.service_calls += 1
-        elif isinstance(event, FaultEvent):
-            self.fault_activations += 1
-        elif isinstance(event, RestartEvent):
-            self.restarts += 1
-        elif isinstance(event, DecideEvent):
-            if event.pid not in self.decide_steps:
-                self.decide_steps[event.pid] = event.step
-                self.decide_times[event.pid] = event.time
-                self.decide_kinds[event.kind] = self.decide_kinds.get(event.kind, 0) + 1
-
-    @property
-    def one_step_fraction(self) -> float:
-        """Fraction of deciders that decided in one communication step."""
-        if not self.decide_steps:
-            return 0.0
-        fast = sum(1 for s in self.decide_steps.values() if s <= 1)
-        return fast / len(self.decide_steps)
 
 
 def combine(*sinks: EventSink | None) -> EventSink | None:

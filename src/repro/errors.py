@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 applications can catch a single base class. Sub-classes distinguish
-configuration problems (caught at construction time) from protocol-level
-violations (caught while a protocol runs) and harness misuse.
+configuration problems (caught at construction time) from harness misuse
+and legality failures.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ class ResilienceError(ConfigurationError):
         super().__init__(
             f"{algorithm} requires {bound}; got n={n}, t={t}"
         )
-
-
-class ProtocolViolation(ReproError):
-    """A protocol invariant was broken at run time.
-
-    This signals a bug in the library (or a deliberately mis-configured
-    experiment), never a Byzantine process: Byzantine messages are data, and
-    handling them must not raise.
-    """
 
 
 class SimulationError(ReproError):

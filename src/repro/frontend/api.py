@@ -31,6 +31,7 @@ from ..engine.events import EventSink, LogEvent
 from ..errors import ConfigurationError, ReproError
 from ..shard.router import shard_of
 from ..shard.service import ShardedService, ShardReport
+from ..types import percentile
 from .admission import AdmissionQueue, Rejected, ShedStats
 
 __all__ = [
@@ -161,11 +162,7 @@ class FrontendReport:
     def latency_percentile(self, q: float) -> float | None:
         """The ``q``-quantile of client-observed latencies (slot ticks);
         ``None`` when nothing was decided (e.g. everything shed)."""
-        if not self.latencies:
-            return None
-        ordered = sorted(self.latencies)
-        index = min(int(q * len(ordered)), len(ordered) - 1)
-        return float(ordered[index])
+        return percentile(self.latencies, q)
 
     def summary(self) -> dict[str, Any]:
         """The headline numbers as one flat dict (for bench rows)."""

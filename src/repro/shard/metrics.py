@@ -21,26 +21,22 @@ one-step/fast = 1, two-step = 2, underlying = the algorithm's steps before
 its UC (``AlgorithmSpec.steps_before_uc``: DEX 2, BOSCO 1, two-step 0) +
 the UC's step cost.
 
-Everything folds into :class:`~repro.metrics.collectors.StreamAggregate`
-instances — one per shard plus one aggregate — whose summaries feed
-experiment E19 (``benchmarks/test_e19_shard.py``).
+:meth:`ShardStreamSink.report` folds each decided ``(shard, slot)`` into
+its shard's row and the aggregate — the rows experiment E19
+(``benchmarks/test_e19_shard.py``) prints.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Any
 
-from ..engine.events import EventSink, EventStats, LogEvent, RunEvent, ServiceEvent
-from ..metrics.collectors import StreamAggregate
-from ..types import DecisionKind, RunStats
+from ..engine.events import EventSink, LogEvent, RunEvent, ServiceEvent
+from ..types import DecisionKind, RunStats, percentile
 from .router import UNATTRIBUTED, hub_of
 
 __all__ = ["step_of_kind", "ShardStreamSink"]
-
-#: the summary keys a slot fold cannot fill: message counts are the
-#: engine's (``RunStats``), not this sink's.
-_MESSAGE_KEYS = ("sends", "delivers", "throughput_msgs_per_s")
 
 
 def step_of_kind(
@@ -63,12 +59,10 @@ def step_of_kind(
 
 
 class ShardStreamSink(EventSink):
-    """Folds a sharded run's event stream into per-shard aggregates.
+    """Folds a sharded run's event stream into per-shard summary rows.
 
-    Attach as (part of) the run's event sink; afterwards :meth:`fold`
-    yields one :class:`~repro.metrics.collectors.StreamAggregate` per
-    shard plus the aggregate, each instance ``(shard, slot)`` counted as
-    one "run" of that shard's log.
+    Attach as (part of) the run's event sink; afterwards :meth:`report`
+    yields one row per shard plus the aggregate.
     """
 
     consumes = frozenset({LogEvent, ServiceEvent})
@@ -130,39 +124,6 @@ class ShardStreamSink(EventSink):
 
     # -- folding -----------------------------------------------------------------------
 
-    def fold(self) -> tuple[dict[int, StreamAggregate], StreamAggregate]:
-        """Fold the stream: ``(per-shard aggregates, overall aggregate)``.
-
-        Each decided instance contributes one synthetic
-        :class:`~repro.engine.events.EventStats` — per replica a per-slot
-        step count (:func:`step_of_kind`) and a per-slot latency (decide
-        time minus that replica's open time) — folded into its shard's
-        aggregate and the overall one, next to the shard's service calls.
-        Message counters stay 0: this sink reads no message events.
-        """
-        per_shard = {s: StreamAggregate(label=f"shard{s}") for s in range(self.shards)}
-        overall = StreamAggregate(label="aggregate")
-        instances: dict[tuple[int, int], dict[Any, tuple[float, DecisionKind]]] = {}
-        for (pid, shard, slot), outcome in self.decides.items():
-            instances.setdefault((shard, slot), {})[pid] = outcome
-        for (shard, slot), outcomes in sorted(instances.items()):
-            stats = EventStats()
-            for pid, (decided_at, kind) in outcomes.items():
-                opened_at = self.opens.get((pid, shard, slot))
-                stats.decide_steps[pid] = step_of_kind(
-                    kind, self.uc_step_cost, self.steps_before_uc
-                )
-                stats.decide_times[pid] = (
-                    decided_at - opened_at if opened_at is not None else decided_at
-                )
-                stats.decide_kinds[kind] = stats.decide_kinds.get(kind, 0) + 1
-            per_shard[shard].add_stats(stats)
-            overall.add_stats(stats)
-        for shard in range(self.shards):
-            per_shard[shard].service_calls = self.service_calls.get(shard, 0)
-        overall.service_calls = sum(self.service_calls.values())
-        return per_shard, overall
-
     def report(
         self,
         commands_by_shard: dict[int, int] | None = None,
@@ -171,9 +132,13 @@ class ShardStreamSink(EventSink):
     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         """Summary rows: one dict per shard plus the aggregate dict.
 
+        Each decided ``(shard, slot)`` counts as one "run" of its shard's
+        log and contributes, per replica that decided it, a step count
+        (:func:`step_of_kind`) and a latency (decide time minus that
+        replica's open time).  A shard (or run) with no decided slot has
+        no latency: its percentiles are ``None``, never a made-up 0.
         Message counts (``sends``, ``delivers``, ``throughput_msgs_per_s``)
-        appear in the aggregate only, and only when ``stats`` is given:
-        the key is missing, never a made-up 0.
+        appear in the aggregate only, and only when ``stats`` is given.
 
         Args:
             commands_by_shard: applied-command counts (from the agreed
@@ -183,49 +148,45 @@ class ShardStreamSink(EventSink):
             stats: the run's own counters (``RunResult.stats``) — every
                 message the engine routed, on a mesh the data hubs' too.
         """
-        per_shard, overall = self.fold()
+        instances: dict[tuple[int, int], list[tuple[int, float, DecisionKind]]] = {}
+        for (pid, shard, slot), (decided_at, kind) in self.decides.items():
+            instances.setdefault((shard, slot), []).append((
+                step_of_kind(kind, self.uc_step_cost, self.steps_before_uc),
+                decided_at - self.opens.get((pid, shard, slot), 0.0),
+                kind,
+            ))
+        by_shard: list[list] = [[] for _ in range(self.shards)]
+        for (shard, _), decisions in instances.items():
+            by_shard[shard].append(decisions)
+        commands_by_shard = commands_by_shard or {}
+        per_hub = {hub: {"shards": 0, "commands": 0, "slots": 0} for hub in range(self.hubs)}
         rows: list[dict[str, Any]] = []
-        total_commands = 0
-        for shard in range(self.shards):
-            aggregate = per_shard[shard]
-            commands = (commands_by_shard or {}).get(shard, 0)
-            total_commands += commands
-            row = {
+        for shard, slots in enumerate(by_shard):
+            hub, commands = hub_of(shard, self.hubs), commands_by_shard.get(shard, 0)
+            rows.append({
                 "shard": shard,
-                "hub": hub_of(shard, self.hubs),
-                "slots": aggregate.runs,
+                "hub": hub,
+                "slots": len(slots),
                 "commands": commands,
-                "throughput_cmds": (
-                    round(commands / duration, 3) if duration else 0.0
-                ),
-                **_slot_summary(aggregate),
-            }
-            rows.append(row)
-        per_hub: dict[int, dict[str, int]] = {
-            hub: {"shards": 0, "commands": 0, "slots": 0}
-            for hub in range(self.hubs)
-        }
-        for row in rows:
-            bucket = per_hub[row["hub"]]
+                "throughput_cmds": round(commands / duration, 3) if duration else 0.0,
+                **_slot_summary(slots, self.service_calls.get(shard, 0)),
+            })
+            bucket = per_hub[hub]
             bucket["shards"] += 1
-            bucket["commands"] += row["commands"]
-            bucket["slots"] += row["slots"]
+            bucket["commands"] += commands
+            bucket["slots"] += len(slots)
+        total_commands = sum(commands_by_shard.get(shard, 0) for shard in range(self.shards))
         summary = {
             "shards": self.shards,
             "hubs": self.hubs,
-            "slots": overall.runs,
+            "slots": len(instances),
             "commands": total_commands,
-            "throughput_cmds": (
-                round(total_commands / duration, 3) if duration else 0.0
-            ),
+            "throughput_cmds": round(total_commands / duration, 3) if duration else 0.0,
             "duration": round(duration, 6) if duration else 0.0,
             "per_hub": {str(hub): counts for hub, counts in per_hub.items()},
-            **overall.summary(),
+            **_slot_summary(list(instances.values()), sum(self.service_calls.values())),
         }
-        if stats is None:
-            for key in _MESSAGE_KEYS:
-                del summary[key]
-        else:
+        if stats is not None:
             summary["sends"] = stats.messages_sent
             summary["delivers"] = stats.messages_delivered
             summary["throughput_msgs_per_s"] = (
@@ -234,9 +195,39 @@ class ShardStreamSink(EventSink):
         return rows, summary
 
 
-def _slot_summary(aggregate: StreamAggregate) -> dict[str, Any]:
-    """One shard's summary without the message counts a slot fold lacks."""
-    summary = aggregate.summary()
-    for key in _MESSAGE_KEYS:
-        del summary[key]
-    return summary
+def _slot_summary(
+    slots: list[list[tuple[int, float, DecisionKind]]], service_calls: int
+) -> dict[str, Any]:
+    """The summary keys of a set of decided slots, each slot its replicas'
+    ``(step count, latency, kind)`` decisions."""
+    decisions = [decision for slot in slots for decision in slot]
+    steps = [step for step, _, _ in decisions]
+    latencies = [latency for _, latency, _ in decisions]
+    kinds = Counter(kind for _, _, kind in decisions)
+
+    def share(count: int) -> float:
+        return round(count / len(decisions), 3) if decisions else 0.0
+
+    def latency(q: float) -> float | None:
+        value = percentile(latencies, q)
+        return None if value is None else round(value, 6)
+
+    return {
+        "runs": len(slots),
+        "service_calls": service_calls,
+        "mean_step": round(_mean(steps), 3),
+        "mean_max_step": round(_mean([max(step for step, _, _ in slot) for slot in slots]), 3),
+        "one_step_frac": share(sum(step <= 1 for step in steps)),
+        "two_step_frac": share(kinds[DecisionKind.TWO_STEP]),
+        "underlying_frac": share(kinds[DecisionKind.UNDERLYING]),
+        # A slot fold has no run clock and no deadline of its own.
+        "mean_wall_seconds": 0.0,
+        "p50_decision_latency_s": latency(0.50),
+        "p99_decision_latency_s": latency(0.99),
+        "timeouts": 0,
+    }
+
+
+def _mean(values: list) -> float:
+    """``statistics.fmean``, without loading ``statistics``: 0.0 when empty."""
+    return math.fsum(values) / len(values) if values else 0.0

@@ -13,7 +13,6 @@ simulation, never from global state, so runs stay reproducible.
 from __future__ import annotations
 
 import abc
-import math
 import random
 
 from ..types import ProcessId
@@ -71,29 +70,6 @@ class ExponentialLatency(LatencyModel):
 
     def sample(self, rng: random.Random, src: ProcessId, dst: ProcessId) -> float:
         return self.base + rng.expovariate(1.0 / self.mean)
-
-
-class LognormalLatency(LatencyModel):
-    """Long-tailed delays: ``LN(mu, sigma)`` parameterised by its *mean*.
-
-    The lognormal is the classic long-tail model of real network RTTs:
-    most messages are fast, a few are much slower than the mean.  ``mu``
-    is derived as ``log(mean) - sigma^2 / 2`` so the distribution's mean
-    equals ``mean`` exactly — callers can swap it in for a uniform model
-    of the same mean and compare tails, not totals.  The socket hub's
-    ``jitter="lognormal"`` mode samples this model with its
-    ``mean_delay``.
-    """
-
-    def __init__(self, mean: float = 1.0, sigma: float = 1.0) -> None:
-        if mean <= 0 or sigma <= 0:
-            raise ValueError("mean and sigma must be positive")
-        self.mean = mean
-        self.sigma = sigma
-        self._mu = math.log(mean) - 0.5 * sigma * sigma
-
-    def sample(self, rng: random.Random, src: ProcessId, dst: ProcessId) -> float:
-        return rng.lognormvariate(self._mu, self.sigma)
 
 
 class PerLinkLatency(LatencyModel):

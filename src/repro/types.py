@@ -101,6 +101,15 @@ def largest(values) -> Value:
         return max(vals, key=order_key)
 
 
+def percentile(values, q: float) -> float | None:
+    """The nearest-rank ``q``-quantile (``0 < q < 1``) of ``values``;
+    ``None`` when there are none — an empty sample has no quantile."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    return float(ordered[min(int(q * len(ordered)), len(ordered) - 1)])
+
+
 class DecisionKind(enum.Enum):
     """How a process reached its decision (Figure 1 of the paper)."""
 

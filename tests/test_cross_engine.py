@@ -190,7 +190,8 @@ FORBIDDEN_IMPORTS = {
     "repro.net.cluster": _WORKER,
     "repro.mesh.hub": _WORKER,
     "repro.shard.service": ("repro.sim", "repro.mc", "repro.analysis",
-                            "repro.baselines", "repro.apps", "scipy"),
+                            "repro.baselines", "repro.apps", "scipy",
+                            "repro.metrics", "statistics"),
     "repro.cli": ("repro.sim", "repro.mc", "repro.analysis", "scipy", "numpy"),
 }
 

@@ -17,7 +17,6 @@ from repro.engine.events import (
     DeliverEvent,
     EventLog,
     EventSink,
-    EventStats,
     FaultEvent,
     SendEvent,
     TeeSink,
@@ -278,13 +277,14 @@ class TestEventStream:
         assert decisions[0].step == 2
 
     def test_event_stats_counters(self):
-        stats = EventStats()
+        log = EventLog()
         for event in self._sample_events():
-            stats.emit(event)
-        assert stats.sends == 1
-        assert stats.delivers == 1
-        assert stats.decide_steps == {1: 1, 0: 2}
-        assert stats.one_step_fraction == 0.5
+            log.emit(event)
+        assert len(log.of_type(SendEvent)) == 1
+        assert len(log.of_type(DeliverEvent)) == 1
+        steps = {pid: e.step for pid, e in log.decisions().items()}
+        assert steps == {1: 1, 0: 2}
+        assert sum(step <= 1 for step in steps.values()) / len(steps) == 0.5
 
     def test_event_log_format_renders_one_line_per_event(self):
         log = EventLog()
@@ -301,7 +301,7 @@ class TestEventStream:
         log = EventLog()
         assert combine(None, None) is None
         assert combine(None, log) is log
-        tee = combine(log, EventStats())
+        tee = combine(log, EventLog())
         assert isinstance(tee, TeeSink)
 
     def test_tee_sink_fans_out(self):

@@ -7,7 +7,7 @@ Three layers:
   everything, and a tee reads the union of its sinks;
 * engines: a run whose only sink is the sharded service's
   ``ShardStreamSink`` (which reads log and service events) constructs no
-  ``SendEvent``/``DeliverEvent`` at all — an ``EventStats`` beside it still
+  ``SendEvent``/``DeliverEvent`` at all — an ``EventLog`` beside it still
   sees every message;
 * the simulator: attaching a sink, whatever it reads, never moves a
   delivery — the ``RunResult`` is equal field for field, decision times
@@ -21,7 +21,6 @@ from repro.engine.events import (
     DeliverEvent,
     EventLog,
     EventSink,
-    EventStats,
     LogEvent,
     SendEvent,
     ServiceEvent,
@@ -99,7 +98,7 @@ class TestTeeRouting:
         assert TeeSink(logs, TeeSink(messages)).consumes == {
             LogEvent, SendEvent, DeliverEvent
         }
-        assert TeeSink(logs, EventStats()).consumes is None
+        assert TeeSink(logs, EventLog()).consumes is None
         assert TeeSink().consumes == frozenset()
         service = ShardStreamSink(shards=2)
         assert service.consumes == {LogEvent, ServiceEvent}
@@ -142,13 +141,13 @@ class TestNoReaderNoEvent:
     @pytest.mark.parametrize("engine", ["sim", "sync"])
     def test_a_reader_beside_it_sees_every_message(self, monkeypatch, engine):
         counts = _count_message_events(monkeypatch)
-        stats = EventStats()
-        report = ShardedService(n=7, shards=4, seed=3, engine=engine, event_sink=stats).run(
+        log = EventLog()
+        report = ShardedService(n=7, shards=4, seed=3, engine=engine, event_sink=log).run(
             count=24
         )
         totals = report.result.stats
-        assert stats.sends == totals.messages_sent == counts[SendEvent] > 0
-        assert stats.delivers == totals.messages_delivered == counts[DeliverEvent]
+        assert len(log.of_type(SendEvent)) == totals.messages_sent == counts[SendEvent] > 0
+        assert len(log.of_type(DeliverEvent)) == totals.messages_delivered == counts[DeliverEvent]
         assert report.aggregate["sends"] == totals.messages_sent
 
     @pytest.mark.net
@@ -160,13 +159,13 @@ class TestNoReaderNoEvent:
         assert not report.divergence and report.commands == 16
         assert report.result.stats.messages_sent > 0
         assert counts == {SendEvent: 0, DeliverEvent: 0}
-        stats = EventStats()
-        report = ShardedService(n=7, shards=4, seed=11, engine="net", event_sink=stats).run(
+        log = EventLog()
+        report = ShardedService(n=7, shards=4, seed=11, engine="net", event_sink=log).run(
             count=16, timeout=25.0
         )
         assert not report.divergence
-        assert stats.sends == report.result.stats.messages_sent == counts[SendEvent]
-        assert stats.delivers == report.result.stats.messages_delivered
+        assert len(log.of_type(SendEvent)) == report.result.stats.messages_sent == counts[SendEvent]
+        assert len(log.of_type(DeliverEvent)) == report.result.stats.messages_delivered
         assert_no_leaks()
 
 

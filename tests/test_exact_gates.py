@@ -35,14 +35,14 @@ from repro.shard.service import ShardedService
 SEED, COMMANDS, N = 1, 64, 7
 
 
-def _run(root=None, **kwargs):
+def _run(root=None, contention=0.3, **kwargs):
     rng = random.Random(SEED)
     arrivals = [(0, ("set", f"k{rng.randrange(32)}", op)) for op in range(COMMANDS)]
     service = ShardedService(
         n=N,
         shards=4,
         max_batch=4,
-        contention=0.3,
+        contention=contention,
         keyspace=32,
         seed=SEED,
         durability=root and DurabilityConfig(root, snapshot_every=0),
@@ -74,6 +74,68 @@ def test_sim_core_shape_applied_log_is_exact(tmp_path):
         aggregate["underlying_frac"],
     ) == (0.684, 0.053, 0.263)
     assert zlib.crc32(repr(report.digest).encode()) == 2248730725
+
+
+def _shard_row(shard, commands, throughput, slots, calls, mean, fracs, p50, p99):
+    one, two, uc = fracs
+    return {
+        "shard": shard, "hub": 0, "slots": slots, "commands": commands,
+        "throughput_cmds": throughput, "runs": slots, "service_calls": calls,
+        "mean_step": mean, "mean_max_step": mean, "one_step_frac": one,
+        "two_step_frac": two, "underlying_frac": uc, "mean_wall_seconds": 0.0,
+        "p50_decision_latency_s": p50, "p99_decision_latency_s": p99, "timeouts": 0,
+    }
+
+
+#: contention -> (per-shard rows, aggregate) of the 64-command run, every key.
+SHARD_REPORTS = {
+    0.3: (
+        [
+            _shard_row(0, 17, 1.627, 5, 35, 1.6, (0.8, 0.0, 0.2), 1.335181, 3.348609),
+            _shard_row(1, 20, 1.914, 5, 35, 1.6, (0.8, 0.0, 0.2), 1.245018, 3.836069),
+            _shard_row(2, 10, 0.957, 4, 28, 2.0, (0.5, 0.25, 0.25), 2.157993, 3.773654),
+            _shard_row(3, 17, 1.627, 5, 28, 2.2, (0.6, 0.0, 0.4), 1.36742, 3.757717),
+        ],
+        {
+            "shards": 4, "hubs": 1, "slots": 19, "commands": 64, "throughput_cmds": 6.125,
+            "duration": 10.449698,
+            "per_hub": {"0": {"shards": 4, "commands": 64, "slots": 19}},
+            "runs": 19, "sends": 8330, "delivers": 8215, "service_calls": 126,
+            "mean_step": 1.842, "mean_max_step": 1.842, "one_step_frac": 0.684,
+            "two_step_frac": 0.053, "underlying_frac": 0.263, "mean_wall_seconds": 0.0,
+            "throughput_msgs_per_s": 786.1, "p50_decision_latency_s": 1.36742,
+            "p99_decision_latency_s": 3.773654, "timeouts": 0,
+        },
+    ),
+    0.5: (
+        [
+            _shard_row(0, 17, 1.189, 5, 35, 2.2, (0.6, 0.0, 0.4), 1.41806, 3.480602),
+            _shard_row(1, 20, 1.399, 5, 35, 3.0, (0.2, 0.2, 0.6), 3.311234, 3.657261),
+            _shard_row(2, 10, 0.7, 4, 28, 2.0, (0.5, 0.25, 0.25), 2.157993, 3.711642),
+            _shard_row(3, 17, 1.189, 5, 35, 2.4, (0.4, 0.2, 0.4), 2.525667, 3.660454),
+        ],
+        {
+            "shards": 4, "hubs": 1, "slots": 19, "commands": 64, "throughput_cmds": 4.478,
+            "duration": 14.293504,
+            "per_hub": {"0": {"shards": 4, "commands": 64, "slots": 19}},
+            "runs": 19, "sends": 8379, "delivers": 8512, "service_calls": 133,
+            "mean_step": 2.421, "mean_max_step": 2.421, "one_step_frac": 0.421,
+            "two_step_frac": 0.158, "underlying_frac": 0.421, "mean_wall_seconds": 0.0,
+            "throughput_msgs_per_s": 595.5, "p50_decision_latency_s": 2.513865,
+            "p99_decision_latency_s": 3.660454, "timeouts": 0,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("contention", sorted(SHARD_REPORTS))
+def test_sim_core_shape_shard_report_is_exact(contention):
+    """Every key and value of the service's report: per shard, the slots
+    folded by decision path and latency; in the aggregate, the same fold
+    over all shards next to the run's own message counters.  At contention
+    0.5 every shard but one takes the two-step path somewhere."""
+    report = _run(contention=contention)
+    assert (report.per_shard, report.aggregate) == SHARD_REPORTS[contention]
 
 
 def test_dex_freq_n7_smoke_check_is_exact():

@@ -12,9 +12,9 @@ Five layers, mirroring :mod:`repro.frontend`'s structure:
   ``frontend.*`` event stream, and per-policy end-to-end behavior;
 * seeded load-generator determinism: same seed → identical counters and
   digest checksum, different seed → different stream;
-* percentile edge cases for :class:`~repro.metrics.collectors.
-  StreamAggregate` / :class:`~repro.shard.metrics.ShardStreamSink` — an
-  empty shard, a single-sample shard, and a shed-only run must yield a
+* percentile edge cases for the :class:`~repro.shard.metrics.
+  ShardStreamSink` rows and :class:`~repro.frontend.api.FrontendReport` —
+  an empty shard, a single-sample shard, and a shed-only run must yield a
   defined number or an explicit ``None``, never a crash;
 * ``@pytest.mark.net`` socket round-trips: submit→decide→reply over UDS,
   shed rejections mid-session, and a client frame in a reserved codec
@@ -44,7 +44,6 @@ from repro.frontend import (
     digest_checksum,
     saturation_sweep,
 )
-from repro.metrics.collectors import StreamAggregate
 from repro.net.wire import WireError, encode_frame
 from repro.shard import ShardBatcher, ShardedService, shard_of
 from repro.shard.metrics import ShardStreamSink
@@ -346,12 +345,12 @@ class TestLoadGenDeterminism:
 
 class TestPercentileEdges:
     def test_empty_aggregate_is_zero_or_none_never_a_crash(self):
-        aggregate = StreamAggregate(label="empty")
-        assert aggregate.latency_percentile(0.50) == 0.0
-        assert aggregate.latency_percentile_or_none(0.50) is None
-        assert aggregate.latency_percentile_or_none(0.99) is None
-        summary = aggregate.summary()
-        assert summary["runs"] == 0
+        rows, summary = ShardStreamSink(shards=1).report()
+        assert summary["runs"] == summary["slots"] == 0
+        for row in (*rows, summary):
+            assert row["p50_decision_latency_s"] is None
+            assert row["p99_decision_latency_s"] is None
+            assert row["mean_step"] == row["one_step_frac"] == 0.0
 
     def test_single_sample_shard_pins_every_percentile(self):
         sink = ShardStreamSink(shards=2)
@@ -364,17 +363,28 @@ class TestPercentileEdges:
                 {"shard": 0, "slot": 0, "kind": DecisionKind.ONE_STEP.value},
             )
         )
-        per_shard, overall = sink.fold()
-        assert per_shard[0].latency_percentile_or_none(0.50) == pytest.approx(2.5)
-        assert per_shard[0].latency_percentile(0.99) == pytest.approx(2.5)
-        assert overall.latency_percentile(0.50) == pytest.approx(2.5)
+        (busy, _), overall = sink.report()
+        assert busy["p50_decision_latency_s"] == pytest.approx(2.5)
+        assert busy["p99_decision_latency_s"] == pytest.approx(2.5)
+        assert overall["p50_decision_latency_s"] == pytest.approx(2.5)
 
     def test_idle_shard_reports_without_samples(self):
         sink = ShardStreamSink(shards=2)
         rows, summary = sink.report()
         assert len(rows) == 2 and summary["slots"] == 0
-        per_shard, _ = sink.fold()
-        assert per_shard[1].latency_percentile_or_none(0.99) is None
+        assert rows[1]["p99_decision_latency_s"] is None
+
+    def test_an_idle_shard_of_a_run_has_no_latency_not_zero(self):
+        """One command decides one slot on one shard; the other three shards
+        decided nothing, so their slot latencies are gaps, not 0.0."""
+        report = ShardedService(n=7, shards=4, seed=1).run_stream([(0, ("set", "k1", 1))])
+        busy = [row for row in report.per_shard if row["slots"]]
+        idle = [row for row in report.per_shard if not row["slots"]]
+        assert len(busy) == 1 and len(idle) == 3
+        assert busy[0]["p50_decision_latency_s"] > 0.0
+        for row in idle:
+            assert row["p50_decision_latency_s"] is None
+            assert row["p99_decision_latency_s"] is None
 
     def test_one_sided_traffic_leaves_the_other_shard_defined(self):
         frontend = Frontend(service(), queue_bound=16)

@@ -127,67 +127,12 @@ class TestFormatSeries:
         assert "0.7" in text
 
 
-class TestStreamAggregate:
-    """The event-stream collector: fold EventStats sinks, retain counters only."""
+class TestPercentile:
+    def test_nearest_rank_and_no_sample(self):
+        from repro.types import percentile
 
-    def _run_with_sink(self, inputs, seed):
-        from repro.metrics.collectors import StreamAggregate
-
-        stats = StreamAggregate.new_sink()
-        result = Scenario(
-            dex_freq(), inputs, seed=seed, latency=ConstantLatency(1.0),
-            event_sink=stats,
-        ).run()
-        return stats, result
-
-    def test_folds_counters_from_event_stats(self):
-        from repro.metrics.collectors import StreamAggregate
-
-        agg = StreamAggregate(label="fold")
-        fast_stats, fast = self._run_with_sink(unanimous(1, 7), seed=0)
-        slow_stats, slow = self._run_with_sink(split(1, 2, 7, 3), seed=1)
-        agg.add_stats(fast_stats, wall_seconds=0.5)
-        agg.add_stats(slow_stats, wall_seconds=1.5, timed_out=True)
-        assert agg.runs == 2
-        assert len(agg.steps) == 14  # 7 decisions per run
-        assert agg.timeouts == 1
-        # Counters agree with the run results the stream mirrored.
-        assert agg.sends == fast.stats.messages_sent + slow.stats.messages_sent
-        assert agg.max_steps == [fast.max_correct_step, slow.max_correct_step]
-
-    def test_derived_statistics(self):
-        from repro.metrics.collectors import StreamAggregate
-
-        agg = StreamAggregate()
-        fast_stats, _ = self._run_with_sink(unanimous(1, 7), seed=0)
-        agg.add_stats(fast_stats, wall_seconds=2.0)
-        assert agg.one_step_fraction == 1.0
-        assert agg.kind_fraction(DecisionKind.ONE_STEP) == 1.0
-        assert agg.mean_step == 1.0
-        assert agg.throughput == agg.delivers / 2.0
-        assert agg.latency_percentile(0.5) >= 0.0
-
-    def test_summary_keys_are_report_ready(self):
-        from repro.metrics.collectors import StreamAggregate
-
-        agg = StreamAggregate()
-        stats, _ = self._run_with_sink(unanimous(1, 7), seed=3)
-        agg.add_stats(stats, wall_seconds=1.0)
-        summary = agg.summary()
-        for key in (
-            "runs", "sends", "delivers", "one_step_frac",
-            "throughput_msgs_per_s", "p50_decision_latency_s", "timeouts",
-        ):
-            assert key in summary
-        assert summary["runs"] == 1
-        assert summary["one_step_frac"] == 1.0
-
-    def test_empty_aggregate_is_all_zeros(self):
-        from repro.metrics.collectors import StreamAggregate
-
-        agg = StreamAggregate()
-        assert agg.mean_step == 0.0
-        assert agg.one_step_fraction == 0.0
-        assert agg.throughput == 0.0
-        assert agg.latency_percentile(0.99) == 0.0
-        assert agg.summary()["runs"] == 0
+        assert percentile([], 0.5) is None
+        assert percentile([3, 1, 2], 0.5) == 2.0
+        assert percentile([4, 1, 3, 2], 0.99) == 4.0
+        assert percentile([4, 1, 3, 2], 0.25) == 2.0
+        assert RunAggregate().step_percentile(0.5) == 0.0

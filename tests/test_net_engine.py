@@ -31,7 +31,6 @@ from repro.engine.events import (
     DecideEvent,
     DeliverEvent,
     EventLog,
-    EventStats,
     SendEvent,
     TeeSink,
 )
@@ -276,20 +275,21 @@ class TestNetSmoke:
 @pytest.mark.net
 class TestNetEvents:
     def test_event_stream_reaches_sinks(self):
-        log, stats = EventLog(), EventStats()
+        log, copy = EventLog(), EventLog()
         result = Scenario(
             dex_freq(),
             unanimous(1, 7),
             seed=2,
             engine="net",
-            event_sink=TeeSink(log, stats),
+            event_sink=TeeSink(log, copy),
         ).run()
         assert result.all_correct_decided()
         assert any(isinstance(e, SendEvent) for e in log.events)
         assert any(isinstance(e, DeliverEvent) for e in log.events)
         decided = [e for e in log.events if isinstance(e, DecideEvent)]
         assert {e.pid for e in decided} == set(result.correct_decisions)
-        assert stats.one_step_fraction == 1.0
+        assert all(e.step <= 1 for e in log.decisions().values())
+        assert copy.events == log.events
         # The stream clock is wall-clock offsets from the run start.
         times = [e.time for e in log.events]
         assert times == sorted(times) and all(t >= 0.0 for t in times)
@@ -333,16 +333,15 @@ class TestHubNeverDecodesRelayedPayloads:
 
     def test_payload_blind_sinks_cost_zero_decodes(self, monkeypatch):
         calls = _count_payload_decodes(monkeypatch)
-        stats = EventStats()
-        report = self._service(stats).run(count=16, timeout=25.0)
+        log = EventLog()
+        report = self._service(log).run(count=16, timeout=25.0)
         assert not report.divergence and report.commands == 16
         assert calls == {"decode": 0, "opaque": 0}
         # ... although every send and delivery was observed and counted.
         totals = report.result.stats
-        assert report.aggregate["sends"] == totals.messages_sent == stats.sends > 0
-        assert (
-            report.aggregate["delivers"] == totals.messages_delivered == stats.delivers > 0
-        )
+        sends, delivers = len(log.of_type(SendEvent)), len(log.of_type(DeliverEvent))
+        assert report.aggregate["sends"] == totals.messages_sent == sends > 0
+        assert report.aggregate["delivers"] == totals.messages_delivered == delivers > 0
         assert_no_leaks()
 
     def test_event_log_pays_one_decode_per_routed_message(self, monkeypatch):
@@ -642,19 +641,19 @@ class TestHubZeroBooks:
 
     def test_a_hostile_decision_costs_only_its_own_link(self):
         # A decision kind no DecisionKind (here a list) used to be booked
-        # and then raise in an EventStats sink, inside hub 0's loop.
+        # and then raise in a sink, inside hub 0's loop.
         from repro.engine.events import FaultEvent
         from repro.net.wire import MsgDecide
 
-        log, stats = EventLog(), EventStats()
-        cluster = _hub0(TeeSink(log, stats))
+        log = EventLog()
+        cluster = _hub0(log)
         node, _ = _stub_node(cluster, 1)
         link, peer = _stub_node(cluster, 2)
         try:
             assert peer.send(MsgDecide(2, "v", [1], 3))
             _serve(cluster, lambda: link.kind == "closed")
             assert [(e.pid, e.fault) for e in log.of_type(FaultEvent)] == [(2, "wire-error")]
-            assert cluster.decisions == {} and stats.decide_kinds == {}
+            assert cluster.decisions == {} and log.of_type(DecideEvent) == []
             assert cluster._nodes == {1: node}
         finally:
             cluster._close()

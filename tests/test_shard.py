@@ -521,7 +521,7 @@ class TestShardStreamSinkRecords:
     def test_a_record_naming_no_slot_or_kind_is_skipped(self):
         # The sink runs inside hub 0's loop on what replicas log; each of
         # the first three records used to raise there (ValueError,
-        # TypeError, ValueError), the fourth at fold time (KeyError).
+        # TypeError, ValueError), the fourth when its rows were folded (KeyError).
         from repro.engine.events import LogEvent
         from repro.shard.metrics import ShardStreamSink
 
@@ -538,8 +538,8 @@ class TestShardStreamSinkRecords:
             sink.emit(record)
         assert sink.opens == {(1, 1, 0): 1.0}
         assert sink.decides == {(1, 1, 0): (3.0, DecisionKind.ONE_STEP)}
-        per_shard, overall = sink.fold()
-        assert per_shard[1].runs == overall.runs == 1 and per_shard[0].runs == 0
+        (idle, busy), overall = sink.report()
+        assert busy["runs"] == overall["runs"] == 1 and idle["runs"] == 0
 
 
 def _applied_commands(report):
@@ -577,20 +577,21 @@ class TestShardedServiceSim:
 
     def test_per_shard_counts_are_the_streams_own(self):
         """The aggregate's message totals are the run's own counters, and an
-        ``EventStats`` beside the service's sink counts the same; per-shard
+        ``EventLog`` beside the service's sink counts the same; per-shard
         rows carry none (a missing key, never a 0) — on every seed the same
         numbers."""
-        from repro.engine.events import EventStats
+        from repro.engine.events import DeliverEvent, EventLog, SendEvent
 
         def run():
-            stats = EventStats()
-            report = ShardedService(n=7, shards=4, seed=8, event_sink=stats).run(count=16)
-            return stats, report
+            log = EventLog()
+            report = ShardedService(n=7, shards=4, seed=8, event_sink=log).run(count=16)
+            return log, report
 
-        (stats, report), (_, again) = run(), run()
+        (log, report), (_, again) = run(), run()
         totals = report.result.stats
-        assert report.aggregate["sends"] == totals.messages_sent == stats.sends > 0
-        assert report.aggregate["delivers"] == totals.messages_delivered == stats.delivers
+        sends, delivers = len(log.of_type(SendEvent)), len(log.of_type(DeliverEvent))
+        assert report.aggregate["sends"] == totals.messages_sent == sends > 0
+        assert report.aggregate["delivers"] == totals.messages_delivered == delivers
         assert report.aggregate["throughput_msgs_per_s"] == round(
             totals.messages_delivered / report.duration, 1
         )
