@@ -14,15 +14,33 @@ for the two books this PR frees in place, from what that run shows was
 once held: one witness set per accepted origin, one proposal book per
 decided oracle instance.
 
+Three more books are counted the same way, each *before* derived from
+what the run shows was once held:
+
+* the multiplexer's slot keys — its decided and proposed slots, once one
+  key each, now per-shard slot sets (a floor, below which every slot is a
+  member, plus the members above it); *before* is every member, *after*
+  the members above the floors;
+* the service's slot fold (hub 0's ``ShardStreamSink``, one per run, so
+  one number) — once an open and a decide record per decision to the end
+  of the run, now only the records still waiting for their partner and
+  each replica's folded slots above its floor; the report's own inputs,
+  one latency per decision and one step count per slot, are counted on
+  neither side;
+* the key-value store's command log, deleted — ``ShardNode.applied`` is
+  the one applied log; *before* is the commands each replica applied.
+
 Expected shape: the *before* columns grow with the run, the *after*
 columns do not — the maximum of live instances is the same, within ± 2,
-at 512 and at 8 192 commands.
+at 512 and at 8 192 commands, and the three books end the same size at
+every length.
 """
 
 from _util import write_report
 
 from repro.metrics.report import format_table
 from repro.shard import service as shard_service
+from repro.shard.metrics import ShardStreamSink
 from repro.shard.service import ShardedService, ShardNode, shard_workload
 from repro.underlying.oracle import SERVICE_NAME
 
@@ -59,12 +77,14 @@ def pair(before, after) -> str:
 
 def census(node_class, commands):
     """One healthy run; per replica: peak and final live instances, witness
-    sets alive, origins accepted by the instances still alive."""
+    sets alive, origins accepted by the instances still alive, slot keys
+    and commands applied; the slot fold's records."""
     previous = shard_service.ShardNode
     shard_service.ShardNode = node_class
+    fold = ShardStreamSink(SHARDS)
     try:
         service = ShardedService(n=N, shards=SHARDS, seed=SEED)
-        deployment = service.deployment(shard_workload(commands, seed=SEED), None)
+        deployment = service.deployment(shard_workload(commands, seed=SEED), fold)
     finally:
         shard_service.ShardNode = previous
     result = deployment.run("sim")
@@ -72,7 +92,18 @@ def census(node_class, commands):
     nodes = list(deployment.protocols.values())
     idbs = [[dex.child("idb") for dex in node._children.values()] for node in nodes]
     oracle = deployment.services[SERVICE_NAME]
+    slot_sets = [node.decided + node._proposed for node in nodes]
+    waiting = len(fold._opens) + len(fold._waiting)
     return {
+        "slot keys": [sum(s.floor + len(s._above) for s in sets) for sets in slot_sets],
+        "slot keys above": [sum(len(s._above) for s in sets) for sets in slot_sets],
+        # every folded decision was an open and a decide record
+        "fold records": 2 * sum(map(len, fold._latencies)) + waiting,
+        "fold books": waiting + sum(len(s._above) for s in fold._decided.values()),
+        "commands applied": [
+            sum(len(batch) for batches in node.applied.values() for batch in batches)
+            for node in nodes
+        ],
         "slots": sum(len(batches) for _, batches in result.decided_value),
         "peak": [node.peak for node in nodes],
         "end": [len(node._children) for node in nodes],
@@ -87,7 +118,7 @@ def census(node_class, commands):
 
 
 def sweep():
-    rows, peaks, books = [], {}, {}
+    rows, peaks, books, windows = [], {}, {}, {}
     for commands in COMMANDS:
         before = census(EternalNode, commands)
         after = census(PeakNode, commands)
@@ -104,16 +135,20 @@ def sweep():
                 "oracle proposal books, end": pair(
                     [before["oracle_decisions"]], [after["oracle_books"]]
                 ),
+                "mux slot keys, end": pair(after["slot keys"], after["slot keys above"]),
+                "slot fold records, end": f"{after['fold records']} -> {after['fold books']}",
+                "KV log, end": pair(after["commands applied"], [0]),
             }
         )
         books[commands] = after["oracle_books"]
+        windows[commands] = (max(after["slot keys above"]), after["fold books"])
         # every instance the reference holds was held to the end
         assert set(before["peak"]) == set(before["end"]) == {before["slots"]}
-    return rows, peaks, books
+    return rows, peaks, books, windows
 
 
 def test_e31_instance_lifecycle(benchmark):
-    rows, peaks, books = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows, peaks, books, windows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     write_report(
         "e31_lifecycle",
         format_table(
@@ -131,3 +166,6 @@ def test_e31_instance_lifecycle(benchmark):
     # Only an instance still short of its quorum when the run ends (the
     # seventh digest stops it) has a proposal book.
     assert all(open_books <= SHARDS for open_books in books.values())
+    # The three books hold no key per settled slot: they end the same size
+    # at every run length.
+    assert len(set(windows.values())) == 1, windows

@@ -36,6 +36,9 @@ from .events import (
 )
 from .interpreter import ExecutionPorts, dispatch_service_call
 
+#: The simulator's livelock valve: events one run may process by default.
+DEFAULT_MAX_EVENTS = 2_000_000
+
 
 def check_deployment(
     config: SystemConfig, protocols: Mapping[ProcessId, Protocol], faulty

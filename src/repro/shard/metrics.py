@@ -28,13 +28,13 @@ its shard's row and the aggregate — the rows experiment E19
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from typing import Any
+from array import array
+from collections import Counter, defaultdict
+from typing import Any, Sequence
 
 from ..engine.events import EventSink, LogEvent, RunEvent, ServiceEvent
 from ..types import DecisionKind, RunStats, percentile
-from .router import UNATTRIBUTED, hub_of
+from .router import UNATTRIBUTED, SlotSet, hub_of
 
 __all__ = ["step_of_kind", "ShardStreamSink"]
 
@@ -79,10 +79,16 @@ class ShardStreamSink(EventSink):
         #: shows how the load *should* split across hubs.
         self.hubs = hubs
         self.service_calls: Counter = Counter()
-        #: ``(pid, shard, slot) -> open time`` from ``shard.open`` records.
-        self.opens: dict[tuple[Any, int, int], float] = {}
-        #: ``(pid, shard, slot) -> (decide time, kind)`` from ``shard.decide``.
-        self.decides: dict[tuple[Any, int, int], tuple[float, DecisionKind]] = {}
+        # The fold, per shard: each decision's latency, each slot's largest
+        # step count, the decisions by kind.  An open waits in ``_opens`` for
+        # its decide, a decide in ``_waiting`` for a late open (0.0 without);
+        # ``_decided`` — a replica's folded slots — lets the first of each win.
+        self._latencies = [array("d") for _ in range(shards)]
+        self._max_step: list[dict[int, int]] = [{} for _ in range(shards)]
+        self._kinds: list[Counter] = [Counter() for _ in range(shards)]
+        self._opens: dict[tuple[Any, int, int], float] = {}
+        self._waiting: dict[tuple[Any, int, int], float] = {}
+        self._decided: dict[tuple[Any, int], SlotSet] = defaultdict(SlotSet)
 
     # -- attribution -------------------------------------------------------------------
 
@@ -112,15 +118,31 @@ class ShardStreamSink(EventSink):
             shard, slot = data.get("shard"), data.get("slot")
             if type(shard) is not int or not 0 <= shard < self.shards or type(slot) is not int:
                 return
-            key = (event.pid, shard, slot)
+            key, replica = (event.pid, shard, slot), (event.pid, shard)
             if event.event == "shard.open":
-                self.opens.setdefault(key, event.time)
+                decided_at = self._waiting.pop(key, None)
+                if decided_at is not None:
+                    self._latencies[shard].append(decided_at - event.time)
+                elif slot not in self._decided.get(replica, ()):
+                    self._opens.setdefault(key, event.time)
                 return
             try:
                 decided = DecisionKind(data.get("kind"))
             except ValueError:
                 return
-            self.decides.setdefault(key, (event.time, decided))
+            folded = self._decided[replica]
+            if slot in folded:
+                return
+            folded.add(slot)
+            opened = self._opens.pop(key, None)
+            if opened is None:
+                self._waiting[key] = event.time
+            else:
+                self._latencies[shard].append(event.time - opened)
+            step = step_of_kind(decided, self.uc_step_cost, self.steps_before_uc)
+            slots = self._max_step[shard]
+            slots[slot] = max(slots.get(slot, 0), step)
+            self._kinds[shard][decided] += 1
 
     # -- folding -----------------------------------------------------------------------
 
@@ -148,43 +170,43 @@ class ShardStreamSink(EventSink):
             stats: the run's own counters (``RunResult.stats``) — every
                 message the engine routed, on a mesh the data hubs' too.
         """
-        instances: dict[tuple[int, int], list[tuple[int, float, DecisionKind]]] = {}
-        for (pid, shard, slot), (decided_at, kind) in self.decides.items():
-            instances.setdefault((shard, slot), []).append((
-                step_of_kind(kind, self.uc_step_cost, self.steps_before_uc),
-                decided_at - self.opens.get((pid, shard, slot), 0.0),
-                kind,
-            ))
-        by_shard: list[list] = [[] for _ in range(self.shards)]
-        for (shard, _), decisions in instances.items():
-            by_shard[shard].append(decisions)
+        latencies = [array("d", row) for row in self._latencies]
+        for (_, shard, _), decided_at in self._waiting.items():
+            latencies[shard].append(decided_at)  # never opened: from 0.0
         commands_by_shard = commands_by_shard or {}
         per_hub = {hub: {"shards": 0, "commands": 0, "slots": 0} for hub in range(self.hubs)}
         rows: list[dict[str, Any]] = []
-        for shard, slots in enumerate(by_shard):
+        for shard in range(self.shards):
             hub, commands = hub_of(shard, self.hubs), commands_by_shard.get(shard, 0)
+            slots = len(self._max_step[shard])
             rows.append({
                 "shard": shard,
                 "hub": hub,
-                "slots": len(slots),
+                "slots": slots,
                 "commands": commands,
                 "throughput_cmds": round(commands / duration, 3) if duration else 0.0,
-                **_slot_summary(slots, self.service_calls.get(shard, 0)),
+                **self._summary(latencies[shard], list(self._max_step[shard].values()),
+                                self._kinds[shard], self.service_calls.get(shard, 0)),
             })
             bucket = per_hub[hub]
             bucket["shards"] += 1
             bucket["commands"] += commands
-            bucket["slots"] += len(slots)
+            bucket["slots"] += slots
         total_commands = sum(commands_by_shard.get(shard, 0) for shard in range(self.shards))
         summary = {
             "shards": self.shards,
             "hubs": self.hubs,
-            "slots": len(instances),
+            "slots": sum(map(len, self._max_step)),
             "commands": total_commands,
             "throughput_cmds": round(total_commands / duration, 3) if duration else 0.0,
             "duration": round(duration, 6) if duration else 0.0,
             "per_hub": {str(hub): counts for hub, counts in per_hub.items()},
-            **_slot_summary(list(instances.values()), sum(self.service_calls.values())),
+            **self._summary(
+                [latency for row in latencies for latency in row],
+                [step for slots in self._max_step for step in slots.values()],
+                sum(self._kinds, Counter()),
+                sum(self.service_calls.values()),
+            ),
         }
         if stats is not None:
             summary["sends"] = stats.messages_sent
@@ -194,40 +216,33 @@ class ShardStreamSink(EventSink):
             )
         return rows, summary
 
+    def _summary(
+        self, latencies: Sequence[float], max_steps: list[int], kinds: Counter, service_calls: int
+    ) -> dict[str, Any]:
+        """The summary keys of a set of decided slots: their decisions'
+        latencies and kinds, and each slot's largest step count."""
+        decisions, steps = sum(kinds.values()), Counter()
+        for kind, count in kinds.items():
+            steps[step_of_kind(kind, self.uc_step_cost, self.steps_before_uc)] += count
 
-def _slot_summary(
-    slots: list[list[tuple[int, float, DecisionKind]]], service_calls: int
-) -> dict[str, Any]:
-    """The summary keys of a set of decided slots, each slot its replicas'
-    ``(step count, latency, kind)`` decisions."""
-    decisions = [decision for slot in slots for decision in slot]
-    steps = [step for step, _, _ in decisions]
-    latencies = [latency for _, latency, _ in decisions]
-    kinds = Counter(kind for _, _, kind in decisions)
+        def mean(total: int, count: int) -> float:
+            return round(total / count, 3) if count else 0.0
 
-    def share(count: int) -> float:
-        return round(count / len(decisions), 3) if decisions else 0.0
+        def latency(q: float) -> float | None:
+            value = percentile(latencies, q)
+            return None if value is None else round(value, 6)
 
-    def latency(q: float) -> float | None:
-        value = percentile(latencies, q)
-        return None if value is None else round(value, 6)
-
-    return {
-        "runs": len(slots),
-        "service_calls": service_calls,
-        "mean_step": round(_mean(steps), 3),
-        "mean_max_step": round(_mean([max(step for step, _, _ in slot) for slot in slots]), 3),
-        "one_step_frac": share(sum(step <= 1 for step in steps)),
-        "two_step_frac": share(kinds[DecisionKind.TWO_STEP]),
-        "underlying_frac": share(kinds[DecisionKind.UNDERLYING]),
-        # A slot fold has no run clock and no deadline of its own.
-        "mean_wall_seconds": 0.0,
-        "p50_decision_latency_s": latency(0.50),
-        "p99_decision_latency_s": latency(0.99),
-        "timeouts": 0,
-    }
-
-
-def _mean(values: list) -> float:
-    """``statistics.fmean``, without loading ``statistics``: 0.0 when empty."""
-    return math.fsum(values) / len(values) if values else 0.0
+        return {
+            "runs": len(max_steps),
+            "service_calls": service_calls,
+            "mean_step": mean(sum(s * c for s, c in steps.items()), decisions),
+            "mean_max_step": mean(sum(max_steps), len(max_steps)),
+            "one_step_frac": mean(sum(c for s, c in steps.items() if s <= 1), decisions),
+            "two_step_frac": mean(kinds[DecisionKind.TWO_STEP], decisions),
+            "underlying_frac": mean(kinds[DecisionKind.UNDERLYING], decisions),
+            # A slot fold has no run clock and no deadline of its own.
+            "mean_wall_seconds": 0.0,
+            "p50_decision_latency_s": latency(0.50),
+            "p99_decision_latency_s": latency(0.99),
+            "timeouts": 0,
+        }

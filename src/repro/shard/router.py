@@ -62,6 +62,7 @@ __all__ = [
     "peek_shard",
     "instance_name",
     "parse_instance",
+    "SlotSet",
     "ShardMultiplexer",
 ]
 
@@ -182,6 +183,32 @@ def peek_shard(data: bytes, shards: int) -> int:
     return UNATTRIBUTED
 
 
+class SlotSet:
+    """An exact set of slot numbers held as a ``floor`` — every slot in
+    ``[0, floor)`` is a member — plus the few members above it, so a
+    shard's books cost its open window, not its history."""
+
+    __slots__ = ("floor", "_above")
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self._above: set[int] = set()
+
+    def __contains__(self, slot: int) -> bool:
+        return 0 <= slot < self.floor or slot in self._above
+
+    def add(self, slot: int) -> None:
+        if slot != self.floor:
+            if not 0 <= slot < self.floor:
+                self._above.add(slot)
+            return
+        above, floor = self._above, slot + 1
+        while floor in above:
+            above.remove(floor)
+            floor += 1
+        self.floor = floor
+
+
 class ShardMultiplexer(CompositeProtocol):
     """Hosts one consensus child per ``(shard, slot)``, created lazily.
 
@@ -214,10 +241,11 @@ class ShardMultiplexer(CompositeProtocol):
         self._make_instance = make_instance
         self.shards = shards
         self._max_slots = max_slots
-        self._proposed: set[tuple[int, int]] = set()
-        self.decided: dict[tuple[int, int], tuple[Value, DecisionKind]] = {}
-        # per shard, the decided slots whose instance is still a child — a
-        # decided key with no child is a retired instance (:meth:`_sweep`)
+        # per shard, the slots proposed here and the slots decided — a
+        # decided slot with no child is a retired instance (:meth:`_sweep`)
+        self._proposed = [SlotSet() for _ in range(shards)]
+        self.decided = [SlotSet() for _ in range(shards)]
+        # per shard, the decided slots whose instance is still a child
         self._lingering: list[deque[int]] = [deque() for _ in range(shards)]
 
     # -- instance management ---------------------------------------------------------
@@ -246,14 +274,16 @@ class ShardMultiplexer(CompositeProtocol):
         ceiling: peers refuse that instance's traffic (:meth:`_instance_of`),
         so opening it would stall the shard in silence.
         """
-        if (shard, slot) in self._proposed:
+        if not 0 <= shard < self.shards:
+            raise ConfigurationError(f"no shard {shard}: shards={self.shards}")
+        if slot in self._proposed[shard]:
             return []
         if slot >= self._max_slots:
             raise ConfigurationError(
                 f"shard {shard} reached slot {slot}: the multiplexer's "
                 f"ceiling is max_slots={self._max_slots}"
             )
-        self._proposed.add((shard, slot))
+        self._proposed[shard].add(slot)
         name = instance_name(shard, slot)
         if name in self._children:
             node = self.child(name)
@@ -303,7 +333,7 @@ class ShardMultiplexer(CompositeProtocol):
         (``"s1.2"``) but is routed nowhere."""
         key = self._instance_of(name)
         if key is not None:
-            if key in self.decided:
+            if key[1] in self.decided[key[0]]:
                 return []
             self._ensure(*key)
             child = self._children.get(name)
@@ -322,9 +352,9 @@ class ShardMultiplexer(CompositeProtocol):
         if not isinstance(effect, Decide):
             return []
         key = self._instance_of(name)
-        if key is None or key in self.decided:
+        if key is None or key[1] in self.decided[key[0]]:
             return []
-        self.decided[key] = (effect.value, effect.kind)
+        self.decided[key[0]].add(key[1])
         self._lingering[key[0]].append(key[1])
         self._sweep(key[0])
         return self.on_instance_decided(*key, effect.value, effect.kind)

@@ -56,6 +56,7 @@ from ..durable.recovery import (
 )
 from ..engine.events import EventSink, combine
 from ..engine.faults import Fault, FaultPlane, restart_plans
+from ..engine.run import DEFAULT_MAX_EVENTS
 from ..errors import ConfigurationError
 from ..harness import AlgorithmSpec, Deployment, dex_freq
 from ..runtime.effects import Decide, Effect, Send
@@ -81,18 +82,17 @@ Command = tuple[str, str, int]
 
 
 class KeyValueStore:
-    """The deterministic state machine each shard replicates."""
+    """The deterministic state machine each shard replicates; its history
+    is the replica's one applied log, :attr:`ShardNode.applied`."""
 
     def __init__(self) -> None:
         self.data: dict[str, int] = {}
-        self.log: list[Command] = []
 
     def apply(self, command: Command) -> None:
         kind, key, value = command
         if kind != "set":
             raise ValueError(f"unknown command kind {kind!r}")
         self.data[key] = value
-        self.log.append(command)
 
 
 #: Key-skew models of the workload generator.
@@ -841,6 +841,8 @@ class ShardedService:
             self._plane,
             lambda pid: lambda: self._make_node(pid, arrivals),
         )
+        n = self.config.n
+        heartbeats = self.shards * (1 + max((tick for tick, _ in arrivals), default=0))
         self._plane.announce(sink)
         return Deployment(
             config=self.config,
@@ -849,6 +851,9 @@ class ShardedService:
             faulty=frozenset(self._plane.faults) - self._plane.recovering(),
             seed=self.seed,
             event_sink=sink,
+            # the livelock valve, sized from the stream: a slot per command and
+            # per shard and tick, each twice a healthy slot's n(n + 2) broadcasts
+            max_events=max(DEFAULT_MAX_EVENTS, 2 * n * n * (n + 2) * (len(arrivals) + heartbeats)),
             restarts=restarts,
             mesh=self.mesh,
             shards=self.shards,
@@ -889,32 +894,22 @@ class ShardedService:
         )
         digest = result.decided_value if result.correct_decisions else None
         duration = result.end_time
-        commands, slots, states = 0, 0, {}
+        commands_by_shard, slots, states = None, 0, {}
         if digest is not None and not divergence:
+            commands_by_shard = {}
             for shard, batches in digest:
                 store = KeyValueStore()
                 for batch in batches:
                     for command in batch:
                         store.apply(command)
-                states[shard] = dict(store.data)
-                commands += sum(len(batch) for batch in batches)
+                states[shard] = store.data
+                commands_by_shard[shard] = sum(len(batch) for batch in batches)
                 slots += len(batches)
-        per_shard, aggregate = shard_sink.report(
-            commands_by_shard=(
-                {
-                    shard: sum(len(batch) for batch in batches)
-                    for shard, batches in digest
-                }
-                if digest is not None and not divergence
-                else None
-            ),
-            duration=duration,
-            stats=result.stats,
-        )
+        per_shard, aggregate = shard_sink.report(commands_by_shard, duration, result.stats)
         return ShardReport(
             shards=self.shards,
             engine=self.engine,
-            commands=commands,
+            commands=sum(commands_by_shard.values()) if commands_by_shard else 0,
             slots=slots,
             duration=duration,
             digest=digest,

@@ -37,7 +37,7 @@ from ..engine.events import (
 )
 from ..engine.faults import RestartPlan
 from ..engine.interpreter import interpret
-from ..engine.run import Engine, RunResult
+from ..engine.run import DEFAULT_MAX_EVENTS, Engine, RunResult
 from ..errors import SimulationDeadlock, SimulationError
 from ..runtime.effects import SERVICE_SENDER
 from ..runtime.protocol import Protocol, guarded
@@ -46,10 +46,6 @@ from ..types import ProcessId, SystemConfig
 from .events import Event, EventQueue
 from .latency import ConstantLatency, LatencyModel, UniformLatency
 from .scheduler import DeliveryScheduler, FairScheduler
-
-#: Default safety valve: a single consensus instance at the sizes used in the
-#: benchmarks never comes close to this many events.
-DEFAULT_MAX_EVENTS = 2_000_000
 
 _INF = float("inf")
 

@@ -141,7 +141,7 @@ def multiplexer_on_message(self, sender: ProcessId, payload: Any) -> list[Effect
     if isinstance(payload, Envelope) and payload.component not in self._children:
         key = self._instance_of(payload.component)
         if key is not None:
-            if key in self.decided:
+            if key[1] in self.decided[key[0]]:
                 return []  # retired: inert, so it would have answered this
             self._ensure(*key)
     return CompositeProtocol.on_message(self, sender, payload)

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from repro.codec.binary import Opaque, encode
 from repro.codec.schema import COMPONENT_TABLE
 from repro.engine.faults import Equivocate, Silent
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.harness import bosco_weak, brasileiro, dex_freq, twostep
 from repro.runtime.composite import Envelope
-from repro.runtime.effects import Broadcast, Decide, Deliver, Log
+from repro.runtime.effects import Broadcast, Decide, Deliver, Log, Send
 from repro.runtime.protocol import Protocol
 from repro.shard import (
     INSTANCE_DECIDED_TAG,
@@ -40,7 +40,9 @@ from repro.shard import (
     shard_workload,
     step_of_kind,
 )
+from repro.shard import service as shard_service
 from repro.shard.router import UNATTRIBUTED, peek_shard, shard_of_payload
+from repro.shard.service import ShardNode
 from repro.types import DecisionKind, SystemConfig
 
 from .test_net_engine import assert_no_leaks
@@ -210,7 +212,7 @@ class TestKeyValueStore:
         store.apply(("set", "x", 1))
         store.apply(("set", "x", 2))
         assert store.data == {"x": 2}
-        assert store.log == [("set", "x", 1), ("set", "x", 2)]
+        assert vars(store) == {"data": {"x": 2}}  # no log: ShardNode.applied is the one
 
     def test_unknown_command_rejected(self):
         with pytest.raises(ValueError):
@@ -322,6 +324,14 @@ class TestShardMultiplexer:
         assert mux.propose(1, 0, "a")
         assert mux.propose(1, 0, "b") == []
 
+    def test_propose_outside_the_shards_raises(self):
+        # the books are per shard: -1 must not wrap round to the last one
+        mux = self._mux(shards=2)
+        for shard in (-1, 2):
+            with pytest.raises(ConfigurationError, match=f"no shard {shard}"):
+                mux.propose(shard, 0, "a")
+        assert not mux._children
+
     def test_messages_never_cross_instances(self):
         # The isolation invariant: two shards' (and two slots') envelopes
         # reach exactly the addressed instance, never a neighbour.
@@ -386,7 +396,7 @@ class TestShardMultiplexer:
         (upcall,) = [e for e in effects if isinstance(e, Deliver)]
         assert upcall.tag == INSTANCE_DECIDED_TAG
         assert upcall.value == (1, 2, ("batch",), DecisionKind.ONE_STEP)
-        assert mux.decided[(1, 2)] == (("batch",), DecisionKind.ONE_STEP)
+        assert 2 in mux.decided[1] and 2 not in mux.decided[0]
 
     def test_duplicate_decides_are_dropped(self):
         mux = self._mux(
@@ -394,11 +404,12 @@ class TestShardMultiplexer:
                 0, self.CONFIG, proposal
             )
         )
-        mux.propose(0, 0, ("batch",))
+        (first,) = [e for e in mux.propose(0, 0, ("batch",)) if isinstance(e, Deliver)]
         name = instance_name(0, 0)
         again = mux.child_call(name, mux.child(name).decide_again())
         assert again == []
-        assert mux.decided[(0, 0)] == (("batch",), DecisionKind.ONE_STEP)
+        assert first.value == (0, 0, ("batch",), DecisionKind.ONE_STEP)
+        assert 0 in mux.decided[0]
 
 
 class TestFlatWireShape:
@@ -536,10 +547,11 @@ class TestShardStreamSinkRecords:
             LogEvent(3.0, 1, "shard.decide", {**slot, "kind": "one-step"}),
         ]:
             sink.emit(record)
-        assert sink.opens == {(1, 1, 0): 1.0}
-        assert sink.decides == {(1, 1, 0): (3.0, DecisionKind.ONE_STEP)}
         (idle, busy), overall = sink.report()
         assert busy["runs"] == overall["runs"] == 1 and idle["runs"] == 0
+        # only pid 1's open (1.0) and decide (3.0, one-step) were folded
+        assert busy["p50_decision_latency_s"] == overall["p99_decision_latency_s"] == 2.0
+        assert busy["one_step_frac"] == 1.0 and busy["mean_step"] == 1.0
 
 
 def _applied_commands(report):
@@ -665,6 +677,46 @@ class TestShardedServiceSim:
     def test_rejects_insufficient_resilience(self):
         with pytest.raises(ConfigurationError, match="n > 6t"):
             ShardedService(n=7, t=2)
+
+
+class _Livelocked(ShardNode):
+    """Never finishes, and keeps messaging itself: events without end."""
+
+    def _maybe_finish(self):
+        return []
+
+    def on_start(self):
+        return [*super().on_start(), Send(self.process_id, "ping")]
+
+    def on_own_message(self, sender, payload):
+        if payload == "ping":
+            return [Send(self.process_id, "ping")]
+        return super().on_own_message(sender, payload)
+
+
+class TestLivelockValve:
+    """The simulator's livelock valve is sized from the stream the service
+    runs: a long healthy stream fits, a livelock still stops."""
+
+    def test_a_long_stream_gets_a_valve_it_fits_in(self):
+        # all arrivals at tick 0, as sim_core runs them: about 112
+        # deliveries a command, so 32 768 commands need ~3.7 M events —
+        # past the simulator's default valve of 2 M
+        arrivals = [(0, ("set", f"k{i % 64}", i)) for i in range(32_768)]
+        service = ShardedService(n=7, shards=4, contention=0.3, seed=1)
+        simulation = service.deployment(arrivals, None).build_sim()
+        assert simulation.max_events >= 4 * 112 * len(arrivals)
+
+    def test_a_stream_past_the_default_valve_runs(self, monkeypatch):
+        monkeypatch.setattr(shard_service, "DEFAULT_MAX_EVENTS", 1_000)
+        report = ShardedService(n=7, shards=2, seed=3).run(count=64)  # ~7 000 events
+        assert not report.divergence and report.commands == 64
+
+    def test_a_livelock_still_stops(self, monkeypatch):
+        monkeypatch.setattr(shard_service, "DEFAULT_MAX_EVENTS", 1_000)
+        monkeypatch.setattr(shard_service, "ShardNode", _Livelocked)
+        with pytest.raises(SimulationError, match="max_events=6174;"):
+            ShardedService(n=7, shards=2, seed=3).run(count=5)
 
 
 def _sequential_log(**kwargs):
